@@ -1,0 +1,11 @@
+"""``python -m pytest bench/tests`` — not collected by the tier-1 suite
+(``testpaths = ["tests"]``).  The benchmark's modules are flat files
+next to ``run.py``, imported the way ``run.py`` imports them."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+for path in (BENCH_DIR, BENCH_DIR.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
