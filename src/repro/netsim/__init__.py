@@ -25,7 +25,7 @@ from repro.netsim.sharded import (
     merge_telemetry,
 )
 from repro.netsim.switch import Switch
-from repro.netsim.transport import Endpoint, Network, ReplayBuffer
+from repro.netsim.transport import Endpoint, Network
 
 __all__ = [
     "COORDINATOR",
@@ -44,7 +44,6 @@ __all__ = [
     "Switch",
     "Endpoint",
     "Network",
-    "ReplayBuffer",
     "get_profile",
     "merge_telemetry",
 ]

@@ -89,6 +89,11 @@ class SimulationBackend(Protocol):
         """Install a periodic health callback (None disables)."""
         ...
 
+    def at_idle(self, hook: Callable[[], None]) -> None:
+        """Call ``hook()`` every time the engine hands control back to
+        its caller (lazily accounted components close their books)."""
+        ...
+
     # -- introspection --------------------------------------------------------------
     @property
     def pending(self) -> int:

@@ -102,6 +102,7 @@ class Simulator:
         #: ``events_processed`` by more than one, which would skate past
         #: an exact-multiple check.
         self._monitor_due = 0
+        self._idle_hooks: List[Callable[[], None]] = []
         if _default_monitor_factory is not None:
             self.set_monitor(_default_monitor_factory(self))
 
@@ -119,6 +120,13 @@ class Simulator:
         self._monitor_due = (
             self.events_processed // self._monitor_every + 1
         ) * self._monitor_every
+
+    def at_idle(self, hook: Callable[[], None]) -> None:
+        """Call ``hook()`` every time the engine hands control back
+        (:meth:`run`, :meth:`run_until`, :meth:`step` returning), so
+        components that account lazily close a run's books before its
+        caller reads them or starts another simulator."""
+        self._idle_hooks.append(hook)
 
     #: Negative delays larger than this magnitude are scheduling bugs;
     #: smaller ones are float round-off (e.g. ``deadline - self.now``
@@ -200,6 +208,8 @@ class Simulator:
             self._monitor_due = (
                 self.events_processed // self._monitor_every + 1
             ) * self._monitor_every
+        for hook in self._idle_hooks:
+            hook()
         return True
 
     def run(self, max_events: Optional[int] = None) -> None:
@@ -261,6 +271,8 @@ class Simulator:
         finally:
             self._running = False
             self._stopped = False
+            for hook in self._idle_hooks:
+                hook()
 
     def run_until(self, deadline: float) -> None:
         """Run events with timestamps <= ``deadline``; clock ends there.
@@ -308,6 +320,8 @@ class Simulator:
         finally:
             self._running = False
             self._stopped = False
+            for hook in self._idle_hooks:
+                hook()
 
     def stop(self) -> None:
         """Abort the current run() after the in-flight event returns."""

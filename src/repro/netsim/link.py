@@ -18,10 +18,12 @@ enabled, so existing seeded runs are unchanged.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import weakref
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Optional
-
-from collections import deque
 
 import numpy as np
 
@@ -32,32 +34,13 @@ from repro.netsim.packet import Packet
 from repro.obs.capture import KIND_DROP, KIND_FRAME, KIND_LOSS
 from repro.obs.context import ObsContext, get_obs
 from repro.telemetry.metrics import MetricsRegistry, get_registry
-from repro.units import transmission_delay
 
 #: Queue-depth histogram buckets (packets waiting behind the wire).
 QUEUE_DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
-#: Process-wide switch for the fast transit path (see :class:`Link`).
-#: Checked at Link construction; the equivalence tests force the scalar
-#: path to diff the two implementations on identical seeds.  The
-#: ``SLIM_SCALAR_FABRIC`` environment variable disables it for a whole
-#: run (handy when bisecting a suspected fast-path bug).
-import os as _os
-
-_fast_transit = _os.environ.get("SLIM_SCALAR_FABRIC", "") in ("", "0")
-
-
-def set_fast_transit(enabled: bool) -> bool:
-    """Enable/disable the fast transit path for *new* links; returns the
-    previous setting so tests can restore it."""
-    global _fast_transit
-    previous = _fast_transit
-    _fast_transit = bool(enabled)
-    return previous
-
-
-def fast_transit_enabled() -> bool:
-    return _fast_transit
+#: A loaded link settles its pending credits on every this-many
+#: deliveries, not on each (measured: DESIGN.md section 16.2).
+FOLD_EVERY = 16
 
 
 class GilbertElliottLoss:
@@ -160,8 +143,55 @@ class LinkStats:
         return self.queue_delay_total / self.packets_sent
 
 
+class _FrameOrder:
+    """Releases one simulator's captured frames in wire order.
+
+    A tapped link pushes each frame with the instant it leaves the
+    interface and schedules one engine event there; each firing writes
+    the *earliest* pending frame.  One event per frame, fired in time
+    order, means everything earlier is already written, ties across
+    links come out by ``(time, tx_start, admission order)``, and a
+    capture frozen at ``now`` holds exactly the frames with ``t <= now``.
+    """
+
+    __slots__ = ("_heap", "_serial", "__weakref__")
+
+    def __init__(self) -> None:
+        self._heap: list = []
+        self._serial = itertools.count()
+
+    def push(self, when, start, link, packet, kind) -> None:
+        heapq.heappush(
+            self._heap,
+            (
+                when, start, next(self._serial),
+                link, packet.src, packet.dst, packet.payload, kind,
+            ),
+        )
+        link.sim.schedule_at(when, self.emit)
+
+    def emit(self) -> None:
+        when, _, _, link, src, dst, datagram, kind = heapq.heappop(self._heap)
+        # The writer tapping the link as the frame crosses records it.
+        writer = link.capture
+        if writer is not None:
+            writer.frame(when, src, dst, datagram, kind=kind)
+
+
+#: simulator -> its :class:`_FrameOrder` (weakly keyed).  Per simulator,
+#: never per writer: one ring receives interleaved records from lockstep
+#: cells and from back-to-back experiments restarting at t = 0.
+_frame_orders: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 class Link:
     """One direction of a cable between two nodes.
+
+    A FIFO wire is fully determined at admission (:meth:`admit`), so a
+    packet costs one event — its delivery — and a lost packet none;
+    statistics stay exact at any sample time through pending-credit
+    records settled lazily against the clock.  Tracer, capture tap and
+    telemetry consume that one path (DESIGN.md section 16).
 
     Args:
         sim: The event engine.
@@ -230,22 +260,15 @@ class Link:
         self.rng = rng
         self.name = name
         self._stats = LinkStats()
-        self._queue: Deque[tuple] = deque()  # (packet, enqueue_time)
         self._queued_bytes = 0
-        self._busy = False
-        #: When the in-flight packet started serializing (None when idle);
-        #: lets utilization() prorate the partially transmitted packet.
-        self._tx_started_at: Optional[float] = None
         obs = obs if obs is not None else get_obs()
         self._trace = obs.tracer if obs is not None else None
-        #: Wire-capture tap; assign a SlimcapWriter to record this
-        #: link's frames (drops and losses included).  Assigning one
-        #: drops the link back to the scalar transit path (the fast
-        #: path has no tx_start/tx_end instants to report against).
         self._capture = None
+        self._frames: Optional[_FrameOrder] = None
+        #: ``tx_end`` of the last frame scheduled; a mid-run tap adds the rest.
+        self._tapped_through = 0.0
         self._metrics = registry if registry is not None else get_registry()
-        # Pre-resolved telemetry handles: hot paths pay one None test
-        # when telemetry is disabled (enablement is fixed at construction).
+        # Pre-resolved telemetry handles (enablement is fixed here).
         self._m_bytes = self._m_packets = self._m_drops = None
         self._m_losses = self._m_queue_depth = self._m_residency = None
         if self._metrics.enabled:
@@ -260,47 +283,59 @@ class Link:
             self._m_residency = m.histogram(
                 "net.link.queue_residency_seconds", link=name
             )
-        # -- fast transit path -----------------------------------------------
-        # A FIFO wire is fully determined at enqueue time: serialization
-        # start/finish fall out of a busy-watermark, and because finish
-        # order equals enqueue order, every RNG decision (loss, GE chain
-        # step, jitter) can be drawn at enqueue while consuming the
-        # stream in exactly the scalar per-packet order.  Each packet
-        # then costs ONE event (the delivery) instead of three, and lost
-        # packets cost none.  Stats are kept exact at arbitrary sample
-        # times by pending-credit records folded lazily against the
-        # clock (`_fold`).  The path switches off whenever an observer
-        # needs the intermediate instants (tracer, capture, telemetry).
-        self._fast = (
-            _fast_transit and self._trace is None and self._m_packets is None
-        )
+            # Credited lazily, so settled before any registry read and
+            # each time the engine returns (a finished run's books close
+            # before the next simulator writes the same instruments).
+            m.add_collector(self._settle)
+            sim.at_idle(self._settle)
+        #: Any observer attached: the one test an unobserved link's
+        #: admission pays for tracer, capture tap and telemetry together.
+        self._always_watched = self._trace is not None or self._m_packets is not None
+        self._watched = self._always_watched
+        #: Serialization of everything admitted so far ends here.
         self._busy_until = 0.0
-        #: [start, nbytes, queue_delay] — folded once serialization has
-        #: started (queue occupancy + queue-delay credit).
+        #: [start, nbytes, queue_delay, ready] per queued packet, settled
+        #: once serialization has started.
         self._pending_start: Deque[list] = deque()
-        #: [finish, start, nbytes, lost] — folded once serialization has
-        #: finished (throughput + busy-time + loss credit).
+        #: [finish, start, nbytes, lost, packet] per admitted packet,
+        #: settled once serialization has finished (the packet is kept
+        #: for a tap attached while it is still on the wire).
         self._pending_fin: Deque[list] = deque()
-        #: Packets in flight on the no-jitter path, delivered FIFO by
-        #: the single preallocated callback below.
+        #: Packets in flight on the no-jitter path, delivered FIFO.
         self._transit: Deque[Packet] = deque()
         self._deliver_cb = self._deliver_next
-        # Freelists for the two pending-record shapes: the steady state
-        # recycles them instead of churning the allocator.
-        self._rec3_pool: list = []
-        self._rec4_pool: list = []
+        self._fold_in = FOLD_EVERY
+        # Freelists for the pending records (allocation-free steady state).
+        self._start_pool: list = []
+        self._fin_pool: list = []
 
+    # -- wire capture ------------------------------------------------------------
     @property
     def capture(self):
+        """Wire-capture tap; assign a SlimcapWriter to record this
+        link's frames (drops and losses included).  Safe mid-run: the
+        writer sees every frame that finishes from now on."""
         return self._capture
 
     @capture.setter
-    def capture(self, value) -> None:
-        self._capture = value
-        if value is not None:
-            self._fast = False
+    def capture(self, writer) -> None:
+        self._capture = writer
+        self._watched = self._always_watched or writer is not None
+        if writer is None:
+            return
+        self._frames = _frame_orders.setdefault(self.sim, _FrameOrder())
+        horizon = max(self.sim.now, self._tapped_through)
+        for finish, start, _, lost, packet in self._pending_fin:
+            if finish > horizon and isinstance(packet.payload, Datagram):
+                self._tap(finish, start, packet, lost)
 
-    # -- the fast transit path ---------------------------------------------------
+    def _tap(self, finish: float, start: float, packet: Packet, lost) -> None:
+        self._frames.push(
+            finish, start, self, packet, KIND_LOSS if lost else KIND_FRAME
+        )
+        self._tapped_through = finish
+
+    # -- settling pending credits ------------------------------------------------
     def _fold(self, ref: float) -> None:
         """Settle pending credits for everything that happened by ``ref``."""
         self._fold_fin(ref)
@@ -310,139 +345,60 @@ class Link:
         pend = self._pending_fin
         if pend and pend[0][0] <= ref:
             stats = self._stats
-            pool = self._rec4_pool
+            pool = self._fin_pool
+            m_packets = self._m_packets
             while pend and pend[0][0] <= ref:
                 rec = pend.popleft()
                 stats.packets_sent += 1
                 stats.bytes_sent += rec[2]
                 stats.busy_time += rec[0] - rec[1]
+                if m_packets is not None:
+                    m_packets.inc()
+                    self._m_bytes.inc(rec[2])
                 if rec[3]:
                     stats.packets_lost += 1
+                    if m_packets is not None:
+                        self._m_losses.inc()
+                    if rec[4].pooled:
+                        rec[4].release()
+                rec[4] = None
                 pool.append(rec)
 
     def _fold_starts(self, ref: float) -> None:
         starts = self._pending_start
         if starts and starts[0][0] <= ref:
             stats = self._stats
-            pool = self._rec3_pool
+            pool = self._start_pool
+            residency = self._m_residency
             while starts and starts[0][0] <= ref:
                 rec = starts.popleft()
                 self._queued_bytes -= rec[1]
                 stats.queue_delay_total += rec[2]
+                if residency is not None:
+                    residency.observe(rec[2])
                 pool.append(rec)
 
-    def _send_fast(self, packet: Packet, ready: float) -> bool:
-        """Admit one packet onto the wire as of time ``ready``."""
-        nbytes = packet.nbytes
-        busy = self._busy_until
-        if busy > ready:
-            # The wire is mid-serialization at the arrival instant, so
-            # the packet queues — exactly when the scalar path consults
-            # the tail-drop limit and starts the queue-delay clock.
-            limit = self.queue_limit_bytes
-            if limit is not None:
-                # Settle bytes that left the queue by ``ready`` so the
-                # drop decision sees the scalar path's exact occupancy.
-                if self._pending_start and self._pending_start[0][0] <= ready:
-                    self._fold_starts(ready)
-                if self._queued_bytes + nbytes > limit:
-                    self._stats.packets_dropped += 1
-                    if packet.pooled:
-                        packet.release()
-                    return False
-            start = busy
-            pool = self._rec3_pool
-            if pool:
-                rec = pool.pop()
-                rec[0] = start
-                rec[1] = nbytes
-                rec[2] = start - ready
-            else:
-                rec = [start, nbytes, start - ready]
-            self._pending_start.append(rec)
-            self._queued_bytes += nbytes
-        else:
-            # Idle wire: serialization starts immediately — the packet
-            # never queues, so there is no queue record at all (the
-            # scalar path likewise bypasses queue accounting here).
-            start = ready
-        finish = start + nbytes * 8.0 / self.rate_bps
-        self._busy_until = finish
-        rng = self.rng
-        if self.burst_loss is not None:
-            lost = self.burst_loss.sample(rng)
-        else:
-            lost = (
-                self.loss_rate > 0
-                and rng is not None
-                and float(rng.random()) < self.loss_rate
-            )
-        pool = self._rec4_pool
-        if pool:
-            rec = pool.pop()
-            rec[0] = finish
-            rec[1] = start
-            rec[2] = nbytes
-            rec[3] = lost
-        else:
-            rec = [finish, start, nbytes, lost]
-        self._pending_fin.append(rec)
-        if lost:
-            # Drawn dead at enqueue: the loss costs no event at all.
-            if packet.pooled:
-                packet.release()
-            return True
-        delay = self.propagation_delay
-        if self.jitter > 0:
-            delay += float(rng.random()) * self.jitter
-            # Jittered arrivals can reorder, so each needs its own
-            # carrier; the clean path below shares one callback.
-            self.sim.schedule_at(finish + delay, lambda: self.deliver(packet))
-        else:
-            self._transit.append(packet)
-            self.sim.schedule_at(finish + delay, self._deliver_cb)
-        return True
+    def _fold_ref(self) -> float:
+        """Settlement horizon for reads: ``now`` while events remain,
+        everything once the engine has quiesced (trailing lost packets
+        leave no event to carry the clock to their finish instants)."""
+        return self.sim.now if self.sim.pending else float("inf")
 
-    def _deliver_next(self) -> None:
-        # Delivery instants are natural fold points: this packet's own
-        # finish record is due by now, so the fold always settles work,
-        # and doing it here keeps the pending deques bounded by the
-        # in-flight backlog with no per-send bookkeeping.
-        packet = self._transit.popleft()
-        now = self.sim.now
-        self._fold_fin(now)
-        starts = self._pending_start
-        if starts and starts[0][0] <= now:
-            self._fold_starts(now)
-        self.deliver(packet)
+    def _settle(self) -> None:
+        """Credit telemetry up to the clock (registry reads, loop exits)."""
+        if self._pending_fin or self._pending_start:
+            self._fold(self._fold_ref())
 
-    def send_deferred(self, packet: Packet, extra_delay: float) -> bool:
-        """Admit ``packet`` as if sent ``extra_delay`` seconds from now.
-
-        The fast-path replacement for scheduling a closure that calls
-        :meth:`send` later (the switch's forwarding delay): admission,
-        serialization, and loss are all evaluated at the deferred ready
-        time, with no intermediate event.  Callers must keep ready times
-        per link monotone (a constant ``extra_delay`` per caller, as the
-        switch's forwarding delay is, guarantees this).  Scalar-path
-        links fall back to a scheduled send.
-        """
-        if self._fast:
-            return self._send_fast(packet, self.sim.now + extra_delay)
-        self.sim.schedule(extra_delay, lambda: self.send(packet))
-        return True
+    # -- sending -----------------------------------------------------------------
+    def send(self, packet: Packet) -> bool:
+        """Enqueue a packet; returns False if the buffer dropped it."""
+        return self.admit(packet, self.sim.now)
 
     def send_burst(self, packets) -> list:
-        """Send a train handed over at one instant; one admission sweep.
-
-        Loss decisions consume the RNG stream in per-packet order —
-        vectorized into a single ``rng.random(n)`` call when the
-        per-packet draw count is fixed (Bernoulli loss, no jitter, no
-        queue limit), drawn per packet otherwise — so seeded traces are
-        identical to one :meth:`send` call per packet.
-        """
-        if not self._fast:
-            return [self.send(p) for p in packets]
+        """Send a train handed over at one instant; seeded traces are
+        identical to one :meth:`send` per packet.  Loss decisions are
+        drawn as one ``rng.random(n)`` vector when the per-packet draw
+        count is fixed (Bernoulli loss, no jitter, no queue limit)."""
         now = self.sim.now
         if (
             len(packets) > 1
@@ -450,211 +406,186 @@ class Link:
             and self.jitter == 0
             and self.burst_loss is None
             and self.queue_limit_bytes is None
-            and self.rng is not None
         ):
-            return self._send_burst_bernoulli(packets, now)
-        return [self._send_fast(p, now) for p in packets]
+            lost = (self.rng.random(len(packets)) < self.loss_rate).tolist()
+            return [self.admit(p, now, gone) for p, gone in zip(packets, lost)]
+        return [self.admit(p, now) for p in packets]
 
-    def _send_burst_bernoulli(self, packets, now: float) -> list:
-        if self._pending_start and self._pending_start[0][0] <= now:
-            self._fold_starts(now)
-            self._fold_fin(now)
-        draws = self.rng.random(len(packets))
-        rate = self.loss_rate
-        rate_bps = self.rate_bps
-        prop = self.propagation_delay
+    def admit(
+        self, packet: Packet, ready: float, lost: Optional[bool] = None
+    ) -> bool:
+        """Admit one packet onto the wire as of time ``ready`` (>= now).
+
+        The one way into a link: queueing, tail drop, serialization,
+        loss and the delivery instant are all decided here.  ``ready``
+        may lie in the future (the switch adds its forwarding delay) but
+        must be monotone per link.  ``lost`` is a pre-drawn loss
+        decision; None draws one.  Returns False on a tail drop.
+        """
+        nbytes = packet.nbytes
         busy = self._busy_until
-        starts = self._pending_start
-        fins = self._pending_fin
-        pool3 = self._rec3_pool
-        pool4 = self._rec4_pool
-        transit = self._transit
-        schedule_at = self.sim.schedule_at
-        deliver_cb = self._deliver_cb
-        queued = 0
-        for i, packet in enumerate(packets):
-            nbytes = packet.nbytes
-            if busy > now:
-                start = busy
-                if pool3:
-                    rec = pool3.pop()
-                    rec[0] = start
-                    rec[1] = nbytes
-                    rec[2] = start - now
+        watched = self._watched
+        metered = watched and self._m_queue_depth is not None
+        if busy > ready:
+            # The wire is busy at the arrival instant: the packet queues.
+            starts = self._pending_start
+            limit = self.queue_limit_bytes
+            left = left_bytes = 0
+            if limit is not None or metered:
+                # Occupancy as of ``ready``: settle what has left the
+                # queue by now, then only *look* past the clock (reads at
+                # ``now`` must stay exact) at what will have left by then.
+                now = self.sim.now
+                if starts and starts[0][0] <= now:
+                    self._fold_starts(now)
+                if ready > now and starts and starts[0][0] <= ready:
+                    for rec in starts:
+                        if rec[0] > ready:
+                            break
+                        left += 1
+                        left_bytes += rec[1]
+                if (
+                    limit is not None
+                    and self._queued_bytes - left_bytes + nbytes > limit
+                ):
+                    self._stats.packets_dropped += 1
+                    if watched:
+                        self._report_drop(packet, ready)
+                    if packet.pooled:
+                        packet.release()
+                    return False
+            start = busy
+            pool = self._start_pool
+            if pool:
+                rec = pool.pop()
+                rec[0] = start
+                rec[1] = nbytes
+                rec[2] = start - ready
+                rec[3] = ready
+            else:
+                rec = [start, nbytes, start - ready, ready]
+            starts.append(rec)
+            self._queued_bytes += nbytes
+            if metered:
+                self._m_queue_depth.observe(len(starts) - left)
+        else:
+            # Idle wire: the packet never queues — no start record.
+            start = ready
+            if metered:
+                self._m_queue_depth.observe(1)
+                if self._pending_start:
+                    # Streaming quantiles are order-sensitive: the zero
+                    # wait takes its turn behind uncredited earlier starts.
+                    self._pending_start.append([start, nbytes, 0.0, ready])
+                    self._queued_bytes += nbytes
                 else:
-                    rec = [start, nbytes, start - now]
-                starts.append(rec)
-                queued += nbytes
+                    self._m_residency.observe(0.0)
+        finish = start + nbytes * 8.0 / self.rate_bps
+        self._busy_until = finish
+        rng = self.rng
+        if lost is None:
+            if self.burst_loss is not None:
+                lost = self.burst_loss.sample(rng)
             else:
-                start = now
-            finish = start + nbytes * 8.0 / rate_bps
-            busy = finish
-            lost = bool(draws[i] < rate)
-            if pool4:
-                rec = pool4.pop()
-                rec[0] = finish
-                rec[1] = start
-                rec[2] = nbytes
-                rec[3] = lost
-            else:
-                rec = [finish, start, nbytes, lost]
-            fins.append(rec)
-            if lost:
-                if packet.pooled:
-                    packet.release()
-            else:
-                transit.append(packet)
-                schedule_at(finish + prop, deliver_cb)
-        self._busy_until = busy
-        self._queued_bytes += queued
-        return [True] * len(packets)
-
-    # -- sending -----------------------------------------------------------------
-    def send(self, packet: Packet) -> bool:
-        """Enqueue a packet; returns False if the buffer dropped it."""
-        if self._fast:
-            return self._send_fast(packet, self.sim.now)
-        if (
-            self.queue_limit_bytes is not None
-            and self._queued_bytes + packet.nbytes > self.queue_limit_bytes
-        ):
-            self._stats.packets_dropped += 1
-            if self._m_drops is not None:
-                self._m_drops.inc()
-            if self.capture is not None and isinstance(packet.payload, Datagram):
-                self.capture.frame(
-                    self.sim.now, packet.src, packet.dst, packet.payload,
-                    kind=KIND_DROP,
+                lost = (
+                    self.loss_rate > 0
+                    and rng is not None
+                    and float(rng.random()) < self.loss_rate
                 )
-            return False
-        if self._trace is not None and packet.trace_id is not None:
-            self._trace.packet_event(
-                packet.trace_id, packet.packet_id, "enqueue", self.name,
-                self.sim.now,
+        pool = self._fin_pool
+        if pool:
+            rec = pool.pop()
+            rec[0] = finish
+            rec[1] = start
+            rec[2] = nbytes
+            rec[3] = lost
+            rec[4] = packet
+        else:
+            rec = [finish, start, nbytes, lost, packet]
+        self._pending_fin.append(rec)
+        if watched:
+            trace = self._trace
+            if trace is not None and packet.trace_id is not None:
+                trace_id, packet_id = packet.trace_id, packet.packet_id
+                name = self.name
+                trace.packet_event(trace_id, packet_id, "enqueue", name, ready)
+                trace.packet_event(trace_id, packet_id, "tx_start", name, start)
+                trace.packet_event(trace_id, packet_id, "tx_end", name, finish)
+            if self._capture is not None and isinstance(packet.payload, Datagram):
+                self._tap(finish, start, packet, lost)
+        if lost:
+            # No event at all; the fold recycles the packet.
+            return True
+        delay = self.propagation_delay
+        if self.jitter > 0:
+            delay += float(rng.random()) * self.jitter
+            # Jittered arrivals can reorder: each needs its own carrier.
+            self.sim.schedule_at(
+                finish + delay, lambda: self._deliver_next(packet)
             )
-        self._queue.append((packet, self.sim.now))
-        self._queued_bytes += packet.nbytes
-        if self._m_queue_depth is not None:
-            self._m_queue_depth.observe(len(self._queue))
-        if not self._busy:
-            self._transmit_next()
+        else:
+            self._transit.append(packet)
+            self.sim.schedule_at(finish + delay, self._deliver_cb)
         return True
 
-    def _transmit_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        packet, enqueued_at = self._queue.popleft()
-        self._queued_bytes -= packet.nbytes
-        self._stats.queue_delay_total += self.sim.now - enqueued_at
-        if self._m_residency is not None:
-            self._m_residency.observe(self.sim.now - enqueued_at)
-        if self._trace is not None and packet.trace_id is not None:
+    def _report_drop(self, packet: Packet, ready: float) -> None:
+        if self._m_drops is not None:
+            self._m_drops.inc()
+        if self._capture is not None and isinstance(packet.payload, Datagram):
+            self._frames.push(ready, ready, self, packet, KIND_DROP)
+
+    def _deliver_next(self, packet: Optional[Packet] = None) -> None:
+        if packet is None:
+            packet = self._transit.popleft()
+        # Deliveries are the fold points (this packet's own finish is
+        # due).  Under load every FOLD_EVERY-th one folds a batch; the
+        # one that empties the wire always does.  Reads settle on demand.
+        due = self._fold_in - 1
+        if due and self._transit:
+            self._fold_in = due
+        else:
+            self._fold_in = FOLD_EVERY
+            self._fold(self.sim.now)
+        if packet.trace_id is not None and self._trace is not None:
+            # Immediately before the receiver runs, so a reassembly
+            # completing inside it finds this packet's arrival on record.
             self._trace.packet_event(
-                packet.trace_id, packet.packet_id, "tx_start", self.name,
+                packet.trace_id, packet.packet_id, "deliver", self.name,
                 self.sim.now,
             )
-        serialization = transmission_delay(packet.nbytes, self.rate_bps)
-        self._tx_started_at = self.sim.now
-        self.sim.schedule(serialization, lambda: self._finish_serialization(packet))
-
-    def _finish_serialization(self, packet: Packet) -> None:
-        # Busy time is credited on completion (not at tx start): a
-        # utilization() sample taken mid-serialization must only see the
-        # bits that have actually left the interface.
-        if self._tx_started_at is not None:
-            self._stats.busy_time += self.sim.now - self._tx_started_at
-            self._tx_started_at = None
-        self._stats.packets_sent += 1
-        self._stats.bytes_sent += packet.nbytes
-        if self._m_packets is not None:
-            self._m_packets.inc()
-            self._m_bytes.inc(packet.nbytes)
-        if self.burst_loss is not None:
-            lost = self.burst_loss.sample(self.rng)
-        else:
-            lost = (
-                self.loss_rate > 0
-                and self.rng is not None
-                and float(self.rng.random()) < self.loss_rate
-            )
-        if self._trace is not None and packet.trace_id is not None:
-            self._trace.packet_event(
-                packet.trace_id, packet.packet_id, "tx_end", self.name,
-                self.sim.now,
-            )
-        if self.capture is not None and isinstance(packet.payload, Datagram):
-            self.capture.frame(
-                self.sim.now, packet.src, packet.dst, packet.payload,
-                kind=KIND_LOSS if lost else KIND_FRAME,
-            )
-        if lost:
-            self._stats.packets_lost += 1
-            if self._m_losses is not None:
-                self._m_losses.inc()
-            if packet.pooled:
-                packet.release()
-        else:
-            delay = self.propagation_delay
-            if self.jitter > 0:
-                delay += float(self.rng.random()) * self.jitter
-            if self._trace is not None and packet.trace_id is not None:
-                self.sim.schedule(delay, lambda: self._deliver_traced(packet))
-            else:
-                self.sim.schedule(delay, lambda: self.deliver(packet))
-        # The wire frees up as soon as the last bit leaves.
-        self._transmit_next()
-
-    def _deliver_traced(self, packet: Packet) -> None:
-        """Record arrival at the far end, then hand the packet over.
-
-        The "deliver" event lands immediately before the endpoint's
-        processing, so a reassembly completing inside it can identify
-        this packet as the one that finished the message.
-        """
-        self._trace.packet_event(
-            packet.trace_id, packet.packet_id, "deliver", self.name,
-            self.sim.now,
-        )
         self.deliver(packet)
 
     # -- introspection -----------------------------------------------------------
     @property
     def stats(self) -> LinkStats:
-        """Counters, exact as of the current simulated time.
-
-        On the fast transit path, credits for packets whose start/finish
-        instants have passed are folded in on access, so a reader sees
-        exactly what the scalar path's per-event accounting would show.
-        """
+        """Counters, exact as of the current simulated time."""
         if self._pending_fin or self._pending_start:
             self._fold(self._fold_ref())
         return self._stats
 
-    def _fold_ref(self) -> float:
-        """Settlement horizon for reads: ``now`` while events remain.
-
-        Once the engine quiesces, everything admitted is folded: a run
-        whose trailing packets were all lost ends *earlier* than the
-        scalar run (losses generate no events), but by then every
-        start/finish instant is a settled fact the scalar path would
-        have counted by its own, later, final clock.
-        """
-        return self.sim.now if self.sim.pending else float("inf")
+    def _waiting(self) -> tuple:
+        """(packets, bytes) queued as of now.  Packets admitted ahead of
+        the clock (the switch adds its forwarding delay) have not
+        reached the queue yet."""
+        starts = self._pending_start
+        if starts:
+            self._fold_starts(self._fold_ref())
+        packets, nbytes, now = len(starts), self._queued_bytes, self.sim.now
+        for rec in reversed(starts):
+            if rec[3] <= now:
+                break
+            packets -= 1
+            nbytes -= rec[1]
+        return packets, nbytes
 
     @property
     def queue_depth(self) -> int:
         """Packets currently waiting (not counting the one in flight)."""
-        if self._pending_start:
-            self._fold_starts(self._fold_ref())
-        return len(self._queue) + len(self._pending_start)
+        return self._waiting()[0]
 
     @property
     def queued_bytes(self) -> int:
-        if self._pending_start:
-            self._fold_starts(self._fold_ref())
-        return self._queued_bytes
+        return self._waiting()[1]
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time the link has been serializing bits.
@@ -669,9 +600,7 @@ class Link:
         if self._pending_fin or self._pending_start:
             self._fold(now)
         busy = self._stats.busy_time
-        if self._tx_started_at is not None:
-            busy += now - self._tx_started_at
-        elif self._pending_fin:
+        if self._pending_fin:
             head = self._pending_fin[0]
             if head[1] <= now:  # started but not finished: prorate
                 busy += now - head[1]

@@ -607,6 +607,9 @@ class ShardedBackend:
     def set_monitor(self, monitor) -> None:
         self._control.set_monitor(monitor)
 
+    def at_idle(self, hook: Callable[[], None]) -> None:
+        self._control.at_idle(hook)
+
     def step(self) -> bool:
         """Process one control-plane event (shards are barrier-driven)."""
         return self._control.step()

@@ -8,34 +8,13 @@ link from the switch to the server) and a small forwarding latency.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.netsim.backend import SimulationBackend
 from repro.netsim.link import QUEUE_DEPTH_BUCKETS, Link
 from repro.netsim.packet import Packet
 from repro.telemetry.metrics import MetricsRegistry, get_registry
-
-
-class _PortDispatch:
-    """Preallocated forwarding callback for one output port.
-
-    One instance per port replaces the per-packet ``lambda:
-    link.send(packet)`` closure: packets awaiting the forwarding delay
-    sit in a deque, and each scheduled firing sends the head.  Exact
-    because the engine fires same-delay events in FIFO schedule order,
-    which is the order the deque was appended in.
-    """
-
-    __slots__ = ("link", "packets")
-
-    def __init__(self, link: Link) -> None:
-        self.link = link
-        self.packets: deque = deque()
-
-    def __call__(self) -> None:
-        self.link.send(self.packets.popleft())
 
 
 class Switch:
@@ -63,12 +42,10 @@ class Switch:
         self.forwarding_delay = forwarding_delay
         self.name = name
         self._ports: Dict[str, Link] = {}
-        self._dispatch: Dict[str, _PortDispatch] = {}
         self.packets_forwarded = 0
         self.packets_unrouteable = 0
         self._metrics = registry if registry is not None else get_registry()
-        # Pre-resolved telemetry handles: hot paths pay one None test
-        # when telemetry is disabled (enablement is fixed at construction).
+        # Pre-resolved telemetry handles (enablement is fixed here).
         self._m_forwarded = self._m_unrouteable = self._m_queue_depth = None
         if self._metrics.enabled:
             m = self._metrics
@@ -85,93 +62,30 @@ class Switch:
         if address in self._ports:
             raise SimulationError(f"port for {address!r} already attached")
         self._ports[address] = link
-        self._dispatch[address] = _PortDispatch(link)
 
     def ingress(self, packet: Packet) -> None:
         """Receive a packet from any input port and forward it."""
-        dispatch = self._dispatch.get(packet.dst)
-        if dispatch is None:
+        link = self._ports.get(packet.dst)
+        if link is None:
             self.packets_unrouteable += 1
             if self._m_unrouteable is not None:
                 self._m_unrouteable.inc()
             packet.release()
             return
-        link = dispatch.link
         self.packets_forwarded += 1
         if self._m_forwarded is not None:
             self._m_forwarded.inc()
             # Output-port occupancy at forwarding time: the contention
             # signal of Figure 11 (the shared switch->server port).
             self._m_queue_depth.observe(link.queue_depth)
-        if link._fast:
-            # Fast-transit links admit the packet now with a future ready
-            # time: ingress events fire in sim-time order and the delay is
-            # constant, so per-link ready times stay monotone and no
-            # forwarding event is needed at all.
-            link._send_fast(packet, self.sim.now + self.forwarding_delay)
-            return
-        dispatch.packets.append(packet)
-        self.sim.schedule(self.forwarding_delay, dispatch)
+        # Admitted now with a future ready time — no forwarding event:
+        # ingress events fire in time order and the delay is constant,
+        # so per-link ready times stay monotone.
+        link.admit(packet, self.sim.now + self.forwarding_delay)
 
     def ingress_burst(self, packets: Sequence[Packet]) -> None:
-        """Forward a whole packet train arriving at one instant.
-
-        Equivalent to calling :meth:`ingress` on each packet in order,
-        but pays one forwarding-delay cohort per output port (via
-        :meth:`~repro.netsim.engine.Simulator.schedule_batch`) instead
-        of one event per packet, and folds telemetry into per-burst
-        aggregates.  Queue-depth observations are identical to the
-        sequential path because no simulated time passes within the
-        burst.
-        """
-        # Group by destination preserving first-arrival order, so each
-        # port's deque receives its packets in the same relative order
-        # sequential ingress would have produced.
-        trains: Dict[str, List[Packet]] = {}
-        unrouteable = 0
+        """Forward a whole packet train arriving at one instant, in
+        arrival order (cross-link same-instant deliveries tie-break on
+        admission order, so port-grouping would reorder them)."""
         for packet in packets:
-            dst = packet.dst
-            if dst in trains:
-                trains[dst].append(packet)
-            elif dst in self._dispatch:
-                trains[dst] = [packet]
-            else:
-                unrouteable += 1
-                packet.release()
-        if unrouteable:
-            self.packets_unrouteable += unrouteable
-            if self._m_unrouteable is not None:
-                self._m_unrouteable.inc(unrouteable)
-        any_fast = False
-        for dst, train in trains.items():
-            dispatch = self._dispatch[dst]
-            link = dispatch.link
-            n = len(train)
-            self.packets_forwarded += n
-            if self._m_forwarded is not None:
-                self._m_forwarded.inc(n)
-                depth = link.queue_depth
-                observe = self._m_queue_depth.observe
-                for _ in range(n):
-                    observe(depth)
-            if link._fast:
-                any_fast = True
-                continue
-            dispatch.packets.extend(train)
-            self.sim.schedule_batch(self.forwarding_delay, [dispatch] * n)
-        if any_fast:
-            # Fast-transit links assign delivery-event counters at
-            # admission, so cross-link same-timestamp ties depend on
-            # admission order: admit in original arrival order (as
-            # sequential ingress would), not port-grouped order.
-            ready = self.sim.now + self.forwarding_delay
-            dispatches = self._dispatch
-            for packet in packets:
-                dispatch = dispatches.get(packet.dst)
-                if dispatch is not None and dispatch.link._fast:
-                    dispatch.link._send_fast(packet, ready)
-
-    @property
-    def ports(self) -> Dict[str, Link]:
-        """Read-only view of attached ports (address -> output link)."""
-        return dict(self._ports)
+            self.ingress(packet)

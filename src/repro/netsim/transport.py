@@ -1,21 +1,17 @@
-"""Endpoints, topology wiring, and packet-level gap detection.
+"""Endpoints and topology wiring.
 
 The SLIM protocol runs over unreliable datagrams (Section 2.2).  This
-module is the *packet* layer: :class:`Endpoint` detects sequence gaps
-with a reorder-tolerance window and reports each missing seq exactly
-once; :class:`Network` builds the switched star fabric.  The display
-protocol's actual recovery lives in :mod:`repro.transport` — the server
+module is the *packet* layer: :class:`Endpoint` counts what arrives and
+hands it to its receive hook; :class:`Network` builds the switched star
+fabric.  Gap detection and recovery live in :mod:`repro.transport` — the
+console channel tracks sequence holes and NACKs them, and the server
 re-encodes damaged regions from its current framebuffer, because
 replaying old bytes verbatim is wrong for COPY (its source may have
 changed) and for ordering (a stale SET can overwrite newer content).
-:class:`ReplayBuffer` remains for flows whose messages really are
-immutable and idempotent (e.g. audio): a ring of recently sent messages
-served back by seq, with no stop-and-wait and no cumulative ACKs.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,100 +23,26 @@ from repro.netsim.packet import Packet
 from repro.netsim.profiles import NetworkProfile
 from repro.netsim.switch import Switch
 from repro.obs.context import ObsContext, get_obs
-from repro.telemetry.metrics import MetricsRegistry, get_registry
-
-
-class ReplayBuffer:
-    """Sender-side store of recently transmitted messages, keyed by seq.
-
-    Args:
-        capacity: Number of messages retained; the oldest are evicted.
-        registry: Telemetry sink; defaults to the process-global one.
-    """
-
-    def __init__(
-        self, capacity: int = 256, registry: Optional[MetricsRegistry] = None
-    ) -> None:
-        if capacity <= 0:
-            raise SimulationError("replay buffer capacity must be positive")
-        self.capacity = capacity
-        self._messages: "OrderedDict[int, object]" = OrderedDict()
-        self.replays_served = 0
-        self.replays_missed = 0
-        self._metrics = registry if registry is not None else get_registry()
-
-    def store(self, seq: int, message: object) -> None:
-        """Remember a sent message for potential replay."""
-        self._messages[seq] = message
-        self._messages.move_to_end(seq)
-        while len(self._messages) > self.capacity:
-            self._messages.popitem(last=False)
-
-    def replay(self, seq: int) -> Optional[object]:
-        """Fetch a message for retransmission; None if already evicted."""
-        message = self._messages.get(seq)
-        if message is None:
-            self.replays_missed += 1
-            if self._metrics.enabled:
-                self._metrics.counter("net.transport.replays_missed").inc()
-        else:
-            self.replays_served += 1
-            if self._metrics.enabled:
-                self._metrics.counter("net.transport.replays_served").inc()
-        return message
-
-    def __len__(self) -> int:
-        return len(self._messages)
-
-
-#: How many already-reported sequence numbers an endpoint remembers for
-#: deduplication before the oldest are forgotten.
-REPORTED_SEQ_MEMORY = 4096
+from repro.telemetry.metrics import MetricsRegistry
 
 
 class Endpoint:
-    """A network-attached node: receives packets, tracks sequence gaps.
-
-    Gap detection is reorder-tolerant: a hole in the sequence space is
-    only *suspected* when a higher seq arrives, and only *reported* (via
-    ``on_gap``) once ``reorder_window`` further packets have arrived
-    without the hole filling — the TCP fast-retransmit idea.  A plainly
-    reordered fabric therefore generates no recovery traffic, and each
-    missing seq is reported at most once (late arrivals and duplicates
-    cancel or dedupe the report) instead of re-firing on every
-    subsequent out-of-order packet.
+    """A network-attached node: receives packets and counts them.
 
     Args:
         address: Fabric address (must be unique in the network).
         on_receive: Callback invoked with each delivered packet.
-        on_gap: Optional callback invoked with missing sequence numbers
-            when a gap is detected in a flow tagged with integer seqs.
-        reorder_window: Packets a suspected hole may stay unfilled
-            before it is reported.  0 reports on the packet that exposes
-            the gap (the pre-reorder-tolerant behaviour).
     """
 
     def __init__(
         self,
         address: str,
         on_receive: Optional[Callable[[Packet], None]] = None,
-        on_gap: Optional[Callable[[List[int]], None]] = None,
-        reorder_window: int = 3,
     ) -> None:
-        if reorder_window < 0:
-            raise SimulationError("reorder window cannot be negative")
         self.address = address
         self.on_receive = on_receive
-        self.on_gap = on_gap
-        self.reorder_window = reorder_window
         self.packets_received = 0
         self.bytes_received = 0
-        self._next_expected_seq: Optional[int] = None
-        #: Suspected-missing seq -> packets seen since it was suspected.
-        self._suspects: "OrderedDict[int, int]" = OrderedDict()
-        #: Seqs already handed to ``on_gap`` (bounded dedupe memory).
-        self._reported: "OrderedDict[int, None]" = OrderedDict()
-        self.gaps_detected = 0
 
     def deliver(self, packet: Packet) -> None:
         """Called by the fabric when a packet arrives.
@@ -131,46 +53,10 @@ class Endpoint:
         """
         self.packets_received += 1
         self.bytes_received += packet.nbytes
-        seq = getattr(packet.payload, "seq", None)
-        if seq is not None:
-            self._track_seq(int(seq))
         if self.on_receive is not None:
             self.on_receive(packet)
         if packet.pooled:
             packet.release()
-
-    def _track_seq(self, seq: int) -> None:
-        # A late (or duplicate) arrival fills its hole: no report needed.
-        self._suspects.pop(seq, None)
-        for suspect in self._suspects:
-            self._suspects[suspect] += 1
-        if self._next_expected_seq is not None and seq > self._next_expected_seq:
-            for missing in range(self._next_expected_seq, seq):
-                if missing not in self._suspects and missing not in self._reported:
-                    self._suspects[missing] = 0
-        if self._next_expected_seq is None or seq >= self._next_expected_seq:
-            self._next_expected_seq = seq + 1
-        ripe = [s for s, age in self._suspects.items() if age >= self.reorder_window]
-        if ripe:
-            self._report_gap(sorted(ripe))
-
-    def _report_gap(self, missing: List[int]) -> None:
-        for seq in missing:
-            del self._suspects[seq]
-            self._reported[seq] = None
-        while len(self._reported) > REPORTED_SEQ_MEMORY:
-            self._reported.popitem(last=False)
-        self.gaps_detected += 1
-        metrics = get_registry()
-        if metrics.enabled:
-            metrics.counter(
-                "net.transport.gaps_detected", endpoint=self.address
-            ).inc()
-            metrics.counter(
-                "net.transport.retransmits_requested", endpoint=self.address
-            ).inc(len(missing))
-        if self.on_gap is not None:
-            self.on_gap(missing)
 
 
 def _split_rng(

@@ -74,6 +74,9 @@ class _DropCounterCache:
                 for prefix in DROP_COUNTER_PREFIXES
                 for inst in registry.collect(prefix)
             ]
+        # Cached handles bypass the registry's read methods, so credit
+        # the fabric's lazily settled loss counters explicitly.
+        registry.settle()
         return sum(int(inst.value) for inst in self._instruments)
 
 

@@ -25,6 +25,7 @@ in with :func:`use_registry` or pass one explicitly.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -311,6 +312,33 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: "Dict[Tuple[str, str, LabelItems], Instrument]" = {}
+        self._collectors: "List[weakref.WeakMethod]" = []
+
+    # -- lazily credited sources -------------------------------------------
+    def add_collector(self, hook) -> None:
+        """Register a bound method that :meth:`settle` runs.
+
+        For sources that credit their instruments lazily — fabric links
+        settle per-packet accounting only when something looks — so that
+        a reader always sees values current as of the simulated clock.
+        Held weakly: a source that is garbage drops out on its own.
+        """
+        self._collectors.append(weakref.WeakMethod(hook))
+
+    def settle(self) -> None:
+        """Bring every lazily credited source up to date.  Every read
+        of the registry (:meth:`collect`, :meth:`get`, :meth:`snapshot`,
+        iteration) does this first; code holding instrument handles of
+        its own calls it before reading them."""
+        dead = False
+        for ref in self._collectors:
+            hook = ref()
+            if hook is None:
+                dead = True
+            else:
+                hook()
+        if dead:
+            self._collectors = [r for r in self._collectors if r() is not None]
 
     # -- get-or-create -----------------------------------------------------
     def counter(self, name: str, **labels: object) -> Counter:
@@ -346,6 +374,7 @@ class MetricsRegistry:
     # -- introspection -----------------------------------------------------
     def collect(self, prefix: str = "") -> List[Instrument]:
         """All instruments (optionally name-prefix filtered), insertion order."""
+        self.settle()
         return [
             inst
             for inst in self._instruments.values()
@@ -354,6 +383,7 @@ class MetricsRegistry:
 
     def get(self, name: str, **labels: object) -> Optional[Instrument]:
         """Look up an existing instrument of any kind; None when absent."""
+        self.settle()
         wanted = _label_key(labels)
         for inst in self._instruments.values():
             if inst.name == name and inst.labels == wanted:
@@ -362,15 +392,18 @@ class MetricsRegistry:
 
     def snapshot(self) -> List[Dict[str, object]]:
         """JSON-serialisable dump of every instrument."""
+        self.settle()
         return [inst.snapshot() for inst in self._instruments.values()]
 
     def reset(self) -> None:
         self._instruments.clear()
+        self._collectors.clear()
 
     def __len__(self) -> int:
         return len(self._instruments)
 
     def __iter__(self) -> Iterator[Instrument]:
+        self.settle()
         return iter(list(self._instruments.values()))
 
 

@@ -7,8 +7,6 @@ source may have changed) and for ordering (a stale SET can overwrite
 newer content); the faithful scheme re-encodes the *current* server
 framebuffer contents of the damaged region as fresh messages —
 idempotent, order-safe, and exactly what a stateless console needs.
-(:class:`~repro.netsim.transport.ReplayBuffer` remains available for
-flows whose messages really are immutable, e.g. audio.)
 
 The server answers console NACKs from a bounded
 :class:`~repro.transport.damage.DamageMap`; an evicted seq falls back to

@@ -1,20 +1,20 @@
 """Seeded equivalence locks for the batching tier.
 
-PR-5 style: these tests pin the *scalar* semantics before the batched
-rewrite lands, then hold the cohort-drain engine and the burst/fast
-fabric transit to them bit for bit.
-
 * the engine's firing order (including same-timestamp ties) is checked
   against an independent stable-sort oracle, not against the engine
   itself, so cohort draining cannot quietly redefine the contract;
 * ``schedule_batch`` must be observationally identical to N scalar
   ``schedule`` calls at the same instant;
-* the fast transit path (``set_fast_transit``) must reproduce the
-  scalar path's delivery traces, RNG stream consumption, folded link
-  statistics, and mid-run introspection exactly — under Bernoulli
-  loss, Gilbert–Elliott burst loss, jitter, and queue-limit drops;
-* fixed-seed experiment tables (`fig8`, `lossy_fabric`) stay
-  byte-identical between the two modes.
+* the fabric's one admission path must reproduce the outputs of the
+  scalar link implementation it replaced — frozen in
+  ``tests/golden/fabric_oracle.json`` (see ``tests/fabric_oracle.py``) —
+  exactly: delivery traces, RNG stream consumption, folded link
+  statistics and introspection at random mid-run instants, under
+  Bernoulli loss, Gilbert–Elliott burst loss, jitter and queue-limit
+  drops, bare and with every observer attached;
+* fixed-seed experiment tables, ``.slimcap`` bytes, stage partitions and
+  registry snapshots stay identical to what that implementation
+  produced.
 """
 
 from __future__ import annotations
@@ -23,25 +23,13 @@ import numpy as np
 import pytest
 
 from repro.netsim.engine import Simulator
-from repro.netsim.link import GilbertElliottLoss, Link, set_fast_transit
-from repro.netsim.packet import Packet
-from repro.netsim.transport import Endpoint, Network
+
+from tests import fabric_oracle as oracle
 
 
-@pytest.fixture
-def scalar_fabric():
-    """Force the scalar transit path for the duration of a test."""
-    previous = set_fast_transit(False)
-    yield
-    set_fast_transit(previous)
-
-
-def _with_transit(fast: bool, fn):
-    previous = set_fast_transit(fast)
-    try:
-        return fn()
-    finally:
-        set_fast_transit(previous)
+@pytest.fixture(scope="module")
+def golden():
+    return oracle.load_golden()
 
 
 # ---------------------------------------------------------------------------
@@ -200,236 +188,96 @@ def test_monitor_cadence_with_batches():
 
 
 # ---------------------------------------------------------------------------
-# Fast transit vs scalar transit
+# The admission path vs the frozen scalar oracle
+# ---------------------------------------------------------------------------
+
+_LINK_IDS = ["clean", "bernoulli", "jitter", "loss+jitter", "taildrop", "loss+drop"]
+
+
+def _assert_matches(actual, expected):
+    """``==`` with a readable failure: name the first field that moved."""
+    if actual == expected:
+        return
+    for key in expected:
+        assert actual.get(key) == expected[key], f"field {key!r} diverged"
+    assert actual == expected
+
+
+@pytest.mark.parametrize("row", _LINK_IDS)
+def test_fast_transit_matches_scalar(row, golden):
+    _assert_matches(
+        oracle.link_workload(**oracle.LINK_ROWS[row]), golden[f"link/{row}"]
+    )
+
+
+def test_fast_transit_matches_scalar_gilbert_elliott(golden):
+    _assert_matches(
+        oracle.link_workload(**oracle.LINK_ROWS["gilbert_elliott"]),
+        golden["link/gilbert_elliott"],
+    )
+
+
+@pytest.mark.parametrize("row", ["clean", "bernoulli", "loss+jitter"])
+def test_send_burst_matches_scalar_sends(row, golden):
+    """send_burst consumes the RNG stream in per-packet order: a bursty
+    workload produces the same trace whether trains go through
+    send_burst or one send() per packet."""
+    _assert_matches(
+        oracle.link_workload(use_burst=True, **oracle.LINK_ROWS[row]),
+        golden[f"link/{row}"],
+    )
+
+
+@pytest.mark.parametrize(
+    "loss_rate", [0.0, 0.1], ids=["clean", "lossy"]
+)
+def test_switched_star_fast_matches_scalar(loss_rate, golden):
+    row = "lossy" if loss_rate else "clean"
+    _assert_matches(
+        oracle.star_workload(loss_rate=loss_rate), golden[f"star/{row}"]
+    )
+
+
+def test_network_send_burst_matches_scalar_sends(golden):
+    _assert_matches(oracle.star_workload(use_burst=True), golden["star/clean"])
+
+
+def test_switch_ingress_burst_matches_sequential_ingress(golden):
+    """ingress_burst(train) == for p in train: ingress(p)."""
+    for burst in (False, True):
+        _assert_matches(oracle.ingress_workload(burst=burst), golden["ingress"])
+    # Two ports finishing packets at the same instant: admission (hence
+    # delivery) order must be arrival order either way.
+    assert oracle.ingress_workload(
+        burst=True, tie_free=False
+    ) == oracle.ingress_workload(burst=False, tie_free=False)
+
+
+# ---------------------------------------------------------------------------
+# ... with every observer attached
 # ---------------------------------------------------------------------------
 
 
-def _run_link_workload(
-    *,
-    loss_rate=0.0,
-    jitter=0.0,
-    burst_loss=None,
-    queue_limit=None,
-    seed=123,
-    use_burst=False,
-):
-    """One lossy/jittery link under a seeded bursty workload.
-
-    Returns (delivery trace, accepted flags, folded stats, rng state,
-    mid-run probes) — everything the fast path must reproduce exactly.
-    """
-    sim = Simulator()
-    rng = np.random.default_rng(seed)
-    delivered = []
-    link = Link(
-        sim,
-        rate_bps=10e6,
-        propagation_delay=20e-6,
-        deliver=lambda p: delivered.append((sim.now, p.payload, p.nbytes)),
-        queue_limit_bytes=queue_limit,
-        loss_rate=loss_rate,
-        jitter=jitter,
-        burst_loss=burst_loss,
-        rng=rng if (loss_rate or jitter or burst_loss is not None) else None,
+@pytest.mark.parametrize("row", _LINK_IDS + ["gilbert_elliott"])
+def test_armed_link_matches_scalar(row, golden, tmp_path):
+    """Tracer + capture tap + enabled registry on one link: per-packet
+    event order and timestamps, ``.slimcap`` bytes and the registry
+    snapshot are the scalar path's — and so is everything the bare run
+    checks, i.e. observing changed nothing."""
+    _assert_matches(
+        oracle.link_workload(armed_dir=tmp_path, **oracle.LINK_ROWS[row]),
+        golden[f"link_armed/{row}"],
     )
-    plan = np.random.default_rng(seed + 1)
-    sizes = plan.integers(64, 1500, size=120)
-    gaps = plan.integers(0, 3, size=120) * 150e-6
-    accepted = []
-    cursor = [0]
 
-    def send_some():
-        i = cursor[0]
-        if i >= 120:
-            return
-        n = int(plan.integers(1, 5))  # a small train at one instant
-        train = [
-            Packet(
-                src="a", dst="b", nbytes=int(sizes[(i + k) % 120]),
-                payload=i + k,
-            )
-            for k in range(n)
-        ]
-        if use_burst and len(train) > 1:
-            accepted.extend(link.send_burst(train))
-        else:
-            for p in train:
-                accepted.append(link.send(p))
-        cursor[0] = i + n
-        sim.schedule(float(gaps[i % 120]) + 1e-6, send_some)
 
-    sim.schedule(0.0, send_some)
-    probes = []
-    for slice_end in (0.001, 0.0025, 0.004, 0.02):
-        sim.run_until(slice_end)
-        probes.append(
-            (link.queue_depth, link.queued_bytes, round(link.utilization(), 12))
-        )
-    sim.run()
-    stats = link.stats
-    return (
-        delivered,
-        accepted,
-        (
-            stats.packets_sent,
-            stats.bytes_sent,
-            stats.packets_dropped,
-            stats.packets_lost,
-            stats.queue_delay_total,
-            stats.busy_time,
+@pytest.mark.parametrize("row", ["clean", "lossy"])
+def test_armed_star_matches_scalar(row, golden, tmp_path):
+    _assert_matches(
+        oracle.star_workload(
+            loss_rate=0.1 if row == "lossy" else 0.0, armed_dir=tmp_path
         ),
-        rng.bit_generator.state if link.rng is not None else None,
-        probes,
+        golden[f"star_armed/{row}"],
     )
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {},
-        {"loss_rate": 0.15},
-        {"jitter": 40e-6},
-        {"loss_rate": 0.1, "jitter": 25e-6},
-        {"queue_limit": 4000},
-        {"loss_rate": 0.2, "queue_limit": 3000},
-    ],
-    ids=["clean", "bernoulli", "jitter", "loss+jitter", "taildrop", "loss+drop"],
-)
-def test_fast_transit_matches_scalar(kwargs):
-    scalar = _with_transit(False, lambda: _run_link_workload(**kwargs))
-    fast = _with_transit(True, lambda: _run_link_workload(**kwargs))
-    assert fast == scalar
-
-
-def test_fast_transit_matches_scalar_gilbert_elliott():
-    def run():
-        return _run_link_workload(
-            burst_loss=GilbertElliottLoss(0.05, 0.3, loss_good=0.01),
-            seed=77,
-        )
-
-    assert _with_transit(True, run) == _with_transit(False, run)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [{}, {"loss_rate": 0.12}, {"loss_rate": 0.1, "jitter": 30e-6}],
-    ids=["clean", "bernoulli", "loss+jitter"],
-)
-def test_send_burst_matches_scalar_sends(kwargs):
-    """send_burst consumes the RNG stream in per-packet order: a bursty
-    workload produces the same trace whether trains go through
-    send_burst or one send() per packet — in both transit modes."""
-    for fast in (False, True):
-        loop = _with_transit(
-            fast, lambda: _run_link_workload(use_burst=False, **kwargs)
-        )
-        burst = _with_transit(
-            fast, lambda: _run_link_workload(use_burst=True, **kwargs)
-        )
-        assert burst == loop, f"fast={fast}"
-
-
-def _run_star_workload(*, seed=5, loss_rate=0.0, use_burst=False):
-    """A three-endpoint switched star with crossing traffic."""
-    sim = Simulator()
-    network = Network(sim, default_rate_bps=100e6)
-    log = []
-
-    def rx(name):
-        return lambda p: log.append((round(sim.now, 12), name, p.nbytes, p.flow))
-
-    rng = np.random.default_rng(seed)
-    for name in ("a", "b", "c"):
-        network.attach(
-            Endpoint(name, on_receive=rx(name)),
-            loss_rate=loss_rate,
-            rng=np.random.default_rng(seed + ord(name)) if loss_rate else None,
-        )
-    plan = np.random.default_rng(seed + 99)
-    names = ("a", "b", "c")
-
-    def emit(i):
-        def cb():
-            src = names[i % 3]
-            dst = names[(i + 1 + int(plan.integers(0, 2))) % 3]
-            if dst == src:
-                dst = names[(i + 2) % 3]
-            train = [
-                Packet(src=src, dst=dst, nbytes=int(plan.integers(64, 1400)),
-                       flow=f"f{i}")
-                for _ in range(int(plan.integers(1, 4)))
-            ]
-            if use_burst:
-                network.send_burst(train)
-            else:
-                for p in train:
-                    network.send(p)
-
-        return cb
-
-    for i in range(60):
-        sim.schedule(float(plan.integers(0, 40)) * 1e-4, emit(i))
-    sim.run()
-    counts = tuple(
-        (network.endpoint(n).packets_received, network.endpoint(n).bytes_received)
-        for n in names
-    )
-    return log, counts, network.switch.packets_forwarded
-
-
-@pytest.mark.parametrize("loss_rate", [0.0, 0.1], ids=["clean", "lossy"])
-def test_switched_star_fast_matches_scalar(loss_rate):
-    scalar = _with_transit(False, lambda: _run_star_workload(loss_rate=loss_rate))
-    fast = _with_transit(True, lambda: _run_star_workload(loss_rate=loss_rate))
-    assert fast == scalar
-
-
-def test_network_send_burst_matches_scalar_sends():
-    for fast in (False, True):
-        loop = _with_transit(fast, lambda: _run_star_workload(use_burst=False))
-        burst = _with_transit(fast, lambda: _run_star_workload(use_burst=True))
-        assert burst == loop, f"fast={fast}"
-
-
-def test_switch_ingress_burst_matches_sequential_ingress():
-    """ingress_burst(train) == for p in train: ingress(p)."""
-
-    def run(burst: bool, fast: bool):
-        def inner():
-            sim = Simulator()
-            network = Network(sim, default_rate_bps=100e6)
-            log = []
-            for name in ("a", "b"):
-                network.attach(
-                    Endpoint(
-                        name,
-                        on_receive=lambda p, n=name: log.append(
-                            (round(sim.now, 12), n, p.nbytes)
-                        ),
-                    )
-                )
-            switch = network.switch
-            train = [
-                Packet(src="x", dst="a" if i % 3 else "b", nbytes=200 + i)
-                for i in range(12)
-            ]
-
-            def inject():
-                if burst:
-                    switch.ingress_burst(train)
-                else:
-                    for p in train:
-                        switch.ingress(p)
-
-            sim.schedule(0.001, inject)
-            sim.run()
-            return log, switch.packets_forwarded
-
-        return _with_transit(fast, inner)
-
-    for fast in (False, True):
-        assert run(True, fast) == run(False, fast), f"fast={fast}"
 
 
 # ---------------------------------------------------------------------------
@@ -437,52 +285,45 @@ def test_switch_ingress_burst_matches_sequential_ingress():
 # ---------------------------------------------------------------------------
 
 
-def _lossy_session_fingerprint():
-    from repro.experiments.lossy_fabric import run_lossy_session
+def test_lossy_session_table_byte_identical(golden):
+    _assert_matches(oracle.lossy_session_fingerprint(), golden["lossy_session"])
 
-    channel = run_lossy_session(0.05, updates=6, seed=3)
-    uplink = channel.network.uplink("server")
-    downlink = channel.network.downlink("console")
-    return (
-        channel.console.framebuffer.pixels.tobytes(),
-        channel.recoveries,
-        channel.refreshes,
-        channel.converged,
-        uplink.stats.packets_sent,
-        uplink.stats.packets_lost,
-        downlink.stats.packets_sent,
-        downlink.stats.packets_lost,
-        channel.network.endpoint("console").packets_received,
-        channel.server_channel.stats.wire_bytes,
+
+def test_lossy_yardstick_table_byte_identical(golden):
+    _assert_matches(oracle.yardstick_fingerprint(), golden["yardstick"])
+
+
+def test_fig8_table_byte_identical(golden):
+    _assert_matches(oracle.fig8_fingerprint(), golden["fig8"])
+
+
+@pytest.mark.parametrize(
+    "name, fingerprint",
+    [
+        ("lossy_session", oracle.lossy_session_fingerprint),
+        ("yardstick", oracle.yardstick_fingerprint),
+    ],
+    ids=["lossy_session", "yardstick"],
+)
+def test_armed_experiment_matches_scalar(name, fingerprint, golden, tmp_path):
+    """A real TraceCollector, a file capture and an enabled registry:
+    tables, capture bytes, ``completed_messages()`` stage dicts and the
+    registry snapshot all equal the scalar path's."""
+    _assert_matches(
+        oracle.armed(fingerprint, tmp_path), golden[f"{name}_armed"]
     )
 
 
-def test_lossy_session_table_byte_identical():
-    scalar = _with_transit(False, _lossy_session_fingerprint)
-    fast = _with_transit(True, _lossy_session_fingerprint)
-    assert fast == scalar
-
-
-def _yardstick_fingerprint():
-    from repro.experiments.lossy_fabric import yardstick_on_lossy_fabric
-
-    rtt, probe_loss = yardstick_on_lossy_fabric(0.1, sim_seconds=4.0, seed=11)
-    return repr((rtt, probe_loss)).encode()
-
-
-def test_lossy_yardstick_table_byte_identical():
-    assert _with_transit(True, _yardstick_fingerprint) == _with_transit(
-        False, _yardstick_fingerprint
+@pytest.mark.parametrize("experiment", ["table4", "lossy_fabric"])
+def test_runner_outputs_match_scalar(experiment, golden, tmp_path):
+    """``python -m repro.experiments`` with default flags plus every
+    file output: tables, ``--metrics-json``, ``--capture`` bytes, and
+    the ``--timeseries`` run totals and last window edge."""
+    _assert_matches(
+        oracle.runner_outputs(tmp_path, experiment),
+        golden[f"runner/{experiment}"],
     )
 
 
-def _fig8_fingerprint():
-    from repro.experiments.fig8 import bandwidth_table
-
-    return repr(bandwidth_table(n_users=2, duration=20.0, seed=9)).encode()
-
-
-def test_fig8_table_byte_identical():
-    assert _with_transit(True, _fig8_fingerprint) == _with_transit(
-        False, _fig8_fingerprint
-    )
+def test_example_captures_match_scalar(golden, tmp_path):
+    _assert_matches(oracle.example_captures(tmp_path), golden["examples"])

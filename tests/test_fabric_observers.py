@@ -1,0 +1,397 @@
+"""Observers ride the fabric's one admission path.
+
+* tapping a loaded link mid-run changes nothing about the link and
+  records exactly the frames that finish from then on;
+* a capture frozen, closed or flushed at ``now`` holds exactly the
+  records with ``t <= now`` — a *lost* trailing datagram included, with
+  no later traffic to carry the clock there;
+* frames from different links that leave at the same instant come out
+  by (time, tx_start, admission order);
+* arming observers adds no engine events to a run that captures no
+  frames, and exactly one per captured frame otherwise — a self-check
+  that names the observer at fault.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import zipfile
+
+import numpy as np
+import pytest
+
+from repro.core.wire import Datagram
+from repro.experiments.runner import EXPERIMENTS, ExperimentResult, experiment
+from repro.netsim.engine import Simulator
+from repro.netsim.link import Link
+from repro.netsim.packet import Packet
+from repro.obs import (
+    FlightRecorder,
+    ObsContext,
+    RingSlimcapWriter,
+    SlimcapReader,
+    SlimcapWriter,
+    TraceCollector,
+    use_obs,
+)
+from repro.perf import scenarios
+from repro.perf.harness import ScenarioContext
+from repro.telemetry import MetricsRegistry, use_registry
+
+from tests.fabric_oracle import table_lines
+
+RATE = 10e6
+
+
+def _datagram(seq: int) -> Datagram:
+    return Datagram(seq=seq, index=0, count=1, payload=bytes([seq % 251]) * 8)
+
+
+def _frames(source):
+    reader = (
+        SlimcapReader.from_bytes(source)
+        if isinstance(source, bytes)
+        else SlimcapReader(source)
+    )
+    return [
+        (r.kind_name, r.time, r.datagram.seq)
+        for r in reader.records()
+        if r.datagram is not None
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Tapping a loaded link mid-run
+# ---------------------------------------------------------------------------
+
+
+def _loaded_link(seed: int, tap_at=None, tap_path=None):
+    """A lossy, queueing, otherwise unobserved link under seeded trains;
+    optionally tapped at ``tap_at``.  Returns what the link did and what
+    the tap saw."""
+    sim = Simulator()
+    link = Link(
+        sim,
+        rate_bps=RATE,
+        propagation_delay=20e-6,
+        deliver=lambda p: None,
+        queue_limit_bytes=6000,
+        loss_rate=0.2,
+        rng=np.random.default_rng(seed),
+    )
+    plan = np.random.default_rng(seed + 1)
+    sizes = plan.integers(200, 1500, size=200)
+    cursor = [0]
+
+    def send_some():
+        i = cursor[0]
+        if i >= 200:
+            return
+        n = int(plan.integers(1, 6))
+        for k in range(n):
+            link.send(
+                Packet(
+                    src="a", dst="b", nbytes=int(sizes[(i + k) % 200]),
+                    payload=_datagram(i + k),
+                )
+            )
+        cursor[0] = i + n
+        sim.schedule(float(plan.integers(1, 30)) * 1e-4, send_some)
+
+    sim.schedule(0.0, send_some)
+    writer = None
+    busy_share = []
+    if tap_at is not None:
+        sim.run_until(tap_at)
+        writer = SlimcapWriter(tap_path)
+        link.capture = writer
+        for instant in np.linspace(tap_at, tap_at + 0.02, 9)[1:]:
+            sim.run_until(float(instant))
+            # Time spent serializing can never exceed time elapsed —
+            # unless two packets were on the wire at once.
+            busy_share.append(link.stats.busy_time / float(instant))
+            assert link.utilization() <= 1.0
+    sim.run()
+    stats = link.stats
+    result = {
+        "stats": (
+            stats.packets_sent, stats.bytes_sent, stats.packets_dropped,
+            stats.packets_lost, stats.queue_delay_total, stats.busy_time,
+        ),
+        "ended_at": sim.now,
+        "busy_share": busy_share,
+    }
+    if writer is not None:
+        writer.close()
+        result["frames"] = _frames(tap_path)
+    return result
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_tapping_a_loaded_link_mid_run(seed, tmp_path):
+    untapped = _loaded_link(seed)
+    # Tapped before any traffic: the whole run's frames, for reference.
+    whole = _loaded_link(seed, tap_at=0.0, tap_path=tmp_path / "whole.slimcap")
+    tap_at = float(
+        np.random.default_rng(seed + 2).uniform(0.2, 0.8) * untapped["ended_at"]
+    )
+    tapped = _loaded_link(seed, tap_at=tap_at, tap_path=tmp_path / "tap.slimcap")
+    # The link itself is none the wiser ...
+    assert whole["stats"] == untapped["stats"]
+    assert tapped["stats"] == untapped["stats"]
+    assert all(0.0 <= share <= 1.0 for share in tapped["busy_share"])
+    assert max(tapped["busy_share"]) > 0.2  # the link really was loaded
+    # ... and the capture holds exactly the frames that finish (or are
+    # tail-dropped) after the tap — those queued before it included.
+    expected = [frame for frame in whole["frames"] if frame[1] > tap_at]
+    assert {"frame", "loss", "drop"} <= {kind for kind, _, _ in expected}
+    assert 0 < len(expected) < len(whole["frames"])
+    assert tapped["frames"] == expected
+
+
+# ---------------------------------------------------------------------------
+# Freeze / flush completeness
+# ---------------------------------------------------------------------------
+
+
+class _ScriptedDraws:
+    """An rng stand-in: the link asks for one uniform draw per packet."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+NBYTES = 1000
+SERIALIZATION = NBYTES * 8.0 / RATE
+
+
+def _link_whose_last_datagram_is_lost(sim, capture):
+    """Three datagrams sent at t = 0; the draws lose only the last.
+    Nothing is ever sent again, so no later event visits the link."""
+    delivered = []
+    link = Link(
+        sim,
+        rate_bps=RATE,
+        propagation_delay=20e-6,
+        deliver=lambda p: delivered.append(p.payload.seq),
+        loss_rate=0.5,
+        rng=_ScriptedDraws([0.9, 0.9, 0.1]),
+    )
+    link.capture = capture
+    for seq in range(3):
+        link.send(Packet(src="a", dst="b", nbytes=NBYTES, payload=_datagram(seq)))
+    return link, delivered
+
+
+_ALL_THREE = [
+    ("frame", SERIALIZATION, 0),
+    ("frame", SERIALIZATION + SERIALIZATION, 1),
+    ("loss", SERIALIZATION + SERIALIZATION + SERIALIZATION, 2),
+]
+
+
+def test_closed_capture_holds_the_trailing_loss(tmp_path):
+    sim = Simulator()
+    writer = SlimcapWriter(tmp_path / "c.slimcap")
+    link, delivered = _link_whose_last_datagram_is_lost(sim, writer)
+    sim.run()
+    writer.close()
+    assert delivered == [0, 1]
+    assert _frames(writer.path) == _ALL_THREE
+    assert link.stats.packets_lost == 1 and link.stats.packets_sent == 3
+
+
+def test_frozen_ring_holds_exactly_the_past(tmp_path):
+    sim = Simulator()
+    recorder = FlightRecorder(out_dir=tmp_path, label="freeze")
+    link, _ = _link_whose_last_datagram_is_lost(sim, recorder.capture)
+
+    def ring_of(bundle):
+        with zipfile.ZipFile(bundle) as archive:
+            return _frames(archive.read("ring.slimcap"))
+
+    # Mid-flight: the second frame has left, the lost third has not.
+    sim.run_until(2.5 * SERIALIZATION)
+    assert ring_of(recorder.trigger("mid-run")) == _ALL_THREE[:2]
+    assert link.stats.packets_sent == 2 and link.stats.packets_lost == 0
+    # Drained: the loss is on record, stamped at its finish.
+    sim.run()
+    assert ring_of(recorder.trigger("drained")) == _ALL_THREE
+    assert sim.now == _ALL_THREE[-1][1]  # the loss itself carried the clock
+
+
+def test_interrupted_run_flushes_the_trailing_loss(tmp_path):
+    """Ctrl-C in the runner: the --capture file and the frozen ring both
+    hold the lost trailing datagram."""
+    from repro.experiments.__main__ import main
+    from repro.netsim.transport import Endpoint, Network
+
+    @experiment("interrupt-flush-test")
+    def run(config):
+        sim = Simulator()
+        network = Network(sim, default_rate_bps=RATE)
+        network.attach(Endpoint("b"))
+        network.attach(
+            Endpoint("a"), loss_rate=0.5, rng=np.random.default_rng(0)
+        )
+        # Both directions of "a" got spawned generators; script the
+        # uplink's draws instead.
+        network.uplink("a").rng = _ScriptedDraws([0.9, 0.9, 0.1])
+        for seq in range(3):
+            network.send(
+                Packet(src="a", dst="b", nbytes=NBYTES, payload=_datagram(seq))
+            )
+        sim.run()
+        raise KeyboardInterrupt
+
+    capture = tmp_path / "run.slimcap"
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                status = main(
+                    [
+                        "--capture", str(capture),
+                        "--postmortem-dir", str(tmp_path),
+                        "interrupt-flush-test",
+                    ]
+                )
+    finally:
+        EXPERIMENTS.pop("interrupt-flush-test", None)
+    assert status == 130
+    assert _frames(capture) == _ALL_THREE
+    (bundle,) = tmp_path.glob("*.slimpm")
+    with zipfile.ZipFile(bundle) as archive:
+        assert _frames(archive.read("ring.slimcap")) == _ALL_THREE
+
+
+# ---------------------------------------------------------------------------
+# Cross-link ties
+# ---------------------------------------------------------------------------
+
+
+def test_frames_tying_on_time_come_out_by_tx_start_then_admission(tmp_path):
+    """Three links each finish a frame at t = 4 ms.  Admission order is
+    11, 20, 30 (which is also the order their capture events sit in the
+    engine's heap), but the wire saw 20 start first: the capture orders
+    by (time, tx_start, admission)."""
+    sim = Simulator()
+    writer = SlimcapWriter(tmp_path / "ties.slimcap")
+
+    def link(name):
+        made = Link(
+            sim, rate_bps=8e6, propagation_delay=0.0, deliver=lambda p: None,
+            name=name,
+        )
+        made.capture = writer
+        return made
+
+    def send(on, seq, nbytes):
+        on.send(Packet(src=on.name, dst="x", nbytes=nbytes, payload=_datagram(seq)))
+
+    one, two, three = link("one"), link("two"), link("three")
+    # 1 byte = 1 us at 8 Mbps.  All of these leave at t = 4 ms exactly.
+    send(one, 10, 1000)   # starts 0
+    send(one, 11, 3000)   # queued: starts 1 ms, ends 4 ms
+    send(two, 20, 4000)   # starts 0, ends 4 ms (admitted after `one`'s)
+    sim.run_until(0.002)
+    send(three, 30, 2000)  # starts 2 ms, ends 4 ms (admitted last)
+    send(two, 21, 500)     # queued behind 20: starts 4 ms
+    sim.run()
+    writer.close()
+    at_tie = [f for f in _frames(writer.path) if f[1] == 0.004]
+    assert [seq for _, _, seq in at_tie] == [20, 11, 30]
+
+
+# ---------------------------------------------------------------------------
+# Self-check: what does arming cost in engine events?
+# ---------------------------------------------------------------------------
+
+_OBSERVERS = {
+    "tracer": lambda: use_obs(ObsContext(tracer=TraceCollector())),
+    "capture": lambda: use_obs(ObsContext(capture=RingSlimcapWriter())),
+    "telemetry": lambda: use_registry(MetricsRegistry()),
+}
+
+
+def _blame(body, bare_events):
+    """Which single observer, attached alone, changes the event count?"""
+    guilty = []
+    for name, attach in _OBSERVERS.items():
+        with attach():
+            events = body()["sim_events"]
+        if events != bare_events:
+            guilty.append(f"{name} ({events - bare_events:+d} events)")
+    return ", ".join(guilty) or "none alone (an interaction, or the runner)"
+
+
+def _through_the_runner(experiment_id, flags, tmp_path):
+    from repro.experiments.__main__ import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(
+            list(flags) + ["--postmortem-dir", str(tmp_path), experiment_id]
+        )
+    assert status == 0
+    return table_lines(out.getvalue())
+
+
+def test_arming_observers_adds_no_events_to_a_fig11_cell(tmp_path):
+    """A Fig-11-style cell (yardstick + background load, no display
+    datagrams) through the runner: default flags vs
+    ``--no-flight-recorder`` vs ``--metrics`` fire the same number of
+    engine events and print the same table."""
+    ctx = ScenarioContext(quick=True, seed=17)
+    seen = []
+
+    @experiment("selfcheck-fig11-cell")
+    def run(config):
+        counts = scenarios.yardstick_load(ctx)
+        seen.append(counts["sim_events"])
+        return ExperimentResult(
+            "selfcheck-fig11-cell", "self-check", rows=[dict(counts)]
+        )
+
+    try:
+        armed = _through_the_runner("selfcheck-fig11-cell", [], tmp_path)
+        bare = _through_the_runner(
+            "selfcheck-fig11-cell", ["--no-flight-recorder"], tmp_path
+        )
+        metered = _through_the_runner(
+            "selfcheck-fig11-cell", ["--no-flight-recorder", "--metrics"], tmp_path
+        )
+    finally:
+        EXPERIMENTS.pop("selfcheck-fig11-cell", None)
+    armed_events, bare_events, metered_events = seen
+    if not armed_events == bare_events == metered_events:
+        pytest.fail(
+            f"observers changed the engine's event count: bare {bare_events}, "
+            f"armed {armed_events}, --metrics {metered_events}; observers "
+            "adding events when attached alone: "
+            + _blame(lambda: scenarios.yardstick_load(ctx), bare_events)
+        )
+    assert armed == bare
+    table_end = metered.index("") if "" in metered else len(metered)
+    assert metered[:table_end] == bare[:table_end]
+
+
+def test_capture_costs_one_event_per_captured_frame():
+    """A display session: the tracer and telemetry add no events; the
+    capture tap adds exactly one per frame it records."""
+    ctx = ScenarioContext(quick=True, seed=17)
+    bare_events = scenarios._e2e_session_body(ctx)["sim_events"]
+    for name in ("tracer", "telemetry"):
+        with _OBSERVERS[name]():
+            events = scenarios._e2e_session_body(ctx)["sim_events"]
+        assert events == bare_events, (
+            f"{name} added {events - bare_events:+d} engine events"
+        )
+    ring = RingSlimcapWriter(max_bytes=1 << 30)
+    with use_obs(ObsContext(capture=ring)):
+        tapped_events = scenarios._e2e_session_body(ctx)["sim_events"]
+    assert ring.frames_written > 0
+    assert tapped_events - bare_events == ring.frames_written

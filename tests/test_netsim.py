@@ -13,7 +13,7 @@ from repro.netsim import (
     Simulator,
     Switch,
 )
-from repro.netsim.transport import ReplayBuffer, _split_rng
+from repro.netsim.transport import _split_rng
 from repro.units import ETHERNET_100, MBPS, transmission_delay
 
 
@@ -442,117 +442,102 @@ class TestSwitchAndNetwork:
         assert uplink_survivors(False) == uplink_survivors(True)
 
 
-class _Tagged:
-    def __init__(self, seq):
-        self.seq = seq
+class _GapRig:
+    """A console channel fed a scripted datagram arrival order.
 
+    Gap detection lives in :class:`~repro.transport.ConsoleChannel` (the
+    packet layer no longer tracks sequence numbers): a hole is
+    *suspected* when a higher seq arrives and *reported* — NACKed —
+    only once ``nack_delay`` has passed without it filling.  Datagrams
+    are handed straight to the channel's receive hook, so arrival order
+    and timing are exactly what the test says.
+    """
 
-def _tagged(seq):
-    return Packet(src="a", dst="rx", nbytes=10, payload=_Tagged(seq))
+    def __init__(self, nack_delay):
+        from repro.core import commands as cmd
+        from repro.core.wire import WireCodec
+        from repro.framebuffer import FrameBuffer, Rect
+        from repro.transport import DisplayChannel
+
+        self.channel = DisplayChannel(FrameBuffer(32, 24), nack_delay=nack_delay)
+        self.sim = self.channel.sim
+        self.console = self.channel.console_channel
+        codec = WireCodec()
+        fill = cmd.FillCommand(rect=Rect(0, 0, 4, 4), color=(1, 2, 3))
+        self._datagrams = {
+            seq: next(iter(codec.fragment(fill, seq=seq))) for seq in range(8)
+        }
+        self.nacked = []
+        real_nack = self.console._send_nack
+
+        def spy(record):
+            self.nacked.append(record.seq)
+            real_nack(record)
+
+        self.console._send_nack = spy
+
+    def arrive(self, seq, at):
+        datagram = self._datagrams[seq]
+        packet = Packet(
+            src="server", dst="console", nbytes=datagram.wire_nbytes,
+            payload=datagram,
+        )
+        self.sim.schedule_at(at, lambda: self.console.handle_packet(packet))
 
 
 class TestGapDetectionAndReplay:
     def test_gap_detection_immediate_with_zero_window(self):
-        gaps = []
-        endpoint = Endpoint("rx", on_gap=gaps.append, reorder_window=0)
-        for seq in (0, 1, 4):
-            endpoint.deliver(_tagged(seq))
-        assert gaps == [[2, 3]]
-        assert endpoint.gaps_detected == 1
+        rig = _GapRig(nack_delay=0.0)
+        for i, seq in enumerate((0, 1, 4)):
+            rig.arrive(seq, at=0.001 * i)
+        rig.sim.run_until(0.002)  # the instant seq 4 exposes the hole
+        assert rig.nacked == [2, 3]
 
     def test_reordering_does_not_fire_gap(self):
         """A merely reordered stream must produce zero recovery traffic."""
-        gaps = []
-        endpoint = Endpoint("rx", on_gap=gaps.append)
-        for seq in (0, 2, 1, 4, 3, 5):
-            endpoint.deliver(_tagged(seq))
-        assert gaps == []
-        assert endpoint.gaps_detected == 0
+        rig = _GapRig(nack_delay=0.005)
+        for i, seq in enumerate((0, 2, 1, 4, 3, 5)):
+            rig.arrive(seq, at=0.001 * i)
+        rig.sim.run_until(0.05)
+        assert rig.nacked == []
+        assert rig.console.stats.nacks_sent == 0
 
     def test_gap_reported_once_window_expires(self):
-        gaps = []
-        endpoint = Endpoint("rx", on_gap=gaps.append, reorder_window=3)
-        # Seq 1 goes missing; the window counts packets seen afterwards.
-        for seq in (0, 2, 3, 4):
-            endpoint.deliver(_tagged(seq))
-        assert gaps == []  # only 2 packets seen since the suspicion
-        endpoint.deliver(_tagged(5))
-        assert gaps == [[1]]
-        assert endpoint.gaps_detected == 1
+        rig = _GapRig(nack_delay=0.003)
+        # Seq 1 goes missing; the window runs from the arrival of seq 2.
+        for i, seq in enumerate((0, 2, 3, 4)):
+            rig.arrive(seq, at=0.001 * i)
+        rig.sim.run_until(0.0039)
+        assert rig.nacked == []  # suspected at 1 ms, not yet ripe
+        rig.sim.run_until(0.0041)
+        assert rig.nacked == [1]
 
     def test_gap_not_refired_on_later_reordering(self):
         """A reported seq is remembered: later packets never re-report it."""
-        gaps = []
-        endpoint = Endpoint("rx", on_gap=gaps.append, reorder_window=0)
-        endpoint.deliver(_tagged(0))
-        endpoint.deliver(_tagged(3))  # reports [1, 2]
-        assert gaps == [[1, 2]]
+        rig = _GapRig(nack_delay=0.0)
+        rig.arrive(0, at=0.0)
+        rig.arrive(3, at=0.001)  # reports 1 and 2
         # The very-late originals finally arrive, then the stream resumes:
         # the already-reported seqs must not be reported a second time.
-        endpoint.deliver(_tagged(1))
-        endpoint.deliver(_tagged(2))
-        endpoint.deliver(_tagged(4))
-        assert gaps == [[1, 2]]
-        assert endpoint.gaps_detected == 1
+        rig.arrive(1, at=0.002)
+        rig.arrive(2, at=0.003)
+        rig.arrive(4, at=0.004)
+        rig.sim.run_until(0.01)
+        assert rig.nacked == [1, 2]
+        assert rig.console.pending_recoveries == 0
 
     def test_late_arrival_cancels_suspicion(self):
-        gaps = []
-        endpoint = Endpoint("rx", on_gap=gaps.append, reorder_window=2)
-        endpoint.deliver(_tagged(0))
-        endpoint.deliver(_tagged(3))  # suspects 1 and 2
-        endpoint.deliver(_tagged(1))  # fills one hole within the window
-        endpoint.deliver(_tagged(4))
-        endpoint.deliver(_tagged(5))
-        assert gaps == [[2]]  # only the genuinely lost seq is reported
-        assert endpoint.gaps_detected == 1
+        rig = _GapRig(nack_delay=0.002)
+        rig.arrive(0, at=0.0)
+        rig.arrive(3, at=0.001)  # suspects 1 and 2
+        rig.arrive(1, at=0.002)  # fills one hole within the window
+        rig.arrive(4, at=0.0025)
+        rig.sim.run_until(0.0035)
+        assert rig.nacked == [2]  # only the genuinely lost seq is reported
+        assert rig.console.stats.suspects == 2
 
     def test_negative_reorder_window_rejected(self):
-        with pytest.raises(SimulationError):
-            Endpoint("rx", reorder_window=-1)
+        from repro.errors import ProtocolError
 
-    def test_replay_buffer_serves_recent(self):
-        buffer = ReplayBuffer(capacity=4)
-        for seq in range(6):
-            buffer.store(seq, f"msg{seq}")
-        assert buffer.replay(5) == "msg5"
-        assert buffer.replay(0) is None  # evicted
-        assert buffer.replays_served == 1
-        assert buffer.replays_missed == 1
-
-    def test_replay_buffer_capacity_positive(self):
-        with pytest.raises(SimulationError):
-            ReplayBuffer(capacity=0)
-
-    def test_loss_recovery_end_to_end(self, rng):
-        """Lost datagrams are detected by seq gap and replayed."""
-        sim = Simulator()
-        network = Network(sim, default_rate_bps=ETHERNET_100)
-        buffer = ReplayBuffer()
-        received = []
-
-        class Tagged:
-            def __init__(self, seq):
-                self.seq = seq
-
-        def on_gap(missing):
-            for seq in missing:
-                message = buffer.replay(seq)
-                if message is not None:
-                    network.send(
-                        Packet(src="tx", dst="rx", nbytes=100, payload=message)
-                    )
-
-        rx = Endpoint("rx", on_receive=lambda p: received.append(p.payload.seq), on_gap=on_gap)
-        network.attach(rx)
-        # Lossy uplink from the sender.
-        network.attach(Endpoint("tx"), loss_rate=0.3, rng=rng)
-        for seq in range(50):
-            message = Tagged(seq)
-            buffer.store(seq, message)
-            network.send(Packet(src="tx", dst="rx", nbytes=100, payload=message))
-        sim.run()
-        # With 30% loss, substantially more than 70% of messages must
-        # arrive thanks to replay (replays themselves may be lost, and
-        # trailing losses have no later packet to expose them).
-        assert buffer.replays_served > 0
-        assert len(set(received)) >= 38
+        with pytest.raises(ProtocolError):
+            _GapRig(nack_delay=-0.001)
