@@ -104,6 +104,12 @@ class SimulationBackend(Protocol):
         """Timestamp of the next event, or None when idle."""
         ...
 
+    @property
+    def horizon(self) -> float:
+        """How far lazily kept books may be settled: ``now``, or
+        ``inf`` once :meth:`run` has drained the queue."""
+        ...
+
 
 #: The default backend: the single-process discrete-event engine.  An
 #: alias rather than a subclass — ``Simulator`` *is* the local backend,

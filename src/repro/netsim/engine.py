@@ -103,6 +103,8 @@ class Simulator:
         #: an exact-multiple check.
         self._monitor_due = 0
         self._idle_hooks: List[Callable[[], None]] = []
+        #: The last engine return was a :meth:`run` that emptied the queue.
+        self._drained = False
         if _default_monitor_factory is not None:
             self.set_monitor(_default_monitor_factory(self))
 
@@ -199,6 +201,7 @@ class Simulator:
         """
         if not self._queue:
             return False
+        self._drained = False
         when, _, callback = heapq.heappop(self._queue)
         self.now = when
         self.events_processed += 1
@@ -271,6 +274,7 @@ class Simulator:
         finally:
             self._running = False
             self._stopped = False
+            self._drained = not self._queue
             for hook in self._idle_hooks:
                 hook()
 
@@ -331,6 +335,7 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
+        self._drained = False
         # A stray stop() while idle must not poison the next run: the
         # flag only means "abort the run in progress", so it is cleared
         # on entry (the finally-block clear handles the in-run case).
@@ -349,3 +354,12 @@ class Simulator:
     def peek_next_time(self) -> Optional[float]:
         """Timestamp of the next event, or None when idle."""
         return self._queue[0][0] if self._queue else None
+
+    @property
+    def horizon(self) -> float:
+        """How far lazily kept books may be settled: the clock — or
+        everything, once :meth:`run` has drained the queue.  Nothing can
+        happen after that, and what was decided ahead of the clock (a
+        lost packet's finish instant) has no event to carry it there.
+        A :meth:`run_until` slice never looks past its deadline."""
+        return float("inf") if self._drained and not self._queue else self.now

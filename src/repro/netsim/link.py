@@ -147,11 +147,12 @@ class _FrameOrder:
     """Releases one simulator's captured frames in wire order.
 
     A tapped link pushes each frame with the instant it leaves the
-    interface and schedules one engine event there; each firing writes
-    the *earliest* pending frame.  One event per frame, fired in time
-    order, means everything earlier is already written, ties across
-    links come out by ``(time, tx_start, admission order)``, and a
-    capture frozen at ``now`` holds exactly the frames with ``t <= now``.
+    interface; no engine event is involved.  Frames wait here until the
+    clock has reached them and come out earliest first — on the next
+    push, whenever the engine hands control back, and before a writer
+    is read — so records reach a writer in time order, ties across
+    links by ``(time, tx_start, admission order)``, and a capture read
+    at ``now`` holds exactly the frames with ``t <= now``.
     """
 
     __slots__ = ("_heap", "_serial", "__weakref__")
@@ -160,22 +161,31 @@ class _FrameOrder:
         self._heap: list = []
         self._serial = itertools.count()
 
-    def push(self, when, start, link, packet, kind) -> None:
+    def push(self, now, when, start, link, packet, kind) -> None:
+        heap = self._heap
         heapq.heappush(
-            self._heap,
+            heap,
             (
                 when, start, next(self._serial),
                 link, packet.src, packet.dst, packet.payload, kind,
             ),
         )
-        link.sim.schedule_at(when, self.emit)
+        if heap[0][0] <= now:
+            self.release(now)
 
-    def emit(self) -> None:
-        when, _, _, link, src, dst, datagram, kind = heapq.heappop(self._heap)
-        # The writer tapping the link as the frame crosses records it.
-        writer = link.capture
-        if writer is not None:
-            writer.frame(when, src, dst, datagram, kind=kind)
+    def release(self, through: Optional[float] = None) -> None:
+        """Write out every frame due by ``through`` (default: the
+        engine's settlement horizon)."""
+        heap = self._heap
+        if heap and through is None:
+            # Every pending frame's link runs on this order's simulator.
+            through = heap[0][3].sim.horizon
+        while heap and heap[0][0] <= through:
+            when, _, _, link, src, dst, datagram, kind = heapq.heappop(heap)
+            # The writer tapping the link as the frame crosses records it.
+            writer = link._capture
+            if writer is not None:
+                writer.frame(when, src, dst, datagram, kind)
 
 
 #: simulator -> its :class:`_FrameOrder` (weakly keyed).  Per simulator,
@@ -190,8 +200,8 @@ class Link:
     A FIFO wire is fully determined at admission (:meth:`admit`), so a
     packet costs one event — its delivery — and a lost packet none;
     statistics stay exact at any sample time through pending-credit
-    records settled lazily against the clock.  Tracer, capture tap and
-    telemetry consume that one path (DESIGN.md section 16).
+    records settled lazily against the clock.  Hop records, capture tap
+    and telemetry consume that one path (DESIGN.md section 16).
 
     Args:
         sim: The event engine.
@@ -216,7 +226,8 @@ class Link:
         registry: Telemetry sink; defaults to the process-global
             registry (a no-op unless telemetry is enabled).
         obs: Observability context; defaults to the process-global one
-            (usually ``None``).  Supplies the causal tracer.  Wire
+            (usually ``None``).  With a tracer in it, traced packets
+            get a hop record per admission (:attr:`Packet.hops`).  Wire
             capture is separate: set :attr:`capture` on the links that
             should record frames (the network taps uplinks only, so
             each frame is captured exactly once).
@@ -262,7 +273,7 @@ class Link:
         self._stats = LinkStats()
         self._queued_bytes = 0
         obs = obs if obs is not None else get_obs()
-        self._trace = obs.tracer if obs is not None else None
+        self._traced = obs is not None and obs.tracer is not None
         self._capture = None
         self._frames: Optional[_FrameOrder] = None
         #: ``tx_end`` of the last frame scheduled; a mid-run tap adds the rest.
@@ -290,7 +301,7 @@ class Link:
             sim.at_idle(self._settle)
         #: Any observer attached: the one test an unobserved link's
         #: admission pays for tracer, capture tap and telemetry together.
-        self._always_watched = self._trace is not None or self._m_packets is not None
+        self._always_watched = self._traced or self._m_packets is not None
         self._watched = self._always_watched
         #: Serialization of everything admitted so far ends here.
         self._busy_until = 0.0
@@ -323,15 +334,21 @@ class Link:
         self._watched = self._always_watched or writer is not None
         if writer is None:
             return
-        self._frames = _frame_orders.setdefault(self.sim, _FrameOrder())
-        horizon = max(self.sim.now, self._tapped_through)
+        frames = _frame_orders.get(self.sim)
+        if frames is None:
+            frames = _frame_orders[self.sim] = _FrameOrder()
+            self.sim.at_idle(frames.release)
+        self._frames = frames
+        writer.add_source(frames.release)
+        since = max(self.sim.now, self._tapped_through)
         for finish, start, _, lost, packet in self._pending_fin:
-            if finish > horizon and isinstance(packet.payload, Datagram):
+            if finish > since and isinstance(packet.payload, Datagram):
                 self._tap(finish, start, packet, lost)
 
     def _tap(self, finish: float, start: float, packet: Packet, lost) -> None:
         self._frames.push(
-            finish, start, self, packet, KIND_LOSS if lost else KIND_FRAME
+            self.sim.now, finish, start, self, packet,
+            KIND_LOSS if lost else KIND_FRAME,
         )
         self._tapped_through = finish
 
@@ -378,16 +395,10 @@ class Link:
                     residency.observe(rec[2])
                 pool.append(rec)
 
-    def _fold_ref(self) -> float:
-        """Settlement horizon for reads: ``now`` while events remain,
-        everything once the engine has quiesced (trailing lost packets
-        leave no event to carry the clock to their finish instants)."""
-        return self.sim.now if self.sim.pending else float("inf")
-
     def _settle(self) -> None:
-        """Credit telemetry up to the clock (registry reads, loop exits)."""
+        """Settle up to the engine's horizon (reads, loop exits)."""
         if self._pending_fin or self._pending_start:
-            self._fold(self._fold_ref())
+            self._fold(self.sim.horizon)
 
     # -- sending -----------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
@@ -504,13 +515,8 @@ class Link:
             rec = [finish, start, nbytes, lost, packet]
         self._pending_fin.append(rec)
         if watched:
-            trace = self._trace
-            if trace is not None and packet.trace_id is not None:
-                trace_id, packet_id = packet.trace_id, packet.packet_id
-                name = self.name
-                trace.packet_event(trace_id, packet_id, "enqueue", name, ready)
-                trace.packet_event(trace_id, packet_id, "tx_start", name, start)
-                trace.packet_event(trace_id, packet_id, "tx_end", name, finish)
+            if self._traced and packet.trace_id is not None:
+                packet.hops = (self.name, ready, start, finish, packet.hops)
             if self._capture is not None and isinstance(packet.payload, Datagram):
                 self._tap(finish, start, packet, lost)
         if lost:
@@ -532,7 +538,9 @@ class Link:
         if self._m_drops is not None:
             self._m_drops.inc()
         if self._capture is not None and isinstance(packet.payload, Datagram):
-            self._frames.push(ready, ready, self, packet, KIND_DROP)
+            self._frames.push(
+                self.sim.now, ready, ready, self, packet, KIND_DROP
+            )
 
     def _deliver_next(self, packet: Optional[Packet] = None) -> None:
         if packet is None:
@@ -546,21 +554,14 @@ class Link:
         else:
             self._fold_in = FOLD_EVERY
             self._fold(self.sim.now)
-        if packet.trace_id is not None and self._trace is not None:
-            # Immediately before the receiver runs, so a reassembly
-            # completing inside it finds this packet's arrival on record.
-            self._trace.packet_event(
-                packet.trace_id, packet.packet_id, "deliver", self.name,
-                self.sim.now,
-            )
         self.deliver(packet)
 
     # -- introspection -----------------------------------------------------------
     @property
     def stats(self) -> LinkStats:
-        """Counters, exact as of the current simulated time."""
-        if self._pending_fin or self._pending_start:
-            self._fold(self._fold_ref())
+        """Counters, exact as of the current simulated time (complete
+        once a ``run()`` has drained the engine)."""
+        self._settle()
         return self._stats
 
     def _waiting(self) -> tuple:
@@ -569,7 +570,7 @@ class Link:
         reached the queue yet."""
         starts = self._pending_start
         if starts:
-            self._fold_starts(self._fold_ref())
+            self._fold_starts(self.sim.horizon)
         packets, nbytes, now = len(starts), self._queued_bytes, self.sim.now
         for rec in reversed(starts):
             if rec[3] <= now:

@@ -32,9 +32,11 @@ class Packet:
         flow: Optional flow label for per-flow statistics.
         created_at: Simulation time the packet entered the network.
         trace_id: Causal-trace identifier (:mod:`repro.obs`) stamped by
-            the sending channel; ``None`` when tracing is off.  The
-            fabric never inspects it — links just report events against
-            it so the collector can rebuild the packet's itinerary.
+            the sending channel; ``None`` when tracing is off.
+        hops: A traced packet's itinerary, newest hop first: each link
+            that admits it prepends one ``(link, ready, start, finish,
+            earlier hops)`` record.  The receiving channel hands the
+            chain to the tracer; nobody else reads it.
     """
 
     __slots__ = (
@@ -45,6 +47,7 @@ class Packet:
         "flow",
         "created_at",
         "trace_id",
+        "hops",
         "packet_id",
         "pooled",
     )
@@ -69,6 +72,7 @@ class Packet:
         self.flow = flow
         self.created_at = created_at
         self.trace_id = trace_id
+        self.hops = None
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
         self.pooled = False
 
@@ -119,7 +123,9 @@ class Packet:
         """
         if self.pooled and len(_pool) < _POOL_MAX:
             self.pooled = False
-            self.payload = None  # never pin payloads from inside the pool
+            # Never pin payloads or itineraries from inside the pool.
+            self.payload = None
+            self.hops = None
             _pool.append(self)
 
     def __repr__(self) -> str:

@@ -624,6 +624,10 @@ class ShardedBackend:
         in_flight = sum(len(inbox) for inbox in self._inboxes)
         return self._control.pending + sum(self._shard_pending) + in_flight
 
+    @property
+    def horizon(self) -> float:
+        return self._control.horizon
+
     def peek_next_time(self) -> Optional[float]:
         candidates = []
         control_next = self._control.peek_next_time()

@@ -23,11 +23,13 @@ Record kinds:
   wire view and the latency decomposition.
 
 The recorder taps :class:`~repro.netsim.link.Link` objects (set
-``link.capture``); :meth:`SlimcapWriter.tap_channel` wires both
-directions of a :class:`~repro.transport.channel.DisplayChannel`.  When
-an :class:`~repro.obs.context.ObsContext` carries a writer, the network
-taps every endpoint *uplink* — each frame is captured exactly once, at
-injection, like tcpdump at the sender.
+``link.capture``).  When an :class:`~repro.obs.context.ObsContext`
+carries a writer, the network taps every endpoint *uplink* — each frame
+is captured exactly once, at injection, like tcpdump at the sender.
+
+A tapped link holds a frame back until the clock reaches the instant it
+leaves the interface; a writer settles those sources before it is read
+or closed, and then holds exactly the frames with ``t <= now``.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from __future__ import annotations
 import io
 import json
 import struct
+import weakref
 from collections import deque
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core import commands as cmd
-from repro.core.wire import Datagram, WireCodec
+from repro.core.wire import FRAGMENT_HEADER_BYTES, Datagram, WireCodec
 from repro.errors import WireFormatError
 
 __all__ = [
@@ -58,6 +61,8 @@ MAGIC = b"SLIMCAP\x01"
 _RECORD_HEADER = struct.Struct(">Bd I".replace(" ", ""))
 _ENDPOINT_ID = struct.Struct(">H")
 _FRAME_HEADER = struct.Struct(">HH")
+#: Ring cost of a frame record beyond its datagram's payload bytes.
+_FRAME_OVERHEAD = _RECORD_HEADER.size + _FRAME_HEADER.size + FRAGMENT_HEADER_BYTES
 
 KIND_ENDPOINT = 0x01
 KIND_FRAME = 0x02
@@ -95,8 +100,28 @@ class SlimcapWriter:
         self._handle: Optional[BinaryIO] = self.path.open("wb")
         self._handle.write(MAGIC)
         self._endpoints: Dict[str, int] = {}
+        self._sources: List[weakref.WeakMethod] = []
         self.frames_written = 0
         self.traces_written = 0
+
+    # -- sources that hold frames back -------------------------------------
+    def add_source(self, hook) -> None:
+        """Register a bound method that :meth:`settle` runs.  Held
+        weakly, once: a finished simulation drops out on its own."""
+        ref = weakref.WeakMethod(hook)
+        if ref not in self._sources:
+            self._sources.append(ref)
+
+    def settle(self) -> None:
+        """Take every frame that is due from every source (reads of a
+        writer and :meth:`close` do this first)."""
+        live = []
+        for ref in self._sources:
+            hook = ref()
+            if hook is not None:
+                live.append(ref)
+                hook()
+        self._sources = live
 
     # -- recording ---------------------------------------------------------
     def frame(
@@ -122,19 +147,10 @@ class SlimcapWriter:
         )
         self.traces_written += 1
 
-    # -- tapping -----------------------------------------------------------
-    def tap_channel(self, channel) -> None:
-        """Capture both directions of a :class:`DisplayChannel`."""
-        network = channel.network
-        for address in (
-            channel.server_channel.address,
-            channel.console_channel.address,
-        ):
-            network.uplink(address).capture = self
-
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
         if self._handle is not None:
+            self.settle()
             self._handle.close()
             self._handle = None
 
@@ -169,15 +185,17 @@ class RingSlimcapWriter(SlimcapWriter):
 
     Keeps the most recent records in a byte-budgeted ring instead of a
     file; when the budget overflows, the oldest records fall off the
-    front.  Endpoint interning is kept *out* of the ring (the table is
-    tiny and must survive eviction), and :meth:`dump_bytes` re-emits it
-    ahead of the surviving records so a dump is always a well-formed
-    capture — possibly minus frames that aged out.
+    front.  The ring holds the datagrams themselves and serialises them
+    only when dumped — almost every frame is evicted unread.  Endpoint
+    interning is kept *out* of the ring (the table is tiny and must
+    survive eviction), and :meth:`dump_bytes` re-emits it ahead of the
+    surviving records so a dump is always a well-formed capture —
+    possibly minus frames that aged out.
 
     Args:
         max_bytes: Ring budget counting record headers + payloads.
         tee: Optional file-backed :class:`SlimcapWriter` that also
-            receives every frame/trace (so ``--capture`` and the flight
+            receives every frame (so ``--capture`` and the flight
             recorder can share one tap).
     """
 
@@ -186,50 +204,71 @@ class RingSlimcapWriter(SlimcapWriter):
         self.path = None
         self._handle = None
         self._endpoints: Dict[str, int] = {}
+        self._sources: List[weakref.WeakMethod] = []
         self.frames_written = 0
         self.traces_written = 0
         self.max_bytes = max_bytes
         self.tee = tee
+        #: (kind, time, src id, dst id, Datagram, cost) per frame and
+        #: (KIND_TRACE, time, None, None, JSON bytes, cost) per trace;
+        #: ``cost`` is the bytes the record takes in a dump.
         self._ring: deque = deque()
         self._ring_bytes = 0
         self.evicted = 0
 
     def frame(self, now, src, dst, datagram, kind=KIND_FRAME):
-        super().frame(now, src, dst, datagram, kind)
+        try:
+            src_id, dst_id = self._endpoints[src], self._endpoints[dst]
+        except KeyError:
+            src_id, dst_id = self._intern(src, now), self._intern(dst, now)
+        cost = _FRAME_OVERHEAD + len(datagram.payload)
+        self._ring.append((kind, now, src_id, dst_id, datagram, cost))
+        self._ring_bytes += cost
+        self.frames_written += 1
+        if self._ring_bytes > self.max_bytes:
+            self._evict()
         if self.tee is not None:
             self.tee.frame(now, src, dst, datagram, kind)
 
-    def trace(self, record, now=0.0):
-        super().trace(record, now)
-        if self.tee is not None:
-            self.tee.trace(record, now)
+    def _write(self, kind: int, now: float, payload: bytes) -> None:
+        # Traces arrive serialised; frames ring their datagrams (above).
+        cost = _RECORD_HEADER.size + len(payload)
+        self._ring.append((kind, now, None, None, payload, cost))
+        self._ring_bytes += cost
+        self._evict()
 
     def _intern(self, address: str, now: float) -> int:
         # Endpoint records never enter the evictable ring.
         endpoint_id = self._endpoints.get(address)
         if endpoint_id is None:
-            endpoint_id = len(self._endpoints)
-            self._endpoints[address] = endpoint_id
+            endpoint_id = self._endpoints[address] = len(self._endpoints)
         return endpoint_id
 
-    def _write(self, kind: int, now: float, payload: bytes) -> None:
-        cost = _RECORD_HEADER.size + len(payload)
-        self._ring.append((kind, now, payload))
-        self._ring_bytes += cost
-        while self._ring_bytes > self.max_bytes and len(self._ring) > 1:
-            _, _, old = self._ring.popleft()
-            self._ring_bytes -= _RECORD_HEADER.size + len(old)
+    def _evict(self) -> None:
+        ring = self._ring
+        while self._ring_bytes > self.max_bytes and len(ring) > 1:
+            self._ring_bytes -= ring.popleft()[5]
             self.evicted += 1
 
+    def _serialised(self) -> Iterator[Tuple[int, float, bytes]]:
+        """The ring as ``(kind, time, record payload)``."""
+        for kind, when, src_id, dst_id, body, _cost in self._ring:
+            if kind != KIND_TRACE:
+                body = _FRAME_HEADER.pack(src_id, dst_id) + body.to_bytes()
+            yield kind, when, body
+
     def __len__(self) -> int:
+        self.settle()
         return len(self._ring)
 
     @property
     def ring_bytes(self) -> int:
+        self.settle()
         return self._ring_bytes
 
     def dump_bytes(self) -> bytes:
         """Freeze the ring into well-formed ``.slimcap`` bytes."""
+        self.settle()
         out = io.BytesIO()
         out.write(MAGIC)
         for address, endpoint_id in sorted(
@@ -238,19 +277,17 @@ class RingSlimcapWriter(SlimcapWriter):
             payload = _ENDPOINT_ID.pack(endpoint_id) + address.encode("utf-8")
             out.write(_RECORD_HEADER.pack(KIND_ENDPOINT, 0.0, len(payload)))
             out.write(payload)
-        for kind, when, payload in self._ring:
+        for kind, when, payload in self._serialised():
             out.write(_RECORD_HEADER.pack(kind, when, len(payload)))
             out.write(payload)
         return out.getvalue()
 
     def export_state(self) -> Dict[str, object]:
         """Picklable ring state, for shipping across a shard boundary."""
+        self.settle()
         return {
             "endpoints": dict(self._endpoints),
-            "records": [
-                (kind, when, bytes(payload))
-                for kind, when, payload in self._ring
-            ],
+            "records": list(self._serialised()),
             "evicted": self.evicted,
         }
 
@@ -260,29 +297,28 @@ class RingSlimcapWriter(SlimcapWriter):
             state["endpoints"][name]: self._intern(name, 0.0)
             for name in state["endpoints"]
         }
-        merged: List[Tuple[float, int, bytes]] = []
+        merged = []
         for kind, when, payload in state["records"]:
-            if kind != KIND_TRACE:
-                src_id, dst_id = _FRAME_HEADER.unpack_from(payload, 0)
-                payload = _FRAME_HEADER.pack(
-                    remap.get(src_id, src_id), remap.get(dst_id, dst_id)
-                ) + payload[_FRAME_HEADER.size:]
-            merged.append((when, kind, payload))
-        merged.extend(
-            (when, kind, payload) for kind, when, payload in self._ring
-        )
-        merged.sort(key=lambda item: item[0])
-        self._ring = deque((kind, when, payload) for when, kind, payload in merged)
-        self._ring_bytes = sum(
-            _RECORD_HEADER.size + len(payload) for _, _, payload in self._ring
-        )
+            cost = _RECORD_HEADER.size + len(payload)
+            if kind == KIND_TRACE:
+                merged.append((kind, when, None, None, payload, cost))
+                continue
+            src_id, dst_id = _FRAME_HEADER.unpack_from(payload, 0)
+            merged.append(
+                (
+                    kind, when, remap.get(src_id, src_id), remap.get(dst_id, dst_id),
+                    Datagram.from_bytes(payload[_FRAME_HEADER.size:]), cost,
+                )
+            )
+        merged.extend(self._ring)
+        merged.sort(key=lambda record: record[1])
+        self._ring = deque(merged)
+        self._ring_bytes = sum(record[5] for record in merged)
         self.evicted += int(state.get("evicted", 0))
-        while self._ring_bytes > self.max_bytes and len(self._ring) > 1:
-            _, _, old = self._ring.popleft()
-            self._ring_bytes -= _RECORD_HEADER.size + len(old)
-            self.evicted += 1
+        self._evict()
 
     def close(self) -> None:
+        self.settle()
         if self.tee is not None:
             self.tee.close()
 

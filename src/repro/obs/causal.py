@@ -7,9 +7,11 @@ module answers that question the way the X-Files methodology does: a
 :meth:`SlimDriver.update` or at input-event injection — and propagated
 through the encoder, :class:`ServerChannel` fragmentation, the netsim
 packets (as :attr:`Packet.trace_id`), :class:`ConsoleChannel`
-reassembly, and the console decode/paint loop.  Each hop records a
-sim-timestamp, and when the message finishes the collector partitions
-the interval ``[update start, paint]`` into consecutive stages:
+reassembly, and the console decode/paint loop.  Each layer only stamps
+a sim-timestamp as the message passes — a traced packet carries its own
+link itinerary (:attr:`Packet.hops`), handed over once, at reassembly —
+and whoever later *reads* a closed trace gets the interval
+``[update start, paint]`` partitioned into consecutive stages:
 
     encode | queueing | serialization | switch | shard_transit | decode | paint
 
@@ -36,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core import commands as cmd
-from repro.core.wire import message_wire_nbytes
 from repro.telemetry.metrics import P2Quantile
 
 __all__ = [
@@ -68,45 +69,65 @@ STAGES: Tuple[str, ...] = (
 MessageKey = Tuple[str, str, int]
 
 
-@dataclass
 class MessageTrace:
     """One SLIM message's journey through the stack.
 
-    Timestamps are simulated seconds.  ``stages`` is filled when the
-    trace closes (at paint for display commands, at reassembly for
-    everything else) and partitions ``[update_start, closed_at]``.
+    Timestamps are simulated seconds.  The hot path only stamps them;
+    ``stages`` — the partition of ``[update_start, closed_at]`` — is
+    derived from the stamps on first read after the trace has closed
+    (at paint for display commands, at reassembly for everything else).
     """
 
-    trace_id: int
-    key: MessageKey
-    opcode: str
-    seq: int
-    update_id: Optional[int]
-    update_start: float
-    sent_at: float
-    wire_bytes: int
-    payload_bytes: int
-    recovery: bool = False
-    recovery_of: Optional[int] = None
-    reassembled_at: Optional[float] = None
-    decode_start_at: Optional[float] = None
-    painted_at: Optional[float] = None
-    superseded_at: Optional[float] = None
-    dropped: bool = False
-    completed: bool = False
-    #: Cross-shard continuity: a globally unique id (``"shard:trace_id"``)
-    #: assigned when the message is handed across a ShardContext boundary
-    #: port, so the exporting shard's partial and the adopting shard's
-    #: completion can be stitched back into one timeline.
-    gid: Optional[str] = None
-    cross_shard: bool = False
-    origin_shard: Optional[int] = None
-    handed_off_at: Optional[float] = None
-    stages: Dict[str, float] = field(default_factory=dict)
-    #: Per-packet link events: packet_id -> [(event, link, time), ...].
-    packet_events: Dict[int, List[Tuple[str, str, float]]] = field(
-        default_factory=dict
+    __slots__ = (
+        "trace_id", "key", "opcode", "update_id", "update_start", "sent_at",
+        "wire_bytes", "payload_bytes", "recovery", "recovery_of",
+        "reassembled_at", "decode_start_at", "painted_at", "superseded_at",
+        "dropped", "completed", "gid", "cross_shard", "origin_shard",
+        "handed_off_at", "hops", "_stages",
     )
+
+    def __init__(
+        self,
+        trace_id: int,
+        key: MessageKey,
+        opcode: str,
+        update_id: Optional[int],
+        update_start: float,
+        sent_at: float,
+        wire_bytes: int,
+        payload_bytes: int,
+        recovery: bool = False,
+        recovery_of: Optional[int] = None,
+    ) -> None:
+        self.trace_id = trace_id
+        self.key = key
+        self.opcode = opcode
+        self.update_id = update_id
+        self.update_start = update_start
+        self.sent_at = sent_at
+        self.wire_bytes = wire_bytes
+        self.payload_bytes = payload_bytes
+        self.recovery = recovery
+        self.recovery_of = recovery_of
+        self.reassembled_at: Optional[float] = None
+        self.decode_start_at: Optional[float] = None
+        self.painted_at: Optional[float] = None
+        self.superseded_at: Optional[float] = None
+        self.dropped = False
+        self.completed = False
+        #: Cross-shard continuity: a globally unique id (``"shard:trace_id"``)
+        #: assigned when the message is handed across a ShardContext boundary
+        #: port, so the exporting shard's partial and the adopting shard's
+        #: completion can be stitched back into one timeline.
+        self.gid: Optional[str] = None
+        self.cross_shard = False
+        self.origin_shard: Optional[int] = None
+        self.handed_off_at: Optional[float] = None
+        #: Itinerary of the packet whose delivery completed reassembly
+        #: (:attr:`Packet.hops`).  Fragments travel FIFO over one path,
+        #: so the last to arrive is the critical one.
+        self.hops: Optional[tuple] = None
+        self._stages: Optional[Dict[str, float]] = None
 
     @property
     def superseded(self) -> bool:
@@ -121,14 +142,23 @@ class MessageTrace:
         )
         return 0.0 if closed is None else closed - self.update_start
 
+    @property
+    def stages(self) -> Dict[str, float]:
+        """The telescoping stage partition (empty until the trace closes)."""
+        if self._stages is None:
+            if not self.completed:
+                return {}
+            self._stages = self._partition()
+        return self._stages
+
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (packet events elided — they are raw
+        """JSON-serialisable form (hop records elided — they are raw
         material for ``stages``, not part of the analysis surface)."""
         record: Dict[str, object] = {
             "trace_id": self.trace_id,
             "src": self.key[0],
             "dst": self.key[1],
-            "seq": self.seq,
+            "seq": self.key[2],
             "opcode": self.opcode,
             "update_id": self.update_id,
             "update_start": self.update_start,
@@ -153,64 +183,37 @@ class MessageTrace:
         return record
 
     # -- internals ---------------------------------------------------------
-    def _critical_packet_events(self) -> List[Tuple[str, str, float]]:
-        """Events of the packet whose delivery completed reassembly.
-
-        Fragments travel FIFO over the same path, so the last-delivered
-        packet is the critical one.
-        """
-        best: List[Tuple[str, str, float]] = []
-        best_time = float("-inf")
-        for events in self.packet_events.values():
-            delivered = [t for kind, _, t in events if kind == "deliver"]
-            if delivered and delivered[-1] > best_time:
-                best_time = delivered[-1]
-                best = events
-        return best
-
-    def _close(self) -> None:
-        """Compute the telescoping stage partition and mark completed."""
+    def _partition(self) -> Dict[str, float]:
+        """Partition ``[update_start, closed_at]`` into stages."""
         encode = self.sent_at - self.update_start
         queue_wait = 0.0
         serialization = 0.0
         switch = 0.0
-        events = self._critical_packet_events()
-        if events:
-            enqueue_at: Optional[float] = None
-            tx_start_at: Optional[float] = None
-            last_delivered = self.sent_at
-            for kind, _link, when in events:
-                if kind == "enqueue":
-                    enqueue_at = when
-                elif kind == "tx_start" and enqueue_at is not None:
-                    queue_wait += when - enqueue_at
-                    tx_start_at = when
-                elif kind == "tx_end" and tx_start_at is not None:
-                    serialization += when - tx_start_at
-                elif kind == "deliver":
-                    last_delivered = when
+        on_wire = self.reassembled_at - self.sent_at
+        if self.hops is not None:
+            path = []
+            hop = self.hops
+            while hop is not None:
+                path.append(hop)
+                hop = hop[4]
+            for _link, ready, start, finish, _earlier in reversed(path):
+                queue_wait += start - ready
+                serialization += finish - start
             # Everything on the wire that is neither waiting in a queue
             # nor serializing: switch forwarding + propagation.
-            switch = (
-                (last_delivered - self.sent_at) - queue_wait - serialization
-            )
+            switch = on_wire - queue_wait - serialization
         # Whatever remains between send and reassembly after the wire
         # stages is boundary-port transit (zero for same-shard messages:
         # reassembly fires in the delivery event, so the telescoping is
         # exact either way).
-        transit = 0.0
-        if self.reassembled_at is not None:
-            transit = (
-                (self.reassembled_at - self.sent_at)
-                - queue_wait - serialization - switch
-            )
+        transit = on_wire - queue_wait - serialization - switch
         console_wait = 0.0
         decode = 0.0
-        if self.decode_start_at is not None and self.reassembled_at is not None:
+        if self.decode_start_at is not None:
             console_wait = self.decode_start_at - self.reassembled_at
-        if self.painted_at is not None and self.decode_start_at is not None:
-            decode = self.painted_at - self.decode_start_at
-        self.stages = {
+            if self.painted_at is not None:
+                decode = self.painted_at - self.decode_start_at
+        return {
             "encode": encode,
             "queueing": queue_wait + console_wait,
             "serialization": serialization,
@@ -219,9 +222,6 @@ class MessageTrace:
             "decode": decode,
             "paint": 0.0,
         }
-        self.completed = True
-        # Packet events were raw material for the stages; free them.
-        self.packet_events = {}
 
 
 @dataclass
@@ -291,9 +291,10 @@ class TraceCollector:
     Args:
         retain: When True (the default) every trace is kept for offline
             analysis.  ``retain=False`` is flight-recorder mode: only
-            the most recent ``max_recent`` closed traces stay resident
-            and index dicts are pruned as traces finish, so the
-            collector's memory is bounded over arbitrarily long runs.
+            the most recent ``max_recent`` traces stay resident and no
+            index — the open set included — outgrows that, so memory is
+            bounded over arbitrarily long runs.  An open trace pushed
+            out (lost in flight, never superseded) never completes.
         max_recent: Ring size for flight-recorder mode.
     """
 
@@ -309,17 +310,13 @@ class TraceCollector:
             self.messages = deque(maxlen=max_recent)  # type: ignore[assignment]
             self.updates = deque(maxlen=max_recent)  # type: ignore[assignment]
         self._open: Dict[MessageKey, MessageTrace] = {}
-        self._by_id: Dict[int, MessageTrace] = {}
         self._awaiting_decode: Dict[int, MessageTrace] = {}
-        self._updates_by_id: Dict[int, UpdateTrace] = {}
         #: (src, dst, seq) of originals -> owning update, for attributing
         #: recovery re-encodes to the update whose message they replace.
         self._update_by_message: Dict[MessageKey, UpdateTrace] = {}
         self._current_update: Optional[UpdateTrace] = None
         #: Probe spans (yardstick rounds, synthetic interactions) that
-        #: are in flight: trace_id -> (name, started_at).  Kept out of
-        #: ``_by_id`` so packet hooks never confuse a probe id with a
-        #: message trace.
+        #: are in flight: trace_id -> (name, started_at).
         self._open_probes: Dict[int, Tuple[str, float]] = {}
         #: Flight-recorder sinks: called with each closing MessageTrace /
         #: each finished probe record.  None keeps the hooks free.
@@ -367,10 +364,6 @@ class TraceCollector:
         """A display update is starting; subsequent sends attach to it."""
         update = UpdateTrace(update_id=next(self._update_ids), started_at=now)
         self.updates.append(update)
-        self._updates_by_id[update.update_id] = update
-        if not self.retain:
-            while len(self._updates_by_id) > self.max_recent:
-                self._updates_by_id.pop(next(iter(self._updates_by_id)))
         self._current_update = update
         return update.update_id
 
@@ -383,37 +376,32 @@ class TraceCollector:
         key: MessageKey,
         command: cmd.Command,
         now: float,
+        wire_bytes: int,
         recovery: bool = False,
         recovery_of: Optional[int] = None,
     ) -> int:
-        """A message entered the wire; returns the trace id to stamp on
-        its packets."""
+        """A message of ``wire_bytes`` (all datagram overhead included)
+        entered the wire; returns the trace id to stamp on its packets."""
         update = self._current_update
-        opcode = (
-            command.opcode.name
-            if isinstance(command, cmd.DisplayCommand)
-            else type(command).__name__
-        )
+        display = isinstance(command, cmd.DisplayCommand)
         trace = MessageTrace(
-            trace_id=next(self._ids),
-            key=key,
-            opcode=opcode,
-            seq=key[2],
-            update_id=update.update_id if update is not None else None,
-            update_start=update.started_at if update is not None else now,
-            sent_at=now,
-            wire_bytes=message_wire_nbytes(command),
-            payload_bytes=command.payload_nbytes(),
-            recovery=recovery,
-            recovery_of=recovery_of,
+            next(self._ids),
+            key,
+            command.opcode.name if display else type(command).__name__,
+            update.update_id if update is not None else None,
+            update.started_at if update is not None else now,
+            now,
+            wire_bytes,
+            command.payload_nbytes(),
+            recovery,
+            recovery_of,
         )
         self.messages.append(trace)
         self._open[key] = trace
-        self._by_id[trace.trace_id] = trace
         # Only display commands join an update's trace set: an update is
         # "complete" when its pixels are on screen, and status messages
         # (SYNC/RECOVERED) never paint.
-        if isinstance(command, cmd.DisplayCommand):
+        if display:
             if update is not None:
                 update.traces.append(trace)
                 self._update_by_message[key] = update
@@ -428,10 +416,12 @@ class TraceCollector:
                     owner.traces.append(trace)
                     self._update_by_message[key] = owner
         if not self.retain:
-            while len(self._update_by_message) > self.max_recent:
-                self._update_by_message.pop(
-                    next(iter(self._update_by_message))
-                )
+            # One entry in, at most one out.  A status or input message
+            # lost in flight is never superseded: its trace never closes.
+            if len(self._open) > self.max_recent:
+                del self._open[next(iter(self._open))]
+            if len(self._update_by_message) > self.max_recent:
+                del self._update_by_message[next(iter(self._update_by_message))]
         return trace.trace_id
 
     def message_superseded(self, key: MessageKey, now: float) -> None:
@@ -440,15 +430,22 @@ class TraceCollector:
         trace = self._open.pop(key, None)
         if trace is not None:
             trace.superseded_at = now
-            if not self.retain:
-                self._by_id.pop(trace.trace_id, None)
 
-    def reassembled(self, key: MessageKey, command: cmd.Command, now: float) -> None:
-        """A message completed reassembly at its receiving endpoint."""
+    def reassembled(
+        self,
+        key: MessageKey,
+        command: cmd.Command,
+        now: float,
+        hops: Optional[tuple] = None,
+    ) -> None:
+        """A message completed reassembly at its receiving endpoint;
+        ``hops`` is the itinerary of the packet that completed it."""
         trace = self._open.pop(key, None)
         if trace is None:
             return
         trace.reassembled_at = now
+        if hops is not None:
+            self.packet_event(trace, hops)
         if isinstance(command, cmd.DisplayCommand):
             # Stays open until the console paints it.
             self._awaiting_decode[id(command)] = trace
@@ -472,16 +469,12 @@ class TraceCollector:
         trace = self._awaiting_decode.pop(id(command), None)
         if trace is not None:
             trace.dropped = True
-            if not self.retain:
-                self._by_id.pop(trace.trace_id, None)
 
-    # -- link taps ---------------------------------------------------------
-    def packet_event(self, trace_id, packet_id, kind, link, now) -> None:
-        trace = self._by_id.get(trace_id)
-        if trace is not None and not trace.completed:
-            trace.packet_events.setdefault(packet_id, []).append(
-                (kind, link, now)
-            )
+    # -- link itineraries --------------------------------------------------
+    def packet_event(self, trace: MessageTrace, hops: tuple) -> None:
+        """The packet whose delivery completed ``trace``'s message
+        crossed ``hops`` (:attr:`Packet.hops`, newest first)."""
+        trace.hops = hops
 
     # -- shard boundaries --------------------------------------------------
     def boundary_export(
@@ -537,24 +530,22 @@ class TraceCollector:
             str(context["src"]), str(context["dst"]), int(context["seq"])
         )
         trace = MessageTrace(
-            trace_id=next(self._ids),
-            key=key,
-            opcode=str(context["opcode"]),
-            seq=key[2],
-            update_id=None,
-            update_start=float(context["update_start"]),
-            sent_at=float(context["sent_at"]),
-            wire_bytes=int(context["wire_bytes"]),
-            payload_bytes=int(context["payload_bytes"]),
-            recovery=bool(context.get("recovery", False)),
-            recovery_of=context.get("recovery_of"),
+            next(self._ids),
+            key,
+            str(context["opcode"]),
+            None,
+            float(context["update_start"]),
+            float(context["sent_at"]),
+            int(context["wire_bytes"]),
+            int(context["payload_bytes"]),
+            bool(context.get("recovery", False)),
+            context.get("recovery_of"),
         )
         trace.gid = context.get("gid")
         trace.cross_shard = True
         trace.origin_shard = context.get("origin_shard")
         trace.reassembled_at = now
         self.messages.append(trace)
-        self._by_id[trace.trace_id] = trace
         if isinstance(command, cmd.DisplayCommand):
             self._awaiting_decode[id(command)] = trace
         else:
@@ -573,9 +564,8 @@ class TraceCollector:
 
     # -- results -----------------------------------------------------------
     def _finish(self, trace: MessageTrace) -> None:
-        trace._close()
+        trace.completed = True
         if not self.retain:
-            self._by_id.pop(trace.trace_id, None)
             self._update_by_message.pop(trace.key, None)
         if self.completed_sink is not None:
             self.completed_sink(trace)

@@ -5,10 +5,11 @@ happened; this module makes sure that when it does, the *evidence* —
 the wire frames around the spike, the implicated causal traces, the
 telemetry windows, what the engine was doing — still exists.  Everything
 is a ring: a byte-budgeted :class:`RingSlimcapWriter` over tapped
-frames, a deque of recently closed trace records, the last K telemetry
-windows, and coarse engine event-cohort marks.  Rings cost O(1) per
-record and nothing at all on untapped paths, so the recorder is safe to
-arm by default.
+frames, a deque of recently closed traces, the last K telemetry
+windows, and coarse engine event-cohort marks.  Rings hold what was
+handed to them — datagrams, trace objects — and render bytes and
+dicts only when frozen, so a record costs an append and an untapped
+path nothing at all: the recorder is safe to arm by default.
 
 When a trigger fires — a streaming SLO violation, a loss-burst or
 tier-thrash detector, a KeyboardInterrupt, or a crash — the rings are
@@ -39,7 +40,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.netsim.engine import set_default_monitor
 from repro.obs.capture import RingSlimcapWriter
-from repro.obs.causal import TraceCollector
+from repro.obs.causal import MessageTrace, TraceCollector
 from repro.obs.context import ObsContext
 from repro.obs.slo import (
     INTERACTIVITY_SLOS,
@@ -79,6 +80,14 @@ _SLO_FAMILY = {
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "run"
+
+
+def _jsonl(records: Iterable[Any], **options: Any) -> str:
+    """One compact JSON document per line."""
+    return "".join(
+        json.dumps(record, separators=(",", ":"), **options) + "\n"
+        for record in records
+    )
 
 
 class _MarkMonitor:
@@ -128,9 +137,9 @@ class FlightRecorder:
         self.label = label
         self.specs = tuple(specs)
         self.capture = RingSlimcapWriter(max_bytes=capture_bytes)
-        self.tracer = TraceCollector(retain=False, max_recent=max_traces)
-        self.attach_tracer(self.tracer)
-        self.traces: deque = deque(maxlen=max_traces)
+        #: Closed MessageTrace objects and probe records, newest last.
+        self._closed: deque = deque(maxlen=max_traces)
+        self.attach_tracer(TraceCollector(retain=False, max_recent=max_traces))
         self.windows: deque = deque(maxlen=max_windows)
         self.marks: deque = deque(maxlen=max_marks)
         self.triggers: List[Dict[str, Any]] = []
@@ -154,18 +163,26 @@ class FlightRecorder:
         runner swaps in a retaining collector when --trace-events or
         --capture need the full history)."""
         self.tracer = tracer
-        tracer.completed_sink = self._trace_closed
-        tracer.probe_sink = self._probe_closed
+        tracer.completed_sink = tracer.probe_sink = self._closed.append
 
     def obs_context(self) -> ObsContext:
         """An ObsContext whose tracer and capture feed the rings."""
         return ObsContext(tracer=self.tracer, capture=self.capture)
 
-    def _trace_closed(self, trace) -> None:
-        self.traces.append(trace.to_dict())
+    @property
+    def traces(self) -> List[Dict[str, Any]]:
+        """The closed trace/probe ring as records, rendered now."""
+        return [
+            item.to_dict() if isinstance(item, MessageTrace) else item
+            for item in self._closed
+        ]
 
-    def _probe_closed(self, record: Dict[str, Any]) -> None:
-        self.traces.append(dict(record, probe=record["probe"]))
+    def _trace_records(self) -> List[Dict[str, Any]]:
+        """Closed records plus the partials of traces still in flight."""
+        return self.traces + [
+            dict(trace.to_dict(), open=True)
+            for trace in self.tracer.open_traces()
+        ]
 
     # -- telemetry window stream -------------------------------------------
     def observe_window(self, run_label: str, record: Dict[str, Any]) -> None:
@@ -316,7 +333,7 @@ class FlightRecorder:
     def _has_evidence(self) -> bool:
         return bool(
             len(self.capture)
-            or self.traces
+            or self._closed
             or self.windows
             or self.shard_traces
         )
@@ -325,15 +342,10 @@ class FlightRecorder:
     def shard_payload(self, shard_index: int) -> Dict[str, Any]:
         """The picklable evidence a shard worker ships at the collect
         barrier: its ring state, closed + open trace records, and marks."""
-        traces = list(self.traces)
-        traces.extend(
-            dict(trace.to_dict(), open=True)
-            for trace in self.tracer.open_traces()
-        )
         return {
             "shard": shard_index,
             "capture": self.capture.export_state(),
-            "traces": traces,
+            "traces": self._trace_records(),
             "marks": list(self.marks),
             "triggers": list(self.triggers),
         }
@@ -418,11 +430,7 @@ class FlightRecorder:
         path = self.out_dir / f"{_slug(self.label)}-{seq:03d}{BUNDLE_SUFFIX}"
         collection = self._timeseries()
         report = SloEngine(self.specs).evaluate(collection)
-        traces = list(self.traces)
-        traces.extend(
-            dict(trace.to_dict(), open=True)
-            for trace in self.tracer.open_traces()
-        )
+        traces = self._trace_records()
         stitched = self.stitched_traces()
         manifest = {
             "format": BUNDLE_FORMAT,
@@ -448,27 +456,9 @@ class FlightRecorder:
                 "manifest.json", json.dumps(manifest, indent=2, default=str)
             )
             archive.writestr("ring.slimcap", self.capture.dump_bytes())
-            archive.writestr(
-                "traces.jsonl",
-                "".join(
-                    json.dumps(t, separators=(",", ":"), default=str) + "\n"
-                    for t in traces
-                ),
-            )
-            archive.writestr(
-                "timeseries.jsonl",
-                "".join(
-                    json.dumps(r, separators=(",", ":")) + "\n"
-                    for r in collection.to_records()
-                ),
-            )
-            archive.writestr(
-                "slo.jsonl",
-                "".join(
-                    json.dumps(r, separators=(",", ":")) + "\n"
-                    for r in report.to_records()
-                ),
-            )
+            archive.writestr("traces.jsonl", _jsonl(traces, default=str))
+            archive.writestr("timeseries.jsonl", _jsonl(collection.to_records()))
+            archive.writestr("slo.jsonl", _jsonl(report.to_records()))
             archive.writestr(
                 "engine.json",
                 json.dumps(
@@ -480,29 +470,11 @@ class FlightRecorder:
                 ),
             )
             if self.shard_traces or self.shard_hops:
+                archive.writestr("stitched.jsonl", _jsonl(stitched, default=str))
                 archive.writestr(
-                    "stitched.jsonl",
-                    "".join(
-                        json.dumps(s, separators=(",", ":"), default=str)
-                        + "\n"
-                        for s in stitched
-                    ),
+                    "shards/traces.jsonl", _jsonl(self.shard_traces, default=str)
                 )
-                archive.writestr(
-                    "shards/traces.jsonl",
-                    "".join(
-                        json.dumps(t, separators=(",", ":"), default=str)
-                        + "\n"
-                        for t in self.shard_traces
-                    ),
-                )
-                archive.writestr(
-                    "shards/hops.jsonl",
-                    "".join(
-                        json.dumps(h, separators=(",", ":")) + "\n"
-                        for h in self.shard_hops
-                    ),
-                )
+                archive.writestr("shards/hops.jsonl", _jsonl(self.shard_hops))
         self.bundles.append(path)
         return path
 

@@ -225,7 +225,10 @@ class ConsoleChannel:
             command, seq = result
             if self._trace is not None:
                 self._trace.reassembled(
-                    (packet.src, packet.dst, seq), command, self.sim.now
+                    (packet.src, packet.dst, seq),
+                    command,
+                    self.sim.now,
+                    packet.hops,
                 )
             self._on_message(command, seq)
         elif isinstance(payload, cmd.Command):
@@ -317,24 +320,28 @@ class ConsoleChannel:
     def send_command(self, command: cmd.Command) -> int:
         """Send a command to the server; returns its wire bytes."""
         seq = self.tx.next_seq()
+        datagrams = self.tx.fragment(command, seq=seq)
+        nbytes = 0
+        for datagram in datagrams:
+            nbytes += datagram.wire_nbytes
         trace_id = None
         if self._trace is not None:
             trace_id = self._trace.message_sent(
-                (self.address, self.server_address, seq), command, self.sim.now
+                (self.address, self.server_address, seq),
+                command,
+                self.sim.now,
+                nbytes,
             )
-        nbytes = 0
-        burst = []
-        for datagram in self.tx.fragment(command, seq=seq):
-            nbytes += datagram.wire_nbytes
-            burst.append(
-                Packet.acquire(
-                    self.address,
-                    self.server_address,
-                    datagram.wire_nbytes,
-                    payload=datagram,
-                    flow=CONTROL_FLOW,
-                    trace_id=trace_id,
-                )
+        burst = [
+            Packet.acquire(
+                self.address,
+                self.server_address,
+                datagram.wire_nbytes,
+                payload=datagram,
+                flow=CONTROL_FLOW,
+                trace_id=trace_id,
             )
+            for datagram in datagrams
+        ]
         self.network.send_burst(burst)
         return nbytes

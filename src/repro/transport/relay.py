@@ -77,7 +77,9 @@ class DisplayRelaySender:
         key = (self.src, self.dst, seq)
         export = None
         if self._trace is not None:
-            self._trace.message_sent(key, command, now)
+            self._trace.message_sent(
+                key, command, now, sum(d.wire_nbytes for d in datagrams)
+            )
             export = self._trace.boundary_export(
                 key, self.ctx.shard_index, now
             )

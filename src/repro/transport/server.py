@@ -190,32 +190,34 @@ class ServerChannel:
     ) -> int:
         self.damage.record(seq, rect)
         self._last_seq = seq
+        datagrams = self.codec.fragment(command, seq=seq)
+        nbytes = 0
+        for datagram in datagrams:
+            nbytes += datagram.wire_nbytes
         trace_id = None
         if self._trace is not None:
             trace_id = self._trace.message_sent(
                 (self.address, self.console_address, seq),
                 command,
                 self.sim.now,
+                nbytes,
                 recovery=recovery,
                 recovery_of=recovery_of,
             )
         # Fragment trains ride the burst path: one fabric call (and one
         # arrival cohort on the uplink) per command instead of one per
         # datagram, with packets drawn from the freelist.
-        nbytes = 0
-        burst = []
-        for datagram in self.codec.fragment(command, seq=seq):
-            nbytes += datagram.wire_nbytes
-            burst.append(
-                Packet.acquire(
-                    self.address,
-                    self.console_address,
-                    datagram.wire_nbytes,
-                    payload=datagram,
-                    flow=DISPLAY_FLOW,
-                    trace_id=trace_id,
-                )
+        burst = [
+            Packet.acquire(
+                self.address,
+                self.console_address,
+                datagram.wire_nbytes,
+                payload=datagram,
+                flow=DISPLAY_FLOW,
+                trace_id=trace_id,
             )
+            for datagram in datagrams
+        ]
         self.network.send_burst(burst)
         self.stats.messages_sent += 1
         self.stats.wire_bytes += nbytes
@@ -240,7 +242,7 @@ class ServerChannel:
         command, seq = result
         if self._trace is not None:
             self._trace.reassembled(
-                (packet.src, packet.dst, seq), command, self.sim.now
+                (packet.src, packet.dst, seq), command, self.sim.now, packet.hops
             )
         if isinstance(command, cmd.StatusMessage):
             if command.kind == StatusKind.NACK:

@@ -78,16 +78,50 @@ def load_golden() -> dict:
 
 
 class EventLog:
-    """A tracer stand-in that keeps every link event it is handed,
-    grouped by packet (the order *within* a packet is the contract)."""
+    """A tracer stand-in that rebuilds the four rows per hop the scalar
+    path reported — ``enqueue``, ``tx_start``, ``tx_end``, ``deliver`` —
+    from the itinerary a delivered packet carries (``Packet.hops``),
+    grouped by packet (the order *within* a packet is the contract).
+
+    A link only needs *a* tracer to be present to write hop records; the
+    receiver hands each arriving packet to :meth:`arrived`.  A packet
+    that never arrives shows its itinerary to nobody, so it has no rows
+    here: compare against :func:`arrived_only` of a golden.
+    """
 
     def __init__(self) -> None:
         self.by_packet: dict = {}
 
-    def packet_event(self, trace_id, packet_id, kind, link, now) -> None:
-        self.by_packet.setdefault(packet_id, []).append(
-            [trace_id, kind, link, now]
-        )
+    def arrived(self, packet, now, propagation_delay=0.0) -> None:
+        """``packet`` reached its receiver at ``now``.  Earlier hops end
+        ``propagation_delay`` after serialization (jitter-free links);
+        the last one ends now, whatever the link added."""
+        path = []
+        hop = packet.hops
+        while hop is not None:
+            path.append(hop)
+            hop = hop[4]
+        trace_id = packet.trace_id
+        rows = self.by_packet.setdefault(packet.packet_id, [])
+        for link, ready, start, finish, _earlier in reversed(path):
+            rows.append([trace_id, "enqueue", link, ready])
+            rows.append([trace_id, "tx_start", link, start])
+            rows.append([trace_id, "tx_end", link, finish])
+            rows.append([trace_id, "deliver", link, finish + propagation_delay])
+        rows[-1][3] = now
+
+
+def arrived_only(golden: dict) -> dict:
+    """``golden`` without the tracer rows of packets lost on the way
+    (the scalar path reported those as they happened; see EventLog)."""
+    return dict(
+        golden,
+        events={
+            packet_id: rows
+            for packet_id, rows in golden["events"].items()
+            if rows[-1][1] == "deliver"
+        },
+    )
 
 
 def capture_digest(path, list_frames: bool = True) -> dict:
@@ -170,6 +204,8 @@ def link_workload(
     def on_deliver(p):
         tag = p.payload.seq if armed else p.payload
         delivered.append([sim.now, tag, p.nbytes])
+        if armed:
+            log.arrived(p, sim.now)
 
     link = Link(
         sim,
@@ -284,9 +320,12 @@ def star_workload(*, seed=5, loss_rate=0.0, use_burst=False, armed_dir=None):
     events = []
 
     def rx(name):
-        return lambda p: events.append(
-            [round(sim.now, 12), name, p.nbytes, p.flow]
-        )
+        def receive(p):
+            events.append([round(sim.now, 12), name, p.nbytes, p.flow])
+            if armed:
+                log.arrived(p, sim.now, network.propagation_delay)
+
+        return receive
 
     for name in ("a", "b", "c"):
         network.attach(

@@ -1,12 +1,18 @@
-"""Write ``fabric_oracle.json`` from the fabric in this checkout.
+"""Write a golden file from the code in this checkout.
 
-The committed file was produced by this script (and
+``fabric_oracle.json`` was produced by this script (and
 ``tests/fabric_oracle.py``) copied onto b855e66, the last commit that
 still had the scalar link implementation, with that path forced:
 
-    SLIM_SCALAR_FABRIC=1 PYTHONPATH=src python tests/golden/regen.py
+    SLIM_SCALAR_FABRIC=1 PYTHONPATH=src python tests/golden/regen.py fabric
 
-Running it on a later commit re-blesses the goldens from the one
+``observer_outputs.json`` was produced the same way (with
+``tests/observer_oracle.py``) on 7cd9ba1, the last commit whose
+observers derived stage partitions and serialised ring frames eagerly:
+
+    PYTHONPATH=src python tests/golden/regen.py observers
+
+Running either on a later commit re-blesses the goldens from the one
 remaining path; do that only for a deliberate, reviewed change of
 simulated behaviour.
 """
@@ -20,22 +26,27 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent))
 
-from tests import fabric_oracle  # noqa: E402
+from tests import fabric_oracle, observer_oracle  # noqa: E402
+
+ORACLES = {"fabric": fabric_oracle, "observers": observer_oracle}
 
 
-def main() -> None:
+def main(argv) -> None:
+    if len(argv) != 1 or argv[0] not in ORACLES:
+        raise SystemExit(f"usage: regen.py {{{'|'.join(ORACLES)}}}")
+    oracle = ORACLES[argv[0]]
     with tempfile.TemporaryDirectory() as scratch:
-        goldens = fabric_oracle.compute_all(scratch)
+        goldens = oracle.compute_all(scratch)
     # One golden per line: compact, and a changed golden is one diff line.
     lines = [
         f"{json.dumps(name)}: {json.dumps(goldens[name], sort_keys=True)}"
         for name in sorted(goldens)
     ]
-    fabric_oracle.GOLDEN.write_text(
+    oracle.GOLDEN.write_text(
         "{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8"
     )
-    print(f"{len(goldens)} goldens written to {fabric_oracle.GOLDEN}")
+    print(f"{len(goldens)} goldens written to {oracle.GOLDEN}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -3,13 +3,16 @@
 * tapping a loaded link mid-run changes nothing about the link and
   records exactly the frames that finish from then on;
 * a capture frozen, closed or flushed at ``now`` holds exactly the
-  records with ``t <= now`` — a *lost* trailing datagram included, with
-  no later traffic to carry the clock there;
+  records with ``t <= now`` — and a *lost* trailing datagram too once
+  ``run()`` has drained the engine, with no later traffic to carry the
+  clock there;
+* link statistics and captures settle to one horizon — ``now`` after a
+  ``run_until`` slice, everything after a drained ``run()`` — and no
+  observer moves the clock: armed and bare runs end at the same instant;
 * frames from different links that leave at the same instant come out
   by (time, tx_start, admission order);
-* arming observers adds no engine events to a run that captures no
-  frames, and exactly one per captured frame otherwise — a self-check
-  that names the observer at fault.
+* arming observers adds no engine events, capture tap included — a
+  self-check that names the observer at fault.
 """
 
 from __future__ import annotations
@@ -218,10 +221,30 @@ def test_frozen_ring_holds_exactly_the_past(tmp_path):
     sim.run_until(2.5 * SERIALIZATION)
     assert ring_of(recorder.trigger("mid-run")) == _ALL_THREE[:2]
     assert link.stats.packets_sent == 2 and link.stats.packets_lost == 0
-    # Drained: the loss is on record, stamped at its finish.
+    # Drained: the loss is on record, stamped at its finish — which no
+    # event ever visited, so the clock is where the slice left it.
     sim.run()
     assert ring_of(recorder.trigger("drained")) == _ALL_THREE
-    assert sim.now == _ALL_THREE[-1][1]  # the loss itself carried the clock
+    assert sim.now == 2.5 * SERIALIZATION < _ALL_THREE[-1][1]
+
+
+def test_bare_and_tapped_links_settle_to_one_horizon():
+    """The lost third packet finishes serializing at 3 x SERIALIZATION.
+    A link read mid-slice does not count it yet, tapped or not; after a
+    ``run()`` that drained the queue both do; neither run's clock moved
+    past the last event."""
+    ended_at = []
+    for capture in (None, RingSlimcapWriter()):
+        sim = Simulator()
+        link, _ = _link_whose_last_datagram_is_lost(sim, capture)
+        sim.run_until(2.5 * SERIALIZATION)
+        stats = link.stats
+        assert (stats.packets_sent, stats.packets_lost) == (2, 0)
+        sim.run()
+        stats = link.stats
+        assert (stats.packets_sent, stats.packets_lost) == (3, 1)
+        ended_at.append(sim.now)
+    assert ended_at == [2.5 * SERIALIZATION] * 2
 
 
 def test_interrupted_run_flushes_the_trailing_loss(tmp_path):
@@ -340,58 +363,66 @@ def _through_the_runner(experiment_id, flags, tmp_path):
     return table_lines(out.getvalue())
 
 
-def test_arming_observers_adds_no_events_to_a_fig11_cell(tmp_path):
-    """A Fig-11-style cell (yardstick + background load, no display
-    datagrams) through the runner: default flags vs
-    ``--no-flight-recorder`` vs ``--metrics`` fire the same number of
-    engine events and print the same table."""
-    ctx = ScenarioContext(quick=True, seed=17)
+def _same_events_whatever_the_flags(body, tmp_path):
+    """``body`` (a perf scenario returning ``sim_events``) through the
+    runner under default flags, ``--no-flight-recorder``, ``--capture``
+    and ``--metrics``: the same number of engine events, the same table."""
     seen = []
 
-    @experiment("selfcheck-fig11-cell")
+    @experiment("selfcheck-events")
     def run(config):
-        counts = scenarios.yardstick_load(ctx)
+        counts = body()
         seen.append(counts["sim_events"])
         return ExperimentResult(
-            "selfcheck-fig11-cell", "self-check", rows=[dict(counts)]
+            "selfcheck-events", "self-check", rows=[dict(counts)]
         )
 
+    flag_sets = {
+        "default flags": [],
+        "--no-flight-recorder": ["--no-flight-recorder"],
+        "--capture": ["--capture", str(tmp_path / "run.slimcap")],
+        "--metrics": ["--no-flight-recorder", "--metrics"],
+    }
     try:
-        armed = _through_the_runner("selfcheck-fig11-cell", [], tmp_path)
-        bare = _through_the_runner(
-            "selfcheck-fig11-cell", ["--no-flight-recorder"], tmp_path
-        )
-        metered = _through_the_runner(
-            "selfcheck-fig11-cell", ["--no-flight-recorder", "--metrics"], tmp_path
-        )
+        tables = {
+            name: _through_the_runner("selfcheck-events", flags, tmp_path)
+            for name, flags in flag_sets.items()
+        }
     finally:
-        EXPERIMENTS.pop("selfcheck-fig11-cell", None)
-    armed_events, bare_events, metered_events = seen
-    if not armed_events == bare_events == metered_events:
+        EXPERIMENTS.pop("selfcheck-events", None)
+    events = dict(zip(flag_sets, seen))
+    bare_events = events["--no-flight-recorder"]
+    if set(seen) != {bare_events}:
         pytest.fail(
-            f"observers changed the engine's event count: bare {bare_events}, "
-            f"armed {armed_events}, --metrics {metered_events}; observers "
-            "adding events when attached alone: "
-            + _blame(lambda: scenarios.yardstick_load(ctx), bare_events)
+            f"observers changed the engine's event count: {events}; "
+            "observers adding events when attached alone: "
+            + _blame(body, bare_events)
         )
-    assert armed == bare
+    bare = tables["--no-flight-recorder"]
+    assert tables["default flags"] == bare
+    assert tables["--capture"] == bare
+    metered = tables["--metrics"]
     table_end = metered.index("") if "" in metered else len(metered)
     assert metered[:table_end] == bare[:table_end]
 
 
-def test_capture_costs_one_event_per_captured_frame():
-    """A display session: the tracer and telemetry add no events; the
-    capture tap adds exactly one per frame it records."""
+def test_arming_observers_adds_no_events_to_a_fig11_cell(tmp_path):
+    """A Fig-11-style cell (yardstick + background load, no display
+    datagrams)."""
     ctx = ScenarioContext(quick=True, seed=17)
-    bare_events = scenarios._e2e_session_body(ctx)["sim_events"]
-    for name in ("tracer", "telemetry"):
-        with _OBSERVERS[name]():
-            events = scenarios._e2e_session_body(ctx)["sim_events"]
-        assert events == bare_events, (
-            f"{name} added {events - bare_events:+d} engine events"
-        )
+    _same_events_whatever_the_flags(
+        lambda: scenarios.yardstick_load(ctx), tmp_path
+    )
+
+
+def test_arming_observers_adds_no_events_to_a_display_session(tmp_path):
+    """A display session: every datagram is traced and captured, and
+    none of it costs an engine event."""
+    ctx = ScenarioContext(quick=True, seed=17)
+    _same_events_whatever_the_flags(
+        lambda: scenarios._e2e_session_body(ctx), tmp_path
+    )
     ring = RingSlimcapWriter(max_bytes=1 << 30)
     with use_obs(ObsContext(capture=ring)):
-        tapped_events = scenarios._e2e_session_body(ctx)["sim_events"]
-    assert ring.frames_written > 0
-    assert tapped_events - bare_events == ring.frames_written
+        scenarios._e2e_session_body(ctx)
+    assert ring.frames_written > 0  # the tap really was on the path

@@ -354,3 +354,49 @@ class TestAudioProperties:
         shallow = audio_quality_under_jitter(delays, prefill=1)
         deep = audio_quality_under_jitter(delays, prefill=6)
         assert deep <= shallow + 1e-9
+
+
+class TestFlightRecorderTracerIsBounded:
+    """``TraceCollector(retain=False)`` over arbitrarily long runs: a
+    message lost in flight with nothing to supersede it (a status, an
+    input event) never closes, so the open set must be bounded too."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        max_recent=st.integers(1, 24),
+        loss_rate=st.floats(0.0, 1.0),
+        outage=st.integers(0, 120),
+        seed=st.integers(0, 10_000),
+    )
+    def test_open_set_never_outgrows_max_recent(
+        self, max_recent, loss_rate, outage, seed
+    ):
+        from repro.core.commands import StatusKind
+        from repro.obs import TraceCollector
+
+        tracer = TraceCollector(retain=False, max_recent=max_recent)
+        reported = []
+        tracer.completed_sink = reported.append
+        rng = np.random.default_rng(seed)
+        outage_at = max_recent  # a total outage, after some ordinary loss
+        lost = []
+        for seq in range(3 * max_recent + outage):
+            key = ("console", "server", seq)
+            message = cmd.StatusMessage(kind=StatusKind.FRONTIER, value=seq)
+            tracer.message_sent(key, message, float(seq), wire_bytes=54)
+            if outage_at <= seq < outage_at + outage or rng.random() < loss_rate:
+                lost.append((key, message))
+            else:
+                tracer.reassembled(key, message, seq + 0.5)
+            assert len(tracer.open_traces()) <= max_recent
+            assert len(tracer.messages) <= max_recent
+        # Pushed out means gone for good: a straggler arriving after its
+        # trace left the open set completes nothing.
+        still_open = {trace.key for trace in tracer.open_traces()}
+        delivered = len(reported)
+        for key, message in lost:
+            tracer.reassembled(key, message, 1e6)
+        late = reported[delivered:]
+        assert {trace.key for trace in late} == still_open
+        assert all(trace.completed for trace in reported)
+        assert tracer.open_traces() == []

@@ -118,3 +118,54 @@ def test_release_caps_pool_and_clears_payload():
     plain = Packet(src="a", dst="b", nbytes=10)
     plain.release()
     assert plain not in packet_module._pool
+
+
+def test_armed_session_slice_allocates_nothing_per_packet():
+    """The same slice with the flight recorder armed (bounded tracer and
+    frame ring, as the runner arms them by default): a traced packet
+    costs one hop record per link while it is in flight and nothing that
+    outlives the rings.  Once those are full, netsim + obs hold as many
+    blocks after the slice as before it, however many packets moved."""
+    from repro.obs import FlightRecorder, record_flight, use_obs
+
+    width, height = 160, 120
+    server_fb = FrameBuffer(width, height)
+    recorder = FlightRecorder(out_dir=None, capture_bytes=1 << 16, max_traces=8)
+    filters = [
+        tracemalloc.Filter(True, "*/repro/netsim/*"),
+        tracemalloc.Filter(True, "*/repro/obs/*"),
+    ]
+    # Traced from the start: a ring entry allocated during warm-up and
+    # replaced during the slice then nets to zero, as it should.
+    tracemalloc.start()
+    try:
+        with record_flight(recorder), use_obs(recorder.obs_context()):
+            channel = DisplayChannel(server_fb)
+            driver = channel.make_driver(track_baselines=False)
+            ops = _desktop_ops(width, height, seed=5)
+            _run_slice(channel, driver, ops, rounds=3)  # fills pools and rings
+            assert recorder.capture.evicted > 0, "warm-up never filled the ring"
+            assert len(recorder.tracer.updates) == 8
+            uplink = channel.network.uplink("server")
+            packets_before = uplink.stats.packets_sent
+            frames_before = len(recorder.capture)
+            before = tracemalloc.take_snapshot().filter_traces(filters)
+            _run_slice(channel, driver, ops, rounds=5)
+            after = tracemalloc.take_snapshot().filter_traces(filters)
+    finally:
+        tracemalloc.stop()
+
+    packets_moved = uplink.stats.packets_sent - packets_before
+    assert packets_moved > 200, "slice did not exercise real traffic"
+    net_blocks = sum(
+        diff.count_diff for diff in after.compare_to(before, "filename")
+    )
+    # A byte-budgeted ring holds a few more or fewer frames depending on
+    # their sizes; each is one record tuple and its timestamp.
+    ring_drift = 2 * abs(len(recorder.capture) - frames_before)
+    budget = len(packet_module._pool) + NET_BLOCK_SLACK + ring_drift
+    assert net_blocks <= budget, (
+        f"armed steady-state slice kept {net_blocks} allocation blocks "
+        f"(budget {budget}) across {packets_moved} packets in netsim + obs"
+    )
+    assert server_fb.equals(channel.console.framebuffer)
