@@ -23,16 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import DisplayChannel, FrameBuffer
+from repro import DisplayChannel, FrameBuffer, use_run
 from repro.core import commands as cmd
 from repro.core.commands import StatusKind
-from repro.obs import (
-    ObsContext,
-    SlimcapReader,
-    SlimcapWriter,
-    TraceCollector,
-    use_obs,
-)
+from repro.obs import SlimcapReader, SlimcapWriter, TraceCollector
 from repro.tools.slimcap import timeline_events
 from repro.workloads.apps import NETSCAPE
 
@@ -45,7 +39,7 @@ def run_session(loss_rate: float, capture: Path) -> DisplayChannel:
     """One recorded session: every wire frame and causal trace on disk."""
     tracer = TraceCollector()
     writer = SlimcapWriter(capture)
-    with use_obs(ObsContext(tracer=tracer, capture=writer)):
+    with use_run(tracer=tracer, capture=writer):
         server_fb = FrameBuffer(WIDTH, HEIGHT)
         channel = DisplayChannel(server_fb, loss_rate=loss_rate, seed=42)
         driver = channel.make_driver(track_baselines=False)

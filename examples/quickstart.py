@@ -14,7 +14,6 @@ Run:  python examples/quickstart.py
 """
 
 import argparse
-from contextlib import nullcontext
 from pathlib import Path
 
 from repro import (
@@ -25,8 +24,9 @@ from repro import (
     PaintOp,
     Rect,
     Simulator,
+    use_run,
 )
-from repro.obs import ObsContext, SlimcapWriter, TraceCollector, use_obs
+from repro.obs import SlimcapWriter, TraceCollector
 
 WIDTH, HEIGHT = 640, 480
 
@@ -47,12 +47,11 @@ def main(argv=None) -> None:
     observing = args.capture is not None
     tracer = TraceCollector() if observing else None
     writer = SlimcapWriter(args.capture) if observing else None
-    obs = ObsContext(tracer=tracer, capture=writer) if observing else None
 
     # Server side: the authoritative framebuffer.  The display channel
     # owns the rest of the stack: fragmentation into datagrams, the
     # switched fabric, reassembly, and the console's decode queue.
-    with use_obs(obs) if observing else nullcontext():
+    with use_run(tracer=tracer, capture=writer):
         sim = Simulator()
         server_fb = FrameBuffer(WIDTH, HEIGHT)
         console = Console(WIDTH, HEIGHT, sim=sim, record_service_times=True)

@@ -18,8 +18,10 @@ The package implements the complete SLIM system in simulation:
 * :mod:`repro.loadgen` — trace playback and yardstick applications.
 * :mod:`repro.analysis` — traces, CDFs, statistics.
 * :mod:`repro.monitor` — the Section 6.3 case studies.
-* :mod:`repro.telemetry` — zero-dependency metrics + tracing for the
+* :mod:`repro.telemetry` — zero-dependency metrics for the
   reproduction's own hot paths (off by default).
+* :mod:`repro.runcontext` — the one ambient seam: what the current run
+  collects (registry, tracer, capture, series, recorder, progress).
 * :mod:`repro.experiments` — one module per paper table/figure.
 * :mod:`repro.perf` — self-measurement: benchmark harness, BENCH json
   perf trajectory, live progress monitoring.
@@ -89,7 +91,8 @@ from repro.netsim import (
     Simulator,
 )
 from repro.transport import DisplayChannel, ConsoleChannel, ServerChannel
-from repro.telemetry import MetricsRegistry, get_registry, use_registry
+from repro.runcontext import RunContext, current_run, use_run
+from repro.telemetry import MetricsRegistry, get_registry
 from repro.workloads import BENCHMARK_APPS, UserSession, run_user_study
 
 __version__ = "1.0.0"
@@ -144,7 +147,9 @@ __all__ = [
     "ServerChannel",
     "MetricsRegistry",
     "get_registry",
-    "use_registry",
+    "RunContext",
+    "current_run",
+    "use_run",
     "BENCHMARK_APPS",
     "UserSession",
     "run_user_study",

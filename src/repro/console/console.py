@@ -35,7 +35,7 @@ from repro.framebuffer.framebuffer import FrameBuffer
 from repro.netsim.backend import SimulationBackend
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint
-from repro.obs.context import ObsContext, get_obs
+from repro.runcontext import RunContext, current_run
 from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.units import ETHERNET_100
 
@@ -73,10 +73,10 @@ class Console:
             queued commands is generous.
         link_rate_bps: Capacity advertised to the bandwidth allocator.
         record_service_times: Keep per-command service times (Figure 7).
-        registry: Telemetry sink; defaults to the process-global
+        registry: Telemetry sink; defaults to the current run's
             registry (a no-op unless telemetry is enabled).
-        obs: Observability context; defaults to the process-global one
-            (usually ``None``).  Supplies the causal tracer that stamps
+        obs: Run context; defaults to the current one (usually
+            empty).  Supplies the causal tracer that stamps
             decode-start and paint times on traced commands.
     """
 
@@ -91,7 +91,7 @@ class Console:
         link_rate_bps: float = ETHERNET_100,
         record_service_times: bool = False,
         registry: Optional[MetricsRegistry] = None,
-        obs: Optional[ObsContext] = None,
+        obs: Optional[RunContext] = None,
     ) -> None:
         self.framebuffer = FrameBuffer(width, height)
         self.timing = timing if timing is not None else MicroOpModel()
@@ -109,8 +109,8 @@ class Console:
         self.on_input: Optional[Callable[[cmd.Command], None]] = None
         #: Virtual clock used when running stand-alone (no simulator).
         self.virtual_time = 0.0
-        obs = obs if obs is not None else get_obs()
-        self._trace = obs.tracer if obs is not None else None
+        obs = obs if obs is not None else current_run()
+        self._trace = obs.tracer
         self._metrics = registry if registry is not None else get_registry()
         if self._metrics.enabled:
             m = self._metrics

@@ -68,7 +68,7 @@ class SlimEncoder:
         materialize: When True, commands carry real payloads read from (or
             synthesised consistently with) the server framebuffer.  When
             False, commands carry geometry only; wire sizes are identical.
-        registry: Telemetry sink; defaults to the process-global
+        registry: Telemetry sink; defaults to the current run's
             registry (a no-op unless telemetry is enabled).
     """
 

@@ -56,26 +56,18 @@ from repro.experiments import (  # noqa: F401
 from repro.experiments.runner import EXPERIMENTS, ExperimentConfig, render_table
 from repro.obs import (
     FlightRecorder,
-    ObsContext,
     SlimcapWriter,
     SloEngine,
     TimeSeriesCollection,
     TraceCollector,
     chrome_trace_events,
-    collect_timeseries,
-    record_flight,
-    use_obs,
 )
-from repro.perf.progress import live_dashboard, live_progress
-from repro.telemetry import (
-    MetricsRegistry,
-    render_json,
-    render_report,
-    use_registry,
-)
+from repro.perf.progress import DashboardMonitor, ProgressMonitor
+from repro.runcontext import use_run
+from repro.telemetry import MetricsRegistry, render_json, render_report
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Reproduce the SLIM paper's tables and figures.",
@@ -197,6 +189,11 @@ def main(argv=None) -> int:
         "(snapshot diff, grouped by line) next to the results "
         "(default: memprofile.txt)",
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.list:
@@ -260,20 +257,26 @@ def main(argv=None) -> int:
                 "argv": list(argv) if argv is not None else sys.argv[1:],
             },
         )
-        if tracer is not None:
-            flightrec.attach_tracer(tracer)
-        else:
-            tracer = flightrec.tracer
-        if writer is not None:
-            flightrec.capture.tee = writer
-        obs = ObsContext(tracer=tracer, capture=flightrec.capture)
-        observing = True
-    else:
-        obs = (
-            ObsContext(tracer=tracer, capture=writer) if observing else None
+    progress = None
+    if args.dashboard:
+        progress = DashboardMonitor(
+            collection, target_sim_seconds=args.duration
         )
+    elif args.progress:
+        progress = ProgressMonitor(target_sim_seconds=args.duration)
+    # One context for the run: only what was asked for is replaced, so
+    # an embedding caller's own registry or observers stay in place.
+    armed = {
+        "registry": registry,
+        "tracer": tracer,
+        "capture": writer,
+        "collection": collection,
+        "recorder": flightrec,
+        "progress": progress,
+    }
 
     profiler = cProfile.Profile() if args.profile is not None else None
+    memory_before = None
     if args.memprofile is not None:
         tracemalloc.start()
         memory_before = tracemalloc.take_snapshot()
@@ -285,44 +288,22 @@ def main(argv=None) -> int:
     results = []
     interrupted = False
     try:
-        with use_registry(registry) if registry is not None else _null_context():
-            with use_obs(obs) if observing else _null_context():
-                with (
-                    live_dashboard(
-                        collection, target_sim_seconds=args.duration
-                    )
-                    if args.dashboard
-                    else live_progress(target_sim_seconds=args.duration)
-                    if args.progress
-                    else _null_context()
-                ):
-                    with (
-                        collect_timeseries(collection)
-                        if sampling
-                        else _null_context()
-                    ):
-                        with (
-                            record_flight(flightrec)
-                            if flightrec is not None
-                            else _null_context()
-                        ):
-                            for experiment_id in selected:
-                                started = time.time()
-                                if flightrec is not None:
-                                    flightrec.note(experiment_id)
-                                if profiler is not None:
-                                    profiler.enable()
-                                try:
-                                    result = EXPERIMENTS[
-                                        experiment_id
-                                    ].runner(config)
-                                finally:
-                                    if profiler is not None:
-                                        profiler.disable()
-                                results.append(result)
-                                print(render_table(result))
-                                print(f"  ({time.time() - started:.1f}s)")
-                                print()
+        with use_run(**{k: v for k, v in armed.items() if v is not None}):
+            for experiment_id in selected:
+                started = time.time()
+                if flightrec is not None:
+                    flightrec.note(experiment_id)
+                if profiler is not None:
+                    profiler.enable()
+                try:
+                    result = EXPERIMENTS[experiment_id].runner(config)
+                finally:
+                    if profiler is not None:
+                        profiler.disable()
+                results.append(result)
+                print(render_table(result))
+                print(f"  ({time.time() - started:.1f}s)")
+                print()
     except KeyboardInterrupt:
         interrupted = True
         print(
@@ -341,6 +322,21 @@ def main(argv=None) -> int:
             flightrec.trigger("crash", detail=repr(exc))
         raise
 
+    _write_reports(args, armed, collect, profiler, memory_before)
+    if args.markdown:
+        from repro.experiments.report import write_report
+
+        path = write_report(results, args.markdown)
+        print(f"markdown report written to {path}")
+    return 130 if interrupted else 0
+
+
+def _write_reports(args, armed, collect, profiler, memory_before) -> None:
+    """Flush what the run's observers (``armed``, by context field)
+    collected: capture, Chrome trace, series and SLO verdict, telemetry,
+    profiles, and the flight recorder's triggers."""
+    tracer = armed["tracer"]
+    writer = armed["capture"]
     if writer is not None:
         # Embed the completed causal traces so the capture file carries
         # both the wire view and the latency decomposition.
@@ -360,6 +356,7 @@ def main(argv=None) -> int:
             f"{len(document['traceEvents'])} Chrome trace events "
             f"written to {args.trace_events}"
         )
+    collection = armed["collection"]
     if collection is not None:
         if args.timeseries:
             count = collection.write_jsonl(args.timeseries)
@@ -373,20 +370,21 @@ def main(argv=None) -> int:
             if args.slo:
                 count = report.write_jsonl(args.slo)
                 print(f"{count} SLO records written to {args.slo}")
-    if registry is not None and collect:
-        print(render_report(registry, title="telemetry report"))
+    if collect:
+        print(render_report(armed["registry"], title="telemetry report"))
         if args.metrics_json:
             with open(args.metrics_json, "w", encoding="utf-8") as fh:
-                fh.write(render_json(registry))
+                fh.write(render_json(armed["registry"]))
             print(f"telemetry JSON written to {args.metrics_json}")
     if profiler is not None:
         _write_profile(profiler, args.profile, args.profile_top)
         print(f"cProfile report written to {args.profile}")
-    if args.memprofile is not None:
+    if memory_before is not None:
         memory_after = tracemalloc.take_snapshot()
         tracemalloc.stop()
         _write_memprofile(memory_before, memory_after, args.memprofile)
         print(f"tracemalloc report written to {args.memprofile}")
+    flightrec = armed["recorder"]
     if flightrec is not None and flightrec.triggers:
         print(
             f"flight recorder: {len(flightrec.triggers)} trigger(s), "
@@ -404,12 +402,6 @@ def main(argv=None) -> int:
                 f"  bundle {path} "
                 f"(triage with python -m repro.tools.postmortem)"
             )
-    if args.markdown:
-        from repro.experiments.report import write_report
-
-        path = write_report(results, args.markdown)
-        print(f"markdown report written to {path}")
-    return 130 if interrupted else 0
 
 
 def _write_profile(profiler: cProfile.Profile, path: str, top: int) -> None:
@@ -435,14 +427,6 @@ def _write_memprofile(before, after, path: str, top: int = 25) -> None:
     lines.append(f"total net growth: {total / 1024:.1f} KiB")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 if __name__ == "__main__":

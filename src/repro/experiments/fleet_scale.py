@@ -49,9 +49,10 @@ from repro.netsim.sharded import (
     ShardedBackend,
 )
 from repro.obs.slo import SloEngine, SloSpec
-from repro.obs.timeseries import RunSeries, active_collection
+from repro.obs.timeseries import RunSeries
+from repro.runcontext import current_run
 from repro.server.host import E4500
-from repro.telemetry.metrics import MetricsRegistry, get_registry, set_registry
+from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.units import MBPS
 from repro.workloads.mixes import DESIGN_MIX, LAB_MIX, OFFICE_MIX, WorkgroupMix
 
@@ -274,9 +275,10 @@ class FleetShardProgram:
 
 def build_fleet_shard(ctx: ShardContext, spec_fields: Dict[str, Any]):
     """``ShardedBackend`` build callable (module-level, picklable)."""
-    # Each shard process collects its own telemetry; the backend merges
-    # the per-shard snapshots at the collect() barrier.
-    set_registry(MetricsRegistry())
+    # Each shard process collects its own telemetry, in its worker's run
+    # context; the backend merges the per-shard snapshots at the
+    # collect() barrier.
+    current_run().registry = MetricsRegistry()
     return FleetShardProgram(ctx, FleetSpec(**spec_fields))
 
 
@@ -511,9 +513,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         duration=config.get("duration", 24 * 3600.0),
     )
     n_shards = int(config.get("shards", 4))
-    from repro.obs.flightrec import active_recorder
-
-    recorder = active_recorder()
+    recorder = current_run().recorder
     if recorder is not None:
         recorder.note(f"fleet_scale/{n_desktops}d/{n_shards}s")
     if n_shards > 1:
@@ -542,7 +542,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     # With --timeseries/--slo active, publish the fleet demand curve as
     # its own run and grade it against the capacity SLOs in the table.
-    sampling = active_collection()
+    sampling = current_run().collection
     fleet_row = rows[-1]
     if sampling is not None:
         series = fleet_window_series(aggregator, spec)

@@ -75,7 +75,7 @@ class ExperimentConfig:
         duration: Simulated seconds to run (where applicable).
         n_users: Number of simulated users / sessions.
         registry: Telemetry sink threaded through to instrumented
-            components; ``None`` defers to the process-global registry.
+            components; ``None`` defers to the current run's registry.
         extra: Experiment-specific keyword overrides (e.g. ``suite=``
             for table4).
     """

@@ -50,7 +50,8 @@ from repro.netsim.packet import Packet
 from repro.netsim.profiles import PROFILES, NetworkProfile, get_profile
 from repro.netsim.transport import Endpoint, Network
 from repro.obs.slo import KEYSTROKE_ECHO, SloEngine
-from repro.obs.timeseries import RunSeries, active_collection
+from repro.obs.timeseries import RunSeries
+from repro.runcontext import current_run
 from repro.telemetry.metrics import MetricsRegistry
 from repro.units import ETHERNET_1G, MBPS
 from repro.workloads.apps import ADVERSITY_APPS
@@ -277,7 +278,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         workloads=workload_names,
     )
     rows: List[Dict[str, object]] = []
-    collection = active_collection()
+    collection = current_run().collection
     slo_engine = SloEngine([KEYSTROKE_ECHO])
     for profile_name in profile_names:
         profile = get_profile(profile_name)
@@ -379,9 +380,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 def _note_cell(label: str) -> None:
     """Annotate the armed flight recorder (if any) with the cell about
     to run, so triggers and engine marks carry the cell label."""
-    from repro.obs.flightrec import active_recorder
-
-    recorder = active_recorder()
+    recorder = current_run().recorder
     if recorder is not None:
         recorder.note(label)
 

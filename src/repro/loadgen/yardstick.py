@@ -21,7 +21,7 @@ from repro.errors import WorkloadError
 from repro.netsim.backend import SimulationBackend
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Network
-from repro.obs.context import get_obs
+from repro.runcontext import current_run
 from repro.telemetry.metrics import MetricsRegistry, get_registry
 
 #: The CPU yardstick's constants (Section 6.1).
@@ -100,8 +100,7 @@ class NetworkYardstick:
             if m.enabled
             else None
         )
-        obs = get_obs()
-        self._tracer = obs.tracer if obs is not None else None
+        self._tracer = current_run().tracer
         self._probe_id: Optional[int] = None
 
     # -- wiring -------------------------------------------------------------

@@ -83,10 +83,13 @@ class SimulationBackend(Protocol):
         """Abort the current run after the in-flight event returns."""
         ...
 
-    def set_monitor(
-        self, monitor: Optional[Callable[["SimulationBackend"], None]]
+    def add_monitor(
+        self,
+        monitor: Callable[["SimulationBackend"], None],
+        every: Optional[int] = None,
     ) -> None:
-        """Install a periodic health callback (None disables)."""
+        """Add a callback fired every ``every`` events (default: the
+        monitor's ``every`` attribute, else the engine's default)."""
         ...
 
     def at_idle(self, hook: Callable[[], None]) -> None:

@@ -13,28 +13,11 @@ import itertools
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.runcontext import current_run
 
-#: Factory invoked (with the new simulator) by every ``Simulator()``
-#: construction while installed; whatever it returns becomes that
-#: simulator's monitor.  This is how ``repro.perf.progress`` attaches a
-#: live health line to simulators built deep inside experiment code
-#: without threading a parameter through every layer.
-_default_monitor_factory: Optional[Callable[["Simulator"], Callable]] = None
-
-#: How many events fire between monitor callbacks unless the monitor
-#: object declares its own ``every`` attribute.
+#: How many events fire between a monitor's callbacks unless it is added
+#: with an ``every`` or declares one as an attribute.
 DEFAULT_MONITOR_EVERY = 5000
-
-
-def set_default_monitor(
-    factory: Optional[Callable[["Simulator"], Callable]],
-) -> Optional[Callable[["Simulator"], Callable]]:
-    """Install (or clear, with None) the monitor factory; returns the
-    previous one so callers can restore it."""
-    global _default_monitor_factory
-    previous = _default_monitor_factory
-    _default_monitor_factory = factory
-    return previous
 
 
 class _Cohort:
@@ -95,33 +78,54 @@ class Simulator:
         #: Callbacks queued inside batch entries beyond the one the heap
         #: entry itself accounts for (keeps ``pending`` honest).
         self._batched_pending = 0
-        self._monitor: Optional[Callable[["Simulator"], None]] = None
-        self._monitor_every = DEFAULT_MONITOR_EVERY
-        #: Event count at which the monitor next fires.  A due-counter
-        #: rather than a modulo test: cohort draining bumps
+        #: Periodic callbacks, each a ``[due, every, callback]`` entry
+        #: with its own due-counter, so observers on different cadences
+        #: share the engine without wrapping one another.  Due-counters
+        #: rather than modulo tests: cohort draining bumps
         #: ``events_processed`` by more than one, which would skate past
         #: an exact-multiple check.
+        self._monitors: List[list] = []
+        #: Event count at which the earliest monitor next fires.
         self._monitor_due = 0
         self._idle_hooks: List[Callable[[], None]] = []
         #: The last engine return was a :meth:`run` that emptied the queue.
         self._drained = False
-        if _default_monitor_factory is not None:
-            self.set_monitor(_default_monitor_factory(self))
+        # The run this simulator is built under attaches its observers
+        # (live health line, sampler, recorder marks) here, so they reach
+        # simulators built deep inside experiment code without a
+        # parameter threaded through every layer.
+        current_run().attach(self)
 
-    def set_monitor(
-        self, monitor: Optional[Callable[["Simulator"], None]]
+    def add_monitor(
+        self,
+        monitor: Callable[["Simulator"], None],
+        every: Optional[int] = None,
     ) -> None:
-        """Install a callback invoked with this simulator every
-        ``monitor.every`` (default :data:`DEFAULT_MONITOR_EVERY`) events.
-
-        Disabled (None) costs one attribute test per event.
+        """Call ``monitor(self)`` every ``every`` events (default: the
+        monitor's own ``every`` attribute, else
+        :data:`DEFAULT_MONITOR_EVERY`).  Monitors fire in the order
+        added; a simulator with none runs loops that never test for one.
         """
-        self._monitor = monitor
-        every = getattr(monitor, "every", DEFAULT_MONITOR_EVERY)
-        self._monitor_every = max(1, int(every))
-        self._monitor_due = (
-            self.events_processed // self._monitor_every + 1
-        ) * self._monitor_every
+        if every is None:
+            every = getattr(monitor, "every", DEFAULT_MONITOR_EVERY)
+        every = max(1, int(every))
+        due = (self.events_processed // every + 1) * every
+        self._monitors.append([due, every, monitor])
+        self._monitor_due = min(entry[0] for entry in self._monitors)
+
+    @property
+    def monitored(self) -> bool:
+        """Whether any monitor has been added."""
+        return bool(self._monitors)
+
+    def _fire_monitors(self) -> None:
+        """Call every monitor whose due-counter has been reached."""
+        events = self.events_processed
+        for entry in self._monitors:
+            if events >= entry[0]:
+                entry[2](self)
+                entry[0] = (events // entry[1] + 1) * entry[1]
+        self._monitor_due = min(entry[0] for entry in self._monitors)
 
     def at_idle(self, hook: Callable[[], None]) -> None:
         """Call ``hook()`` every time the engine hands control back
@@ -206,11 +210,8 @@ class Simulator:
         self.now = when
         self.events_processed += 1
         callback()
-        if self._monitor is not None and self.events_processed >= self._monitor_due:
-            self._monitor(self)
-            self._monitor_due = (
-                self.events_processed // self._monitor_every + 1
-            ) * self._monitor_every
+        if self._monitors and self.events_processed >= self._monitor_due:
+            self._fire_monitors()
         for hook in self._idle_hooks:
             hook()
         return True
@@ -243,7 +244,7 @@ class Simulator:
             # dedicated loop with zero per-event bookkeeping checks.
             queue = self._queue
             pop = heapq.heappop
-            if max_events is None and self._monitor is None:
+            if max_events is None and not self._monitors:
                 while queue and not self._stopped:
                     when, _, callback = pop(queue)
                     self.now = when
@@ -253,7 +254,7 @@ class Simulator:
             limit = (
                 None if max_events is None else self.events_processed + max_events
             )
-            monitor = self._monitor
+            monitored = bool(self._monitors)
             while queue and not self._stopped:
                 if limit is not None and self.events_processed >= limit:
                     break
@@ -266,11 +267,8 @@ class Simulator:
                     n += 1
                     callback()
                 self.events_processed += n
-                if monitor is not None and self.events_processed >= self._monitor_due:
-                    monitor(self)
-                    self._monitor_due = (
-                        self.events_processed // self._monitor_every + 1
-                    ) * self._monitor_every
+                if monitored and self.events_processed >= self._monitor_due:
+                    self._fire_monitors()
         finally:
             self._running = False
             self._stopped = False
@@ -289,17 +287,15 @@ class Simulator:
         try:
             queue = self._queue
             pop = heapq.heappop
-            if self._monitor is None:
+            if not self._monitors:
                 while queue and not self._stopped and queue[0][0] <= deadline:
                     when, _, callback = pop(queue)
                     self.now = when
                     self.events_processed += 1
                     callback()
             else:
-                # The monitor is re-read per cohort only through the
-                # due-counter; the branch above established it is
-                # installed, so no per-event None re-test here.
-                monitor = self._monitor
+                # The branch above established there are monitors, so
+                # a cohort pays only the due-counter test.
                 while queue and not self._stopped and queue[0][0] <= deadline:
                     when, _, callback = pop(queue)
                     self.now = when
@@ -311,10 +307,7 @@ class Simulator:
                         callback()
                     self.events_processed += n
                     if self.events_processed >= self._monitor_due:
-                        monitor(self)
-                        self._monitor_due = (
-                            self.events_processed // self._monitor_every + 1
-                        ) * self._monitor_every
+                        self._fire_monitors()
             # Only fast-forward the clock when the slice drained naturally:
             # after stop() there may be events before the deadline still
             # queued, and teleporting past them would let a later run

@@ -32,7 +32,7 @@ from repro.errors import SimulationError
 from repro.netsim.backend import SimulationBackend
 from repro.netsim.packet import Packet
 from repro.obs.capture import KIND_DROP, KIND_FRAME, KIND_LOSS
-from repro.obs.context import ObsContext, get_obs
+from repro.runcontext import RunContext, current_run
 from repro.telemetry.metrics import MetricsRegistry, get_registry
 
 #: Queue-depth histogram buckets (packets waiting behind the wire).
@@ -223,10 +223,10 @@ class Link:
             pass ``model.fresh()`` when configuring several links from
             one template.
         name: Label used in diagnostics.
-        registry: Telemetry sink; defaults to the process-global
+        registry: Telemetry sink; defaults to the current run's
             registry (a no-op unless telemetry is enabled).
-        obs: Observability context; defaults to the process-global one
-            (usually ``None``).  With a tracer in it, traced packets
+        obs: Run context; defaults to the current one (usually
+            empty).  With a tracer in it, traced packets
             get a hop record per admission (:attr:`Packet.hops`).  Wire
             capture is separate: set :attr:`capture` on the links that
             should record frames (the network taps uplinks only, so
@@ -246,7 +246,7 @@ class Link:
         burst_loss: Optional[GilbertElliottLoss] = None,
         name: str = "link",
         registry: Optional[MetricsRegistry] = None,
-        obs: Optional[ObsContext] = None,
+        obs: Optional[RunContext] = None,
     ) -> None:
         if rate_bps <= 0:
             raise SimulationError(f"link rate must be positive, got {rate_bps}")
@@ -272,8 +272,8 @@ class Link:
         self.name = name
         self._stats = LinkStats()
         self._queued_bytes = 0
-        obs = obs if obs is not None else get_obs()
-        self._traced = obs is not None and obs.tracer is not None
+        obs = obs if obs is not None else current_run()
+        self._traced = obs.tracer is not None
         self._capture = None
         self._frames: Optional[_FrameOrder] = None
         #: ``tx_end`` of the last frame scheduled; a mid-run tap adds the rest.

@@ -49,7 +49,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.netsim.engine import Simulator, set_default_monitor
+from repro.netsim.engine import Simulator
+from repro.runcontext import current_run, use_run
 
 __all__ = [
     "COORDINATOR",
@@ -268,117 +269,55 @@ def _shard_worker(
 ) -> None:
     """Worker-process main loop: build the shard, then serve barriers."""
     try:
-        from repro.obs.timeseries import active_collection
-
-        # An active parent collection (inherited through fork) is the
-        # signal to sample this shard's engine too; the series travels
-        # back over the pipe at the collect barrier.
-        parent_series = active_collection()
-        # The parent's live-progress monitor factory must not leak into
-        # shard engines (N processes racing on one stderr line).
-        set_default_monitor(None)
-        sim = Simulator()
-        ctx = ShardContext(sim, shard_index, n_shards, lookahead)
-        # An armed parent flight recorder (also inherited through fork)
-        # arms a rings-only clone here: bounded tracer + wire ring, no
-        # bundle dumping — the parent gathers and stitches the evidence
-        # at the collect barrier.
-        from repro.obs.flightrec import active_recorder
-
-        recorder = None
-        if active_recorder() is not None:
-            from repro.obs.context import ObsContext, set_obs
-            from repro.obs.flightrec import FlightRecorder
-
-            parent_rec = active_recorder()
-            recorder = FlightRecorder(
-                out_dir=None,
-                label=f"shard-{shard_index}",
-                specs=parent_rec.specs,
+        # The parent's run context came along through fork; this shard
+        # observes itself under what it derives from it, and ships the
+        # evidence back at every collect barrier.  A shard program that
+        # collects telemetry gives ``current_run()`` its registry.
+        with use_run(**current_run().for_shard(shard_index)) as run:
+            sim = Simulator()
+            ctx = ShardContext(sim, shard_index, n_shards, lookahead)
+            program = build(ctx, *build_args) if build is not None else None
+            conn.send(
+                ("ready", sim.pending, sim.peek_next_time(), sim.events_processed)
             )
-            set_obs(recorder.obs_context())
-        program = build(ctx, *build_args) if build is not None else None
-        sampler = None
-        if parent_series is not None:
-            # After build: shard programs may install their own registry
-            # (e.g. build_fleet_shard), and that is the one to sample.
-            from repro.obs.timeseries import RunSeries, attach_sampler
-            from repro.telemetry.metrics import get_registry
-
-            registry = get_registry()
-            if registry.enabled:
-                run = RunSeries(
-                    f"shard-{shard_index}",
-                    window=parent_series.window,
-                    max_windows=parent_series.max_windows,
-                )
-                sampler = attach_sampler(sim, run, registry=registry)
-        conn.send(
-            ("ready", sim.pending, sim.peek_next_time(), sim.events_processed)
-        )
-        while True:
-            request = conn.recv()
-            op = request[0]
-            if op == "advance":
-                _op, deadline, inbound = request
-                for arrival, _src, _seq, _dst, port, payload, trace in inbound:
-                    sim.schedule_at(
-                        arrival,
-                        _Delivery(
-                            ctx._handlers, port, payload, arrival, ctx, trace
-                        ),
+            while True:
+                request = conn.recv()
+                op = request[0]
+                if op == "advance":
+                    _op, deadline, inbound = request
+                    for arrival, _src, _seq, _dst, port, payload, trace in inbound:
+                        sim.schedule_at(
+                            arrival,
+                            _Delivery(
+                                ctx._handlers, port, payload, arrival, ctx, trace
+                            ),
+                        )
+                    sim.run_until(deadline)
+                    outbox = ctx._outbox
+                    ctx._outbox = []
+                    conn.send(
+                        (
+                            "advanced",
+                            sim.now,
+                            sim.events_processed,
+                            sim.pending,
+                            sim.peek_next_time(),
+                            outbox,
+                        )
                     )
-                sim.run_until(deadline)
-                outbox = ctx._outbox
-                ctx._outbox = []
-                conn.send(
-                    (
-                        "advanced",
-                        sim.now,
-                        sim.events_processed,
-                        sim.pending,
-                        sim.peek_next_time(),
-                        outbox,
+                elif op == "collect":
+                    result = None
+                    if program is not None and hasattr(program, "collect"):
+                        result = program.collect()
+                    evidence = run.shard_evidence(
+                        shard_index, list(ctx.boundary_hops)
                     )
-                )
-            elif op == "collect":
-                from repro.telemetry.metrics import get_registry
-
-                payload = None
-                if program is not None and hasattr(program, "collect"):
-                    payload = program.collect()
-                registry = get_registry()
-                snapshot = registry.snapshot() if registry.enabled else []
-                series = None
-                if sampler is not None:
-                    sampler.finish(sim.now)
-                    if sampler.run.windows:
-                        series = {
-                            "label": sampler.run.label,
-                            "window_seconds": sampler.run.window,
-                            "max_windows": sampler.run.max_windows,
-                            "windows": sampler.run.windows,
-                        }
-                flight = (
-                    recorder.shard_payload(shard_index)
-                    if recorder is not None
-                    else None
-                )
-                conn.send(
-                    (
-                        "collected",
-                        payload,
-                        snapshot,
-                        series,
-                        list(ctx.boundary_hops),
-                        flight,
-                    )
-                )
-            elif op == "close":
-                conn.send(("closed",))
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise SimulationError(f"unknown shard command {op!r}")
+                    conn.send(("collected", result, evidence))
+                elif op == "close":
+                    conn.send(("closed",))
+                    return
+                else:  # pragma: no cover - protocol misuse
+                    raise SimulationError(f"unknown shard command {op!r}")
     except BaseException as exc:
         try:
             conn.send(
@@ -400,22 +339,20 @@ class ShardCollection:
     """Everything :meth:`ShardedBackend.collect` gathers at a barrier."""
 
     results: List[Any] = field(default_factory=list)
+    #: The per-shard registry snapshots, merged (:func:`merge_telemetry`).
     telemetry: List[Dict[str, Any]] = field(default_factory=list)
-    telemetry_per_shard: List[List[Dict[str, Any]]] = field(default_factory=list)
     #: Merged fleet-wide :class:`~repro.obs.timeseries.RunSeries` (one
     #: coherent timeline), when the run sampled time series; else None.
     series: Optional[Any] = None
-    #: The raw per-shard series payloads (label/window/windows dicts).
-    series_per_shard: List[Optional[Dict[str, Any]]] = field(
-        default_factory=list
-    )
-    #: Per-shard boundary-hop logs (traced cross-shard sends).
-    hops_per_shard: List[List[Dict[str, Any]]] = field(default_factory=list)
-    #: Per-shard flight-recorder payloads (rings + trace records), when
-    #: the run had an armed recorder; else Nones.
-    flightrec_per_shard: List[Optional[Dict[str, Any]]] = field(
-        default_factory=list
-    )
+    #: What each worker's run context shipped
+    #: (:meth:`RunContext.shard_evidence`): its ``telemetry`` snapshot,
+    #: its ``series`` (a ``RunSeries`` or None), its boundary ``hops``,
+    #: and its ``flight``-recorder rings (None unless one was armed).
+    evidence: List[Dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def series_per_shard(self) -> List[Optional[Any]]:
+        return [shard["series"] for shard in self.evidence]
 
 
 class ShardedBackend:
@@ -506,14 +443,36 @@ class ShardedBackend:
             process.start()
             child_conn.close()
             self._workers.append((process, parent_conn))
-        for index, (_process, conn) in enumerate(self._workers):
-            reply = self._expect(index, conn.recv(), "ready")
-            _tag, pending, next_time, events = reply
+        for index in range(self.n_shards):
+            _tag, pending, next_time, events = self._recv(index, "ready")
             self._shard_pending[index] = pending
             self._shard_next[index] = next_time
             self._shard_events[index] = events
 
-    def _expect(self, shard: int, reply: Tuple, tag: str) -> Tuple:
+    def _send(self, shard: int, message: Tuple) -> None:
+        """A worker that has died cannot be written to either; the
+        :meth:`_recv` that follows every send names it."""
+        try:
+            self._workers[shard][1].send(message)
+        except OSError:
+            pass
+
+    def _recv(self, shard: int, tag: str) -> Tuple:
+        """The ``tag`` reply from one worker, or a named error."""
+        process, conn = self._workers[shard]
+        try:
+            reply = conn.recv()
+        except (EOFError, OSError):
+            # The pipe closed under us: the worker is gone (killed by
+            # the OS, typically).  Reap it for the exit code, shut the
+            # others down, and say which shard it was.
+            process.join(timeout=5)
+            exitcode = process.exitcode
+            self.close()
+            raise SimulationError(
+                f"shard {shard} exited (exitcode {exitcode}) while the "
+                f"coordinator waited for {tag!r}"
+            ) from None
         if reply[0] == "error":
             raise SimulationError(
                 f"shard {shard} failed: {reply[1]}\n{reply[2]}"
@@ -604,8 +563,8 @@ class ShardedBackend:
     ) -> None:
         self._control.schedule_batch(delay, callbacks)
 
-    def set_monitor(self, monitor) -> None:
-        self._control.set_monitor(monitor)
+    def add_monitor(self, monitor, every: Optional[int] = None) -> None:
+        self._control.add_monitor(monitor, every)
 
     def at_idle(self, hook: Callable[[], None]) -> None:
         self._control.at_idle(hook)
@@ -642,14 +601,14 @@ class ShardedBackend:
     def _advance(self, window_end: float) -> None:
         """One conservative window: everyone to ``window_end``, then swap
         boundary messages at the barrier."""
-        for index, (_process, conn) in enumerate(self._workers):
+        for index in range(self.n_shards):
             inbox = sorted(self._inboxes[index], key=lambda m: (m[0], m[1], m[2]))
             self._inboxes[index] = []
-            conn.send(("advance", window_end, inbox))
+            self._send(index, ("advance", window_end, inbox))
         # The control plane advances while the workers churn in parallel.
         self._control.run_until(window_end)
-        for index, (_process, conn) in enumerate(self._workers):
-            reply = self._expect(index, conn.recv(), "advanced")
+        for index in range(self.n_shards):
+            reply = self._recv(index, "advanced")
             _tag, now, events, pending, next_time, outbox = reply
             self._shard_events[index] = events
             self._shard_pending[index] = pending
@@ -724,59 +683,20 @@ class ShardedBackend:
 
     # -- results -----------------------------------------------------------------
     def collect(self) -> ShardCollection:
-        """Gather shard program results and telemetry at a barrier."""
+        """Gather shard program results and each worker's evidence at a
+        barrier; the current run context absorbs the evidence."""
         self._ensure_started()
         collection = ShardCollection()
-        for _process, conn in self._workers:
-            conn.send(("collect",))
-        for index, (_process, conn) in enumerate(self._workers):
-            reply = self._expect(index, conn.recv(), "collected")
-            _tag, payload, snapshot, series, hops, flight = reply
-            collection.results.append(payload)
-            collection.telemetry_per_shard.append(snapshot)
-            collection.series_per_shard.append(series)
-            collection.hops_per_shard.append(hops)
-            collection.flightrec_per_shard.append(flight)
-        collection.telemetry = merge_telemetry(collection.telemetry_per_shard)
-        if any(collection.series_per_shard):
-            from repro.obs.timeseries import (
-                RunSeries,
-                active_collection,
-                merge_runs,
-            )
-
-            shard_runs = []
-            for data in collection.series_per_shard:
-                if not data:
-                    continue
-                run = RunSeries(
-                    data["label"],
-                    window=data["window_seconds"],
-                    max_windows=data["max_windows"],
-                )
-                run.windows = list(data["windows"])
-                shard_runs.append(run)
-            collection.series = merge_runs(shard_runs, label="sharded/merged")
-            # Surface the fleet timeline on the runner's collection so
-            # --timeseries JSONL and the SLO engine see sharded runs too.
-            active = active_collection()
-            if active is not None:
-                merged = collection.series
-                merged.label = active.next_label()
-                active.adopt_run(merged, observe=True)
-        if any(f is not None for f in collection.flightrec_per_shard):
-            from repro.obs.flightrec import active_recorder
-
-            recorder = active_recorder()
-            if recorder is not None:
-                all_hops = [
-                    hop
-                    for shard_hops in collection.hops_per_shard
-                    for hop in shard_hops
-                ]
-                recorder.absorb_shards(
-                    collection.flightrec_per_shard, all_hops
-                )
+        for index in range(self.n_shards):
+            self._send(index, ("collect",))
+        for index in range(self.n_shards):
+            _tag, result, evidence = self._recv(index, "collected")
+            collection.results.append(result)
+            collection.evidence.append(evidence)
+        collection.telemetry = merge_telemetry(
+            [shard["telemetry"] for shard in collection.evidence]
+        )
+        collection.series = current_run().absorb(collection.evidence)
         return collection
 
 

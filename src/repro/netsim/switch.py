@@ -25,7 +25,7 @@ class Switch:
         forwarding_delay: Fixed store-and-forward lookup latency applied
             to each packet before it is queued on the output port.
         name: Diagnostic label.
-        registry: Telemetry sink; defaults to the process-global
+        registry: Telemetry sink; defaults to the current run's
             registry (a no-op unless telemetry is enabled).
     """
 

@@ -22,7 +22,7 @@ from repro.netsim.link import Link
 from repro.netsim.packet import Packet
 from repro.netsim.profiles import NetworkProfile
 from repro.netsim.switch import Switch
-from repro.obs.context import ObsContext, get_obs
+from repro.runcontext import RunContext, current_run
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -97,13 +97,13 @@ class Network:
         propagation_delay: float = 5e-6,
         forwarding_delay: float = 5e-6,
         registry: Optional[MetricsRegistry] = None,
-        obs: Optional[ObsContext] = None,
+        obs: Optional[RunContext] = None,
     ) -> None:
         self.sim = sim
         self.default_rate_bps = default_rate_bps
         self.propagation_delay = propagation_delay
         self._registry = registry
-        self._obs = obs if obs is not None else get_obs()
+        self._obs = obs if obs is not None else current_run()
         self.switch = Switch(sim, forwarding_delay=forwarding_delay, registry=registry)
         self._endpoints: Dict[str, Endpoint] = {}
         self._uplinks: Dict[str, Link] = {}   # endpoint -> switch
@@ -168,7 +168,7 @@ class Network:
             obs=self._obs,
             **down_params,
         )
-        if self._obs is not None and self._obs.capture is not None:
+        if self._obs.capture is not None:
             # Tap uplinks only: every frame enters the fabric exactly
             # once, so the capture sees each datagram exactly once.
             uplink.capture = self._obs.capture

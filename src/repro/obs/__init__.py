@@ -14,7 +14,7 @@ per-event evidence:
   ``python -m repro.tools.slimcap`` turns a capture into Table-4-style
   per-command statistics, latency tables, NACK/retransmission
   timelines, and Chrome ``trace_event`` JSON.
-* :class:`~repro.obs.context.ObsContext` (via :func:`use_obs`) installs
+* :func:`repro.runcontext.use_run` (``tracer=``, ``capture=``) installs
   both for a run; the experiment CLI's ``--capture`` and
   ``--trace-events`` flags do this for you.
 
@@ -30,12 +30,7 @@ from repro.obs.capture import (
     SlimcapWriter,
     is_slimcap,
 )
-from repro.obs.flightrec import (
-    FlightRecorder,
-    active_recorder,
-    record_flight,
-    set_recorder,
-)
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.causal import (
     STAGES,
     MessageTrace,
@@ -44,7 +39,6 @@ from repro.obs.causal import (
     chrome_trace_events,
     stage_percentiles,
 )
-from repro.obs.context import ObsContext, get_obs, set_obs, use_obs
 from repro.obs.slo import (
     INTERACTIVITY_SLOS,
     HealthEvent,
@@ -58,9 +52,6 @@ from repro.obs.timeseries import (
     RunSeries,
     TimeSeriesCollection,
     TimeSeriesSampler,
-    active_collection,
-    attach_sampler,
-    collect_timeseries,
     merge_runs,
     validate_timeseries_records,
 )
@@ -73,7 +64,6 @@ __all__ = [
     "FlightRecorder",
     "HealthEvent",
     "MessageTrace",
-    "ObsContext",
     "RingSlimcapWriter",
     "RunSeries",
     "SlimcapReader",
@@ -86,19 +76,10 @@ __all__ = [
     "TimeSeriesSampler",
     "TraceCollector",
     "UpdateTrace",
-    "active_collection",
-    "active_recorder",
-    "attach_sampler",
-    "record_flight",
-    "set_recorder",
     "chrome_trace_events",
-    "collect_timeseries",
-    "get_obs",
     "is_slimcap",
     "merge_runs",
-    "set_obs",
     "stage_percentiles",
-    "use_obs",
     "validate_slo_records",
     "validate_timeseries_records",
 ]

@@ -23,7 +23,7 @@ Record kinds:
   wire view and the latency decomposition.
 
 The recorder taps :class:`~repro.netsim.link.Link` objects (set
-``link.capture``).  When an :class:`~repro.obs.context.ObsContext`
+``link.capture``).  When the :class:`~repro.runcontext.RunContext`
 carries a writer, the network taps every endpoint *uplink* — each frame
 is captured exactly once, at injection, like tcpdump at the sender.
 

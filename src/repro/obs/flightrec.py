@@ -34,14 +34,11 @@ import json
 import re
 import zipfile
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.netsim.engine import set_default_monitor
-from repro.obs.capture import RingSlimcapWriter
+from repro.obs.capture import RingSlimcapWriter, SlimcapWriter
 from repro.obs.causal import MessageTrace, TraceCollector
-from repro.obs.context import ObsContext
 from repro.obs.slo import (
     INTERACTIVITY_SLOS,
     LOSS_BURST_MIN,
@@ -53,9 +50,6 @@ from repro.obs.timeseries import RunSeries, TimeSeriesCollection, window_value
 
 __all__ = [
     "FlightRecorder",
-    "active_recorder",
-    "set_recorder",
-    "record_flight",
     "BUNDLE_SUFFIX",
     "BUNDLE_FORMAT",
     "BUNDLE_VERSION",
@@ -88,20 +82,6 @@ def _jsonl(records: Iterable[Any], **options: Any) -> str:
         json.dumps(record, separators=(",", ":"), **options) + "\n"
         for record in records
     )
-
-
-class _MarkMonitor:
-    """Chains an inner monitor callback and drops engine-cohort marks
-    into the recorder's ring on the same cadence."""
-
-    def __init__(self, inner, recorder: "FlightRecorder") -> None:
-        self._inner = inner
-        self._recorder = recorder
-        self.every = getattr(inner, "every", 5000)
-
-    def __call__(self, sim) -> None:
-        self._inner(sim)
-        self._recorder.engine_mark(sim)
 
 
 class FlightRecorder:
@@ -139,7 +119,7 @@ class FlightRecorder:
         self.capture = RingSlimcapWriter(max_bytes=capture_bytes)
         #: Closed MessageTrace objects and probe records, newest last.
         self._closed: deque = deque(maxlen=max_traces)
-        self.attach_tracer(TraceCollector(retain=False, max_recent=max_traces))
+        self.arm(TraceCollector(retain=False, max_recent=max_traces), None)
         self.windows: deque = deque(maxlen=max_windows)
         self.marks: deque = deque(maxlen=max_marks)
         self.triggers: List[Dict[str, Any]] = []
@@ -149,7 +129,6 @@ class FlightRecorder:
         self.armed = True
         self._tripped: Dict[Tuple[str, str], int] = {}
         self._bundle_seq = itertools.count(1)
-        self._mark_last: Dict[int, int] = {}
         self._phase: Optional[str] = None
         #: Shard evidence absorbed at the collect barrier.
         self.shard_traces: List[Dict[str, Any]] = []
@@ -158,16 +137,32 @@ class FlightRecorder:
         self._shards_absorbed: List[int] = []
 
     # -- wiring ------------------------------------------------------------
-    def attach_tracer(self, tracer: TraceCollector) -> None:
-        """Point the recorder's trace/probe rings at ``tracer`` (the
-        runner swaps in a retaining collector when --trace-events or
-        --capture need the full history)."""
+    def arm(
+        self,
+        tracer: Optional[TraceCollector],
+        capture: Optional[SlimcapWriter],
+    ) -> Tuple[TraceCollector, RingSlimcapWriter]:
+        """What a run armed with this recorder traces and captures
+        with (``use_run(recorder=...)`` installs the pair).  The tracer
+        is the run's own — a retaining one when --trace-events or
+        --capture need the full history — or else the recorder's
+        bounded one, and closes into the trace ring; the capture is the
+        wire ring, mirroring every frame to the run's ``capture`` file
+        if it has one."""
+        if tracer is None:
+            tracer = self.tracer
         self.tracer = tracer
         tracer.completed_sink = tracer.probe_sink = self._closed.append
+        if capture is not None:
+            self.capture.tee = capture
+        return tracer, self.capture
 
-    def obs_context(self) -> ObsContext:
-        """An ObsContext whose tracer and capture feed the rings."""
-        return ObsContext(tracer=self.tracer, capture=self.capture)
+    def for_shard(self, index: int) -> "FlightRecorder":
+        """The rings-only recorder a shard worker arms in this one's
+        place: bounded tracer + wire ring, no bundle dumping."""
+        return FlightRecorder(
+            out_dir=None, label=f"shard-{index}", specs=self.specs
+        )
 
     @property
     def traces(self) -> List[Dict[str, Any]]:
@@ -271,16 +266,12 @@ class FlightRecorder:
 
     # -- engine cohort marks -----------------------------------------------
     def engine_mark(self, sim) -> None:
-        """Record a coarse (sim-time, events) cohort point.  Called from
-        the chained monitor on its existing cadence — no extra engine
-        cost beyond the monitor the run already had."""
-        key = id(sim)
-        events = sim.events_processed
-        if events - self._mark_last.get(key, -(1 << 60)) < 20000:
-            return
-        self._mark_last[key] = events
+        """Record a coarse (sim-time, events) cohort point.  An engine
+        monitor of simulators that are monitored anyway (see
+        :meth:`RunContext.attach`) — no engine cost for a run that arms
+        nothing but the recorder."""
         self.marks.append(
-            {"phase": self._phase, "t": sim.now, "events": events}
+            {"phase": self._phase, "t": sim.now, "events": sim.events_processed}
         )
 
     def note(self, phase: str) -> None:
@@ -495,50 +486,3 @@ class FlightRecorder:
         if self.last_bundle is not None:
             head += f" | last bundle: {self.last_bundle}"
         return head
-
-
-# -- ambient seam ----------------------------------------------------------
-_active: Optional[FlightRecorder] = None
-
-
-def active_recorder() -> Optional[FlightRecorder]:
-    """The armed flight recorder, or None.  Shard workers inherit the
-    parent's through fork and build their own rings-only clone."""
-    return _active
-
-
-def set_recorder(
-    recorder: Optional[FlightRecorder],
-) -> Optional[FlightRecorder]:
-    global _active
-    previous = _active
-    _active = recorder
-    return previous
-
-
-@contextmanager
-def record_flight(recorder: FlightRecorder):
-    """Arm ``recorder`` for the duration of the block.
-
-    Installs the ambient seam (window observers, the dashboard footer,
-    and shard workers find the recorder there) and chains the default
-    monitor factory so engine cohort marks ride the existing monitor
-    cadence.  When no inner monitor exists the factory returns None,
-    keeping the engine's specialized no-monitor fast loop — arming the
-    recorder adds zero per-event cost to an unobserved run.
-    """
-    previous_recorder = set_recorder(recorder)
-    previous_factory = set_default_monitor(None)
-    if previous_factory is not None:
-        def factory(sim):
-            inner = previous_factory(sim)
-            if inner is None:
-                return None
-            return _MarkMonitor(inner, recorder)
-
-        set_default_monitor(factory)
-    try:
-        yield recorder
-    finally:
-        set_default_monitor(previous_factory)
-        set_recorder(previous_recorder)

@@ -3,10 +3,10 @@
 The telemetry layer (:mod:`repro.telemetry.metrics`) answers "what
 happened over the whole run"; the paper's thesis is about what the user
 experiences *second by second* — a diurnal fleet run can spend an hour
-in SLO-violating territory and still print a healthy aggregate.  This
-module samples the active registry from the engine's monitor hook
-(:func:`repro.netsim.engine.set_default_monitor`, the same seam
-``repro.perf.progress`` uses) and rolls it into sim-time windows:
+in SLO-violating territory and still print a healthy aggregate.  A run
+that installs a :class:`TimeSeriesCollection`
+(``use_run(collection=...)``) gets every simulator sampled from an
+engine monitor, its registry rolled into sim-time windows:
 
 * **counters** become per-window deltas (so a rate is ``delta / width``);
 * **gauges** keep their last value, recorded only when it changed (a
@@ -23,7 +23,7 @@ windows degrades resolution instead of growing without bound.  Windows
 with no activity are not stored at all — ``t0``/``t1`` on each record
 keep the timeline unambiguous.
 
-Each window also snapshots the *open* trace ids from the installed
+Each window also snapshots the *open* trace ids from the run's
 :class:`~repro.obs.causal.TraceCollector` (in-flight messages and
 yardstick probes), which is how ``repro.obs.slo`` annotates health
 events with the causal traces that were active when things went wrong.
@@ -51,11 +51,11 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.netsim.engine import set_default_monitor
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.runcontext import current_run
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -64,9 +64,6 @@ __all__ = [
     "RunSeries",
     "TimeSeriesCollection",
     "TimeSeriesSampler",
-    "attach_sampler",
-    "collect_timeseries",
-    "active_collection",
     "merge_runs",
     "bucket_quantile",
     "window_value",
@@ -351,24 +348,41 @@ class TimeSeriesCollection:
         self.runs: List[RunSeries] = []
         self._label: Optional[str] = None
         self._auto = 0
-        self._samplers: List["TimeSeriesSampler"] = []
+        #: (sampler, the simulator it samples) pairs.
+        self._samplers: List[tuple] = []
 
-    # -- sampler tracking --------------------------------------------------
-    def track_sampler(self, sampler: "TimeSeriesSampler") -> None:
-        """Register a sampler so :meth:`finish_samplers` can flush it."""
-        self._samplers.append(sampler)
+    # -- samplers ----------------------------------------------------------
+    def sample(self, sim) -> "TimeSeriesSampler":
+        """A sampler feeding a new run of this collection, for ``sim``
+        to call as an engine monitor (the run context adds one to every
+        simulator built while the collection is installed)."""
+        sampler = TimeSeriesSampler(self.new_run(), registry=self.registry)
+        self._samplers.append((sampler, sim))
+        return sampler
 
     def finish_samplers(self) -> None:
-        """Flush every tracked sampler's trailing partial window.
+        """Flush every sampler's trailing partial window.
 
         Safe to call mid-session (e.g. between experiment cells, so a
         just-finished simulator's windows are all stored before an SLO
         evaluation); sampling resumes afterwards for still-running sims.
         """
-        for sampler in self._samplers:
-            sim = getattr(sampler, "_sim", None)
-            if sim is not None:
-                sampler.finish(sim.now)
+        for sampler, sim in self._samplers:
+            sampler.finish(sim.now)
+
+    def finish(self) -> None:
+        """End of the run: flush the samplers and drop the runs that
+        stored nothing."""
+        self.finish_samplers()
+        self.prune_empty()
+
+    def for_shard(self, index: int) -> "TimeSeriesCollection":
+        """The collection a shard worker samples its own engine into:
+        same grid, one ``shard-N`` series, and whatever registry the
+        shard program gives the worker's run context."""
+        shard = TimeSeriesCollection(self.window, self.max_windows)
+        shard.set_label(f"shard-{index}")
+        return shard
 
     # -- labeling ----------------------------------------------------------
     def set_label(self, label: Optional[str]) -> None:
@@ -409,12 +423,9 @@ class TimeSeriesCollection:
         windows that were sampled out-of-process (shard workers) and
         only become visible at a collect barrier."""
         self.runs.append(run)
-        if observe:
-            from repro.obs.flightrec import active_recorder
-
-            recorder = active_recorder()
-            if recorder is not None:
-                recorder.observe_run(run)
+        recorder = current_run().recorder
+        if observe and recorder is not None:
+            recorder.observe_run(run)
 
     def prune_empty(self) -> int:
         """Drop runs that stored no windows; returns how many."""
@@ -555,35 +566,43 @@ def validate_timeseries_records(records: Sequence[Dict[str, Any]]) -> None:
 class TimeSeriesSampler:
     """Engine monitor that closes windows as sim time crosses boundaries.
 
-    Chains an inner monitor (e.g. the live progress line) so both share
-    the simulator's single monitor slot.  Window edges are detected at
-    the monitor granularity (:data:`SAMPLER_EVERY` events), so a
-    counter's delta can lag its boundary by a few hundred events — the
-    documented trade for keeping the per-event hot path untouched.
+    Window edges are detected at the monitor granularity
+    (:data:`SAMPLER_EVERY` events), so a counter's delta can lag its
+    boundary by a few hundred events — the documented trade for keeping
+    the per-event hot path untouched.
+
+    The registry (unless one is passed) and the tracer are read through
+    the run context the sampler was built under, at each window close:
+    a shard program gives its worker's context a registry after the
+    worker's engine exists.  Whether a flight recorder is armed is asked
+    of the *current* context, so windows flushed after a run has ended
+    are stored but no longer graded.
     """
+
+    every = SAMPLER_EVERY
 
     def __init__(
         self,
         run: RunSeries,
         registry: Optional[MetricsRegistry] = None,
-        chain: Optional[Callable] = None,
     ) -> None:
         self.run = run
-        self.registry = registry if registry is not None else get_registry()
-        self.chain = chain
-        self.every = SAMPLER_EVERY
-        if chain is not None:
-            self.every = min(self.every, getattr(chain, "every", self.every))
+        self._registry = registry
+        self._context = current_run()
         self._window_start = 0.0
         self._boundary = run.window
         self._last_counters: Dict[str, float] = {}
         self._last_gauges: Dict[str, float] = {}
         self._last_hists: Dict[str, Any] = {}
 
+    @property
+    def registry(self) -> MetricsRegistry:
+        if self._registry is not None:
+            return self._registry
+        return self._context.registry
+
     # -- engine callback ---------------------------------------------------
     def __call__(self, sim) -> None:
-        if self.chain is not None:
-            self.chain(sim)
         now = sim.now
         while now >= self._boundary:
             self._close_window(self._boundary)
@@ -657,111 +676,18 @@ class TimeSeriesSampler:
                 "gauges": gauges,
                 "histograms": histograms,
             }
-            trace_ids = _open_trace_ids()
-            if trace_ids:
-                record["trace_ids"] = trace_ids
+            tracer = self._context.tracer
+            if tracer is not None:
+                # Trace ids in flight (annotation, not a full trace).
+                trace_ids = list(tracer.open_trace_ids())[:MAX_TRACE_IDS]
+                if trace_ids:
+                    record["trace_ids"] = trace_ids
             self.run.append_window(record)
             # Stream the closed window past the flight recorder so SLO
             # violations trigger bundle dumps while the run is live.
-            from repro.obs.flightrec import active_recorder
-
-            recorder = active_recorder()
+            recorder = current_run().recorder
             if recorder is not None:
                 recorder.observe_window(self.run.label, record)
         self._window_start = edge
         # The run's width may have doubled while appending (coalescing).
         self._boundary = edge + self.run.window
-
-
-def _open_trace_ids() -> List[int]:
-    """Trace ids currently in flight in the installed tracer, if any."""
-    from repro.obs.context import get_obs
-
-    obs = get_obs()
-    tracer = obs.tracer if obs is not None else None
-    if tracer is None:
-        return []
-    open_ids = getattr(tracer, "open_trace_ids", None)
-    if open_ids is None:
-        return []
-    return list(open_ids())[:MAX_TRACE_IDS]
-
-
-def attach_sampler(
-    sim,
-    run: RunSeries,
-    registry: Optional[MetricsRegistry] = None,
-    chain: Optional[Callable] = None,
-) -> TimeSeriesSampler:
-    """Install a sampler as ``sim``'s monitor (explicit wiring — the
-    :func:`collect_timeseries` factory does this for every simulator)."""
-    sampler = TimeSeriesSampler(run, registry=registry, chain=chain)
-    sim.set_monitor(sampler)
-    return sampler
-
-
-# ---------------------------------------------------------------------------
-# Process-global collection (the runner/CLI seam)
-# ---------------------------------------------------------------------------
-
-_active: Optional[TimeSeriesCollection] = None
-
-
-def active_collection() -> Optional[TimeSeriesCollection]:
-    """The collection installed by :func:`collect_timeseries`, or None.
-
-    Shard workers inherit this through ``fork`` and use it as the signal
-    to sample their own engines (with worker-local collections gathered
-    at the collect barrier)."""
-    return _active
-
-
-@contextmanager
-def collect_timeseries(
-    collection: Optional[TimeSeriesCollection] = None,
-    window: float = DEFAULT_WINDOW,
-    max_windows: int = DEFAULT_MAX_WINDOWS,
-    registry: Optional[MetricsRegistry] = None,
-):
-    """Sample every simulator built inside the block into one collection.
-
-    Nests: when a collection is already active and none is passed, the
-    outer one is reused and nothing is re-installed — an experiment can
-    wrap its own cells in ``collect_timeseries()`` and compose with the
-    runner's ``--timeseries`` flag.  The monitor factory chains any
-    previously installed factory (e.g. ``live_progress``), so both hooks
-    run off the simulator's single monitor slot.
-    """
-    global _active
-    if collection is None and _active is not None:
-        yield _active
-        return
-    if collection is None:
-        collection = TimeSeriesCollection(
-            window=window, max_windows=max_windows, registry=registry
-        )
-    elif registry is not None and collection.registry is None:
-        collection.registry = registry
-    previous_factory = set_default_monitor(None)
-
-    def factory(sim) -> TimeSeriesSampler:
-        chain = previous_factory(sim) if previous_factory is not None else None
-        sampler = TimeSeriesSampler(
-            collection.new_run(),
-            registry=collection.registry,
-            chain=chain,
-        )
-        sampler._sim = sim
-        collection.track_sampler(sampler)
-        return sampler
-
-    set_default_monitor(factory)
-    previous_active = _active
-    _active = collection
-    try:
-        yield collection
-    finally:
-        _active = previous_active
-        set_default_monitor(previous_factory)
-        collection.finish_samplers()
-        collection.prune_empty()

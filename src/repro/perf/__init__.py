@@ -30,7 +30,7 @@ from repro.perf.harness import (
     run_harness,
     scenario,
 )
-from repro.perf.progress import ProgressMonitor, live_progress
+from repro.perf.progress import ProgressMonitor
 from repro.perf.schema import (
     BenchSchemaError,
     SCHEMA_VERSION,
@@ -54,7 +54,6 @@ __all__ = [
     "bench_document",
     "default_bench_path",
     "git_sha",
-    "live_progress",
     "load_bench",
     "measure_scenario",
     "run_harness",

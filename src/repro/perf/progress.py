@@ -5,12 +5,11 @@ puts one updating line on stderr while any simulator is running::
 
     sim 12.40s | 1,284,503 events | 412.3k ev/s | 8.1 sim-s/s | drops 37 | eta 0:14
 
-The hook is the :func:`repro.netsim.engine.set_default_monitor` factory:
-inside the :func:`live_progress` context every ``Simulator()``
-constructed — however deep inside experiment code — gets a
-:class:`ProgressMonitor` attached, which the engine calls every few
-thousand events.  The monitor rate-limits itself by wall clock, reads
-drop counters out of the active telemetry registry (reusing the
+A run installs one painter (``use_run(progress=ProgressMonitor())``)
+and every ``Simulator()`` constructed under it — however deep inside
+experiment code — calls that painter every few thousand events.  The
+painter rate-limits itself by wall clock across all of them, reads drop
+counters out of the run's telemetry registry (reusing the
 ``console.decode.dropped`` / ``net.link.packets_dropped`` /
 ``net.link.packets_lost`` instruments instead of keeping parallel
 counts), and estimates an ETA when the target simulated duration is
@@ -21,19 +20,13 @@ from __future__ import annotations
 
 import sys
 import time
-from contextlib import contextmanager
 from typing import IO, List, Optional
 
 from repro.netsim.backend import SimulationBackend
-from repro.netsim.engine import set_default_monitor
+from repro.runcontext import current_run
 from repro.telemetry.metrics import get_registry
 
-__all__ = [
-    "DashboardMonitor",
-    "ProgressMonitor",
-    "live_dashboard",
-    "live_progress",
-]
+__all__ = ["DashboardMonitor", "ProgressMonitor"]
 
 #: Telemetry counters summed into the "drops" readout.
 DROP_COUNTER_PREFIXES = (
@@ -80,18 +73,6 @@ class _DropCounterCache:
         return sum(int(inst.value) for inst in self._instruments)
 
 
-def _registry_drops() -> int:
-    """Uncached scan (kept for one-shot callers and tests)."""
-    registry = get_registry()
-    if not registry.enabled:
-        return 0
-    total = 0
-    for prefix in DROP_COUNTER_PREFIXES:
-        for inst in registry.collect(prefix):
-            total += int(inst.value)
-    return total
-
-
 def _fmt_rate(per_second: float) -> str:
     if per_second >= 1e6:
         return f"{per_second / 1e6:.1f}M"
@@ -101,7 +82,8 @@ def _fmt_rate(per_second: float) -> str:
 
 
 class ProgressMonitor:
-    """One live status line, updated in place, for one simulator.
+    """One live status line, updated in place, for whichever simulator
+    of the run is executing.
 
     Args:
         target_sim_seconds: Simulated duration the run aims for; enables
@@ -110,7 +92,7 @@ class ProgressMonitor:
         min_interval: Wall seconds between repaints (the engine calls in
             every few thousand events; most calls return immediately).
         every: Engine callback granularity in events (read by
-            :meth:`Simulator.set_monitor`).
+            :meth:`Simulator.add_monitor`).
     """
 
     def __init__(
@@ -127,6 +109,7 @@ class ProgressMonitor:
         self.updates_painted = 0
         self._started = time.perf_counter()
         self._last_paint = 0.0
+        self._sim: Optional[SimulationBackend] = None
         self._last_events = 0
         self._last_wall = self._started
         self._last_sim_now = 0.0
@@ -137,6 +120,13 @@ class ProgressMonitor:
     # -- engine callback ----------------------------------------------------
     def __call__(self, sim: SimulationBackend) -> None:
         now = time.perf_counter()
+        if sim is not self._sim:
+            # Another simulator of the run took over: its event count
+            # and clock started again from zero, some time after the
+            # last repaint.
+            self._sim = sim
+            self._last_events = 0
+            self._last_sim_now = 0.0
         if now - self._last_paint < self.min_interval:
             return
         self.paint(sim, now)
@@ -204,45 +194,19 @@ class ProgressMonitor:
             self._dirty = False
 
 
-@contextmanager
-def live_progress(
-    target_sim_seconds: Optional[float] = None,
-    stream: Optional[IO[str]] = None,
-    min_interval: float = 0.5,
-):
-    """Attach a progress monitor to every simulator built in the block."""
-    monitors: List[ProgressMonitor] = []
-
-    def factory(_sim: SimulationBackend) -> ProgressMonitor:
-        monitor = ProgressMonitor(
-            target_sim_seconds=target_sim_seconds,
-            stream=stream,
-            min_interval=min_interval,
-        )
-        monitors.append(monitor)
-        return monitor
-
-    previous = set_default_monitor(factory)
-    try:
-        yield monitors
-    finally:
-        set_default_monitor(previous)
-        for monitor in monitors:
-            monitor.finish()
-
-
 class DashboardMonitor(ProgressMonitor):
     """The status line grown into an updating multi-line mini-dashboard.
 
     On every repaint the health line is followed by one sparkline row
-    per busy telemetry series, read from the active time-series
-    collection (:func:`repro.obs.timeseries.collect_timeseries`).  The
-    block repaints in place with cursor-up ANSI sequences, so a long
-    fleet run shows a rolling live picture instead of a silent stretch.
+    per busy telemetry series, read from the run's time-series
+    collection.  The block repaints in place with cursor-up ANSI
+    sequences — across simulators too, the painter being the run's one
+    — so a long fleet run shows a rolling live picture instead of a
+    silent stretch.
 
     Args:
         collection: The :class:`~repro.obs.timeseries.TimeSeriesCollection`
-            to render; defaults to the active one at each repaint.
+            to render; defaults to the run's at each repaint.
         max_series: Sparkline rows shown (busiest series first).
         width: Sparkline width in characters.
     """
@@ -262,12 +226,11 @@ class DashboardMonitor(ProgressMonitor):
 
     def _series_rows(self) -> List[str]:
         from repro.analysis.textplot import render_sparkline
-        from repro.obs.timeseries import active_collection
 
         collection = (
             self.collection
             if self.collection is not None
-            else active_collection()
+            else current_run().collection
         )
         if collection is None or not collection.runs:
             return []
@@ -308,9 +271,7 @@ class DashboardMonitor(ProgressMonitor):
         return rows
 
     def _flightrec_row(self) -> List[str]:
-        from repro.obs.flightrec import active_recorder
-
-        recorder = active_recorder()
+        recorder = current_run().recorder
         if recorder is None:
             return []
         return [f"  flightrec: {recorder.status_line()}"]
@@ -336,39 +297,3 @@ class DashboardMonitor(ProgressMonitor):
     def finish(self) -> None:
         # Every repaint ends below the block on its own line already.
         self._dirty = False
-
-
-@contextmanager
-def live_dashboard(
-    collection=None,
-    target_sim_seconds: Optional[float] = None,
-    stream: Optional[IO[str]] = None,
-    min_interval: float = 0.5,
-    max_series: int = 6,
-    width: int = 48,
-):
-    """Attach a :class:`DashboardMonitor` to every simulator built in the
-    block (the ``--dashboard`` runner flag; pairs with
-    :func:`repro.obs.timeseries.collect_timeseries` for the series rows).
-    """
-    monitors: List[DashboardMonitor] = []
-
-    def factory(_sim: SimulationBackend) -> DashboardMonitor:
-        monitor = DashboardMonitor(
-            collection=collection,
-            max_series=max_series,
-            width=width,
-            target_sim_seconds=target_sim_seconds,
-            stream=stream,
-            min_interval=min_interval,
-        )
-        monitors.append(monitor)
-        return monitor
-
-    previous = set_default_monitor(factory)
-    try:
-        yield monitors
-    finally:
-        set_default_monitor(previous)
-        for monitor in monitors:
-            monitor.finish()

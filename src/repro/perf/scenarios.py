@@ -234,12 +234,11 @@ def switch_forward_rec(ctx: ScenarioContext) -> Dict[str, float]:
     # every link carries the tracer and every uplink the ring tap, yet
     # none of this traffic is traced or framed, so the armed run must
     # fire the same events as ``switch_forward`` and cost the same.
-    from repro.obs import FlightRecorder, record_flight, use_obs
+    from repro.obs import FlightRecorder
+    from repro.runcontext import use_run
 
-    recorder = FlightRecorder(out_dir=None, label="perf-switch")
-    with record_flight(recorder):
-        with use_obs(recorder.obs_context()):
-            return _switch_forward_body(ctx)
+    with use_run(recorder=FlightRecorder(out_dir=None, label="perf-switch")):
+        return _switch_forward_body(ctx)
 
 
 @scenario(
@@ -517,12 +516,11 @@ def e2e_session_rec(ctx: ScenarioContext) -> Dict[str, float]:
     # Same pixel-exact session, but every wire frame lands in the
     # byte-budgeted ring and every completed trace in the trace ring —
     # the real cost of arming the recorder on an observed run.
-    from repro.obs import FlightRecorder, record_flight, use_obs
+    from repro.obs import FlightRecorder
+    from repro.runcontext import use_run
 
-    recorder = FlightRecorder(out_dir=None, label="perf-e2e")
-    with record_flight(recorder):
-        with use_obs(recorder.obs_context()):
-            return _e2e_session_body(ctx)
+    with use_run(recorder=FlightRecorder(out_dir=None, label="perf-e2e")):
+        return _e2e_session_body(ctx)
 
 
 @scenario("wan_matrix", title="WAN adversity cell: cellular overload, static vs adaptive")

@@ -80,7 +80,7 @@ class Scheduler:
         memory_mb: Physical memory; 0 disables the paging model.
         paging_slowdown: Burst-time multiplier per unit of memory
             oversubscription (demand/capacity - 1).
-        registry: Telemetry sink; defaults to the process-global
+        registry: Telemetry sink; defaults to the current run's
             registry (a no-op unless telemetry is enabled).
     """
 

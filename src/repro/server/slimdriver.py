@@ -15,6 +15,7 @@ it at 1.7% of X-server execution time (Section 5.5).
 
 from __future__ import annotations
 
+import time as _time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -25,9 +26,8 @@ from repro.analysis.traces import UpdateRecord
 from repro.console.microops import MicroOpModel
 from repro.framebuffer.framebuffer import FrameBuffer
 from repro.framebuffer.painter import Painter, PaintOp
-from repro.obs.context import ObsContext, get_obs
+from repro.runcontext import RunContext, current_run
 from repro.telemetry.metrics import MetricsRegistry, get_registry
-from repro.telemetry.trace import Tracer
 from repro.xproto.baseline import RawPixelDriver, XDriver
 
 #: Reference-CPU encode cost per output byte, tuned so that encoding
@@ -62,10 +62,10 @@ class SlimDriver:
             drivers so traces carry Figure 8's three-way comparison.
         send: Optional callback receiving each encoded command (wired to
             a network in the examples; None for pure trace collection).
-        registry: Telemetry sink; defaults to the process-global
+        registry: Telemetry sink; defaults to the current run's
             registry (a no-op unless telemetry is enabled).
-        obs: Observability context; defaults to the process-global one
-            (usually ``None``).  When it carries a causal tracer, every
+        obs: Run context to take the tracer from; defaults to the
+            current one.  When it carries a causal tracer, every
             :meth:`update` opens an update trace so the commands it
             sends are grouped under one ``update_id``.
     """
@@ -78,7 +78,7 @@ class SlimDriver:
         track_baselines: bool = True,
         send: Optional[Callable[[cmd.DisplayCommand], None]] = None,
         registry: Optional[MetricsRegistry] = None,
-        obs: Optional[ObsContext] = None,
+        obs: Optional[RunContext] = None,
     ) -> None:
         self.encoder = encoder or SlimEncoder(
             materialize=framebuffer is not None, registry=registry
@@ -90,11 +90,8 @@ class SlimDriver:
         self.raw_driver = RawPixelDriver() if track_baselines else None
         self.stats = DriverStats()
         self.records: List[UpdateRecord] = []
-        obs = obs if obs is not None else get_obs()
-        self._trace = obs.tracer if obs is not None else None
+        self._trace = (obs if obs is not None else current_run()).tracer
         self._metrics = registry if registry is not None else get_registry()
-        # Wall-clock spans: where does the *reproduction's* time go.
-        self._tracer = Tracer(registry=self._metrics)
         if self._metrics.enabled:
             m = self._metrics
             self._m_updates = m.counter("server.driver.updates")
@@ -135,10 +132,16 @@ class SlimDriver:
     def _timed_update(
         self, time: float, ops: List[PaintOp], paint: bool
     ) -> UpdateRecord:
-        if self._metrics.enabled:
-            with self._tracer.span("server.driver.update"):
-                return self._update(time, ops, paint)
-        return self._update(time, ops, paint)
+        if not self._metrics.enabled:
+            return self._update(time, ops, paint)
+        # Wall-clock span: where does the *reproduction's* time go.
+        started = _time.perf_counter()
+        try:
+            return self._update(time, ops, paint)
+        finally:
+            self._metrics.histogram(
+                "span.server.driver.update.seconds"
+            ).observe(_time.perf_counter() - started)
 
     def _update(self, time: float, ops: List[PaintOp], paint: bool) -> UpdateRecord:
         if paint and self.framebuffer is not None:

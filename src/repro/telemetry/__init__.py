@@ -1,26 +1,21 @@
-"""repro.telemetry — zero-dependency metrics and tracing.
+"""repro.telemetry — zero-dependency metrics.
 
 The uniform instrumentation layer under every hot path: the network
 fabric, the console decode loop, the server scheduler and SLIM driver,
 and the encoder all report into an injectable
-:class:`~repro.telemetry.metrics.MetricsRegistry` that defaults to a
-process-global one.  The global registry starts as a
+:class:`~repro.telemetry.metrics.MetricsRegistry` that defaults to the
+current run's.  That starts as a
 :class:`~repro.telemetry.metrics.NullRegistry`, so nothing is recorded
-(and nothing is paid) until :func:`enable` — or
-``python -m repro.experiments --metrics`` — turns it on.
+(and nothing is paid) until a run installs a live one — which
+``python -m repro.experiments --metrics`` does.
 
 Typical use::
 
-    from repro import telemetry
+    from repro import telemetry, use_run
 
-    registry = telemetry.enable()
-    ...  # run a simulation
-    print(telemetry.render_report(registry))
-
-Isolation for tests and side-by-side experiments::
-
-    with telemetry.use_registry() as registry:
-        ...  # components constructed here report into `registry`
+    with use_run(registry=telemetry.MetricsRegistry()) as run:
+        ...  # components constructed here report into run.registry
+    print(telemetry.render_report(run.registry))
 """
 
 from repro.telemetry.metrics import (
@@ -30,14 +25,9 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     NullRegistry,
     P2Quantile,
-    disable,
-    enable,
     get_registry,
-    set_registry,
-    use_registry,
 )
 from repro.telemetry.report import render_json, render_report
-from repro.telemetry.trace import Span, Tracer, sample_periodically
 
 __all__ = [
     "Counter",
@@ -46,14 +36,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "P2Quantile",
-    "Span",
-    "Tracer",
-    "disable",
-    "enable",
     "get_registry",
     "render_json",
     "render_report",
-    "sample_periodically",
-    "set_registry",
-    "use_registry",
 ]

@@ -15,18 +15,16 @@ design follows the usual three-instrument model:
 
 Instruments live in a :class:`MetricsRegistry`, keyed by name plus
 labels.  Components accept an injectable registry and fall back to the
-process-global one (:func:`get_registry`), which defaults to a
+current run's (:func:`get_registry`), which defaults to a
 :class:`NullRegistry` whose instruments are shared no-ops — the hot
 paths guard on ``registry.enabled`` so disabled telemetry costs one
-attribute read.  Experiments that need isolation swap their own registry
-in with :func:`use_registry` or pass one explicitly.
+attribute read.  Experiments that need isolation install their own
+registry with :func:`repro.runcontext.use_run` or pass one explicitly.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
-from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -36,10 +34,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "get_registry",
-    "set_registry",
-    "use_registry",
-    "enable",
-    "disable",
 ]
 
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -465,46 +459,11 @@ class NullRegistry(MetricsRegistry):
         return []
 
 
-#: The process-global registry.  Null by default so untouched code and the
-#: tier-1 benchmarks pay nothing; ``--metrics`` / :func:`enable` swap in a
-#: live registry.
-_global_registry: MetricsRegistry = NullRegistry()
-_global_lock = threading.Lock()
-
-
 def get_registry() -> MetricsRegistry:
-    """The process-global registry instrumented code defaults to."""
-    return _global_registry
+    """The current run's registry — what instrumented code defaults to.
+    A :class:`NullRegistry` unless the run installed one
+    (``use_run(registry=...)``, or ``--metrics`` on the runner)."""
+    # Imported here: the run context is built on this module.
+    from repro.runcontext import current_run
 
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install a new global registry; returns the previous one."""
-    global _global_registry
-    with _global_lock:
-        previous = _global_registry
-        _global_registry = registry
-    return previous
-
-
-@contextmanager
-def use_registry(registry: Optional[MetricsRegistry] = None):
-    """Temporarily swap the global registry (tests, isolated experiments)."""
-    registry = registry if registry is not None else MetricsRegistry()
-    previous = set_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_registry(previous)
-
-
-def enable() -> MetricsRegistry:
-    """Install a live global registry (idempotent) and return it."""
-    if not _global_registry.enabled:
-        set_registry(MetricsRegistry())
-    return _global_registry
-
-
-def disable() -> None:
-    """Return to the zero-cost null registry."""
-    if _global_registry.enabled:
-        set_registry(NullRegistry())
+    return current_run().registry

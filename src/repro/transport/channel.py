@@ -27,7 +27,7 @@ from repro.console.console import Console
 from repro.framebuffer.framebuffer import FrameBuffer
 from repro.netsim.backend import LocalBackend, SimulationBackend
 from repro.netsim.transport import Network
-from repro.obs.context import ObsContext, get_obs
+from repro.runcontext import RunContext, current_run
 from repro.telemetry.metrics import MetricsRegistry
 from repro.transport.console import ConsoleChannel
 from repro.transport.server import DEFAULT_STATUS_INTERVAL, ServerChannel
@@ -56,7 +56,7 @@ class DisplayChannel:
         queue_limit_bytes: Console downlink buffer size (tail drops).
         registry: Telemetry sink threaded through every layer.
         obs: Observability context threaded through every layer
-            (tracer + wire capture); defaults to the process-global one.
+            (tracer + wire capture); defaults to the current one.
     """
 
     def __init__(
@@ -77,9 +77,9 @@ class DisplayChannel:
         damage_capacity: int = 1024,
         queue_limit_bytes: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        obs: Optional[ObsContext] = None,
+        obs: Optional[RunContext] = None,
     ) -> None:
-        obs = obs if obs is not None else get_obs()
+        obs = obs if obs is not None else current_run()
         self.obs = obs
         self.sim = sim if sim is not None else LocalBackend()
         self.network = network if network is not None else Network(

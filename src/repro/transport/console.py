@@ -32,7 +32,7 @@ from repro.core.wire import Datagram, WireCodec
 from repro.console.console import Console
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint, Network
-from repro.obs.context import ObsContext, get_obs
+from repro.runcontext import RunContext, current_run
 from repro.telemetry.metrics import MetricsRegistry, get_registry
 
 #: Recovery-latency histogram bounds, seconds.  Sized around the NACK
@@ -148,9 +148,9 @@ class ConsoleChannel:
             NACK is sent (the reorder-tolerance window, in time).
         nack_timeout: Seconds after which an unanswered NACK is resent
             (checked when a server SYNC arrives).
-        registry: Telemetry sink; defaults to the process-global one.
-        obs: Observability context; defaults to the process-global one
-            (usually ``None``).  Supplies the causal tracer that stamps
+        registry: Telemetry sink; defaults to the current run's.
+        obs: Run context; defaults to the current one (usually
+            empty).  Supplies the causal tracer that stamps
             reassembly times and follows console->server traffic.
     """
 
@@ -162,7 +162,7 @@ class ConsoleChannel:
         nack_delay: float = 0.002,
         nack_timeout: float = 0.1,
         registry: Optional[MetricsRegistry] = None,
-        obs: Optional[ObsContext] = None,
+        obs: Optional[RunContext] = None,
     ) -> None:
         if console.sim is None:
             raise ProtocolError("ConsoleChannel requires a simulator-attached console")
@@ -180,8 +180,8 @@ class ConsoleChannel:
         self.endpoint: Optional[Endpoint] = None
         self._tracker = _SeqTracker()
         self._pending: Dict[int, PendingRecovery] = {}
-        obs = obs if obs is not None else get_obs()
-        self._trace = obs.tracer if obs is not None else None
+        obs = obs if obs is not None else current_run()
+        self._trace = obs.tracer
         self._metrics = registry if registry is not None else get_registry()
         # Pre-resolved telemetry handles: hot paths pay one None test
         # when telemetry is disabled (enablement is fixed at construction).

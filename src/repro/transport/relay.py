@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.wire import Datagram, WireCodec
-from repro.obs.context import ObsContext, get_obs
+from repro.runcontext import RunContext, current_run
 
 __all__ = ["DisplayRelaySender", "DisplayRelayReceiver"]
 
@@ -43,7 +43,7 @@ class DisplayRelaySender:
         src, dst: Endpoint addresses stamped on trace keys and captured
             frames (one logical flow per sender/receiver pair).
         delay: Boundary propagation delay; defaults to the lookahead.
-        obs: Observability context; defaults to the process-global one.
+        obs: Run context; defaults to the current one.
     """
 
     def __init__(
@@ -54,11 +54,11 @@ class DisplayRelaySender:
         src: str = "relay:server",
         dst: str = "relay:console",
         delay: Optional[float] = None,
-        obs: Optional[ObsContext] = None,
+        obs: Optional[RunContext] = None,
     ) -> None:
-        obs = obs if obs is not None else get_obs()
-        self._trace = obs.tracer if obs is not None else None
-        self._capture = obs.capture if obs is not None else None
+        obs = obs if obs is not None else current_run()
+        self._trace = obs.tracer
+        self._capture = obs.capture
         self.ctx = ctx
         self.port = port
         self.dst_shard = dst_shard
@@ -107,10 +107,10 @@ class DisplayRelayReceiver:
         ctx,
         port: str,
         console,
-        obs: Optional[ObsContext] = None,
+        obs: Optional[RunContext] = None,
     ) -> None:
-        obs = obs if obs is not None else get_obs()
-        self._trace = obs.tracer if obs is not None else None
+        obs = obs if obs is not None else current_run()
+        self._trace = obs.tracer
         self.ctx = ctx
         self.console = console
         self.codec = WireCodec()

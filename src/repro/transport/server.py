@@ -31,7 +31,7 @@ from repro.framebuffer.framebuffer import FrameBuffer
 from repro.netsim.backend import SimulationBackend
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint, Network
-from repro.obs.context import ObsContext, get_obs
+from repro.runcontext import RunContext, current_run
 from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.transport.damage import DamageMap
 
@@ -83,9 +83,9 @@ class ServerChannel:
         damage_capacity: Damage-map entries retained before eviction.
         status_interval: Status-exchange period, seconds.
         on_input: Callback for input events arriving from the console.
-        registry: Telemetry sink; defaults to the process-global one.
-        obs: Observability context; defaults to the process-global one
-            (usually ``None``).  Supplies the causal tracer that follows
+        registry: Telemetry sink; defaults to the current run's.
+        obs: Run context; defaults to the current one (usually
+            empty).  Supplies the causal tracer that follows
             each display command from here to the console's paint.
     """
 
@@ -101,7 +101,7 @@ class ServerChannel:
         status_interval: float = DEFAULT_STATUS_INTERVAL,
         on_input: Optional[Callable[[cmd.Command], None]] = None,
         registry: Optional[MetricsRegistry] = None,
-        obs: Optional[ObsContext] = None,
+        obs: Optional[RunContext] = None,
     ) -> None:
         self.framebuffer = framebuffer
         self.network = network
@@ -129,8 +129,8 @@ class ServerChannel:
         self._confirmed_frontier = 0
         self._timer_active = False
         self._refresh_covering_seq = -1
-        obs = obs if obs is not None else get_obs()
-        self._trace = obs.tracer if obs is not None else None
+        obs = obs if obs is not None else current_run()
+        self._trace = obs.tracer
         self._metrics = registry if registry is not None else get_registry()
         # Pre-resolved telemetry handles: hot paths pay one None test
         # when telemetry is disabled (enablement is fixed at construction).

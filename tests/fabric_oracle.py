@@ -26,14 +26,9 @@ from repro.netsim.engine import Simulator
 from repro.netsim.link import GilbertElliottLoss, Link
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint, Network
-from repro.obs import (
-    ObsContext,
-    SlimcapReader,
-    SlimcapWriter,
-    TraceCollector,
-    use_obs,
-)
-from repro.telemetry import MetricsRegistry, render_json, use_registry
+from repro.obs import SlimcapReader, SlimcapWriter, TraceCollector
+from repro.runcontext import RunContext, use_run
+from repro.telemetry import MetricsRegistry, render_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "fabric_oracle.json"
 
@@ -219,7 +214,7 @@ def link_workload(
         rng=rng if (loss_rate or jitter or burst_loss is not None) else None,
         name="oracle",
         registry=registry,
-        obs=ObsContext(tracer=log) if armed else None,
+        obs=RunContext(tracer=log) if armed else None,
     )
     writer = None
     if armed:
@@ -315,7 +310,7 @@ def star_workload(*, seed=5, loss_rate=0.0, use_burst=False, armed_dir=None):
         sim,
         default_rate_bps=100e6,
         registry=registry,
-        obs=ObsContext(tracer=log, capture=writer) if armed else None,
+        obs=RunContext(tracer=log, capture=writer) if armed else None,
     )
     events = []
 
@@ -491,9 +486,8 @@ def armed(fn, scratch):
     tracer = TraceCollector()
     writer = SlimcapWriter(Path(scratch) / "armed.slimcap")
     registry = MetricsRegistry()
-    with use_registry(registry):
-        with use_obs(ObsContext(tracer=tracer, capture=writer)):
-            result = fn()
+    with use_run(registry=registry, tracer=tracer, capture=writer):
+        result = fn()
     writer.close()
     return normalize(
         {

@@ -12,7 +12,13 @@ observers derived stage partitions and serialised ring frames eagerly:
 
     PYTHONPATH=src python tests/golden/regen.py observers
 
-Running either on a later commit re-blesses the goldens from the one
+``runner_all_flags.json`` was produced the same way (with
+``tests/runner_oracle.py``) on b2a5892, the last commit that armed its
+observers through five ambient seams and a chain of wrapped monitors:
+
+    PYTHONPATH=src python tests/golden/regen.py runner
+
+Running any of them on a later commit re-blesses the goldens from the one
 remaining path; do that only for a deliberate, reviewed change of
 simulated behaviour.
 """
@@ -26,9 +32,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent))
 
-from tests import fabric_oracle, observer_oracle  # noqa: E402
+from tests import fabric_oracle, observer_oracle, runner_oracle  # noqa: E402
 
-ORACLES = {"fabric": fabric_oracle, "observers": observer_oracle}
+ORACLES = {
+    "fabric": fabric_oracle,
+    "observers": observer_oracle,
+    "runner": runner_oracle,
+}
 
 
 def main(argv) -> None:

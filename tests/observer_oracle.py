@@ -20,7 +20,8 @@ from pathlib import Path
 
 from repro.experiments.lossy_fabric import run_lossy_session
 from repro.experiments.runner import EXPERIMENTS, experiment
-from repro.obs import ObsContext, TraceCollector, stage_percentiles, use_obs
+from repro.obs import TraceCollector, stage_percentiles
+from repro.runcontext import use_run
 
 from tests.fabric_oracle import normalize
 
@@ -41,7 +42,7 @@ def traced_session(loss_rate: float, updates: int, seed: int) -> dict:
     every update's ``breakdown()`` and the ``stage_percentiles`` table of
     one Netscape session under a retaining tracer."""
     tracer = TraceCollector()
-    with use_obs(ObsContext(tracer=tracer)):
+    with use_run(tracer=tracer):
         channel = run_lossy_session(loss_rate, updates=updates, seed=seed)
     assert channel.converged
     return normalize(

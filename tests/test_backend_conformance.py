@@ -96,12 +96,11 @@ class TestMonitor:
             ticks.append(sim.events_processed)
 
         monitor.every = 10
-        backend.set_monitor(monitor)
+        backend.add_monitor(monitor)
         for index in range(35):
             backend.schedule(0.001 * (index + 1), lambda: None)
         backend.run()
         assert len(ticks) == 3
-        backend.set_monitor(None)
 
     def test_monitor_sees_backend_clock(self, backend):
         seen = []
@@ -110,7 +109,7 @@ class TestMonitor:
             seen.append(sim.now)
 
         monitor.every = 1
-        backend.set_monitor(monitor)
+        backend.add_monitor(monitor)
         backend.schedule(0.25, lambda: None)
         backend.run()
         assert seen and seen[0] == pytest.approx(0.25)

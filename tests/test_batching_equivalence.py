@@ -175,7 +175,7 @@ def test_monitor_cadence_with_batches():
         ticks.append(s.events_processed)
 
     monitor.every = 10
-    sim.set_monitor(monitor)
+    sim.add_monitor(monitor)
     for k in range(5):
         sim.schedule_batch(0.0001 * (k + 1), [lambda: None] * 4)  # 20 events
     for i in range(15):

@@ -268,8 +268,8 @@ class TestCliProfilingAndInterrupt:
         from repro.netsim.engine import Simulator
 
         assert main(["--progress", "table4"]) == 0
-        # The live_progress context must not leak its factory.
-        assert Simulator()._monitor is None
+        # The run's painter must not outlive it.
+        assert not Simulator().monitored
 
     def test_keyboard_interrupt_flushes_partial_results(
         self, tmp_path, capsys
@@ -388,8 +388,8 @@ class TestTimeseriesAndSloFlags:
     def test_dashboard_flag_restores_monitor_hook(self, capsys):
         from repro.experiments.__main__ import main
         from repro.netsim.engine import Simulator
-        from repro.obs.timeseries import active_collection
+        from repro.runcontext import current_run
 
         assert main(["--dashboard", "table4"]) == 0
-        assert Simulator()._monitor is None
-        assert active_collection() is None
+        assert not Simulator().monitored
+        assert current_run().collection is None

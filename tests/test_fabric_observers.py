@@ -31,16 +31,15 @@ from repro.netsim.link import Link
 from repro.netsim.packet import Packet
 from repro.obs import (
     FlightRecorder,
-    ObsContext,
     RingSlimcapWriter,
     SlimcapReader,
     SlimcapWriter,
     TraceCollector,
-    use_obs,
 )
 from repro.perf import scenarios
 from repro.perf.harness import ScenarioContext
-from repro.telemetry import MetricsRegistry, use_registry
+from repro.runcontext import use_run
+from repro.telemetry import MetricsRegistry
 
 from tests.fabric_oracle import table_lines
 
@@ -334,9 +333,9 @@ def test_frames_tying_on_time_come_out_by_tx_start_then_admission(tmp_path):
 # ---------------------------------------------------------------------------
 
 _OBSERVERS = {
-    "tracer": lambda: use_obs(ObsContext(tracer=TraceCollector())),
-    "capture": lambda: use_obs(ObsContext(capture=RingSlimcapWriter())),
-    "telemetry": lambda: use_registry(MetricsRegistry()),
+    "tracer": lambda: use_run(tracer=TraceCollector()),
+    "capture": lambda: use_run(capture=RingSlimcapWriter()),
+    "telemetry": lambda: use_run(registry=MetricsRegistry()),
 }
 
 
@@ -423,6 +422,6 @@ def test_arming_observers_adds_no_events_to_a_display_session(tmp_path):
         lambda: scenarios._e2e_session_body(ctx), tmp_path
     )
     ring = RingSlimcapWriter(max_bytes=1 << 30)
-    with use_obs(ObsContext(capture=ring)):
+    with use_run(capture=ring):
         scenarios._e2e_session_body(ctx)
     assert ring.frames_written > 0  # the tap really was on the path

@@ -145,16 +145,14 @@ class TestFleetSeriesAndSlo:
 
     def test_experiment_adds_slo_column_when_sampling(self):
         from repro.experiments.fleet_scale import run
-        from repro.obs.timeseries import (
-            TimeSeriesCollection,
-            collect_timeseries,
-        )
+        from repro.obs.timeseries import TimeSeriesCollection
+        from repro.runcontext import use_run
         from repro.telemetry.metrics import MetricsRegistry
 
         collection = TimeSeriesCollection(
             window=600.0, registry=MetricsRegistry()
         )
-        with collect_timeseries(collection):
+        with use_run(collection=collection):
             result = run(n_users=400, duration=2 * 3600.0, shards=2)
         fleet = result.rows[-1]
         assert "SLO" in fleet

@@ -17,20 +17,18 @@ import numpy as np
 import pytest
 
 from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
-from repro.netsim.engine import Simulator, set_default_monitor
+from repro.netsim.engine import Simulator
 from repro.obs import (
     STAGES,
     FlightRecorder,
-    ObsContext,
     RingSlimcapWriter,
     SlimcapReader,
     SlimcapWriter,
     TraceCollector,
-    record_flight,
-    use_obs,
 )
-from repro.obs.flightrec import BUNDLE_SUFFIX, active_recorder
+from repro.obs.flightrec import BUNDLE_SUFFIX
 from repro.obs.slo import SloSpec
+from repro.runcontext import RunContext, current_run, use_run
 from repro.tools import postmortem
 from repro.transport import DisplayChannel
 
@@ -38,7 +36,7 @@ from repro.transport import DisplayChannel
 def lossy_session(obs, loss_rate=0.08, seed=3, n_updates=30):
     """A paced FILL workload over a lossy DisplayChannel (same shape as
     the causal-tracing suite's fixture; seed 3 exercises recovery)."""
-    with use_obs(obs):
+    with use_run(tracer=obs.tracer, capture=obs.capture):
         fb = FrameBuffer(256, 256)
         channel = DisplayChannel(fb, loss_rate=loss_rate, seed=seed)
         driver = channel.make_driver(track_baselines=False)
@@ -67,8 +65,8 @@ def lossy_session(obs, loss_rate=0.08, seed=3, n_updates=30):
 def recorded_session(tmp_path, **kwargs):
     """A lossy session with the recorder's rings as the obs sinks."""
     recorder = FlightRecorder(out_dir=tmp_path, label="testrun", **kwargs)
-    with record_flight(recorder):
-        channel = lossy_session(recorder.obs_context())
+    with use_run(recorder=recorder) as run:
+        channel = lossy_session(run)
     return recorder, channel
 
 
@@ -101,8 +99,8 @@ class TestRingSlimcapWriter:
         path = tmp_path / "mirror.slimcap"
         ring = RingSlimcapWriter(max_bytes=1 << 16, tee=SlimcapWriter(path))
         tracer = TraceCollector()
-        with record_flight(FlightRecorder(out_dir=None)):
-            lossy_session(ObsContext(tracer=tracer, capture=ring))
+        with use_run(recorder=FlightRecorder(out_dir=None)):
+            lossy_session(RunContext(tracer=tracer, capture=ring))
         ring.close()  # closes only the tee
         on_disk = [
             r
@@ -121,7 +119,7 @@ class TestTruncatedCapture:
         path = tmp_path / "whole.slimcap"
         tracer = TraceCollector()
         writer = SlimcapWriter(path)
-        lossy_session(ObsContext(tracer=tracer, capture=writer))
+        lossy_session(RunContext(tracer=tracer, capture=writer))
         writer.close()
         return path
 
@@ -250,11 +248,11 @@ class TestTriggers:
 class TestRecordFlightSeam:
     def test_no_monitor_fast_loop_preserved(self):
         recorder = FlightRecorder(out_dir=None)
-        with record_flight(recorder):
-            assert active_recorder() is recorder
-            assert Simulator()._monitor is None
-        assert active_recorder() is None
-        assert Simulator()._monitor is None
+        with use_run(recorder=recorder):
+            assert current_run().recorder is recorder
+            assert not Simulator().monitored
+        assert current_run().recorder is None
+        assert not Simulator().monitored
 
     def test_chains_an_existing_monitor(self):
         calls = []
@@ -265,18 +263,17 @@ class TestRecordFlightSeam:
             def __call__(self, sim):
                 calls.append(sim.events_processed)
 
-        previous = set_default_monitor(lambda sim: FakeMonitor())
-        try:
-            recorder = FlightRecorder(out_dir=None, max_marks=8)
-            with record_flight(recorder):
-                sim = Simulator()
-                assert sim._monitor is not None
-                for _ in range(3):
-                    sim.schedule(0.001, lambda: None)
-                sim.run()
-            assert calls  # the inner monitor still fired
-        finally:
-            set_default_monitor(previous)
+            def finish(self):
+                pass
+
+        recorder = FlightRecorder(out_dir=None, max_marks=8)
+        with use_run(progress=FakeMonitor(), recorder=recorder):
+            sim = Simulator()
+            assert sim.monitored
+            for _ in range(3):
+                sim.schedule(0.001, lambda: None)
+            sim.run()
+        assert calls  # the other monitor still fired
 
 
 # -- bundles and the postmortem CLI -----------------------------------------

@@ -18,17 +18,15 @@ import pytest
 from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
 from repro.obs import (
     STAGES,
-    ObsContext,
     SlimcapReader,
     SlimcapWriter,
     TraceCollector,
     chrome_trace_events,
-    get_obs,
     is_slimcap,
     stage_percentiles,
-    use_obs,
 )
 from repro.obs.capture import KIND_FRAME, KIND_LOSS
+from repro.runcontext import RunContext, current_run, use_run
 from repro.tools import slimcap as slimcap_tool
 from repro.tools.replay import replay, session_from_capture
 from repro.transport import DisplayChannel
@@ -38,7 +36,7 @@ def run_session(
     obs, loss_rate=0.08, seed=3, n_updates=30, size=(256, 256), spacing=0.004
 ):
     """Drive a paced FILL workload through a DisplayChannel under ``obs``."""
-    with use_obs(obs) if obs is not None else _null():
+    with use_run(tracer=obs.tracer, capture=obs.capture):
         fb = FrameBuffer(*size)
         channel = DisplayChannel(fb, loss_rate=loss_rate, seed=seed)
         driver = channel.make_driver(track_baselines=False)
@@ -64,19 +62,11 @@ def run_session(
     return channel
 
 
-class _null:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 @pytest.fixture
 def lossy_traced():
     """A lossy traced session known (by seed) to exercise recovery."""
     tracer = TraceCollector()
-    channel = run_session(ObsContext(tracer=tracer))
+    channel = run_session(RunContext(tracer=tracer))
     return channel, tracer
 
 
@@ -165,7 +155,7 @@ class TestCapture:
     def test_roundtrip_frames_losses_and_messages(self, tmp_path):
         path = tmp_path / "run.slimcap"
         writer = SlimcapWriter(path)
-        channel = run_session(ObsContext(capture=writer))
+        channel = run_session(RunContext(capture=writer))
         writer.close()
         assert is_slimcap(path)
 
@@ -191,7 +181,7 @@ class TestCapture:
         tracer = TraceCollector()
         path = tmp_path / "run.slimcap"
         writer = SlimcapWriter(path)
-        run_session(ObsContext(tracer=tracer, capture=writer))
+        run_session(RunContext(tracer=tracer, capture=writer))
         completed = tracer.completed_messages()
         for trace in completed:
             writer.trace(trace.to_dict(), now=trace.sent_at)
@@ -209,7 +199,7 @@ class TestAnalyzerCli:
         tracer = TraceCollector()
         path = tmp_path / "run.slimcap"
         writer = SlimcapWriter(path)
-        run_session(ObsContext(tracer=tracer, capture=writer))
+        run_session(RunContext(tracer=tracer, capture=writer))
         for trace in tracer.completed_messages():
             writer.trace(trace.to_dict(), now=trace.sent_at)
         writer.close()
@@ -252,11 +242,11 @@ class TestAnalyzerCli:
 
 class TestZeroOverhead:
     def test_disabled_path_allocates_nothing_in_obs(self):
-        assert get_obs() is None
-        run_session(None, n_updates=2)  # warm caches, imports, codecs
+        assert current_run() == RunContext()
+        run_session(RunContext(), n_updates=2)  # warm caches, imports, codecs
         tracemalloc.start()
         try:
-            channel = run_session(None, n_updates=10)
+            channel = run_session(RunContext(), n_updates=10)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
@@ -270,7 +260,7 @@ class TestZeroOverhead:
         assert channel.console._trace is None
 
     def test_packets_carry_no_trace_id_when_disabled(self):
-        channel = run_session(None, n_updates=2, loss_rate=0.0)
+        channel = run_session(RunContext(), n_updates=2, loss_rate=0.0)
         assert channel.server_channel.stats.messages_sent > 0
         # The Packet dataclass default keeps the field None end to end;
         # spot-check by sending one more message through the channel.

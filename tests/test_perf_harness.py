@@ -7,7 +7,7 @@ import pytest
 
 import repro.perf.scenarios  # noqa: F401  (registers the scenarios)
 from repro.errors import ReproError
-from repro.netsim.engine import Simulator, set_default_monitor
+from repro.netsim.engine import Simulator
 from repro.perf.__main__ import main as perf_main
 from repro.perf.harness import (
     SCENARIOS,
@@ -20,7 +20,8 @@ from repro.perf.harness import (
     run_harness,
     scenario,
 )
-from repro.perf.progress import ProgressMonitor, live_progress
+from repro.perf.progress import ProgressMonitor
+from repro.runcontext import use_run
 from repro.perf.schema import (
     SCHEMA_KIND,
     SCHEMA_VERSION,
@@ -236,21 +237,16 @@ class TestEngineMonitorHook:
             def __call__(self, sim):
                 seen.append(sim.events_processed)
 
-        previous = set_default_monitor(lambda sim: Spy())
-        try:
+            def finish(self):
+                pass
+
+        with use_run(progress=Spy()):
             self.drain(10)
-        finally:
-            set_default_monitor(previous)
         assert seen == [2, 4, 6, 8, 10]
 
     def test_no_factory_no_callbacks(self):
         sim = self.drain(10)
-        assert sim._monitor is None
-
-    def test_set_default_monitor_returns_previous(self):
-        factory = lambda sim: None  # noqa: E731
-        assert set_default_monitor(factory) is None
-        assert set_default_monitor(None) is factory
+        assert not sim.monitored
 
 
 class TestProgressMonitor:
@@ -285,15 +281,16 @@ class TestProgressMonitor:
 
     def test_live_progress_installs_and_restores(self):
         out = io.StringIO()
-        with live_progress(stream=out, min_interval=0.0) as monitors:
+        monitor = ProgressMonitor(stream=out, min_interval=0.0)
+        with use_run(progress=monitor):
             sim = Simulator()
             for i in range(20000):
                 sim.schedule(i * 1e-4, lambda: None)
             sim.run()
-        assert monitors and monitors[0].updates_painted > 0
+        assert monitor.updates_painted > 0
         assert "events" in out.getvalue()
         # Outside the context, new simulators are monitor-free again.
-        assert Simulator()._monitor is None
+        assert not Simulator().monitored
 
 
 class TestPerfCli:
@@ -342,12 +339,11 @@ class TestDropCounterCache:
     def test_sums_drop_counters_and_caches_handles(self):
         from repro.perf.progress import _DropCounterCache
         from repro.telemetry.metrics import MetricsRegistry
-        from repro.telemetry import use_registry
 
         registry = MetricsRegistry()
         lost = registry.counter("net.link.packets_lost", link="a")
         lost.inc(3)
-        with use_registry(registry):
+        with use_run(registry=registry):
             cache = _DropCounterCache()
             assert cache.total() == 3
             # Without registry growth, repaints must reuse the cached
@@ -437,17 +433,42 @@ class TestDashboardMonitor:
         monitor.paint(FakeSim(now=7.0, events_processed=1300))
         assert f"\x1b[{2}F" in out.getvalue()
 
-    def test_live_dashboard_installs_and_restores(self):
-        from repro.perf.progress import live_dashboard
+    def test_one_block_repaints_across_simulators(self):
+        """The run's one painter: a later simulator's first paint rewinds
+        over the block the previous simulator left, instead of stacking a
+        new block under it, and the rate window starts afresh."""
+        from repro.perf.progress import DashboardMonitor
 
         out = io.StringIO()
-        with live_dashboard(
+        monitor = DashboardMonitor(
+            self.collection(), stream=out, min_interval=0.0, every=100
+        )
+        simulators = 3
+        with use_run(progress=monitor):
+            for _ in range(simulators):
+                sim = Simulator()
+                for i in range(250):
+                    sim.schedule(i * 1e-3, lambda: None)
+                before = len(out.getvalue())
+                sim.run()
+                first_paint = out.getvalue()[before:]
+                if before:
+                    assert first_paint.startswith("\x1b[2F")
+                assert monitor._last_events == 200  # this simulator's count
+        assert out.getvalue().count("\x1b[2F") >= simulators - 1
+
+    def test_live_dashboard_installs_and_restores(self):
+        from repro.perf.progress import DashboardMonitor
+
+        out = io.StringIO()
+        monitor = DashboardMonitor(
             self.collection(), stream=out, min_interval=0.0
-        ) as monitors:
+        )
+        with use_run(progress=monitor):
             sim = Simulator()
             for i in range(20000):
                 sim.schedule(i * 1e-4, lambda: None)
             sim.run()
-        assert monitors and monitors[0].updates_painted > 0
+        assert monitor.updates_painted > 0
         assert "net.pkts" in out.getvalue()
-        assert Simulator()._monitor is None
+        assert not Simulator().monitored

@@ -1,0 +1,222 @@
+"""The run context and the engine's monitor list.
+
+Two kinds of test.  *Same outputs*: the runner with every observer armed
+at once, and a sharded run under sampling, must reproduce the shas
+frozen on the last commit that armed observers through five ambient
+seams (``tests/runner_oracle.py``).  *The structure is held*: one
+``global`` statement under ``src/repro``, none of the replaced names
+left to import, ``use_run`` nesting field-wise, and each observer firing
+on its own cadence from the engine's monitor list.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from repro.netsim.engine import Simulator
+from repro.obs import FlightRecorder, TimeSeriesCollection, TraceCollector
+from repro.runcontext import RunContext, current_run, use_run
+from repro.telemetry import MetricsRegistry
+
+from tests import runner_oracle
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+# -- same outputs -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def runner_outputs(tmp_path_factory):
+    return runner_oracle.compute_all(tmp_path_factory.mktemp("runner"))
+
+
+@pytest.mark.parametrize("name", sorted(runner_oracle.load_golden()))
+def test_runner_output_matches_the_five_seam_commit(runner_outputs, name):
+    assert runner_outputs[name] == runner_oracle.load_golden()[name]
+
+
+# -- the structure is held --------------------------------------------------
+
+
+def test_one_global_statement_under_src():
+    sites = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert len(sites) == 1 and sites[0].startswith("runcontext.py:"), sites
+
+
+_REPLACED = (
+    "set_registry use_registry enable disable "
+    "ObsContext get_obs set_obs use_obs "
+    "collect_timeseries active_collection attach_sampler "
+    "record_flight set_recorder active_recorder _MarkMonitor "
+    "live_progress live_dashboard _registry_drops "
+    "set_default_monitor Tracer Span sample_periodically"
+).split()
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro",
+        "repro.obs",
+        "repro.obs.timeseries",
+        "repro.obs.flightrec",
+        "repro.telemetry",
+        "repro.telemetry.metrics",
+        "repro.perf",
+        "repro.perf.progress",
+        "repro.netsim.engine",
+        "repro.experiments.__main__",
+    ],
+)
+def test_replaced_names_are_gone(module):
+    namespace = importlib.import_module(module)
+    assert [n for n in _REPLACED if hasattr(namespace, n)] == []
+
+
+def test_replaced_modules_and_methods_are_gone():
+    for module in ("repro.obs.context", "repro.telemetry.trace"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    assert not hasattr(Simulator, "set_monitor")
+    assert not hasattr(FlightRecorder, "attach_tracer")
+    assert not hasattr(FlightRecorder, "obs_context")
+
+
+class TestUseRun:
+    def test_root_context_holds_nothing(self):
+        assert current_run() == RunContext()
+        assert not current_run().registry.enabled
+
+    def test_nests_and_composes_field_wise(self):
+        registry, tracer = MetricsRegistry(), TraceCollector()
+        collection = TimeSeriesCollection()
+        with use_run(registry=registry) as outer:
+            with use_run(tracer=tracer, collection=collection) as inner:
+                assert current_run() is inner
+                assert inner.registry is registry
+                assert inner.tracer is tracer
+                assert inner.collection is collection
+                with use_run(tracer=None) as innermost:
+                    assert innermost.tracer is None
+                    assert innermost.collection is collection
+                assert current_run() is inner
+            assert current_run() is outer
+            assert outer.tracer is None and outer.collection is None
+        assert current_run() == RunContext()
+
+    def test_restores_after_an_exception(self):
+        before = current_run()
+        with pytest.raises(RuntimeError):
+            with use_run(registry=MetricsRegistry()):
+                with use_run(tracer=TraceCollector()):
+                    raise RuntimeError("escapes both")
+        assert current_run() is before
+
+    def test_rejects_a_field_the_context_does_not_have(self):
+        with pytest.raises(TypeError):
+            with use_run(sampler=object()):
+                pass  # pragma: no cover
+
+    def test_arming_a_recorder_feeds_its_rings(self):
+        recorder = FlightRecorder(out_dir=None)
+        tracer = TraceCollector()
+        with use_run(tracer=tracer, recorder=recorder) as run:
+            assert run.tracer is tracer is recorder.tracer
+            assert run.capture is recorder.capture
+        with use_run(recorder=recorder) as run:
+            assert run.tracer is tracer  # the last one it was armed with
+
+
+# -- one monitor list, one cadence each -------------------------------------
+
+
+class _Painter:
+    every = 5000
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, sim):
+        self.calls.append(sim.events_processed)
+
+    def finish(self):
+        pass
+
+
+class _SpiedCollection(TimeSeriesCollection):
+    """Counts its samplers' firings (they keep sampling underneath)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = []
+
+    def sample(self, sim):
+        sampler = super().sample(sim)
+
+        def spy(sim):
+            self.calls.append(sim.events_processed)
+            sampler(sim)
+
+        spy.every = sampler.every
+        return spy
+
+
+def _run_events(sim, n):
+    # Distinct timestamps: no cohorts, so every due-counter is met exactly.
+    for i in range(n):
+        sim.schedule(i * 1e-4, lambda: None)
+    sim.run()
+    return sim
+
+
+def test_observers_fire_on_their_own_cadences():
+    painter = _Painter()
+    collection = _SpiedCollection(registry=MetricsRegistry())
+    recorder = FlightRecorder(out_dir=None)
+    with use_run(progress=painter, collection=collection, recorder=recorder):
+        _run_events(Simulator(), 41_000)
+    assert collection.calls == list(range(512, 41_000, 512))
+    assert painter.calls == list(range(5000, 41_000, 5000))
+    assert [m["events"] for m in recorder.marks] == [20_000, 40_000]
+
+
+def test_cohorts_overshoot_a_due_counter_but_never_skip_it():
+    painter = _Painter()
+    with use_run(progress=painter):
+        sim = Simulator()
+        for k in range(10):
+            sim.schedule_batch(k * 1e-3, [lambda: None] * 1200)
+        sim.run()
+    # 1200-event cohorts: 5000 is first seen at 6000, 10000 at 10800.
+    assert painter.calls == [6000, 10_800]
+
+
+def test_added_monitors_keep_independent_due_counters():
+    sim = Simulator()
+    fast, slow = [], []
+    sim.add_monitor(lambda s: fast.append(s.events_processed), every=3)
+    _run_events(sim, 4)  # fast fired at 3
+    sim.add_monitor(lambda s: slow.append(s.events_processed), every=10)
+    _run_events(sim, 17)  # 21 events in all
+    assert fast == [3, 6, 9, 12, 15, 18, 21]
+    assert slow == [10, 20]
+
+
+def test_default_arming_leaves_the_engine_unmonitored():
+    """The runner's default: a recorder and nothing else.  No monitor,
+    so the no-monitor run loops, and not one event more."""
+    bare = _run_events(Simulator(), 30_000)
+    recorder = FlightRecorder(out_dir=None)
+    with use_run(recorder=recorder):
+        armed = _run_events(Simulator(), 30_000)
+    assert not armed.monitored
+    assert armed.events_processed == bare.events_processed == 30_000
+    assert not recorder.marks

@@ -84,10 +84,10 @@ def build_crash(ctx):
 
 class TelemetryProgram:
     def __init__(self, ctx):
-        from repro.telemetry.metrics import MetricsRegistry, set_registry
+        from repro.runcontext import current_run
+        from repro.telemetry.metrics import MetricsRegistry
 
-        registry = MetricsRegistry()
-        set_registry(registry)  # returns the *previous* registry
+        registry = current_run().registry = MetricsRegistry()
         registry.counter("shard.builds").inc()
         registry.gauge("shard.index").set(ctx.shard_index)
         for value in range(10):
@@ -180,6 +180,28 @@ class TestFailureAndLifecycle:
             with pytest.raises(SimulationError, match="ZeroDivisionError"):
                 backend.run()
 
+    @pytest.mark.parametrize("waiting_for", ["advanced", "collected"])
+    def test_killed_worker_is_a_named_error(self, waiting_for):
+        """A worker the OS killed between two slices: the coordinator
+        names the shard (not a bare EOFError) and reaps every child."""
+        backend = ShardedBackend(3, build=build_echo)
+        backend.run_until(0.5)
+        processes = [process for process, _conn in backend._workers]
+        processes[2].kill()
+        processes[2].join(timeout=10)
+        with pytest.raises(SimulationError) as caught:
+            if waiting_for == "advanced":
+                backend.run_until(1.0)
+            else:
+                backend.collect()
+        message = str(caught.value)
+        assert "shard 2 exited (exitcode -9)" in message
+        assert f"waited for '{waiting_for}'" in message
+        backend.close()  # already closed by the failure: returns at once
+        assert not any(process.is_alive() for process in processes)
+        with pytest.raises(SimulationError, match="closed"):
+            backend.run_until(2.0)
+
     def test_close_is_idempotent_and_blocks_reuse(self):
         backend = ShardedBackend(1)
         backend.schedule(0.1, lambda: None)
@@ -246,10 +268,10 @@ class FidelityProgram:
     def __init__(self, ctx):
         import numpy as np
 
-        from repro.telemetry.metrics import MetricsRegistry, set_registry
+        from repro.runcontext import current_run
+        from repro.telemetry.metrics import MetricsRegistry
 
-        registry = MetricsRegistry()
-        set_registry(registry)
+        registry = current_run().registry = MetricsRegistry()
         for entity in range(self.N_ENTITIES):
             if entity % ctx.n_shards != ctx.shard_index:
                 continue
@@ -271,10 +293,10 @@ class SeriesProgram:
     worker's time-series sampler has something to window."""
 
     def __init__(self, ctx):
-        from repro.telemetry.metrics import MetricsRegistry, set_registry
+        from repro.runcontext import current_run
+        from repro.telemetry.metrics import MetricsRegistry
 
-        registry = MetricsRegistry()
-        set_registry(registry)
+        registry = current_run().registry = MetricsRegistry()
         counter = registry.counter(
             "series.ticks", shard=str(ctx.shard_index)
         )
@@ -342,16 +364,14 @@ class TestMergeTelemetryFidelity:
 
 class TestShardSeriesGathering:
     def test_series_gathered_and_merged_at_collect_barrier(self):
-        from repro.obs.timeseries import (
-            TimeSeriesCollection,
-            collect_timeseries,
-        )
+        from repro.obs.timeseries import TimeSeriesCollection
+        from repro.runcontext import use_run
         from repro.telemetry.metrics import MetricsRegistry
 
         collection = TimeSeriesCollection(
             window=1.0, registry=MetricsRegistry()
         )
-        with collect_timeseries(collection):
+        with use_run(collection=collection):
             with ShardedBackend(
                 2, build=build_series, lookahead=0.25
             ) as backend:

@@ -126,7 +126,8 @@ def test_armed_session_slice_allocates_nothing_per_packet():
     costs one hop record per link while it is in flight and nothing that
     outlives the rings.  Once those are full, netsim + obs hold as many
     blocks after the slice as before it, however many packets moved."""
-    from repro.obs import FlightRecorder, record_flight, use_obs
+    from repro.obs import FlightRecorder
+    from repro.runcontext import use_run
 
     width, height = 160, 120
     server_fb = FrameBuffer(width, height)
@@ -139,7 +140,7 @@ def test_armed_session_slice_allocates_nothing_per_packet():
     # replaced during the slice then nets to zero, as it should.
     tracemalloc.start()
     try:
-        with record_flight(recorder), use_obs(recorder.obs_context()):
+        with use_run(recorder=recorder):
             channel = DisplayChannel(server_fb)
             driver = channel.make_driver(track_baselines=False)
             ops = _desktop_ops(width, height, seed=5)

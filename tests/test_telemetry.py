@@ -1,4 +1,4 @@
-"""Tests for the telemetry subsystem: metrics, tracing, reporting."""
+"""Tests for the telemetry subsystem: metrics and reporting."""
 
 import json
 
@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from repro.netsim.engine import Simulator
+from repro.runcontext import use_run
 from repro.telemetry import (
     MetricsRegistry,
     NullRegistry,
     P2Quantile,
-    Tracer,
     get_registry,
     render_json,
     render_report,
-    sample_periodically,
-    set_registry,
-    use_registry,
 )
 
 
@@ -181,104 +178,10 @@ class TestGlobalRegistry:
 
     def test_use_registry_swaps_and_restores(self):
         before = get_registry()
-        with use_registry() as reg:
-            assert get_registry() is reg
-            assert reg.enabled
+        with use_run(registry=MetricsRegistry()) as run:
+            assert get_registry() is run.registry
+            assert run.registry.enabled
         assert get_registry() is before
-
-    def test_set_registry_returns_previous(self):
-        before = get_registry()
-        mine = MetricsRegistry()
-        previous = set_registry(mine)
-        try:
-            assert previous is before
-            assert get_registry() is mine
-        finally:
-            set_registry(before)
-
-
-class TestTracer:
-    def test_span_records_histogram(self):
-        reg = MetricsRegistry()
-        clock = iter([0.0, 1.5]).__next__
-        tracer = Tracer(registry=reg, clock=lambda: clock())
-        with tracer.span("work"):
-            pass
-        hist = reg.get("span.work.seconds")
-        assert hist.count == 1
-        assert hist.sum == pytest.approx(1.5)
-
-    def test_nesting_depth(self):
-        reg = MetricsRegistry()
-        t = [0.0]
-
-        def clock():
-            t[0] += 1.0
-            return t[0]
-
-        tracer = Tracer(registry=reg, clock=clock)
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                assert inner.depth == 1
-                assert inner.parent is outer
-            assert tracer.current is outer
-        assert tracer.current is None
-
-    def test_sim_clock_spans(self):
-        reg = MetricsRegistry()
-        sim = Simulator()
-        tracer = Tracer(registry=reg, clock=lambda: sim.now)
-        with tracer.span("evt"):
-            sim.schedule(2.0, lambda: None)
-            sim.run()
-        assert reg.get("span.evt.seconds").sum == pytest.approx(2.0)
-
-    def test_escaped_exception_unwinds_abandoned_children(self):
-        # Regression: a span entered manually (or whose __exit__ never
-        # ran because an exception escaped) used to stay on the stack
-        # when its parent closed, corrupting `current` and mis-parenting
-        # every later span.
-        reg = MetricsRegistry()
-        tracer = Tracer(registry=reg)
-        with pytest.raises(RuntimeError):
-            with tracer.span("outer"):
-                tracer.span("inner").__enter__()  # abandoned below
-                raise RuntimeError("escapes before inner's __exit__")
-        assert tracer.current is None
-        with tracer.span("after") as span:
-            assert span.parent is None
-        assert tracer.current is None
-
-    def test_deeply_nested_abandonment_unwinds_all(self):
-        tracer = Tracer(registry=MetricsRegistry())
-        with tracer.span("root"):
-            for name in ("a", "b", "c"):
-                tracer.span(name).__enter__()
-        assert tracer.current is None
-
-    def test_double_close_is_harmless(self):
-        tracer = Tracer(registry=MetricsRegistry())
-        ctx = tracer.span("once")
-        ctx.__enter__()
-        with tracer.span("sibling"):
-            pass
-        ctx.__exit__(None, None, None)
-        ctx.__exit__(None, None, None)  # double close: must not pop others
-        assert tracer.current is None
-
-
-class TestSamplePeriodically:
-    def test_samples_on_schedule(self):
-        reg = MetricsRegistry()
-        sim = Simulator()
-        g = reg.gauge("depth")
-        sample_periodically(sim, 1.0, lambda: g.set(sim.now), until=3.5)
-        sim.run()
-        assert g.value == 3.0
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            sample_periodically(Simulator(), 0.0, lambda: None)
 
 
 class TestReport:
@@ -373,6 +276,6 @@ class TestInstrumentedComponents:
         from repro.experiments.table4 import run_echo
 
         baseline = run_echo()
-        with use_registry():
+        with use_run(registry=MetricsRegistry()):
             instrumented = run_echo()
         assert instrumented == baseline

@@ -2,9 +2,9 @@
 
 Covers the math (bucket quantiles, window extraction), the sampler's
 delta/last-value semantics, bounded memory via coalescing, the JSONL
-round trip + schema validation, shard-style merging, and the
-``collect_timeseries`` session seam (nesting, monitor chaining, trace-id
-annotation, mid-session flushes).
+round trip + schema validation, shard-style merging, and a collection
+installed on the run context (sampling every simulator beside other
+monitors, trace-id annotation, mid-session flushes).
 """
 
 import io
@@ -13,8 +13,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.netsim.engine import Simulator, set_default_monitor
-from repro.obs.context import ObsContext, use_obs
+from repro.netsim.engine import Simulator
 from repro.obs.causal import TraceCollector
 from repro.obs.timeseries import (
     DEFAULT_WINDOW,
@@ -22,13 +21,12 @@ from repro.obs.timeseries import (
     RunSeries,
     TimeSeriesCollection,
     TimeSeriesSampler,
-    active_collection,
     bucket_quantile,
-    collect_timeseries,
     merge_runs,
     validate_timeseries_records,
     window_value,
 )
+from repro.runcontext import use_run
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -313,18 +311,15 @@ class TestCollectionRoundTrip:
 
 
 class TestCollectTimeseries:
-    def drive(self, collection=None, events=1500, registry=None):
-        with collect_timeseries(collection, registry=registry) as active:
+    def drive(self, events=1500, registry=None):
+        collection = TimeSeriesCollection(registry=registry)
+        with use_run(collection=collection):
             sim = Simulator()
-            counter = (
-                active.registry.counter("evt")
-                if active.registry is not None
-                else None
-            )
+            counter = registry.counter("evt")
             for i in range(events):
                 sim.schedule(i * 0.01, counter.inc)
             sim.run()
-        return active
+        return collection
 
     def test_samples_every_simulator_into_runs(self):
         registry = MetricsRegistry()
@@ -338,15 +333,6 @@ class TestCollectTimeseries:
         # the monitor hook, not just the final flush).
         assert len(run.windows) > 1
 
-    def test_nesting_reuses_outer_collection(self):
-        registry = MetricsRegistry()
-        outer = TimeSeriesCollection(window=1.0, registry=registry)
-        with collect_timeseries(outer) as a:
-            with collect_timeseries() as b:
-                assert b is a is outer
-                assert active_collection() is outer
-        assert active_collection() is None
-
     def test_chains_previously_installed_monitor_factory(self):
         seen = []
 
@@ -356,34 +342,35 @@ class TestCollectTimeseries:
             def __call__(self, sim):
                 seen.append(sim.events_processed)
 
-        previous = set_default_monitor(lambda sim: Spy())
-        try:
+            def finish(self):
+                pass
+
+        with use_run(progress=Spy()):
             self.drive(registry=MetricsRegistry())
-        finally:
-            set_default_monitor(previous)
-        # The spy kept firing through the sampler's chain, at its own
-        # (finer) granularity.
+        # The painter installed first kept firing beside the sampler,
+        # at its own (finer) granularity.
         assert seen and seen[0] == 100
 
     def test_windows_carry_open_trace_ids(self):
         tracer = TraceCollector()
         registry = MetricsRegistry()
-        with use_obs(ObsContext(tracer=tracer)):
-            with collect_timeseries(registry=registry) as collection:
-                sim = Simulator()
-                probe = tracer.begin_probe("net.yardstick.round", 0.0)
-                counter = registry.counter("evt")
-                for i in range(600):
-                    sim.schedule(i * 0.01, counter.inc)
-                sim.run()
-                tracer.end_probe(probe)
+        collection = TimeSeriesCollection(registry=registry)
+        with use_run(tracer=tracer, collection=collection):
+            sim = Simulator()
+            probe = tracer.begin_probe("net.yardstick.round", 0.0)
+            counter = registry.counter("evt")
+            for i in range(600):
+                sim.schedule(i * 0.01, counter.inc)
+            sim.run()
+            tracer.end_probe(probe)
         run = collection.runs[0]
         annotated = [w for w in run.windows if w.get("trace_ids")]
         assert annotated and probe in annotated[0]["trace_ids"]
 
     def test_finish_samplers_flushes_mid_session(self):
         registry = MetricsRegistry()
-        with collect_timeseries(registry=registry) as collection:
+        collection = TimeSeriesCollection(registry=registry)
+        with use_run(collection=collection):
             sim = Simulator()
             counter = registry.counter("evt")
             sim.schedule(0.25, counter.inc)
@@ -395,5 +382,4 @@ class TestCollectTimeseries:
         assert collection.runs[0].windows[0]["counters"]["evt"] == 1
 
     def test_default_window_matches_module_default(self):
-        with collect_timeseries(registry=MetricsRegistry()) as collection:
-            assert collection.window == DEFAULT_WINDOW
+        assert TimeSeriesCollection().window == DEFAULT_WINDOW

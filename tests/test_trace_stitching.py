@@ -26,8 +26,8 @@ from repro.core import commands as cmd
 from repro.framebuffer import Rect
 from repro.netsim.engine import Simulator
 from repro.netsim.sharded import LocalBus, ShardedBackend
-from repro.obs import STAGES, FlightRecorder, record_flight, use_obs
-from repro.obs.flightrec import active_recorder
+from repro.obs import STAGES, FlightRecorder
+from repro.runcontext import current_run, use_run
 
 PORT = "display-relay"
 LOOKAHEAD = 1e-3
@@ -95,7 +95,7 @@ def run_sharded_relay():
     """The 2-shard run under an armed flight recorder; returns the
     recorder after shard evidence is absorbed at the collect barrier."""
     recorder = FlightRecorder(out_dir=None, label="stitch-test")
-    with record_flight(recorder):
+    with use_run(recorder=recorder):
         with ShardedBackend(
             2, build=build_relay_shard, lookahead=LOOKAHEAD
         ) as backend:
@@ -109,10 +109,9 @@ def run_local_relay():
     recorder = FlightRecorder(out_dir=None, label="local-test")
     sim = Simulator()
     bus = LocalBus(sim, lookahead=LOOKAHEAD)
-    with record_flight(recorder):
-        with use_obs(recorder.obs_context()):
-            build_relay_shard(bus)
-            sim.run_until(RUN_UNTIL)
+    with use_run(recorder=recorder):
+        build_relay_shard(bus)
+        sim.run_until(RUN_UNTIL)
     return recorder, bus
 
 
@@ -230,4 +229,4 @@ class TestLocalEquivalence:
             )
 
     def test_ambient_recorder_restored(self):
-        assert active_recorder() is None
+        assert current_run().recorder is None
