@@ -13,7 +13,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.framebuffer.regions import Rect
+from repro.framebuffer.regions import Rect, union_bounds
+
+#: Undrained damage past this many rectangles collapses to its bounding
+#: box: most framebuffers are never drained, and a superset is still
+#: correct damage.
+DAMAGE_LIMIT = 1024
 
 
 class FrameBuffer:
@@ -53,7 +58,10 @@ class FrameBuffer:
     # -- damage tracking ----------------------------------------------------
     def _record_damage(self, rect: Rect) -> None:
         if not rect.empty:
-            self._damage.append(rect)
+            damage = self._damage
+            if len(damage) >= DAMAGE_LIMIT:
+                damage[:] = [union_bounds(damage)]
+            damage.append(rect)
 
     def drain_damage(self) -> List[Rect]:
         """Return and clear the list of rectangles modified since last drain."""

@@ -39,7 +39,8 @@ from repro.telemetry.metrics import MetricsRegistry, get_registry
 QUEUE_DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 #: A loaded link settles its pending credits on every this-many
-#: deliveries, not on each (measured: DESIGN.md section 16.2).
+#: deliveries — or admissions, where arrivals cost no event — not on
+#: each (measured: DESIGN.md section 16.2).
 FOLD_EVERY = 16
 
 
@@ -198,7 +199,8 @@ class Link:
     """One direction of a cable between two nodes.
 
     A FIFO wire is fully determined at admission (:meth:`admit`), so a
-    packet costs one event — its delivery — and a lost packet none;
+    packet costs one event — its delivery — and a lost packet, or one
+    bound for an endpoint with no receive hook (:meth:`feeds`), none;
     statistics stay exact at any sample time through pending-credit
     records settled lazily against the clock.  Hop records, capture tap
     and telemetry consume that one path (DESIGN.md section 16).
@@ -312,6 +314,11 @@ class Link:
         #: settled once serialization has finished (the packet is kept
         #: for a tap attached while it is still on the wire).
         self._pending_fin: Deque[list] = deque()
+        #: The endpoint at the far end, once :meth:`feeds` has named it.
+        self._sink = None
+        #: [arrive, nbytes, packet] per packet bound for a sink with no
+        #: receive hook, credited to it once the arrival instant is due.
+        self._pending_arr: Deque[list] = deque()
         #: Packets in flight on the no-jitter path, delivered FIFO.
         self._transit: Deque[Packet] = deque()
         self._deliver_cb = self._deliver_next
@@ -319,6 +326,28 @@ class Link:
         # Freelists for the pending records (allocation-free steady state).
         self._start_pool: list = []
         self._fin_pool: list = []
+        self._arr_pool: list = []
+
+    # -- the far end -------------------------------------------------------------
+    def feeds(self, endpoint) -> None:
+        """Name the endpoint this link delivers to.  While it has no
+        receive hook an arrival is only counted, so it costs no event:
+        the fold credits the endpoint's counters and recycles the
+        packet, and the counters settle this link when read."""
+        self._sink = endpoint
+        endpoint._feeds.append(self)
+
+    def _wake(self) -> None:
+        """The sink gained a receive hook: arrivals still on the wire
+        become delivery events, in order; earlier ones stay credited."""
+        self._settle()
+        pend = self._pending_arr
+        while pend:
+            rec = pend.popleft()
+            self._transit.append(rec[2])
+            self.sim.schedule_at(rec[0], self._deliver_cb)
+            rec[2] = None
+            self._arr_pool.append(rec)
 
     # -- wire capture ------------------------------------------------------------
     @property
@@ -357,6 +386,25 @@ class Link:
         """Settle pending credits for everything that happened by ``ref``."""
         self._fold_fin(ref)
         self._fold_starts(ref)
+        # After the finishes: a tap backfills from the packet a finish
+        # record keeps, so the arrival must not recycle it first.
+        self._fold_arrivals(ref)
+
+    def _fold_arrivals(self, ref: float) -> None:
+        pend = self._pending_arr
+        if pend and pend[0][0] <= ref:
+            pool = self._arr_pool
+            packets = nbytes = 0
+            while pend and pend[0][0] <= ref:
+                rec = pend.popleft()
+                packets += 1
+                nbytes += rec[1]
+                if rec[2].pooled:
+                    rec[2].release()
+                rec[2] = None
+                pool.append(rec)
+            self._sink._packets += packets
+            self._sink._bytes += nbytes
 
     def _fold_fin(self, ref: float) -> None:
         pend = self._pending_fin
@@ -397,7 +445,7 @@ class Link:
 
     def _settle(self) -> None:
         """Settle up to the engine's horizon (reads, loop exits)."""
-        if self._pending_fin or self._pending_start:
+        if self._pending_fin or self._pending_start or self._pending_arr:
             self._fold(self.sim.horizon)
 
     # -- sending -----------------------------------------------------------------
@@ -523,15 +571,34 @@ class Link:
             # No event at all; the fold recycles the packet.
             return True
         delay = self.propagation_delay
+        sink = self._sink
         if self.jitter > 0:
             delay += float(rng.random()) * self.jitter
             # Jittered arrivals can reorder: each needs its own carrier.
             self.sim.schedule_at(
                 finish + delay, lambda: self._deliver_next(packet)
             )
-        else:
+        elif sink is None or sink._on_receive is not None:
             self._transit.append(packet)
             self.sim.schedule_at(finish + delay, self._deliver_cb)
+        else:
+            # Nobody receives it: the arrival is one more pending credit.
+            pool = self._arr_pool
+            if pool:
+                rec = pool.pop()
+                rec[0] = finish + delay
+                rec[1] = nbytes
+                rec[2] = packet
+            else:
+                rec = [finish + delay, nbytes, packet]
+            self._pending_arr.append(rec)
+            # No delivery to fold at, so admissions keep the books short.
+            due = self._fold_in - 1
+            if due:
+                self._fold_in = due
+            else:
+                self._fold_in = FOLD_EVERY
+                self._fold(self.sim.now)
         return True
 
     def _report_drop(self, packet: Packet, ready: float) -> None:

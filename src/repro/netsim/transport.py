@@ -29,6 +29,11 @@ from repro.telemetry.metrics import MetricsRegistry
 class Endpoint:
     """A network-attached node: receives packets and counts them.
 
+    With no receive hook an arrival is only counted, and the links that
+    feed the endpoint (:meth:`Link.feeds`) count it from their fold
+    instead of firing an event; the counters settle those links when
+    read, so they are exact at any instant either way.
+
     Args:
         address: Fabric address (must be unique in the network).
         on_receive: Callback invoked with each delivered packet.
@@ -40,9 +45,37 @@ class Endpoint:
         on_receive: Optional[Callable[[Packet], None]] = None,
     ) -> None:
         self.address = address
-        self.on_receive = on_receive
-        self.packets_received = 0
-        self.bytes_received = 0
+        self._on_receive = on_receive
+        self._packets = 0
+        self._bytes = 0
+        self._feeds: List[Link] = []
+
+    @property
+    def on_receive(self) -> Optional[Callable[[Packet], None]]:
+        """The receive hook.  Assigned mid-run, it sees exactly the
+        packets that arrive from then on."""
+        return self._on_receive
+
+    @on_receive.setter
+    def on_receive(self, hook: Optional[Callable[[Packet], None]]) -> None:
+        self._on_receive = hook
+        if hook is not None:
+            for link in self._feeds:
+                link._wake()
+
+    def _settle(self) -> None:
+        for link in self._feeds:
+            link._settle()
+
+    @property
+    def packets_received(self) -> int:
+        self._settle()
+        return self._packets
+
+    @property
+    def bytes_received(self) -> int:
+        self._settle()
+        return self._bytes
 
     def deliver(self, packet: Packet) -> None:
         """Called by the fabric when a packet arrives.
@@ -51,10 +84,10 @@ class Endpoint:
         receive hook returns — hooks may keep the payload, never the
         packet itself.
         """
-        self.packets_received += 1
-        self.bytes_received += packet.nbytes
-        if self.on_receive is not None:
-            self.on_receive(packet)
+        self._packets += 1
+        self._bytes += packet.nbytes
+        if self._on_receive is not None:
+            self._on_receive(packet)
         if packet.pooled:
             packet.release()
 
@@ -172,6 +205,7 @@ class Network:
             # Tap uplinks only: every frame enters the fabric exactly
             # once, so the capture sees each datagram exactly once.
             uplink.capture = self._obs.capture
+        downlink.feeds(endpoint)
         self.switch.attach_port(endpoint.address, downlink)
         self._endpoints[endpoint.address] = endpoint
         self._uplinks[endpoint.address] = uplink

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.framebuffer import FrameBuffer, Painter
+
+# The longer budget CI gives the generated properties that leave
+# ``max_examples`` to the profile: ``pytest --hypothesis-profile ci``.
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 @pytest.fixture

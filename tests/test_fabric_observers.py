@@ -12,7 +12,8 @@
 * frames from different links that leave at the same instant come out
   by (time, tx_start, admission order);
 * arming observers adds no engine events, capture tap included — a
-  self-check that names the observer at fault.
+  self-check that names the observer at fault — and whether an arrival
+  costs one depends on the receiving endpoint, never on what is armed.
 """
 
 from __future__ import annotations
@@ -425,3 +426,63 @@ def test_arming_observers_adds_no_events_to_a_display_session(tmp_path):
     with use_run(capture=ring):
         scenarios._e2e_session_body(ctx)
     assert ring.frames_written > 0  # the tap really was on the path
+
+
+def test_a_run_ending_on_an_absorbed_arrival_is_the_same_armed_and_bare(tmp_path):
+    """Whether a delivery costs an event depends on the endpoint having
+    a receive hook, never on what is armed: the Fig 11 rig (yardstick
+    probe + background load into a hook-less sink) fires the same events
+    armed and bare, and a drained ``run()`` whose last packet the sink
+    only absorbs ends at the same instant with that packet counted."""
+    from repro.experiments import fig11
+    from repro.netsim.transport import Endpoint, Network
+
+    profiles = [
+        scenarios._synthetic_profile(i, np.random.default_rng(i)) for i in range(4)
+    ]
+
+    def fig11_cell():
+        sims = []
+
+        def backend():
+            sims.append(Simulator())
+            return sims[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fig11, "LocalBackend", backend)
+            rtt = fig11.yardstick_rtt(profiles, n_users=6, sim_seconds=7.0)
+        return rtt, sims[0].events_processed
+
+    def drained_tail():
+        sim = Simulator()
+        network = Network(sim, default_rate_bps=RATE)
+        network.attach(Endpoint("server", on_receive=lambda packet: None))
+        sink = network.attach(Endpoint("sink"))
+        network.send_burst(
+            [
+                Packet.acquire("server", "sink", NBYTES, payload=_datagram(seq))
+                for seq in range(3)
+            ]
+        )
+        sim.run()
+        down = network.downlink("sink").stats
+        return (
+            sim.events_processed, sim.now, sink.packets_received,
+            sink.bytes_received, down.packets_sent, down.busy_time,
+        )
+
+    def armed():
+        recorder = FlightRecorder(out_dir=tmp_path)
+        return use_run(recorder=recorder, registry=MetricsRegistry())
+
+    bare_cell, bare_tail = fig11_cell(), drained_tail()
+    with armed():
+        armed_cell, armed_tail = fig11_cell(), drained_tail()
+    assert armed_cell == bare_cell
+    assert armed_tail == bare_tail
+    events, ended_at, received, nbytes, forwarded, _ = bare_tail
+    assert (received, nbytes, forwarded) == (3, 3 * NBYTES, 3)
+    # One event per packet — into the switch; the clock stops there,
+    # a serialization short of the last arrival at the sink.
+    assert events == 3
+    assert 3 * SERIALIZATION < ended_at < 4 * SERIALIZATION

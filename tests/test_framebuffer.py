@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.framebuffer import FrameBuffer, Rect
+from repro.framebuffer.framebuffer import DAMAGE_LIMIT
 
 
 class TestConstruction:
@@ -43,6 +44,51 @@ class TestFill:
         fb.fill(Rect(0, 0, 4, 4), (1, 2, 3))
         assert fb.drain_damage() == [Rect(0, 0, 4, 4)]
         assert fb.drain_damage() == []
+
+    def test_undrained_damage_is_bounded(self, rng):
+        """Most framebuffers are never drained: the list must not grow
+        with the session, and what it keeps must still cover every
+        painted pixel."""
+        fb = FrameBuffer(640, 480)
+        painted = []
+        ones = np.ones((16, 16), dtype=bool)
+        for i in range(10_000):
+            rect = Rect(int(rng.integers(0, 600)), int(rng.integers(0, 440)), 16, 16)
+            kind = i % 4
+            if kind == 0:
+                painted.append(fb.fill(rect, (i % 256, 0, 0)))
+            elif kind == 1:
+                painted.append(fb.blit(rect, np.zeros((16, 16, 3), dtype=np.uint8)))
+            elif kind == 2:
+                painted.append(fb.copy_within(Rect(0, 0, 16, 16), rect.x, rect.y))
+            else:
+                painted.append(fb.expand_bitmap(rect, ones, (1, 2, 3), (4, 5, 6)))
+            assert len(fb.peek_damage()) <= DAMAGE_LIMIT
+        damage = fb.drain_damage()
+        assert all(
+            any(kept.contains_rect(rect) for kept in damage) for rect in painted
+        )
+        assert fb.drain_damage() == []
+
+    def test_drained_damage_is_exact_below_the_limit(self):
+        fb = FrameBuffer(64, 64)
+        rects = [Rect(i % 60, i // 60, 2, 2) for i in range(DAMAGE_LIMIT)]
+        for rect in rects:
+            fb.fill(rect, (9, 9, 9))
+        assert fb.drain_damage() == rects
+
+    def test_collapsed_damage_does_not_change_the_push_pull_ablation(
+        self, monkeypatch
+    ):
+        """The one consumer that drains tolerates a superset."""
+        from repro.experiments.ablations import push_pull_ablation
+        from repro.framebuffer import framebuffer
+
+        exact = push_pull_ablation(n_updates=12, display_w=320, display_h=240)
+        monkeypatch.setattr(framebuffer, "DAMAGE_LIMIT", 2)
+        assert push_pull_ablation(
+            n_updates=12, display_w=320, display_h=240
+        ) == exact
 
 
 class TestBlit:

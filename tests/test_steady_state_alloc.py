@@ -10,11 +10,19 @@ the netsim hot-path modules.
 """
 
 import tracemalloc
+from bisect import bisect_right
 
+from repro.core.wire import Datagram
 from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
 from repro.netsim import packet as packet_module
+from repro.netsim.engine import Simulator
+from repro.netsim.link import FOLD_EVERY
 from repro.netsim.packet import Packet
+from repro.netsim.transport import Endpoint, Network
+from repro.obs import RingSlimcapWriter, SlimcapReader
 from repro.transport import DisplayChannel
+
+from tests.test_passive_sink import Releases, one_link_to_a_sink
 
 #: Net surviving allocation blocks tolerated beyond the packet-pool
 #: size.  A handful of O(1) live-state objects churn identity every
@@ -170,3 +178,122 @@ def test_armed_session_slice_allocates_nothing_per_packet():
         f"(budget {budget}) across {packets_moved} packets in netsim + obs"
     )
     assert server_fb.equals(channel.console.framebuffer)
+
+
+# ---------------------------------------------------------------------------
+# Traffic nobody receives: the arrival is a pending credit, not an event
+# ---------------------------------------------------------------------------
+
+
+def test_warmed_sink_slice_is_allocation_free():
+    """Fig 11's background load — trains from the server to an endpoint
+    with no receive hook — recycles its packets and arrival records."""
+    sim = Simulator()
+    network = Network(sim, default_rate_bps=100e6)
+    network.attach(Endpoint("server"))
+    sink = network.attach(Endpoint("sink"))
+
+    def run_slice(rounds: int) -> None:
+        for _ in range(rounds):
+            network.send_burst(
+                [Packet.acquire("server", "sink", 1200) for _ in range(12)]
+            )
+            sim.run_until(sim.now + 1.2e-3)  # about what the train occupies
+
+    run_slice(40)
+    received = sink.packets_received
+    filters = [tracemalloc.Filter(True, "*/repro/netsim/*")]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(filters)
+        run_slice(200)
+        after = tracemalloc.take_snapshot().filter_traces(filters)
+    finally:
+        tracemalloc.stop()
+    assert sink.packets_received - received > 2000
+    net_blocks = sum(
+        diff.count_diff for diff in after.compare_to(before, "filename")
+    )
+    budget = len(packet_module._pool) + NET_BLOCK_SLACK
+    assert net_blocks <= budget, (
+        f"sink slice kept {net_blocks} allocation blocks (budget {budget})"
+    )
+
+
+def _trickle(sim, link, on_step=lambda sent: None) -> int:
+    """3000 packets of 500 bytes (0.5 ms each), three per 1.6 ms."""
+    sent = 0
+    for _ in range(1000):
+        for _ in range(3):
+            link.send(Packet.acquire("src", "sink", 500))
+            sent += 1
+            on_step(sent)
+        sim.run_until(sim.now + 1.6e-3)
+        on_step(sent)
+    return sent
+
+
+def test_a_sinks_books_stay_as_short_as_the_wire():
+    """No delivery event folds a sink-bound link's records, and nobody
+    reads it here: admissions alone keep every deque O(in flight)."""
+    arrivals = []
+    sim, _, link = one_link_to_a_sink(lambda packet: arrivals.append(sim.now))
+    _trickle(sim, link)
+    sim.run()
+
+    sim, sink, link = one_link_to_a_sink()
+    longest = [0]
+    peak_in_flight = [0]
+
+    def check(sent):
+        # A fold leaves what is in flight then; up to FOLD_EVERY - 1
+        # admissions follow before the next one.
+        in_flight = sent - bisect_right(arrivals, sim.now)
+        peak_in_flight[0] = max(peak_in_flight[0], in_flight)
+        for books in (link._pending_arr, link._pending_fin, link._pending_start):
+            assert len(books) <= peak_in_flight[0] + FOLD_EVERY
+        longest[0] = max(longest[0], len(link._pending_arr))
+
+    sent = _trickle(sim, link, check)
+    assert sim.events_processed == 0
+    assert longest[0] > FOLD_EVERY // 2  # the books really were in use
+    assert peak_in_flight[0] < 16  # ... by 3000 packets, a few at a time
+    sim.run()
+    assert sink.packets_received == sent == len(arrivals)
+
+
+def test_a_sink_bound_packet_is_recycled_once_at_its_arrival():
+    """The arrival record owns the pooled packet until its instant is
+    due — so a tap set on that link mid-run still finds the frames on
+    the wire — and the fold releases it exactly once."""
+    arrivals = []
+    sim, _, link = one_link_to_a_sink(lambda packet: arrivals.append(sim.now))
+
+    def send_five(link):
+        ids = []
+        for seq in range(5):
+            datagram = Datagram(seq=seq, index=0, count=1, payload=b"x" * 8)
+            packet = Packet.acquire("src", "sink", 1000, payload=datagram)
+            ids.append(packet.packet_id)
+            link.send(packet)
+        return ids
+
+    send_five(link)
+    sim.run()
+
+    sim, sink, link = one_link_to_a_sink()
+    with Releases(sim) as releases:
+        ids = send_five(link)  # finish at 1..5 ms, arrive 1 ms later
+        sim.run_until(2.5e-3)
+        assert sink.packets_received == 1
+        ring = RingSlimcapWriter()
+        link.capture = ring  # packets 2, 3 and 4 have yet to finish
+        for arrive in arrivals[1:]:
+            sim.run_until(arrive - 1e-6)
+            before = sink.packets_received
+            sim.run_until(arrive)
+            assert sink.packets_received == before + 1
+    assert [releases.by_packet[i] for i in ids] == [1] * 5
+    assert all(releases.at[i] >= arrive for i, arrive in zip(ids, arrivals))
+    frames = SlimcapReader.from_bytes(ring.dump_bytes()).records()
+    assert [r.datagram.seq for r in frames if r.datagram is not None] == [2, 3, 4]
