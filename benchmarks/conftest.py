@@ -4,12 +4,12 @@ Every paper table/figure has one benchmark that regenerates it.  Each
 bench stores the reproduced rows in ``benchmark.extra_info`` so the
 pytest-benchmark output doubles as the reproduction record
 (EXPERIMENTS.md is written from these numbers).  Scale knobs live in
-:mod:`repro.perf.scale`.
+``benchmarks/scale.py``.
 """
 
 import pytest
 
-from repro.perf.scale import DURATION, N_USERS
+from scale import DURATION, N_USERS
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Benchmark: Figure 11 — sharing the interconnection fabric."""
 
-from repro.perf.scale import FULL_SCALE, N_USERS
+from scale import FULL_SCALE, N_USERS
 from repro.experiments.fig11 import (
     PAPER_RANGES,
     rtt_curve,

@@ -5,7 +5,7 @@ economy); the first bench to run pays the simulation, the rest hit the
 memoised cache, and each records its figure's landmark numbers.
 """
 
-from repro.perf.scale import DURATION, N_USERS
+from scale import DURATION, N_USERS
 from repro.experiments.fig2 import frequency_cdfs
 from repro.experiments.fig3 import pixel_cdfs
 from repro.experiments.fig4 import command_breakdown

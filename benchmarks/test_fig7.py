@@ -1,6 +1,6 @@
 """Benchmark: Figure 7 — console display-update service times."""
 
-from repro.perf.scale import DURATION, N_USERS
+from scale import DURATION, N_USERS
 from repro.experiments.fig7 import service_time_cdfs
 
 

@@ -1,6 +1,6 @@
 """Benchmark: Figure 8 — X vs SLIM vs raw-pixel average bandwidth."""
 
-from repro.perf.scale import DURATION, N_USERS
+from scale import DURATION, N_USERS
 from repro.experiments.fig8 import bandwidth_table
 from repro.units import MBPS
 

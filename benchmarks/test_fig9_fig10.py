@@ -1,6 +1,6 @@
 """Benchmarks: Figures 9-10 — processor sharing with the CPU yardstick."""
 
-from repro.perf.scale import N_USERS, SIM_SECONDS
+from scale import N_USERS, SIM_SECONDS
 from repro.experiments.fig9 import (
     DEFAULT_SWEEPS,
     PAPER_RANGES,

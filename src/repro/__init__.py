@@ -23,8 +23,8 @@ The package implements the complete SLIM system in simulation:
 * :mod:`repro.runcontext` — the one ambient seam: what the current run
   collects (registry, tracer, capture, series, recorder, progress).
 * :mod:`repro.experiments` — one module per paper table/figure.
-* :mod:`repro.perf` — self-measurement: benchmark harness, BENCH json
-  perf trajectory, live progress monitoring.
+* :mod:`repro.obs` — what a run can arm: causal tracing, wire capture,
+  time series, SLOs, the flight recorder, the live progress painter.
 
 Quick start::
 

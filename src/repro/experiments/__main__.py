@@ -62,7 +62,7 @@ from repro.obs import (
     TraceCollector,
     chrome_trace_events,
 )
-from repro.perf.progress import DashboardMonitor, ProgressMonitor
+from repro.obs.progress import DashboardMonitor, ProgressMonitor
 from repro.runcontext import use_run
 from repro.telemetry import MetricsRegistry, render_json, render_report
 

@@ -29,6 +29,7 @@ frozen into a self-describing ``.slimpm`` bundle: a zip holding
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import re
@@ -46,7 +47,12 @@ from repro.obs.slo import (
     SloEngine,
     SloSpec,
 )
-from repro.obs.timeseries import RunSeries, TimeSeriesCollection, window_value
+from repro.obs.timeseries import (
+    RunSeries,
+    TimeSeriesCollection,
+    window_value,
+    write_jsonl,
+)
 
 __all__ = [
     "FlightRecorder",
@@ -74,14 +80,6 @@ _SLO_FAMILY = {
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "run"
-
-
-def _jsonl(records: Iterable[Any], **options: Any) -> str:
-    """One compact JSON document per line."""
-    return "".join(
-        json.dumps(record, separators=(",", ":"), **options) + "\n"
-        for record in records
-    )
 
 
 class FlightRecorder:
@@ -443,13 +441,19 @@ class FlightRecorder:
             },
         }
         with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+
+            def jsonl_member(name: str, records: Iterable[Any]) -> None:
+                text = io.StringIO()
+                write_jsonl(records, text, compact=True)
+                archive.writestr(name, text.getvalue())
+
             archive.writestr(
                 "manifest.json", json.dumps(manifest, indent=2, default=str)
             )
             archive.writestr("ring.slimcap", self.capture.dump_bytes())
-            archive.writestr("traces.jsonl", _jsonl(traces, default=str))
-            archive.writestr("timeseries.jsonl", _jsonl(collection.to_records()))
-            archive.writestr("slo.jsonl", _jsonl(report.to_records()))
+            jsonl_member("traces.jsonl", traces)
+            jsonl_member("timeseries.jsonl", collection.to_records())
+            jsonl_member("slo.jsonl", report.to_records())
             archive.writestr(
                 "engine.json",
                 json.dumps(
@@ -461,11 +465,9 @@ class FlightRecorder:
                 ),
             )
             if self.shard_traces or self.shard_hops:
-                archive.writestr("stitched.jsonl", _jsonl(stitched, default=str))
-                archive.writestr(
-                    "shards/traces.jsonl", _jsonl(self.shard_traces, default=str)
-                )
-                archive.writestr("shards/hops.jsonl", _jsonl(self.shard_hops))
+                jsonl_member("stitched.jsonl", stitched)
+                jsonl_member("shards/traces.jsonl", self.shard_traces)
+                jsonl_member("shards/hops.jsonl", self.shard_hops)
         self.bundles.append(path)
         return path
 

@@ -34,7 +34,6 @@ JSONL schema (one object per line)::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -43,6 +42,7 @@ from repro.obs.timeseries import (
     RunSeries,
     TimeSeriesCollection,
     window_value,
+    write_jsonl,
 )
 
 __all__ = [
@@ -312,15 +312,7 @@ class SloReport:
         return records
 
     def write_jsonl(self, path_or_file: Union[str, IO[str]]) -> int:
-        records = self.to_records()
-        if hasattr(path_or_file, "write"):
-            for record in records:
-                path_or_file.write(json.dumps(record) + "\n")
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record) + "\n")
-        return len(records)
+        return write_jsonl(self.to_records(), path_or_file)
 
     # -- rendering ---------------------------------------------------------
     def render(self, title: str = "interactivity SLO report") -> str:

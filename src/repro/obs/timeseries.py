@@ -68,6 +68,7 @@ __all__ = [
     "bucket_quantile",
     "window_value",
     "validate_timeseries_records",
+    "write_jsonl",
 ]
 
 #: Schema version stamped into the JSONL header.
@@ -502,21 +503,33 @@ class TimeSeriesCollection:
 
     def write_jsonl(self, path_or_file: Union[str, IO[str]]) -> int:
         """Write the collection as JSONL; returns the record count."""
-        records = self.to_records()
-        if hasattr(path_or_file, "write"):
-            for record in records:
-                path_or_file.write(json.dumps(record) + "\n")
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record) + "\n")
-        return len(records)
+        return write_jsonl(self.to_records(), path_or_file)
 
     @classmethod
     def read_jsonl(cls, path: str) -> "TimeSeriesCollection":
         with open(path, "r", encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh if line.strip()]
         return cls.from_records(records)
+
+
+def write_jsonl(
+    records: Iterable[Any],
+    path_or_file: Union[str, IO[str]],
+    compact: bool = False,
+) -> int:
+    """One JSON document per line, to a path or an open text file;
+    returns the record count.  ``compact`` is the bundle form: no
+    spaces, and a value JSON has no type for is written as ``str``."""
+    options: Dict[str, Any] = (
+        {"separators": (",", ":"), "default": str} if compact else {}
+    )
+    lines = [json.dumps(record, **options) + "\n" for record in records]
+    if hasattr(path_or_file, "write"):
+        path_or_file.writelines(lines)
+    else:
+        with open(path_or_file, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    return len(lines)
 
 
 def validate_timeseries_records(records: Sequence[Dict[str, Any]]) -> None:

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - the observers import this module
     from repro.obs.causal import TraceCollector
     from repro.obs.flightrec import FlightRecorder
     from repro.obs.timeseries import RunSeries, TimeSeriesCollection
-    from repro.perf.progress import ProgressMonitor
+    from repro.obs.progress import ProgressMonitor
 
 __all__ = ["MARK_EVERY", "RunContext", "current_run", "use_run"]
 

@@ -8,4 +8,29 @@
 * ``python -m repro.tools.slimcap`` — protocol analyzer for ``.slimcap``
   wire captures: per-command statistics, stage-latency percentiles,
   NACK/retransmission timelines, Chrome ``trace_event`` export.
+* ``python -m repro.tools.dashboard`` / ``python -m repro.tools.postmortem``
+  — render ``--timeseries`` JSONL; triage a ``.slimpm`` bundle.
+
+Run as processes they share one exit contract (:func:`run_cli`): input
+the tool cannot read is one ``invalid input: ...`` line and exit 2,
+never a traceback.
 """
+
+import sys
+from typing import Callable
+
+from repro.errors import ReproError
+
+__all__ = ["run_cli"]
+
+
+def run_cli(main: Callable[[], int]) -> None:
+    """Exit with ``main()``'s status; a named error or an unreadable
+    file exits 2 with one line on stderr, a closed pipe exits 0."""
+    try:
+        sys.exit(main())
+    except BrokenPipeError:  # `... --timeline | head` is a normal workflow
+        sys.exit(0)
+    except (ReproError, OSError, ValueError) as exc:  # incl. UnicodeDecodeError
+        print(f"invalid input: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -39,6 +39,7 @@ from repro.obs.timeseries import (
     TimeSeriesCollection,
     validate_timeseries_records,
 )
+from repro.tools import run_cli
 
 __all__ = ["main", "chrome_counter_events", "render_run"]
 
@@ -286,4 +287,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main)

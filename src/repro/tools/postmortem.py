@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.obs.capture import SlimcapReader
 from repro.obs.causal import STAGES, chrome_trace_events
 from repro.obs.flightrec import BUNDLE_FORMAT, BUNDLE_VERSION
+from repro.tools import run_cli
 
 __all__ = ["Bundle", "BundleError", "load_bundle", "main"]
 
@@ -411,7 +412,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        sys.exit(0)
+    run_cli(main)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import sys
 from pathlib import Path
 from typing import Dict, List
 
@@ -32,6 +31,7 @@ from repro.errors import ReproError
 from repro.experiments.fig6 import trace_packet_windows, windowed_added_delays
 from repro.experiments.scalability import classify
 from repro.obs.capture import SlimcapReader, is_slimcap
+from repro.tools import run_cli
 from repro.units import MBPS
 
 
@@ -156,4 +156,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main)

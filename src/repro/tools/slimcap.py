@@ -42,6 +42,7 @@ from repro.obs.capture import (
     is_slimcap,
 )
 from repro.obs.causal import chrome_trace_events, stage_percentiles
+from repro.tools import run_cli
 
 __all__ = ["summarize", "latency_table", "timeline_events", "main"]
 
@@ -308,7 +309,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except BrokenPipeError:  # timeline | head is a normal workflow
-        sys.exit(0)
+    run_cli(main)

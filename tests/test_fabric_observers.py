@@ -37,11 +37,10 @@ from repro.obs import (
     SlimcapWriter,
     TraceCollector,
 )
-from repro.perf import scenarios
-from repro.perf.harness import ScenarioContext
 from repro.runcontext import use_run
 from repro.telemetry import MetricsRegistry
 
+from tests import work_rigs
 from tests.fabric_oracle import table_lines
 
 RATE = 10e6
@@ -364,7 +363,7 @@ def _through_the_runner(experiment_id, flags, tmp_path):
 
 
 def _same_events_whatever_the_flags(body, tmp_path):
-    """``body`` (a perf scenario returning ``sim_events``) through the
+    """``body`` (a work rig returning ``sim_events``) through the
     runner under default flags, ``--no-flight-recorder``, ``--capture``
     and ``--metrics``: the same number of engine events, the same table."""
     seen = []
@@ -409,22 +408,16 @@ def _same_events_whatever_the_flags(body, tmp_path):
 def test_arming_observers_adds_no_events_to_a_fig11_cell(tmp_path):
     """A Fig-11-style cell (yardstick + background load, no display
     datagrams)."""
-    ctx = ScenarioContext(quick=True, seed=17)
-    _same_events_whatever_the_flags(
-        lambda: scenarios.yardstick_load(ctx), tmp_path
-    )
+    _same_events_whatever_the_flags(work_rigs.yardstick_load, tmp_path)
 
 
 def test_arming_observers_adds_no_events_to_a_display_session(tmp_path):
     """A display session: every datagram is traced and captured, and
     none of it costs an engine event."""
-    ctx = ScenarioContext(quick=True, seed=17)
-    _same_events_whatever_the_flags(
-        lambda: scenarios._e2e_session_body(ctx), tmp_path
-    )
+    _same_events_whatever_the_flags(work_rigs.e2e_session, tmp_path)
     ring = RingSlimcapWriter(max_bytes=1 << 30)
     with use_run(capture=ring):
-        scenarios._e2e_session_body(ctx)
+        work_rigs.e2e_session()
     assert ring.frames_written > 0  # the tap really was on the path
 
 
@@ -438,7 +431,7 @@ def test_a_run_ending_on_an_absorbed_arrival_is_the_same_armed_and_bare(tmp_path
     from repro.netsim.transport import Endpoint, Network
 
     profiles = [
-        scenarios._synthetic_profile(i, np.random.default_rng(i)) for i in range(4)
+        work_rigs.synthetic_profile(i, np.random.default_rng(i)) for i in range(4)
     ]
 
     def fig11_cell():

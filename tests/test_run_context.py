@@ -70,8 +70,7 @@ _REPLACED = (
         "repro.obs.flightrec",
         "repro.telemetry",
         "repro.telemetry.metrics",
-        "repro.perf",
-        "repro.perf.progress",
+        "repro.obs.progress",
         "repro.netsim.engine",
         "repro.experiments.__main__",
     ],
@@ -82,7 +81,12 @@ def test_replaced_names_are_gone(module):
 
 
 def test_replaced_modules_and_methods_are_gone():
-    for module in ("repro.obs.context", "repro.telemetry.trace"):
+    for module in (
+        "repro.obs.context",
+        "repro.telemetry.trace",
+        "repro.perf",
+        "repro.tools.benchdiff",
+    ):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
     assert not hasattr(Simulator, "set_monitor")

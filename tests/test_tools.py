@@ -1,6 +1,10 @@
-"""Tests for the command-line tools (replay, capacity)."""
+"""Tests for the command-line tools (replay, capacity) and the exit
+contract every file-reading tool shares."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -101,3 +105,27 @@ class TestCapacityTool:
         assert capacity_main(["--users", "Netscape=4", "PIM=4"]) == 0
         out = capsys.readouterr().out
         assert "suggested sizing" in out
+
+
+@pytest.mark.parametrize("unreadable", ["missing", "100 random bytes"])
+@pytest.mark.parametrize(
+    "tool",
+    [
+        ["repro.tools.slimcap"],
+        ["repro.tools.replay", "--bandwidth", "1000000"],
+        ["repro.tools.dashboard"],
+        ["repro.tools.postmortem"],
+    ],
+    ids=lambda argv: argv[0].rpartition(".")[2],
+)
+def test_an_unreadable_file_is_one_line_and_exit_2(tool, unreadable, tmp_path):
+    path = tmp_path / "input"
+    if unreadable != "missing":
+        path.write_bytes(os.urandom(100))
+    done = subprocess.run(
+        [sys.executable, "-m", *tool, str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1

@@ -1,0 +1,39 @@
+"""The simulator's exact work counters, pinned.
+
+How many engine events a packet, an update or a recovery costs is a
+design variable, so a change that moves one of these rows is either a
+regression or a claim: edit the row in the PR that makes it and say why
+(RESULTS.md keeps the history).  ``switch_forward`` 8008 and
+``yardstick_load`` 2250 are the fold-credited arrivals of hook-less
+endpoints; with one delivery event per absorbed packet they read 12008
+and 3798.
+"""
+
+import pytest
+
+from repro.obs import FlightRecorder
+from repro.runcontext import use_run
+
+from tests import work_rigs
+
+WORK_COUNTERS = {
+    "switch_forward": {"sim_events": 8008, "packets": 4000},
+    "yardstick_load": {"sim_events": 2250, "packets": 1642, "rtt_samples": 47},
+    "switch_burst": {"sim_events": 4616, "packets": 4096},
+    "e2e_session": {
+        "sim_events": 134, "updates": 10, "commands": 14, "bytes": 29238,
+    },
+    "channel_lossy": {"sim_events": 239, "nacks": 19, "recoveries": 7},
+    "wan_matrix": {"sim_events": 8173, "static_drops": 1525, "demotions": 1},
+}
+
+
+@pytest.mark.parametrize("rig", WORK_COUNTERS)
+def test_work_counters_are_exact_and_arming_the_recorder_moves_none(rig):
+    run = getattr(work_rigs, rig)
+    bare = run()
+    expected = WORK_COUNTERS[rig]
+    assert {name: bare[name] for name in expected} == expected, rig
+    with use_run(recorder=FlightRecorder(out_dir=None, label=rig)):
+        armed = run()
+    assert armed == bare, f"{rig}: the armed flight recorder changed the work"
