@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.netsim.backend import SimulationBackend
-from repro.netsim.packet import Packet
+from repro.netsim.packet import Train
 from repro.netsim.transport import Network
 from repro.workloads.session import ResourceProfile
 
@@ -121,20 +121,18 @@ class NetworkLoadGenerator:
 
     def _burst_sender(self, burst_bytes: int):
         def send() -> None:
-            remaining = burst_bytes
-            burst = []
-            while remaining > 0:
-                size = min(FULL_DATAGRAM_NBYTES, remaining)
+            full, tail = divmod(burst_bytes, FULL_DATAGRAM_NBYTES)
+            sizes = [FULL_DATAGRAM_NBYTES] * full
+            if tail:
                 # Runt datagrams still pay their headers.
-                size = max(size, 64)
-                burst.append(
-                    Packet.acquire(self.src, self.dst, size, flow=self.flow)
-                )
-                self.bytes_emitted += size
-                self.packets_emitted += 1
-                remaining -= size
-            # One fabric call per burst: vectorized loss draws and a
-            # single arrival cohort on the uplink.
-            self.network.send_burst(burst)
+                sizes.append(max(tail, 64))
+            self.bytes_emitted += sum(sizes)
+            self.packets_emitted += len(sizes)
+            # No payload, no trace id: nothing can tell these packets
+            # apart, so the burst is one record and the fabric builds no
+            # object for a packet nobody receives.
+            self.network.send_burst(
+                Train(self.src, self.dst, sizes, flow=self.flow)
+            )
 
         return send

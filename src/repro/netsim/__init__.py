@@ -14,7 +14,7 @@ scales the same interface across worker processes for fleet-sized runs.
 
 from repro.netsim.backend import LocalBackend, SimulationBackend
 from repro.netsim.engine import Simulator
-from repro.netsim.packet import Packet
+from repro.netsim.packet import Packet, Train
 from repro.netsim.link import GilbertElliottLoss, Link, LinkStats
 from repro.netsim.profiles import PROFILES, NetworkProfile, get_profile
 from repro.netsim.sharded import (
@@ -42,6 +42,7 @@ __all__ = [
     "Link",
     "LinkStats",
     "Switch",
+    "Train",
     "Endpoint",
     "Network",
     "get_profile",

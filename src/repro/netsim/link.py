@@ -23,6 +23,7 @@ import itertools
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Deque, Optional
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from repro.core.wire import Datagram
 from repro.errors import SimulationError
 from repro.netsim.backend import SimulationBackend
-from repro.netsim.packet import Packet
+from repro.netsim.packet import Packet, Train
 from repro.obs.capture import KIND_DROP, KIND_FRAME, KIND_LOSS
 from repro.runcontext import RunContext, current_run
 from repro.telemetry.metrics import MetricsRegistry, get_registry
@@ -195,15 +196,22 @@ class _FrameOrder:
 _frame_orders: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+def _as_packet(carrier, nbytes: int) -> Packet:
+    """The object a receive hook or an event demands: the packet itself,
+    or one built from the train of an anonymous one."""
+    return carrier.packet(nbytes) if carrier.__class__ is Train else carrier
+
+
 class Link:
     """One direction of a cable between two nodes.
 
     A FIFO wire is fully determined at admission (:meth:`admit`), so a
     packet costs one event — its delivery — and a lost packet, or one
-    bound for an endpoint with no receive hook (:meth:`feeds`), none;
-    statistics stay exact at any sample time through pending-credit
-    records settled lazily against the clock.  Hop records, capture tap
-    and telemetry consume that one path (DESIGN.md section 16).
+    whose next hop nobody hears (an endpoint with no receive hook, the
+    switch port that feeds one: :meth:`_rearm`), none; statistics stay
+    exact at any sample time through pending-credit records settled
+    lazily against the clock.  Hop records, capture tap and telemetry
+    consume that one path (DESIGN.md section 16).
 
     Args:
         sim: The event engine.
@@ -307,26 +315,34 @@ class Link:
         self._watched = self._always_watched
         #: Serialization of everything admitted so far ends here.
         self._busy_until = 0.0
-        #: [start, nbytes, queue_delay, ready] per queued packet, settled
+        #: (start, nbytes, queue_delay, ready) per queued packet, settled
         #: once serialization has started.
-        self._pending_start: Deque[list] = deque()
-        #: [finish, start, nbytes, lost, packet] per admitted packet,
-        #: settled once serialization has finished (the packet is kept
-        #: for a tap attached while it is still on the wire).
-        self._pending_fin: Deque[list] = deque()
+        self._pending_start: Deque[tuple] = deque()
+        #: (finish, start, nbytes, lost, carrier) per admitted packet,
+        #: settled once serialization has finished (the carrier — the
+        #: packet, or the train of an anonymous one — is kept for a tap
+        #: attached while it is still on the wire).
+        self._pending_fin: Deque[tuple] = deque()
         #: The endpoint at the far end, once :meth:`feeds` has named it.
         self._sink = None
-        #: [arrive, nbytes, packet] per packet bound for a sink with no
+        #: (arrive, nbytes, carrier) per packet bound for a sink with no
         #: receive hook, credited to it once the arrival instant is due.
-        self._pending_arr: Deque[list] = deque()
+        self._pending_arr: Deque[tuple] = deque()
+        #: The switch at the far end, once :meth:`enters` has named it,
+        #: and this link's inbox at each of its lazy ports.
+        self._switch = None
+        self._outboxes: dict = {}
+        #: The switch this link is an output port of, whether arrivals
+        #: for it go on record instead of on the heap (nobody hears this
+        #: hop: :meth:`_rearm`), and the records: per feeding link, a
+        #: FIFO of (arrive, admission serial, nbytes, carrier).
+        self._port_of = None
+        self._lazy = False
+        self._inboxes: list = []
         #: Packets in flight on the no-jitter path, delivered FIFO.
         self._transit: Deque[Packet] = deque()
         self._deliver_cb = self._deliver_next
         self._fold_in = FOLD_EVERY
-        # Freelists for the pending records (allocation-free steady state).
-        self._start_pool: list = []
-        self._fin_pool: list = []
-        self._arr_pool: list = []
 
     # -- the far end -------------------------------------------------------------
     def feeds(self, endpoint) -> None:
@@ -336,18 +352,46 @@ class Link:
         packet, and the counters settle this link when read."""
         self._sink = endpoint
         endpoint._feeds.append(self)
+        self._rearm()
 
-    def _wake(self) -> None:
-        """The sink gained a receive hook: arrivals still on the wire
-        become delivery events, in order; earlier ones stay credited."""
+    def enters(self, switch) -> None:
+        """Name the switch this link delivers into: an arrival for an
+        output port nobody hears (:meth:`_rearm`) goes on its record."""
+        self._switch = switch
+
+    def _rearm(self) -> None:
+        """The receive hook at the far end, or the tap, has changed.
+
+        What is due by the horizon stays credited; the rest — arrivals
+        on record for this port, arrival credits, frames on the wire —
+        become events and frames again, in their original order.
+        """
         self._settle()
+        sink = self._sink
+        hooked = sink is None or sink._on_receive is not None
+        tapped = self._capture is not None
+        self._watched = self._always_watched or tapped
+        switch = self._port_of
+        self._lazy = switch is not None and not (hooked or tapped or self.jitter)
+        schedule_at = self.sim.schedule_at
+        if not self._lazy:
+            # Admission serials are unique: carriers are never compared.
+            for arrive, _, nbytes, carrier in sorted(itertools.chain(*self._inboxes)):
+                schedule_at(
+                    arrive, partial(switch.ingress, _as_packet(carrier, nbytes))
+                )
+            for inbox in self._inboxes:
+                inbox.clear()
         pend = self._pending_arr
-        while pend:
-            rec = pend.popleft()
-            self._transit.append(rec[2])
-            self.sim.schedule_at(rec[0], self._deliver_cb)
-            rec[2] = None
-            self._arr_pool.append(rec)
+        while hooked and pend:
+            arrive, nbytes, carrier = pend.popleft()
+            self._transit.append(_as_packet(carrier, nbytes))
+            schedule_at(arrive, self._deliver_cb)
+        if tapped:
+            since = max(self.sim.now, self._tapped_through)
+            for finish, start, _, lost, carrier in self._pending_fin:
+                if finish > since and isinstance(carrier.payload, Datagram):
+                    self._tap(finish, start, carrier, lost)
 
     # -- wire capture ------------------------------------------------------------
     @property
@@ -360,19 +404,14 @@ class Link:
     @capture.setter
     def capture(self, writer) -> None:
         self._capture = writer
-        self._watched = self._always_watched or writer is not None
-        if writer is None:
-            return
-        frames = _frame_orders.get(self.sim)
-        if frames is None:
-            frames = _frame_orders[self.sim] = _FrameOrder()
-            self.sim.at_idle(frames.release)
-        self._frames = frames
-        writer.add_source(frames.release)
-        since = max(self.sim.now, self._tapped_through)
-        for finish, start, _, lost, packet in self._pending_fin:
-            if finish > since and isinstance(packet.payload, Datagram):
-                self._tap(finish, start, packet, lost)
+        if writer is not None:
+            frames = _frame_orders.get(self.sim)
+            if frames is None:
+                frames = _frame_orders[self.sim] = _FrameOrder()
+                self.sim.at_idle(frames.release)
+            self._frames = frames
+            writer.add_source(frames.release)
+        self._rearm()
 
     def _tap(self, finish: float, start: float, packet: Packet, lost) -> None:
         self._frames.push(
@@ -382,27 +421,38 @@ class Link:
         self._tapped_through = finish
 
     # -- settling pending credits ------------------------------------------------
+    def _pull(self, through: float) -> None:
+        """Admit the arrivals on record for this port due by ``through``."""
+        for inbox in self._inboxes:
+            if inbox and inbox[0][0] <= through:
+                self.admit(self._port_of.forward_due(self, through))
+                return
+
     def _fold(self, ref: float) -> None:
-        """Settle pending credits for everything that happened by ``ref``."""
+        """Settle everything that happened by ``ref``: here — arrivals on
+        record for this port first — and at the ports this link left some."""
+        if self._inboxes:
+            self._pull(ref)
         self._fold_fin(ref)
-        self._fold_starts(ref)
-        # After the finishes: a tap backfills from the packet a finish
-        # record keeps, so the arrival must not recycle it first.
-        self._fold_arrivals(ref)
+        if self._pending_start:
+            self._fold_starts(ref)
+        if self._pending_arr:
+            # After the finishes: a tap backfills from the packet a finish
+            # record keeps, so the arrival must not recycle it first.
+            self._fold_arrivals(ref)
+        for port in self._outboxes:
+            port._fold(ref)
 
     def _fold_arrivals(self, ref: float) -> None:
         pend = self._pending_arr
         if pend and pend[0][0] <= ref:
-            pool = self._arr_pool
             packets = nbytes = 0
             while pend and pend[0][0] <= ref:
-                rec = pend.popleft()
+                _, size, carrier = pend.popleft()
                 packets += 1
-                nbytes += rec[1]
-                if rec[2].pooled:
-                    rec[2].release()
-                rec[2] = None
-                pool.append(rec)
+                nbytes += size
+                if carrier.pooled:
+                    carrier.release()
             self._sink._packets += packets
             self._sink._bytes += nbytes
 
@@ -410,196 +460,208 @@ class Link:
         pend = self._pending_fin
         if pend and pend[0][0] <= ref:
             stats = self._stats
-            pool = self._fin_pool
             m_packets = self._m_packets
+            # Summed in locals, in record order: the same float sums.
+            sent, nbytes, busy = 0, 0, stats.busy_time
             while pend and pend[0][0] <= ref:
-                rec = pend.popleft()
-                stats.packets_sent += 1
-                stats.bytes_sent += rec[2]
-                stats.busy_time += rec[0] - rec[1]
+                finish, start, size, lost, carrier = pend.popleft()
+                sent += 1
+                nbytes += size
+                busy += finish - start
                 if m_packets is not None:
                     m_packets.inc()
-                    self._m_bytes.inc(rec[2])
-                if rec[3]:
+                    self._m_bytes.inc(size)
+                if lost:
                     stats.packets_lost += 1
                     if m_packets is not None:
                         self._m_losses.inc()
-                    if rec[4].pooled:
-                        rec[4].release()
-                rec[4] = None
-                pool.append(rec)
+                    if carrier.pooled:
+                        carrier.release()
+            stats.packets_sent += sent
+            stats.bytes_sent += nbytes
+            stats.busy_time = busy
 
     def _fold_starts(self, ref: float) -> None:
         starts = self._pending_start
         if starts and starts[0][0] <= ref:
             stats = self._stats
-            pool = self._start_pool
             residency = self._m_residency
+            nbytes, delay = 0, stats.queue_delay_total
             while starts and starts[0][0] <= ref:
-                rec = starts.popleft()
-                self._queued_bytes -= rec[1]
-                stats.queue_delay_total += rec[2]
+                _, size, waited, _ = starts.popleft()
+                nbytes += size
+                delay += waited
                 if residency is not None:
-                    residency.observe(rec[2])
-                pool.append(rec)
+                    residency.observe(waited)
+            self._queued_bytes -= nbytes
+            stats.queue_delay_total = delay
 
     def _settle(self) -> None:
         """Settle up to the engine's horizon (reads, loop exits)."""
-        if self._pending_fin or self._pending_start or self._pending_arr:
+        pending = self._pending_fin or self._pending_start or self._pending_arr
+        if pending or self._inboxes:
             self._fold(self.sim.horizon)
 
     # -- sending -----------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Enqueue a packet; returns False if the buffer dropped it."""
-        return self.admit(packet, self.sim.now)
+        now = self.sim.now
+        if self._inboxes:
+            self._pull(now)
+        return self.admit(((now, packet.nbytes, packet),)) is None
 
     def send_burst(self, packets) -> list:
-        """Send a train handed over at one instant; seeded traces are
-        identical to one :meth:`send` per packet.  Loss decisions are
-        drawn as one ``rng.random(n)`` vector when the per-packet draw
-        count is fixed (Bernoulli loss, no jitter, no queue limit)."""
+        """Send a :class:`Train`, or a list of packets, handed over at
+        one instant: one :meth:`send` per packet, as one run."""
         now = self.sim.now
-        if (
-            len(packets) > 1
-            and self.loss_rate > 0
-            and self.jitter == 0
-            and self.burst_loss is None
-            and self.queue_limit_bytes is None
-        ):
-            lost = (self.rng.random(len(packets)) < self.loss_rate).tolist()
-            return [self.admit(p, now, gone) for p, gone in zip(packets, lost)]
-        return [self.admit(p, now) for p in packets]
+        self._pull(now)
+        if packets.__class__ is Train:
+            sizes, carriers = packets.sizes, itertools.repeat(packets)
+        else:
+            sizes, carriers = [p.nbytes for p in packets], packets
+        accepted = [True] * len(packets)
+        for position in self.admit(zip(itertools.repeat(now), sizes, carriers)) or ():
+            accepted[position] = False
+        return accepted
 
-    def admit(
-        self, packet: Packet, ready: float, lost: Optional[bool] = None
-    ) -> bool:
-        """Admit one packet onto the wire as of time ``ready`` (>= now).
+    def admit(self, run) -> Optional[list]:
+        """Admit a run of packets, ``(ready, nbytes, carrier)`` each.
 
-        The one way into a link: queueing, tail drop, serialization,
-        loss and the delivery instant are all decided here.  ``ready``
-        may lie in the future (the switch adds its forwarding delay) but
-        must be monotone per link.  ``lost`` is a pre-drawn loss
-        decision; None draws one.  Returns False on a tail drop.
+        The one way onto a wire — a single packet is the run of one:
+        queueing, tail drop, serialization, loss, hop record, tap and
+        where the packet goes next are decided here, per packet, in
+        order.  ``ready`` (>= now for a sender; the switch adds its
+        forwarding delay) must be monotone per link.  A carrier is the
+        :class:`Packet` itself or the :class:`Train` of an anonymous
+        one.  Everything is as of each ``ready`` instant, which a port
+        admitting its record late relies on: nothing here is settled
+        past ``ready``, or past the horizon.  Returns the positions in
+        the run that were tail-dropped, None if none were.
         """
-        nbytes = packet.nbytes
-        busy = self._busy_until
+        sim = self.sim
+        rate = self.rate_bps
+        limit = self.queue_limit_bytes
         watched = self._watched
-        metered = watched and self._m_queue_depth is not None
-        if busy > ready:
-            # The wire is busy at the arrival instant: the packet queues.
-            starts = self._pending_start
-            limit = self.queue_limit_bytes
-            left = left_bytes = 0
-            if limit is not None or metered:
-                # Occupancy as of ``ready``: settle what has left the
-                # queue by now, then only *look* past the clock (reads at
-                # ``now`` must stay exact) at what will have left by then.
-                now = self.sim.now
-                if starts and starts[0][0] <= now:
-                    self._fold_starts(now)
-                if ready > now and starts and starts[0][0] <= ready:
-                    for rec in starts:
-                        if rec[0] > ready:
-                            break
-                        left += 1
-                        left_bytes += rec[1]
-                if (
-                    limit is not None
-                    and self._queued_bytes - left_bytes + nbytes > limit
-                ):
-                    self._stats.packets_dropped += 1
-                    if watched:
-                        self._report_drop(packet, ready)
-                    if packet.pooled:
-                        packet.release()
-                    return False
-            start = busy
-            pool = self._start_pool
-            if pool:
-                rec = pool.pop()
-                rec[0] = start
-                rec[1] = nbytes
-                rec[2] = start - ready
-                rec[3] = ready
-            else:
-                rec = [start, nbytes, start - ready, ready]
-            starts.append(rec)
-            self._queued_bytes += nbytes
-            if metered:
-                self._m_queue_depth.observe(len(starts) - left)
-        else:
-            # Idle wire: the packet never queues — no start record.
-            start = ready
-            if metered:
-                self._m_queue_depth.observe(1)
-                if self._pending_start:
-                    # Streaming quantiles are order-sensitive: the zero
-                    # wait takes its turn behind uncredited earlier starts.
-                    self._pending_start.append([start, nbytes, 0.0, ready])
-                    self._queued_bytes += nbytes
-                else:
-                    self._m_residency.observe(0.0)
-        finish = start + nbytes * 8.0 / self.rate_bps
-        self._busy_until = finish
+        depth = self._m_queue_depth if watched else None
+        capture = self._capture
+        starts, fins = self._pending_start, self._pending_fin
         rng = self.rng
-        if lost is None:
-            if self.burst_loss is not None:
-                lost = self.burst_loss.sample(rng)
-            else:
-                lost = (
-                    self.loss_rate > 0
-                    and rng is not None
-                    and float(rng.random()) < self.loss_rate
-                )
-        pool = self._fin_pool
-        if pool:
-            rec = pool.pop()
-            rec[0] = finish
-            rec[1] = start
-            rec[2] = nbytes
-            rec[3] = lost
-            rec[4] = packet
-        else:
-            rec = [finish, start, nbytes, lost, packet]
-        self._pending_fin.append(rec)
-        if watched:
-            if self._traced and packet.trace_id is not None:
-                packet.hops = (self.name, ready, start, finish, packet.hops)
-            if self._capture is not None and isinstance(packet.payload, Datagram):
-                self._tap(finish, start, packet, lost)
-        if lost:
-            # No event at all; the fold recycles the packet.
-            return True
+        burst_loss = self.burst_loss
+        loss_rate = self.loss_rate
+        lossless = burst_loss is None and loss_rate <= 0
+        jitter = self.jitter
         delay = self.propagation_delay
         sink = self._sink
-        if self.jitter > 0:
-            delay += float(rng.random()) * self.jitter
-            # Jittered arrivals can reorder: each needs its own carrier.
-            self.sim.schedule_at(
-                finish + delay, lambda: self._deliver_next(packet)
-            )
-        elif sink is None or sink._on_receive is not None:
-            self._transit.append(packet)
-            self.sim.schedule_at(finish + delay, self._deliver_cb)
-        else:
-            # Nobody receives it: the arrival is one more pending credit.
-            pool = self._arr_pool
-            if pool:
-                rec = pool.pop()
-                rec[0] = finish + delay
-                rec[1] = nbytes
-                rec[2] = packet
+        absorbs = sink is not None and sink._on_receive is None
+        switch = self._switch
+        if switch is not None:
+            ports, serial = switch._ports, switch._serial
+        dst = inbox = dropped = None
+        busy = self._busy_until
+        quiet = 0
+        # A packet's position in the run: the finish records appended
+        # (one per packet admitted; nothing here folds them) plus drops.
+        first = len(fins)
+        for ready, nbytes, carrier in run:
+            if busy > ready:
+                # The wire is busy at the arrival instant: the packet queues.
+                left = left_bytes = 0
+                if limit is not None or depth is not None:
+                    # Occupancy as of ``ready``: settle what has left the
+                    # queue by then, but only *look* past the horizon
+                    # (reads at ``now`` must stay exact).
+                    asof = min(ready, sim.horizon)
+                    if starts and starts[0][0] <= asof:
+                        self._fold_starts(asof)
+                    if ready > asof and starts and starts[0][0] <= ready:
+                        for rec in starts:
+                            if rec[0] > ready:
+                                break
+                            left += 1
+                            left_bytes += rec[1]
+                    if (
+                        limit is not None
+                        and self._queued_bytes - left_bytes + nbytes > limit
+                    ):
+                        self._stats.packets_dropped += 1
+                        if watched:
+                            self._report_drop(carrier, ready)
+                        if carrier.pooled:
+                            carrier.release()
+                        if dropped is None:
+                            dropped = []
+                        dropped.append(len(fins) - first + len(dropped))
+                        continue
+                start = busy
+                starts.append((start, nbytes, start - ready, ready))
+                self._queued_bytes += nbytes
+                if depth is not None:
+                    depth.observe(len(starts) - left)
             else:
-                rec = [finish + delay, nbytes, packet]
-            self._pending_arr.append(rec)
+                # Idle wire: the packet never queues — no start record.
+                start = ready
+                if depth is not None:
+                    depth.observe(1)
+                    if starts:
+                        # Streaming quantiles are order-sensitive: the zero
+                        # wait takes its turn behind uncredited earlier starts.
+                        starts.append((start, nbytes, 0.0, ready))
+                        self._queued_bytes += nbytes
+                    else:
+                        self._m_residency.observe(0.0)
+            finish = busy = start + nbytes * 8.0 / rate
+            if lossless:
+                gone = False
+            elif burst_loss is not None:
+                gone = burst_loss.sample(rng)
+            else:
+                gone = float(rng.random()) < loss_rate
+            fins.append((finish, start, nbytes, gone, carrier))
+            if watched:
+                if self._traced and carrier.trace_id is not None:
+                    carrier.hops = (self.name, ready, start, finish, carrier.hops)
+                if capture is not None and isinstance(carrier.payload, Datagram):
+                    self._tap(finish, start, carrier, gone)
+            if gone:
+                # No event at all; the fold recycles the packet.
+                continue
+            if jitter > 0:
+                # Jittered arrivals can reorder: each needs its own carrier.
+                sim.schedule_at(
+                    finish + (delay + float(rng.random()) * jitter),
+                    partial(self._deliver_next, _as_packet(carrier, nbytes)),
+                )
+                continue
+            if switch is not None and carrier.dst != dst:
+                dst = carrier.dst
+                port = ports.get(dst)
+                inbox = None
+                if port is not None and port._lazy:
+                    inbox = self._outboxes.get(port)
+                    if inbox is None:
+                        inbox = self._outboxes[port] = deque()
+                        port._inboxes.append(inbox)
+            if inbox is not None:
+                # Nobody hears this hop: the arrival goes on the port's record.
+                inbox.append((finish + delay, next(serial), nbytes, carrier))
+                quiet += 1
+            elif absorbs:
+                # Nobody receives it: the arrival is one more pending credit.
+                self._pending_arr.append((finish + delay, nbytes, carrier))
+                quiet += 1
+            else:
+                self._transit.append(
+                    carrier.packet(nbytes) if carrier.__class__ is Train else carrier
+                )
+                sim.schedule_at(finish + delay, self._deliver_cb)
+        self._busy_until = busy
+        if quiet:
             # No delivery to fold at, so admissions keep the books short.
-            due = self._fold_in - 1
-            if due:
-                self._fold_in = due
-            else:
+            self._fold_in -= quiet
+            if self._fold_in <= 0:
                 self._fold_in = FOLD_EVERY
-                self._fold(self.sim.now)
-        return True
+                self._fold(sim.now)
+        return dropped
 
     def _report_drop(self, packet: Packet, ready: float) -> None:
         if self._m_drops is not None:
@@ -631,16 +693,21 @@ class Link:
         self._settle()
         return self._stats
 
-    def _waiting(self) -> tuple:
-        """(packets, bytes) queued as of now.  Packets admitted ahead of
-        the clock (the switch adds its forwarding delay) have not
-        reached the queue yet."""
+    def _waiting(self, asof: Optional[float] = None) -> tuple:
+        """(packets, bytes) queued as of ``asof`` — by default now, with
+        everything due by the horizon settled; a port admitting its
+        record late asks as of an arrival instant it has not folded
+        past.  Packets admitted ahead of that instant (the switch adds
+        its forwarding delay) have not reached the queue yet."""
+        if asof is None:
+            self._settle()
+            asof = self.sim.now
+        else:
+            self._fold_starts(asof)
         starts = self._pending_start
-        if starts:
-            self._fold_starts(self.sim.horizon)
-        packets, nbytes, now = len(starts), self._queued_bytes, self.sim.now
+        packets, nbytes = len(starts), self._queued_bytes
         for rec in reversed(starts):
-            if rec[3] <= now:
+            if rec[3] <= asof:
                 break
             packets -= 1
             nbytes -= rec[1]
@@ -665,7 +732,7 @@ class Link:
         window = elapsed if elapsed is not None else now
         if window <= 0:
             return 0.0
-        if self._pending_fin or self._pending_start:
+        if self._pending_fin or self._pending_start or self._inboxes:
             self._fold(now)
         busy = self._stats.busy_time
         if self._pending_fin:

@@ -158,3 +158,44 @@ class Packet:
             other.trace_id,
             other.packet_id,
         )
+
+
+class Train:
+    """Packets nobody can tell apart, handed to the fabric at one instant.
+
+    With no payload and no trace id nothing can trace or capture them
+    (both test exactly those fields), so the fabric keeps no object per
+    packet: a link's books carry the train where a packet would ride —
+    it reads as an unpooled, payload-less, untraced one — and
+    :meth:`packet` builds a :class:`Packet` only where one is demanded,
+    for a receive hook or to ride an event.  ``sizes`` holds each
+    packet's size on the wire, in sending order; the other attributes
+    are :class:`Packet`'s.
+    """
+
+    __slots__ = ("src", "dst", "sizes", "flow", "created_at")
+
+    payload = None
+    trace_id = None
+    pooled = False
+
+    def __init__(
+        self, src: str, dst: str, sizes, flow: Optional[str] = None
+    ) -> None:
+        if sizes and min(sizes) <= 0:
+            raise SimulationError(f"packet sizes must be positive, got {sizes}")
+        self.src = src
+        self.dst = dst
+        self.sizes = sizes
+        self.flow = flow
+        self.created_at = 0.0
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def packet(self, nbytes: int) -> Packet:
+        """One of this train's packets as an object, owned by the fabric
+        like any pooled packet: whoever terminates it releases it."""
+        packet = Packet.acquire(self.src, self.dst, nbytes, None, self.flow)
+        packet.created_at = self.created_at
+        return packet

@@ -8,7 +8,8 @@ link from the switch to the server) and a small forwarding latency.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+import itertools
+from typing import Dict, Iterator, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.netsim.backend import SimulationBackend
@@ -42,8 +43,11 @@ class Switch:
         self.forwarding_delay = forwarding_delay
         self.name = name
         self._ports: Dict[str, Link] = {}
-        self.packets_forwarded = 0
+        self._forwarded = 0
         self.packets_unrouteable = 0
+        #: Admission order of the arrivals on record at lazy ports: the
+        #: tie-break the engine's insertion counter gave their events.
+        self._serial = itertools.count()
         self._metrics = registry if registry is not None else get_registry()
         # Pre-resolved telemetry handles (enablement is fixed here).
         self._m_forwarded = self._m_unrouteable = self._m_queue_depth = None
@@ -62,6 +66,16 @@ class Switch:
         if address in self._ports:
             raise SimulationError(f"port for {address!r} already attached")
         self._ports[address] = link
+        link._port_of = self
+        link._rearm()
+
+    @property
+    def packets_forwarded(self) -> int:
+        """Packets forwarded as of now (arrivals on record are credited
+        when their port admits them, so the ports settle first)."""
+        for link in self._ports.values():
+            link._settle()
+        return self._forwarded
 
     def ingress(self, packet: Packet) -> None:
         """Receive a packet from any input port and forward it."""
@@ -72,16 +86,44 @@ class Switch:
                 self._m_unrouteable.inc()
             packet.release()
             return
-        self.packets_forwarded += 1
+        now = self.sim.now
+        if link._inboxes:
+            # Arrivals on record come before one an event carries.
+            link._pull(now)
+        self._forwarded += 1
         if self._m_forwarded is not None:
-            self._m_forwarded.inc()
-            # Output-port occupancy at forwarding time: the contention
-            # signal of Figure 11 (the shared switch->server port).
-            self._m_queue_depth.observe(link.queue_depth)
-        # Admitted now with a future ready time — no forwarding event:
-        # ingress events fire in time order and the delay is constant,
-        # so per-link ready times stay monotone.
-        link.admit(packet, self.sim.now + self.forwarding_delay)
+            self._observe(link, now)
+        # No forwarding event: arrivals come in time order and the delay
+        # is constant, so per-link ready times stay monotone.
+        link.admit(((now + self.forwarding_delay, packet.nbytes, packet),))
+
+    def _observe(self, link: Link, arrive: float) -> None:
+        self._m_forwarded.inc()
+        # Output-port occupancy at forwarding time: the contention
+        # signal of Figure 11 (the shared switch->server port).
+        self._m_queue_depth.observe(link._waiting(arrive)[0])
+
+    def forward_due(self, link: Link, through: float) -> Iterator[tuple]:
+        """The run port ``link`` admits late: its arrivals on record due
+        by ``through``, merged over its feeders by (arrival, admission
+        serial), each forwarded as of its own arrival instant."""
+        delay, metered = self.forwarding_delay, self._m_forwarded is not None
+        while True:
+            first = None
+            for inbox in link._inboxes:
+                if (
+                    inbox
+                    and inbox[0][0] <= through
+                    and (first is None or inbox[0] < first[0])
+                ):
+                    first = inbox
+            if first is None:
+                return
+            arrive, _, nbytes, carrier = first.popleft()
+            self._forwarded += 1
+            if metered:
+                self._observe(link, arrive)
+            yield arrive + delay, nbytes, carrier
 
     def ingress_burst(self, packets: Sequence[Packet]) -> None:
         """Forward a whole packet train arriving at one instant, in

@@ -12,14 +12,14 @@ changed) and for ordering (a stale SET can overwrite newer content).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.netsim.backend import SimulationBackend
 from repro.netsim.link import Link
-from repro.netsim.packet import Packet
+from repro.netsim.packet import Packet, Train
 from repro.netsim.profiles import NetworkProfile
 from repro.netsim.switch import Switch
 from repro.runcontext import RunContext, current_run
@@ -59,9 +59,8 @@ class Endpoint:
     @on_receive.setter
     def on_receive(self, hook: Optional[Callable[[Packet], None]]) -> None:
         self._on_receive = hook
-        if hook is not None:
-            for link in self._feeds:
-                link._wake()
+        for link in self._feeds:
+            link._rearm()
 
     def _settle(self) -> None:
         for link in self._feeds:
@@ -205,6 +204,7 @@ class Network:
             # Tap uplinks only: every frame enters the fabric exactly
             # once, so the capture sees each datagram exactly once.
             uplink.capture = self._obs.capture
+        uplink.enters(self.switch)
         downlink.feeds(endpoint)
         self.switch.attach_port(endpoint.address, downlink)
         self._endpoints[endpoint.address] = endpoint
@@ -222,22 +222,23 @@ class Network:
         packet.created_at = self.sim.now
         return uplink.send(packet)
 
-    def send_burst(self, packets: List[Packet]) -> List[bool]:
+    def send_burst(self, packets: Union[List[Packet], Train]) -> List[bool]:
         """Inject a same-source packet train in one fabric operation.
 
         Equivalent to calling :meth:`send` on each packet in order, but
-        rides the uplink's burst path (vectorized loss draws, batched
-        arrival cohorts) — the natural entry point for fragment trains
-        and per-tick workload bursts.
+        the uplink admits the train as one run — the natural entry point
+        for fragment trains and per-tick workload bursts.  A
+        :class:`Train` stands for its packets without an object for each.
         """
         if not packets:
             return []
-        src = packets[0].src
+        members = (packets,) if isinstance(packets, Train) else packets
+        src = members[0].src
         uplink = self._uplinks.get(src)
         if uplink is None:
             raise SimulationError(f"unknown source endpoint {src!r}")
         now = self.sim.now
-        for packet in packets:
+        for packet in members:
             if packet.src != src:
                 raise SimulationError(
                     "send_burst requires a single source endpoint, got "

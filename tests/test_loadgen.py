@@ -111,6 +111,40 @@ class TestNetworkLoadGenerator:
         assert all(64 <= p.nbytes <= 1500 for p in got)
 
 
+    def test_the_fig11_cell_reads_the_same_one_packet_at_a_time(
+        self, monkeypatch
+    ):
+        """The generator's bursts are anonymous trains; sent as pooled
+        packets through ``Network.send``, one at a time, the Fig 11 cell
+        returns the identical floats."""
+        import numpy as np
+
+        from repro.experiments import fig11
+        from tests.work_rigs import synthetic_profile
+
+        profiles = [
+            synthetic_profile(i, np.random.default_rng(i)) for i in range(4)
+        ]
+        as_trains = fig11.yardstick_rtt(profiles, n_users=6, sim_seconds=7.0)
+
+        def one_at_a_time(self, burst_bytes):
+            def send():
+                remaining = burst_bytes
+                while remaining > 0:
+                    size = max(min(1500, remaining), 64)
+                    self.network.send(
+                        Packet.acquire(self.src, self.dst, size, flow=self.flow)
+                    )
+                    remaining -= size
+
+            return send
+
+        monkeypatch.setattr(NetworkLoadGenerator, "_burst_sender", one_at_a_time)
+        assert fig11.yardstick_rtt(profiles, n_users=6, sim_seconds=7.0) == as_trains
+        rtt, loss = as_trains
+        assert 0 < rtt < float("inf") and loss == 0.0
+
+
 class TestCpuYardstickConstants:
     def test_paper_values(self):
         assert CPU_YARDSTICK_BURST == pytest.approx(0.030)

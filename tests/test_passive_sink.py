@@ -9,15 +9,20 @@ two apart except the engine's event count:
   endpoint given a no-op hook, reads the same link statistics, queue
   occupancy, utilization and endpoint counters at random mid-run
   instants and after a drained ``run()``, conserves packets at every
-  sample, and differs in ``events_processed`` by exactly the packets
-  absorbed over event-free hops;
+  sample, and differs in ``events_processed`` by exactly the arrivals
+  absorbed plus the hops into the switch that no event carried;
+* the same script sent as anonymous :class:`Train` records and as one
+  ``send`` per pooled packet reads the same everywhere, events included,
+  and hooked endpoints hear the same packets at the same instants;
 * a hook assigned while packets are on the wire receives exactly the
-  packets that arrive from then on, at their arrival instants.
+  packets that arrive from then on, at their arrival instants — whether
+  they were a pending credit, or still on record at the switch.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -26,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.netsim.engine import Simulator
 from repro.netsim.link import GilbertElliottLoss, Link
-from repro.netsim.packet import Packet
+from repro.netsim.packet import Packet, Train
 from repro.netsim.profiles import NetworkProfile
 from repro.netsim.transport import Endpoint, Network
 
@@ -133,13 +138,27 @@ def _script(star):
     return sends, samples
 
 
-def _run_star(star, passive: bool):
+def _run_star(star, passive: bool = True, sent_as: str = "scripted"):
     """The star as drawn (``passive``) or with a no-op hook on every
-    hook-less endpoint.  Returns one reading per sample instant plus one
-    after the drain."""
+    hook-less endpoint.  Each scripted send goes out as scripted (a
+    burst of pooled packets, or one ``send`` each), as ``"packets"``
+    (always one ``send`` each) or as ``"trains"`` (each run of packets
+    for one destination as one anonymous :class:`Train`).  Returns one
+    reading per sample instant plus one after the drain."""
+    trains = sent_as == "trains"
     sends, samples = _script(star)
     sim = Simulator()
     network = Network(sim, default_rate_bps=10e6)
+    # Every hop into the switch that an event carries is one call here
+    # (wrapped before any uplink binds it as its delivery).
+    carried = [0]
+    ingress = network.switch.ingress
+
+    def counting_ingress(packet):
+        carried[0] += 1
+        ingress(packet)
+
+    network.switch.ingress = counting_ingress
     attach_rng = np.random.default_rng(star["seed"] + 1)
     heard = []
     names = [f"n{i}" for i in range(len(star["hookless"]))]
@@ -148,7 +167,7 @@ def _run_star(star, passive: bool):
             hook = None if passive else (lambda packet: None)
         else:
             hook = lambda packet, name=name: heard.append(  # noqa: E731
-                (sim.now, name, packet.src, packet.nbytes)
+                (sim.now, name, packet.src, packet.nbytes, packet.flow)
             )
         profile = _profile(i, star["access"][i])
         network.attach(
@@ -159,12 +178,23 @@ def _run_star(star, passive: bool):
     offered = [0]
 
     def fire(burst, train):
+        offered[0] += len(train)
+        if trains:
+            for (src, dst), run in groupby(train, key=lambda packet: packet[:2]):
+                network.send_burst(
+                    Train(
+                        names[src],
+                        names[dst],
+                        [nbytes for _, _, nbytes in run],
+                        flow=names[src],
+                    )
+                )
+            return
         packets = [
-            Packet.acquire(names[src], names[dst], nbytes)
+            Packet.acquire(names[src], names[dst], nbytes, flow=names[src])
             for src, dst, nbytes in train
         ]
-        offered[0] += len(packets)
-        if burst:
+        if burst and sent_as == "scripted":
             network.send_burst(packets)
         else:
             for packet in packets:
@@ -198,9 +228,11 @@ def _run_star(star, passive: bool):
         # Every link has just been settled, so whatever has terminated
         # has been recycled: sent = received + lost + dropped + in flight
         # with "in flight" counted independently, as not yet released.
-        in_flight = offered[0] - releases.total
+        # (An anonymous packet has no object to release; its twin's
+        # count stands for it, the readings being equal.)
+        in_flight = offered[0] - received - lost - dropped
         assert in_flight >= 0
-        assert offered[0] == received + lost + dropped + in_flight
+        assert trains or in_flight == offered[0] - releases.total
         assert set(releases.by_packet.values()) <= {1}
         absorbed = sum(
             endpoints[i][0]
@@ -210,8 +242,11 @@ def _run_star(star, passive: bool):
         return {
             "links": per_link,
             "endpoints": endpoints,
+            "forwarded": network.switch.packets_forwarded,
+            "in_flight": in_flight,
             "events": sim.events_processed,
             "absorbed": absorbed,
+            "carried": carried[0],
             "now": sim.now,
         }
 
@@ -223,7 +258,9 @@ def _run_star(star, passive: bool):
         sim.run()
         # The twins' clocks may differ here, so not "busy share of now".
         final = reading(releases, window=2 * SPAN)
-        assert offered[0] == releases.total  # drained: nothing in flight
+        assert final["in_flight"] == 0  # drained
+        # ... and every object the fabric built or was handed is back.
+        assert releases.total == (carried[0] if trains else offered[0])
     return readings, final, heard
 
 
@@ -236,7 +273,12 @@ def test_passive_sink_is_a_counting_hook(star):
     for ours, theirs in zip(passive + [passive_final], hooked + [hooked_final]):
         assert ours["links"] == theirs["links"]
         assert ours["endpoints"] == theirs["endpoints"]
-        assert theirs["events"] - ours["events"] == ours["absorbed"]
+        # What the passive star saves, exactly: the arrivals its sinks
+        # absorb, and the hops into the switch that no event carried
+        # (the hooked twin's every hop is an ``ingress`` event).
+        assert theirs["events"] - ours["events"] == (
+            ours["absorbed"] + theirs["carried"] - ours["carried"]
+        )
     for ours, theirs in zip(passive, hooked):
         assert ours["now"] == theirs["now"]
     # Drained, the hooked twin's clock ends on its last delivery event,
@@ -244,6 +286,28 @@ def test_passive_sink_is_a_counting_hook(star):
     assert passive_final["now"] <= hooked_final["now"]
     # Endpoints that do receive hear the same packets at the same instants.
     assert passive_heard == hooked_heard
+
+
+# ---------------------------------------------------------------------------
+# A train == its packets sent one at a time, over the same stars
+# ---------------------------------------------------------------------------
+
+
+@seed(1999)
+@settings(deadline=None)
+@given(star=_stars())
+def test_a_train_is_its_packets_sent_one_at_a_time(star):
+    """No object per packet at the source, no event on a hop nobody
+    hears: nothing else may differ, the engine's event count included
+    (both twins skip the same events; the train only skips objects)."""
+    as_trains, trains_final, trains_heard = _run_star(star, sent_as="trains")
+    one_by_one, packets_final, packets_heard = _run_star(star, sent_as="packets")
+    for ours, theirs in zip(
+        as_trains + [trains_final], one_by_one + [packets_final]
+    ):
+        for key in ("links", "endpoints", "forwarded", "in_flight", "events", "now"):
+            assert ours[key] == theirs[key], key
+    assert trains_heard == packets_heard
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +355,101 @@ def test_a_hook_assigned_mid_run_sees_the_arrivals_from_then_on():
     assert link.stats.packets_sent == 5
     assert sorted(releases.by_packet.values()) == [1] * 5
     assert sim.now == arrivals[-1]
+
+
+def _five_anonymous_through_a_switch(hook=None):
+    """8 Mbps links with 1 ms of propagation; 500, 500, 500, 1500 and
+    1500 bytes leave the server as one train at t = 0 and reach the
+    sink at about 3.0, 3.5, 4.0, 6.5 and 8.0 ms."""
+    sim = Simulator()
+    network = Network(sim, default_rate_bps=8e6, propagation_delay=1e-3)
+    network.attach(Endpoint("server"))
+    sink = network.attach(Endpoint("sink", on_receive=hook))
+    network.send_burst(
+        Train("server", "sink", [500, 500, 500, 1500, 1500], flow="background")
+    )
+    return sim, network, sink
+
+
+def test_a_hook_assigned_mid_run_hears_the_rest_of_an_anonymous_train():
+    """The same contract one hop upstream, for packets that have no
+    object yet: at the assignment the third is a pending arrival credit
+    and the last two are still on the sink port's record at the switch.
+    Each becomes an event again, carrying a packet built for it."""
+
+    def hear(into, clock):
+        return lambda packet: into.append(
+            (clock[0].now, packet.src, packet.dst, packet.nbytes, packet.flow)
+        )
+
+    sim, _, _ = _five_anonymous_through_a_switch()
+    sim.run()
+    assert sim.events_processed == 0  # nobody hears either hop
+    arrivals, clock = [], []
+    sim, _, _ = _five_anonymous_through_a_switch(hook=hear(arrivals, clock))
+    clock.append(sim)
+    sim.run()
+    assert [a[1:] for a in arrivals] == [
+        ("server", "sink", nbytes, "background")
+        for nbytes in (500, 500, 500, 1500, 1500)
+    ]
+
+    with Releases() as releases:
+        sim, network, sink = _five_anonymous_through_a_switch()
+        assert sim.pending == 0
+        sim.run_until((arrivals[1][0] + arrivals[2][0]) / 2)
+        assert (sink.packets_received, sink.bytes_received) == (2, 1000)
+        assert network.switch.packets_forwarded == 3
+        got = []
+        sink.on_receive = hear(got, [sim])
+        assert sim.pending == 3  # one delivery, two hops into the switch
+        assert (sink.packets_received, sink.bytes_received) == (2, 1000)
+        sim.run()
+    assert got == arrivals[2:]
+    assert (sink.packets_received, sink.bytes_received) == (5, 4500)
+    assert network.switch.packets_forwarded == 5
+    assert network.uplink("server").stats.packets_sent == 5
+    assert network.downlink("sink").stats.packets_sent == 5
+    assert sorted(releases.by_packet.values()) == [1] * 3
+    assert sim.now == arrivals[-1][0]
+
+
+def test_a_tap_set_mid_run_on_a_port_nobody_hears_sees_the_frames_from_then_on():
+    """The capture setter is the same re-arm: arrivals on record for the
+    port become events again, so each frame that finishes on it from
+    then on is tapped at its admission — as with the tap set all along."""
+    from repro.core.wire import Datagram
+    from repro.obs import RingSlimcapWriter, SlimcapReader
+
+    def five_datagrams(tap_at=None):
+        sim = Simulator()
+        network = Network(sim, default_rate_bps=8e6, propagation_delay=1e-3)
+        network.attach(Endpoint("server"))
+        sink = network.attach(Endpoint("sink"))
+        ring = RingSlimcapWriter()
+        network.send_burst(
+            [
+                Packet.acquire(
+                    "server", "sink", 1000,
+                    payload=Datagram(seq=seq, index=0, count=1, payload=b"x" * 8),
+                )
+                for seq in range(5)
+            ]
+        )
+        if tap_at is not None:
+            sim.run_until(tap_at)
+        network.downlink("sink").capture = ring
+        sim.run()
+        assert sink.packets_received == 5
+        records = SlimcapReader.from_bytes(ring.dump_bytes()).records()
+        return [(r.time, r.datagram.seq) for r in records], sim.events_processed
+
+    # They leave the sink's port at (about) 3, 4, 5, 6 and 7 ms.
+    all_five, events = five_datagrams()
+    assert ([seq for _, seq in all_five], events) == ([0, 1, 2, 3, 4], 5)
+    # At 4.5 ms the third is serializing there; the last two are still
+    # on the port's record, 2 ms of wire and switch away.
+    assert five_datagrams(tap_at=4.5e-3) == (all_five[2:], 2)
 
 
 def test_a_hook_assigned_after_the_drain_finds_everything_credited():

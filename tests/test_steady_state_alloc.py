@@ -1,9 +1,9 @@
-"""The allocation-free steady state (freelists + fast transit).
+"""The allocation-free steady state (packet freelist + transient records).
 
 A warmed-up session must stop churning the allocator: packets come from
-the :class:`~repro.netsim.packet.Packet` freelist, the fast transit
-path's pending-credit records come from the link's record pools, and
-everything else the fabric allocates per event is transient (net zero).
+the :class:`~repro.netsim.packet.Packet` freelist, and everything else
+the fabric allocates per packet or event — the links' pending-credit
+records among it — is transient (net zero).
 The guard is a tracemalloc diff over a steady-state slice of the same
 end-to-end session the ``e2e_session`` perf scenario runs, filtered to
 the netsim hot-path modules.
@@ -17,7 +17,7 @@ from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
 from repro.netsim import packet as packet_module
 from repro.netsim.engine import Simulator
 from repro.netsim.link import FOLD_EVERY
-from repro.netsim.packet import Packet
+from repro.netsim.packet import Packet, Train
 from repro.netsim.transport import Endpoint, Network
 from repro.obs import RingSlimcapWriter, SlimcapReader
 from repro.transport import DisplayChannel
@@ -71,8 +71,8 @@ def test_warmed_session_slice_is_allocation_free():
     driver = channel.make_driver(track_baselines=False)
     ops = _desktop_ops(width, height, seed=5)
 
-    # Warm-up: primes the packet freelist, the link record pools, the
-    # engine queue's backing list, and every lazily-built code path.
+    # Warm-up: primes the packet freelist, the engine queue's backing
+    # list, and every lazily-built code path.
     _run_slice(channel, driver, ops, rounds=3)
     assert packet_module._pool, "warm-up never returned a packet to the pool"
     pool_before = len(packet_module._pool)
@@ -188,6 +188,17 @@ def test_armed_session_slice_allocates_nothing_per_packet():
 def test_warmed_sink_slice_is_allocation_free():
     """Fig 11's background load — trains from the server to an endpoint
     with no receive hook — recycles its packets and arrival records."""
+    _warmed_sink_slice(anonymous=False)
+
+
+def test_warmed_train_slice_is_allocation_free():
+    """The same load as the generator sends it: anonymous trains, which
+    build no packet at all and recycle their records at the switch port
+    and at the sink."""
+    _warmed_sink_slice(anonymous=True)
+
+
+def _warmed_sink_slice(anonymous: bool) -> None:
     sim = Simulator()
     network = Network(sim, default_rate_bps=100e6)
     network.attach(Endpoint("server"))
@@ -196,7 +207,9 @@ def test_warmed_sink_slice_is_allocation_free():
     def run_slice(rounds: int) -> None:
         for _ in range(rounds):
             network.send_burst(
-                [Packet.acquire("server", "sink", 1200) for _ in range(12)]
+                Train("server", "sink", [1200] * 12)
+                if anonymous
+                else [Packet.acquire("server", "sink", 1200) for _ in range(12)]
             )
             sim.run_until(sim.now + 1.2e-3)  # about what the train occupies
 
@@ -211,6 +224,7 @@ def test_warmed_sink_slice_is_allocation_free():
     finally:
         tracemalloc.stop()
     assert sink.packets_received - received > 2000
+    assert sim.events_processed == 0
     net_blocks = sum(
         diff.count_diff for diff in after.compare_to(before, "filename")
     )
@@ -260,6 +274,36 @@ def test_a_sinks_books_stay_as_short_as_the_wire():
     assert peak_in_flight[0] < 16  # ... by 3000 packets, a few at a time
     sim.run()
     assert sink.packets_received == sent == len(arrivals)
+
+
+def test_a_ports_record_stays_as_short_as_the_wire():
+    """One hop upstream: arrivals for a port nobody hears wait on its
+    record, which nobody reads here and no event drains — the feeder's
+    own admissions do, so it holds what is in flight toward the switch
+    plus at most FOLD_EVERY arrivals that are due."""
+    sim = Simulator()
+    network = Network(sim, default_rate_bps=8e6, propagation_delay=1e-3)
+    network.attach(Endpoint("server"))
+    sink = network.attach(Endpoint("sink"))
+    port = network.downlink("sink")
+    sent_at, longest, peak_in_flight = [], [0], [0]
+    for _ in range(1000):
+        # 1.5 ms of wire per 1.6 ms: the trains overlap the 1 ms flight.
+        network.send_burst(Train("server", "sink", [500] * 3))
+        sent_at.extend([sim.now] * 3)
+        (inbox,) = port._inboxes
+        # In flight toward the switch: finished or not, sent less than
+        # the train's own 1.5 ms plus 1 ms of propagation ago.
+        in_flight = len(sent_at) - bisect_right(sent_at, sim.now - 2.5e-3)
+        peak_in_flight[0] = max(peak_in_flight[0], in_flight)
+        assert len(inbox) <= in_flight + FOLD_EVERY
+        longest[0] = max(longest[0], len(inbox))
+        sim.run_until(sim.now + 1.6e-3)
+    assert sim.events_processed == 0
+    assert longest[0] > 3  # the record really was in use
+    assert peak_in_flight[0] <= 6
+    sim.run()
+    assert sink.packets_received == 3000 and not inbox
 
 
 def test_a_sink_bound_packet_is_recycled_once_at_its_arrival():
