@@ -21,8 +21,9 @@ which is how the fidelity tests and calibration probes use it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, Deque, List, Optional, Union
 
 from repro.errors import ProtocolError
 from repro.core import commands as cmd
@@ -103,7 +104,7 @@ class Console:
         self.codec = WireCodec()
         self.allocator = BandwidthAllocator(link_rate_bps)
         self.stats = ConsoleStats()
-        self._queue: List[cmd.Command] = []
+        self._queue: Deque[cmd.Command] = deque()
         self._busy_until = 0.0
         self._decoding = False
         self.on_input: Optional[Callable[[cmd.Command], None]] = None
@@ -219,12 +220,12 @@ class Console:
         if self.sim is None:
             # Stand-alone: drain synchronously.
             while self._queue:
-                self.process(self._queue.pop(0))
+                self.process(self._queue.popleft())
             return
         if self._decoding or not self._queue:
             return
         self._decoding = True
-        command = self._queue.pop(0)
+        command = self._queue.popleft()
         service = self.service_time(command)
         materialized = not self._is_accounting_only(command)
         if self._trace is not None:

@@ -96,6 +96,21 @@ class MicroOpModel:
 
     def __init__(self, costs: MicroOpCosts = MicroOpCosts()) -> None:
         self.costs = costs
+        # The derivation below, evaluated once for the four rectangle
+        # commands: (startup, per-pixel, per-row) by command class.
+        self._linear = {
+            command_class: (
+                self.derived_startup_ns(opcode),
+                self.derived_per_pixel_ns(opcode),
+                costs.row_overhead_ns,
+            )
+            for command_class, opcode in (
+                (cmd.SetCommand, Opcode.SET),
+                (cmd.BitmapCommand, Opcode.BITMAP),
+                (cmd.FillCommand, Opcode.FILL),
+                (cmd.CopyCommand, Opcode.COPY),
+            )
+        }
 
     # -- published-model derivation ---------------------------------------
     def derived_startup_ns(self, opcode: Opcode, bits_per_pixel: int = 16) -> float:
@@ -132,6 +147,12 @@ class MicroOpModel:
     # -- direct evaluation (what the probe measures) ------------------------
     def service_time(self, command: cmd.DisplayCommand) -> float:
         """Decode time in seconds, including the per-row second-order term."""
+        linear = self._linear.get(type(command))
+        if linear is not None:
+            startup, per_pixel, per_row = linear
+            rect = command.rect
+            total_ns = startup + per_pixel * (rect.w * rect.h) + per_row * rect.h
+            return total_ns * NANOSECOND
         opcode = command.opcode
         if isinstance(command, cmd.CscsCommand):
             pixels = command.source_pixels

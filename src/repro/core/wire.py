@@ -225,10 +225,11 @@ def decode_body(opcode: Opcode, body: bytes) -> cmd.Command:
             if len(body) - offset < nbytes:
                 raise WireFormatError("BITMAP body truncated")
             raw = np.frombuffer(body, dtype=np.uint8, count=nbytes, offset=offset)
-            # Batched inverse of the axis=1 packbits used on encode.
+            # Batched inverse of the axis=1 packbits used on encode; its
+            # 0/1 bytes are already a bool array's memory.
             bitmap = (
                 np.unpackbits(raw.reshape(rect.h, row_bytes), axis=1)[:, : rect.w]
-                .astype(bool)
+                .view(bool)
             )
             return cmd.BitmapCommand(rect=rect, fg=fg, bg=bg, bitmap=bitmap)
         if opcode == Opcode.FILL:

@@ -39,16 +39,23 @@ class FrameBuffer:
             raise GeometryError(f"framebuffer size must be positive: {width}x{height}")
         self.width = width
         self.height = height
+        #: The full-display rectangle.
+        self.bounds = Rect(0, 0, width, height)
         self.pixels = np.full((height, width, 3), fill, dtype=np.uint8)
         self._damage: List[Rect] = []
 
     # -- geometry ----------------------------------------------------------
-    @property
-    def bounds(self) -> Rect:
-        """The full-display rectangle."""
-        return Rect(0, 0, self.width, self.height)
-
     def _clip(self, rect: Rect) -> Rect:
+        # Nearly every rect lies on screen and is its own intersection.
+        if (
+            rect.w > 0
+            and rect.h > 0
+            and rect.x >= 0
+            and rect.y >= 0
+            and rect.x + rect.w <= self.width
+            and rect.y + rect.h <= self.height
+        ):
+            return rect
         return rect.intersect(self.bounds)
 
     def _require_inside(self, rect: Rect, what: str) -> None:
@@ -170,13 +177,17 @@ class FrameBuffer:
         mask = bitmap[
             clipped.y - rect.y : clipped.y2 - rect.y,
             clipped.x - rect.x : clipped.x2 - rect.x,
-        ].astype(bool)
+        ].astype(bool, copy=False)
         rows, cols = clipped.slices()
         target = self.pixels[rows, cols]
-        target[..., 0] = bg[0]
-        target[..., 1] = bg[1]
-        target[..., 2] = bg[2]
-        target[mask] = np.asarray(fg, dtype=np.uint8)
+        # Per channel: the background plane, then the ink where the two
+        # colors differ in this channel (black-on-white differs in all
+        # three; a channel they share needs no second pass).
+        for channel in range(3):
+            plane = target[..., channel]
+            plane[...] = bg[channel]
+            if fg[channel] != bg[channel]:
+                np.copyto(plane, fg[channel], where=mask)
         self._record_damage(clipped)
         return clipped
 

@@ -21,6 +21,7 @@ round trip through the wire format.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -97,6 +98,40 @@ class PaintOp:
         return self.rect.area
 
 
+# An update's ops share one seed and every desktop counts its updates
+# from 0, so the seeds of a run repeat where its pixels do not, and the
+# SeedSequence hashing behind ``default_rng(seed)`` costs more than the
+# draws of a median op.
+_SYNTH_BITS = np.random.PCG64()
+_SYNTH_RNG = np.random.Generator(_SYNTH_BITS)
+
+
+@functools.lru_cache(maxsize=4096)
+def _seed_state(seed: int) -> dict:
+    return np.random.PCG64(seed).state
+
+
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The module's one generator, re-seated where ``default_rng(seed)``
+    starts.
+
+    Valid only until the next call: a caller draws everything it needs
+    before it returns and keeps no reference.  (The state setter copies
+    out of the memoised dict, so drawing never advances a memo entry.)
+    """
+    _SYNTH_BITS.state = _seed_state(seed)
+    return _SYNTH_RNG
+
+
+@functools.lru_cache(maxsize=1024)
+def _ink_rows(height: int) -> np.ndarray:
+    """Rows of an ``height``-row text region that carry ink, as a
+    read-only column: every 13th-ish row band is leading."""
+    rows = np.flatnonzero(np.arange(height) % 13 < 10)[:, None]
+    rows.setflags(write=False)
+    return rows
+
+
 def synth_glyph_bitmap(rect: Rect, seed: int, density: float) -> np.ndarray:
     """Deterministic pseudo-text bitmap: short horizontal ink runs.
 
@@ -104,27 +139,35 @@ def synth_glyph_bitmap(rect: Rect, seed: int, density: float) -> np.ndarray:
     rows of short runs.  The result is a boolean (h, w) array whose True
     fraction approximates ``density``.
     """
-    rng = np.random.default_rng(seed)
-    bitmap = np.zeros((rect.h, rect.w), dtype=bool)
+    rng = _seeded_rng(seed)
+    w = rect.w
+    bitmap = np.zeros((rect.h, w), dtype=bool)
     if density <= 0:
         return bitmap
     # Each glyph cell is ~7x13; ink strokes are 1-2px wide runs.
     run_len = 3
-    per_row_runs = max(1, int(rect.w * density / run_len))
-    # Leading between text lines: every 13th-ish row band has less ink.
-    ink_rows = np.flatnonzero(np.arange(rect.h) % 13 < 10)
+    per_row_runs = max(1, int(w * density / run_len))
+    ink_rows = _ink_rows(rect.h)
     if ink_rows.size == 0:
         return bitmap
     # One batched draw fills row-major, consuming the generator's bit
     # stream in the same order as the per-row draws it replaces, so the
     # bitmap stays bit-identical for a given seed.
     starts = rng.integers(
-        0, max(1, rect.w - run_len), size=(ink_rows.size, per_row_runs)
+        0, max(1, w - run_len), size=(ink_rows.size, per_row_runs)
     )
+    if w > run_len:
+        # Every run fits (start <= w - 4): one store per run pixel, at
+        # the same flat offsets into the bitmap shifted by one each time.
+        starts += ink_rows * w
+        flat = bitmap.reshape(-1)
+        flat[starts] = True
+        flat[1:][starts] = True
+        flat[2:][starts] = True
+        return bitmap
     cols = starts[:, :, None] + np.arange(run_len)
-    np.minimum(cols, rect.w - 1, out=cols)
-    rows = np.repeat(ink_rows, per_row_runs * run_len)
-    bitmap[rows, cols.ravel()] = True
+    np.minimum(cols, w - 1, out=cols)
+    bitmap[np.repeat(ink_rows, per_row_runs * run_len), cols.ravel()] = True
     return bitmap
 
 
@@ -135,7 +178,7 @@ def synth_image(rect: Rect, seed: int, uniform_fraction: float = 0.0) -> np.ndar
     is flat background, letting the SLIM encoder exercise its FILL
     recovery on image-bearing updates.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     # Low-resolution noise upsampled -> smooth gradients like a photo.
     small_h = max(1, rect.h // 8)
     small_w = max(1, rect.w // 8)

@@ -85,6 +85,7 @@ class SlimDriver:
         )
         self.cost_model = cost_model if cost_model is not None else MicroOpModel()
         self.framebuffer = framebuffer
+        self._painter = Painter(framebuffer) if framebuffer is not None else None
         self.send = send
         self.x_driver = XDriver() if track_baselines else None
         self.raw_driver = RawPixelDriver() if track_baselines else None
@@ -144,11 +145,10 @@ class SlimDriver:
             ).observe(_time.perf_counter() - started)
 
     def _update(self, time: float, ops: List[PaintOp], paint: bool) -> UpdateRecord:
-        if paint and self.framebuffer is not None:
-            painter = Painter(self.framebuffer)
+        if paint and self._painter is not None:
             commands: List[cmd.DisplayCommand] = []
             for op in ops:
-                painter.apply(op)
+                self._painter.apply(op)
                 commands.extend(self.encoder.encode_op(op, self.framebuffer))
         else:
             commands = self.encoder.encode_ops(ops, self.framebuffer)
@@ -162,15 +162,16 @@ class SlimDriver:
         count_by: dict = {}
         wire_bytes = 0
         service_time = 0.0
+        price, send = self.cost_model.service_time, self.send
         for command in commands:
             name = command.opcode.name
             payload_by[name] = payload_by.get(name, 0) + command.payload_nbytes()
             pixels_by[name] = pixels_by.get(name, 0) + command.pixels
             count_by[name] = count_by.get(name, 0) + 1
             wire_bytes += message_wire_nbytes(command)
-            service_time += self.cost_model.service_time(command)
-            if self.send is not None:
-                self.send(command)
+            service_time += price(command)
+            if send is not None:
+                send(command)
 
         x_bytes = self.x_driver.encode_ops(ops) if self.x_driver else 0
         raw_bytes = self.raw_driver.encode_ops(ops) if self.raw_driver else 0

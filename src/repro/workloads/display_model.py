@@ -23,6 +23,8 @@ lists positioned inside the display, so they can be run materialized
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -45,6 +47,9 @@ FILL_COLORS = (
     (0, 0, 128),
     (99, 99, 206),
 )
+
+#: The order an update's Dirichlet shares are spent in.
+_KINDS = (PaintKind.FILL, PaintKind.TEXT, PaintKind.COPY, PaintKind.IMAGE)
 
 
 @dataclass(frozen=True)
@@ -130,24 +135,36 @@ class DisplayModel:
         self.display_w = display_w
         self.display_h = display_h
         self.display_area = display_w * display_h
-        self._weights = [c.weight for c in archetype.classes]
+        # ``Generator.choice(n, p=weights)`` is one uniform draw bisected
+        # (to the right) into these normalised cumulative weights; the
+        # lognormal and Dirichlet parameters of a class are constants too.
+        # All computed once, by numpy's own expressions, so every draw is
+        # bit-identical to the per-update calls.
+        cdf = np.cumsum([c.weight for c in archetype.classes], dtype=np.float64)
+        self._cdf = (cdf / cdf[-1]).tolist()
+        conc = archetype.content_concentration
+        self._class_tables = [
+            (
+                c,
+                float(np.log(c.median_area)),
+                np.asarray(c.shares, dtype=np.float64) * conc + 1e-3,
+            )
+            for c in archetype.classes
+        ]
 
     # -- sampling ---------------------------------------------------------------
     def sample_class(self, rng: np.random.Generator) -> SizeClass:
-        idx = int(rng.choice(len(self._weights), p=self._weights))
-        return self.archetype.classes[idx]
+        return self.archetype.classes[bisect_right(self._cdf, rng.random())]
 
     def sample_update(self, rng: np.random.Generator, seed: int = 0) -> List[PaintOp]:
         """Generate the paint ops for one display update."""
-        cls = self.sample_class(rng)
-        area = float(rng.lognormal(np.log(cls.median_area), cls.sigma))
-        total_area = int(np.clip(area, 16.0, self.display_area))
-        shares = np.asarray(cls.shares, dtype=np.float64)
-        conc = self.archetype.content_concentration
-        jittered = rng.dirichlet(shares * conc + 1e-3)
+        cls, log_median, alpha = self._class_tables[
+            bisect_right(self._cdf, rng.random())
+        ]
+        area = rng.lognormal(log_median, cls.sigma)
+        total_area = int(min(max(area, 16.0), self.display_area))
         ops: List[PaintOp] = []
-        kinds = (PaintKind.FILL, PaintKind.TEXT, PaintKind.COPY, PaintKind.IMAGE)
-        for kind, share in zip(kinds, jittered):
+        for kind, share in zip(_KINDS, rng.dirichlet(alpha).tolist()):
             op_area = int(total_area * share)
             if op_area < 16:
                 continue
@@ -161,8 +178,9 @@ class DisplayModel:
         """Pick a plausible rectangle of roughly ``area`` pixels on screen."""
         area = max(16, min(area, self.display_area))
         # Aspect ratio between 1:1 and 4:1, biased wide (GUI rows/panels).
-        aspect = float(rng.uniform(1.0, 4.0))
-        w = int(np.sqrt(area * aspect))
+        # (``rng.uniform(a, b)`` is ``a + (b - a) * rng.random()``.)
+        aspect = 1.0 + (4.0 - 1.0) * rng.random()
+        w = int(math.sqrt(area * aspect))
         w = max(4, min(w, self.display_w))
         h = max(min_h, min(area // w, self.display_h))
         w = max(4, min(area // h, self.display_w))
@@ -191,7 +209,7 @@ class DisplayModel:
                 bg=(255, 255, 255),
                 seed=seed,
                 char_count=max(1, rect.area // GLYPH_AREA),
-                glyph_density=float(rng.uniform(0.08, 0.16)),
+                glyph_density=0.08 + (0.16 - 0.08) * rng.random(),
             )
         if kind is PaintKind.COPY:
             rect = self._place_rect(area, rng)
@@ -199,7 +217,7 @@ class DisplayModel:
             max_dy = min(64, self.display_h - rect.h)
             dy = int(rng.integers(1, max(2, max_dy + 1)))
             src_y = rect.y + dy if rect.y2 + dy <= self.display_h else rect.y - dy
-            src_y = int(np.clip(src_y, 0, self.display_h - rect.h))
+            src_y = min(max(src_y, 0), self.display_h - rect.h)
             src = Rect(rect.x, src_y, rect.w, rect.h)
             return PaintOp(PaintKind.COPY, rect, src=src, seed=seed)
         if kind is PaintKind.IMAGE:

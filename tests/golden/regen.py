@@ -18,6 +18,12 @@ observers through five ambient seams and a chain of wrapped monitors:
 
     PYTHONPATH=src python tests/golden/regen.py runner
 
+``pixel_pipeline.json`` was produced the same way (with
+``tests/pixel_oracle.py``) on 88aa103, the last commit that sampled,
+seeded, clipped and priced every update through numpy scalars:
+
+    PYTHONPATH=src python tests/golden/regen.py pixels
+
 Running any of them on a later commit re-blesses the goldens from the one
 remaining path; do that only for a deliberate, reviewed change of
 simulated behaviour.
@@ -32,12 +38,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent))
 
-from tests import fabric_oracle, observer_oracle, runner_oracle  # noqa: E402
+from tests import (  # noqa: E402
+    fabric_oracle,
+    observer_oracle,
+    pixel_oracle,
+    runner_oracle,
+)
 
 ORACLES = {
     "fabric": fabric_oracle,
     "observers": observer_oracle,
     "runner": runner_oracle,
+    "pixels": pixel_oracle,
 }
 
 

@@ -155,6 +155,28 @@ class TestTimedConsole:
         sim.run()
         assert console.stats.commands_processed == 3
 
+    def test_full_queue_drains_in_arrival_order(self):
+        sim = Simulator()
+        console = Console(64, 48, sim=sim, record_service_times=True)
+        decoded = []
+        console.decoder.apply = decoded.append
+        # One decoding, 512 queued, the 514th dropped.
+        offered = [
+            cmd.FillCommand(rect=Rect(0, 0, 1 + i % 64, 1 + i % 48), color=(i % 256, 0, 0))
+            for i in range(514)
+        ]
+        results = [console.enqueue(command) for command in offered]
+        assert results == [True] * 513 + [False]
+        assert console.queue_depth == 512
+        sim.run()
+        assert decoded == offered[:513]
+        assert console.queue_depth == 0
+        assert console.stats.commands_processed == 513
+        assert console.stats.commands_dropped == 1
+        assert console.stats.service_times == [
+            console.service_time(command) for command in offered[:513]
+        ]
+
     def test_receives_datagrams_from_network(self):
         sim = Simulator()
         network = Network(sim, default_rate_bps=ETHERNET_100)
