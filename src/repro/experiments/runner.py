@@ -25,7 +25,6 @@ overrides are folded into the config.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -58,8 +57,6 @@ class ExperimentResult:
 #: Typed fields of :class:`ExperimentConfig`; everything else lands in
 #: ``extra``.
 _TYPED_FIELDS = ("seed", "duration", "n_users", "registry")
-#: Legacy keyword spellings still accepted by experiment wrappers.
-_KEYWORD_ALIASES = {"sim_seconds": "duration"}
 
 
 @dataclass(frozen=True)
@@ -98,20 +95,12 @@ class ExperimentConfig:
         return self.registry if self.registry is not None else get_registry()
 
     def with_overrides(self, **overrides: object) -> "ExperimentConfig":
-        """A copy with keyword overrides folded in (aliases resolved)."""
+        """A copy with keyword overrides folded in."""
         if not overrides:
             return self
         typed: Dict[str, object] = {}
         extra = dict(self.extra)
         for key, value in overrides.items():
-            if key in _KEYWORD_ALIASES:
-                canonical = _KEYWORD_ALIASES[key]
-                warnings.warn(
-                    f"keyword {key!r} is deprecated; use {canonical!r}",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                key = canonical
             if key in _TYPED_FIELDS:
                 typed[key] = value
             else:

@@ -63,9 +63,7 @@ def run_echo(app_seconds: float = ECHO_APP_SECONDS) -> EchoRun:
     def send_command(command: cmd.DisplayCommand) -> None:
         network.send_burst(
             [
-                Packet.acquire(
-                    "server", "console", datagram.wire_nbytes, payload=datagram
-                )
+                Packet("server", "console", datagram.wire_nbytes, payload=datagram)
                 for datagram in codec.fragment(command)
             ]
         )
@@ -96,9 +94,7 @@ def run_echo(app_seconds: float = ECHO_APP_SECONDS) -> EchoRun:
     start = sim.now
     network.send_burst(
         [
-            Packet.acquire(
-                "console", "server", datagram.wire_nbytes, payload=datagram
-            )
+            Packet("console", "server", datagram.wire_nbytes, payload=datagram)
             for datagram in key_datagrams
         ]
     )

@@ -189,9 +189,7 @@ class CellProbe:
         while self._carry_bytes >= PACKET_NBYTES:
             self._carry_bytes -= PACKET_NBYTES
             burst.append(
-                Packet.acquire(
-                    "server", "console", PACKET_NBYTES, flow="display"
-                )
+                Packet("server", "console", PACKET_NBYTES, flow="display")
             )
         if burst:
             self.network.send_burst(burst)

@@ -108,7 +108,7 @@ class NetworkYardstick:
         """Install as (or call from) the server endpoint's receive hook."""
         if packet.flow != "yardstick-request":
             return
-        response = Packet.acquire(
+        response = Packet(
             self.server_addr,
             self.console_addr,
             NET_YARDSTICK_RESPONSE_NBYTES,
@@ -147,7 +147,7 @@ class NetworkYardstick:
             self._probe_id = self._tracer.begin_probe(
                 "net.yardstick.round", self.sim.now
             )
-        request = Packet.acquire(
+        request = Packet(
             self.console_addr,
             self.server_addr,
             NET_YARDSTICK_REQUEST_NBYTES,

@@ -22,7 +22,7 @@ is a seam, not a wrapper (no per-event indirection cost).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol, runtime_checkable
 
 from repro.netsim.engine import Simulator
 
@@ -54,16 +54,6 @@ class SimulationBackend(Protocol):
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute time ``when`` (>= ``now``)."""
-        ...
-
-    def schedule_batch(
-        self, delay: float, callbacks: Iterable[Callable[[], None]]
-    ) -> None:
-        """Run several callbacks ``delay`` seconds from now, in order.
-
-        Observationally identical to N consecutive :meth:`schedule`
-        calls at one instant, but amortized to a single heap operation.
-        """
         ...
 
     # -- execution ----------------------------------------------------------------

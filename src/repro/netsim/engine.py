@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.runcontext import current_run
@@ -18,44 +18,6 @@ from repro.runcontext import current_run
 #: How many events fire between a monitor's callbacks unless it is added
 #: with an ``every`` or declares one as an attribute.
 DEFAULT_MONITOR_EVERY = 5000
-
-
-class _Cohort:
-    """A batch of callbacks sharing one heap entry (one timestamp).
-
-    Members fire back to back in list order — exactly the order N scalar
-    ``schedule`` calls at the same instant would have produced — and each
-    counts as one processed event.  ``stop()`` between members matches
-    the scalar semantics too: the rest are re-queued at the same
-    timestamp and fire on the next run.
-    """
-
-    __slots__ = ("sim", "callbacks")
-
-    def __init__(self, sim: "Simulator", callbacks: List[Callable[[], None]]):
-        self.sim = sim
-        self.callbacks = callbacks
-
-    def __call__(self) -> None:
-        sim = self.sim
-        callbacks = self.callbacks
-        n = len(callbacks)
-        # The engine loop counts this entry as one event; the remaining
-        # members are accounted for here, so cohorts bump the counter by
-        # their full size.
-        sim.events_processed += n - 1
-        sim._batched_pending -= n - 1
-        for i, callback in enumerate(callbacks):
-            callback()
-            if sim._stopped and i + 1 < n:
-                rest = callbacks[i + 1 :]
-                sim.events_processed -= len(rest)
-                sim._batched_pending += len(rest) - 1
-                heapq.heappush(
-                    sim._queue,
-                    (sim.now, next(sim._counter), _Cohort(sim, rest)),
-                )
-                return
 
 
 class Simulator:
@@ -75,9 +37,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.events_processed = 0
-        #: Callbacks queued inside batch entries beyond the one the heap
-        #: entry itself accounts for (keeps ``pending`` honest).
-        self._batched_pending = 0
         #: Periodic callbacks, each a ``[due, every, callback]`` entry
         #: with its own due-counter, so observers on different cadences
         #: share the engine without wrapping one another.  Due-counters
@@ -166,43 +125,9 @@ class Simulator:
             )
         heapq.heappush(self._queue, (when, next(self._counter), callback))
 
-    def schedule_batch(
-        self, delay: float, callbacks: Iterable[Callable[[], None]]
-    ) -> None:
-        """Run several callbacks ``delay`` seconds from now, in order.
-
-        Observationally identical to N consecutive :meth:`schedule`
-        calls at the same instant — FIFO tie-break order is preserved,
-        each member counts as one processed event — but the whole batch
-        pays a single heap operation.  Producers that emit event trains
-        at one timestamp (fragmentation bursts, per-tick workload
-        generators) use this to amortize the per-event heap cost.
-        """
-        if delay < 0:
-            if delay < -self.NEGATIVE_DELAY_EPSILON:
-                raise SimulationError(f"cannot schedule {delay}s in the past")
-            delay = 0.0
-        callbacks = list(callbacks)
-        if not callbacks:
-            return
-        if len(callbacks) == 1:
-            heapq.heappush(
-                self._queue, (self.now + delay, next(self._counter), callbacks[0])
-            )
-            return
-        self._batched_pending += len(callbacks) - 1
-        heapq.heappush(
-            self._queue,
-            (self.now + delay, next(self._counter), _Cohort(self, callbacks)),
-        )
-
     # -- execution ----------------------------------------------------------------
     def step(self) -> bool:
-        """Process one event; returns False when the queue is empty.
-
-        A batch entry (:meth:`schedule_batch`) fires whole: one ``step``
-        runs all of its members and counts each of them.
-        """
+        """Process one event; returns False when the queue is empty."""
         if not self._queue:
             return False
         self._drained = False
@@ -230,10 +155,9 @@ class Simulator:
         amortizes.  The dedicated no-limit/no-monitor loop has no such
         bookkeeping to amortize, so it keeps the zero-overhead scalar
         structure (a tie-peek there is a pure per-event tax on tie-free
-        workloads); batch entries from :meth:`schedule_batch` amortize
-        their heap traffic in every loop regardless.  The ``max_events``
-        limit is checked between cohorts, so a run can overshoot it by
-        at most the size of the cohort in progress.
+        workloads).  The ``max_events`` limit is checked between
+        cohorts, so a run can overshoot it by at most the size of the
+        cohort in progress.
         """
         self._guard_reentry()
         try:
@@ -337,12 +261,8 @@ class Simulator:
     # -- introspection --------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of scheduled events not yet fired.
-
-        Batch members count individually, even though a batch occupies
-        a single heap entry.
-        """
-        return len(self._queue) + self._batched_pending
+        """Number of scheduled events not yet fired."""
+        return len(self._queue)
 
     def peek_next_time(self) -> Optional[float]:
         """Timestamp of the next event, or None when idle."""

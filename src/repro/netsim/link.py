@@ -348,8 +348,8 @@ class Link:
     def feeds(self, endpoint) -> None:
         """Name the endpoint this link delivers to.  While it has no
         receive hook an arrival is only counted, so it costs no event:
-        the fold credits the endpoint's counters and recycles the
-        packet, and the counters settle this link when read."""
+        the fold credits the endpoint's counters, and the counters
+        settle this link when read."""
         self._sink = endpoint
         endpoint._feeds.append(self)
         self._rearm()
@@ -437,8 +437,6 @@ class Link:
         if self._pending_start:
             self._fold_starts(ref)
         if self._pending_arr:
-            # After the finishes: a tap backfills from the packet a finish
-            # record keeps, so the arrival must not recycle it first.
             self._fold_arrivals(ref)
         for port in self._outboxes:
             port._fold(ref)
@@ -448,11 +446,9 @@ class Link:
         if pend and pend[0][0] <= ref:
             packets = nbytes = 0
             while pend and pend[0][0] <= ref:
-                _, size, carrier = pend.popleft()
+                _, size, _ = pend.popleft()
                 packets += 1
                 nbytes += size
-                if carrier.pooled:
-                    carrier.release()
             self._sink._packets += packets
             self._sink._bytes += nbytes
 
@@ -464,7 +460,7 @@ class Link:
             # Summed in locals, in record order: the same float sums.
             sent, nbytes, busy = 0, 0, stats.busy_time
             while pend and pend[0][0] <= ref:
-                finish, start, size, lost, carrier = pend.popleft()
+                finish, start, size, lost, _ = pend.popleft()
                 sent += 1
                 nbytes += size
                 busy += finish - start
@@ -475,8 +471,6 @@ class Link:
                     stats.packets_lost += 1
                     if m_packets is not None:
                         self._m_losses.inc()
-                    if carrier.pooled:
-                        carrier.release()
             stats.packets_sent += sent
             stats.bytes_sent += nbytes
             stats.busy_time = busy
@@ -586,8 +580,6 @@ class Link:
                         self._stats.packets_dropped += 1
                         if watched:
                             self._report_drop(carrier, ready)
-                        if carrier.pooled:
-                            carrier.release()
                         if dropped is None:
                             dropped = []
                         dropped.append(len(fins) - first + len(dropped))
@@ -623,7 +615,7 @@ class Link:
                 if capture is not None and isinstance(carrier.payload, Datagram):
                     self._tap(finish, start, carrier, gone)
             if gone:
-                # No event at all; the fold recycles the packet.
+                # No event at all: the fold counts the loss.
                 continue
             if jitter > 0:
                 # Jittered arrivals can reorder: each needs its own carrier.

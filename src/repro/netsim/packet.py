@@ -9,11 +9,6 @@ from repro.errors import SimulationError
 
 _packet_ids = itertools.count()
 
-#: Freelist of released packets (:meth:`Packet.acquire`); bounded so a
-#: burst of traffic cannot pin an arbitrary amount of memory forever.
-_pool: list = []
-_POOL_MAX = 4096
-
 
 class Packet:
     """One datagram on the wire.
@@ -49,7 +44,6 @@ class Packet:
         "trace_id",
         "hops",
         "packet_id",
-        "pooled",
     )
 
     def __init__(
@@ -74,59 +68,6 @@ class Packet:
         self.trace_id = trace_id
         self.hops = None
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
-        self.pooled = False
-
-    @classmethod
-    def acquire(
-        cls,
-        src: str,
-        dst: str,
-        nbytes: int,
-        payload: Any = None,
-        flow: Optional[str] = None,
-        trace_id: Optional[int] = None,
-    ) -> "Packet":
-        """A packet from the freelist (or a fresh one), marked pooled.
-
-        Pooled packets are *owned by the fabric once sent*: it recycles
-        them after the receiving endpoint's ``on_receive`` returns, and
-        on drops/losses.  Senders must not retain, re-read, or resend a
-        pooled packet after handing it to the network, and receive hooks
-        must not keep it past their return (keeping the *payload* is
-        fine — the pool nulls the reference, not the object).
-        """
-        if _pool:
-            packet = _pool.pop()
-            if nbytes <= 0:
-                raise SimulationError(
-                    f"packet size must be positive, got {nbytes}"
-                )
-            packet.src = src
-            packet.dst = dst
-            packet.nbytes = nbytes
-            packet.payload = payload
-            packet.flow = flow
-            packet.created_at = 0.0
-            packet.trace_id = trace_id
-            packet.packet_id = next(_packet_ids)
-            packet.pooled = True
-            return packet
-        packet = cls(src, dst, nbytes, payload, flow, trace_id=trace_id)
-        packet.pooled = True
-        return packet
-
-    def release(self) -> None:
-        """Return this packet to the freelist (pooled packets only).
-
-        Safe to call twice — the flag is cleared on the way in — but the
-        caller must have dropped every other reference first.
-        """
-        if self.pooled and len(_pool) < _POOL_MAX:
-            self.pooled = False
-            # Never pin payloads or itineraries from inside the pool.
-            self.payload = None
-            self.hops = None
-            _pool.append(self)
 
     def __repr__(self) -> str:
         return (
@@ -166,18 +107,16 @@ class Train:
     With no payload and no trace id nothing can trace or capture them
     (both test exactly those fields), so the fabric keeps no object per
     packet: a link's books carry the train where a packet would ride —
-    it reads as an unpooled, payload-less, untraced one — and
-    :meth:`packet` builds a :class:`Packet` only where one is demanded,
-    for a receive hook or to ride an event.  ``sizes`` holds each
-    packet's size on the wire, in sending order; the other attributes
-    are :class:`Packet`'s.
+    it reads as a payload-less, untraced one — and :meth:`packet` builds
+    a :class:`Packet` only where one is demanded, for a receive hook or
+    to ride an event.  ``sizes`` holds each packet's size on the wire,
+    in sending order; the other attributes are :class:`Packet`'s.
     """
 
     __slots__ = ("src", "dst", "sizes", "flow", "created_at")
 
     payload = None
     trace_id = None
-    pooled = False
 
     def __init__(
         self, src: str, dst: str, sizes, flow: Optional[str] = None
@@ -194,8 +133,5 @@ class Train:
         return len(self.sizes)
 
     def packet(self, nbytes: int) -> Packet:
-        """One of this train's packets as an object, owned by the fabric
-        like any pooled packet: whoever terminates it releases it."""
-        packet = Packet.acquire(self.src, self.dst, nbytes, None, self.flow)
-        packet.created_at = self.created_at
-        return packet
+        """One of this train's packets as an object."""
+        return Packet(self.src, self.dst, nbytes, None, self.flow, self.created_at)

@@ -46,7 +46,7 @@ import itertools
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.netsim.engine import Simulator
@@ -557,11 +557,6 @@ class ShardedBackend:
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
         self._control.schedule_at(when, callback)
-
-    def schedule_batch(
-        self, delay: float, callbacks: Iterable[Callable[[], None]]
-    ) -> None:
-        self._control.schedule_batch(delay, callbacks)
 
     def add_monitor(self, monitor, every: Optional[int] = None) -> None:
         self._control.add_monitor(monitor, every)

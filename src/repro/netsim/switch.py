@@ -9,7 +9,7 @@ link from the switch to the server) and a small forwarding latency.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Iterator, Optional
 
 from repro.errors import SimulationError
 from repro.netsim.backend import SimulationBackend
@@ -84,7 +84,6 @@ class Switch:
             self.packets_unrouteable += 1
             if self._m_unrouteable is not None:
                 self._m_unrouteable.inc()
-            packet.release()
             return
         now = self.sim.now
         if link._inboxes:
@@ -124,10 +123,3 @@ class Switch:
             if metered:
                 self._observe(link, arrive)
             yield arrive + delay, nbytes, carrier
-
-    def ingress_burst(self, packets: Sequence[Packet]) -> None:
-        """Forward a whole packet train arriving at one instant, in
-        arrival order (cross-link same-instant deliveries tie-break on
-        admission order, so port-grouping would reorder them)."""
-        for packet in packets:
-            self.ingress(packet)

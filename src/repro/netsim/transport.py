@@ -77,18 +77,12 @@ class Endpoint:
         return self._bytes
 
     def deliver(self, packet: Packet) -> None:
-        """Called by the fabric when a packet arrives.
-
-        Pooled packets (:meth:`Packet.acquire`) are recycled once the
-        receive hook returns — hooks may keep the payload, never the
-        packet itself.
-        """
+        """Called by the fabric when a packet arrives; the receive hook
+        may keep what it is handed."""
         self._packets += 1
         self._bytes += packet.nbytes
         if self._on_receive is not None:
             self._on_receive(packet)
-        if packet.pooled:
-            packet.release()
 
 
 def _split_rng(

@@ -81,6 +81,7 @@ class DisplayChannel:
     ) -> None:
         obs = obs if obs is not None else current_run()
         self.obs = obs
+        self.registry = registry
         self.sim = sim if sim is not None else LocalBackend()
         self.network = network if network is not None else Network(
             self.sim, default_rate_bps=rate_bps, registry=registry, obs=obs
@@ -131,9 +132,10 @@ class DisplayChannel:
         from repro.server.slimdriver import SlimDriver
 
         return SlimDriver(
-            encoder=encoder or SlimEncoder(materialize=True),
+            encoder=encoder,
             framebuffer=self.framebuffer,
             send=self.send_command,
+            registry=self.registry,
             obs=self.obs,
             **kwargs,
         )

@@ -333,7 +333,7 @@ class ConsoleChannel:
                 nbytes,
             )
         burst = [
-            Packet.acquire(
+            Packet(
                 self.address,
                 self.server_address,
                 datagram.wire_nbytes,

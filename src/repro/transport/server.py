@@ -204,11 +204,10 @@ class ServerChannel:
                 recovery=recovery,
                 recovery_of=recovery_of,
             )
-        # Fragment trains ride the burst path: one fabric call (and one
-        # arrival cohort on the uplink) per command instead of one per
-        # datagram, with packets drawn from the freelist.
+        # Fragment trains ride the burst path: one fabric call per
+        # command instead of one per datagram.
         burst = [
-            Packet.acquire(
+            Packet(
                 self.address,
                 self.console_address,
                 datagram.wire_nbytes,

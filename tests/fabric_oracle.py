@@ -393,16 +393,14 @@ def star_workload(*, seed=5, loss_rate=0.0, use_burst=False, armed_dir=None):
     return normalize(result)
 
 
-def ingress_workload(*, burst: bool, tie_free: bool = True):
-    """ingress_burst(train) against one ingress() per packet.
+def ingress_workload():
+    """A train handed to the switch one ``ingress`` per packet.
 
-    Two output ports fed from one instant.  With ``tie_free`` the sizes
-    are chosen so no two ports ever finish a packet at the same instant:
-    the scalar implementation ordered such cross-link delivery ties by
-    when serialization *started*, the admission path orders them by
-    admission, so only the tie-free train has a scalar golden.  The
-    tie-prone train (sizes 200 + i) is still the sharper check that a
-    burst is admitted in arrival order, not port-grouped order.
+    Two output ports fed from one instant.  The sizes are chosen so no
+    two ports ever finish a packet at the same instant: the scalar
+    implementation ordered such cross-link delivery ties by when
+    serialization *started*, the admission path orders them by
+    admission, so only a tie-free train has a scalar golden.
     """
     sim = Simulator()
     network = Network(sim, default_rate_bps=100e6)
@@ -421,17 +419,14 @@ def ingress_workload(*, burst: bool, tie_free: bool = True):
         Packet(
             src="x",
             dst="a" if i % 3 else "b",
-            nbytes=200 + 17 * i + (i * i) % 11 if tie_free else 200 + i,
+            nbytes=200 + 17 * i + (i * i) % 11,
         )
         for i in range(12)
     ]
 
     def inject():
-        if burst:
-            switch.ingress_burst(train)
-        else:
-            for p in train:
-                switch.ingress(p)
+        for p in train:
+            switch.ingress(p)
 
     sim.schedule(0.001, inject)
     sim.run()
@@ -660,7 +655,7 @@ def compute_all(scratch) -> dict:
         out[f"star_armed/{row}"] = star_workload(
             loss_rate=loss, armed_dir=sub(f"star-{row}")
         )
-    out["ingress"] = ingress_workload(burst=False)
+    out["ingress"] = ingress_workload()
     for name, fn in (
         ("lossy_session", lossy_session_fingerprint),
         ("yardstick", yardstick_fingerprint),

@@ -24,6 +24,15 @@ seeded, clipped and priced every update through numpy scalars:
 
     PYTHONPATH=src python tests/golden/regen.py pixels
 
+``fig8_default.txt`` and ``fig11_short.txt`` are not written by this
+script: each is the table its experiment printed with default flags at
+the parent of the PR that added it (88aa103 and 5c5945e), through the
+pipe CI diffs it with (``.github/workflows/ci.yml``, the timing line
+stripped):
+
+    python -m repro.experiments fig8 | grep -v '^  ([0-9.]*s)$'
+    python -m repro.experiments fig11 --duration 6 | grep -v '^  ([0-9.]*s)$'
+
 Running any of them on a later commit re-blesses the goldens from the one
 remaining path; do that only for a deliberate, reviewed change of
 simulated behaviour.

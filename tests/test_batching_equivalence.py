@@ -1,10 +1,8 @@
-"""Seeded equivalence locks for the batching tier.
+"""Seeded equivalence locks for the engine and the fabric.
 
 * the engine's firing order (including same-timestamp ties) is checked
   against an independent stable-sort oracle, not against the engine
   itself, so cohort draining cannot quietly redefine the contract;
-* ``schedule_batch`` must be observationally identical to N scalar
-  ``schedule`` calls at the same instant;
 * the fabric's one admission path must reproduce the outputs of the
   scalar link implementation it replaced — frozen in
   ``tests/golden/fabric_oracle.json`` (see ``tests/fabric_oracle.py``) —
@@ -94,60 +92,9 @@ def test_engine_order_matches_stable_sort_oracle(seed):
     assert len(real_order) > 40  # the cascade actually cascaded
 
 
-def test_schedule_batch_equivalent_to_scalar_schedules():
-    """N callbacks in one batch == N consecutive schedule() calls."""
-
-    def run(batched: bool):
-        sim = Simulator()
-        order = []
-
-        def tag(t):
-            return lambda: order.append((sim.now, t))
-
-        # Interleave: earlier tie, the batch, later tie — FIFO must hold.
-        sim.schedule(0.005, tag("before"))
-        if batched:
-            sim.schedule_batch(0.005, [tag("a"), tag("b"), tag("c")])
-        else:
-            sim.schedule(0.005, tag("a"))
-            sim.schedule(0.005, tag("b"))
-            sim.schedule(0.005, tag("c"))
-        sim.schedule(0.005, tag("after"))
-        sim.schedule(0.001, lambda: sim.schedule(0.004, tag("nested")))
-        sim.run()
-        return order, sim.events_processed
-
-    scalar_order, scalar_count = run(batched=False)
-    batch_order, batch_count = run(batched=True)
-    assert batch_order == scalar_order
-    assert batch_count == scalar_count  # cohort counts every member
-
-
-def test_schedule_batch_members_count_and_pending():
-    sim = Simulator()
-    hits = []
-    sim.schedule_batch(0.01, [lambda: hits.append(1)] * 4)
-    sim.schedule(0.02, lambda: hits.append(2))
-    assert sim.pending == 5  # batch members are individually pending
-    sim.run()
-    assert len(hits) == 5
-    assert sim.events_processed == 5
-    assert sim.pending == 0
-
-
-def test_schedule_batch_empty_and_negative():
-    sim = Simulator()
-    sim.schedule_batch(0.01, [])
-    assert sim.pending == 0
-    from repro.errors import SimulationError
-
-    with pytest.raises(SimulationError):
-        sim.schedule_batch(-1.0, [lambda: None])
-
-
 def test_stop_mid_cohort_leaves_rest_queued():
-    """stop() between batch members matches scalar stop() semantics:
-    the remaining members stay queued and fire on the next run()."""
+    """stop() between same-instant events, in the loop that drains them
+    as one cohort: the rest stay queued and fire on the next run()."""
     sim = Simulator()
     order = []
 
@@ -158,10 +105,12 @@ def test_stop_mid_cohort_leaves_rest_queued():
         order.append("stop")
         sim.stop()
 
-    sim.schedule_batch(0.01, [mk("a"), stopper, mk("b"), mk("c")])
-    sim.run()
+    for callback in (mk("a"), stopper, mk("b"), mk("c")):
+        sim.schedule(0.01, callback)
+    sim.run(max_events=100)
     assert order == ["a", "stop"]
-    sim.run()
+    assert (sim.events_processed, sim.pending) == (2, 2)
+    sim.run(max_events=100)
     assert order == ["a", "stop", "b", "c"]
 
 
@@ -177,7 +126,8 @@ def test_monitor_cadence_with_batches():
     monitor.every = 10
     sim.add_monitor(monitor)
     for k in range(5):
-        sim.schedule_batch(0.0001 * (k + 1), [lambda: None] * 4)  # 20 events
+        for _ in range(4):  # 20 events, four to an instant
+            sim.schedule(0.0001 * (k + 1), lambda: None)
     for i in range(15):
         sim.schedule(0.002 + i * 0.001, lambda: None)  # 15 singletons
     sim.run(max_events=100)
@@ -242,15 +192,10 @@ def test_network_send_burst_matches_scalar_sends(golden):
     _assert_matches(oracle.star_workload(use_burst=True), golden["star/clean"])
 
 
-def test_switch_ingress_burst_matches_sequential_ingress(golden):
-    """ingress_burst(train) == for p in train: ingress(p)."""
-    for burst in (False, True):
-        _assert_matches(oracle.ingress_workload(burst=burst), golden["ingress"])
-    # Two ports finishing packets at the same instant: admission (hence
-    # delivery) order must be arrival order either way.
-    assert oracle.ingress_workload(
-        burst=True, tie_free=False
-    ) == oracle.ingress_workload(burst=False, tie_free=False)
+def test_switch_ingress_matches_scalar(golden):
+    """A train handed to ``ingress`` one packet at a time, two output
+    ports fed from one instant: the tie order of the deliveries."""
+    _assert_matches(oracle.ingress_workload(), golden["ingress"])
 
 
 # ---------------------------------------------------------------------------

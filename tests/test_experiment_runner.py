@@ -105,11 +105,6 @@ class TestConfig:
         assert config.seed == 1
         assert config.extra == {"suite": "x"}
 
-    def test_sim_seconds_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="sim_seconds"):
-            config = ExperimentConfig().with_overrides(sim_seconds=5.0)
-        assert config.duration == 5.0
-
     def test_resolved_registry_prefers_explicit(self):
         mine = MetricsRegistry()
         assert ExperimentConfig(registry=mine).resolved_registry() is mine

@@ -453,7 +453,7 @@ def test_a_run_ending_on_an_absorbed_arrival_is_the_same_armed_and_bare(tmp_path
         sink = network.attach(Endpoint("sink"))
         network.send_burst(
             [
-                Packet.acquire("server", "sink", NBYTES, payload=_datagram(seq))
+                Packet("server", "sink", NBYTES, payload=_datagram(seq))
                 for seq in range(3)
             ]
         )

@@ -110,13 +110,60 @@ class TestNetworkLoadGenerator:
         sim.run_until(5.0)
         assert all(64 <= p.nbytes <= 1500 for p in got)
 
+    def test_a_receive_hook_may_keep_what_it_is_handed(self):
+        """The generator's trains become packets for a hooked sink, and
+        a display channel's datagrams ride packets to the console: each
+        is an object of its own that stays as it was inside the hook."""
+        import numpy as np
+
+        from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
+        from repro.transport import DisplayChannel
+
+        def fields(p):
+            return p.src, p.dst, p.flow, p.created_at, p.payload
+
+        def keeping(endpoint, then=lambda packet: None):
+            got, seen = [], []
+
+            def hook(packet):
+                got.append(packet)
+                seen.append(fields(packet))
+                then(packet)
+
+            endpoint.on_receive = hook
+            return got, seen
+
+        def assert_kept(endpoint, got, seen):
+            assert len(got) > 10
+            assert len({id(p) for p in got}) == len(got)
+            assert sum(p.nbytes for p in got) == endpoint.bytes_received
+            assert [fields(p) for p in got] == seen
+
+        sim, network, sink = make_network()
+        got, seen = keeping(sink)
+        NetworkLoadGenerator(
+            sim, network, "server", "sink", make_profile([20_000]),
+            rng=np.random.default_rng(0),
+        ).start()
+        sim.run_until(5.0)
+        assert_kept(sink, got, seen)
+
+        channel = DisplayChannel(FrameBuffer(160, 120))
+        console = channel.network.endpoint("console")
+        got, seen = keeping(console, then=console.on_receive)
+        channel.make_driver(track_baselines=False).update(
+            0.0, [PaintOp(PaintKind.IMAGE, Rect(0, 0, 160, 120), seed=3)]
+        )
+        channel.run()
+        assert_kept(console, got, seen)
+        assert channel.converged
 
     def test_the_fig11_cell_reads_the_same_one_packet_at_a_time(
         self, monkeypatch
     ):
-        """The generator's bursts are anonymous trains; sent as pooled
-        packets through ``Network.send``, one at a time, the Fig 11 cell
-        returns the identical floats."""
+        """The generator's bursts are anonymous trains; sent as packets
+        through ``Network.send``, one at a time, the Fig 11 cell returns
+        the identical floats."""
         import numpy as np
 
         from repro.experiments import fig11
@@ -133,7 +180,7 @@ class TestNetworkLoadGenerator:
                 while remaining > 0:
                     size = max(min(1500, remaining), 64)
                     self.network.send(
-                        Packet.acquire(self.src, self.dst, size, flow=self.flow)
+                        Packet(self.src, self.dst, size, flow=self.flow)
                     )
                     remaining -= size
 

@@ -2,8 +2,8 @@
 
 A link that feeds an endpoint with no receive hook records each arrival
 as a pending credit instead of scheduling a delivery; the fold credits
-the endpoint's counters and recycles the packet.  Nothing may tell the
-two apart except the engine's event count:
+the endpoint's counters.  Nothing may tell the two apart except the
+engine's event count:
 
 * a star drawn by Hypothesis, run as drawn and with every hook-less
   endpoint given a no-op hook, reads the same link statistics, queue
@@ -12,7 +12,7 @@ two apart except the engine's event count:
   sample, and differs in ``events_processed`` by exactly the arrivals
   absorbed plus the hops into the switch that no event carried;
 * the same script sent as anonymous :class:`Train` records and as one
-  ``send`` per pooled packet reads the same everywhere, events included,
+  ``send`` per packet reads the same everywhere, events included,
   and hooked endpoints hear the same packets at the same instants;
 * a hook assigned while packets are on the wire receives exactly the
   packets that arrive from then on, at their arrival instants — whether
@@ -21,9 +21,7 @@ two apart except the engine's event count:
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import groupby
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, seed, settings
@@ -34,37 +32,6 @@ from repro.netsim.link import GilbertElliottLoss, Link
 from repro.netsim.packet import Packet, Train
 from repro.netsim.profiles import NetworkProfile
 from repro.netsim.transport import Endpoint, Network
-
-
-class Releases:
-    """Counts effective :meth:`Packet.release` calls while entered, and
-    notes the last one's instant on ``sim``'s clock."""
-
-    def __init__(self, sim=None) -> None:
-        self.sim = sim
-        self.at = {}
-
-    def __enter__(self):
-        self.by_packet = Counter()
-        real = Packet.release
-
-        def counting(packet):
-            if packet.pooled:
-                self.by_packet[packet.packet_id] += 1
-                if self.sim is not None:
-                    self.at[packet.packet_id] = self.sim.now
-            real(packet)
-
-        self._patch = mock.patch.object(Packet, "release", counting)
-        self._patch.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        return self._patch.__exit__(*exc)
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_packet.values())
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +108,7 @@ def _script(star):
 def _run_star(star, passive: bool = True, sent_as: str = "scripted"):
     """The star as drawn (``passive``) or with a no-op hook on every
     hook-less endpoint.  Each scripted send goes out as scripted (a
-    burst of pooled packets, or one ``send`` each), as ``"packets"``
+    burst of packets, or one ``send`` each), as ``"packets"``
     (always one ``send`` each) or as ``"trains"`` (each run of packets
     for one destination as one anonymous :class:`Train`).  Returns one
     reading per sample instant plus one after the drain."""
@@ -191,7 +158,7 @@ def _run_star(star, passive: bool = True, sent_as: str = "scripted"):
                 )
             return
         packets = [
-            Packet.acquire(names[src], names[dst], nbytes, flow=names[src])
+            Packet(names[src], names[dst], nbytes, flow=names[src])
             for src, dst, nbytes in train
         ]
         if burst and sent_as == "scripted":
@@ -206,7 +173,7 @@ def _run_star(star, passive: bool = True, sent_as: str = "scripted"):
     links = [network.uplink(name) for name in names]
     links += [network.downlink(name) for name in names]
 
-    def reading(releases, window=None):
+    def reading(window=None):
         per_link = []
         lost = dropped = 0
         for link in links:
@@ -225,15 +192,10 @@ def _run_star(star, passive: bool = True, sent_as: str = "scripted"):
             for n in names
         ]
         received = sum(count for count, _ in endpoints)
-        # Every link has just been settled, so whatever has terminated
-        # has been recycled: sent = received + lost + dropped + in flight
-        # with "in flight" counted independently, as not yet released.
-        # (An anonymous packet has no object to release; its twin's
-        # count stands for it, the readings being equal.)
+        # Every link has just been settled:
+        # sent = received + lost + dropped + in flight.
         in_flight = offered[0] - received - lost - dropped
         assert in_flight >= 0
-        assert trains or in_flight == offered[0] - releases.total
-        assert set(releases.by_packet.values()) <= {1}
         absorbed = sum(
             endpoints[i][0]
             for i, hookless in enumerate(star["hookless"])
@@ -251,16 +213,13 @@ def _run_star(star, passive: bool = True, sent_as: str = "scripted"):
         }
 
     readings = []
-    with Releases() as releases:
-        for instant in samples:
-            sim.run_until(instant)
-            readings.append(reading(releases))
-        sim.run()
-        # The twins' clocks may differ here, so not "busy share of now".
-        final = reading(releases, window=2 * SPAN)
-        assert final["in_flight"] == 0  # drained
-        # ... and every object the fabric built or was handed is back.
-        assert releases.total == (carried[0] if trains else offered[0])
+    for instant in samples:
+        sim.run_until(instant)
+        readings.append(reading())
+    sim.run()
+    # The twins' clocks may differ here, so not "busy share of now".
+    final = reading(window=2 * SPAN)
+    assert final["in_flight"] == 0  # drained
     return readings, final, heard
 
 
@@ -329,7 +288,7 @@ def _five_on_one_link(hook=None):
     3, 4, 5 and 6 ms."""
     sim, sink, link = one_link_to_a_sink(hook)
     for _ in range(5):
-        link.send(Packet.acquire("src", "sink", 1000))
+        link.send(Packet("src", "sink", 1000))
     return sim, sink, link
 
 
@@ -339,21 +298,18 @@ def test_a_hook_assigned_mid_run_sees_the_arrivals_from_then_on():
     sim.run()
     assert len(arrivals) == 5
 
-    with Releases() as releases:
-        sim, sink, link = _five_on_one_link()
-        assert sim.pending == 0  # nothing receives them: no event
-        sim.run_until((arrivals[1] + arrivals[2]) / 2)
-        assert (sink.packets_received, sink.bytes_received) == (2, 2000)
-        assert releases.total == 2
-        got = []
-        sink.on_receive = lambda packet: got.append((sim.now, packet.nbytes))
-        assert sim.pending == 3
-        assert sink.packets_received == 2  # the first two stay credited
-        sim.run()
+    sim, sink, link = _five_on_one_link()
+    assert sim.pending == 0  # nothing receives them: no event
+    sim.run_until((arrivals[1] + arrivals[2]) / 2)
+    assert (sink.packets_received, sink.bytes_received) == (2, 2000)
+    got = []
+    sink.on_receive = lambda packet: got.append((sim.now, packet.nbytes))
+    assert sim.pending == 3
+    assert sink.packets_received == 2  # the first two stay credited
+    sim.run()
     assert got == [(when, 1000) for when in arrivals[2:]]
     assert (sink.packets_received, sink.bytes_received) == (5, 5000)
     assert link.stats.packets_sent == 5
-    assert sorted(releases.by_packet.values()) == [1] * 5
     assert sim.now == arrivals[-1]
 
 
@@ -394,23 +350,21 @@ def test_a_hook_assigned_mid_run_hears_the_rest_of_an_anonymous_train():
         for nbytes in (500, 500, 500, 1500, 1500)
     ]
 
-    with Releases() as releases:
-        sim, network, sink = _five_anonymous_through_a_switch()
-        assert sim.pending == 0
-        sim.run_until((arrivals[1][0] + arrivals[2][0]) / 2)
-        assert (sink.packets_received, sink.bytes_received) == (2, 1000)
-        assert network.switch.packets_forwarded == 3
-        got = []
-        sink.on_receive = hear(got, [sim])
-        assert sim.pending == 3  # one delivery, two hops into the switch
-        assert (sink.packets_received, sink.bytes_received) == (2, 1000)
-        sim.run()
+    sim, network, sink = _five_anonymous_through_a_switch()
+    assert sim.pending == 0
+    sim.run_until((arrivals[1][0] + arrivals[2][0]) / 2)
+    assert (sink.packets_received, sink.bytes_received) == (2, 1000)
+    assert network.switch.packets_forwarded == 3
+    got = []
+    sink.on_receive = hear(got, [sim])
+    assert sim.pending == 3  # one delivery, two hops into the switch
+    assert (sink.packets_received, sink.bytes_received) == (2, 1000)
+    sim.run()
     assert got == arrivals[2:]
     assert (sink.packets_received, sink.bytes_received) == (5, 4500)
     assert network.switch.packets_forwarded == 5
     assert network.uplink("server").stats.packets_sent == 5
     assert network.downlink("sink").stats.packets_sent == 5
-    assert sorted(releases.by_packet.values()) == [1] * 3
     assert sim.now == arrivals[-1][0]
 
 
@@ -429,7 +383,7 @@ def test_a_tap_set_mid_run_on_a_port_nobody_hears_sees_the_frames_from_then_on()
         ring = RingSlimcapWriter()
         network.send_burst(
             [
-                Packet.acquire(
+                Packet(
                     "server", "sink", 1000,
                     payload=Datagram(seq=seq, index=0, count=1, payload=b"x" * 8),
                 )
@@ -468,7 +422,7 @@ def test_clearing_the_hook_mid_run_keeps_the_count():
     assert sim.pending == 5
     sink.on_receive = None
     for _ in range(3):
-        link.send(Packet.acquire("src", "sink", 1000))
+        link.send(Packet("src", "sink", 1000))
     assert sim.pending == 5
     sim.run_until(6.5e-3)
     assert sink.packets_received == 5

@@ -197,7 +197,8 @@ def test_cohorts_overshoot_a_due_counter_but_never_skip_it():
     with use_run(progress=painter):
         sim = Simulator()
         for k in range(10):
-            sim.schedule_batch(k * 1e-3, [lambda: None] * 1200)
+            for _ in range(1200):
+                sim.schedule(k * 1e-3, lambda: None)
         sim.run()
     # 1200-event cohorts: 5000 is first seen at 6000, 10000 at 10800.
     assert painter.calls == [6000, 10_800]

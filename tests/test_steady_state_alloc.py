@@ -1,12 +1,15 @@
-"""The allocation-free steady state (packet freelist + transient records).
+"""The steady state keeps nothing per packet.
 
-A warmed-up session must stop churning the allocator: packets come from
-the :class:`~repro.netsim.packet.Packet` freelist, and everything else
-the fabric allocates per packet or event — the links' pending-credit
-records among it — is transient (net zero).
-The guard is a tracemalloc diff over a steady-state slice of the same
-end-to-end session the ``e2e_session`` perf scenario runs, filtered to
-the netsim hot-path modules.
+Whatever the fabric allocates per packet or event — the packets, the
+links' pending-credit records, the heap entries — is transient: a
+warmed-up session holds as many blocks after a slice as before it, give
+or take what is on the wire at the two instants.  The guard is a
+tracemalloc diff, filtered to the modules under test, over two
+consecutive slices of one warmed rig, the second :data:`LONGER` times
+the first: what is constant — records not folded yet, deque blocks, the
+rings' drift — cancels in the *difference* of what the two keep, and a
+leak of one block per packet shows in it as one block per extra packet,
+whatever ran in the process before.
 """
 
 import tracemalloc
@@ -14,25 +17,54 @@ from bisect import bisect_right
 
 from repro.core.wire import Datagram
 from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
-from repro.netsim import packet as packet_module
 from repro.netsim.engine import Simulator
 from repro.netsim.link import FOLD_EVERY
 from repro.netsim.packet import Packet, Train
 from repro.netsim.transport import Endpoint, Network
-from repro.obs import RingSlimcapWriter, SlimcapReader
+from repro.obs import FlightRecorder, RingSlimcapWriter, SlimcapReader
+from repro.runcontext import use_run
 from repro.transport import DisplayChannel
 
-from tests.test_passive_sink import Releases, one_link_to_a_sink
+from tests.test_passive_sink import one_link_to_a_sink
 
-#: Net surviving allocation blocks tolerated beyond the packet-pool
-#: size.  A handful of O(1) live-state objects churn identity every
-#: event (the floats behind running stats totals, the current heap
-#: entries, pool list cells) and show up as "new" blocks even though
-#: their count is constant; likewise each *pooled* packet holds the int
-#: of its most recent ``packet_id``, allocated during the slice — that
-#: term is O(pool size).  A real per-packet leak would instead scale
-#: with the hundreds of packets the slice moves (asserted below).
-NET_BLOCK_SLACK = 48
+#: The second slice's length, in firsts.
+LONGER = 4
+#: Extra packets per extra surviving block the longer slice may keep.
+#: A session: one block per *update* does outlive it, outside the
+#: fabric's hands — the clock float an event set, kept wherever a layer
+#: above stored ``sim.now`` — and its updates are 16 packets each; a
+#: leaked packet, record or heap entry is at least one block per packet.
+SESSION_PACKETS_PER_BLOCK = 4
+#: Trains to a sink fire no event, so nothing is excused: one block
+#: kept per train of 12 shows twice over.
+SINK_PACKETS_PER_BLOCK = 24
+
+
+def _assert_nothing_kept_per_packet(
+    filters, run_slice, rounds, packets, packets_per_block
+) -> None:
+    """Run ``rounds`` rounds of ``run_slice``, then :data:`LONGER` times
+    as many, and compare the net blocks allocated under ``filters`` that
+    outlive each.  ``packets()`` is the rig's running packet count.
+    tracemalloc must have been tracing since the rig was built, so an
+    object replaced during a slice nets to zero."""
+    kept, moved = [], []
+    before = tracemalloc.take_snapshot().filter_traces(filters)
+    for n in (rounds, LONGER * rounds):
+        start = packets()
+        run_slice(n)
+        moved.append(packets() - start)
+        after = tracemalloc.take_snapshot().filter_traces(filters)
+        kept.append(
+            sum(diff.count_diff for diff in after.compare_to(before, "filename"))
+        )
+        before = after
+    extra = moved[1] - moved[0]
+    assert extra > 1000, "the slices did not exercise real traffic"
+    assert kept[1] - kept[0] <= extra / packets_per_block, (
+        f"the longer slice kept {kept[1]} blocks, the shorter {kept[0]}: "
+        f"{kept[1] - kept[0]} more for {extra} more packets"
+    )
 
 
 def _desktop_ops(width: int, height: int, seed: int):
@@ -64,120 +96,64 @@ def _run_slice(channel, driver, ops, rounds: int) -> None:
             channel.run()
 
 
-def test_warmed_session_slice_is_allocation_free():
+def _session_slices(filters, armed: bool) -> None:
     width, height = 160, 120
     server_fb = FrameBuffer(width, height)
-    channel = DisplayChannel(server_fb)
-    driver = channel.make_driver(track_baselines=False)
-    ops = _desktop_ops(width, height, seed=5)
-
-    # Warm-up: primes the packet freelist, the engine queue's backing
-    # list, and every lazily-built code path.
-    _run_slice(channel, driver, ops, rounds=3)
-    assert packet_module._pool, "warm-up never returned a packet to the pool"
-    pool_before = len(packet_module._pool)
-
-    netsim_filters = [
-        tracemalloc.Filter(True, "*/repro/netsim/packet.py"),
-        tracemalloc.Filter(True, "*/repro/netsim/link.py"),
-        tracemalloc.Filter(True, "*/repro/netsim/engine.py"),
-        tracemalloc.Filter(True, "*/repro/netsim/switch.py"),
-    ]
-    packets_before = channel.network.uplink("server").stats.packets_sent
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot().filter_traces(netsim_filters)
-        _run_slice(channel, driver, ops, rounds=5)
-        after = tracemalloc.take_snapshot().filter_traces(netsim_filters)
-    finally:
-        tracemalloc.stop()
-
-    packets_moved = (
-        channel.network.uplink("server").stats.packets_sent - packets_before
+    recorder = (
+        FlightRecorder(out_dir=None, capture_bytes=1 << 16, max_traces=8)
+        if armed
+        else None
     )
-    assert packets_moved > 200, "slice did not exercise real traffic"
-    net_blocks = sum(
-        diff.count_diff for diff in after.compare_to(before, "filename")
-    )
-    budget = len(packet_module._pool) + NET_BLOCK_SLACK
-    assert net_blocks <= budget, (
-        f"steady-state slice leaked {net_blocks} allocation blocks "
-        f"(budget {budget}) across {packets_moved} packets in the netsim "
-        "hot path (freelists not recycling?)"
-    )
-    # The pool really cycled: the steady state reuses the warmed packets
-    # rather than growing the freelist further.
-    assert len(packet_module._pool) == pool_before
-    assert server_fb.equals(channel.console.framebuffer)
-
-
-def test_release_caps_pool_and_clears_payload():
-    marker = object()
-    packet = Packet.acquire("a", "b", 100, payload=marker)
-    assert packet.pooled
-    packet.release()
-    assert not packet.pooled
-    assert packet.payload is None
-    # Double release is a no-op (flag already cleared).
-    before = len(packet_module._pool)
-    packet.release()
-    assert len(packet_module._pool) == before
-    # Plain constructor packets never enter the pool.
-    plain = Packet(src="a", dst="b", nbytes=10)
-    plain.release()
-    assert plain not in packet_module._pool
-
-
-def test_armed_session_slice_allocates_nothing_per_packet():
-    """The same slice with the flight recorder armed (bounded tracer and
-    frame ring, as the runner arms them by default): a traced packet
-    costs one hop record per link while it is in flight and nothing that
-    outlives the rings.  Once those are full, netsim + obs hold as many
-    blocks after the slice as before it, however many packets moved."""
-    from repro.obs import FlightRecorder
-    from repro.runcontext import use_run
-
-    width, height = 160, 120
-    server_fb = FrameBuffer(width, height)
-    recorder = FlightRecorder(out_dir=None, capture_bytes=1 << 16, max_traces=8)
-    filters = [
-        tracemalloc.Filter(True, "*/repro/netsim/*"),
-        tracemalloc.Filter(True, "*/repro/obs/*"),
-    ]
-    # Traced from the start: a ring entry allocated during warm-up and
-    # replaced during the slice then nets to zero, as it should.
     tracemalloc.start()
     try:
         with use_run(recorder=recorder):
             channel = DisplayChannel(server_fb)
             driver = channel.make_driver(track_baselines=False)
             ops = _desktop_ops(width, height, seed=5)
-            _run_slice(channel, driver, ops, rounds=3)  # fills pools and rings
-            assert recorder.capture.evicted > 0, "warm-up never filled the ring"
-            assert len(recorder.tracer.updates) == 8
+            # Warm-up: primes the engine queue's backing list, every
+            # lazily-built code path and, armed, the rings.
+            _run_slice(channel, driver, ops, rounds=3)
+            if armed:
+                assert recorder.capture.evicted > 0, "warm-up never filled the ring"
+                assert len(recorder.tracer.updates) == 8
             uplink = channel.network.uplink("server")
-            packets_before = uplink.stats.packets_sent
-            frames_before = len(recorder.capture)
-            before = tracemalloc.take_snapshot().filter_traces(filters)
-            _run_slice(channel, driver, ops, rounds=5)
-            after = tracemalloc.take_snapshot().filter_traces(filters)
+            _assert_nothing_kept_per_packet(
+                filters,
+                lambda rounds: _run_slice(channel, driver, ops, rounds),
+                10,
+                lambda: uplink.stats.packets_sent,
+                SESSION_PACKETS_PER_BLOCK,
+            )
     finally:
         tracemalloc.stop()
-
-    packets_moved = uplink.stats.packets_sent - packets_before
-    assert packets_moved > 200, "slice did not exercise real traffic"
-    net_blocks = sum(
-        diff.count_diff for diff in after.compare_to(before, "filename")
-    )
-    # A byte-budgeted ring holds a few more or fewer frames depending on
-    # their sizes; each is one record tuple and its timestamp.
-    ring_drift = 2 * abs(len(recorder.capture) - frames_before)
-    budget = len(packet_module._pool) + NET_BLOCK_SLACK + ring_drift
-    assert net_blocks <= budget, (
-        f"armed steady-state slice kept {net_blocks} allocation blocks "
-        f"(budget {budget}) across {packets_moved} packets in netsim + obs"
-    )
     assert server_fb.equals(channel.console.framebuffer)
+
+
+def test_warmed_session_slice_is_allocation_free():
+    _session_slices(
+        [
+            tracemalloc.Filter(True, "*/repro/netsim/packet.py"),
+            tracemalloc.Filter(True, "*/repro/netsim/link.py"),
+            tracemalloc.Filter(True, "*/repro/netsim/engine.py"),
+            tracemalloc.Filter(True, "*/repro/netsim/switch.py"),
+        ],
+        armed=False,
+    )
+
+
+def test_armed_session_slice_allocates_nothing_per_packet():
+    """The same slices with the flight recorder armed (bounded tracer and
+    frame ring, as the runner arms them by default): a traced packet
+    costs one hop record per link while it is in flight and nothing that
+    outlives the rings.  Once those are full, netsim + obs hold as many
+    blocks after a slice as before it, however many packets moved."""
+    _session_slices(
+        [
+            tracemalloc.Filter(True, "*/repro/netsim/*"),
+            tracemalloc.Filter(True, "*/repro/obs/*"),
+        ],
+        armed=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,51 +163,45 @@ def test_armed_session_slice_allocates_nothing_per_packet():
 
 def test_warmed_sink_slice_is_allocation_free():
     """Fig 11's background load — trains from the server to an endpoint
-    with no receive hook — recycles its packets and arrival records."""
-    _warmed_sink_slice(anonymous=False)
+    with no receive hook — keeps no packet and no arrival record."""
+    _warmed_sink_slices(anonymous=False)
 
 
 def test_warmed_train_slice_is_allocation_free():
     """The same load as the generator sends it: anonymous trains, which
-    build no packet at all and recycle their records at the switch port
-    and at the sink."""
-    _warmed_sink_slice(anonymous=True)
+    build no packet at all and keep no record at the switch port or at
+    the sink."""
+    _warmed_sink_slices(anonymous=True)
 
 
-def _warmed_sink_slice(anonymous: bool) -> None:
-    sim = Simulator()
-    network = Network(sim, default_rate_bps=100e6)
-    network.attach(Endpoint("server"))
-    sink = network.attach(Endpoint("sink"))
-
-    def run_slice(rounds: int) -> None:
-        for _ in range(rounds):
-            network.send_burst(
-                Train("server", "sink", [1200] * 12)
-                if anonymous
-                else [Packet.acquire("server", "sink", 1200) for _ in range(12)]
-            )
-            sim.run_until(sim.now + 1.2e-3)  # about what the train occupies
-
-    run_slice(40)
-    received = sink.packets_received
-    filters = [tracemalloc.Filter(True, "*/repro/netsim/*")]
+def _warmed_sink_slices(anonymous: bool) -> None:
     tracemalloc.start()
     try:
-        before = tracemalloc.take_snapshot().filter_traces(filters)
-        run_slice(200)
-        after = tracemalloc.take_snapshot().filter_traces(filters)
+        sim = Simulator()
+        network = Network(sim, default_rate_bps=100e6)
+        network.attach(Endpoint("server"))
+        sink = network.attach(Endpoint("sink"))
+
+        def run_slice(rounds: int) -> None:
+            for _ in range(rounds):
+                network.send_burst(
+                    Train("server", "sink", [1200] * 12)
+                    if anonymous
+                    else [Packet("server", "sink", 1200) for _ in range(12)]
+                )
+                sim.run_until(sim.now + 1.2e-3)  # about what the train occupies
+
+        run_slice(40)
+        _assert_nothing_kept_per_packet(
+            [tracemalloc.Filter(True, "*/repro/netsim/*")],
+            run_slice,
+            100,
+            lambda: sink.packets_received,
+            SINK_PACKETS_PER_BLOCK,
+        )
     finally:
         tracemalloc.stop()
-    assert sink.packets_received - received > 2000
     assert sim.events_processed == 0
-    net_blocks = sum(
-        diff.count_diff for diff in after.compare_to(before, "filename")
-    )
-    budget = len(packet_module._pool) + NET_BLOCK_SLACK
-    assert net_blocks <= budget, (
-        f"sink slice kept {net_blocks} allocation blocks (budget {budget})"
-    )
 
 
 def _trickle(sim, link, on_step=lambda sent: None) -> int:
@@ -239,7 +209,7 @@ def _trickle(sim, link, on_step=lambda sent: None) -> int:
     sent = 0
     for _ in range(1000):
         for _ in range(3):
-            link.send(Packet.acquire("src", "sink", 500))
+            link.send(Packet("src", "sink", 500))
             sent += 1
             on_step(sent)
         sim.run_until(sim.now + 1.6e-3)
@@ -306,38 +276,31 @@ def test_a_ports_record_stays_as_short_as_the_wire():
     assert sink.packets_received == 3000 and not inbox
 
 
-def test_a_sink_bound_packet_is_recycled_once_at_its_arrival():
-    """The arrival record owns the pooled packet until its instant is
-    due — so a tap set on that link mid-run still finds the frames on
-    the wire — and the fold releases it exactly once."""
+def test_a_sink_bound_packet_is_credited_once_at_its_arrival():
+    """The finish record keeps the packet until it folds — so a tap set
+    on that link mid-run still finds the frames on the wire — and the
+    arrival record credits the sink at the arrival instant, not before."""
     arrivals = []
     sim, _, link = one_link_to_a_sink(lambda packet: arrivals.append(sim.now))
 
     def send_five(link):
-        ids = []
         for seq in range(5):
             datagram = Datagram(seq=seq, index=0, count=1, payload=b"x" * 8)
-            packet = Packet.acquire("src", "sink", 1000, payload=datagram)
-            ids.append(packet.packet_id)
-            link.send(packet)
-        return ids
+            link.send(Packet("src", "sink", 1000, payload=datagram))
 
     send_five(link)
     sim.run()
 
     sim, sink, link = one_link_to_a_sink()
-    with Releases(sim) as releases:
-        ids = send_five(link)  # finish at 1..5 ms, arrive 1 ms later
-        sim.run_until(2.5e-3)
-        assert sink.packets_received == 1
-        ring = RingSlimcapWriter()
-        link.capture = ring  # packets 2, 3 and 4 have yet to finish
-        for arrive in arrivals[1:]:
-            sim.run_until(arrive - 1e-6)
-            before = sink.packets_received
-            sim.run_until(arrive)
-            assert sink.packets_received == before + 1
-    assert [releases.by_packet[i] for i in ids] == [1] * 5
-    assert all(releases.at[i] >= arrive for i, arrive in zip(ids, arrivals))
+    send_five(link)  # finish at 1..5 ms, arrive 1 ms later
+    sim.run_until(2.5e-3)
+    assert sink.packets_received == 1
+    ring = RingSlimcapWriter()
+    link.capture = ring  # packets 2, 3 and 4 have yet to finish
+    for arrive in arrivals[1:]:
+        sim.run_until(arrive - 1e-6)
+        before = sink.packets_received
+        sim.run_until(arrive)
+        assert sink.packets_received == before + 1
     frames = SlimcapReader.from_bytes(ring.dump_bytes()).records()
     assert [r.datagram.seq for r in frames if r.datagram is not None] == [2, 3, 4]

@@ -273,3 +273,22 @@ class TestTelemetry:
         assert reencodes is not None and reencodes.value > 0
         latency = registry.get("transport.channel.recovery_latency_seconds")
         assert latency is not None and latency.count > 0
+
+    def test_make_driver_reports_to_the_channels_registry(self):
+        """A registry handed to the channel reaches the driver and its
+        encoder too: the same instruments as a run installed under it."""
+        from repro.runcontext import use_run
+
+        def session(**kwargs):
+            channel = DisplayChannel(FrameBuffer(96, 64), **kwargs)
+            driver = channel.make_driver(track_baselines=False)
+            run_session(channel, driver, updates=3, width=96, height=64)
+
+        passed, ambient = MetricsRegistry(), MetricsRegistry()
+        session(registry=passed)
+        with use_run(registry=ambient):
+            session()
+        names = {instrument.name for instrument in passed}
+        assert names == {instrument.name for instrument in ambient}
+        assert {"encoder.commands", "server.driver.updates"} <= names
+        assert any(name.startswith("span.server.") for name in names)

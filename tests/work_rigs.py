@@ -100,12 +100,12 @@ def switch_forward() -> Counts:
 
 
 def switch_burst() -> Counts:
-    """The star driven with pooled packet trains through ``send_burst``."""
+    """The star driven with packet trains through ``send_burst``."""
     return _star(
         STAR_TRAINS,
         STAR_TRAIN,
         lambda network, src, dst, flow: network.send_burst(
-            [Packet.acquire(src, dst, 1000, flow=flow) for _ in range(STAR_TRAIN)]
+            [Packet(src, dst, 1000, flow=flow) for _ in range(STAR_TRAIN)]
         ),
     )
 
