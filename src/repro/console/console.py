@@ -36,8 +36,8 @@ from repro.framebuffer.framebuffer import FrameBuffer
 from repro.netsim.backend import SimulationBackend
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint
-from repro.runcontext import RunContext, current_run
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.runcontext import current_run
+from repro.telemetry.metrics import get_registry
 from repro.units import ETHERNET_100
 
 #: Command-queue occupancy buckets (the Sun Ray buffers a few hundred).
@@ -74,11 +74,9 @@ class Console:
             queued commands is generous.
         link_rate_bps: Capacity advertised to the bandwidth allocator.
         record_service_times: Keep per-command service times (Figure 7).
-        registry: Telemetry sink; defaults to the current run's
-            registry (a no-op unless telemetry is enabled).
-        obs: Run context; defaults to the current one (usually
-            empty).  Supplies the causal tracer that stamps
-            decode-start and paint times on traced commands.
+
+    The causal tracer of the run it is built under, if any, stamps
+    decode-start and paint times on traced commands.
     """
 
     def __init__(
@@ -91,8 +89,6 @@ class Console:
         queue_limit: int = 512,
         link_rate_bps: float = ETHERNET_100,
         record_service_times: bool = False,
-        registry: Optional[MetricsRegistry] = None,
-        obs: Optional[RunContext] = None,
     ) -> None:
         self.framebuffer = FrameBuffer(width, height)
         self.timing = timing if timing is not None else MicroOpModel()
@@ -110,9 +106,8 @@ class Console:
         self.on_input: Optional[Callable[[cmd.Command], None]] = None
         #: Virtual clock used when running stand-alone (no simulator).
         self.virtual_time = 0.0
-        obs = obs if obs is not None else current_run()
-        self._trace = obs.tracer
-        self._metrics = registry if registry is not None else get_registry()
+        self._trace = current_run().tracer
+        self._metrics = get_registry()
         if self._metrics.enabled:
             m = self._metrics
             self._m_dropped = m.counter("console.decode.dropped", console=address)

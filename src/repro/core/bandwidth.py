@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BandwidthError
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.telemetry.metrics import get_registry
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,9 @@ class TieredAllocator:
         promote_pressure: Level below which the link counts as clear.
         demote_after: Consecutive congested observations before demoting.
         promote_after: Consecutive clear observations before promoting.
-        registry: Telemetry sink; tier transitions are counted as
-            ``bw.tier.transitions`` labeled by direction and new tier.
+
+    Tier transitions are counted as ``bw.tier.transitions`` (labeled by
+    direction and new tier) in the registry of the run it is built under.
     """
 
     def __init__(
@@ -215,7 +216,6 @@ class TieredAllocator:
         promote_pressure: float = 0.15,
         demote_after: int = 2,
         promote_after: int = 6,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if not tiers:
             raise BandwidthError("at least one quality tier is required")
@@ -240,7 +240,7 @@ class TieredAllocator:
         self._tier_index: Dict[int, int] = {}
         self._congested_streak = 0
         self._clear_streak = 0
-        self._metrics = registry if registry is not None else get_registry()
+        self._metrics = get_registry()
 
     # -- request management --------------------------------------------------
     def request(self, client_id: int, bits_per_second: float) -> None:

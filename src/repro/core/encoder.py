@@ -34,7 +34,7 @@ from repro.core import cscs_codec
 from repro.framebuffer.framebuffer import FrameBuffer
 from repro.framebuffer.painter import PaintKind, PaintOp
 from repro.framebuffer.regions import Rect, tile_rect
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.telemetry.metrics import get_registry
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,12 @@ class SlimEncoder:
         materialize: When True, commands carry real payloads read from (or
             synthesised consistently with) the server framebuffer.  When
             False, commands carry geometry only; wire sizes are identical.
-        registry: Telemetry sink; defaults to the current run's
-            registry (a no-op unless telemetry is enabled).
     """
 
     def __init__(
         self,
         config: Optional[EncoderConfig] = None,
         materialize: bool = True,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config or EncoderConfig()
         self.materialize = materialize
@@ -85,7 +82,7 @@ class SlimEncoder:
         #: fidelity; below that, media and image content is sent as a
         #: subsampled CSCS coarse pass the console scales up locally.
         self.quality_scale = 1.0
-        self._metrics = registry if registry is not None else get_registry()
+        self._metrics = get_registry()
 
     def set_quality(self, scale: float) -> None:
         """Set the tier quality scale (fraction of full-fidelity bytes).

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,14 +94,6 @@ def unpack_bits(data: bytes, count: int, bits: int) -> np.ndarray:
     fields = stream.reshape(count, bits)
     weights = (1 << np.arange(bits - 1, -1, -1)).astype(np.uint16)
     return (fields * weights).sum(axis=1).astype(np.uint8)
-
-
-def _pack_rect(rect: Rect) -> bytes:
-    if not (0 <= rect.x <= 0xFFFF and 0 <= rect.y <= 0xFFFF):
-        raise WireFormatError(f"rect origin out of range: {rect}")
-    if not (rect.w <= 0xFFFF and rect.h <= 0xFFFF):
-        raise WireFormatError(f"rect size out of range: {rect}")
-    return _RECT.pack(rect.x, rect.y, rect.w, rect.h)
 
 
 def _pack_rect_into(buf: bytearray, offset: int, rect: Rect) -> int:
@@ -400,13 +392,6 @@ class WireCodec:
             )
             for i in range(count)
         ]
-
-    def fragment_all(self, messages: Iterable[cmd.Command]) -> List[Datagram]:
-        """Fragment a sequence of messages in order."""
-        datagrams: List[Datagram] = []
-        for message in messages:
-            datagrams.extend(self.fragment(message))
-        return datagrams
 
     # -- receiving -----------------------------------------------------------
     def accept(self, datagram: Datagram) -> Optional[Tuple[cmd.Command, int]]:

@@ -217,17 +217,12 @@ def main(argv=None) -> int:
     # registry; the end-of-run telemetry report still keys off --metrics.
     registry = MetricsRegistry() if collect or sampling else None
     collection = (
-        TimeSeriesCollection(
-            window=args.timeseries_window, registry=registry
-        )
+        TimeSeriesCollection(window=args.timeseries_window)
         if sampling
         else None
     )
     config = ExperimentConfig(
-        seed=args.seed,
-        duration=args.duration,
-        n_users=args.users,
-        registry=registry,
+        seed=args.seed, duration=args.duration, n_users=args.users
     )
 
     # Sampling also installs a tracer so windows (and SLO health events)
@@ -259,12 +254,11 @@ def main(argv=None) -> int:
         )
     progress = None
     if args.dashboard:
-        progress = DashboardMonitor(
-            collection, target_sim_seconds=args.duration
-        )
+        progress = DashboardMonitor(target_sim_seconds=args.duration)
     elif args.progress:
         progress = ProgressMonitor(target_sim_seconds=args.duration)
-    # One context for the run: only what was asked for is replaced, so
+    # One context for the run, and the only hand-off: nothing armed is
+    # passed to a constructor.  Only what was asked for is replaced, so
     # an embedding caller's own registry or observers stay in place.
     armed = {
         "registry": registry,

@@ -18,7 +18,7 @@ behaviour of the same network.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from repro.loadgen.yardstick import NetworkYardstick
 from repro.netsim.backend import LocalBackend
 from repro.netsim.profiles import get_profile
 from repro.netsim.transport import Endpoint, Network
-from repro.telemetry.metrics import MetricsRegistry
 from repro.transport import DisplayChannel
 from repro.units import ETHERNET_100
 from repro.workloads.apps import NETSCAPE
@@ -60,13 +59,10 @@ def run_lossy_session(
     loss_rate: float,
     updates: int = DEFAULT_UPDATES,
     seed: int = DEFAULT_SEED,
-    registry: Optional[MetricsRegistry] = None,
 ) -> DisplayChannel:
     """Drive one display session to convergence over a lossy fabric."""
     server_fb = FrameBuffer(DISPLAY_W, DISPLAY_H)
-    channel = DisplayChannel(
-        server_fb, loss_rate=loss_rate, seed=seed, registry=registry
-    )
+    channel = DisplayChannel(server_fb, loss_rate=loss_rate, seed=seed)
     driver = channel.make_driver(track_baselines=False)
     rng = np.random.default_rng(seed)
     display = NETSCAPE.display_model()
@@ -146,12 +142,9 @@ def yardstick_on_profile(
 def run(config: ExperimentConfig) -> ExperimentResult:
     seed = config.get("seed", DEFAULT_SEED)
     updates = int(config.get("updates", DEFAULT_UPDATES))
-    registry = config.resolved_registry()
     rows = []
     for loss_rate in LOSS_RATES:
-        channel = run_lossy_session(
-            loss_rate, updates=updates, seed=seed, registry=registry
-        )
+        channel = run_lossy_session(loss_rate, updates=updates, seed=seed)
         server = channel.server_channel.stats
         console = channel.console_channel.stats
         uplink = channel.network.uplink("server")

@@ -9,7 +9,7 @@ paper's evaluation section.
 
 Experiments register themselves with the :func:`experiment` decorator and
 receive a typed :class:`ExperimentConfig` carrying the common knobs
-(seed, duration, number of simulated users, telemetry registry)::
+(seed, duration, number of simulated users)::
 
     @experiment("fig9", title="Interactive latency under CPU load",
                 section="6.1")
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.telemetry.metrics import MetricsRegistry, get_registry
 
 
 @dataclass
@@ -56,7 +55,7 @@ class ExperimentResult:
 
 #: Typed fields of :class:`ExperimentConfig`; everything else lands in
 #: ``extra``.
-_TYPED_FIELDS = ("seed", "duration", "n_users", "registry")
+_TYPED_FIELDS = ("seed", "duration", "n_users")
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,6 @@ class ExperimentConfig:
         seed: Root RNG seed for the simulated user population.
         duration: Simulated seconds to run (where applicable).
         n_users: Number of simulated users / sessions.
-        registry: Telemetry sink threaded through to instrumented
-            components; ``None`` defers to the current run's registry.
         extra: Experiment-specific keyword overrides (e.g. ``suite=``
             for table4).
     """
@@ -80,7 +77,6 @@ class ExperimentConfig:
     seed: Optional[int] = None
     duration: Optional[float] = None
     n_users: Optional[int] = None
-    registry: Optional[MetricsRegistry] = None
     extra: Dict[str, object] = field(default_factory=dict)
 
     def get(self, name: str, default: object = None) -> object:
@@ -89,10 +85,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             return default if value is None else value
         return self.extra.get(name, default)
-
-    def resolved_registry(self) -> MetricsRegistry:
-        """The telemetry sink to use: explicit, else the global one."""
-        return self.registry if self.registry is not None else get_registry()
 
     def with_overrides(self, **overrides: object) -> "ExperimentConfig":
         """A copy with keyword overrides folded in."""

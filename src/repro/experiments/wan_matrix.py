@@ -52,7 +52,6 @@ from repro.netsim.transport import Endpoint, Network
 from repro.obs.slo import KEYSTROKE_ECHO, SloEngine
 from repro.obs.timeseries import RunSeries
 from repro.runcontext import current_run
-from repro.telemetry.metrics import MetricsRegistry
 from repro.units import ETHERNET_1G, MBPS
 from repro.workloads.apps import ADVERSITY_APPS
 
@@ -135,7 +134,6 @@ class CellProbe:
         adaptive: bool,
         seconds: float = DEFAULT_CELL_SECONDS,
         seed: int = DEFAULT_PROBE_SEED,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.profile = profile
         self.demand_bps = demand_bps
@@ -149,7 +147,6 @@ class CellProbe:
             console_addr="console",
             server_addr="server",
             warmup=1.0,
-            registry=registry,
         )
         self.display_bytes_received = 0
 
@@ -173,8 +170,7 @@ class CellProbe:
         self.allocator: Optional[TieredAllocator] = None
         if adaptive:
             self.allocator = TieredAllocator(
-                capacity_bps=CAPACITY_HEADROOM * profile.down_rate_bps,
-                registry=registry,
+                capacity_bps=CAPACITY_HEADROOM * profile.down_rate_bps
             )
             self.allocator.request(1, demand_bps)
             self._rate_bps = self.allocator.effective_rate(1)
@@ -269,7 +265,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     workload_names = _resolve_names(
         config.get("workloads"), "SLIM_WAN_WORKLOADS", list(ADVERSITY_APPS)
     )
-    registry = config.resolved_registry()
+    registry = current_run().registry
     demands = workload_demands(
         n_users=config.n_users or userstudy.DEFAULT_N_USERS,
         duration=config.duration or userstudy.DEFAULT_DURATION,
@@ -293,7 +289,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                     adaptive=False,
                     seconds=cell_seconds,
                     seed=probe_seed,
-                    registry=registry,
                 ).run()
             _note_cell(adaptive_label)
             with _cell_label(collection, adaptive_label):
@@ -303,7 +298,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                     adaptive=True,
                     seconds=cell_seconds,
                     seed=probe_seed,
-                    registry=registry,
                 ).run()
             allocator = adaptive.allocator
             assert allocator is not None

@@ -22,7 +22,7 @@ from repro.netsim.backend import SimulationBackend
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Network
 from repro.runcontext import current_run
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.telemetry.metrics import get_registry
 
 #: The CPU yardstick's constants (Section 6.1).
 CPU_YARDSTICK_BURST = 0.030
@@ -67,9 +67,9 @@ class NetworkYardstick:
         server_addr: Address of the server endpoint.
         think: Think time between round trips.
         warmup: Samples taken before this time are discarded.
-        registry: Telemetry registry for the per-round RTT histogram
-            (``net.yardstick.rtt_seconds``); defaults to the ambient
-            registry, and costs nothing when telemetry is disabled.
+
+    Each round's RTT is observed in ``net.yardstick.rtt_seconds`` in the
+    registry of the run it is built under; free when that is disabled.
     """
 
     def __init__(
@@ -80,7 +80,6 @@ class NetworkYardstick:
         server_addr: str,
         think: float = NET_YARDSTICK_THINK,
         warmup: float = 0.0,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -92,7 +91,7 @@ class NetworkYardstick:
         self.lost = 0
         self._sent_at: Optional[float] = None
         self._seq = 0
-        m = registry if registry is not None else get_registry()
+        m = get_registry()
         self._m_rtt = (
             m.histogram(
                 "net.yardstick.rtt_seconds", buckets=YARDSTICK_RTT_BUCKETS

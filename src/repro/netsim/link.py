@@ -33,8 +33,8 @@ from repro.errors import SimulationError
 from repro.netsim.backend import SimulationBackend
 from repro.netsim.packet import Packet, Train
 from repro.obs.capture import KIND_DROP, KIND_FRAME, KIND_LOSS
-from repro.runcontext import RunContext, current_run
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.runcontext import current_run
+from repro.telemetry.metrics import get_registry
 
 #: Queue-depth histogram buckets (packets waiting behind the wire).
 QUEUE_DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
@@ -233,14 +233,11 @@ class Link:
             pass ``model.fresh()`` when configuring several links from
             one template.
         name: Label used in diagnostics.
-        registry: Telemetry sink; defaults to the current run's
-            registry (a no-op unless telemetry is enabled).
-        obs: Run context; defaults to the current one (usually
-            empty).  With a tracer in it, traced packets
-            get a hop record per admission (:attr:`Packet.hops`).  Wire
-            capture is separate: set :attr:`capture` on the links that
-            should record frames (the network taps uplinks only, so
-            each frame is captured exactly once).
+
+    Built under a run with a tracer, traced packets get a hop record per
+    admission (:attr:`Packet.hops`).  Wire capture is separate: set
+    :attr:`capture` on the links that should record frames (the network
+    taps uplinks only, so each frame is captured exactly once).
     """
 
     def __init__(
@@ -255,8 +252,6 @@ class Link:
         jitter: float = 0.0,
         burst_loss: Optional[GilbertElliottLoss] = None,
         name: str = "link",
-        registry: Optional[MetricsRegistry] = None,
-        obs: Optional[RunContext] = None,
     ) -> None:
         if rate_bps <= 0:
             raise SimulationError(f"link rate must be positive, got {rate_bps}")
@@ -282,13 +277,12 @@ class Link:
         self.name = name
         self._stats = LinkStats()
         self._queued_bytes = 0
-        obs = obs if obs is not None else current_run()
-        self._traced = obs.tracer is not None
+        self._traced = current_run().tracer is not None
         self._capture = None
         self._frames: Optional[_FrameOrder] = None
         #: ``tx_end`` of the last frame scheduled; a mid-run tap adds the rest.
         self._tapped_through = 0.0
-        self._metrics = registry if registry is not None else get_registry()
+        self._metrics = get_registry()
         # Pre-resolved telemetry handles (enablement is fixed here).
         self._m_bytes = self._m_packets = self._m_drops = None
         self._m_losses = self._m_queue_depth = self._m_residency = None

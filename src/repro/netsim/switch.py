@@ -9,13 +9,13 @@ link from the switch to the server) and a small forwarding latency.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.errors import SimulationError
 from repro.netsim.backend import SimulationBackend
 from repro.netsim.link import QUEUE_DEPTH_BUCKETS, Link
 from repro.netsim.packet import Packet
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.telemetry.metrics import get_registry
 
 
 class Switch:
@@ -26,8 +26,6 @@ class Switch:
         forwarding_delay: Fixed store-and-forward lookup latency applied
             to each packet before it is queued on the output port.
         name: Diagnostic label.
-        registry: Telemetry sink; defaults to the current run's
-            registry (a no-op unless telemetry is enabled).
     """
 
     def __init__(
@@ -35,7 +33,6 @@ class Switch:
         sim: SimulationBackend,
         forwarding_delay: float = 5e-6,
         name: str = "switch",
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if forwarding_delay < 0:
             raise SimulationError("forwarding delay cannot be negative")
@@ -48,7 +45,7 @@ class Switch:
         #: Admission order of the arrivals on record at lazy ports: the
         #: tie-break the engine's insertion counter gave their events.
         self._serial = itertools.count()
-        self._metrics = registry if registry is not None else get_registry()
+        self._metrics = get_registry()
         # Pre-resolved telemetry handles (enablement is fixed here).
         self._m_forwarded = self._m_unrouteable = self._m_queue_depth = None
         if self._metrics.enabled:

@@ -22,8 +22,7 @@ from repro.netsim.link import Link
 from repro.netsim.packet import Packet, Train
 from repro.netsim.profiles import NetworkProfile
 from repro.netsim.switch import Switch
-from repro.runcontext import RunContext, current_run
-from repro.telemetry.metrics import MetricsRegistry
+from repro.runcontext import current_run
 
 
 class Endpoint:
@@ -114,6 +113,9 @@ class Network:
     mirroring the paper's configuration (consoles and servers on a
     workgroup switch).  Asymmetric rates are supported so the server can
     have a faster uplink (the case studies use 1 Gbps server links).
+
+    The links report to the run current at :meth:`attach`, which builds
+    them; the uplink tap is the capture of the run current here.
     """
 
     def __init__(
@@ -122,15 +124,12 @@ class Network:
         default_rate_bps: float,
         propagation_delay: float = 5e-6,
         forwarding_delay: float = 5e-6,
-        registry: Optional[MetricsRegistry] = None,
-        obs: Optional[RunContext] = None,
     ) -> None:
         self.sim = sim
         self.default_rate_bps = default_rate_bps
         self.propagation_delay = propagation_delay
-        self._registry = registry
-        self._obs = obs if obs is not None else current_run()
-        self.switch = Switch(sim, forwarding_delay=forwarding_delay, registry=registry)
+        self._capture = current_run().capture
+        self.switch = Switch(sim, forwarding_delay=forwarding_delay)
         self._endpoints: Dict[str, Endpoint] = {}
         self._uplinks: Dict[str, Link] = {}   # endpoint -> switch
         self._downlinks: Dict[str, Link] = {}  # switch -> endpoint
@@ -181,8 +180,6 @@ class Network:
             deliver=self.switch.ingress,
             rng=up_rng,
             name=f"{endpoint.address}->switch",
-            registry=self._registry,
-            obs=self._obs,
             **up_params,
         )
         downlink = Link(
@@ -190,14 +187,12 @@ class Network:
             deliver=endpoint.deliver,
             rng=down_rng,
             name=f"switch->{endpoint.address}",
-            registry=self._registry,
-            obs=self._obs,
             **down_params,
         )
-        if self._obs.capture is not None:
+        if self._capture is not None:
             # Tap uplinks only: every frame enters the fabric exactly
             # once, so the capture sees each datagram exactly once.
-            uplink.capture = self._obs.capture
+            uplink.capture = self._capture
         uplink.enters(self.switch)
         downlink.feeds(endpoint)
         self.switch.attach_port(endpoint.address, downlink)

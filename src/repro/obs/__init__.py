@@ -18,8 +18,10 @@ per-event evidence:
   both for a run; the experiment CLI's ``--capture`` and
   ``--trace-events`` flags do this for you.
 
-Everything is off by default and the disabled path costs a single
-``is None`` check per hook — no allocations, no null objects.
+Nothing is installed unless a run installs it (the experiment CLI arms
+the :class:`FlightRecorder`'s bounded rings by default), and the
+disabled path costs a single ``is None`` check per hook — no
+allocations, no null objects.
 """
 
 from repro.obs.capture import (

@@ -198,28 +198,24 @@ class DashboardMonitor(ProgressMonitor):
     """The status line grown into an updating multi-line mini-dashboard.
 
     On every repaint the health line is followed by one sparkline row
-    per busy telemetry series, read from the run's time-series
-    collection.  The block repaints in place with cursor-up ANSI
-    sequences — across simulators too, the painter being the run's one
-    — so a long fleet run shows a rolling live picture instead of a
-    silent stretch.
+    per busy telemetry series, read from the current run's time-series
+    collection at each repaint.  The block repaints in place with
+    cursor-up ANSI sequences — across simulators too, the painter being
+    the run's one — so a long fleet run shows a rolling live picture
+    instead of a silent stretch.
 
     Args:
-        collection: The :class:`~repro.obs.timeseries.TimeSeriesCollection`
-            to render; defaults to the run's at each repaint.
         max_series: Sparkline rows shown (busiest series first).
         width: Sparkline width in characters.
     """
 
     def __init__(
         self,
-        collection=None,
         max_series: int = 6,
         width: int = 48,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
-        self.collection = collection
         self.max_series = max_series
         self.width = width
         self._lines_painted = 0
@@ -227,11 +223,7 @@ class DashboardMonitor(ProgressMonitor):
     def _series_rows(self) -> List[str]:
         from repro.analysis.textplot import render_sparkline
 
-        collection = (
-            self.collection
-            if self.collection is not None
-            else current_run().collection
-        )
+        collection = current_run().collection
         if collection is None or not collection.runs:
             return []
         run = max(collection.runs, key=lambda r: len(r.windows))

@@ -55,7 +55,6 @@ from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.runcontext import current_run
-from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -339,13 +338,11 @@ class TimeSeriesCollection:
         self,
         window: float = DEFAULT_WINDOW,
         max_windows: int = DEFAULT_MAX_WINDOWS,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if window <= 0:
             raise ReproError(f"window width must be positive, got {window}")
         self.window = float(window)
         self.max_windows = int(max_windows)
-        self.registry = registry
         self.runs: List[RunSeries] = []
         self._label: Optional[str] = None
         self._auto = 0
@@ -357,7 +354,7 @@ class TimeSeriesCollection:
         """A sampler feeding a new run of this collection, for ``sim``
         to call as an engine monitor (the run context adds one to every
         simulator built while the collection is installed)."""
-        sampler = TimeSeriesSampler(self.new_run(), registry=self.registry)
+        sampler = TimeSeriesSampler(self.new_run())
         self._samplers.append((sampler, sim))
         return sampler
 
@@ -584,35 +581,24 @@ class TimeSeriesSampler:
     boundary by a few hundred events — the documented trade for keeping
     the per-event hot path untouched.
 
-    The registry (unless one is passed) and the tracer are read through
-    the run context the sampler was built under, at each window close:
-    a shard program gives its worker's context a registry after the
-    worker's engine exists.  Whether a flight recorder is armed is asked
-    of the *current* context, so windows flushed after a run has ended
-    are stored but no longer graded.
+    The registry and the tracer are read through the run context the
+    sampler was built under, at each window close: a shard program gives
+    its worker's context a registry after the worker's engine exists.
+    Whether a flight recorder is armed is asked of the *current*
+    context, so windows flushed after a run has ended are stored but no
+    longer graded.
     """
 
     every = SAMPLER_EVERY
 
-    def __init__(
-        self,
-        run: RunSeries,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, run: RunSeries) -> None:
         self.run = run
-        self._registry = registry
         self._context = current_run()
         self._window_start = 0.0
         self._boundary = run.window
         self._last_counters: Dict[str, float] = {}
         self._last_gauges: Dict[str, float] = {}
         self._last_hists: Dict[str, Any] = {}
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        if self._registry is not None:
-            return self._registry
-        return self._context.registry
 
     # -- engine callback ---------------------------------------------------
     def __call__(self, sim) -> None:
@@ -635,7 +621,7 @@ class TimeSeriesSampler:
 
     # -- window bookkeeping ------------------------------------------------
     def _close_window(self, edge: float) -> None:
-        registry = self.registry
+        registry = self._context.registry
         counters: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
         histograms: Dict[str, Dict[str, Any]] = {}

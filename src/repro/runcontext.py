@@ -8,9 +8,13 @@ painter — hangs off one :class:`RunContext`, read with
     with use_run(registry=MetricsRegistry(), progress=ProgressMonitor()):
         ...  # components and simulators built here pick both up
 
-Components resolve ``registry`` / ``tracer`` / ``capture`` once, at
-construction, and guard their hot paths on what they found (``None``
-or a disabled registry costs one test per hook).  A
+This is the only way in — no constructor takes a registry, a tracer or
+a capture.  A component reads ``current_run()`` once, in its own
+constructor, and guards its hot paths on what it found (``None`` or a
+disabled registry costs one test per hook): it reports to the run it
+is *built under*, also after that ``with`` block exits.
+``Network.attach`` constructs the links, so a rig builds its network
+*and* attaches its endpoints inside the one block.  A
 :class:`~repro.netsim.engine.Simulator` asks the context to
 :meth:`~RunContext.attach` its periodic observers as it is built.  The
 root context holds nothing, so an unarmed run pays nothing.

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import SchedulerError
 from repro.netsim.backend import SimulationBackend
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.telemetry.metrics import get_registry
 
 #: Ready-queue length buckets (runnable bursts awaiting a CPU).
 RUN_QUEUE_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
@@ -80,8 +80,6 @@ class Scheduler:
         memory_mb: Physical memory; 0 disables the paging model.
         paging_slowdown: Burst-time multiplier per unit of memory
             oversubscription (demand/capacity - 1).
-        registry: Telemetry sink; defaults to the current run's
-            registry (a no-op unless telemetry is enabled).
     """
 
     def __init__(
@@ -92,7 +90,6 @@ class Scheduler:
         context_switch: float = 50e-6,
         memory_mb: float = 0.0,
         paging_slowdown: float = 4.0,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if num_cpus < 1:
             raise SchedulerError(f"need at least one CPU, got {num_cpus}")
@@ -109,7 +106,7 @@ class Scheduler:
         self._cpu_busy = [False] * num_cpus
         self._last_on_cpu: List[Optional[Task]] = [None] * num_cpus
         self.busy_time = 0.0
-        self._metrics = registry if registry is not None else get_registry()
+        self._metrics = get_registry()
         if self._metrics.enabled:
             m = self._metrics
             self._m_run_queue = m.histogram(

@@ -26,8 +26,8 @@ from repro.analysis.traces import UpdateRecord
 from repro.console.microops import MicroOpModel
 from repro.framebuffer.framebuffer import FrameBuffer
 from repro.framebuffer.painter import Painter, PaintOp
-from repro.runcontext import RunContext, current_run
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.runcontext import current_run
+from repro.telemetry.metrics import get_registry
 from repro.xproto.baseline import RawPixelDriver, XDriver
 
 #: Reference-CPU encode cost per output byte, tuned so that encoding
@@ -62,12 +62,10 @@ class SlimDriver:
             drivers so traces carry Figure 8's three-way comparison.
         send: Optional callback receiving each encoded command (wired to
             a network in the examples; None for pure trace collection).
-        registry: Telemetry sink; defaults to the current run's
-            registry (a no-op unless telemetry is enabled).
-        obs: Run context to take the tracer from; defaults to the
-            current one.  When it carries a causal tracer, every
-            :meth:`update` opens an update trace so the commands it
-            sends are grouped under one ``update_id``.
+
+    Built under a run with a causal tracer, every :meth:`update` opens
+    an update trace so the commands it sends are grouped under one
+    ``update_id``.
     """
 
     def __init__(
@@ -77,12 +75,8 @@ class SlimDriver:
         framebuffer: Optional[FrameBuffer] = None,
         track_baselines: bool = True,
         send: Optional[Callable[[cmd.DisplayCommand], None]] = None,
-        registry: Optional[MetricsRegistry] = None,
-        obs: Optional[RunContext] = None,
     ) -> None:
-        self.encoder = encoder or SlimEncoder(
-            materialize=framebuffer is not None, registry=registry
-        )
+        self.encoder = encoder or SlimEncoder(materialize=framebuffer is not None)
         self.cost_model = cost_model if cost_model is not None else MicroOpModel()
         self.framebuffer = framebuffer
         self._painter = Painter(framebuffer) if framebuffer is not None else None
@@ -91,8 +85,8 @@ class SlimDriver:
         self.raw_driver = RawPixelDriver() if track_baselines else None
         self.stats = DriverStats()
         self.records: List[UpdateRecord] = []
-        self._trace = (obs if obs is not None else current_run()).tracer
-        self._metrics = registry if registry is not None else get_registry()
+        self._trace = current_run().tracer
+        self._metrics = get_registry()
         if self._metrics.enabled:
             m = self._metrics
             self._m_updates = m.counter("server.driver.updates")

@@ -11,11 +11,11 @@ interactive yardstick on that sizing::
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Dict, List, Tuple
 
 from repro.errors import ReproError, WorkloadError
 from repro.experiments.fig9 import POOR_THRESHOLD, yardstick_latency
+from repro.tools import run_cli
 from repro.units import MBPS
 from repro.workloads.apps import BENCHMARK_APPS
 from repro.workloads.mixes import WorkgroupMix
@@ -116,4 +116,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main)

@@ -27,8 +27,6 @@ from repro.console.console import Console
 from repro.framebuffer.framebuffer import FrameBuffer
 from repro.netsim.backend import LocalBackend, SimulationBackend
 from repro.netsim.transport import Network
-from repro.runcontext import RunContext, current_run
-from repro.telemetry.metrics import MetricsRegistry
 from repro.transport.console import ConsoleChannel
 from repro.transport.server import DEFAULT_STATUS_INTERVAL, ServerChannel
 from repro.units import ETHERNET_100
@@ -54,9 +52,9 @@ class DisplayChannel:
             the status interval.
         damage_capacity: Server damage-map entries before eviction.
         queue_limit_bytes: Console downlink buffer size (tail drops).
-        registry: Telemetry sink threaded through every layer.
-        obs: Observability context threaded through every layer
-            (tracer + wire capture); defaults to the current one.
+
+    Every layer built here (and by :meth:`make_driver`) takes its
+    registry, tracer and wire capture from the run it is built under.
     """
 
     def __init__(
@@ -76,15 +74,10 @@ class DisplayChannel:
         recovery_encoder: Optional[SlimEncoder] = None,
         damage_capacity: int = 1024,
         queue_limit_bytes: Optional[int] = None,
-        registry: Optional[MetricsRegistry] = None,
-        obs: Optional[RunContext] = None,
     ) -> None:
-        obs = obs if obs is not None else current_run()
-        self.obs = obs
-        self.registry = registry
         self.sim = sim if sim is not None else LocalBackend()
         self.network = network if network is not None else Network(
-            self.sim, default_rate_bps=rate_bps, registry=registry, obs=obs
+            self.sim, default_rate_bps=rate_bps
         )
         self.framebuffer = framebuffer
         self.console = console if console is not None else Console(
@@ -92,8 +85,6 @@ class DisplayChannel:
             framebuffer.height,
             sim=self.sim,
             address=console_address,
-            registry=registry,
-            obs=obs,
         )
         if nack_timeout is None:
             nack_timeout = 2 * status_interval
@@ -103,8 +94,6 @@ class DisplayChannel:
             server_address=server_address,
             nack_delay=nack_delay,
             nack_timeout=nack_timeout,
-            registry=registry,
-            obs=obs,
         )
         self.server_channel = ServerChannel(
             framebuffer,
@@ -115,8 +104,6 @@ class DisplayChannel:
             recovery_encoder=recovery_encoder,
             damage_capacity=damage_capacity,
             status_interval=status_interval,
-            registry=registry,
-            obs=obs,
         )
         self.console_channel.attach(queue_limit_bytes=queue_limit_bytes)
         rng = np.random.default_rng(seed) if loss_rate > 0 else None
@@ -135,8 +122,6 @@ class DisplayChannel:
             encoder=encoder,
             framebuffer=self.framebuffer,
             send=self.send_command,
-            registry=self.registry,
-            obs=self.obs,
             **kwargs,
         )
 

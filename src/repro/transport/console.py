@@ -32,8 +32,8 @@ from repro.core.wire import Datagram, WireCodec
 from repro.console.console import Console
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint, Network
-from repro.runcontext import RunContext, current_run
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.runcontext import current_run
+from repro.telemetry.metrics import get_registry
 
 #: Recovery-latency histogram bounds, seconds.  Sized around the NACK
 #: machinery's own clocks (2 ms nack_delay, 100 ms nack_timeout) and
@@ -148,10 +148,9 @@ class ConsoleChannel:
             NACK is sent (the reorder-tolerance window, in time).
         nack_timeout: Seconds after which an unanswered NACK is resent
             (checked when a server SYNC arrives).
-        registry: Telemetry sink; defaults to the current run's.
-        obs: Run context; defaults to the current one (usually
-            empty).  Supplies the causal tracer that stamps
-            reassembly times and follows console->server traffic.
+
+    The causal tracer of the run it is built under, if any, stamps
+    reassembly times and follows console->server traffic.
     """
 
     def __init__(
@@ -161,8 +160,6 @@ class ConsoleChannel:
         server_address: str = "server",
         nack_delay: float = 0.002,
         nack_timeout: float = 0.1,
-        registry: Optional[MetricsRegistry] = None,
-        obs: Optional[RunContext] = None,
     ) -> None:
         if console.sim is None:
             raise ProtocolError("ConsoleChannel requires a simulator-attached console")
@@ -180,9 +177,8 @@ class ConsoleChannel:
         self.endpoint: Optional[Endpoint] = None
         self._tracker = _SeqTracker()
         self._pending: Dict[int, PendingRecovery] = {}
-        obs = obs if obs is not None else current_run()
-        self._trace = obs.tracer
-        self._metrics = registry if registry is not None else get_registry()
+        self._trace = current_run().tracer
+        self._metrics = get_registry()
         # Pre-resolved telemetry handles: hot paths pay one None test
         # when telemetry is disabled (enablement is fixed at construction).
         self._m_nacks = self._m_nack_bytes = self._m_latency = None

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.wire import Datagram, WireCodec
-from repro.runcontext import RunContext, current_run
+from repro.runcontext import current_run
 
 __all__ = ["DisplayRelaySender", "DisplayRelayReceiver"]
 
@@ -43,7 +43,6 @@ class DisplayRelaySender:
         src, dst: Endpoint addresses stamped on trace keys and captured
             frames (one logical flow per sender/receiver pair).
         delay: Boundary propagation delay; defaults to the lookahead.
-        obs: Run context; defaults to the current one.
     """
 
     def __init__(
@@ -54,11 +53,10 @@ class DisplayRelaySender:
         src: str = "relay:server",
         dst: str = "relay:console",
         delay: Optional[float] = None,
-        obs: Optional[RunContext] = None,
     ) -> None:
-        obs = obs if obs is not None else current_run()
-        self._trace = obs.tracer
-        self._capture = obs.capture
+        run = current_run()
+        self._trace = run.tracer
+        self._capture = run.capture
         self.ctx = ctx
         self.port = port
         self.dst_shard = dst_shard
@@ -102,15 +100,8 @@ class DisplayRelayReceiver:
     """Reassembles relayed commands and feeds a console, adopting the
     sender's causal trace so the stage partition stays telescoping."""
 
-    def __init__(
-        self,
-        ctx,
-        port: str,
-        console,
-        obs: Optional[RunContext] = None,
-    ) -> None:
-        obs = obs if obs is not None else current_run()
-        self._trace = obs.tracer
+    def __init__(self, ctx, port: str, console) -> None:
+        self._trace = current_run().tracer
         self.ctx = ctx
         self.console = console
         self.codec = WireCodec()

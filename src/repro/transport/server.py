@@ -31,8 +31,8 @@ from repro.framebuffer.framebuffer import FrameBuffer
 from repro.netsim.backend import SimulationBackend
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint, Network
-from repro.runcontext import RunContext, current_run
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.runcontext import current_run
+from repro.telemetry.metrics import get_registry
 from repro.transport.damage import DamageMap
 
 #: Server -> console display traffic flow label.
@@ -83,10 +83,9 @@ class ServerChannel:
         damage_capacity: Damage-map entries retained before eviction.
         status_interval: Status-exchange period, seconds.
         on_input: Callback for input events arriving from the console.
-        registry: Telemetry sink; defaults to the current run's.
-        obs: Run context; defaults to the current one (usually
-            empty).  Supplies the causal tracer that follows
-            each display command from here to the console's paint.
+
+    The causal tracer of the run it is built under, if any, follows
+    each display command from here to the console's paint.
     """
 
     def __init__(
@@ -100,8 +99,6 @@ class ServerChannel:
         damage_capacity: int = 1024,
         status_interval: float = DEFAULT_STATUS_INTERVAL,
         on_input: Optional[Callable[[cmd.Command], None]] = None,
-        registry: Optional[MetricsRegistry] = None,
-        obs: Optional[RunContext] = None,
     ) -> None:
         self.framebuffer = framebuffer
         self.network = network
@@ -116,7 +113,6 @@ class ServerChannel:
         self.recovery_encoder = recovery_encoder or SlimEncoder(
             config=EncoderConfig(tile_w=RECOVERY_TILE, tile_h=RECOVERY_TILE),
             materialize=True,
-            registry=registry,
         )
         self.stats = ServerChannelStats()
         #: Recent COPY commands as (seq, src, dst): a *delivered* COPY
@@ -129,9 +125,8 @@ class ServerChannel:
         self._confirmed_frontier = 0
         self._timer_active = False
         self._refresh_covering_seq = -1
-        obs = obs if obs is not None else current_run()
-        self._trace = obs.tracer
-        self._metrics = registry if registry is not None else get_registry()
+        self._trace = current_run().tracer
+        self._metrics = get_registry()
         # Pre-resolved telemetry handles: hot paths pay one None test
         # when telemetry is disabled (enablement is fixed at construction).
         self._m_recoveries = None

@@ -27,7 +27,7 @@ from repro.netsim.link import GilbertElliottLoss, Link
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint, Network
 from repro.obs import SlimcapReader, SlimcapWriter, TraceCollector
-from repro.runcontext import RunContext, use_run
+from repro.runcontext import use_run
 from repro.telemetry import MetricsRegistry, render_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "fabric_oracle.json"
@@ -202,20 +202,22 @@ def link_workload(
         if armed:
             log.arrived(p, sim.now)
 
-    link = Link(
-        sim,
-        rate_bps=10e6,
-        propagation_delay=20e-6,
-        deliver=on_deliver,
-        queue_limit_bytes=queue_limit,
-        loss_rate=loss_rate,
-        jitter=jitter,
-        burst_loss=burst_loss,
-        rng=rng if (loss_rate or jitter or burst_loss is not None) else None,
-        name="oracle",
-        registry=registry,
-        obs=RunContext(tracer=log) if armed else None,
-    )
+    observers = {"registry": registry, "tracer": log} if armed else {}
+    with use_run(**observers):
+        link = Link(
+            sim,
+            rate_bps=10e6,
+            propagation_delay=20e-6,
+            deliver=on_deliver,
+            queue_limit_bytes=queue_limit,
+            loss_rate=loss_rate,
+            jitter=jitter,
+            burst_loss=burst_loss,
+            rng=rng
+            if (loss_rate or jitter or burst_loss is not None)
+            else None,
+            name="oracle",
+        )
     writer = None
     if armed:
         writer = SlimcapWriter(Path(armed_dir) / "link.slimcap")
@@ -306,12 +308,6 @@ def star_workload(*, seed=5, loss_rate=0.0, use_burst=False, armed_dir=None):
     writer = (
         SlimcapWriter(Path(armed_dir) / "star.slimcap") if armed else None
     )
-    network = Network(
-        sim,
-        default_rate_bps=100e6,
-        registry=registry,
-        obs=RunContext(tracer=log, capture=writer) if armed else None,
-    )
     events = []
 
     def rx(name):
@@ -322,12 +318,21 @@ def star_workload(*, seed=5, loss_rate=0.0, use_burst=False, armed_dir=None):
 
         return receive
 
-    for name in ("a", "b", "c"):
-        network.attach(
-            Endpoint(name, on_receive=rx(name)),
-            loss_rate=loss_rate,
-            rng=np.random.default_rng(seed + ord(name)) if loss_rate else None,
-        )
+    observers = (
+        {"registry": registry, "tracer": log, "capture": writer}
+        if armed
+        else {}
+    )
+    with use_run(**observers):
+        network = Network(sim, default_rate_bps=100e6)
+        for name in ("a", "b", "c"):
+            network.attach(
+                Endpoint(name, on_receive=rx(name)),
+                loss_rate=loss_rate,
+                rng=np.random.default_rng(seed + ord(name))
+                if loss_rate
+                else None,
+            )
     plan = np.random.default_rng(seed + 99)
     names = ("a", "b", "c")
     serial = [0]

@@ -9,6 +9,7 @@ from repro.core.bandwidth import (
     TieredAllocator,
 )
 from repro.errors import BandwidthError
+from repro.runcontext import use_run
 from repro.telemetry.metrics import MetricsRegistry
 from repro.units import MBPS
 
@@ -310,7 +311,8 @@ class TestTieredAllocator:
 
     def test_transitions_recorded_in_stats_and_telemetry(self):
         registry = MetricsRegistry()
-        tiered = self.make(registry=registry)
+        with use_run(registry=registry):
+            tiered = self.make()
         tiered.request(1, 30 * MBPS)
         tiered.observe(0.9)
         tiered.observe(0.9)

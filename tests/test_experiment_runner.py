@@ -11,7 +11,6 @@ from repro.experiments.runner import (
     render_table,
     run_all,
 )
-from repro.telemetry import MetricsRegistry
 
 
 class TestResultAndRendering:
@@ -105,11 +104,6 @@ class TestConfig:
         assert config.seed == 1
         assert config.extra == {"suite": "x"}
 
-    def test_resolved_registry_prefers_explicit(self):
-        mine = MetricsRegistry()
-        assert ExperimentConfig(registry=mine).resolved_registry() is mine
-        assert not ExperimentConfig().resolved_registry().enabled
-
 
 class TestDecorator:
     def test_decorator_registers_and_wraps(self):
@@ -144,18 +138,6 @@ class TestDecorator:
 
         with pytest.raises(ReproError):
             run(42)
-
-    def test_config_threads_registry(self):
-        captured = {}
-
-        @experiment("decorator-registry-test")
-        def run(config):
-            captured["registry"] = config.resolved_registry()
-            return ExperimentResult("decorator-registry-test", "t")
-
-        mine = MetricsRegistry()
-        run(ExperimentConfig(registry=mine))
-        assert captured["registry"] is mine
 
 
 class TestRunSmoke:

@@ -147,11 +147,8 @@ class TestFleetSeriesAndSlo:
         from repro.experiments.fleet_scale import run
         from repro.obs.timeseries import TimeSeriesCollection
         from repro.runcontext import use_run
-        from repro.telemetry.metrics import MetricsRegistry
 
-        collection = TimeSeriesCollection(
-            window=600.0, registry=MetricsRegistry()
-        )
+        collection = TimeSeriesCollection(window=600.0)
         with use_run(collection=collection):
             result = run(n_users=400, duration=2 * 3600.0, shards=2)
         fleet = result.rows[-1]

@@ -177,15 +177,14 @@ class TestDashboardMonitor:
         from repro.obs.progress import DashboardMonitor
 
         out = io.StringIO()
-        monitor = DashboardMonitor(
-            collection=self.collection(), stream=out, min_interval=0.0
-        )
-        monitor.paint(FakeSim(now=6.0, events_processed=1200))
-        text = out.getvalue()
-        assert "sim 6.00s" in text
-        assert "net.pkts" in text and "|" in text
-        # Second repaint rewinds to the top of the painted block.
-        monitor.paint(FakeSim(now=7.0, events_processed=1300))
+        monitor = DashboardMonitor(stream=out, min_interval=0.0)
+        with use_run(collection=self.collection()):
+            monitor.paint(FakeSim(now=6.0, events_processed=1200))
+            text = out.getvalue()
+            assert "sim 6.00s" in text
+            assert "net.pkts" in text and "|" in text
+            # Second repaint rewinds to the top of the painted block.
+            monitor.paint(FakeSim(now=7.0, events_processed=1300))
         assert f"\x1b[{2}F" in out.getvalue()
 
     def test_one_block_repaints_across_simulators(self):
@@ -195,11 +194,9 @@ class TestDashboardMonitor:
         from repro.obs.progress import DashboardMonitor
 
         out = io.StringIO()
-        monitor = DashboardMonitor(
-            self.collection(), stream=out, min_interval=0.0, every=100
-        )
+        monitor = DashboardMonitor(stream=out, min_interval=0.0, every=100)
         simulators = 3
-        with use_run(progress=monitor):
+        with use_run(progress=monitor, collection=self.collection()):
             for _ in range(simulators):
                 sim = Simulator()
                 for i in range(250):
@@ -216,10 +213,8 @@ class TestDashboardMonitor:
         from repro.obs.progress import DashboardMonitor
 
         out = io.StringIO()
-        monitor = DashboardMonitor(
-            self.collection(), stream=out, min_interval=0.0
-        )
-        with use_run(progress=monitor):
+        monitor = DashboardMonitor(stream=out, min_interval=0.0)
+        with use_run(progress=monitor, collection=self.collection()):
             sim = Simulator()
             for i in range(20000):
                 sim.schedule(i * 1e-4, lambda: None)

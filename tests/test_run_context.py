@@ -4,19 +4,27 @@ Two kinds of test.  *Same outputs*: the runner with every observer armed
 at once, and a sharded run under sampling, must reproduce the shas
 frozen on the last commit that armed observers through five ambient
 seams (``tests/runner_oracle.py``).  *The structure is held*: one
-``global`` statement under ``src/repro``, none of the replaced names
-left to import, ``use_run`` nesting field-wise, and each observer firing
-on its own cadence from the engine's monitor list.
+``global`` statement under ``src/repro``, no parameter that hands an
+observer to a component, none of the replaced names left to import,
+``use_run`` nesting field-wise, and each observer firing on its own
+cadence from the engine's monitor list.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
+from repro.experiments import lossy_fabric
+from repro.experiments.runner import ExperimentConfig
+from repro.experiments.wan_matrix import CellProbe
 from repro.netsim.engine import Simulator
+from repro.netsim.profiles import get_profile
 from repro.obs import FlightRecorder, TimeSeriesCollection, TraceCollector
+from repro.obs.progress import DashboardMonitor
 from repro.runcontext import RunContext, current_run, use_run
 from repro.telemetry import MetricsRegistry
 
@@ -49,6 +57,46 @@ def test_one_global_statement_under_src():
         if isinstance(node, ast.Global)
     ]
     assert len(sites) == 1 and sites[0].startswith("runcontext.py:"), sites
+
+
+def test_observers_come_from_the_run_not_from_a_parameter():
+    """No ``registry=`` / ``obs=`` hand-off anywhere, no ``collection=``
+    on the dashboard, no registry on the config: a component reads the
+    run it is built under.  The two renderers take the registry they
+    *render*."""
+    sites = {
+        f"{path.relative_to(SRC).as_posix()}:{node.name}"
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg in ("registry", "obs")
+    }
+    assert sites == {
+        "telemetry/report.py:render_report",
+        "telemetry/report.py:render_json",
+    }
+    assert "collection" not in inspect.signature(DashboardMonitor).parameters
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} == {
+        "seed", "duration", "n_users", "extra"
+    }
+
+
+def test_a_wan_cell_reports_every_layer_to_the_run():
+    registry = MetricsRegistry()
+    with use_run(registry=registry):
+        CellProbe(get_profile("dsl"), 2e6, adaptive=True, seconds=2.0).run()
+    families = {instrument.name.rpartition(".")[0] for instrument in registry}
+    assert {"net.link", "net.switch", "net.yardstick", "bw.tier"} <= families
+
+
+def test_lossy_fabric_reports_its_probes_to_the_run():
+    registry = MetricsRegistry()
+    with use_run(registry=registry):
+        lossy_fabric.run(updates=2)
+    names = {instrument.name for instrument in registry}
+    assert "net.yardstick.rtt_seconds" in names
+    assert any(name.startswith("transport.channel.") for name in names)
 
 
 _REPLACED = (
@@ -183,9 +231,14 @@ def _run_events(sim, n):
 
 def test_observers_fire_on_their_own_cadences():
     painter = _Painter()
-    collection = _SpiedCollection(registry=MetricsRegistry())
+    collection = _SpiedCollection()
     recorder = FlightRecorder(out_dir=None)
-    with use_run(progress=painter, collection=collection, recorder=recorder):
+    with use_run(
+        registry=MetricsRegistry(),
+        progress=painter,
+        collection=collection,
+        recorder=recorder,
+    ):
         _run_events(Simulator(), 41_000)
     assert collection.calls == list(range(512, 41_000, 512))
     assert painter.calls == list(range(5000, 41_000, 5000))

@@ -366,11 +366,8 @@ class TestShardSeriesGathering:
     def test_series_gathered_and_merged_at_collect_barrier(self):
         from repro.obs.timeseries import TimeSeriesCollection
         from repro.runcontext import use_run
-        from repro.telemetry.metrics import MetricsRegistry
 
-        collection = TimeSeriesCollection(
-            window=1.0, registry=MetricsRegistry()
-        )
+        collection = TimeSeriesCollection(window=1.0)
         with use_run(collection=collection):
             with ShardedBackend(
                 2, build=build_series, lookahead=0.25

@@ -228,8 +228,9 @@ class TestInstrumentedComponents:
         from repro.server.slimdriver import SlimDriver
 
         reg = MetricsRegistry()
-        console = Console(width=64, height=64, registry=reg)
-        driver = SlimDriver(registry=reg, send=console.enqueue)
+        with use_run(registry=reg):
+            console = Console(width=64, height=64)
+            driver = SlimDriver(send=console.enqueue)
         driver.update(0.0, [PaintOp(PaintKind.FILL, Rect(0, 0, 32, 32))])
         assert reg.get("server.driver.updates").value == 1
         assert reg.get("console.decode.count", opcode="FILL").value == 1
@@ -242,9 +243,10 @@ class TestInstrumentedComponents:
 
         reg = MetricsRegistry()
         sim = Simulator()
-        net = Network(sim, default_rate_bps=100e6, registry=reg)
-        net.attach(Endpoint("a"))
-        net.attach(Endpoint("b"))
+        with use_run(registry=reg):
+            net = Network(sim, default_rate_bps=100e6)
+            net.attach(Endpoint("a"))
+            net.attach(Endpoint("b"))
         net.send(Packet(src="a", dst="b", nbytes=1000))
         sim.run()
         assert reg.get("net.link.bytes_sent", link="a->switch").value == 1000
@@ -256,7 +258,8 @@ class TestInstrumentedComponents:
 
         reg = MetricsRegistry()
         sim = Simulator()
-        sched = Scheduler(sim, num_cpus=1, registry=reg)
+        with use_run(registry=reg):
+            sched = Scheduler(sim, num_cpus=1)
         sched.spawn(PeriodicTask(burst=0.01, think=0.05))
         sim.run_until(1.0)
         assert reg.get("server.scheduler.cpu_seconds").value > 0

@@ -116,7 +116,8 @@ class TestSampler:
     def setup_method(self):
         self.registry = MetricsRegistry()
         self.run = RunSeries("test", window=1.0)
-        self.sampler = TimeSeriesSampler(self.run, registry=self.registry)
+        with use_run(registry=self.registry):
+            self.sampler = TimeSeriesSampler(self.run)
         self.sim = FakeSim()
 
     def test_counters_become_per_window_deltas(self):
@@ -312,8 +313,8 @@ class TestCollectionRoundTrip:
 
 class TestCollectTimeseries:
     def drive(self, events=1500, registry=None):
-        collection = TimeSeriesCollection(registry=registry)
-        with use_run(collection=collection):
+        collection = TimeSeriesCollection()
+        with use_run(registry=registry, collection=collection):
             sim = Simulator()
             counter = registry.counter("evt")
             for i in range(events):
@@ -354,8 +355,8 @@ class TestCollectTimeseries:
     def test_windows_carry_open_trace_ids(self):
         tracer = TraceCollector()
         registry = MetricsRegistry()
-        collection = TimeSeriesCollection(registry=registry)
-        with use_run(tracer=tracer, collection=collection):
+        collection = TimeSeriesCollection()
+        with use_run(registry=registry, tracer=tracer, collection=collection):
             sim = Simulator()
             probe = tracer.begin_probe("net.yardstick.round", 0.0)
             counter = registry.counter("evt")
@@ -369,8 +370,8 @@ class TestCollectTimeseries:
 
     def test_finish_samplers_flushes_mid_session(self):
         registry = MetricsRegistry()
-        collection = TimeSeriesCollection(registry=registry)
-        with use_run(collection=collection):
+        collection = TimeSeriesCollection()
+        with use_run(registry=registry, collection=collection):
             sim = Simulator()
             counter = registry.counter("evt")
             sim.schedule(0.25, counter.inc)

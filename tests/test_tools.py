@@ -107,23 +107,40 @@ class TestCapacityTool:
         assert "suggested sizing" in out
 
 
-@pytest.mark.parametrize("unreadable", ["missing", "100 random bytes"])
+_UNREADABLE_FILES = ("missing", "100 random bytes")
+
+
 @pytest.mark.parametrize(
-    "tool",
+    "tool, unreadable",
     [
-        ["repro.tools.slimcap"],
-        ["repro.tools.replay", "--bandwidth", "1000000"],
-        ["repro.tools.dashboard"],
-        ["repro.tools.postmortem"],
+        (tool, unreadable)
+        for tool in (
+            ["repro.tools.slimcap"],
+            ["repro.tools.replay", "--bandwidth", "1000000"],
+            ["repro.tools.dashboard"],
+            ["repro.tools.postmortem"],
+        )
+        for unreadable in _UNREADABLE_FILES
+    ]
+    + [
+        (["repro.tools.capacity", "--users"], "Photoshop=abc"),
+        (["repro.tools.capacity", "--users"], "Nope=3"),
     ],
-    ids=lambda argv: argv[0].rpartition(".")[2],
+    ids=lambda value: (
+        value[0].rpartition(".")[2] if isinstance(value, list) else value
+    ),
 )
 def test_an_unreadable_file_is_one_line_and_exit_2(tool, unreadable, tmp_path):
-    path = tmp_path / "input"
-    if unreadable != "missing":
-        path.write_bytes(os.urandom(100))
+    """``unreadable`` is the state of the file the tool is pointed at,
+    or (the planner reads no file) the argument it cannot parse."""
+    argument = unreadable
+    if unreadable in _UNREADABLE_FILES:
+        path = tmp_path / "input"
+        if unreadable != "missing":
+            path.write_bytes(os.urandom(100))
+        argument = str(path)
     done = subprocess.run(
-        [sys.executable, "-m", *tool, str(path)],
+        [sys.executable, "-m", *tool, argument],
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 2, done.stderr

@@ -16,6 +16,7 @@ from repro.core.commands import StatusKind
 from repro.core.wire import decode_message
 from repro.errors import ProtocolError
 from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
+from repro.runcontext import use_run
 from repro.telemetry.metrics import MetricsRegistry
 from repro.transport import DamageMap, DisplayChannel
 from repro.workloads.apps import NETSCAPE
@@ -259,10 +260,9 @@ class TestTelemetry:
     def test_recovery_metrics_recorded(self):
         registry = MetricsRegistry()
         server_fb = FrameBuffer(96, 64)
-        channel = DisplayChannel(
-            server_fb, loss_rate=0.2, seed=3, registry=registry
-        )
-        driver = channel.make_driver(track_baselines=False)
+        with use_run(registry=registry):
+            channel = DisplayChannel(server_fb, loss_rate=0.2, seed=3)
+            driver = channel.make_driver(track_baselines=False)
         run_session(channel, driver, updates=6, width=96, height=64)
         assert server_fb.equals(channel.console.framebuffer)
         assert registry.get("transport.channel.nacks_sent").value > 0
@@ -275,20 +275,13 @@ class TestTelemetry:
         assert latency is not None and latency.count > 0
 
     def test_make_driver_reports_to_the_channels_registry(self):
-        """A registry handed to the channel reaches the driver and its
-        encoder too: the same instruments as a run installed under it."""
-        from repro.runcontext import use_run
-
-        def session(**kwargs):
-            channel = DisplayChannel(FrameBuffer(96, 64), **kwargs)
+        """The driver and its encoder report where the channel does: to
+        the registry of the run they are built under."""
+        registry = MetricsRegistry()
+        with use_run(registry=registry):
+            channel = DisplayChannel(FrameBuffer(96, 64))
             driver = channel.make_driver(track_baselines=False)
-            run_session(channel, driver, updates=3, width=96, height=64)
-
-        passed, ambient = MetricsRegistry(), MetricsRegistry()
-        session(registry=passed)
-        with use_run(registry=ambient):
-            session()
-        names = {instrument.name for instrument in passed}
-        assert names == {instrument.name for instrument in ambient}
+        run_session(channel, driver, updates=3, width=96, height=64)
+        names = {instrument.name for instrument in registry}
         assert {"encoder.commands", "server.driver.updates"} <= names
         assert any(name.startswith("span.server.") for name in names)
