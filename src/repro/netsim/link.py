@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import weakref
+from math import inf
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -206,12 +207,14 @@ class Link:
     """One direction of a cable between two nodes.
 
     A FIFO wire is fully determined at admission (:meth:`admit`), so a
-    packet costs one event — its delivery — and a lost packet, or one
+    packet costs one event — its delivery — and a lost packet, one
     whose next hop nobody hears (an endpoint with no receive hook, the
-    switch port that feeds one: :meth:`_rearm`), none; statistics stay
-    exact at any sample time through pending-credit records settled
-    lazily against the clock.  Hop records, capture tap and telemetry
-    consume that one path (DESIGN.md section 16).
+    switch port that feeds one: :meth:`_rearm`) or one bound for a
+    switch port that already has an event due in time to admit it
+    (:meth:`_cover`), none; statistics stay exact at any sample time
+    through pending-credit records settled lazily against the clock.
+    Hop records, capture tap and telemetry consume that one path
+    (DESIGN.md section 16).
 
     Args:
         sim: The event engine.
@@ -323,18 +326,22 @@ class Link:
         #: receive hook, credited to it once the arrival instant is due.
         self._pending_arr: Deque[tuple] = deque()
         #: The switch at the far end, once :meth:`enters` has named it,
-        #: and this link's inbox at each of its lazy ports.
+        #: and this link's inbox at each port it has left arrivals at.
         self._switch = None
         self._outboxes: dict = {}
         #: The switch this link is an output port of, whether arrivals
-        #: for it go on record instead of on the heap (nobody hears this
-        #: hop: :meth:`_rearm`), and the records: per feeding link, a
-        #: FIFO of (arrive, admission serial, nbytes, carrier).
+        #: for it may go on record instead of on the heap and whether
+        #: somebody hears what it delivers (:meth:`_rearm`), and the
+        #: records: per feeding link, a FIFO of (arrive, admission
+        #: serial, nbytes, carrier).
         self._port_of = None
-        self._lazy = False
+        self._on_record = False
+        self._heard = True
         self._inboxes: list = []
-        #: Packets in flight on the no-jitter path, delivered FIFO.
+        #: Packets in flight on the no-jitter path, delivered FIFO; the
+        #: instant the last of them is due, and of the last wake.
         self._transit: Deque[Packet] = deque()
+        self._due = self._wake_at = 0.0
         self._deliver_cb = self._deliver_next
         self._fold_in = FOLD_EVERY
 
@@ -350,25 +357,28 @@ class Link:
 
     def enters(self, switch) -> None:
         """Name the switch this link delivers into: an arrival for an
-        output port nobody hears (:meth:`_rearm`) goes on its record."""
+        output port that needs no event to admit it (:meth:`admit`)
+        goes on the port's record."""
         self._switch = switch
 
     def _rearm(self) -> None:
         """The receive hook at the far end, or the tap, has changed.
 
         What is due by the horizon stays credited; the rest — arrivals
-        on record for this port, arrival credits, frames on the wire —
-        become events and frames again, in their original order.
+        on record for a port that can keep none any more, arrival
+        credits, frames on the wire — become events and frames again,
+        in their original order.  A port that stays on record and is
+        heard has an event due by its earliest arrival (:meth:`_cover`).
         """
         self._settle()
         sink = self._sink
-        hooked = sink is None or sink._on_receive is not None
+        hooked = self._heard = sink is None or sink._on_receive is not None
         tapped = self._capture is not None
         self._watched = self._always_watched or tapped
         switch = self._port_of
-        self._lazy = switch is not None and not (hooked or tapped or self.jitter)
+        self._on_record = switch is not None and not (tapped or self.jitter)
         schedule_at = self.sim.schedule_at
-        if not self._lazy:
+        if not self._on_record:
             # Admission serials are unique: carriers are never compared.
             for arrive, _, nbytes, carrier in sorted(itertools.chain(*self._inboxes)):
                 schedule_at(
@@ -381,6 +391,9 @@ class Link:
             arrive, nbytes, carrier = pend.popleft()
             self._transit.append(_as_packet(carrier, nbytes))
             schedule_at(arrive, self._deliver_cb)
+            self._due = arrive
+        if hooked:
+            self._cover()
         if tapped:
             since = max(self.sim.now, self._tapped_through)
             for finish, start, _, lost, carrier in self._pending_fin:
@@ -420,7 +433,26 @@ class Link:
         for inbox in self._inboxes:
             if inbox and inbox[0][0] <= through:
                 self.admit(self._port_of.forward_due(self, through))
+                if self._heard:
+                    self._cover()
                 return
+
+    def _cover(self) -> None:
+        """A heard port admits each arrival on record no later than the
+        arrival's own delivery: the earliest one left has a delivery
+        due here at or after it (the one that empties the wire folds,
+        and a fold pulls first), or one wake at its instant."""
+        first = min((inbox[0][0] for inbox in self._inboxes if inbox), default=None)
+        if (
+            first is not None
+            and first != self._wake_at
+            and not (self._transit and self._due >= first)
+        ):
+            self._wake_at = first
+            self.sim.schedule_at(first, self._wake)
+
+    def _wake(self) -> None:
+        self._pull(self.sim.now)
 
     def _fold(self, ref: float) -> None:
         """Settle everything that happened by ``ref``: here — arrivals on
@@ -544,7 +576,7 @@ class Link:
         switch = self._switch
         if switch is not None:
             ports, serial = switch._ports, switch._serial
-        dst = inbox = dropped = None
+        dst = port = inbox = dropped = horizon = None
         busy = self._busy_until
         quiet = 0
         # A packet's position in the run: the finish records appended
@@ -557,10 +589,24 @@ class Link:
                 if limit is not None or depth is not None:
                     # Occupancy as of ``ready``: settle what has left the
                     # queue by then, but only *look* past the horizon
-                    # (reads at ``now`` must stay exact).
-                    asof = min(ready, sim.horizon)
+                    # (reads at ``now`` must stay exact).  The horizon is
+                    # the clock for the whole run — unless it is a drained
+                    # engine's, which this run's first event ends.
+                    if horizon is None or horizon == inf:
+                        horizon = sim.horizon
+                    asof = ready if ready < horizon else horizon
                     if starts and starts[0][0] <= asof:
-                        self._fold_starts(asof)
+                        # _fold_starts, in place: this is every queued packet.
+                        stats, residency = self._stats, self._m_residency
+                        freed, waited = 0, stats.queue_delay_total
+                        while starts and starts[0][0] <= asof:
+                            _, size, wait, _ = starts.popleft()
+                            freed += size
+                            waited += wait
+                            if residency is not None:
+                                residency.observe(wait)
+                        self._queued_bytes -= freed
+                        stats.queue_delay_total = waited
                     if ready > asof and starts and starts[0][0] <= ready:
                         for rec in starts:
                             if rec[0] > ready:
@@ -618,28 +664,35 @@ class Link:
                     partial(self._deliver_next, _as_packet(carrier, nbytes)),
                 )
                 continue
+            arrive = finish + delay
             if switch is not None and carrier.dst != dst:
                 dst = carrier.dst
                 port = ports.get(dst)
-                inbox = None
-                if port is not None and port._lazy:
-                    inbox = self._outboxes.get(port)
-                    if inbox is None:
-                        inbox = self._outboxes[port] = deque()
-                        port._inboxes.append(inbox)
-            if inbox is not None:
-                # Nobody hears this hop: the arrival goes on the port's record.
-                inbox.append((finish + delay, next(serial), nbytes, carrier))
+                if port is not None and not port._on_record:
+                    port = None
+                inbox = self._outboxes.get(port)
+            if port is not None and (
+                inbox
+                or not port._heard
+                or (port._transit and port._due >= arrive)
+            ):
+                # Nobody hears this hop, or an event already due on the
+                # port admits it in time: the arrival goes on its record.
+                if inbox is None:
+                    inbox = self._outboxes[port] = deque()
+                    port._inboxes.append(inbox)
+                inbox.append((arrive, next(serial), nbytes, carrier))
                 quiet += 1
             elif absorbs:
                 # Nobody receives it: the arrival is one more pending credit.
-                self._pending_arr.append((finish + delay, nbytes, carrier))
+                self._pending_arr.append((arrive, nbytes, carrier))
                 quiet += 1
             else:
                 self._transit.append(
                     carrier.packet(nbytes) if carrier.__class__ is Train else carrier
                 )
-                sim.schedule_at(finish + delay, self._deliver_cb)
+                sim.schedule_at(arrive, self._deliver_cb)
+                self._due = arrive
         self._busy_until = busy
         if quiet:
             # No delivery to fold at, so admissions keep the books short.

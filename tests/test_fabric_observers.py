@@ -421,6 +421,48 @@ def test_arming_observers_adds_no_events_to_a_display_session(tmp_path):
     assert ring.frames_written > 0  # the tap really was on the path
 
 
+def test_arming_observers_adds_no_events_to_a_past_the_knee_cell(tmp_path):
+    """Background load into a *hooked* server behind a backlogged port:
+    which hops ride the port's record is decided by the port's own
+    schedule, never by what is armed."""
+    _same_events_whatever_the_flags(work_rigs.inbound_knee, tmp_path)
+
+
+@pytest.mark.parametrize("hook", [None, lambda packet: None], ids=["sink", "hooked"])
+def test_a_port_admitting_late_sees_the_queue_each_arrival_saw(hook):
+    """``net.switch.queue_depth`` is the port as of each *arrival*, and
+    a port admitting its record late settles to each packet's ``ready``
+    — 5 us of forwarding delay later, past the next arrival when
+    54-byte frames come 4.32 us apart.  Such an arrival looks before
+    the port settles, and the one histogram over all ports is filed in
+    arrival order: count, sum and the order-sensitive quantiles are
+    those of an event per arrival, whoever hears the port."""
+    from repro.netsim.transport import Endpoint, Network
+
+    registry = MetricsRegistry()
+    with use_run(registry=registry):
+        sim = Simulator()
+        network = Network(sim, default_rate_bps=100e6)
+        for address in ("a", "b"):
+            network.attach(Endpoint(address))
+        network.attach(Endpoint("sink", on_receive=hook))
+        for when, src, count, nbytes in (
+            (0.0, "a", 4, 1190), (100e-6, "b", 60, 54), (430e-6, "a", 60, 54),
+        ):
+            sim.schedule_at(
+                when,
+                lambda s=src, c=count, n=nbytes: network.send_burst(
+                    [Packet(s, "sink", n) for _ in range(c)]
+                ),
+            )
+        sim.run()
+    depth = registry.get("net.switch.queue_depth", switch="switch")
+    assert (depth.count, depth.sum) == (124, 3773)
+    assert depth.quantiles() == {
+        0.5: 33.32133656891852, 0.9: 49.12051106982398, 0.99: 54.90355570297807,
+    }
+
+
 def test_a_run_ending_on_an_absorbed_arrival_is_the_same_armed_and_bare(tmp_path):
     """Whether a delivery costs an event depends on the endpoint having
     a receive hook, never on what is armed: the Fig 11 rig (yardstick

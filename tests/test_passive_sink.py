@@ -10,7 +10,8 @@ engine's event count:
   occupancy, utilization and endpoint counters at random mid-run
   instants and after a drained ``run()``, conserves packets at every
   sample, and differs in ``events_processed`` by exactly the arrivals
-  absorbed plus the hops into the switch that no event carried;
+  absorbed plus the hops into the switch that no event carried (less
+  the wakes a heard port needed for what it kept on record);
 * the same script sent as anonymous :class:`Train` records and as one
   ``send`` per packet reads the same everywhere, events included,
   and hooked endpoints hear the same packets at the same instants;
@@ -105,6 +106,25 @@ def _script(star):
     return sends, samples
 
 
+def _link_readings(links, window=None):
+    """Every statistic a link exposes, per link, and the packets that
+    died on them (lost, dropped).  Reading settles each link."""
+    per_link = []
+    lost = dropped = 0
+    for link in links:
+        stats = link.stats
+        lost += stats.packets_lost
+        dropped += stats.packets_dropped
+        per_link.append(
+            (
+                stats.packets_sent, stats.bytes_sent, stats.packets_dropped,
+                stats.packets_lost, stats.queue_delay_total, stats.busy_time,
+                link.queue_depth, link.queued_bytes, link.utilization(window),
+            )
+        )
+    return per_link, lost, dropped
+
+
 def _run_star(star, passive: bool = True, sent_as: str = "scripted"):
     """The star as drawn (``passive``) or with a no-op hook on every
     hook-less endpoint.  Each scripted send goes out as scripted (a
@@ -172,21 +192,22 @@ def _run_star(star, passive: bool = True, sent_as: str = "scripted"):
 
     links = [network.uplink(name) for name in names]
     links += [network.downlink(name) for name in names]
+    # Every wake a heard port schedules for an arrival on its record
+    # that no delivery covers is one call here.
+    woken = [0]
+
+    def counting(wake):
+        def counted():
+            woken[0] += 1
+            wake()
+
+        return counted
+
+    for link in links:
+        link._wake = counting(link._wake)
 
     def reading(window=None):
-        per_link = []
-        lost = dropped = 0
-        for link in links:
-            stats = link.stats
-            lost += stats.packets_lost
-            dropped += stats.packets_dropped
-            per_link.append(
-                (
-                    stats.packets_sent, stats.bytes_sent, stats.packets_dropped,
-                    stats.packets_lost, stats.queue_delay_total, stats.busy_time,
-                    link.queue_depth, link.queued_bytes, link.utilization(window),
-                )
-            )
+        per_link, lost, dropped = _link_readings(links, window)
         endpoints = [
             (network.endpoint(n).packets_received, network.endpoint(n).bytes_received)
             for n in names
@@ -209,6 +230,7 @@ def _run_star(star, passive: bool = True, sent_as: str = "scripted"):
             "events": sim.events_processed,
             "absorbed": absorbed,
             "carried": carried[0],
+            "woken": woken[0],
             "now": sim.now,
         }
 
@@ -233,10 +255,17 @@ def test_passive_sink_is_a_counting_hook(star):
         assert ours["links"] == theirs["links"]
         assert ours["endpoints"] == theirs["endpoints"]
         # What the passive star saves, exactly: the arrivals its sinks
-        # absorb, and the hops into the switch that no event carried
-        # (the hooked twin's every hop is an ``ingress`` event).
+        # absorb, and the hops into the switch that no event carried.
+        # In either twin a hop into a port somebody hears rides the
+        # port's record while a delivery already due there admits it in
+        # time, so neither twin's every hop is an ``ingress`` event any
+        # more; a record such a port is left holding with no delivery
+        # due costs one wake, the only event there is besides the
+        # senders' ticks, the carried hops and the deliveries heard.
         assert theirs["events"] - ours["events"] == (
-            ours["absorbed"] + theirs["carried"] - ours["carried"]
+            ours["absorbed"]
+            + (theirs["carried"] - ours["carried"])
+            + (theirs["woken"] - ours["woken"])
         )
     for ours, theirs in zip(passive, hooked):
         assert ours["now"] == theirs["now"]
@@ -331,7 +360,11 @@ def test_a_hook_assigned_mid_run_hears_the_rest_of_an_anonymous_train():
     """The same contract one hop upstream, for packets that have no
     object yet: at the assignment the third is a pending arrival credit
     and the last two are still on the sink port's record at the switch.
-    Each becomes an event again, carrying a packet built for it."""
+    The credit becomes a delivery event; the two on record stay there,
+    because that delivery (4.005 ms) is due after the fourth reaches
+    the port (4.0 ms) and the fourth's (6.505 ms) after the fifth does
+    (5.5 ms): each delivery admits the next, which is built a packet
+    then — three events in all, where an ``ingress`` apiece made five."""
 
     def hear(into, clock):
         return lambda packet: into.append(
@@ -357,9 +390,11 @@ def test_a_hook_assigned_mid_run_hears_the_rest_of_an_anonymous_train():
     assert network.switch.packets_forwarded == 3
     got = []
     sink.on_receive = hear(got, [sim])
-    assert sim.pending == 3  # one delivery, two hops into the switch
+    assert sim.pending == 1  # the delivery; it covers what is on record
     assert (sink.packets_received, sink.bytes_received) == (2, 1000)
+    fired = sim.events_processed
     sim.run()
+    assert sim.events_processed - fired == 3  # no wake, no ``ingress``
     assert got == arrivals[2:]
     assert (sink.packets_received, sink.bytes_received) == (5, 4500)
     assert network.switch.packets_forwarded == 5

@@ -1,9 +1,10 @@
-"""Six small seeded rigs whose work counters are exact.
+"""Seven small seeded rigs whose work counters are exact.
 
 Each rig drives one slice of the system — the switched star per packet
-and per train, the Fig 11 contention cell, a display session, the
-reliable channel under loss, a WAN adversity cell — at a fixed size on
-a fixed seed, checks its own correctness, and returns raw counts.
+and per train, the Fig 11 contention cell and its past-the-knee inbound
+twin, a display session, the reliable channel under loss, a WAN
+adversity cell — at a fixed size on a fixed seed, checks its own
+correctness, and returns raw counts.
 ``tests/test_work_counters.py`` pins those counts with ``==``;
 ``tests/test_fabric_observers.py`` runs the same rigs under every
 observer flag.  The sizes are constants: changing one changes the
@@ -39,6 +40,10 @@ STAR_TRAINS = 64  # switch_burst: trains per node ...
 STAR_TRAIN = 8  # ... of this many packets
 YARDSTICK_USERS = 8
 YARDSTICK_SECONDS = 8.0
+INBOUND_USERS = 64  # inbound_knee: generators, half on each peer ...
+INBOUND_LOAD = 1.04  # ... together offering this share of the server's link
+INBOUND_BUFFER = 128 * 1024
+INBOUND_SECONDS = 1.0
 SESSION_SIZE = (320, 240)
 SESSION_ROUNDS = 2
 LOSSY_UPDATES = 6
@@ -164,6 +169,64 @@ def yardstick_load() -> Counts:
         "packets": sum(g.packets_emitted for g in generators)
         + len(yardstick.rtts) * 2,
         "rtt_samples": len(yardstick.rtts),
+    }
+
+
+def inbound_knee() -> Counts:
+    """Past the knee: two peers send background trains at a *hooked*
+    server behind a bounded switch port, which backlogs and tail-drops."""
+    sim = LocalBackend()
+    network = Network(sim, default_rate_bps=ETHERNET_100)
+    deliveries = [0]
+
+    def hear(_packet) -> None:
+        deliveries[0] += 1
+
+    network.attach(
+        Endpoint("server", on_receive=hear), queue_limit_bytes=INBOUND_BUFFER
+    )
+    network.attach(Endpoint("peer0"))
+    network.attach(Endpoint("peer1"))
+    per_user = round(INBOUND_LOAD * ETHERNET_100 / 8 / INBOUND_USERS)
+    profile = ResourceProfile(
+        application="Netscape",
+        user="inbound",
+        interval=1.0,
+        cpu=[0.05],
+        net_bytes=[per_user],
+        memory_mb=32.0,
+    )
+    rng = np.random.default_rng(SEED)
+    generators = []
+    for index in range(INBOUND_USERS):
+        generator = NetworkLoadGenerator(
+            sim,
+            network,
+            src=f"peer{index % 2}",
+            dst="server",
+            profile=profile,
+            pattern=TrafficPattern(updates_per_second=5.0, active_fraction=0.9),
+            rng=np.random.default_rng(int(rng.integers(0, 2**63))),
+            flow=f"bg{index}",
+        )
+        generator.start()
+        generators.append(generator)
+    sim.run_until(INBOUND_SECONDS)
+    packets = sum(g.packets_emitted for g in generators)
+    port = network.downlink("server")
+    drops = port.stats.packets_dropped
+    in_flight = packets - deliveries[0] - drops
+    assert drops, "the port never filled"
+    # What has neither arrived nor died fits in the port's buffer plus
+    # what the wires and the switch hold.
+    assert 0 <= in_flight <= INBOUND_BUFFER // 64 + 6, "packets went missing"
+    assert deliveries[0] == network.endpoint("server").packets_received
+    return {
+        "sim_events": sim.events_processed,
+        "sim_seconds": sim.now,
+        "packets": packets,
+        "drops": drops,
+        "deliveries": deliveries[0],
     }
 
 
