@@ -32,6 +32,9 @@ CPU_YARDSTICK_THINK = 0.150
 NET_YARDSTICK_REQUEST_NBYTES = 64
 NET_YARDSTICK_RESPONSE_NBYTES = 1200
 NET_YARDSTICK_THINK = 0.150
+#: A round unanswered for this long is lost (not the paper's: the
+#: simulator's retry guard).
+NET_YARDSTICK_TIMEOUT = 0.5
 
 #: RTT histogram bounds, seconds: sub-ms LAN detail through the 150 ms
 #: interactivity cadence up to multi-second bufferbloat, so windowed
@@ -70,6 +73,11 @@ class NetworkYardstick:
 
     Each round's RTT is observed in ``net.yardstick.rtt_seconds`` in the
     registry of the run it is built under; free when that is disabled.
+    A lost round is observed there too, at what the console waited
+    before giving up: :data:`NET_YARDSTICK_TIMEOUT`, or 0 for a request
+    the buffer refused on the spot — so an all-timeouts second has a
+    keystroke verdict.
+    ``rtts``, ``lost`` and :meth:`mean_rtt` count answered rounds only.
     """
 
     def __init__(
@@ -155,19 +163,23 @@ class NetworkYardstick:
         )
         delivered = self.network.send(request)
         if not delivered:
-            self._handle_loss(seq)
+            self._handle_loss(seq, waited=0.0)
             return
         # Guard against response loss: retry if no answer in 500 ms.
-        self.sim.schedule(0.5, lambda: self._check_timeout(seq))
+        self.sim.schedule(
+            NET_YARDSTICK_TIMEOUT, lambda: self._check_timeout(seq)
+        )
 
     def _check_timeout(self, seq: int) -> None:
         if self._sent_at is not None and self._seq == seq:
-            self._handle_loss(seq)
+            self._handle_loss(seq, waited=NET_YARDSTICK_TIMEOUT)
 
-    def _handle_loss(self, seq: int) -> None:
+    def _handle_loss(self, seq: int, waited: float) -> None:
         if self._seq != seq:
             return
         self.lost += 1
+        if self._m_rtt is not None and self.sim.now >= self.warmup:
+            self._m_rtt.observe(waited)
         self._sent_at = None
         self._close_probe()
         self.sim.schedule(self.think, self._send_request)

@@ -1,7 +1,7 @@
-"""repro.obs — causal update tracing and SLIM wire capture.
+"""repro.obs — causal tracing, wire capture, windowed series and SLOs.
 
 The observability layer turns the telemetry subsystem's aggregates into
-per-event evidence:
+per-event and per-second evidence:
 
 * :class:`~repro.obs.causal.TraceCollector` assigns a ``trace_id``
   where each display update (or input event) is born and follows it
@@ -14,9 +14,14 @@ per-event evidence:
   ``python -m repro.tools.slimcap`` turns a capture into Table-4-style
   per-command statistics, latency tables, NACK/retransmission
   timelines, and Chrome ``trace_event`` JSON.
-* :func:`repro.runcontext.use_run` (``tracer=``, ``capture=``) installs
-  both for a run; the experiment CLI's ``--capture`` and
-  ``--trace-events`` flags do this for you.
+* :class:`~repro.obs.timeseries.TimeSeriesCollection` rolls the
+  registry into sim-time windows, a series per simulator;
+  :class:`~repro.obs.slo.SloEngine` grades them, and the
+  :class:`FlightRecorder` freezes its rings on the same grader's word.
+* :func:`repro.runcontext.use_run` (``tracer=``, ``capture=``,
+  ``collection=``, ``recorder=``) installs them for a run; the
+  experiment CLI's ``--capture``, ``--trace-events``, ``--timeseries``
+  and ``--slo`` flags do this for you.
 
 Nothing is installed unless a run installs it (the experiment CLI arms
 the :class:`FlightRecorder`'s bounded rings by default), and the

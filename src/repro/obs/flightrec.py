@@ -42,17 +42,11 @@ from repro.obs.capture import RingSlimcapWriter, SlimcapWriter
 from repro.obs.causal import MessageTrace, TraceCollector
 from repro.obs.slo import (
     INTERACTIVITY_SLOS,
-    LOSS_BURST_MIN,
-    TIER_THRASH_MIN,
     SloEngine,
     SloSpec,
+    WindowGrader,
 )
-from repro.obs.timeseries import (
-    RunSeries,
-    TimeSeriesCollection,
-    window_value,
-    write_jsonl,
-)
+from repro.obs.timeseries import RunSeries, TimeSeriesCollection, write_jsonl
 
 __all__ = [
     "FlightRecorder",
@@ -64,18 +58,6 @@ __all__ = [
 BUNDLE_FORMAT = "slimpm"
 BUNDLE_VERSION = 1
 BUNDLE_SUFFIX = ".slimpm"
-
-#: Counter prefixes whose windowed deltas constitute a loss burst.
-_LOSS_PREFIXES = ("net.link.packets_lost", "net.link.packets_dropped")
-_TIER_PREFIX = "bw.tier.transitions"
-
-_SLO_FAMILY = {
-    "counter_rate": "counters",
-    "counter_delta": "counters",
-    "gauge": "gauges",
-    "histogram_quantile": "histograms",
-    "histogram_mean": "histograms",
-}
 
 
 def _slug(text: str) -> str:
@@ -125,7 +107,16 @@ class FlightRecorder:
         self.max_bundles = max_bundles
         self.config = dict(config or {})
         self.armed = True
-        self._tripped: Dict[Tuple[str, str], int] = {}
+        #: The policy: the event kinds that freeze the rings, and the
+        #: streak each fires at.  Tight-budget specs fire on the first
+        #: violating window; loose ones (tier residency burns 25% budget
+        #: by design) need a 3-window streak first.  A kind not listed
+        #: (queue build-up) is advisory.
+        self._freeze_at: Dict[str, int] = {"loss_burst": 1, "tier_thrash": 1}
+        for spec in self.specs:
+            self._freeze_at[spec.event_kind] = 1 if spec.budget <= 0.10 else 3
+        self._graders: Dict[str, WindowGrader] = {}
+        self._fired: set = set()
         self._bundle_seq = itertools.count(1)
         self._phase: Optional[str] = None
         #: Shard evidence absorbed at the collect barrier.
@@ -179,87 +170,33 @@ class FlightRecorder:
 
     # -- telemetry window stream -------------------------------------------
     def observe_window(self, run_label: str, record: Dict[str, Any]) -> None:
-        """One telemetry window just closed; ring it and check triggers."""
+        """One telemetry window just closed; ring it, have the run's
+        grader grade it, and freeze the rings on the verdicts that
+        warrant it."""
         if not self.armed:
             return
         self.windows.append((run_label, record))
-        self._check_window(run_label, record)
-
-    def observe_run(self, run: RunSeries) -> None:
-        """An already-windowed run was adopted (merged shard series at a
-        collect barrier); stream its windows through the checks."""
-        for record in run.windows:
-            self.observe_window(run.label, record)
-
-    def _check_window(self, run_label: str, record: Dict[str, Any]) -> None:
-        for spec in self.specs:
-            family = record.get(_SLO_FAMILY[spec.kind], {})
-            for key in family:
-                if not spec.matches(key):
-                    continue
-                value = window_value(record, key, spec.kind, spec.quantile)
-                # Tight-budget specs trigger on the first violating
-                # window; loose ones (tier residency burns 25% budget
-                # by design) need a 3-window streak first.  Each
-                # (run, spec) pair fires at most once — the bundle
-                # already freezes everything there is to see.
-                required = 1 if spec.budget <= 0.10 else 3
-                tripped = (run_label, spec.name)
-                streak = self._tripped.get(tripped, 0)
-                if value is None or spec.passes(value):
-                    if 0 < streak < required:
-                        self._tripped.pop(tripped)
-                    continue
-                streak += 1
-                self._tripped[tripped] = streak
-                if streak == required:
-                    self.trigger(
-                        spec.event or f"{spec.name}_violation",
-                        run=run_label,
-                        series=key,
-                        value=value,
-                        threshold=spec.threshold,
-                        trace_ids=list(record.get("trace_ids", [])),
-                        detail=spec.description,
-                        window=(record["t0"], record["t1"]),
-                    )
-        lost = sum(
-            delta
-            for key, delta in record.get("counters", {}).items()
-            if key.startswith(_LOSS_PREFIXES)
-        )
-        if lost >= LOSS_BURST_MIN and not self._tripped.get(
-            (run_label, "loss_burst")
-        ):
-            self._tripped[(run_label, "loss_burst")] = 1
-            self.trigger(
-                "loss_burst",
-                run=run_label,
-                series="net.link.packets_lost+dropped",
-                value=float(lost),
-                threshold=float(LOSS_BURST_MIN),
-                trace_ids=list(record.get("trace_ids", [])),
-                detail=f"{lost:g} packets lost/dropped in one window",
-                window=(record["t0"], record["t1"]),
+        grader = self._graders.get(run_label)
+        if grader is None:
+            grader = self._graders[run_label] = WindowGrader(
+                self.specs, run_label
             )
-        thrash = sum(
-            delta
-            for key, delta in record.get("counters", {}).items()
-            if key.startswith(_TIER_PREFIX)
-        )
-        if thrash >= TIER_THRASH_MIN and not self._tripped.get(
-            (run_label, "tier_thrash")
-        ):
-            self._tripped[(run_label, "tier_thrash")] = 1
+        for event, streak in grader.grade(record):
+            # Each (run, kind) pair fires at most once — the bundle
+            # already freezes everything there is to see.
+            fired = (run_label, event.kind)
+            if streak != self._freeze_at.get(event.kind) or fired in self._fired:
+                continue
+            self._fired.add(fired)
             self.trigger(
-                "tier_thrash",
+                event.kind,
                 run=run_label,
-                series=_TIER_PREFIX,
-                value=float(thrash),
-                threshold=float(TIER_THRASH_MIN),
-                trace_ids=list(record.get("trace_ids", [])),
-                detail=f"{thrash:g} tier transitions in one window",
-                window=(record["t0"], record["t1"]),
+                series=event.series,
+                value=event.value,
+                threshold=event.threshold,
+                trace_ids=event.trace_ids,
+                detail=event.detail,
+                window=(event.t0, event.t1),
             )
 
     # -- engine cohort marks -----------------------------------------------

@@ -23,6 +23,7 @@ import time
 from typing import IO, List, Optional
 
 from repro.netsim.backend import SimulationBackend
+from repro.obs.timeseries import sparkline_rows
 from repro.runcontext import current_run
 from repro.telemetry.metrics import get_registry
 
@@ -221,14 +222,10 @@ class DashboardMonitor(ProgressMonitor):
         self._lines_painted = 0
 
     def _series_rows(self) -> List[str]:
-        from repro.analysis.textplot import render_sparkline
-
         collection = current_run().collection
         if collection is None or not collection.runs:
             return []
         run = max(collection.runs, key=lambda r: len(r.windows))
-        if not run.windows:
-            return []
         keys = run.series_keys()
         # Busiest series first: the ones present in the most windows.
         coverage = {
@@ -240,27 +237,11 @@ class DashboardMonitor(ProgressMonitor):
             for key, family in keys.items()
         }
         chosen = sorted(coverage, key=lambda k: (-coverage[k], k))
-        chosen = chosen[: self.max_series]
-        kind_of = {
-            "counter": "counter_rate",
-            "gauge": "gauge",
-            "histogram": "histogram_mean",
-        }
-        label_width = max((len(key) for key in chosen), default=0)
-        label_width = min(label_width, 44)
-        rows = []
-        for key in chosen:
-            points = run.values(key, kind_of[keys[key]])
-            if not points:
-                continue
-            values = [value for _t, value in points]
-            label = key if len(key) <= 44 else key[:41] + "..."
-            rows.append(
-                f"  {label:<{label_width}} "
-                f"|{render_sparkline(values, self.width)}| "
-                f"{values[-1]:.4g}"
-            )
-        return rows
+        return sparkline_rows(
+            run,
+            {key: keys[key] for key in chosen[: self.max_series]},
+            self.width,
+        )
 
     def _flightrec_row(self) -> List[str]:
         recorder = current_run().recorder

@@ -79,6 +79,25 @@ TIER_THRASH_MIN = 2
 #: Consecutive rising windows before a queue series counts as buildup.
 QUEUE_BUILDUP_RUN = 3
 
+#: The rules that sum label streams over one window:
+#: (event kind, event series, key prefixes, minimum, what was counted).
+_WINDOW_SUMS = (
+    (
+        "loss_burst",
+        "net.link.packets_lost+dropped",
+        ("net.link.packets_lost", "net.link.packets_dropped"),
+        LOSS_BURST_MIN,
+        "packets lost/dropped",
+    ),
+    (
+        "tier_thrash",
+        "bw.tier.transitions",
+        ("bw.tier.transitions",),
+        TIER_THRASH_MIN,
+        "tier transitions",
+    ),
+)
+
 
 @dataclass(frozen=True)
 class SloSpec:
@@ -124,6 +143,11 @@ class SloSpec:
 
     def passes(self, value: float) -> bool:
         return _OPS[self.op](value, self.threshold)
+
+    @property
+    def event_kind(self) -> str:
+        """The health-event kind a violating window of this spec opens."""
+        return self.event or f"{self.name}_violation"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -211,16 +235,26 @@ class SloResult:
     run: str
     spec: str
     series: str
-    windows: int
-    violations: int
     budget: float
-    burn: float
-    compliant: bool
+    windows: int = 0
+    violations: int = 0
     worst: Optional[Dict[str, float]] = None
 
     @property
     def ok_windows(self) -> int:
         return self.windows - self.violations
+
+    @property
+    def burn(self) -> float:
+        """Violations consumed / violations allowed (> 1: budget blown)."""
+        allowed = self.budget * self.windows
+        if allowed > 0:
+            return self.violations / allowed
+        return float("inf") if self.violations else 0.0
+
+    @property
+    def compliant(self) -> bool:
+        return self.violations <= self.budget * self.windows
 
     def to_dict(self) -> Dict[str, Any]:
         out = {
@@ -352,6 +386,154 @@ class SloReport:
         return "\n".join(lines)
 
 
+class WindowGrader:
+    """The one answer to "does this window violate": a streaming fold
+    over one run's windows, fed in time order.  :class:`SloEngine` folds
+    it over a stored run; the flight recorder feeds it each window as it
+    closes and keeps only the policy of which answers freeze its rings.
+    State is per series (a result, the open event), never an event list.
+
+    A *spec violation* is ``value op threshold`` failing for a series
+    the spec matches; adjacent violating windows extend one event (worst
+    value, union of trace ids) whose *streak* is how many it spans.  A
+    *loss burst* or *tier thrash* is the window's deltas, summed over
+    every label stream, reaching the minimum (:data:`_WINDOW_SUMS`): one
+    event per window.  *Queue build-up* is a ``*queue*`` gauge or
+    histogram mean rising :data:`QUEUE_BUILDUP_RUN` windows in a row.
+    """
+
+    def __init__(self, specs: Sequence[SloSpec], run_label: str) -> None:
+        self.specs = list(specs)
+        self.run = run_label
+        self._results: Dict[Tuple[int, str], SloResult] = {}
+        #: Per (spec, series): (the open event, its streak).
+        self._open: Dict[Tuple[int, str], Tuple[HealthEvent, int]] = {}
+        #: Per queue series, its rising run: [length, start t0, start
+        #: value, last value].
+        self._rising: Dict[str, List[float]] = {}
+
+    def grade(self, record: Dict[str, Any]) -> List[Tuple[HealthEvent, int]]:
+        """The events this window opened or extended, each with its
+        streak (1 = opened here).  An extended event is the object an
+        earlier call returned, widened in place."""
+        touched: List[Tuple[HealthEvent, int]] = []
+        keys = [
+            key
+            for family in ("counters", "gauges", "histograms")
+            for key in record.get(family, ())
+        ]
+        for index, spec in enumerate(self.specs):
+            for key in keys:
+                if spec.matches(key):
+                    touched.extend(self._grade_series(index, spec, key, record))
+        counters = record.get("counters", {})
+        for kind, series, prefixes, minimum, what in _WINDOW_SUMS:
+            total = sum(
+                delta
+                for key, delta in counters.items()
+                if key.startswith(prefixes)
+            )
+            if total >= minimum:
+                event = self._event(
+                    kind, series, record, float(total), float(minimum),
+                    f"{total:g} {what} in one window",
+                )
+                touched.append((event, 1))
+        for family, kind in (("gauges", "gauge"), ("histograms", "histogram_mean")):
+            for key in record.get(family, ()):
+                if "queue" in key:
+                    touched.extend(self._grade_queue(key, kind, record))
+        return touched
+
+    def results(self) -> List[SloResult]:
+        """One result per (spec, series) graded so far, in spec order."""
+        return [
+            self._results[at]
+            for at in sorted(self._results, key=lambda at: at[0])
+        ]
+
+    def _event(
+        self,
+        kind: str,
+        series: str,
+        record: Dict[str, Any],
+        value: float,
+        threshold: float,
+        detail: str,
+    ) -> HealthEvent:
+        return HealthEvent(
+            kind=kind,
+            run=self.run,
+            series=series,
+            t0=record["t0"],
+            t1=record["t1"],
+            value=value,
+            threshold=threshold,
+            trace_ids=list(record.get("trace_ids", ())),
+            detail=detail,
+        )
+
+    def _grade_series(
+        self, index: int, spec: SloSpec, key: str, record: Dict[str, Any]
+    ) -> List[Tuple[HealthEvent, int]]:
+        value = window_value(record, key, spec.kind, spec.quantile)
+        if value is None:
+            return []
+        at = (index, key)
+        result = self._results.get(at)
+        if result is None:
+            result = self._results[at] = SloResult(
+                self.run, spec.name, key, spec.budget
+            )
+        result.windows += 1
+        if spec.passes(value):
+            self._open.pop(at, None)
+            return []
+        result.violations += 1
+        if result.worst is None or _more_violating(
+            spec, value, result.worst["value"]
+        ):
+            result.worst = {"t0": record["t0"], "value": value}
+        event, streak = self._open.get(at, (None, 0))
+        if event is not None and abs(record["t0"] - event.t1) <= 1e-9:
+            # Contiguous violation: extend the open event.
+            event.t1 = record["t1"]
+            if _more_violating(spec, value, event.value):
+                event.value = value
+            event.trace_ids = sorted(
+                set(event.trace_ids) | set(record.get("trace_ids", ()))
+            )
+        else:
+            streak = 0
+            event = self._event(
+                spec.event_kind,
+                key, record, value, spec.threshold, spec.description,
+            )
+        self._open[at] = opened = (event, streak + 1)
+        return [opened]
+
+    def _grade_queue(
+        self, key: str, kind: str, record: Dict[str, Any]
+    ) -> List[Tuple[HealthEvent, int]]:
+        value = window_value(record, key, kind)
+        if value is None:
+            return []
+        state = self._rising.get(key)
+        if state is None or value <= state[3]:
+            state = self._rising[key] = [1, record["t0"], value, value]
+        else:
+            state[0] += 1
+            state[3] = value
+        if state[0] != QUEUE_BUILDUP_RUN or value <= 0:
+            return []
+        event = self._event(
+            "queue_buildup", key, record, value, state[2],
+            f"monotonic rise over {QUEUE_BUILDUP_RUN} windows",
+        )
+        event.t0 = state[1]
+        return [(event, 1)]
+
+
 class SloEngine:
     """Evaluates a spec set against windowed runs."""
 
@@ -369,171 +551,15 @@ class SloEngine:
         )
         report = SloReport(specs=self.specs)
         for run in runs:
-            keys = run.series_keys()
-            for spec in self.specs:
-                for key in keys:
-                    if spec.matches(key):
-                        self._evaluate_series(report, run, spec, key)
-            self._detect_loss_bursts(report, run, keys)
-            self._detect_tier_thrash(report, run, keys)
-            self._detect_queue_buildup(report, run, keys)
-        return report
-
-    # -- per-spec evaluation -----------------------------------------------
-    def _evaluate_series(
-        self, report: SloReport, run: RunSeries, spec: SloSpec, key: str
-    ) -> None:
-        windows = 0
-        violations = 0
-        worst: Optional[Dict[str, float]] = None
-        open_event: Optional[HealthEvent] = None
-        for record in run.windows:
-            value = window_value(record, key, spec.kind, spec.quantile)
-            if value is None:
-                continue
-            windows += 1
-            if spec.passes(value):
-                open_event = None
-                continue
-            violations += 1
-            if worst is None or _more_violating(spec, value, worst["value"]):
-                worst = {"t0": record["t0"], "value": value}
-            trace_ids = list(record.get("trace_ids", ()))
-            if (
-                open_event is not None
-                and record["t0"] <= open_event.t1 + 1e-9
-            ):
-                # Contiguous violation: extend the open event.
-                open_event.t1 = record["t1"]
-                if _more_violating(spec, value, open_event.value):
-                    open_event.value = value
-                open_event.trace_ids = sorted(
-                    set(open_event.trace_ids) | set(trace_ids)
-                )
-            else:
-                open_event = HealthEvent(
-                    kind=spec.event or f"{spec.name}_violation",
-                    run=run.label,
-                    series=key,
-                    t0=record["t0"],
-                    t1=record["t1"],
-                    value=value,
-                    threshold=spec.threshold,
-                    trace_ids=trace_ids,
-                    detail=spec.description,
-                )
-                report.events.append(open_event)
-        if windows == 0:
-            return
-        allowed = spec.budget * windows
-        if allowed > 0:
-            burn = violations / allowed
-        else:
-            burn = float("inf") if violations else 0.0
-        report.results.append(
-            SloResult(
-                run=run.label,
-                spec=spec.name,
-                series=key,
-                windows=windows,
-                violations=violations,
-                budget=spec.budget,
-                burn=burn,
-                compliant=violations <= allowed,
-                worst=worst,
-            )
-        )
-
-    # -- built-in detectors (independent of the spec set) ------------------
-    def _detect_loss_bursts(
-        self, report: SloReport, run: RunSeries, keys: Dict[str, str]
-    ) -> None:
-        loss_keys = [
-            key
-            for key, family in keys.items()
-            if family == "counter"
-            and (
-                key.startswith("net.link.packets_lost")
-                or key.startswith("net.link.packets_dropped")
-            )
-        ]
-        for key in loss_keys:
+            grader = WindowGrader(self.specs, run.label)
             for record in run.windows:
-                delta = record.get("counters", {}).get(key, 0)
-                if delta >= LOSS_BURST_MIN:
-                    report.events.append(
-                        HealthEvent(
-                            kind="loss_burst",
-                            run=run.label,
-                            series=key,
-                            t0=record["t0"],
-                            t1=record["t1"],
-                            value=float(delta),
-                            threshold=float(LOSS_BURST_MIN),
-                            trace_ids=list(record.get("trace_ids", ())),
-                            detail=f"{delta} packets lost/dropped in one window",
-                        )
-                    )
-
-    def _detect_tier_thrash(
-        self, report: SloReport, run: RunSeries, keys: Dict[str, str]
-    ) -> None:
-        thrash_keys = [
-            key
-            for key, family in keys.items()
-            if family == "counter" and key.startswith("bw.tier.transitions")
-        ]
-        if not thrash_keys:
-            return
-        for record in run.windows:
-            counters = record.get("counters", {})
-            total = sum(counters.get(key, 0) for key in thrash_keys)
-            if total >= TIER_THRASH_MIN:
-                report.events.append(
-                    HealthEvent(
-                        kind="tier_thrash",
-                        run=run.label,
-                        series="bw.tier.transitions",
-                        t0=record["t0"],
-                        t1=record["t1"],
-                        value=float(total),
-                        threshold=float(TIER_THRASH_MIN),
-                        trace_ids=list(record.get("trace_ids", ())),
-                        detail=f"{total} tier transitions in one window",
-                    )
+                report.events.extend(
+                    event
+                    for event, streak in grader.grade(record)
+                    if streak == 1
                 )
-
-    def _detect_queue_buildup(
-        self, report: SloReport, run: RunSeries, keys: Dict[str, str]
-    ) -> None:
-        for key, family in keys.items():
-            if "queue" not in key:
-                continue
-            kind = "gauge" if family == "gauge" else "histogram_mean"
-            values = run.values(key, kind)
-            rising = 1
-            for index in range(1, len(values)):
-                if values[index][1] > values[index - 1][1]:
-                    rising += 1
-                    if rising == QUEUE_BUILDUP_RUN and values[index][1] > 0:
-                        start = values[index - QUEUE_BUILDUP_RUN + 1]
-                        report.events.append(
-                            HealthEvent(
-                                kind="queue_buildup",
-                                run=run.label,
-                                series=key,
-                                t0=start[0],
-                                t1=values[index][0],
-                                value=values[index][1],
-                                threshold=start[1],
-                                detail=(
-                                    f"monotonic rise over "
-                                    f"{QUEUE_BUILDUP_RUN} windows"
-                                ),
-                            )
-                        )
-                else:
-                    rising = 1
+            report.results.extend(grader.results())
+        return report
 
 
 def _more_violating(spec: SloSpec, value: float, reference: float) -> bool:

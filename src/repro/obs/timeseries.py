@@ -66,6 +66,8 @@ __all__ = [
     "merge_runs",
     "bucket_quantile",
     "window_value",
+    "RENDER_KINDS",
+    "sparkline_rows",
     "validate_timeseries_records",
     "write_jsonl",
 ]
@@ -86,6 +88,16 @@ SAMPLER_EVERY = 512
 
 #: Open trace ids recorded per window (annotation, not a full trace).
 MAX_TRACE_IDS = 8
+
+#: How an instrument family is drawn: (series kind, caption unit).
+RENDER_KINDS = {
+    "counter": ("counter_rate", "/s"),
+    "gauge": ("gauge", ""),
+    "histogram": ("histogram_quantile", " p95"),
+}
+
+#: Series labels longer than this are clipped in a sparkline row.
+_ROW_LABEL_MAX = 48
 
 
 def bucket_quantile(
@@ -258,6 +270,39 @@ class RunSeries:
         return self.windows[-1]["t1"] - self.windows[0]["t0"]
 
 
+def sparkline_rows(
+    run: RunSeries,
+    keys: Dict[str, str],
+    width: int,
+    quantile: float = 0.95,
+) -> List[str]:
+    """One labelled ``|sparkline|`` row per series of ``keys`` (series
+    key -> instrument family, drawn in that order) that ``run`` holds
+    values for — the saved-file dashboard's rows and the live one's."""
+    # Imported on first draw: a default-flag run never carries textplot.
+    from repro.analysis.textplot import render_sparkline
+
+    label_width = min(max(map(len, keys), default=0), _ROW_LABEL_MAX)
+    rows = []
+    for key, family in keys.items():
+        kind, unit = RENDER_KINDS[family]
+        values = [value for _t, value in run.values(key, kind, quantile)]
+        if not values:
+            continue
+        label = (
+            key
+            if len(key) <= _ROW_LABEL_MAX
+            else key[: _ROW_LABEL_MAX - 3] + "..."
+        )
+        rows.append(
+            f"  {label:<{label_width}} "
+            f"|{render_sparkline(values, width)}| "
+            f"last {values[-1]:.4g}{unit} "
+            f"max {max(values):.4g}"
+        )
+    return rows
+
+
 def _merge_window_pair(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     """Combine two window records into one covering both intervals.
 
@@ -332,7 +377,17 @@ def merge_runs(runs: Sequence[RunSeries], label: str) -> RunSeries:
 
 
 class TimeSeriesCollection:
-    """All runs sampled in one session, plus the JSONL round trip."""
+    """All runs sampled in one session, plus the JSONL round trip.
+
+    It owns the one registry baseline its samplers difference against
+    (:meth:`cut`), and :meth:`sample` flushes the earlier samplers
+    before handing out a new one: an increment is reported by one window
+    of the run that made it, and per key the runs' windows sum to the
+    registry's value.  Simulators alive at once (lockstep cells) share
+    instruments by label: an increment goes to whichever run's window
+    closes next — once.  A gauge is a level: it is stored when it differs
+    from the last value any run of the collection stored for it.
+    """
 
     def __init__(
         self,
@@ -348,15 +403,61 @@ class TimeSeriesCollection:
         self._auto = 0
         #: (sampler, the simulator it samples) pairs.
         self._samplers: List[tuple] = []
+        #: The registry as the last closed window left it, per series key.
+        self._last_counters: Dict[str, float] = {}
+        self._last_gauges: Dict[str, float] = {}
+        self._last_hists: Dict[str, Any] = {}
 
     # -- samplers ----------------------------------------------------------
     def sample(self, sim) -> "TimeSeriesSampler":
         """A sampler feeding a new run of this collection, for ``sim``
         to call as an engine monitor (the run context adds one to every
-        simulator built while the collection is installed)."""
-        sampler = TimeSeriesSampler(self.new_run())
+        simulator built while the collection is installed).  What the
+        registry holds beyond the baseline belongs to the simulators
+        that already ran: they are flushed first."""
+        self.finish_samplers()
+        sampler = TimeSeriesSampler(self.new_run(), self)
         self._samplers.append((sampler, sim))
         return sampler
+
+    def cut(self, instruments: Iterable[Any]) -> tuple:
+        """What ``instruments`` (a registry's ``collect("")``) gained
+        since the last cut, as the ``(counters, gauges, histograms)`` of
+        a window record; the baseline moves up to them."""
+        counters: Dict[str, float] = {}
+        gauges: Dict[str, float] = {}
+        histograms: Dict[str, Dict[str, Any]] = {}
+        for inst in instruments:
+            key = inst.name + inst.label_str()
+            kind = inst.kind
+            if kind == "counter":
+                delta = inst.value - self._last_counters.get(key, 0)
+                self._last_counters[key] = inst.value
+                if delta:
+                    counters[key] = delta
+            elif kind == "gauge":
+                if self._last_gauges.get(key) != inst.value:
+                    self._last_gauges[key] = inst.value
+                    gauges[key] = inst.value
+            elif kind == "histogram":
+                last_count, last_sum, last_buckets = self._last_hists.get(
+                    key, (0, 0.0, ())
+                )
+                if inst.count != last_count:
+                    current = inst.buckets()
+                    previous = last_buckets or [0] * len(current)
+                    histograms[key] = {
+                        "count": inst.count - last_count,
+                        "sum": inst.sum - last_sum,
+                        "buckets": [
+                            [bound, count - then]
+                            for (bound, count), then in zip(current, previous)
+                        ],
+                    }
+                    self._last_hists[key] = (
+                        inst.count, inst.sum, list(inst.bucket_counts)
+                    )
+        return counters, gauges, histograms
 
     def finish_samplers(self) -> None:
         """Flush every sampler's trailing partial window.
@@ -414,16 +515,10 @@ class TimeSeriesCollection:
         self.runs.append(run)
         return run
 
-    def adopt_run(self, run: RunSeries, observe: bool = False) -> None:
+    def adopt_run(self, run: RunSeries) -> None:
         """Append an externally built run (merged shard series, derived
-        experiment timelines).  ``observe=True`` additionally streams
-        the run's windows past the armed flight recorder — the path for
-        windows that were sampled out-of-process (shard workers) and
-        only become visible at a collect barrier."""
+        experiment timelines)."""
         self.runs.append(run)
-        recorder = current_run().recorder
-        if observe and recorder is not None:
-            recorder.observe_run(run)
 
     def prune_empty(self) -> int:
         """Drop runs that stored no windows; returns how many."""
@@ -584,6 +679,8 @@ class TimeSeriesSampler:
     The registry and the tracer are read through the run context the
     sampler was built under, at each window close: a shard program gives
     its worker's context a registry after the worker's engine exists.
+    What the registry gained is cut against the collection's baseline,
+    which every sampler of the collection shares.
     Whether a flight recorder is armed is asked of the *current*
     context, so windows flushed after a run has ended are stored but no
     longer graded.
@@ -591,14 +688,12 @@ class TimeSeriesSampler:
 
     every = SAMPLER_EVERY
 
-    def __init__(self, run: RunSeries) -> None:
+    def __init__(self, run: RunSeries, collection: TimeSeriesCollection) -> None:
         self.run = run
+        self._collection = collection
         self._context = current_run()
         self._window_start = 0.0
         self._boundary = run.window
-        self._last_counters: Dict[str, float] = {}
-        self._last_gauges: Dict[str, float] = {}
-        self._last_hists: Dict[str, Any] = {}
 
     # -- engine callback ---------------------------------------------------
     def __call__(self, sim) -> None:
@@ -621,52 +716,9 @@ class TimeSeriesSampler:
 
     # -- window bookkeeping ------------------------------------------------
     def _close_window(self, edge: float) -> None:
-        registry = self._context.registry
-        counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, Dict[str, Any]] = {}
-        if registry.enabled:
-            for inst in registry.collect(""):
-                key = inst.name + inst.label_str()
-                kind = inst.kind
-                if kind == "counter":
-                    delta = inst.value - self._last_counters.get(key, 0)
-                    self._last_counters[key] = inst.value
-                    if delta:
-                        counters[key] = delta
-                elif kind == "gauge":
-                    if self._last_gauges.get(key) != inst.value:
-                        self._last_gauges[key] = inst.value
-                        gauges[key] = inst.value
-                elif kind == "histogram":
-                    last_count, last_sum, last_buckets = self._last_hists.get(
-                        key, (0, 0.0, None)
-                    )
-                    delta_count = inst.count - last_count
-                    if delta_count:
-                        buckets = []
-                        if inst.bucket_bounds is not None:
-                            bounds = list(inst.bucket_bounds) + [float("inf")]
-                            current = list(inst.bucket_counts)
-                            previous = last_buckets or [0] * len(current)
-                            buckets = [
-                                [bound, now_c - then_c]
-                                for bound, now_c, then_c in zip(
-                                    bounds, current, previous
-                                )
-                            ]
-                        histograms[key] = {
-                            "count": delta_count,
-                            "sum": inst.sum - last_sum,
-                            "buckets": buckets,
-                        }
-                    self._last_hists[key] = (
-                        inst.count,
-                        inst.sum,
-                        list(inst.bucket_counts)
-                        if inst.bucket_bounds is not None
-                        else None,
-                    )
+        counters, gauges, histograms = self._collection.cut(
+            self._context.registry.collect("")
+        )
         if counters or gauges or histograms:
             record: Dict[str, Any] = {
                 "t0": self._window_start,

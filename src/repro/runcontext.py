@@ -134,7 +134,12 @@ class RunContext:
                 # Surface the fleet timeline on the run's collection so
                 # --timeseries JSONL and the SLO engine see sharded runs.
                 merged.label = self.collection.next_label()
-                self.collection.adopt_run(merged, observe=True)
+                self.collection.adopt_run(merged)
+                if self.recorder is not None:
+                    # Sampled out of process, visible only now: stream
+                    # the fleet's windows past the armed recorder.
+                    for record in merged.windows:
+                        self.recorder.observe_window(merged.label, record)
         flights = [e["flight"] for e in evidence]
         if self.recorder is not None and any(f is not None for f in flights):
             self.recorder.absorb_shards(

@@ -31,32 +31,19 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.textplot import render_heatstrip, render_sparkline
+from repro.analysis.textplot import render_heatstrip
 from repro.errors import ReproError
 from repro.obs.slo import SloEngine, validate_slo_records
 from repro.obs.timeseries import (
+    RENDER_KINDS,
     RunSeries,
     TimeSeriesCollection,
+    sparkline_rows,
     validate_timeseries_records,
 )
 from repro.tools import run_cli
 
 __all__ = ["main", "chrome_counter_events", "render_run"]
-
-#: Per-family series kind used when rendering values.
-_RENDER_KINDS = {
-    "counter": "counter_rate",
-    "gauge": "gauge",
-    "histogram": "histogram_quantile",
-}
-
-#: Unit suffix per render kind, for the row captions.
-_KIND_CAPTIONS = {
-    "counter_rate": "/s",
-    "gauge": "",
-    "histogram_quantile": " p95",
-}
-
 
 def _selected_keys(
     run: RunSeries, patterns: Sequence[str]
@@ -92,25 +79,12 @@ def render_run(
     if heat:
         rows = {}
         for key in sorted(keys):
-            points = run.values(key, _RENDER_KINDS[keys[key]], quantile)
+            points = run.values(key, RENDER_KINDS[keys[key]][0], quantile)
             if points:
                 rows[key] = [value for _t, value in points]
         lines.append(render_heatstrip(rows, width=width))
         return "\n".join(lines)
-    label_width = min(max(len(key) for key in keys), 48)
-    for key in sorted(keys):
-        kind = _RENDER_KINDS[keys[key]]
-        points = run.values(key, kind, quantile)
-        if not points:
-            continue
-        values = [value for _t, value in points]
-        label = key if len(key) <= 48 else key[:45] + "..."
-        lines.append(
-            f"  {label:<{label_width}} "
-            f"|{render_sparkline(values, width)}| "
-            f"last {values[-1]:.4g}{_KIND_CAPTIONS[kind]} "
-            f"max {max(values):.4g}"
-        )
+    lines.extend(sparkline_rows(run, dict(sorted(keys.items())), width, quantile))
     return "\n".join(lines)
 
 
@@ -134,7 +108,7 @@ def chrome_counter_events(
             }
         )
         for key, family in sorted(run.series_keys().items()):
-            kind = _RENDER_KINDS[family]
+            kind = RENDER_KINDS[family][0]
             for t0, value in run.values(key, kind, quantile):
                 events.append(
                     {

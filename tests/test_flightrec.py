@@ -15,6 +15,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
 from repro.netsim.engine import Simulator
@@ -27,7 +29,7 @@ from repro.obs import (
     TraceCollector,
 )
 from repro.obs.flightrec import BUNDLE_SUFFIX
-from repro.obs.slo import SloSpec
+from repro.obs.slo import INTERACTIVITY_SLOS, SloEngine, SloSpec
 from repro.runcontext import RunContext, current_run, use_run
 from repro.tools import postmortem
 from repro.transport import DisplayChannel
@@ -240,6 +242,98 @@ class TestTriggers:
         line = recorder.status_line()
         assert "TRIGGERED x1" in line and "test_spike" in line
         assert str(recorder.last_bundle) in line
+
+
+#: A drawn telemetry window: loss spread over three links, tier
+#: transitions in both directions, a tier level, yardstick round trips
+#: by bucket (<= 50 ms, <= 150 ms, <= 500 ms, beyond).
+_drawn_windows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "run": st.sampled_from(["cell-a", "cell-b"]),
+            "lost": st.lists(st.integers(0, 4), min_size=3, max_size=3),
+            "transitions": st.tuples(st.integers(0, 2), st.integers(0, 2)),
+            "tier": st.sampled_from([None, 0, 1, 2]),
+            "rtts": st.lists(st.integers(0, 5), min_size=4, max_size=4),
+        }
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+def _telemetry_window(t0, drawn):
+    counters = {
+        f"net.link.packets_{'dropped' if link == 2 else 'lost'}{{link=l{link}}}": n
+        for link, n in enumerate(drawn["lost"])
+        if n
+    }
+    for direction, n in zip(("demote", "promote"), drawn["transitions"]):
+        if n:
+            counters[f"bw.tier.transitions{{direction={direction}}}"] = n
+    window = {
+        "t0": t0,
+        "t1": t0 + 1.0,
+        "counters": counters,
+        "gauges": {},
+        "histograms": {},
+        "trace_ids": [int(t0)],
+    }
+    if drawn["tier"] is not None:
+        window["gauges"]["bw.tier.level{client=1}"] = drawn["tier"]
+    if sum(drawn["rtts"]):
+        bounds = (0.05, 0.15, 0.5, float("inf"))
+        window["histograms"]["net.yardstick.rtt_seconds"] = {
+            "count": sum(drawn["rtts"]),
+            "sum": 0.1 * sum(drawn["rtts"]),
+            "buckets": [list(pair) for pair in zip(bounds, drawn["rtts"])],
+        }
+    return window
+
+
+@settings(deadline=None)
+@given(drawn_windows=_drawn_windows)
+def test_a_trigger_is_in_the_verdict_of_the_windows_it_froze(drawn_windows):
+    """Whatever froze the rings, the SLO report over the frozen windows
+    (a bundle's ``slo.jsonl``) holds that event, with that value."""
+    recorder = FlightRecorder(out_dir=None)
+    clock = {"cell-a": 0.0, "cell-b": 0.0}
+    for drawn in drawn_windows:
+        fired = len(recorder.triggers)
+        label = drawn["run"]
+        recorder.observe_window(label, _telemetry_window(clock[label], drawn))
+        clock[label] += 1.0
+        if len(recorder.triggers) == fired:
+            continue
+        report = SloEngine(INTERACTIVITY_SLOS).evaluate(recorder._timeseries())
+        for trigger in recorder.triggers[fired:]:
+            assert [
+                event
+                for event in report.events
+                if (event.kind, event.run, event.value)
+                == (trigger["kind"], trigger["run"], trigger["value"])
+            ], trigger
+
+
+def test_loss_spread_over_links_is_one_burst(tmp_path):
+    """3 + 2 lost on two links is the burst neither link is alone — for
+    the recorder and for the report inside the bundle it writes."""
+    recorder = FlightRecorder(out_dir=tmp_path, label="spread", specs=[])
+    window = _telemetry_window(
+        0.0,
+        {"lost": [3, 0, 2], "transitions": (0, 0), "tier": None, "rtts": [0] * 4},
+    )
+    recorder.observe_window("cell", window)
+    assert [t["kind"] for t in recorder.triggers] == ["loss_burst"]
+    lines = zipfile.ZipFile(recorder.last_bundle).read("slo.jsonl").decode()
+    events = [
+        record
+        for record in map(json.loads, lines.splitlines())
+        if record["type"] == "event"
+    ]
+    assert [(e["kind"], e["run"], e["value"]) for e in events] == [
+        ("loss_burst", "cell", 5.0)
+    ]
 
 
 # -- the ambient seam -------------------------------------------------------

@@ -316,6 +316,39 @@ class TestNetworkYardstick:
         assert yardstick.loss_rate() == pytest.approx(expected)
         assert yardstick.loss_rate() == pytest.approx(1 / 3, abs=0.05)
 
+    def test_a_lost_round_is_observed_when_the_console_gives_up(self):
+        """The registry's RTT histogram counts every round past warm-up:
+        a timed-out one at the 500 ms it waited, a refused request at 0.
+        ``rtts`` and ``mean_rtt`` keep counting answered rounds only."""
+        from repro.runcontext import use_run
+        from repro.telemetry.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        with use_run(registry=registry):
+            sim, network, yardstick = self.make(warmup=1.0)
+        real_send = network.send
+        requests = []
+
+        def starve(packet):
+            if packet.flow == "yardstick-response":
+                return True  # swallowed: the round times out
+            requests.append(sim.now)
+            return len(requests) != 4 and real_send(packet)  # 4th refused
+
+        network.send = starve
+        yardstick.start()
+        sim.run_until(4.0)
+        hist = registry.get("net.yardstick.rtt_seconds")
+        # Rounds given up on at 0.65 s (inside the warm-up), 1.3 s, 1.95 s,
+        # 2.1 s (refused on the spot), 2.75 s, 3.4 s.
+        assert yardstick.lost == 6 and not yardstick.rtts
+        assert hist.count == 5
+        assert hist.min == 0.0
+        assert hist.max == 0.5  # exactly: it stays inside the 500 ms bucket
+        assert hist.sum == 4 * 0.5
+        with pytest.raises(WorkloadError):
+            yardstick.mean_rtt()
+
     def test_contention_raises_rtt(self, rng):
         sim, network, yardstick = self.make()
         network.attach(Endpoint("sink"))

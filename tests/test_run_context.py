@@ -23,7 +23,12 @@ from repro.experiments.runner import ExperimentConfig
 from repro.experiments.wan_matrix import CellProbe
 from repro.netsim.engine import Simulator
 from repro.netsim.profiles import get_profile
-from repro.obs import FlightRecorder, TimeSeriesCollection, TraceCollector
+from repro.obs import (
+    FlightRecorder,
+    SloEngine,
+    TimeSeriesCollection,
+    TraceCollector,
+)
 from repro.obs.progress import DashboardMonitor
 from repro.runcontext import RunContext, current_run, use_run
 from repro.telemetry import MetricsRegistry
@@ -82,6 +87,69 @@ def test_observers_come_from_the_run_not_from_a_parameter():
     }
 
 
+def _calls(tree, name):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    ]
+
+
+def test_a_window_is_cut_graded_and_drawn_in_one_place():
+    """One registry baseline, one grader, one row renderer, one family
+    map: the recorder keeps policy, the dashboards pick series."""
+    trees = {
+        path.relative_to(SRC).as_posix(): ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+        for path in SRC.rglob("*.py")
+    }
+    # Cut once: the differencer's state lives in one class.
+    assert [
+        (name, cls.name)
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr == "_last_counters"
+    ] == [("obs/timeseries.py", "TimeSeriesCollection")]
+    # Graded once: a window's value is read for grading in obs/slo.py
+    # (obs/timeseries.py reads it to draw), and the recorder matches no
+    # series key and holds no threshold.
+    assert {
+        name for name, tree in trees.items() if _calls(tree, "window_value")
+    } == {"obs/slo.py", "obs/timeseries.py"}
+    recorder = trees["obs/flightrec.py"]
+    assert not _calls(recorder, "startswith")
+    assert not _calls(recorder, "matches") and not _calls(recorder, "passes")
+    recorder_names = {
+        getattr(node, "id", getattr(node, "attr", None))
+        for node in ast.walk(recorder)
+    }
+    assert not recorder_names & {
+        "LOSS_BURST_MIN", "TIER_THRASH_MIN", "QUEUE_BUILDUP_RUN", "window_value"
+    }
+    # Drawn once: one caller of the sparkline outside its own module,
+    # one dict from instrument family to series kind.
+    assert [
+        name
+        for name, tree in trees.items()
+        if name != "analysis/textplot.py"
+        for _call in _calls(tree, "render_sparkline")
+    ] == ["obs/timeseries.py"]
+    assert [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        and {getattr(key, "value", None) for key in node.keys}
+        == {"counter", "gauge", "histogram"}
+    ] == ["obs/timeseries.py"]
+
+
 def test_a_wan_cell_reports_every_layer_to_the_run():
     registry = MetricsRegistry()
     with use_run(registry=registry):
@@ -105,6 +173,7 @@ _REPLACED = (
     "collect_timeseries active_collection attach_sampler "
     "record_flight set_recorder active_recorder _MarkMonitor "
     "live_progress live_dashboard _registry_drops "
+    "_SLO_FAMILY _LOSS_PREFIXES _TIER_PREFIX "
     "set_default_monitor Tracer Span sample_periodically"
 ).split()
 
@@ -140,6 +209,9 @@ def test_replaced_modules_and_methods_are_gone():
     assert not hasattr(Simulator, "set_monitor")
     assert not hasattr(FlightRecorder, "attach_tracer")
     assert not hasattr(FlightRecorder, "obs_context")
+    assert not hasattr(FlightRecorder, "_check_window")
+    for detector in ("loss_bursts", "tier_thrash", "queue_buildup"):
+        assert not hasattr(SloEngine, f"_detect_{detector}")
 
 
 class TestUseRun:

@@ -7,6 +7,7 @@ surfaces against hand-built windowed runs.
 """
 
 import json
+import math
 
 import pytest
 
@@ -298,3 +299,49 @@ class TestReport:
         worst = report.compliance("r", "tier_cap")
         assert worst.series == "bw.tier.level{client=2}"
         assert not worst.compliant
+
+
+class TestWanMatrixVerdicts:
+    """A ``wan_matrix`` cell's keystroke verdict is graded on the cell's
+    own windows: one per second it ran (a starved static cell's rounds
+    time out, and are observed), never more, and — where the table's RTT
+    columns tell static and adaptive apart — not the same verdict for
+    both."""
+
+    CELL_SECONDS = 4.0
+
+    def test_each_cell_is_graded_on_its_own_windows(self):
+        from repro.experiments import wan_matrix
+        from repro.runcontext import use_run
+        from repro.telemetry.metrics import MetricsRegistry
+
+        collection = TimeSeriesCollection()
+        with use_run(registry=MetricsRegistry(), collection=collection):
+            result = wan_matrix.run(
+                seed=7,
+                n_users=6,
+                duration=300.0,
+                profiles="cellular",
+                workloads="ScrollHeavy,Netscape",
+                cell_seconds=self.CELL_SECONDS,
+            )
+        engine = SloEngine([KEYSTROKE_ECHO])
+        for row in result.rows:
+            verdicts = {}
+            for mode in ("static", "adaptive"):
+                label = f"{row['profile']}/{row['workload']}/{mode}"
+                run = collection.run_by_label(label)
+                graded = engine.evaluate([run]).compliance(
+                    label, KEYSTROKE_ECHO.name
+                )
+                assert graded is not None, label
+                assert graded.windows <= math.ceil(self.CELL_SECONDS), label
+                assert f"/{graded.windows} " in row[f"SLO {mode}"], label
+                # After the 1 s warm-up every second holds a round, answered
+                # or timed out: a cell that ran has a verdict per second.
+                assert graded.windows >= self.CELL_SECONDS - 2, label
+                verdicts[mode] = (
+                    graded.windows, graded.violations, graded.worst
+                )
+            if row["RTT ms static"] != row["RTT ms adaptive"]:
+                assert verdicts["static"] != verdicts["adaptive"], row

@@ -11,6 +11,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.netsim.engine import Simulator
@@ -20,7 +22,6 @@ from repro.obs.timeseries import (
     SCHEMA_VERSION,
     RunSeries,
     TimeSeriesCollection,
-    TimeSeriesSampler,
     bucket_quantile,
     merge_runs,
     validate_timeseries_records,
@@ -115,10 +116,10 @@ class TestWindowValue:
 class TestSampler:
     def setup_method(self):
         self.registry = MetricsRegistry()
-        self.run = RunSeries("test", window=1.0)
-        with use_run(registry=self.registry):
-            self.sampler = TimeSeriesSampler(self.run)
         self.sim = FakeSim()
+        with use_run(registry=self.registry):
+            self.sampler = TimeSeriesCollection(window=1.0).sample(self.sim)
+        self.run = self.sampler.run
 
     def test_counters_become_per_window_deltas(self):
         counter = self.registry.counter("pkts")
@@ -384,3 +385,96 @@ class TestCollectTimeseries:
 
     def test_default_window_matches_module_default(self):
         assert TimeSeriesCollection().window == DEFAULT_WINDOW
+
+
+# ---------------------------------------------------------------------------
+# Cut once: the registry is attributed to the runs' windows exactly once
+# ---------------------------------------------------------------------------
+
+#: One simulator of a session: (counter increments, histogram
+#: observations, sim seconds it runs, filler events so that windows also
+#: close from the engine monitor and not only at the flush).
+_simulators = st.lists(
+    st.tuples(
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.floats(0.05, 2.5),
+        st.sampled_from([0, 600]),
+    ),
+    min_size=2,
+    max_size=5,
+)
+
+
+def _window_totals(runs):
+    counters, observations, buckets = {}, {}, {}
+    for run in runs:
+        for record in run.windows:
+            for key, delta in record["counters"].items():
+                counters[key] = counters.get(key, 0) + delta
+            for key, hist in record["histograms"].items():
+                observations[key] = observations.get(key, 0) + hist["count"]
+                summed = buckets.setdefault(key, [0] * len(hist["buckets"]))
+                for slot, (_bound, count) in enumerate(hist["buckets"]):
+                    summed[slot] += count
+    return counters, observations, buckets
+
+
+@settings(deadline=None)
+@given(script=_simulators)
+def test_runs_windows_sum_to_the_registry_once(script):
+    """Simulators built one after another report into instruments they
+    share by label; each increment lands in one window of the run that
+    made it."""
+    registry = MetricsRegistry()
+    collection = TimeSeriesCollection(window=0.5)
+    with use_run(registry=registry, collection=collection):
+        counter = registry.counter("pkts", link="a")
+        hist = registry.histogram("rtt", buckets=(0.1, 0.5))
+        for index, (incs, observations, span, filler) in enumerate(script):
+            with collection.label(f"sim-{index}"):
+                sim = Simulator()
+            for i in range(incs):
+                sim.schedule(span * (i + 1) / incs, counter.inc)
+            for i in range(observations):
+                sim.schedule(
+                    span * (i + 1) / observations,
+                    lambda value=0.07 * i: hist.observe(value),
+                )
+            for i in range(filler):
+                sim.schedule(span * i / filler, lambda: None)
+            sim.schedule(span, lambda: None)
+            sim.run()
+    counters, observed, buckets = _window_totals(collection.runs)
+    assert counters.get("pkts{link=a}", 0) == counter.value
+    assert observed.get("rtt", 0) == hist.count
+    assert buckets.get("rtt", [0, 0, 0]) == list(hist.bucket_counts)
+    for index, (incs, observations, _span, _filler) in enumerate(script):
+        run = collection.run_by_label(f"sim-{index}")
+        own, own_observed, _ = _window_totals([run] if run else [])
+        assert own.get("pkts{link=a}", 0) == incs
+        assert own_observed.get("rtt", 0) == observations
+
+
+def test_lossy_fabric_lossless_runs_report_no_loss():
+    """The 0 % rows' simulators (the session, then its yardstick) are the
+    first two of the experiment; what the lossy rows after them lose is
+    not theirs."""
+    from repro.experiments import lossy_fabric
+
+    registry = MetricsRegistry()
+    collection = TimeSeriesCollection()
+    with use_run(registry=registry, collection=collection):
+        lossy_fabric.run(updates=20)
+    lost = ("net.link.packets_lost", "net.link.packets_dropped")
+    counters, _observed, _buckets = _window_totals(collection.runs)
+    assert sum(v for k, v in counters.items() if k.startswith(lost)) > 0
+    for label in ("run-1", "run-2"):
+        run = collection.run_by_label(label)
+        assert run is not None
+        assert not [
+            key
+            for record in run.windows
+            for key in record["counters"]
+            if key.startswith(lost)
+        ], label
