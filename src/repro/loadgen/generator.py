@@ -84,15 +84,42 @@ class NetworkLoadGenerator:
         self.rng = rng or np.random.default_rng(0)
         self.flow = flow
         self.scale = scale
-        self.bytes_emitted = 0
-        self.packets_emitted = 0
-        self._started = False
+        self._bytes_emitted = 0
+        self._packets_emitted = 0
+        #: The source's uplink, resolved by :meth:`start`.
+        self._uplink = None
+
+    @property
+    def bytes_emitted(self) -> int:
+        """Bytes sent as of now, headers included."""
+        self._settle()
+        return self._bytes_emitted
+
+    @property
+    def packets_emitted(self) -> int:
+        """Packets sent as of now."""
+        self._settle()
+        return self._packets_emitted
+
+    def _settle(self) -> None:
+        # A burst waiting on the fabric's record is built, and counted,
+        # when the fabric admits it: reading the uplink admits what is due.
+        if self._uplink is not None:
+            _ = self._uplink.stats
 
     def start(self) -> None:
         """Schedule the whole playback (loops over the profile)."""
-        if self._started:
+        if self._uplink is not None:
             raise WorkloadError("generator already started")
-        self._started = True
+        if not self.profile.net_bytes:
+            raise WorkloadError(
+                f"profile of {self.profile.user!r} has no network intervals"
+            )
+        # An unknown address is a SimulationError here, by name, not at
+        # the first burst.
+        self.network.endpoint(self.src)
+        self.network.endpoint(self.dst)
+        self._uplink = self.network.uplink(self.src)
         self._schedule_interval(0)
 
     def _schedule_interval(self, index: int) -> None:
@@ -105,7 +132,8 @@ class NetworkLoadGenerator:
         self.sim.schedule_at(start + interval, lambda: self._schedule_interval(index + 1))
 
     def _emit_bursts(self, start: float, interval: float, nbytes: int) -> None:
-        """Split an interval's bytes into randomly timed update bursts."""
+        """Split an interval's bytes into randomly timed update bursts
+        and offer them to the fabric."""
         mean_updates = self.pattern.updates_per_second * interval
         n_bursts = max(1, int(self.rng.poisson(mean_updates)))
         # Lognormal burst weights: most updates small, a few dominate.
@@ -113,26 +141,36 @@ class NetworkLoadGenerator:
         weights /= weights.sum()
         window = interval * self.pattern.active_fraction
         times = np.sort(self.rng.uniform(0.0, window, size=n_bursts))
-        for t, w in zip(times, weights):
-            burst_bytes = int(round(nbytes * float(w)))
-            if burst_bytes <= 0:
-                continue
-            self.sim.schedule_at(start + float(t), self._burst_sender(burst_bytes))
+        burst_bytes = np.rint(nbytes * weights).astype(np.int64)
+        sent = burst_bytes > 0
+        self._uplink.offer(
+            self.dst,
+            list(zip((start + times)[sent].tolist(), burst_bytes[sent].tolist())),
+            self.train,
+            self._burst_sender,
+        )
+
+    def train(self, when: float, burst_bytes: int) -> Train:
+        """The burst sent at ``when``, counted as emitted."""
+        full, tail = divmod(burst_bytes, FULL_DATAGRAM_NBYTES)
+        sizes = [FULL_DATAGRAM_NBYTES] * full
+        if tail:
+            # Runt datagrams still pay their headers.
+            tail = max(tail, 64)
+            sizes.append(tail)
+        self._bytes_emitted += full * FULL_DATAGRAM_NBYTES + tail
+        self._packets_emitted += len(sizes)
+        # No payload, no trace id: nothing can tell these packets
+        # apart, so the burst is one record and the fabric builds no
+        # object for a packet nobody receives.
+        train = Train(self.src, self.dst, sizes, flow=self.flow)
+        train.created_at = when
+        return train
 
     def _burst_sender(self, burst_bytes: int):
+        """The event a burst costs when its sending can be observed."""
+
         def send() -> None:
-            full, tail = divmod(burst_bytes, FULL_DATAGRAM_NBYTES)
-            sizes = [FULL_DATAGRAM_NBYTES] * full
-            if tail:
-                # Runt datagrams still pay their headers.
-                sizes.append(max(tail, 64))
-            self.bytes_emitted += sum(sizes)
-            self.packets_emitted += len(sizes)
-            # No payload, no trace id: nothing can tell these packets
-            # apart, so the burst is one record and the fabric builds no
-            # object for a packet nobody receives.
-            self.network.send_burst(
-                Train(self.src, self.dst, sizes, flow=self.flow)
-            )
+            self.network.send_burst(self.train(self.sim.now, burst_bytes))
 
         return send

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import inf
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -44,8 +45,10 @@ class Simulator:
         #: ``events_processed`` by more than one, which would skate past
         #: an exact-multiple check.
         self._monitors: List[list] = []
-        #: Event count at which the earliest monitor next fires.
+        #: Event count at which the earliest monitor next fires, and the
+        #: simulated instant past which the earliest clocked one does.
         self._monitor_due = 0
+        self._monitor_at = inf
         self._idle_hooks: List[Callable[[], None]] = []
         #: The last engine return was a :meth:`run` that emptied the queue.
         self._drained = False
@@ -62,15 +65,20 @@ class Simulator:
     ) -> None:
         """Call ``monitor(self)`` every ``every`` events (default: the
         monitor's own ``every`` attribute, else
-        :data:`DEFAULT_MONITOR_EVERY`).  Monitors fire in the order
-        added; a simulator with none runs loops that never test for one.
+        :data:`DEFAULT_MONITOR_EVERY`) — and, if it has a ``due_at``
+        attribute (a simulated instant, read again after each call), at
+        the first event strictly past it, however few events that took:
+        what a monitor reports by the clock must not depend on how busy
+        the heap is.  No event is added for it.  Monitors fire in the
+        order added; a simulator with none runs loops that never test
+        for one.
         """
         if every is None:
             every = getattr(monitor, "every", DEFAULT_MONITOR_EVERY)
         every = max(1, int(every))
         due = (self.events_processed // every + 1) * every
         self._monitors.append([due, every, monitor])
-        self._monitor_due = min(entry[0] for entry in self._monitors)
+        self._rearm_monitors()
 
     @property
     def monitored(self) -> bool:
@@ -78,13 +86,20 @@ class Simulator:
         return bool(self._monitors)
 
     def _fire_monitors(self) -> None:
-        """Call every monitor whose due-counter has been reached."""
-        events = self.events_processed
+        """Call every monitor whose due-counter has been reached or
+        whose ``due_at`` the clock has passed."""
+        events, now = self.events_processed, self.now
         for entry in self._monitors:
-            if events >= entry[0]:
+            if events >= entry[0] or now > getattr(entry[2], "due_at", inf):
                 entry[2](self)
                 entry[0] = (events // entry[1] + 1) * entry[1]
+        self._rearm_monitors()
+
+    def _rearm_monitors(self) -> None:
         self._monitor_due = min(entry[0] for entry in self._monitors)
+        self._monitor_at = min(
+            getattr(entry[2], "due_at", inf) for entry in self._monitors
+        )
 
     def at_idle(self, hook: Callable[[], None]) -> None:
         """Call ``hook()`` every time the engine hands control back
@@ -135,7 +150,9 @@ class Simulator:
         self.now = when
         self.events_processed += 1
         callback()
-        if self._monitors and self.events_processed >= self._monitor_due:
+        if self._monitors and (
+            self.events_processed >= self._monitor_due or when > self._monitor_at
+        ):
             self._fire_monitors()
         for hook in self._idle_hooks:
             hook()
@@ -191,7 +208,10 @@ class Simulator:
                     n += 1
                     callback()
                 self.events_processed += n
-                if monitored and self.events_processed >= self._monitor_due:
+                if monitored and (
+                    self.events_processed >= self._monitor_due
+                    or when > self._monitor_at
+                ):
                     self._fire_monitors()
         finally:
             self._running = False
@@ -230,7 +250,10 @@ class Simulator:
                         n += 1
                         callback()
                     self.events_processed += n
-                    if self.events_processed >= self._monitor_due:
+                    if (
+                        self.events_processed >= self._monitor_due
+                        or when > self._monitor_at
+                    ):
                         self._fire_monitors()
             # Only fast-forward the clock when the slice drained naturally:
             # after stop() there may be events before the deadline still

@@ -211,8 +211,10 @@ class Link:
     whose next hop nobody hears (an endpoint with no receive hook, the
     switch port that feeds one: :meth:`_rearm`) or one bound for a
     switch port that already has an event due in time to admit it
-    (:meth:`_cover`), none; statistics stay exact at any sample time
-    through pending-credit records settled lazily against the clock.
+    (:meth:`_cover`), none; a burst its source offers ahead of time
+    (:meth:`offer`) costs no event either while nobody can observe its
+    sending; statistics stay exact at any sample time through
+    pending-credit records settled lazily against the clock.
     Hop records, capture tap and telemetry consume that one path
     (DESIGN.md section 16).
 
@@ -338,6 +340,10 @@ class Link:
         self._on_record = False
         self._heard = True
         self._inboxes: list = []
+        #: The bursts the switch at either end keeps on record for their
+        #: sources (:meth:`offer`): one deque per switch, shared by its
+        #: links and never rebound, so one truth test finds a burst due.
+        self._offers = ()
         #: Packets in flight on the no-jitter path, delivered FIFO; the
         #: instant the last of them is due, and of the last wake.
         self._transit: Deque[Packet] = deque()
@@ -360,23 +366,26 @@ class Link:
         output port that needs no event to admit it (:meth:`admit`)
         goes on the port's record."""
         self._switch = switch
+        self._offers = switch._offers
 
     def _rearm(self) -> None:
         """The receive hook at the far end, or the tap, has changed.
 
-        What is due by the horizon stays credited; the rest — arrivals
-        on record for a port that can keep none any more, arrival
-        credits, frames on the wire — become events and frames again,
-        in their original order.  A port that stays on record and is
-        heard has an event due by its earliest arrival (:meth:`_cover`).
+        What was due by the horizon has been credited as it stood (the
+        caller settles before it changes anything); the rest — bursts
+        and arrivals on record for a port that can keep none any more,
+        arrival credits, frames on the wire — become events and frames
+        again, in their original order.  A port that stays on record and
+        is heard has an event due by its earliest arrival (:meth:`_cover`).
         """
-        self._settle()
         sink = self._sink
         hooked = self._heard = sink is None or sink._on_receive is not None
         tapped = self._capture is not None
         self._watched = self._always_watched or tapped
         switch = self._port_of
         self._on_record = switch is not None and not (tapped or self.jitter)
+        if switch is not None and self._offers and (hooked or not self._on_record):
+            switch._rearm_offers(self)
         schedule_at = self.sim.schedule_at
         if not self._on_record:
             # Admission serials are unique: carriers are never compared.
@@ -410,6 +419,7 @@ class Link:
 
     @capture.setter
     def capture(self, writer) -> None:
+        self._settle()
         self._capture = writer
         if writer is not None:
             frames = _frame_orders.get(self.sim)
@@ -429,7 +439,11 @@ class Link:
 
     # -- settling pending credits ------------------------------------------------
     def _pull(self, through: float) -> None:
-        """Admit the arrivals on record for this port due by ``through``."""
+        """Admit what is on record due by ``through``: the bursts sources
+        offered the switch first — they are what feeds the ports, so
+        ready times stay monotone — then the arrivals for this port."""
+        if self._offers:
+            (self._port_of or self._switch)._admit_offers(through)
         for inbox in self._inboxes:
             if inbox and inbox[0][0] <= through:
                 self.admit(self._port_of.forward_due(self, through))
@@ -456,8 +470,8 @@ class Link:
 
     def _fold(self, ref: float) -> None:
         """Settle everything that happened by ``ref``: here — arrivals on
-        record for this port first — and at the ports this link left some."""
-        if self._inboxes:
+        record first — and at the ports this link left some."""
+        if self._inboxes or self._offers:
             self._pull(ref)
         self._fold_fin(ref)
         if self._pending_start:
@@ -519,14 +533,14 @@ class Link:
     def _settle(self) -> None:
         """Settle up to the engine's horizon (reads, loop exits)."""
         pending = self._pending_fin or self._pending_start or self._pending_arr
-        if pending or self._inboxes:
+        if pending or self._inboxes or self._offers:
             self._fold(self.sim.horizon)
 
     # -- sending -----------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Enqueue a packet; returns False if the buffer dropped it."""
         now = self.sim.now
-        if self._inboxes:
+        if self._inboxes or self._offers:
             self._pull(now)
         return self.admit(((now, packet.nbytes, packet),)) is None
 
@@ -543,6 +557,33 @@ class Link:
         for position in self.admit(zip(itertools.repeat(now), sizes, carriers)) or ():
             accepted[position] = False
         return accepted
+
+    def offer(self, dst: str, bursts, train, sender) -> None:
+        """Take a source's bursts ahead of their instants.
+
+        ``bursts`` is a list of ``(when, nbytes)``, none before now; at
+        each ``when`` the source sends ``train(when, nbytes)`` — a
+        :class:`Train` it builds, and counts, only then — to ``dst``.
+        While the switch port for ``dst`` is on record and nobody hears
+        it, nothing can observe the sending, so the burst waits on the
+        switch's record and is admitted here as of its ``when`` once
+        something is due (:meth:`_pull`).  Otherwise it costs its
+        event, ``sender(nbytes)`` fired at ``when``; :meth:`_rearm`
+        turns the one into the other when the port changes mid-run.
+        """
+        switch = self._switch
+        port = None if switch is None or self.jitter else switch._ports.get(dst)
+        if port is not None and port._on_record and not port._heard:
+            if bursts and min(bursts)[0] < self.sim.now:
+                raise SimulationError(
+                    f"cannot offer a burst at {min(bursts)[0]} "
+                    f"before current time {self.sim.now}"
+                )
+            switch._keep_offer((self, port, train, sender), bursts)
+        else:
+            schedule_at = self.sim.schedule_at
+            for when, nbytes in bursts:
+                schedule_at(when, sender(nbytes))
 
     def admit(self, run) -> Optional[list]:
         """Admit a run of packets, ``(ready, nbytes, carrier)`` each.
@@ -771,7 +812,10 @@ class Link:
         window = elapsed if elapsed is not None else now
         if window <= 0:
             return 0.0
-        if self._pending_fin or self._pending_start or self._inboxes:
+        if (
+            self._pending_fin or self._pending_start
+            or self._inboxes or self._offers
+        ):
             self._fold(now)
         busy = self._stats.busy_time
         if self._pending_fin:

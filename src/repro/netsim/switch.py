@@ -9,7 +9,8 @@ link from the switch to the server) and a small forwarding latency.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List
+from collections import deque
+from typing import Deque, Dict, Iterator, List
 
 from repro.errors import SimulationError
 from repro.netsim.backend import SimulationBackend
@@ -45,6 +46,16 @@ class Switch:
         #: Admission order of the arrivals on record at the ports: the
         #: tie-break the engine's insertion counter gave their events.
         self._serial = itertools.count()
+        #: The record of the sources: bursts offered ahead of their
+        #: instants (:meth:`Link.offer`) for ports nobody hears, as
+        #: ``(when, offer serial, nbytes, terms)`` with ``terms =
+        #: (uplink, port, train, sender)`` shared by one offer's bursts.
+        #: The serial is the tie-break the engine's insertion counter
+        #: gave the bursts' events.  Every link of this switch holds the
+        #: deque (``Link._offers``), so it is only ever mutated in place.
+        self._offers: Deque[tuple] = deque()
+        self._offer_serial = itertools.count()
+        self._offers_sorted = True
         self._metrics = get_registry()
         # Pre-resolved telemetry handles (enablement is fixed here).
         self._m_forwarded = self._m_unrouteable = self._m_queue_depth = None
@@ -70,6 +81,7 @@ class Switch:
             raise SimulationError(f"port for {address!r} already attached")
         self._ports[address] = link
         link._port_of = self
+        link._offers = self._offers
         link._rearm()
 
     def _settle(self) -> None:
@@ -101,7 +113,7 @@ class Switch:
                 self._m_unrouteable.inc()
             return
         now = self.sim.now
-        if link._inboxes:
+        if link._inboxes or link._offers:
             # Arrivals on record come before one an event carries.
             link._pull(now)
         self._forwarded += 1
@@ -110,6 +122,62 @@ class Switch:
         # No forwarding event: arrivals come in time order and the delay
         # is constant, so per-link ready times stay monotone.
         link.admit(((now + self.forwarding_delay, packet.nbytes, packet),))
+
+    # -- the record of the sources ------------------------------------------------
+    def _keep_offer(self, terms: tuple, bursts) -> None:
+        """Put one offer's ``(when, nbytes)`` bursts on record."""
+        serial = self._offer_serial
+        self._offers.extend(
+            (when, next(serial), nbytes, terms) for when, nbytes in bursts
+        )
+        # Sorted when next read: Timsort over a few sorted runs.
+        self._offers_sorted = False
+
+    def _ordered_offers(self) -> Deque[tuple]:
+        offers = self._offers
+        if not self._offers_sorted:
+            # Offer serials are unique: terms are never compared.
+            ordered = sorted(offers)
+            offers.clear()
+            offers.extend(ordered)
+            self._offers_sorted = True
+        return offers
+
+    def _admit_offers(self, through: float) -> None:
+        """Admit the bursts on record due by ``through``, each as of its
+        own instant, in ``(when, offer serial)`` order — the order their
+        events would have fired, so the ports' admission serials are
+        drawn as they were — consecutive bursts of one uplink as one
+        run.  The head is re-read per run: an uplink folds once its run
+        is exhausted, and a fold pulls what is due here first."""
+        offers = self._ordered_offers()
+        while offers and offers[0][0] <= through:
+            uplink = offers[0][3][0]
+            uplink.admit(
+                itertools.chain.from_iterable(self._due_offers(uplink, through))
+            )
+
+    def _due_offers(self, uplink: Link, through: float) -> Iterator:
+        offers = self._offers
+        while offers and offers[0][0] <= through and offers[0][3][0] is uplink:
+            when, _, nbytes, terms = offers.popleft()
+            train = terms[2](when, nbytes)
+            yield zip(itertools.repeat(when), train.sizes, itertools.repeat(train))
+
+    def _rearm_offers(self, port: Link) -> None:
+        """``port`` can keep no burst waiting any more (somebody hears
+        it, or it is tapped): the bursts on record for it ride their
+        events again, in order."""
+        offers = self._ordered_offers()
+        kept = []
+        for offer in offers:
+            when, _, nbytes, (_, bound_for, _, sender) = offer
+            if bound_for is port:
+                self.sim.schedule_at(when, sender(nbytes))
+            else:
+                kept.append(offer)
+        offers.clear()
+        offers.extend(kept)
 
     def _observe(self, link: Link, arrive: float, serial: int) -> None:
         self._m_forwarded.inc()

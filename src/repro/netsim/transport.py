@@ -57,6 +57,9 @@ class Endpoint:
 
     @on_receive.setter
     def on_receive(self, hook: Optional[Callable[[Packet], None]]) -> None:
+        # What is due is settled as it happened: heard, or not, by the
+        # hook that was there.
+        self._settle()
         self._on_receive = hook
         for link in self._feeds:
             link._rearm()

@@ -625,11 +625,28 @@ def chrome_trace_events(traces: Iterable[object]) -> Dict[str, object]:
     :meth:`MessageTrace.to_dict` (what a ``.slimcap`` file stores).
     Each message becomes one timeline lane (``tid`` = trace id) of
     consecutive complete ("X") events, one per non-empty stage, in
-    simulated microseconds.
+    simulated microseconds.  A probe span from the flight recorder's
+    ring (a yardstick round: ``probe``, ``started_at``, ``duration``) is
+    one event on a lane of its own.
     """
     events: List[Dict[str, object]] = []
     for trace in traces:
         record = trace.to_dict() if isinstance(trace, MessageTrace) else trace
+        if "probe" in record:
+            # Closed by a caller that tracks no sim time: nothing to draw.
+            if record["duration"] is not None:
+                events.append(
+                    {
+                        "name": record["probe"],
+                        "cat": "probe",
+                        "ph": "X",
+                        "ts": float(record["started_at"]) * 1e6,
+                        "dur": float(record["duration"]) * 1e6,
+                        "pid": 1,
+                        "tid": int(record["trace_id"]),
+                    }
+                )
+            continue
         if not record.get("completed"):
             continue
         cursor = float(record["update_start"])

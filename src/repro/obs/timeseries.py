@@ -81,9 +81,9 @@ DEFAULT_WINDOW = 1.0
 #: Windows kept per run before adjacent pairs coalesce (widths double).
 DEFAULT_MAX_WINDOWS = 512
 
-#: Engine-monitor callback granularity, events.  Window edges are
-#: detected at this granularity, so it is deliberately finer than the
-#: progress monitor's 5000.
+#: Engine-monitor callback granularity, events: the bound under dense
+#: traffic, deliberately finer than the progress monitor's 5000.  A
+#: window's edge is detected by the clock (``TimeSeriesSampler.due_at``).
 SAMPLER_EVERY = 512
 
 #: Open trace ids recorded per window (annotation, not a full trace).
@@ -671,10 +671,14 @@ def validate_timeseries_records(records: Sequence[Dict[str, Any]]) -> None:
 class TimeSeriesSampler:
     """Engine monitor that closes windows as sim time crosses boundaries.
 
-    Window edges are detected at the monitor granularity
-    (:data:`SAMPLER_EVERY` events), so a counter's delta can lag its
-    boundary by a few hundred events — the documented trade for keeping
-    the per-event hot path untouched.
+    The engine calls the sampler at the first event strictly past the
+    open window's edge (:attr:`due_at`), so a window holds its own
+    span's increments plus that one event's — however sparse the events
+    are — and no event is added to detect an edge.  Strictly past: an
+    event *at* the edge, a ``run_until`` deadline say, leaves the window
+    open for :meth:`finish`, where what an experiment adds after its
+    cell belongs.  :data:`SAMPLER_EVERY` events is the cadence that
+    remains under dense traffic.
 
     The registry and the tracer are read through the run context the
     sampler was built under, at each window close: a shard program gives
@@ -696,6 +700,11 @@ class TimeSeriesSampler:
         self._boundary = run.window
 
     # -- engine callback ---------------------------------------------------
+    @property
+    def due_at(self) -> float:
+        """The open window's edge (``Simulator.add_monitor``'s clock)."""
+        return self._boundary
+
     def __call__(self, sim) -> None:
         now = sim.now
         while now >= self._boundary:

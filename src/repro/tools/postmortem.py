@@ -13,8 +13,8 @@ id.  This tool answers the three triage questions in order:
   against the traced end-to-end latency — they telescope exactly, by
   construction), cross-shard stitchings with their boundary hops, and
   the LOSS -> NACK -> REENCODE conversation from the wire ring.
-* ``--chrome-trace OUT`` — *show me.*  The completed traces as Chrome
-  ``trace_event`` JSON for about:tracing.
+* ``--chrome-trace OUT`` — *show me.*  The completed traces and the
+  probe rounds as Chrome ``trace_event`` JSON for about:tracing.
 
 Exit status: 0 on a readable bundle, 2 on a corrupt or unrecognized
 one (bad zip, missing/invalid manifest, unknown format or version) —
@@ -382,9 +382,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.summary = True
 
     if args.chrome_trace is not None:
-        document = chrome_trace_events(
-            [t for t in bundle.traces if t.get("completed")]
-        )
+        # Incomplete message traces are skipped by the renderer.
+        document = chrome_trace_events(bundle.traces)
         args.chrome_trace.write_text(json.dumps(document))
         print(
             f"wrote {len(document['traceEvents'])} trace events "

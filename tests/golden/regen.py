@@ -33,7 +33,7 @@ stripped):
     python -m repro.experiments fig8 | grep -v '^  ([0-9.]*s)$'
     python -m repro.experiments fig11 --duration 6 | grep -v '^  ([0-9.]*s)$'
 
-Four entries are younger than their files.  PR 22 (on 7ed2e30) gave the
+Six entries are younger than their files.  PR 22 (on 7ed2e30) gave the
 time-series collection the one registry baseline and the flight recorder
 the SLO engine's grader, and made the yardstick observe a lost round;
 the entries that had pinned the misattributed series were re-blessed,
@@ -54,6 +54,23 @@ capture, trace events, every other instrument) moved in any of them:
   report, recorder triggers, the yardstick histogram), ``metrics`` (that
   histogram) and the three bundles' members; ``capture`` and
   ``trace_events`` did not move.
+
+Two more moved with PR 23 (on 3b74ef5), which has the engine call the
+time-series sampler at the first event past a window's edge instead of
+only every 512 events, so windows close on their own spans:
+
+    PYTHONPATH=src python tests/golden/regen.py runner \
+        all_flags/lossy_fabric sharded/fleet_scale
+
+* ``all_flags/lossy_fabric``: ``timeseries``, ``slo``, ``stdout`` (the
+  SLO report, the recorder's triggers, the dashboard block) and the
+  three bundles' members (``manifest.json``, ``slo.jsonl``,
+  ``timeseries.jsonl``, ``traces.jsonl``; ``ring.slimcap`` of the first
+  two, frozen at other instants); ``metrics``, ``capture``,
+  ``trace_events`` and the third bundle's ``ring.slimcap`` did not move.
+* ``sharded/fleet_scale``: ``timeseries`` (37 → 146 records: 119 merged
+  one-minute windows where there were 10) and the two ``stdout`` lines
+  that count them; the table and the bundle list did not move.
 
 Running an oracle with no ``ENTRY`` on a later commit re-blesses the whole
 file from the one remaining path; do that only for a deliberate, reviewed

@@ -161,21 +161,25 @@ class TestNetworkLoadGenerator:
     def test_the_fig11_cell_reads_the_same_one_packet_at_a_time(
         self, monkeypatch
     ):
-        """The generator's bursts are anonymous trains; sent as packets
-        through ``Network.send``, one at a time, the Fig 11 cell returns
-        the identical floats."""
+        """The generator's bursts are anonymous trains that wait on the
+        fabric's record; sent as packets through ``Network.send``, one at
+        a time and each burst on its event, the Fig 11 cell returns the
+        identical floats.  The twin taps the sink's port, so no burst
+        can wait there and every one goes through ``_burst_sender``."""
         import numpy as np
 
         from repro.experiments import fig11
+        from repro.obs import RingSlimcapWriter
         from tests.work_rigs import synthetic_profile
 
         profiles = [
             synthetic_profile(i, np.random.default_rng(i)) for i in range(4)
         ]
-        as_trains = fig11.yardstick_rtt(profiles, n_users=6, sim_seconds=7.0)
+        sent = []
 
         def one_at_a_time(self, burst_bytes):
             def send():
+                sent.append(burst_bytes)
                 remaining = burst_bytes
                 while remaining > 0:
                     size = max(min(1500, remaining), 64)
@@ -186,10 +190,140 @@ class TestNetworkLoadGenerator:
 
             return send
 
+        attach = Network.attach
+
+        def cell(tapped):
+            """The cell's floats, and what its sink and the server's
+            uplink counted: a mis-sized runt moves the bytes."""
+            networks = []
+
+            def attaching(self, endpoint, **kwargs):
+                attach(self, endpoint, **kwargs)
+                if endpoint.address == "sink":
+                    networks.append(self)
+                    if tapped:
+                        self.downlink("sink").capture = RingSlimcapWriter()
+                return endpoint
+
+            monkeypatch.setattr(Network, "attach", attaching)
+            floats = fig11.yardstick_rtt(profiles, n_users=6, sim_seconds=7.0)
+            (network,) = networks
+            sink, uplink = network.endpoint("sink"), network.uplink("server").stats
+            return (
+                floats, sink.packets_received, sink.bytes_received,
+                uplink.packets_sent, uplink.bytes_sent, uplink.queue_delay_total,
+            )
+
+        as_trains = cell(tapped=False)
+        assert not sent
         monkeypatch.setattr(NetworkLoadGenerator, "_burst_sender", one_at_a_time)
-        assert fig11.yardstick_rtt(profiles, n_users=6, sim_seconds=7.0) == as_trains
-        rtt, loss = as_trains
+        assert cell(tapped=True) == as_trains
+        assert len(sent) > 100 and any(0 < size % 1500 < 64 for size in sent)
+        (rtt, loss), *_ = as_trains
         assert 0 < rtt < float("inf") and loss == 0.0
+
+    @pytest.mark.parametrize("nbytes", [7, 1_499, 60_000, 2_358_017])
+    def test_an_intervals_bursts_are_the_scalar_loops(self, nbytes):
+        """One numpy pass sizes and times an interval's bursts; the
+        per-burst loop it replaced is kept here, and the two agree to
+        the last bit, skipped empty bursts included."""
+        import copy
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        pattern = TrafficPattern(updates_per_second=5.0, active_fraction=0.9)
+        for seed in range(25):
+            sim, network, _ = make_network()
+            generator = NetworkLoadGenerator(
+                sim, network, "server", "sink", make_profile([0]),
+                pattern=pattern, rng=np.random.default_rng(seed),
+            )
+            offered = []
+            generator._uplink = SimpleNamespace(
+                offer=lambda dst, bursts, train, sender: offered.extend(bursts)
+            )
+            twin = copy.deepcopy(generator.rng)
+            generator._emit_bursts(3.25, 5.0, nbytes)
+
+            n_bursts = max(1, int(twin.poisson(pattern.updates_per_second * 5.0)))
+            weights = twin.lognormal(0.0, 1.2, size=n_bursts)
+            weights /= weights.sum()
+            times = np.sort(twin.uniform(0.0, 5.0 * 0.9, size=n_bursts))
+            expected = []
+            for t, w in zip(times, weights):
+                burst_bytes = int(round(nbytes * float(w)))
+                if burst_bytes <= 0:
+                    continue
+                expected.append((3.25 + float(t), burst_bytes))
+            assert offered == expected
+            assert all(type(b) is int and type(t) is float for t, b in offered)
+        assert nbytes > 100 or len(expected) < n_bursts  # some were skipped
+
+    def test_counts_read_between_slices_do_not_depend_on_who_read_first(self):
+        """``packets_emitted`` / ``bytes_emitted`` between two
+        ``run_until`` slices, before any link is read, bare and armed:
+        what the same rig reports with its sink's port tapped — every
+        burst an event — at that instant."""
+        import numpy as np
+
+        from repro.obs import FlightRecorder, RingSlimcapWriter
+        from repro.runcontext import use_run
+        from tests.work_rigs import synthetic_profile
+
+        def counts(tapped):
+            sim, network, _sink = make_network()
+            if tapped:
+                network.downlink("sink").capture = RingSlimcapWriter()
+            generators = [
+                NetworkLoadGenerator(
+                    sim, network, "server", "sink",
+                    synthetic_profile(i, np.random.default_rng(i)),
+                    pattern=TrafficPattern(updates_per_second=5.0),
+                    rng=np.random.default_rng(100 + i),
+                )
+                for i in range(3)
+            ]
+            for generator in generators:
+                generator.start()
+            read = []
+            for deadline in (0.37, 1.0, 2.61):
+                sim.run_until(deadline)
+                read.append(
+                    [(g.packets_emitted, g.bytes_emitted) for g in generators]
+                )
+            return read, sim.events_processed
+
+        on_events, events = counts(tapped=True)
+        bare, bare_events = counts(tapped=False)
+        with use_run(recorder=FlightRecorder(out_dir=None, label="counts")):
+            armed, armed_events = counts(tapped=False)
+        assert bare == armed == on_events
+        assert bare[0] != bare[1] != bare[2]
+        assert bare_events == armed_events < events
+
+    @pytest.mark.parametrize(
+        "src, dst", [("nowhere", "sink"), ("server", "nowhere")]
+    )
+    def test_an_unknown_address_is_refused_at_start(self, rng, src, dst):
+        from repro.errors import SimulationError
+
+        sim, network, _ = make_network()
+        generator = NetworkLoadGenerator(
+            sim, network, src, dst, make_profile([1000]), rng=rng
+        )
+        with pytest.raises(SimulationError, match="nowhere"):
+            generator.start()
+        assert sim.pending == 0
+
+    def test_a_profile_with_no_intervals_is_refused_at_start(self, rng):
+        sim, network, _ = make_network()
+        generator = NetworkLoadGenerator(
+            sim, network, "server", "sink", make_profile([]), rng=rng
+        )
+        with pytest.raises(WorkloadError, match="no network intervals"):
+            generator.start()
+        assert sim.pending == 0
 
 
 class TestCpuYardstickConstants:

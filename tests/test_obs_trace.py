@@ -150,6 +150,23 @@ class TestChromeTrace:
             for a, b in zip(lane, lane[1:]):
                 assert b["ts"] == pytest.approx(a["ts"] + a["dur"], abs=1e-6)
 
+    def test_a_probe_round_is_one_span(self):
+        """What the flight recorder's probe ring holds (a bundle frozen
+        on a cell that only probes has nothing else): drawn, unless it
+        was closed without a clock."""
+        tracer = TraceCollector()
+        ring = []
+        tracer.probe_sink = ring.append
+        timed = tracer.begin_probe("net.yardstick.round", 0.15)
+        tracer.end_probe(timed, 0.4)
+        tracer.end_probe(tracer.begin_probe("net.yardstick.round", 0.5))
+        (event,) = chrome_trace_events(ring)["traceEvents"]
+        assert (event["name"], event["cat"], event["ph"]) == (
+            "net.yardstick.round", "probe", "X",
+        )
+        assert event["tid"] == timed
+        assert (event["ts"], event["dur"]) == (0.15e6, pytest.approx(0.25e6))
+
 
 class TestCapture:
     def test_roundtrip_frames_losses_and_messages(self, tmp_path):

@@ -441,6 +441,27 @@ def test_a_tap_set_mid_run_on_a_port_nobody_hears_sees_the_frames_from_then_on()
     assert five_datagrams(tap_at=4.5e-3) == (all_five[2:], 2)
 
 
+def test_a_hook_assigned_long_after_unread_arrivals_hears_none_of_them():
+    """Nobody read the fabric since the train left, so its hops are
+    still on the port's record when the hook arrives, well after the
+    last of them was delivered: they are settled as they happened —
+    unheard — and not admitted under the new hook, which would owe
+    deliveries in the past."""
+    sim, network, sink = _five_anonymous_through_a_switch()
+    got = []
+
+    def listen():
+        sink.on_receive = got.append
+
+    sim.schedule_at(0.5, listen)
+    sim.schedule_at(
+        0.6, lambda: network.send_burst(Train("server", "sink", [700], flow="late"))
+    )
+    sim.run()
+    assert [(packet.nbytes, packet.flow) for packet in got] == [(700, "late")]
+    assert (sink.packets_received, sink.bytes_received) == (6, 5200)
+
+
 def test_a_hook_assigned_after_the_drain_finds_everything_credited():
     sim, sink, _ = _five_on_one_link()
     sim.run()

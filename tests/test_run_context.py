@@ -340,6 +340,44 @@ def test_added_monitors_keep_independent_due_counters():
     assert slow == [10, 20]
 
 
+def test_a_clocked_monitor_fires_at_the_first_event_past_its_instant():
+    """A monitor with a ``due_at`` is called at the first event strictly
+    past it — by ``run``, ``run_until`` and ``step`` alike, however few
+    events that took — and not by an event *at* it: a ``run_until``
+    deadline leaves the sampler's last window to ``finish``.  No event
+    is added, and a monitor without one keeps its count."""
+
+    class Clocked:
+        every = 1000
+
+        def __init__(self):
+            self.due_at = 1.0
+            self.calls = []
+
+        def __call__(self, sim):
+            self.calls.append(sim.now)
+            while sim.now > self.due_at:
+                self.due_at += 1.0
+
+    for drive in ("run", "run_until", "step"):
+        sim = Simulator()
+        clocked, counted = Clocked(), []
+        sim.add_monitor(clocked)
+        sim.add_monitor(lambda s: counted.append(s.events_processed), every=4)
+        for when in (0.5, 1.0, 1.25, 1.5, 3.75, 4.0):
+            sim.schedule_at(when, lambda: None)
+        if drive == "run":
+            sim.run()
+        elif drive == "run_until":
+            sim.run_until(4.0)
+        else:
+            while sim.step():
+                pass
+        assert clocked.calls == [1.25, 3.75], drive
+        assert counted == [4], drive
+        assert sim.events_processed == 6
+
+
 def test_default_arming_leaves_the_engine_unmonitored():
     """The runner's default: a recorder and nothing else.  No monitor,
     so the no-monitor run loops, and not one event more."""

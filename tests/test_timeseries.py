@@ -478,3 +478,32 @@ def test_lossy_fabric_lossless_runs_report_no_loss():
             for key in record["counters"]
             if key.startswith(lost)
         ], label
+
+
+def test_a_sparse_rig_closes_a_window_for_every_second():
+    """The Fig 11 rig fires far fewer than ``SAMPLER_EVERY`` events a
+    second (its background load waits on the fabric's record), so only
+    the clock can close its windows on time: one per second, summing to
+    the registry once, none empty while the next holds two seconds."""
+    from tests import work_rigs
+
+    registry = MetricsRegistry()
+    collection = TimeSeriesCollection()
+    with use_run(registry=registry, collection=collection):
+        counts = work_rigs.yardstick_load()
+    assert counts["sim_events"] < 512 * counts["sim_seconds"] / 4
+    (run,) = [run for run in collection.runs if run.windows]
+    seconds = int(counts["sim_seconds"])
+    assert [(w["t0"], w["t1"]) for w in run.windows] == [
+        (float(t), float(t + 1)) for t in range(seconds)
+    ]
+    sent = "net.link.packets_sent{link=server->switch}"
+    per_second = [w["counters"].get(sent, 0) for w in run.windows]
+    counters, _observed, _buckets = _window_totals([run])
+    assert sum(per_second) == counters[sent] == registry.get(
+        "net.link.packets_sent", link="server->switch"
+    ).value
+    # Eight users at five bursts a second: every second carries traffic,
+    # and none carries a neighbour's as well.
+    assert min(per_second) > 0
+    assert max(per_second) < 2.5 * sum(per_second) / seconds

@@ -8,7 +8,11 @@ at hook-less endpoints, what is left is the senders' own ticks (plus
 the yardstick's probes): the hop into a switch port nobody hears goes on
 that port's record and the arrival is a fold credit, so such a packet
 costs no event.  With an event for the hop they read 8008 / 2250 / 4616;
-with one for the arrival as well, 12008 and 3798.  ``inbound_knee`` is
+with one for the arrival as well, 12008 and 3798.  ``yardstick_load``'s
+generators offer their bursts to the fabric, which keeps those bound for
+the unheard sink on record too: its 378 events are the probes and the
+generators' interval ticks, and the 324 ``bursts`` it counts are the
+events it had at the parent of that change (702).  ``inbound_knee`` is
 the other side: its server *hears*, behind a backlogged port, so every
 delivery is an event (7083) and a hop into the port is one only when no
 delivery already due there admits it in time — 16281 with an event per
@@ -24,7 +28,9 @@ from tests import work_rigs
 
 WORK_COUNTERS = {
     "switch_forward": {"sim_events": 4008, "packets": 4000},
-    "yardstick_load": {"sim_events": 702, "packets": 1642, "rtt_samples": 47},
+    "yardstick_load": {
+        "sim_events": 378, "packets": 1642, "bursts": 324, "rtt_samples": 47,
+    },
     "switch_burst": {"sim_events": 520, "packets": 4096},
     "inbound_knee": {
         "sim_events": 9556, "packets": 8826, "drops": 1743, "deliveries": 7083,

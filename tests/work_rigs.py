@@ -147,6 +147,15 @@ def yardstick_load() -> Counts:
     network.attach(Endpoint("sink"))
     rng = np.random.default_rng(SEED)
     generators = []
+    bursts = [0]
+
+    def counted(train):
+        def build(when, nbytes):
+            bursts[0] += 1
+            return train(when, nbytes)
+
+        return build
+
     for index in range(YARDSTICK_USERS):
         generator = NetworkLoadGenerator(
             sim,
@@ -158,16 +167,22 @@ def yardstick_load() -> Counts:
             rng=np.random.default_rng(int(rng.integers(0, 2**63))),
             flow=f"bg{index}",
         )
+        # Every burst is built here, whether it waited on record or
+        # rode an event.
+        generator.train = counted(generator.train)
         generator.start()
         generators.append(generator)
     yardstick.start()
     sim.run_until(YARDSTICK_SECONDS)
     assert yardstick.rtts, "yardstick collected no samples"
+    # Reading a generator's count settles its uplink: first, so that
+    # ``bursts`` holds every burst due by now.
+    packets = sum(g.packets_emitted for g in generators)
     return {
         "sim_events": sim.events_processed,
         "sim_seconds": sim.now,
-        "packets": sum(g.packets_emitted for g in generators)
-        + len(yardstick.rtts) * 2,
+        "packets": packets + len(yardstick.rtts) * 2,
+        "bursts": bursts[0],
         "rtt_samples": len(yardstick.rtts),
     }
 
