@@ -181,14 +181,9 @@ class Console:
         payload = packet.payload
         if isinstance(payload, Datagram):
             result = self.codec.accept(payload)
-            if result is None:
-                return
-            command, _seq = result
-        elif isinstance(payload, cmd.Command):
-            command = payload  # pre-decoded fast path for large sims
-        else:
-            return
-        self.enqueue(command)
+            if result is not None:
+                command, _seq = result
+                self.enqueue(command)
 
     def enqueue(self, command: cmd.Command) -> bool:
         """Queue a command for decode; False when the queue overflowed."""

@@ -6,8 +6,8 @@ The SLIM servers add three system services beyond ordinary daemons:
   (in the Sun Ray 1, by a smart identification card),
 * the **session manager** redirects a user's session I/O to whichever
   console the user is currently at,
-* the **remote device manager** (see :mod:`repro.core.devices`) handles
-  peripherals plugged into consoles.
+* the **remote device manager** handles peripherals plugged into
+  consoles (not modelled here).
 
 Statelessness is the point: a session's true state — including the
 authoritative framebuffer — lives on the server, so presenting the smart

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from math import inf
+from sys import maxsize
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -40,14 +41,14 @@ class Simulator:
         self.events_processed = 0
         #: Periodic callbacks, each a ``[due, every, callback]`` entry
         #: with its own due-counter, so observers on different cadences
-        #: share the engine without wrapping one another.  Due-counters
-        #: rather than modulo tests: cohort draining bumps
-        #: ``events_processed`` by more than one, which would skate past
-        #: an exact-multiple check.
+        #: share the engine without wrapping one another.
         self._monitors: List[list] = []
-        #: Event count at which the earliest monitor next fires, and the
-        #: simulated instant past which the earliest clocked one does.
-        self._monitor_due = 0
+        #: Event count at which the run in progress must return.
+        self._limit = maxsize
+        #: Event count at which something is next due — the earliest
+        #: monitor's counter or the limit — and the simulated instant
+        #: past which the earliest clocked monitor is.
+        self._check_at = maxsize
         self._monitor_at = inf
         self._idle_hooks: List[Callable[[], None]] = []
         #: The last engine return was a :meth:`run` that emptied the queue.
@@ -70,8 +71,9 @@ class Simulator:
         the first event strictly past it, however few events that took:
         what a monitor reports by the clock must not depend on how busy
         the heap is.  No event is added for it.  Monitors fire in the
-        order added; a simulator with none runs loops that never test
-        for one.
+        order added, after the last event of an instant
+        (:meth:`step`: after its one event), and one added from inside
+        a callback is honoured from the next event on.
         """
         if every is None:
             every = getattr(monitor, "every", DEFAULT_MONITOR_EVERY)
@@ -96,9 +98,10 @@ class Simulator:
         self._rearm_monitors()
 
     def _rearm_monitors(self) -> None:
-        self._monitor_due = min(entry[0] for entry in self._monitors)
+        self._check_at = min([self._limit] + [entry[0] for entry in self._monitors])
         self._monitor_at = min(
-            getattr(entry[2], "due_at", inf) for entry in self._monitors
+            (getattr(entry[2], "due_at", inf) for entry in self._monitors),
+            default=inf,
         )
 
     def at_idle(self, hook: Callable[[], None]) -> None:
@@ -150,9 +153,7 @@ class Simulator:
         self.now = when
         self.events_processed += 1
         callback()
-        if self._monitors and (
-            self.events_processed >= self._monitor_due or when > self._monitor_at
-        ):
+        if self.events_processed >= self._check_at or when > self._monitor_at:
             self._fire_monitors()
         for hook in self._idle_hooks:
             hook()
@@ -163,107 +164,64 @@ class Simulator:
 
         ``events_processed`` is the single authoritative event counter:
         the limit is enforced against it directly (it keeps counting
-        across successive ``run``/``run_until``/``step`` calls).
-
-        In the monitored/limited loops, same-timestamp events drain as
-        one *cohort*: the clock is written once, the limit/monitor
-        bookkeeping runs once, and the counter is bumped by the cohort
-        size — the per-cohort tie-peek replaces the per-event checks it
-        amortizes.  The dedicated no-limit/no-monitor loop has no such
-        bookkeeping to amortize, so it keeps the zero-overhead scalar
-        structure (a tie-peek there is a pure per-event tax on tie-free
-        workloads).  The ``max_events`` limit is checked between
-        cohorts, so a run can overshoot it by at most the size of the
-        cohort in progress.
+        across successive ``run``/``run_until``/``step`` calls).  The
+        limit is looked at between instants, so a run can overshoot it
+        by at most the events that share the last one's timestamp.
         """
-        self._guard_reentry()
-        try:
-            # Inlined event loop: cached heappop/queue locals and no
-            # per-event step() frame.  The clock stays on ``self``
-            # (reentrant step() calls stay consistent for free).  The
-            # common case — no event limit, no monitor — gets a
-            # dedicated loop with zero per-event bookkeeping checks.
-            queue = self._queue
-            pop = heapq.heappop
-            if max_events is None and not self._monitors:
-                while queue and not self._stopped:
-                    when, _, callback = pop(queue)
-                    self.now = when
-                    self.events_processed += 1
-                    callback()
-                return
-            limit = (
-                None if max_events is None else self.events_processed + max_events
-            )
-            monitored = bool(self._monitors)
-            while queue and not self._stopped:
-                if limit is not None and self.events_processed >= limit:
-                    break
-                when, _, callback = pop(queue)
-                self.now = when
-                n = 1
-                callback()
-                while queue and queue[0][0] == when and not self._stopped:
-                    _, _, callback = pop(queue)
-                    n += 1
-                    callback()
-                self.events_processed += n
-                if monitored and (
-                    self.events_processed >= self._monitor_due
-                    or when > self._monitor_at
-                ):
-                    self._fire_monitors()
-        finally:
-            self._running = False
-            self._stopped = False
-            self._drained = not self._queue
-            for hook in self._idle_hooks:
-                hook()
+        self._loop(
+            inf, maxsize if max_events is None else self.events_processed + max_events
+        )
 
     def run_until(self, deadline: float) -> None:
         """Run events with timestamps <= ``deadline``; clock ends there.
 
         Events scheduled beyond the deadline stay queued, so a simulation
-        can be advanced in slices.  The monitored loop drains cohorts as
-        in :meth:`run`.
+        can be advanced in slices.
+        """
+        self._loop(deadline, maxsize)
+
+    def _loop(self, deadline: float, limit: int) -> None:
+        """The event loop: fire what is due by ``deadline`` until
+        ``events_processed`` reaches ``limit``.
+
+        Inlined: cached heappop/queue locals and no per-event
+        :meth:`step` frame; the clock and the counter stay on ``self``
+        (reentrant :meth:`step` calls stay consistent for free).  An
+        event pays two comparisons for the monitors and the limit.  Both
+        are acted on only once every event of the instant has fired, and
+        the peek that tells is made only when one is due — on every
+        event it would be a pure tax on a run whose instants do not tie.
         """
         self._guard_reentry()
+        self._limit = limit
+        self._rearm_monitors()
         try:
             queue = self._queue
             pop = heapq.heappop
-            if not self._monitors:
-                while queue and not self._stopped and queue[0][0] <= deadline:
-                    when, _, callback = pop(queue)
-                    self.now = when
-                    self.events_processed += 1
-                    callback()
-            else:
-                # The branch above established there are monitors, so
-                # a cohort pays only the due-counter test.
-                while queue and not self._stopped and queue[0][0] <= deadline:
-                    when, _, callback = pop(queue)
-                    self.now = when
-                    n = 1
-                    callback()
-                    while queue and queue[0][0] == when and not self._stopped:
-                        _, _, callback = pop(queue)
-                        n += 1
-                        callback()
-                    self.events_processed += n
-                    if (
-                        self.events_processed >= self._monitor_due
-                        or when > self._monitor_at
-                    ):
-                        self._fire_monitors()
+            # ``run(max_events=0)`` fires nothing.
+            live = self.events_processed < limit
+            while live and queue and not self._stopped and queue[0][0] <= deadline:
+                when, _, callback = pop(queue)
+                self.now = when
+                self.events_processed += 1
+                callback()
+                if self.events_processed >= self._check_at or when > self._monitor_at:
+                    if queue and queue[0][0] == when and not self._stopped:
+                        continue
+                    self._fire_monitors()
+                    live = self.events_processed < limit
             # Only fast-forward the clock when the slice drained naturally:
             # after stop() there may be events before the deadline still
             # queued, and teleporting past them would let a later run
             # execute them "in the past".
-            if not self._stopped and self.now < deadline:
+            if not self._stopped and self.now < deadline < inf:
                 self.now = deadline
         finally:
             self._running = False
             self._stopped = False
+            self._drained = deadline == inf and not self._queue
+            self._limit = maxsize
+            self._rearm_monitors()
             for hook in self._idle_hooks:
                 hook()
 

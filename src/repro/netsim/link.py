@@ -636,18 +636,7 @@ class Link:
                     if horizon is None or horizon == inf:
                         horizon = sim.horizon
                     asof = ready if ready < horizon else horizon
-                    if starts and starts[0][0] <= asof:
-                        # _fold_starts, in place: this is every queued packet.
-                        stats, residency = self._stats, self._m_residency
-                        freed, waited = 0, stats.queue_delay_total
-                        while starts and starts[0][0] <= asof:
-                            _, size, wait, _ = starts.popleft()
-                            freed += size
-                            waited += wait
-                            if residency is not None:
-                                residency.observe(wait)
-                        self._queued_bytes -= freed
-                        stats.queue_delay_total = waited
+                    self._fold_starts(asof)
                     if ready > asof and starts and starts[0][0] <= ready:
                         for rec in starts:
                             if rec[0] > ready:

@@ -46,6 +46,8 @@ import itertools
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
+from math import inf
+from sys import maxsize
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -108,6 +110,8 @@ class ShardContext:
         self._handlers: Dict[str, Callable[[Any, float], None]] = {}
         self._outbox: List[_Message] = []
         self._seq = itertools.count()
+        #: Destinations delivered on this shard's own heap.
+        self._here = {shard_index}
         #: The trace context of the boundary message currently being
         #: delivered (set around handler invocation), so relay receivers
         #: can adopt the sender's causal trace without threading it
@@ -158,7 +162,7 @@ class ShardContext:
                     "arrival": arrival,
                 }
             )
-        if dst_shard == self.shard_index:
+        if dst_shard in self._here:
             # Intra-shard loopback stays on the local heap.
             self.sim.schedule_at(
                 arrival,
@@ -222,36 +226,7 @@ class LocalBus(ShardContext):
 
     def __init__(self, sim: Simulator, lookahead: float = DEFAULT_LOOKAHEAD) -> None:
         super().__init__(sim, 0, 1, lookahead)
-
-    def send(
-        self,
-        port: str,
-        payload: Any,
-        delay: Optional[float] = None,
-        dst_shard: int = COORDINATOR,
-        trace: Optional[Any] = None,
-    ) -> None:
-        delay = _check_delay(delay, self.lookahead)
-        if dst_shard != COORDINATOR and dst_shard != 0:
-            raise SimulationError(f"unknown destination shard {dst_shard}")
-        if trace is None:
-            trace = self.current_trace
-        arrival = self.sim.now + delay
-        if trace is not None:
-            self.boundary_hops.append(
-                {
-                    "gid": trace.get("gid") if isinstance(trace, dict) else None,
-                    "port": port,
-                    "src_shard": 0,
-                    "dst_shard": dst_shard,
-                    "sent_at": self.sim.now,
-                    "arrival": arrival,
-                }
-            )
-        self.sim.schedule_at(
-            arrival,
-            _Delivery(self._handlers, port, payload, arrival, self, trace),
-        )
+        self._here.add(COORDINATOR)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +595,7 @@ class ShardedBackend:
                 else:
                     self._inboxes[dst].append(message)
 
-    def _window_end(self, limit: Optional[float]) -> Optional[float]:
+    def _window_end(self, deadline: float) -> Optional[float]:
         """Upper edge of the next safe window, or None when drained.
 
         A window is safe when no event inside it can produce a message
@@ -631,27 +606,15 @@ class ShardedBackend:
         """
         next_time = self.peek_next_time()
         if next_time is None:
-            if limit is not None and self._control.now < limit:
-                return limit  # drained early: advance every clock to the deadline
-            return None
-        window_end = next_time + self.lookahead
-        if limit is not None:
-            window_end = min(window_end, limit)
+            # Drained early: the last window lands every clock on the
+            # deadline, if there is one.
+            return deadline if self._control.now < deadline < inf else None
+        window_end = min(next_time + self.lookahead, deadline)
         return window_end if window_end > self._control.now else None
 
     def run_until(self, deadline: float) -> None:
         """Advance everything to ``deadline`` in conservative windows."""
-        self._ensure_started()
-        try:
-            # _window_end returns the deadline itself once everything has
-            # drained, so the final window lands every clock exactly there.
-            while not self._stop_requested and self._control.now < deadline:
-                window_end = self._window_end(deadline)
-                if window_end is None:
-                    break
-                self._advance(window_end)
-        finally:
-            self._stop_requested = False
+        self._windows(deadline, maxsize)
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until every queue everywhere drains.
@@ -659,17 +622,24 @@ class ShardedBackend:
         ``max_events`` bounds *control-plane* events and is enforced at
         window barriers.
         """
-        self._ensure_started()
         limit = (
-            None
+            maxsize
             if max_events is None
             else self._control.events_processed + max_events
         )
+        self._windows(inf, limit)
+
+    def _windows(self, deadline: float, limit: int) -> None:
+        """Advance window by window to ``deadline``, or until the control
+        plane has fired ``limit`` events."""
+        self._ensure_started()
         try:
-            while not self._stop_requested:
-                if limit is not None and self._control.events_processed >= limit:
-                    break
-                window_end = self._window_end(None)
+            while (
+                not self._stop_requested
+                and self._control.now < deadline
+                and self._control.events_processed < limit
+            ):
+                window_end = self._window_end(deadline)
                 if window_end is None:
                     break
                 self._advance(window_end)

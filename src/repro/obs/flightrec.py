@@ -6,7 +6,7 @@ the wire frames around the spike, the implicated causal traces, the
 telemetry windows, what the engine was doing — still exists.  Everything
 is a ring: a byte-budgeted :class:`RingSlimcapWriter` over tapped
 frames, a deque of recently closed traces, the last K telemetry
-windows, and coarse engine event-cohort marks.  Rings hold what was
+windows, and coarse engine marks.  Rings hold what was
 handed to them — datagrams, trace objects — and render bytes and
 dicts only when frozen, so a record costs an append and an untapped
 path nothing at all: the recorder is safe to arm by default.
@@ -20,7 +20,7 @@ frozen into a self-describing ``.slimpm`` bundle: a zip holding
 * ``traces.jsonl``  — closed trace/probe records plus open partials;
 * ``timeseries.jsonl`` / ``slo.jsonl`` — the window slice and its
   verdict, in the standard schemas;
-* ``engine.json``   — event-cohort marks and phase notes;
+* ``engine.json``   — engine marks and phase notes;
 * ``shards/…`` + ``stitched.jsonl`` — per-shard rings gathered at the
   collect barrier and cross-shard traces stitched by global id.
 
@@ -199,12 +199,10 @@ class FlightRecorder:
                 window=(event.t0, event.t1),
             )
 
-    # -- engine cohort marks -----------------------------------------------
+    # -- engine marks ------------------------------------------------------
     def engine_mark(self, sim) -> None:
-        """Record a coarse (sim-time, events) cohort point.  An engine
-        monitor of simulators that are monitored anyway (see
-        :meth:`RunContext.attach`) — no engine cost for a run that arms
-        nothing but the recorder."""
+        """Record a coarse (sim-time, events) point: an engine monitor
+        of every simulator built while armed (:meth:`RunContext.attach`)."""
         self.marks.append(
             {"phase": self._phase, "t": sim.now, "events": sim.events_processed}
         )

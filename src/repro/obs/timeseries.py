@@ -678,7 +678,8 @@ class TimeSeriesSampler:
     event *at* the edge, a ``run_until`` deadline say, leaves the window
     open for :meth:`finish`, where what an experiment adds after its
     cell belongs.  :data:`SAMPLER_EVERY` events is the cadence that
-    remains under dense traffic.
+    remains under dense traffic; a call it makes at or before the edge
+    closes nothing.
 
     The registry and the tracer are read through the run context the
     sampler was built under, at each window close: a shard program gives
@@ -707,8 +708,12 @@ class TimeSeriesSampler:
 
     def __call__(self, sim) -> None:
         now = sim.now
-        while now >= self._boundary:
-            self._close_window(self._boundary)
+        # Only an event strictly past the open edge closes it — the count
+        # calls at an edge too, and a window must not depend on which
+        # event was the 512th — and then every edge the clock has reached.
+        if now > self._boundary:
+            while now >= self._boundary:
+                self._close_window(self._boundary)
 
     def finish(self, now: float) -> None:
         """Close any partial trailing window.

@@ -69,16 +69,13 @@ class RunContext:
 
     def attach(self, sim: "Simulator") -> None:
         """Give a new simulator this run's periodic observers: the
-        shared painter, a sampler of its own, and — only when one of
-        those already made it a monitored simulator — the recorder's
-        engine marks.  A run that arms nothing but the recorder (the
-        runner's default) therefore stays on the engine's no-monitor
-        loop."""
+        shared painter, a sampler of its own and the recorder's engine
+        marks."""
         if self.progress is not None:
             sim.add_monitor(self.progress)
         if self.collection is not None:
             sim.add_monitor(self.collection.sample(sim))
-        if self.recorder is not None and sim.monitored:
+        if self.recorder is not None:
             sim.add_monitor(self.recorder.engine_mark, every=MARK_EVERY)
 
     # -- shard workers -----------------------------------------------------

@@ -2,7 +2,7 @@
 
 A bundle is what :class:`repro.obs.flightrec.FlightRecorder` freezes
 when an anomaly trips: the wire-frame ring, implicated causal traces,
-the telemetry window slice and its SLO verdict, engine cohort marks,
+the telemetry window slice and its SLO verdict, engine marks,
 and — for sharded runs — per-shard evidence stitched by global trace
 id.  This tool answers the three triage questions in order:
 

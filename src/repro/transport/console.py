@@ -227,9 +227,6 @@ class ConsoleChannel:
                     packet.hops,
                 )
             self._on_message(command, seq)
-        elif isinstance(payload, cmd.Command):
-            # Pre-decoded fast path (large sims); no wire-level tracking.
-            self.console.enqueue(payload)
 
     def _on_message(self, command: cmd.Command, seq: int) -> None:
         self._scan_holes(seq)

@@ -193,17 +193,6 @@ class TestTimedConsole:
         sim.run()
         assert console.framebuffer.is_uniform(Rect(0, 0, 8, 8)) == (3, 3, 3)
 
-    def test_predecoded_fast_path(self):
-        sim = Simulator()
-        console = Console(64, 48, sim=sim)
-        packet = Packet(
-            src="s", dst="c", nbytes=100,
-            payload=cmd.FillCommand(rect=Rect(0, 0, 4, 4), color=(9, 9, 9)),
-        )
-        console.receive_packet(packet)
-        sim.run()
-        assert console.framebuffer.pixel(0, 0) == (9, 9, 9)
-
     def test_accounting_only_commands_charge_time_without_pixels(self):
         sim = Simulator()
         console = Console(64, 48, sim=sim)

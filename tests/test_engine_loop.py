@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from math import inf
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,11 +184,13 @@ def test_step_fires_callbacks_in_the_same_order(script, monitors):
     assert sim.events_processed == len(order)
 
 
-def test_a_monitor_added_inside_a_callback_is_honoured_from_the_next_event_on():
+@pytest.mark.parametrize("watched", [False, True])
+def test_a_monitor_added_inside_a_callback_is_honoured_from_the_next_event_on(
+    watched,
+):
     sim, calls = Simulator(), []
-    # The parent's loops are chosen as a run starts: one idle monitor
-    # puts this run on the loop that looks for them at all.
-    sim.add_monitor(lambda s: None, every=1000)
+    if watched:  # whether or not the run started with a monitor
+        sim.add_monitor(lambda s: None, every=1000)
     for k in range(1, 7):
         sim.schedule(k * GRID, lambda: None)
     sim.schedule(
@@ -195,4 +198,11 @@ def test_a_monitor_added_inside_a_callback_is_honoured_from_the_next_event_on():
         lambda: sim.add_monitor(lambda s: calls.append(s.events_processed), every=1),
     )
     sim.run()
-    assert calls[-3:] == [5, 6, 7]
+    assert calls == [5, 6, 7]
+
+
+def test_a_limit_of_zero_fires_nothing():
+    sim = Simulator()
+    sim.schedule(GRID, lambda: None)
+    sim.run(max_events=0)
+    assert (sim.events_processed, sim.pending, sim.now) == (0, 1, 0.0)

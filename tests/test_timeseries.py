@@ -114,6 +114,9 @@ class TestWindowValue:
 
 
 class TestSampler:
+    """Driven by hand the way the engine does it: at an event strictly
+    past the open window's edge."""
+
     def setup_method(self):
         self.registry = MetricsRegistry()
         self.sim = FakeSim()
@@ -124,10 +127,10 @@ class TestSampler:
     def test_counters_become_per_window_deltas(self):
         counter = self.registry.counter("pkts")
         counter.inc(3)
-        self.sim.now = 1.0
+        self.sim.now = 1.5
         self.sampler(self.sim)
         counter.inc(5)
-        self.sim.now = 2.0
+        self.sim.now = 2.5
         self.sampler(self.sim)
         deltas = [w["counters"]["pkts"] for w in self.run.windows]
         assert deltas == [3, 5]
@@ -135,14 +138,14 @@ class TestSampler:
     def test_gauges_recorded_only_on_change(self):
         gauge = self.registry.gauge("tier")
         gauge.set(1)
-        self.sim.now = 1.0
+        self.sim.now = 1.5
         self.sampler(self.sim)
         # Unchanged: window 2 stores nothing at all (gauge suppressed,
         # no other activity), so it is skipped entirely.
-        self.sim.now = 2.0
+        self.sim.now = 2.5
         self.sampler(self.sim)
         gauge.set(2)
-        self.sim.now = 3.0
+        self.sim.now = 3.5
         self.sampler(self.sim)
         gauges = [w.get("gauges", {}) for w in self.run.windows]
         assert gauges == [{"tier": 1}, {"tier": 2}]
@@ -152,10 +155,10 @@ class TestSampler:
         hist = self.registry.histogram("rtt", buckets=(0.1, 0.5))
         hist.observe(0.05)
         hist.observe(0.3)
-        self.sim.now = 1.0
+        self.sim.now = 1.5
         self.sampler(self.sim)
         hist.observe(0.3)
-        self.sim.now = 2.0
+        self.sim.now = 2.5
         self.sampler(self.sim)
         first, second = (w["histograms"]["rtt"] for w in self.run.windows)
         assert first["count"] == 2 and second["count"] == 1
@@ -478,6 +481,27 @@ def test_lossy_fabric_lossless_runs_report_no_loss():
             for key in record["counters"]
             if key.startswith(lost)
         ], label
+
+
+@pytest.mark.parametrize("fillers", [300, 511])
+def test_a_window_does_not_depend_on_the_event_count_at_an_edge(fillers):
+    """With 511 fillers the hit *at* the first edge is the sampler's
+    512th event, so the engine calls it there by the count: the window
+    must stay open all the same, until the first event strictly past."""
+    registry = MetricsRegistry()
+    collection = TimeSeriesCollection(window=1.0)
+    with use_run(registry=registry, collection=collection):
+        sim = Simulator()
+        for k in range(fillers):
+            sim.schedule_at(0.5 * k / fillers, lambda: None)
+        for when in (1.0, 1.5, 2.5):
+            sim.schedule_at(when, registry.counter("hits").inc)
+        sim.run()
+    (run,) = collection.runs
+    assert [(w["t0"], w["counters"]["hits"]) for w in run.windows] == [
+        (0.0, 2),
+        (1.0, 1),
+    ]
 
 
 def test_a_sparse_rig_closes_a_window_for_every_second():
