@@ -86,8 +86,6 @@ from repro.netsim import (
     LocalBackend,
     Network,
     Packet,
-    ShardedBackend,
-    SimulationBackend,
     Simulator,
 )
 from repro.transport import DisplayChannel, ConsoleChannel, ServerChannel
@@ -136,8 +134,6 @@ __all__ = [
     "Scheduler",
     "ServerHost",
     "LocalBackend",
-    "ShardedBackend",
-    "SimulationBackend",
     "Simulator",
     "Network",
     "Endpoint",

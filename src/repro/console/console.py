@@ -33,7 +33,7 @@ from repro.core.decoder import SlimDecoder
 from repro.core.wire import Datagram, WireCodec
 from repro.console.microops import MicroOpModel
 from repro.framebuffer.framebuffer import FrameBuffer
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint
 from repro.runcontext import current_run
@@ -84,7 +84,7 @@ class Console:
         width: int = 1280,
         height: int = 1024,
         timing: Optional[TimingModel] = None,
-        sim: Optional[SimulationBackend] = None,
+        sim: Optional[Simulator] = None,
         address: str = "console",
         queue_limit: int = 512,
         link_rate_bps: float = ETHERNET_100,

@@ -15,21 +15,19 @@ The model composes two existing pieces:
   intensity curve, binomially-thinned active users, lognormal burst
   noise that partially cancels across users).
 
+Every workgroup is served locally, so no workgroup sends another
+anything: the campus runs as :data:`SLICES` independent slices through
+:func:`~repro.experiments.runner.sweep`, each on a simulator of its own.
 Each workgroup samples its own demand on its own RNG stream (seeded by
-``(seed, workgroup_id)`` — never by shard layout) and reports per-window
-maxima to the coordinator over the aggregation fabric, whose one-sample
-reporting delay is exactly the sharded backend's conservative lookahead.
-Aggregation is keyed by ``(window, workgroup)``, so the fleet curve is
-insensitive to message arrival order — which is what makes the output
-byte-identical across :class:`~repro.netsim.backend.LocalBackend`,
-``ShardedBackend(1)``, and ``ShardedBackend(4)`` at a fixed seed (the
-determinism seam the equivalence test pins down).
+``(seed, workgroup_id)``, never by slice) and reports per-window maxima
+keyed by ``(window, workgroup)``; the fleet curve iterates those keys
+in sorted order, so it is the same whichever slice ran first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,15 +37,10 @@ from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentResult,
     experiment,
+    sweep,
 )
 from repro.monitor.casestudy import ENGINEERING_GROUP, UNIVERSITY_LAB, SiteModel
-from repro.netsim.backend import LocalBackend
-from repro.netsim.sharded import (
-    LocalBus,
-    ShardCollection,
-    ShardContext,
-    ShardedBackend,
-)
+from repro.netsim.engine import Simulator
 from repro.obs.slo import SloEngine, SloSpec
 from repro.obs.timeseries import RunSeries
 from repro.runcontext import current_run
@@ -56,8 +49,10 @@ from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.units import MBPS
 from repro.workloads.mixes import DESIGN_MIX, LAB_MIX, OFFICE_MIX, WorkgroupMix
 
-#: Boundary port carrying workgroup -> coordinator demand reports.
-REPORT_PORT = "fleet-report"
+#: Workgroup ``w`` runs in slice ``w % SLICES``.  A constant, not a
+#: knob: the rows do not depend on it, but how the slices' series merge
+#: (the ``--timeseries`` output) does.
+SLICES = 4
 
 #: Planning headroom, matching :meth:`WorkgroupMix.estimated_cpus_needed`.
 PROVISION_HEADROOM = 0.5
@@ -77,9 +72,7 @@ class FleetSpec:
         scale: Population multiplier applied to each archetype mix.
         seed: Root RNG seed; workgroup ``w`` streams from ``(seed, w)``.
         duration: Simulated seconds (a diurnal day is 86400).
-        sample_interval: Demand sampling cadence, seconds.  This is also
-            the aggregation fabric's reporting delay and therefore the
-            sharded backend's conservative lookahead.
+        sample_interval: Demand sampling cadence, seconds.
         report_window: Per-window maxima cadence (the paper's five-minute
             reporting idiom).
     """
@@ -98,11 +91,6 @@ class FleetSpec:
             raise SimulationError(
                 "need 0 < sample_interval <= report_window"
             )
-
-    @property
-    def lookahead(self) -> float:
-        """Inter-shard coupling delay: one aggregation-fabric report hop."""
-        return self.sample_interval
 
     @property
     def n_windows(self) -> int:
@@ -146,23 +134,30 @@ def fleet_spec(
 
 
 class _Workgroup:
-    """One switch subtree's demand process (lives inside a shard).
+    """One switch subtree's demand process (lives inside a slice).
 
     Mirrors :func:`repro.monitor.casestudy.simulate_day`: an AR(1)
     presence tracker follows the site's daily curve, a binomial thinning
     picks the actively-computing subset, and lognormal burst noise with
     relative sigma ``sigma / sqrt(n)`` models partially-cancelling
-    per-user bursts.  Every ``report_window`` the window maxima go to
-    the coordinator with one fabric hop (= lookahead) of delay.
+    per-user bursts.  Every ``report_window`` the window maxima go into
+    ``reports`` under ``(window, workgroup)``.
     """
 
     #: AR(1) tracking coefficient per sample (casestudy uses 0.02 at a
     #: 10 s cadence; this is the equivalent pull at 60 s).
     TRACK = 0.11
 
-    def __init__(self, ctx: ShardContext, spec: FleetSpec, workgroup_id: int):
-        self.ctx = ctx
+    def __init__(
+        self,
+        sim: Simulator,
+        spec: FleetSpec,
+        workgroup_id: int,
+        reports: Dict[Tuple[int, int], Dict[str, Any]],
+    ):
+        self.sim = sim
         self.spec = spec
+        self.reports = reports
         self.workgroup_id = workgroup_id
         mix = spec.workgroup_mix(workgroup_id)
         site = spec.workgroup_site(workgroup_id)
@@ -173,14 +168,15 @@ class _Workgroup:
         self.presence = site.presence
         self.activity = site.activity
         self.sigma = site.burstiness_sigma
-        # Seeded by identity, never by shard layout: the stream is the
-        # same whether this workgroup runs sharded or on the local bus.
+        # Seeded by identity, never by slice: the stream is the same
+        # whichever slice this workgroup runs in.
         self.rng = np.random.default_rng([spec.seed, workgroup_id])
         self.current_present = 0.0
         self.samples = 0
+        self.active_total = 0
         self._window: Optional[int] = None
         self._reset_maxima()
-        ctx.sim.schedule_at(0.0, self._sample)
+        sim.schedule_at(0.0, self._sample)
 
     def _reset_maxima(self) -> None:
         self.max_present = 0.0
@@ -191,24 +187,18 @@ class _Workgroup:
     def _flush(self) -> None:
         if self._window is None:
             return
-        self.ctx.send(
-            REPORT_PORT,
-            {
-                "window": self._window,
-                "workgroup": self.workgroup_id,
-                "mix": self.mix_name,
-                "desktops": self.n_desktops,
-                "present": round(self.max_present, 6),
-                "active": self.max_active,
-                "cpu": round(self.max_cpu, 6),
-                "net_mbps": round(self.max_net_mbps, 6),
-            },
-            delay=self.ctx.lookahead,
-        )
+        self.reports[(self._window, self.workgroup_id)] = {
+            "mix": self.mix_name,
+            "desktops": self.n_desktops,
+            "present": round(self.max_present, 6),
+            "active": self.max_active,
+            "cpu": round(self.max_cpu, 6),
+            "net_mbps": round(self.max_net_mbps, 6),
+        }
         self._reset_maxima()
 
     def _sample(self) -> None:
-        now = self.ctx.sim.now
+        now = self.sim.now
         window = int(now / self.spec.report_window + 1e-9)
         if self._window is not None and window != self._window:
             self._flush()
@@ -241,6 +231,7 @@ class _Workgroup:
         self.max_cpu = max(self.max_cpu, cpu)
         self.max_net_mbps = max(self.max_net_mbps, net_mbps)
         self.samples += 1
+        self.active_total += active
 
         registry = get_registry()
         if registry.enabled:
@@ -249,53 +240,49 @@ class _Workgroup:
 
         next_time = now + self.spec.sample_interval
         if next_time < self.spec.duration - 1e-9:
-            self.ctx.sim.schedule_at(next_time, self._sample)
+            self.sim.schedule_at(next_time, self._sample)
         else:
             self._flush()
 
 
-class FleetShardProgram:
-    """This shard's slice of the campus: workgroups ``w`` with
-    ``w % n_shards == shard_index``."""
-
-    def __init__(self, ctx: ShardContext, spec: FleetSpec):
-        self.workgroups = [
-            _Workgroup(ctx, spec, workgroup_id)
-            for workgroup_id in range(spec.n_workgroups)
-            if workgroup_id % ctx.n_shards == ctx.shard_index
-        ]
-
-    def collect(self) -> Dict[str, Any]:
-        return {
-            "workgroups": len(self.workgroups),
-            "desktops": sum(w.n_desktops for w in self.workgroups),
-            "samples": sum(w.samples for w in self.workgroups),
-        }
-
-
-def build_fleet_shard(ctx: ShardContext, spec_fields: Dict[str, Any]):
-    """``ShardedBackend`` build callable (module-level, picklable)."""
-    # Each shard process collects its own telemetry, in its worker's run
-    # context; the backend merges the per-shard snapshots at the
-    # collect() barrier.
+def run_slice(spec: FleetSpec, index: int) -> Dict[str, Any]:
+    """Slice ``index`` of the campus — workgroups ``w`` with
+    ``w % SLICES == index`` — on a simulator of its own, driven to the
+    instant the fleet's trailing windows close: its reports, and how
+    many demand samples it took with their sum of active users."""
+    # The slice's own registry: its series then holds the fleet's
+    # instruments whatever the parent armed.
     current_run().registry = MetricsRegistry()
-    return FleetShardProgram(ctx, FleetSpec(**spec_fields))
+    sim = Simulator()
+    reports: Dict[Tuple[int, int], Dict[str, Any]] = {}
+    workgroups = [
+        _Workgroup(sim, spec, workgroup_id, reports)
+        for workgroup_id in range(index, spec.n_workgroups, SLICES)
+    ]
+    sim.run_until(spec.duration + 2 * spec.sample_interval)
+    return {
+        "reports": reports,
+        "samples": sum(w.samples for w in workgroups),
+        "active": sum(w.active_total for w in workgroups),
+    }
 
 
 class FleetAggregator:
-    """Coordinator-side sink: order-insensitive per-window cells.
+    """The slices' reports merged: order-insensitive per-window cells.
 
-    Reports land keyed by ``(window, workgroup)``; every derived figure
+    Reports are keyed by ``(window, workgroup)``; every derived figure
     iterates the cells in sorted key order, so the output is a pure
-    function of cell *contents* — message arrival order (which differs
-    between backends and shard counts) cannot leak into the results.
+    function of cell *contents* — which slice finished first cannot leak
+    into the results.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, slices: List[Dict[str, Any]]) -> None:
         self.cells: Dict[Tuple[int, int], Dict[str, Any]] = {}
-
-    def on_report(self, payload: Dict[str, Any], _arrival: float) -> None:
-        self.cells[(payload["window"], payload["workgroup"])] = payload
+        for result in slices:
+            self.cells.update(result["reports"])
+        #: Demand samples taken fleet-wide, and their sum of active users.
+        self.samples = sum(result["samples"] for result in slices)
+        self.active_total = sum(result["active"] for result in slices)
 
     # -- derived fleet curve ---------------------------------------------------
     def window_totals(self) -> List[Dict[str, float]]:
@@ -467,37 +454,11 @@ def fleet_capacity_slos(cpus_needed: int) -> List[SloSpec]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# Run on either backend
-# ---------------------------------------------------------------------------
-
-
-def run_fleet_local(spec: FleetSpec) -> FleetAggregator:
-    """The whole campus on one :class:`LocalBackend` via :class:`LocalBus`."""
-    sim = LocalBackend()
-    bus = LocalBus(sim, lookahead=spec.lookahead)
-    aggregator = FleetAggregator()
-    bus.on_receive(REPORT_PORT, aggregator.on_report)
-    FleetShardProgram(bus, spec)
-    sim.run_until(spec.duration + 2 * spec.lookahead)
-    return aggregator
-
-
-def run_fleet_sharded(
-    spec: FleetSpec, n_shards: int
-) -> Tuple[FleetAggregator, ShardCollection]:
-    """The campus across ``n_shards`` worker processes."""
-    aggregator = FleetAggregator()
-    with ShardedBackend(
-        n_shards,
-        build=build_fleet_shard,
-        build_args=(asdict(spec),),
-        lookahead=spec.lookahead,
-    ) as backend:
-        backend.on_receive(REPORT_PORT, aggregator.on_report)
-        backend.run_until(spec.duration + 2 * spec.lookahead)
-        collection = backend.collect()
-    return aggregator, collection
+def run_fleet(spec: FleetSpec) -> FleetAggregator:
+    """The campus, its :data:`SLICES` slices side by side."""
+    return FleetAggregator(
+        sweep(range(SLICES), lambda index: run_slice(spec, index))
+    )
 
 
 @experiment(
@@ -512,33 +473,17 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         seed=config.get("seed", 2026),
         duration=config.get("duration", 24 * 3600.0),
     )
-    n_shards = int(config.get("shards", 4))
     recorder = current_run().recorder
     if recorder is not None:
-        recorder.note(f"fleet_scale/{n_desktops}d/{n_shards}s")
-    if n_shards > 1:
-        aggregator, collection = run_fleet_sharded(spec, n_shards)
-        merged = {
-            entry["name"]: entry for entry in collection.telemetry
-        }
-        samples = merged.get("fleet.active_users", {})
-        telemetry_note = (
-            f"{n_shards} shard processes, lookahead {spec.lookahead:.0f}s; "
-            f"merged telemetry: "
-            f"{int(samples.get('count', 0))} demand samples, "
-            f"mean {samples.get('mean', 0.0):.1f} active users/workgroup"
-        )
-        if collection.series is not None:
-            telemetry_note += (
-                f"; {sum(1 for s in collection.series_per_shard if s)} shard "
-                f"time-series merged into "
-                f"{len(collection.series.windows)} windows"
-            )
-    else:
-        aggregator = run_fleet_local(spec)
-        telemetry_note = "single-process run (LocalBackend via LocalBus)"
+        recorder.note(f"fleet_scale/{n_desktops}d")
+    aggregator = run_fleet(spec)
     rows, notes = provisioning_rows(aggregator, spec)
-    notes.append(telemetry_note)
+    notes.append(
+        f"{SLICES} independent slices (workgroup w in slice w % {SLICES}); "
+        f"{aggregator.samples} demand samples, mean "
+        f"{aggregator.active_total / aggregator.samples:.1f} active "
+        "users/workgroup"
+    )
 
     # With --timeseries/--slo active, publish the fleet demand curve as
     # its own run and grade it against the capacity SLOs in the table.

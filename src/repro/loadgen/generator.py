@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import Train
 from repro.netsim.transport import Network
 from repro.workloads.session import ResourceProfile
@@ -63,7 +63,7 @@ class NetworkLoadGenerator:
 
     def __init__(
         self,
-        sim: SimulationBackend,
+        sim: Simulator,
         network: Network,
         src: str,
         dst: str,

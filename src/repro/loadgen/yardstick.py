@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Network
 from repro.runcontext import current_run
@@ -82,7 +82,7 @@ class NetworkYardstick:
 
     def __init__(
         self,
-        sim: SimulationBackend,
+        sim: Simulator,
         network: Network,
         console_addr: str,
         server_addr: str,

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.wire import Datagram
 from repro.errors import SimulationError
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet, Train
 from repro.obs.capture import KIND_DROP, KIND_FRAME, KIND_LOSS
 from repro.runcontext import current_run
@@ -247,7 +247,7 @@ class Link:
 
     def __init__(
         self,
-        sim: SimulationBackend,
+        sim: Simulator,
         rate_bps: float,
         propagation_delay: float,
         deliver: Callable[[Packet], None],

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Deque, Dict, Iterator, List
 
 from repro.errors import SimulationError
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.netsim.link import QUEUE_DEPTH_BUCKETS, Link
 from repro.netsim.packet import Packet
 from repro.telemetry.metrics import get_registry
@@ -31,7 +31,7 @@ class Switch:
 
     def __init__(
         self,
-        sim: SimulationBackend,
+        sim: Simulator,
         forwarding_delay: float = 5e-6,
         name: str = "switch",
     ) -> None:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet, Train
 from repro.netsim.profiles import NetworkProfile
@@ -123,7 +123,7 @@ class Network:
 
     def __init__(
         self,
-        sim: SimulationBackend,
+        sim: Simulator,
         default_rate_bps: float,
         propagation_delay: float = 5e-6,
         forwarding_delay: float = 5e-6,

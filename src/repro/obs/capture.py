@@ -283,7 +283,7 @@ class RingSlimcapWriter(SlimcapWriter):
         return out.getvalue()
 
     def export_state(self) -> Dict[str, object]:
-        """Picklable ring state, for shipping across a shard boundary."""
+        """Picklable ring state, for a sweep cell to ship to its parent."""
         self.settle()
         return {
             "endpoints": dict(self._endpoints),
@@ -292,7 +292,7 @@ class RingSlimcapWriter(SlimcapWriter):
         }
 
     def absorb_state(self, state: Dict[str, object]) -> None:
-        """Merge a shard's exported ring into this one (time-ordered)."""
+        """Merge a cell's exported ring into this one (time-ordered)."""
         remap = {
             state["endpoints"][name]: self._intern(name, 0.0)
             for name in state["endpoints"]

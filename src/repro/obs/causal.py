@@ -15,9 +15,8 @@ and whoever later *reads* a closed trace gets the interval
 
     encode | queueing | serialization | switch | shard_transit | decode | paint
 
-(``shard_transit`` is zero for same-shard messages; it absorbs the
-boundary-port hop when an update crosses a :class:`ShardContext`
-border, keeping the telescoping exact across process boundaries.)
+(``shard_transit`` is the on-wire time that no hop record accounts for:
+zero for a message whose completing packet carried its itinerary.)
 
 The stages telescope — each boundary timestamp is used exactly once as
 an end and once as a start — so their sum equals the observed
@@ -82,8 +81,7 @@ class MessageTrace:
         "trace_id", "key", "opcode", "update_id", "update_start", "sent_at",
         "wire_bytes", "payload_bytes", "recovery", "recovery_of",
         "reassembled_at", "decode_start_at", "painted_at", "superseded_at",
-        "dropped", "completed", "gid", "cross_shard", "origin_shard",
-        "handed_off_at", "hops", "_stages",
+        "dropped", "completed", "hops", "_stages",
     )
 
     def __init__(
@@ -115,14 +113,6 @@ class MessageTrace:
         self.superseded_at: Optional[float] = None
         self.dropped = False
         self.completed = False
-        #: Cross-shard continuity: a globally unique id (``"shard:trace_id"``)
-        #: assigned when the message is handed across a ShardContext boundary
-        #: port, so the exporting shard's partial and the adopting shard's
-        #: completion can be stitched back into one timeline.
-        self.gid: Optional[str] = None
-        self.cross_shard = False
-        self.origin_shard: Optional[int] = None
-        self.handed_off_at: Optional[float] = None
         #: Itinerary of the packet whose delivery completed reassembly
         #: (:attr:`Packet.hops`).  Fragments travel FIFO over one path,
         #: so the last to arrive is the critical one.
@@ -154,7 +144,7 @@ class MessageTrace:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form (hop records elided — they are raw
         material for ``stages``, not part of the analysis surface)."""
-        record: Dict[str, object] = {
+        return {
             "trace_id": self.trace_id,
             "src": self.key[0],
             "dst": self.key[1],
@@ -175,12 +165,6 @@ class MessageTrace:
             "end_to_end": self.end_to_end,
             "stages": dict(self.stages),
         }
-        if self.gid is not None:
-            record["gid"] = self.gid
-            record["cross_shard"] = self.cross_shard
-            record["origin_shard"] = self.origin_shard
-            record["handed_off_at"] = self.handed_off_at
-        return record
 
     # -- internals ---------------------------------------------------------
     def _partition(self) -> Dict[str, float]:
@@ -203,9 +187,9 @@ class MessageTrace:
             # nor serializing: switch forwarding + propagation.
             switch = on_wire - queue_wait - serialization
         # Whatever remains between send and reassembly after the wire
-        # stages is boundary-port transit (zero for same-shard messages:
-        # reassembly fires in the delivery event, so the telescoping is
-        # exact either way).
+        # stages is on-wire time no hop record accounts for (zero when
+        # the completing packet carried its itinerary), so the
+        # telescoping is exact either way.
         transit = on_wire - queue_wait - serialization - switch
         console_wait = 0.0
         decode = 0.0
@@ -476,85 +460,10 @@ class TraceCollector:
         crossed ``hops`` (:attr:`Packet.hops`, newest first)."""
         trace.hops = hops
 
-    # -- shard boundaries --------------------------------------------------
-    def boundary_export(
-        self, key: MessageKey, origin_shard: int, now: float
-    ) -> Optional[Dict[str, object]]:
-        """A message is leaving this shard over a boundary port.
-
-        Marks the open trace as handed off (it stays open — the local
-        partial ships to the stitcher at the collect barrier) and
-        returns the picklable context that travels with the payload so
-        the receiving shard can adopt the trace with the same global id
-        and the original birth timestamps.  Sim clocks advance in
-        lockstep under conservative lookahead, so the timestamps stay
-        directly comparable across shards.
-        """
-        trace = self._open.get(key)
-        if trace is None:
-            return None
-        trace.handed_off_at = now
-        trace.origin_shard = origin_shard
-        if trace.gid is None:
-            trace.gid = f"{origin_shard}:{trace.trace_id}"
-        return {
-            "gid": trace.gid,
-            "trace_id": trace.trace_id,
-            "src": key[0],
-            "dst": key[1],
-            "seq": key[2],
-            "opcode": trace.opcode,
-            "update_id": trace.update_id,
-            "update_start": trace.update_start,
-            "sent_at": trace.sent_at,
-            "wire_bytes": trace.wire_bytes,
-            "payload_bytes": trace.payload_bytes,
-            "recovery": trace.recovery,
-            "recovery_of": trace.recovery_of,
-            "origin_shard": origin_shard,
-            "handed_off_at": now,
-        }
-
-    def boundary_adopt(
-        self, context: Dict[str, object], command: cmd.Command, now: float
-    ) -> int:
-        """The receiving shard's half of a cross-shard message.
-
-        Creates a local continuation trace carrying the exporter's
-        global id and birth timestamps, reassembled *now*; display
-        commands stay open until the console paints them, so the stage
-        partition (encode | shard_transit | queueing | decode) still
-        telescopes to end-to-end exactly.
-        """
-        key: MessageKey = (
-            str(context["src"]), str(context["dst"]), int(context["seq"])
-        )
-        trace = MessageTrace(
-            next(self._ids),
-            key,
-            str(context["opcode"]),
-            None,
-            float(context["update_start"]),
-            float(context["sent_at"]),
-            int(context["wire_bytes"]),
-            int(context["payload_bytes"]),
-            bool(context.get("recovery", False)),
-            context.get("recovery_of"),
-        )
-        trace.gid = context.get("gid")
-        trace.cross_shard = True
-        trace.origin_shard = context.get("origin_shard")
-        trace.reassembled_at = now
-        self.messages.append(trace)
-        if isinstance(command, cmd.DisplayCommand):
-            self._awaiting_decode[id(command)] = trace
-        else:
-            self._finish(trace)
-        return trace.trace_id
-
     def open_traces(self) -> List[MessageTrace]:
         """Every message trace still in flight (unreassembled or awaiting
-        paint), for shipping partials to the flight-recorder stitcher."""
+        paint): the partials a flight-recorder bundle or a sweep cell
+        ships."""
         seen: Dict[int, MessageTrace] = {}
         for trace in self._open.values():
             seen[trace.trace_id] = trace

@@ -21,8 +21,7 @@ frozen into a self-describing ``.slimpm`` bundle: a zip holding
 * ``timeseries.jsonl`` / ``slo.jsonl`` — the window slice and its
   verdict, in the standard schemas;
 * ``engine.json``   — engine marks and phase notes;
-* ``shards/…`` + ``stitched.jsonl`` — per-shard rings gathered at the
-  collect barrier and cross-shard traces stitched by global id.
+* ``shards/traces.jsonl`` — the trace records a sweep's cells shipped.
 
 ``python -m repro.tools.postmortem`` triages the result.
 """
@@ -69,8 +68,8 @@ class FlightRecorder:
 
     Args:
         out_dir: Where ``.slimpm`` bundles land.  ``None`` makes this a
-            rings-only recorder (the shard-worker mode): triggers are
-            recorded but nothing is written — the parent stitches.
+            rings-only recorder (a sweep cell's): triggers are
+            recorded but nothing is written — the parent absorbs.
         label: Run label stamped on bundles and filenames.
         specs: SLO set checked stream-wise against arriving windows.
         capture_bytes: Byte budget for the wire-frame ring.
@@ -119,9 +118,8 @@ class FlightRecorder:
         self._fired: set = set()
         self._bundle_seq = itertools.count(1)
         self._phase: Optional[str] = None
-        #: Shard evidence absorbed at the collect barrier.
+        #: What the cells of a sweep shipped (:meth:`absorb_shards`).
         self.shard_traces: List[Dict[str, Any]] = []
-        self.shard_hops: List[Dict[str, Any]] = []
         self.shard_marks: List[Dict[str, Any]] = []
         self._shards_absorbed: List[int] = []
 
@@ -147,7 +145,7 @@ class FlightRecorder:
         return tracer, self.capture
 
     def for_shard(self, index: int) -> "FlightRecorder":
-        """The rings-only recorder a shard worker arms in this one's
+        """The rings-only recorder a sweep cell arms in this one's
         place: bounded tracer + wire ring, no bundle dumping."""
         return FlightRecorder(
             out_dir=None, label=f"shard-{index}", specs=self.specs
@@ -227,8 +225,8 @@ class FlightRecorder:
     ) -> Optional[Path]:
         """An anomaly fired: freeze the rings into a bundle.
 
-        Returns the bundle path, or None when nothing was written (the
-        rings-only shard mode, the bundle cap, or empty rings — an
+        Returns the bundle path, or None when nothing was written (a
+        sweep cell's rings-only mode, the bundle cap, or empty rings — an
         interrupt before any evidence existed is not worth a file).
         """
         record: Dict[str, Any] = {
@@ -262,10 +260,10 @@ class FlightRecorder:
             or self.shard_traces
         )
 
-    # -- shard stitching ---------------------------------------------------
+    # -- sweep cells -------------------------------------------------------
     def shard_payload(self, shard_index: int) -> Dict[str, Any]:
-        """The picklable evidence a shard worker ships at the collect
-        barrier: its ring state, closed + open trace records, and marks."""
+        """The picklable evidence a sweep cell ships: its ring state,
+        closed + open trace records, marks and triggers."""
         return {
             "shard": shard_index,
             "capture": self.capture.export_state(),
@@ -274,16 +272,10 @@ class FlightRecorder:
             "triggers": list(self.triggers),
         }
 
-    def absorb_shards(
-        self,
-        payloads: Iterable[Dict[str, Any]],
-        hops: Iterable[Dict[str, Any]] = (),
-    ) -> None:
-        """Merge per-shard evidence gathered at a collect barrier into
-        the parent's rings and stitch cross-shard traces by global id."""
+    def absorb_shards(self, payloads: Iterable[Dict[str, Any]]) -> None:
+        """Merge what a sweep's cells shipped, in cell order, into this
+        recorder's rings."""
         for payload in payloads:
-            if payload is None:
-                continue
             shard = payload["shard"]
             self._shards_absorbed.append(shard)
             self.capture.absorb_state(payload["capture"])
@@ -293,46 +285,6 @@ class FlightRecorder:
                 self.shard_marks.append(dict(mark, shard=shard))
             for trig in payload.get("triggers", ()):
                 self.triggers.append(dict(trig, shard=shard))
-        self.shard_hops.extend(hops)
-
-    def stitched_traces(self) -> List[Dict[str, Any]]:
-        """Cross-shard traces reassembled by gid: the exporting shard's
-        partial, the adopting shard's completion, and the boundary hops
-        in between, as one record per global id."""
-        by_gid: Dict[str, Dict[str, Any]] = {}
-
-        def visit(record: Dict[str, Any], shard: Optional[int]) -> None:
-            gid = record.get("gid")
-            if not gid:
-                return
-            entry = by_gid.setdefault(
-                gid, {"gid": gid, "segments": [], "hops": []}
-            )
-            segment = dict(record)
-            if shard is not None:
-                segment.setdefault("shard", shard)
-            entry["segments"].append(segment)
-
-        for record in self.traces:
-            visit(record, None)
-        for record in self.shard_traces:
-            visit(record, record.get("shard"))
-        for hop in self.shard_hops:
-            gid = hop.get("gid")
-            if gid in by_gid:
-                by_gid[gid]["hops"].append(hop)
-        stitched = []
-        for gid in sorted(by_gid):
-            entry = by_gid[gid]
-            completed = [
-                s for s in entry["segments"] if s.get("completed")
-            ]
-            entry["completed"] = bool(completed)
-            if completed:
-                entry["end_to_end"] = completed[-1]["end_to_end"]
-                entry["stages"] = completed[-1]["stages"]
-            stitched.append(entry)
-        return stitched
 
     # -- bundle writing ----------------------------------------------------
     def _timeseries(self) -> TimeSeriesCollection:
@@ -355,7 +307,6 @@ class FlightRecorder:
         collection = self._timeseries()
         report = SloEngine(self.specs).evaluate(collection)
         traces = self._trace_records()
-        stitched = self.stitched_traces()
         manifest = {
             "format": BUNDLE_FORMAT,
             "version": BUNDLE_VERSION,
@@ -372,7 +323,6 @@ class FlightRecorder:
                 "windows": len(self.windows),
                 "marks": len(self.marks),
                 "shards": sorted(self._shards_absorbed),
-                "stitched": len(stitched),
             },
         }
         with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
@@ -399,10 +349,8 @@ class FlightRecorder:
                     indent=2,
                 ),
             )
-            if self.shard_traces or self.shard_hops:
-                jsonl_member("stitched.jsonl", stitched)
+            if self.shard_traces:
                 jsonl_member("shards/traces.jsonl", self.shard_traces)
-                jsonl_member("shards/hops.jsonl", self.shard_hops)
         self.bundles.append(path)
         return path
 

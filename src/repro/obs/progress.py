@@ -22,7 +22,7 @@ import sys
 import time
 from typing import IO, List, Optional
 
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.obs.timeseries import sparkline_rows
 from repro.runcontext import current_run
 from repro.telemetry.metrics import get_registry
@@ -110,7 +110,7 @@ class ProgressMonitor:
         self.updates_painted = 0
         self._started = time.perf_counter()
         self._last_paint = 0.0
-        self._sim: Optional[SimulationBackend] = None
+        self._sim: Optional[Simulator] = None
         self._last_events = 0
         self._last_wall = self._started
         self._last_sim_now = 0.0
@@ -119,7 +119,7 @@ class ProgressMonitor:
         self._dirty = False
 
     # -- engine callback ----------------------------------------------------
-    def __call__(self, sim: SimulationBackend) -> None:
+    def __call__(self, sim: Simulator) -> None:
         now = time.perf_counter()
         if sim is not self._sim:
             # Another simulator of the run took over: its event count
@@ -132,7 +132,7 @@ class ProgressMonitor:
             return
         self.paint(sim, now)
 
-    def _status_fields(self, sim: SimulationBackend, now: float) -> List[str]:
+    def _status_fields(self, sim: Simulator, now: float) -> List[str]:
         """Compute the health fields and roll the windowed state forward."""
         window = now - self._last_wall
         events_per_sec = (
@@ -170,7 +170,7 @@ class ProgressMonitor:
         self._last_wall = now
         return fields
 
-    def paint(self, sim: SimulationBackend, now: Optional[float] = None) -> None:
+    def paint(self, sim: Simulator, now: Optional[float] = None) -> None:
         """Repaint unconditionally (the rate limit lives in __call__)."""
         now = time.perf_counter() if now is None else now
         fields = self._status_fields(sim, now)
@@ -249,7 +249,7 @@ class DashboardMonitor(ProgressMonitor):
             return []
         return [f"  flightrec: {recorder.status_line()}"]
 
-    def paint(self, sim: SimulationBackend, now: Optional[float] = None) -> None:
+    def paint(self, sim: Simulator, now: Optional[float] = None) -> None:
         now = time.perf_counter() if now is None else now
         lines = [" | ".join(self._status_fields(sim, now))]
         lines.extend(self._series_rows())

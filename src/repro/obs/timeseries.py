@@ -28,10 +28,10 @@ Each window also snapshots the *open* trace ids from the run's
 yardstick probes), which is how ``repro.obs.slo`` annotates health
 events with the causal traces that were active when things went wrong.
 
-Per-shard series from :class:`~repro.netsim.sharded.ShardedBackend`
-workers are gathered at the ``collect()`` barrier and merged with
-:func:`merge_runs` — counter and bucket deltas sum window-by-window, so
-a fleet run gets one coherent timeline.
+The series the cells of a :func:`~repro.experiments.runner.sweep`
+sampled are merged with :func:`merge_runs` when the sweep returns —
+counter and bucket deltas sum window-by-window, so a fleet run gets one
+coherent timeline.
 
 The JSONL schema (one object per line)::
 
@@ -308,7 +308,7 @@ def _merge_window_pair(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
 
     Counter and histogram deltas sum; gauges keep the later value; trace
     ids union (capped).  Works for adjacent windows (coalescing) and for
-    same-interval windows from different shards (merging) alike.
+    same-interval windows from different runs (merging) alike.
     """
     counters = dict(a.get("counters", {}))
     for key, delta in b.get("counters", {}).items():
@@ -350,11 +350,11 @@ def _merge_window_pair(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def merge_runs(runs: Sequence[RunSeries], label: str) -> RunSeries:
-    """Merge per-shard runs into one fleet-wide timeline.
+    """Merge runs sampled apart (a sweep's cells) into one timeline.
 
     All runs are re-binned onto the coarsest run's grid first (their
     coalescing histories may differ), then same-bin windows combine:
-    counter/bucket deltas sum exactly, gauges keep the last shard's
+    counter/bucket deltas sum exactly, gauges keep the last run's
     value, windowed quantiles come from the summed bucket deltas.
     """
     if not runs:
@@ -476,9 +476,9 @@ class TimeSeriesCollection:
         self.prune_empty()
 
     def for_shard(self, index: int) -> "TimeSeriesCollection":
-        """The collection a shard worker samples its own engine into:
-        same grid, one ``shard-N`` series, and whatever registry the
-        shard program gives the worker's run context."""
+        """The collection a sweep cell samples its engines into: same
+        grid, ``shard-N`` series, and whatever registry the cell gives
+        its run context."""
         shard = TimeSeriesCollection(self.window, self.max_windows)
         shard.set_label(f"shard-{index}")
         return shard
@@ -682,8 +682,8 @@ class TimeSeriesSampler:
     closes nothing.
 
     The registry and the tracer are read through the run context the
-    sampler was built under, at each window close: a shard program gives
-    its worker's context a registry after the worker's engine exists.
+    sampler was built under, at each window close: a sweep cell may give
+    its context a registry after its engine exists.
     What the registry gained is cut against the collection's baseline,
     which every sampler of the collection shares.
     Whether a flight recorder is armed is asked of the *current*
@@ -720,7 +720,7 @@ class TimeSeriesSampler:
 
         Idempotent at a given ``now`` (the second call finds
         ``_window_start == now`` and stores nothing), and safe to call
-        at every shard collect barrier — sampling continues afterwards
+        when a sweep cell ships its series — sampling continues afterwards
         from a fresh window starting at ``now``.
         """
         while now >= self._boundary:

@@ -78,14 +78,14 @@ class RunContext:
         if self.recorder is not None:
             sim.add_monitor(self.recorder.engine_mark, every=MARK_EVERY)
 
-    # -- shard workers -----------------------------------------------------
+    # -- sweep cells -------------------------------------------------------
     def for_shard(self, index: int) -> Dict[str, Any]:
-        """The fields a shard worker replaces in the context it
-        inherited through ``fork``: no painter (N processes racing on
-        one stderr line), a series of its own, and a rings-only recorder
-        with its own tracer and wire ring — the parent gathers and
-        stitches at the collect barrier.  Registry, and tracer/capture
-        when no recorder is armed, stay as inherited."""
+        """The fields a :func:`~repro.experiments.runner.sweep` cell
+        replaces in the context its child inherited through ``fork``: no
+        painter (N processes racing on one stderr line), a series of its
+        own, and a rings-only recorder with its own tracer and wire ring
+        — the parent absorbs what the cell ships.  Registry, and
+        tracer/capture when no recorder is armed, stay as inherited."""
         fields: Dict[str, Any] = {"progress": None}
         if self.collection is not None:
             fields["collection"] = self.collection.for_shard(index)
@@ -97,19 +97,16 @@ class RunContext:
             )
         return fields
 
-    def shard_evidence(self, index: int, hops: List[dict]) -> Dict[str, Any]:
-        """What a shard worker ships at a collect barrier (picklable)."""
-        series = None
+    def shard_evidence(self, index: int) -> Dict[str, Any]:
+        """What a sweep cell ships when it returns (picklable): every
+        run it sampled — a cell may build several simulators — and its
+        recorder's rings."""
+        series: List["RunSeries"] = []
         if self.collection is not None:
-            # Flushed, not ended: sampling goes on after the barrier.
             self.collection.finish_samplers()
-            series = next(
-                (run for run in self.collection.runs if run.windows), None
-            )
+            series = [run for run in self.collection.runs if run.windows]
         return {
-            "telemetry": self.registry.snapshot(),
             "series": series,
-            "hops": hops,
             "flight": (
                 self.recorder.shard_payload(index)
                 if self.recorder is not None
@@ -117,32 +114,24 @@ class RunContext:
             ),
         }
 
-    def absorb(self, evidence: List[Dict[str, Any]]) -> Optional["RunSeries"]:
-        """Fold the workers' :meth:`shard_evidence` into this run's
-        observers; returns the merged fleet-wide series, if any shard
-        sampled one."""
-        merged = None
-        runs = [e["series"] for e in evidence if e["series"] is not None]
+    def absorb(self, evidence: List[Dict[str, Any]]) -> None:
+        """Fold the cells' :meth:`shard_evidence`, in cell order, into
+        this run's observers: every run they sampled merges into one run
+        of this run's collection, and their rings join the recorder's."""
+        runs = [run for shipped in evidence for run in shipped["series"]]
         if runs:
             from repro.obs.timeseries import merge_runs
 
-            merged = merge_runs(runs, label="sharded/merged")
-            if self.collection is not None:
-                # Surface the fleet timeline on the run's collection so
-                # --timeseries JSONL and the SLO engine see sharded runs.
-                merged.label = self.collection.next_label()
-                self.collection.adopt_run(merged)
-                if self.recorder is not None:
-                    # Sampled out of process, visible only now: stream
-                    # the fleet's windows past the armed recorder.
-                    for record in merged.windows:
-                        self.recorder.observe_window(merged.label, record)
-        flights = [e["flight"] for e in evidence]
-        if self.recorder is not None and any(f is not None for f in flights):
-            self.recorder.absorb_shards(
-                flights, [hop for e in evidence for hop in e["hops"]]
-            )
-        return merged
+            # A cell samples only when this run has a collection.
+            merged = merge_runs(runs, label=self.collection.next_label())
+            self.collection.adopt_run(merged)
+            if self.recorder is not None:
+                # Sampled out of process, visible only now: stream the
+                # merged windows past the armed recorder.
+                for record in merged.windows:
+                    self.recorder.observe_window(merged.label, record)
+        if self.recorder is not None:
+            self.recorder.absorb_shards(shipped["flight"] for shipped in evidence)
 
 
 _current = RunContext()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import SchedulerError
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.server.scheduler import Scheduler
 from repro.units import GBPS, MBPS
 
@@ -63,7 +63,7 @@ class ServerHost:
 
     def __init__(
         self,
-        sim: SimulationBackend,
+        sim: Simulator,
         spec: MachineSpec,
         active_cpus: Optional[int] = None,
         quantum: float = 0.010,

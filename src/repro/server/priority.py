@@ -15,7 +15,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.errors import SchedulerError
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.server.scheduler import Scheduler, Task, _Burst
 
 
@@ -30,7 +30,7 @@ class PriorityScheduler(Scheduler):
 
     def __init__(
         self,
-        sim: SimulationBackend,
+        sim: Simulator,
         num_cpus: int = 1,
         quantum: float = 0.010,
         context_switch: float = 50e-6,

@@ -22,7 +22,7 @@ from typing import Deque, List, Optional
 import numpy as np
 
 from repro.errors import SchedulerError
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.telemetry.metrics import get_registry
 
 #: Ready-queue length buckets (runnable bursts awaiting a CPU).
@@ -84,7 +84,7 @@ class Scheduler:
 
     def __init__(
         self,
-        sim: SimulationBackend,
+        sim: Simulator,
         num_cpus: int = 1,
         quantum: float = 0.010,
         context_switch: float = 50e-6,

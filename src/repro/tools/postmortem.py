@@ -3,16 +3,16 @@
 A bundle is what :class:`repro.obs.flightrec.FlightRecorder` freezes
 when an anomaly trips: the wire-frame ring, implicated causal traces,
 the telemetry window slice and its SLO verdict, engine marks,
-and — for sharded runs — per-shard evidence stitched by global trace
-id.  This tool answers the three triage questions in order:
+and what the cells of a sweep shipped.  This tool answers the three
+triage questions in order:
 
 * ``--summary`` — *what fired?*  The trigger, the SLO scoreboard over
   the frozen window slice, and what the rings held.
 * ``--blame``   — *where did the time go?*  Per-stage latency
   attribution for the implicated traces (stage sums are checked
   against the traced end-to-end latency — they telescope exactly, by
-  construction), cross-shard stitchings with their boundary hops, and
-  the LOSS -> NACK -> REENCODE conversation from the wire ring.
+  construction) and the LOSS -> NACK -> REENCODE conversation from the
+  wire ring.
 * ``--chrome-trace OUT`` — *show me.*  The completed traces and the
   probe rounds as Chrome ``trace_event`` JSON for about:tracing.
 
@@ -78,14 +78,6 @@ class Bundle:
     @property
     def slo(self) -> List[Dict[str, Any]]:
         return self._jsonl("slo.jsonl")
-
-    @property
-    def stitched(self) -> List[Dict[str, Any]]:
-        return self._jsonl("stitched.jsonl")
-
-    @property
-    def hops(self) -> List[Dict[str, Any]]:
-        return self._jsonl("shards/hops.jsonl")
 
     @property
     def engine(self) -> Dict[str, Any]:
@@ -180,10 +172,7 @@ def print_summary(bundle: Bundle) -> None:
     )
     shards = counts.get("shards") or []
     if shards:
-        print(
-            f"shards:  {len(shards)} absorbed {shards}, "
-            f"{counts.get('stitched', 0)} stitched cross-shard traces"
-        )
+        print(f"shards:  {len(shards)} absorbed {shards}")
     results = [r for r in bundle.slo if r.get("type") == "slo"]
     if results:
         print()
@@ -262,10 +251,6 @@ def _trace_heading(record: Dict[str, Any]) -> str:
         f"{record.get('opcode')} seq={record.get('seq')} "
         f"{record.get('src')}->{record.get('dst')}"
     )
-    if record.get("gid"):
-        head += f"  gid={record['gid']}"
-    if record.get("cross_shard"):
-        head += "  [cross-shard]"
     if record.get("recovery"):
         head += f"  [recovery of seq={record.get('recovery_of')}]"
     if record.get("open"):
@@ -310,26 +295,6 @@ def print_blame(bundle: Bundle) -> None:
         else:
             print("    open at freeze — no stage partition yet")
 
-    stitched = bundle.stitched
-    if stitched:
-        print()
-        print(f"cross-shard stitchings ({len(stitched)}):")
-        for entry in stitched:
-            state = "completed" if entry.get("completed") else "open"
-            print(f"  gid {entry['gid']}  ({state}, "
-                  f"{len(entry.get('segments', []))} segments, "
-                  f"{len(entry.get('hops', []))} hops)")
-            for hop in entry.get("hops", []):
-                print(
-                    f"    hop shard {hop.get('src_shard')} -> "
-                    f"{hop.get('dst_shard')} port={hop.get('port')} "
-                    f"sent={hop.get('sent_at', 0) * 1000:.3f} ms "
-                    f"arrival={hop.get('arrival', 0) * 1000:.3f} ms"
-                )
-            if entry.get("completed"):
-                for row in _stage_rows(entry):
-                    print(row)
-
     reader = bundle.ring
     if reader is not None:
         from repro.tools.slimcap import timeline_events
@@ -359,8 +324,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--blame", action="store_true",
-        help="per-stage latency attribution for the implicated traces, "
-        "cross-shard stitchings, and the loss-recovery conversation",
+        help="per-stage latency attribution for the implicated traces "
+        "and the loss-recovery conversation",
     )
     parser.add_argument(
         "--chrome-trace", type=Path, metavar="OUT",
@@ -397,7 +362,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output["slo"] = bundle.slo
         if args.blame:
             output["traces"] = bundle.traces
-            output["stitched"] = bundle.stitched
         print(json.dumps(output, indent=2))
         return EXIT_OK
 

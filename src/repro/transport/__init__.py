@@ -22,7 +22,6 @@ from repro.transport.console import (
     PendingRecovery,
 )
 from repro.transport.damage import DamageMap
-from repro.transport.relay import DisplayRelayReceiver, DisplayRelaySender
 from repro.transport.server import (
     DEFAULT_STATUS_INTERVAL,
     RECOVERY_TILE,
@@ -32,8 +31,6 @@ from repro.transport.server import (
 
 __all__ = [
     "DisplayChannel",
-    "DisplayRelayReceiver",
-    "DisplayRelaySender",
     "ConsoleChannel",
     "ConsoleChannelStats",
     "PendingRecovery",

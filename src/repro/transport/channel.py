@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.encoder import SlimEncoder
 from repro.console.console import Console
 from repro.framebuffer.framebuffer import FrameBuffer
-from repro.netsim.backend import LocalBackend, SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.netsim.transport import Network
 from repro.transport.console import ConsoleChannel
 from repro.transport.server import DEFAULT_STATUS_INTERVAL, ServerChannel
@@ -60,7 +60,7 @@ class DisplayChannel:
     def __init__(
         self,
         framebuffer: FrameBuffer,
-        sim: Optional[SimulationBackend] = None,
+        sim: Optional[Simulator] = None,
         network: Optional[Network] = None,
         rate_bps: float = ETHERNET_100,
         loss_rate: float = 0.0,
@@ -75,7 +75,7 @@ class DisplayChannel:
         damage_capacity: int = 1024,
         queue_limit_bytes: Optional[int] = None,
     ) -> None:
-        self.sim = sim if sim is not None else LocalBackend()
+        self.sim = sim if sim is not None else Simulator()
         self.network = network if network is not None else Network(
             self.sim, default_rate_bps=rate_bps
         )

@@ -28,7 +28,7 @@ from repro.core.commands import StatusKind
 from repro.core.encoder import EncoderConfig, SlimEncoder
 from repro.core.wire import Datagram, WireCodec
 from repro.framebuffer.framebuffer import FrameBuffer
-from repro.netsim.backend import SimulationBackend
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint, Network
 from repro.runcontext import current_run
@@ -92,7 +92,7 @@ class ServerChannel:
         self,
         framebuffer: FrameBuffer,
         network: Network,
-        sim: SimulationBackend,
+        sim: Simulator,
         address: str = "server",
         console_address: str = "console",
         recovery_encoder: Optional[SlimEncoder] = None,

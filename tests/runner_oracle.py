@@ -1,5 +1,5 @@
 """Runner invocations with every observer armed at once (and one
-sharded run under sampling), frozen under
+sweep of independent cells under sampling), frozen under
 ``tests/golden/runner_all_flags.json``.
 
 The golden was written by ``tests/golden/regen.py runner`` on b2a5892,
@@ -41,8 +41,8 @@ ALL_FLAGS = (
     "lossy_fabric",
 )  # fmt: skip
 
-#: A sharded run under sampling and the default-armed recorder: four
-#: workers derive their contexts through fork and ship evidence back.
+#: A sweep under sampling and the default-armed recorder: four cells
+#: derive their contexts through fork and ship evidence back.
 SHARDED_FLAGS = (
     "--users", "400",
     "--duration", "7200",

@@ -1,40 +1,24 @@
-"""Backend conformance: one behavioural contract, every backend.
+"""Engine conformance: the scheduling contract every simulation relies on.
 
-Parametrized over ``LocalBackend``, ``ShardedBackend(1)``, and
-``ShardedBackend(4)``: whatever engine an experiment runs on, the
-scheduling surface behaves identically — ordering, negative-delay
-clamping, monitor callbacks, and run_until/stop semantics.
-
-Sharded backends schedule coordinator work on the parent's control-plane
-engine, so these tests run the exact code path experiments use without
-needing a shard program.
+Ordering, negative-delay clamping, monitor callbacks, and
+run_until/stop semantics, on the one engine (``LocalBackend`` is
+``Simulator`` under the name the benchmark harness imports).
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.netsim.backend import LocalBackend, SimulationBackend
-from repro.netsim.sharded import ShardedBackend
+from repro.netsim.backend import LocalBackend
 
 NEGATIVE_DELAY_EPSILON = LocalBackend.NEGATIVE_DELAY_EPSILON
 
-BACKENDS = ["local", "sharded1", "sharded4"]
 
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["local"])
 def backend(request):
-    if request.param == "local":
-        yield LocalBackend()
-        return
-    shards = 1 if request.param == "sharded1" else 4
-    with ShardedBackend(shards) as sharded:
-        yield sharded
+    return LocalBackend()
 
 
 class TestProtocol:
-    def test_satisfies_protocol(self, backend):
-        assert isinstance(backend, SimulationBackend)
-
     def test_clock_starts_at_zero(self, backend):
         assert backend.now == 0.0
         assert backend.pending == 0

@@ -1,7 +1,7 @@
 """The run context and the engine's monitor list.
 
 Two kinds of test.  *Same outputs*: the runner with every observer armed
-at once, and a sharded run under sampling, must reproduce the shas
+at once, and a sweep of cells under sampling, must reproduce the shas
 frozen on the last commit that armed observers through five ambient
 seams (``tests/runner_oracle.py``).  *The structure is held*: one
 ``global`` statement under ``src/repro``, no parameter that hands an
