@@ -72,6 +72,24 @@ only every 512 events, so windows close on their own spans:
   one-minute windows where there were 10) and the two ``stdout`` lines
   that count them; the table and the bundle list did not move.
 
+Three more moved when ``fleet_scale`` left the conservative-lookahead
+backend for ``sweep`` and cross-shard trace stitching was deleted (on
+1b12af2).  Each value was checked against one recomputed on 1b12af2
+with only that key popped, or that label or line replaced:
+
+    PYTHONPATH=src python tests/golden/regen.py runner \
+        all_flags/lossy_fabric sharded/fleet_scale
+    PYTHONPATH=src python tests/golden/regen.py observers bundle/lossy_fabric
+
+* ``all_flags/lossy_fabric``: the three bundles' ``manifest.json``
+  (``counts.stitched`` is gone); nothing else moved.
+* ``bundle/lossy_fabric``: ``counts`` without its ``stitched: 0``.
+* ``sharded/fleet_scale``: the ``stdout`` note line (it counts slices,
+  not shard processes, and prints no worker count) and ``timeseries``
+  (the merged run is labelled ``run-1``, not ``run-2``: no control-plane
+  simulator takes ``run-1`` first); the table, the 146 records and the
+  bundle list did not move.
+
 Running an oracle with no ``ENTRY`` on a later commit re-blesses the whole
 file from the one remaining path; do that only for a deliberate, reviewed
 change of simulated behaviour.
