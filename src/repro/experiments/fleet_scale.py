@@ -463,7 +463,7 @@ def run_fleet(spec: FleetSpec) -> FleetAggregator:
 
 @experiment(
     "fleet_scale",
-    title="Fleet-scale provisioning across sharded workgroup subtrees",
+    title="Fleet-scale provisioning across locally served workgroups",
     section="6.4",
 )
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -513,7 +513,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         )
     return ExperimentResult(
         experiment_id="fleet_scale",
-        title="Fleet-scale provisioning across sharded workgroup subtrees",
+        title="Fleet-scale provisioning across locally served workgroups",
         rows=rows,
         notes=notes,
     )
