@@ -15,7 +15,6 @@ from repro.experiments.runner import (
     ExperimentResult,
     ExperimentSpec,
     experiment,
-    run_all,
     render_table,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "experiment",
-    "run_all",
     "render_table",
 ]

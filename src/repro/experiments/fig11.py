@@ -20,6 +20,11 @@ and also reports the unscaled saturation estimate.  Either way the
 paper's headline — link capacity, not switching or latency, limits
 sharing, at ~10x the processor's user count — emerges from the fabric
 simulation.
+
+Known miss: Photoshop knees below the paper's band, and well before
+Netscape, though both run at the same paper-implied mean rate: its
+traffic is lumpier, and its rare huge image operations queue at the
+shared link where Netscape's steadier stream does not.
 """
 
 from __future__ import annotations

@@ -10,6 +10,12 @@ broken down by command type.  Headline observations:
 * PIM and Frame Maker benefit most from BITMAP and COPY (bicolor text
   and scrolling);
 * CSCS is not used by these benchmark applications.
+
+Known miss: Photoshop compresses by about 3.5x here, not the paper's
+~2x.  No content mix we found hits the paper's 2x jointly with its
+Figure 5 byte CDFs, which come from the same study.  The invariant kept
+is that Photoshop compresses far worse than every other application,
+because literal SET bytes dominate its traffic.
 """
 
 from __future__ import annotations

@@ -11,6 +11,12 @@ latency, which the paper reports is reached at roughly 10-12 Photoshop,
 12-14 Netscape, 16-18 Frame Maker, or 34-36 PIM users — i.e. well past
 full CPU utilization, because human-perceived response tolerates
 substantial oversubscription.
+
+Known miss: Photoshop crosses later than the paper's band, and later
+than Netscape.  Under round-robin scheduling its lower input-event rate
+offsets its heavier per-event demand.  The paper's earlier Photoshop
+knee likely reflects burst structure (long filter operations) that the
+per-user profile model does not carry.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Markdown report generation from experiment results.
 
-``python -m repro.experiments --markdown out.md`` regenerates a
-machine-written companion to EXPERIMENTS.md: one section per experiment
-with its rows as a markdown table and its notes as bullets.  Useful for
-diffing reproduction output across changes to the models.
+``python -m repro.experiments --markdown out.md`` writes the
+reproduction report: one section per experiment with its rows as a
+markdown table and its notes as bullets.  With default flags and every
+experiment, it is RESULTS.md's paper half, byte for byte.
 """
 
 from __future__ import annotations
@@ -32,18 +32,15 @@ def render_markdown(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def render_report(results: Sequence[ExperimentResult], title: str = None) -> str:
+def render_report(results: Sequence[ExperimentResult]) -> str:
     """A complete markdown report over many experiments."""
-    header = title or "Reproduction report — SLIM (SOSP 1999)"
-    parts = [f"# {header}", ""]
+    parts = ["# Reproduction report — SLIM (SOSP 1999)", ""]
     parts.extend(render_markdown(result) for result in results)
     return "\n".join(parts)
 
 
-def write_report(
-    results: Sequence[ExperimentResult], path: Path, title: str = None
-) -> Path:
+def write_report(results: Sequence[ExperimentResult], path: Path) -> Path:
     """Render and write the report; returns the path."""
     path = Path(path)
-    path.write_text(render_report(results, title=title), encoding="utf-8")
+    path.write_text(render_report(results), encoding="utf-8")
     return path

@@ -32,7 +32,7 @@ import os
 import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import ReproError, SimulationError
 from repro.runcontext import current_run, use_run
@@ -54,10 +54,6 @@ class ExperimentResult:
                 if key not in names:
                     names.append(key)
         return names
-
-    def row_values(self, key: str) -> List[object]:
-        """All values of one column, in row order."""
-        return [row[key] for row in self.rows if key in row]
 
 
 #: Typed fields of :class:`ExperimentConfig`; everything else lands in
@@ -176,21 +172,6 @@ def experiment(
         return wrapper
 
     return decorate
-
-
-def run_all(
-    ids: Optional[Sequence[str]] = None,
-    config: Optional[ExperimentConfig] = None,
-) -> List[ExperimentResult]:
-    """Run registered experiments (all, or the named subset) in order."""
-    selected = list(EXPERIMENTS) if ids is None else list(ids)
-    results = []
-    for experiment_id in selected:
-        spec = EXPERIMENTS.get(experiment_id)
-        if spec is None:
-            raise ReproError(f"unknown experiment {experiment_id!r}")
-        results.append(spec.runner(config))
-    return results
 
 
 def _run_cell(writer, index: int, fn: Callable[[Any], Any], cell: Any) -> None:

@@ -9,7 +9,6 @@ from repro.experiments.runner import (
     ExperimentResult,
     experiment,
     render_table,
-    run_all,
 )
 
 
@@ -24,9 +23,6 @@ class TestResultAndRendering:
 
     def test_column_names_union_in_order(self):
         assert self.make().column_names() == ["a", "b", "c"]
-
-    def test_row_values(self):
-        assert self.make().row_values("a") == [1, 3]
 
     def test_render_contains_everything(self):
         text = render_table(self.make())
@@ -64,21 +60,6 @@ class TestRegistry:
                     return ExperimentResult("x", "y")
         finally:
             EXPERIMENTS.pop("only-once-test", None)
-
-    def test_run_all_unknown_id(self):
-        with pytest.raises(ReproError):
-            run_all(["no-such-experiment"])
-
-    def test_run_all_subset(self):
-        @experiment("trivial-test")
-        def run(config):
-            return ExperimentResult("trivial-test", "t")
-
-        try:
-            results = run_all(["trivial-test"])
-        finally:
-            EXPERIMENTS.pop("trivial-test", None)
-        assert results[0].experiment_id == "trivial-test"
 
     def test_runner_specs_are_zero_arg_callable(self):
         import repro.experiments.__main__  # noqa: F401

@@ -2,14 +2,15 @@
 
 These run the experiment machinery at reduced scale (fewer simulated
 users, shorter simulations) and assert the *shape* results DESIGN.md
-section 4 commits to.  The benchmark suite regenerates the full-scale
-versions.
+section 4 commits to.  ``python -m repro.experiments`` regenerates the
+default-scale tables (RESULTS.md), and ``--users 50`` the paper's
+50-user studies.
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments import userstudy
+from repro.experiments import fig9, userstudy
 from repro.experiments.fig2 import frequency_cdfs
 from repro.experiments.fig3 import pixel_cdfs
 from repro.experiments.fig4 import command_breakdown
@@ -17,7 +18,17 @@ from repro.experiments.fig5 import bytes_cdfs
 from repro.experiments.fig6 import added_delay_cdfs
 from repro.experiments.fig7 import service_time_cdfs
 from repro.experiments.fig8 import bandwidth_table
+from repro.experiments.ablations import (
+    allocator_ablation,
+    cscs_depth_ablation,
+    encoder_ablation,
+    mtu_ablation,
+    priority_scheduler_ablation,
+    push_pull_ablation,
+    quantum_ablation,
+)
 from repro.experiments.fig9 import latency_curve, users_at_threshold, yardstick_latency
+from repro.experiments.fig10 import scaling_surface
 from repro.experiments.fig11 import rtt_curve, users_at_rtt, yardstick_rtt
 from repro.experiments.multimedia import (
     mpeg2_pipeline,
@@ -31,6 +42,11 @@ from repro.workloads.quake import QUAKE_FULL, QUAKE_QUARTER, QUAKE_THREE_QUARTER
 # Small-but-sufficient study size shared (memoised) across these tests.
 N = 6
 DUR = 300.0
+
+# The sharing sweeps over all four applications draw on a larger study
+# (8 users of the default 600 s); the CPU sweeps simulate 45 s a point.
+SWEEP_USERS = 8
+SWEEP_SECONDS = 45.0
 
 
 def studies():
@@ -164,6 +180,10 @@ class TestFig6Landmarks:
         medians = [cdfs[n].median for n in ("10Mbps", "2Mbps", "1Mbps", "128Kbps", "56Kbps")]
         assert medians == sorted(medians)
 
+    def test_56kbps_nearly_all_above_100ms(self):
+        cdfs = added_delay_cdfs(n_users=4)
+        assert cdfs["56Kbps"].fraction_above(0.100) > 0.9
+
 
 class TestFig7Landmarks:
     @pytest.fixture(scope="class")
@@ -239,6 +259,32 @@ class TestFig9Landmarks:
         four = yardstick_latency(profiles, 32, num_cpus=4, sim_seconds=45.0)
         assert four < one
 
+    def test_every_crossing_near_its_paper_band(self):
+        crossings = {
+            name: users_at_threshold(
+                latency_curve(
+                    app,
+                    fig9.DEFAULT_SWEEPS[name],
+                    sim_seconds=SWEEP_SECONDS,
+                    study_users=SWEEP_USERS,
+                )
+            )
+            for name, app in BENCHMARK_APPS.items()
+        }
+        for name, crossing in crossings.items():
+            lo, hi = fig9.PAPER_RANGES[name]
+            assert crossing is not None, name
+            assert 0.5 * lo <= crossing <= 1.75 * hi, (name, crossing)
+        assert crossings["PIM"] > crossings["FrameMaker"]
+        assert crossings["FrameMaker"] > 0.9 * crossings["Netscape"]
+
+
+class TestFig10Landmarks:
+    def test_eight_cpus_never_worse_than_one(self):
+        surface = scaling_surface(sim_seconds=SWEEP_SECONDS, study_users=SWEEP_USERS)
+        for (per_cpu, one), (_per_cpu, eight) in zip(surface[1], surface[8]):
+            assert eight < 1.1 * one, per_cpu
+
 
 class TestFig11Landmarks:
     def test_unloaded_rtt_sub_millisecond(self):
@@ -255,6 +301,62 @@ class TestFig11Landmarks:
         # CPU crossing is ~12; network must be >= ~5x that even in the
         # reduced-scale run.
         assert crossing is None or crossing > 60
+
+    def test_text_apps_sustain_over_twice_the_image_apps(self):
+        sweeps = {"Photoshop": (60, 100, 140), "Netscape": (60, 110, 150),
+                  "FrameMaker": (200, 350, 470), "PIM": (200, 380, 500)}  # fmt: skip
+        crossings = {
+            name: users_at_rtt(
+                rtt_curve(app, sweeps[name], sim_seconds=20.0, study_users=SWEEP_USERS)
+            )
+            for name, app in BENCHMARK_APPS.items()
+        }
+        image = [crossings[n] for n in ("Photoshop", "Netscape") if crossings[n] is not None]
+        text = [crossings[n] for n in ("FrameMaker", "PIM") if crossings[n] is not None]
+        assert image, crossings
+        assert min(image) > 50  # vs ~12 users on the CPU
+        if text:
+            assert max(text) > 2 * min(image), crossings
+
+
+class TestAblations:
+    def test_every_disabled_command_inflates_the_encoding(self):
+        rows = dict(encoder_ablation())
+        for name, nbytes in rows.items():
+            if name != "full":
+                assert nbytes > rows["full"], name
+        assert rows["SET only"] > 5 * rows["full"]
+
+    def test_lower_cscs_depth_trades_quality_for_bytes_and_speed(self):
+        rows = cscs_depth_ablation()
+        for a, b in zip(rows, rows[1:]):
+            assert a["KB/frame"] > b["KB/frame"]
+            assert a["console max fps"] < b["console max fps"]
+            assert a["PSNR dB"] >= b["PSNR dB"] - 0.5
+
+    def test_allocator_protects_interactive_traffic(self):
+        result = allocator_ablation()
+        with_alloc = result["with allocator"]["interactive Mbps"]
+        assert with_alloc > result["without"]["interactive Mbps"]
+        assert with_alloc == 2.0  # fully satisfied
+
+    def test_pull_ships_more_bytes_and_adds_latency(self):
+        result = push_pull_ablation()
+        slim, vnc = result["SLIM push"], result["VNC pull"]
+        assert vnc["bytes/update"] > 2 * slim["bytes/update"]
+        assert vnc["added latency ms"] > 10  # the polling penalty
+
+    def test_quantum_moves_yardstick_latency(self):
+        latencies = [latency for _quantum, latency in quantum_ablation()]
+        assert max(latencies) > 1.2 * min(latencies)
+
+    def test_priority_scheduler_guarantees_interactivity(self):
+        result = priority_scheduler_ablation()
+        assert result["priority"] < 0.5 * result["round-robin"]
+
+    def test_header_overhead_falls_with_mtu(self):
+        overheads = [overhead for _mtu, overhead in mtu_ablation()]
+        assert overheads == sorted(overheads, reverse=True)
 
 
 class TestMultimediaLandmarks:

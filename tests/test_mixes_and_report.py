@@ -1,9 +1,15 @@
 """Tests for workgroup mixes and markdown report generation."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import WorkloadError
-from repro.experiments.report import render_markdown, render_report, write_report
+from repro.experiments.report import render_markdown, write_report
 from repro.experiments.runner import ExperimentResult
 from repro.workloads.mixes import (
     DESIGN_MIX,
@@ -78,11 +84,6 @@ class TestMarkdownReport:
         assert "| a | b |" in text
         assert "* careful" in text
 
-    def test_render_report_title(self):
-        text = render_report([self.make()], title="My report")
-        assert text.startswith("# My report")
-        assert "## figX" in text
-
     def test_write_report(self, tmp_path):
         path = write_report([self.make()], tmp_path / "report.md")
         assert path.read_text(encoding="utf-8").startswith("# Reproduction report")
@@ -94,3 +95,24 @@ class TestMarkdownReport:
         assert main(["table4", "--markdown", str(out)]) == 0
         assert out.exists()
         assert "table4" in out.read_text(encoding="utf-8")
+
+    def test_results_md_has_one_section_per_experiment_in_registry_order(self):
+        """RESULTS.md's paper half is the report: one heading per registered
+        experiment, in the CLI's order, before ``## Simulator speed``."""
+        root = Path(__file__).resolve().parent.parent
+        # A fresh interpreter registers in the CLI's order; this one
+        # registered in the order the test files import the modules.
+        code = (
+            "import json, repro.experiments.__main__ as cli; print(json.dumps("
+            "[[s.experiment_id, s.title] for s in cli.EXPERIMENTS.values()]))"
+        )
+        listing = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, check=True,
+        )  # fmt: skip
+        text = (root / "RESULTS.md").read_text(encoding="utf-8")
+        paper_half, speed, _rest = text.partition("\n## Simulator speed")
+        assert speed, "RESULTS.md has no '## Simulator speed' section"
+        headings = [line for line in paper_half.splitlines() if line.startswith("## ")]
+        assert headings == [f"## {i} — {t}" for i, t in json.loads(listing.stdout)]
