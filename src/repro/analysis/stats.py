@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,3 +60,26 @@ def geometric_mean(values: Iterable[float]) -> float:
     if (array <= 0).any():
         raise ReproError("geometric mean requires positive values")
     return float(np.exp(np.mean(np.log(array))))
+
+
+def crossing(
+    curve: Sequence[Tuple[float, float]], threshold: float
+) -> Optional[float]:
+    """Where a sampled curve first reaches ``threshold``; None if never.
+
+    ``curve`` is (x, y) points in ascending x — a sharing sweep's (users,
+    delay).  The answer interpolates linearly between the first point at
+    or above the threshold and the point before it, which is strictly
+    below; a first point already at or above it is its own x, and an
+    ``inf`` y after a finite one is the previous x.  Only the first
+    crossing counts: a curve that dips back below later is not seen.
+    """
+    prev: Optional[Tuple[float, float]] = None
+    for x, y in curve:
+        if y >= threshold:
+            if prev is None:
+                return float(x)
+            x0, y0 = prev
+            return x0 + (threshold - y0) / (y - y0) * (x - x0)
+        prev = (x, y)
+    return None

@@ -85,11 +85,6 @@ class SessionTrace:
             if b > a
         ]
 
-    def input_intervals(self) -> List[float]:
-        """Inter-event gaps in seconds."""
-        times = [r.time for r in self.inputs]
-        return [b - a for a, b in zip(times, times[1:]) if b > a]
-
     # -- Figure 3/5: attribution heuristic ------------------------------------
     def updates_per_event(self) -> List[List[UpdateRecord]]:
         """Group updates by inducing input event (Section 5.2 heuristic).

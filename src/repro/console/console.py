@@ -55,10 +55,6 @@ class ConsoleStats:
     busy_time: float = 0.0
     service_times: List[float] = field(default_factory=list)
 
-    def drop_rate(self) -> float:
-        total = self.commands_processed + self.commands_dropped
-        return self.commands_dropped / total if total else 0.0
-
 
 class Console:
     """A simulated Sun Ray 1 desktop unit.

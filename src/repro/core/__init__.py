@@ -37,7 +37,6 @@ from repro.core.wire import WireCodec, Datagram, MTU_PAYLOAD
 from repro.core.encoder import SlimEncoder, EncoderConfig
 from repro.core.decoder import SlimDecoder
 from repro.core.costs import ConsoleCostModel, CostEntry, SUN_RAY_1_COSTS
-from repro.core.audio import AudioFormat, AudioSource, PlayoutBuffer, TELEPHONY
 from repro.core.bandwidth import BandwidthAllocator
 from repro.core.session import (
     AuthenticationManager,
@@ -68,10 +67,6 @@ __all__ = [
     "ConsoleCostModel",
     "CostEntry",
     "SUN_RAY_1_COSTS",
-    "AudioFormat",
-    "AudioSource",
-    "PlayoutBuffer",
-    "TELEPHONY",
     "BandwidthAllocator",
     "AuthenticationManager",
     "SessionManager",

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.stats import crossing
 from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentResult,
@@ -40,9 +41,8 @@ from repro.experiments.runner import (
 )
 from repro.experiments import userstudy
 from repro.loadgen.generator import NetworkLoadGenerator, TrafficPattern
-from repro.loadgen.yardstick import NetworkYardstick
-from repro.netsim.backend import LocalBackend
-from repro.netsim.transport import Endpoint, Network
+from repro.loadgen.yardstick import yardstick_rig
+from repro.netsim.transport import Endpoint
 from repro.units import ETHERNET_100, MBPS
 from repro.workloads.apps import BENCHMARK_APPS, AppProfile
 from repro.workloads.session import ResourceProfile
@@ -84,19 +84,12 @@ def yardstick_rtt(
     scale: float = 1.0,
 ) -> Tuple[float, float]:
     """(mean RTT seconds, loss rate) with ``n_users`` of background load."""
-    sim = LocalBackend()
-    network = Network(sim, default_rate_bps=rate_bps)
-    yardstick = NetworkYardstick(
-        sim, network, console_addr="console", server_addr="server", warmup=5.0
-    )
-    network.attach(
-        Endpoint("console", on_receive=yardstick.handle_console_packet)
-    )
-    network.attach(
-        Endpoint("server", on_receive=yardstick.handle_server_packet),
+    sim, network, yardstick = yardstick_rig(
+        rate_bps,
+        warmup=5.0,
         # A bounded switch buffer on the contended link: past saturation,
         # packets drop (the paper observed loss at the breaking point).
-        queue_limit_bytes=512 * 1024,
+        server={"queue_limit_bytes": 512 * 1024},
     )
     network.attach(Endpoint("sink"))
     rng = np.random.default_rng(seed)
@@ -118,10 +111,8 @@ def yardstick_rtt(
         generator.start()
     yardstick.start()
     sim.run_until(sim_seconds)
-    if not yardstick.rtts:
-        # Total loss: the shared link is saturated and the switch buffer
-        # never drains — report an unbounded delay.
-        return float("inf"), yardstick.loss_rate()
+    # Total loss (the shared link saturated, the switch buffer never
+    # drains) is an unbounded delay.
     return yardstick.mean_rtt(), yardstick.loss_rate()
 
 
@@ -151,21 +142,6 @@ def rtt_curve(
     ]
 
 
-def users_at_rtt(
-    curve: Sequence[Tuple[int, float]], threshold: float = POOR_RTT
-) -> Optional[float]:
-    """Interpolated user count where RTT crosses the threshold."""
-    prev_n, prev_rtt = None, None
-    for n, rtt in curve:
-        if rtt >= threshold and prev_n is not None and rtt > prev_rtt:
-            frac = (threshold - prev_rtt) / (rtt - prev_rtt)
-            return prev_n + frac * (n - prev_n)
-        if rtt >= threshold:
-            return float(n)
-        prev_n, prev_rtt = n, rtt
-    return None
-
-
 @experiment(
     "fig11",
     title="Network yardstick RTT vs active users on a shared IF",
@@ -178,13 +154,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         _traces, profiles = userstudy.get_study(app)
         per_user = measured_per_user_bps(profiles)
         curve = rtt_curve(app, DEFAULT_SWEEPS[name], sim_seconds=sim_seconds)
-        crossing = users_at_rtt(curve)
+        users = crossing(curve, POOR_RTT)
         lo, hi = PAPER_RANGES[name]
         unscaled_knee = 0.95 * ETHERNET_100 / per_user if per_user > 0 else float("inf")
         rows.append(
             {
                 "application": name,
-                "users @30ms": round(crossing) if crossing else f">{curve[-1][0]}",
+                "users @30ms": round(users) if users else f">{curve[-1][0]}",
                 "paper range": f"{lo}-{hi}",
                 "unscaled knee (est users)": round(unscaled_knee),
                 "curve": "  ".join(f"{n}:{rtt * 1000:.1f}ms" for n, rtt in curve),

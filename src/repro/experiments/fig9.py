@@ -21,10 +21,11 @@ per-user profile model does not carry.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.stats import crossing
 from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentResult,
@@ -112,23 +113,6 @@ def latency_curve(
     ]
 
 
-def users_at_threshold(
-    curve: Sequence[Tuple[int, float]], threshold: float = POOR_THRESHOLD
-) -> Optional[float]:
-    """Interpolated user count where added latency crosses ``threshold``."""
-    prev_n, prev_lat = None, None
-    for n, lat in curve:
-        if lat >= threshold and prev_n is not None:
-            if lat == prev_lat:
-                return float(n)
-            frac = (threshold - prev_lat) / (lat - prev_lat)
-            return prev_n + frac * (n - prev_n)
-        if lat >= threshold:
-            return float(n)
-        prev_n, prev_lat = n, lat
-    return None
-
-
 #: Sweeps sized to bracket the paper's crossing points.
 DEFAULT_SWEEPS: Dict[str, Tuple[int, ...]] = {
     "Photoshop": (2, 6, 9, 12, 15, 18, 21),
@@ -152,12 +136,12 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     for name, app in BENCHMARK_APPS.items():
         curve = latency_curve(app, DEFAULT_SWEEPS[name], sim_seconds=sim_seconds)
-        crossing = users_at_threshold(curve)
+        users = crossing(curve, POOR_THRESHOLD)
         lo, hi = PAPER_RANGES[name]
         rows.append(
             {
                 "application": name,
-                "users @100ms": round(crossing, 1) if crossing else ">max",
+                "users @100ms": round(users, 1) if users else ">max",
                 "paper range": f"{lo}-{hi}",
                 "curve": "  ".join(f"{n}:{lat * 1000:.0f}ms" for n, lat in curve),
             }

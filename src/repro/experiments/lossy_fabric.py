@@ -28,10 +28,8 @@ from repro.experiments.runner import (
     experiment,
 )
 from repro.framebuffer import FrameBuffer
-from repro.loadgen.yardstick import NetworkYardstick
-from repro.netsim.backend import LocalBackend
+from repro.loadgen.yardstick import yardstick_rig
 from repro.netsim.profiles import get_profile
-from repro.netsim.transport import Endpoint, Network
 from repro.transport import DisplayChannel
 from repro.units import ETHERNET_100
 from repro.workloads.apps import NETSCAPE
@@ -75,31 +73,24 @@ def run_lossy_session(
     return channel
 
 
+def _probe(sim_seconds: float, **rig) -> Tuple[float, float]:
+    """(mean RTT seconds, observed loss rate) of the fig11 probe on a
+    100 Mbps fabric; ``rig`` holds :func:`yardstick_rig`'s ``console`` /
+    ``server`` link kwargs."""
+    sim, _network, yardstick = yardstick_rig(ETHERNET_100, **rig)
+    yardstick.start()
+    sim.run_until(sim_seconds)
+    return yardstick.mean_rtt(), yardstick.loss_rate()
+
+
 def yardstick_on_lossy_fabric(
     loss_rate: float,
     sim_seconds: float = YARDSTICK_SECONDS,
     seed: int = DEFAULT_SEED,
 ) -> Tuple[float, float]:
     """(mean RTT seconds, observed loss rate) of the fig11 probe."""
-    sim = LocalBackend()
-    network = Network(sim, default_rate_bps=ETHERNET_100)
-    yardstick = NetworkYardstick(
-        sim, network, console_addr="console", server_addr="server"
-    )
-    network.attach(
-        Endpoint("console", on_receive=yardstick.handle_console_packet)
-    )
     rng = np.random.default_rng(seed) if loss_rate > 0 else None
-    network.attach(
-        Endpoint("server", on_receive=yardstick.handle_server_packet),
-        loss_rate=loss_rate,
-        rng=rng,
-    )
-    yardstick.start()
-    sim.run_until(sim_seconds)
-    if not yardstick.rtts:
-        return float("inf"), yardstick.loss_rate()
-    return yardstick.mean_rtt(), yardstick.loss_rate()
+    return _probe(sim_seconds, server={"loss_rate": loss_rate, "rng": rng})
 
 
 def yardstick_on_profile(
@@ -113,25 +104,8 @@ def yardstick_on_profile(
     deployment shape); the server stays on the clean switched fabric.
     """
     profile = get_profile(profile_name)
-    sim = LocalBackend()
-    network = Network(sim, default_rate_bps=ETHERNET_100)
-    yardstick = NetworkYardstick(
-        sim, network, console_addr="console", server_addr="server"
-    )
     rng = np.random.default_rng(seed) if profile.randomized else None
-    network.attach(
-        Endpoint("console", on_receive=yardstick.handle_console_packet),
-        profile=profile,
-        rng=rng,
-    )
-    network.attach(
-        Endpoint("server", on_receive=yardstick.handle_server_packet)
-    )
-    yardstick.start()
-    sim.run_until(sim_seconds)
-    if not yardstick.rtts:
-        return float("inf"), yardstick.loss_rate()
-    return yardstick.mean_rtt(), yardstick.loss_rate()
+    return _probe(sim_seconds, console={"profile": profile, "rng": rng})
 
 
 @experiment(

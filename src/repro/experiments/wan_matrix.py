@@ -32,7 +32,6 @@ the propagation floor — graceful degradation instead of collapse.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -44,11 +43,9 @@ from repro.experiments.runner import (
     ExperimentResult,
     experiment,
 )
-from repro.loadgen.yardstick import NetworkYardstick
-from repro.netsim.backend import LocalBackend
+from repro.loadgen.yardstick import yardstick_rig
 from repro.netsim.packet import Packet
 from repro.netsim.profiles import PROFILES, NetworkProfile, get_profile
-from repro.netsim.transport import Endpoint, Network
 from repro.obs.slo import KEYSTROKE_ECHO, SloEngine
 from repro.obs.timeseries import RunSeries
 from repro.runcontext import current_run
@@ -139,32 +136,13 @@ class CellProbe:
         self.demand_bps = demand_bps
         self.adaptive = adaptive
         self.seconds = seconds
-        self.sim = LocalBackend()
-        self.network = Network(self.sim, default_rate_bps=ETHERNET_1G)
-        self.yardstick = NetworkYardstick(
-            self.sim,
-            self.network,
-            console_addr="console",
-            server_addr="server",
-            warmup=1.0,
-        )
         self.display_bytes_received = 0
-
-        def console_rx(packet: Packet) -> None:
-            if packet.flow == "display":
-                self.display_bytes_received += packet.nbytes
-            else:
-                self.yardstick.handle_console_packet(packet)
-
         rng = np.random.default_rng(seed) if profile.randomized else None
-        self.network.attach(
-            Endpoint("console", on_receive=console_rx),
-            profile=profile,
-            rng=rng,
-        )
-        self.network.attach(
-            Endpoint("server", on_receive=self.yardstick.handle_server_packet),
-            rate_bps=ETHERNET_1G,
+        self.sim, self.network, self.yardstick = yardstick_rig(
+            ETHERNET_1G,
+            warmup=1.0,
+            console={"profile": profile, "rng": rng},
+            on_console=self._console_rx,
         )
         self.downlink = self.network.downlink("console")
         self.allocator: Optional[TieredAllocator] = None
@@ -177,6 +155,12 @@ class CellProbe:
         else:
             self._rate_bps = demand_bps
         self._carry_bytes = 0.0
+
+    def _console_rx(self, packet: Packet) -> None:
+        if packet.flow == "display":
+            self.display_bytes_received += packet.nbytes
+        else:
+            self.yardstick.handle_console_packet(packet)
 
     # -- the paced display stream -------------------------------------------
     def _emit(self) -> None:
@@ -214,11 +198,6 @@ class CellProbe:
         return self
 
     # -- results --------------------------------------------------------------
-    def mean_rtt(self) -> float:
-        if not self.yardstick.rtts:
-            return float("inf")
-        return self.yardstick.mean_rtt()
-
     def p95_rtt(self) -> float:
         if not self.yardstick.rtts:
             return float("inf")
@@ -233,12 +212,8 @@ class CellProbe:
         return self.allocator.tier_of(1).name
 
 
-def _resolve_names(
-    value: object, env_var: str, default: Sequence[str]
-) -> List[str]:
-    """A comma-list from config extra, the environment, or the default."""
-    if value is None:
-        value = os.environ.get(env_var)
+def _resolve_names(value: object, default: Sequence[str]) -> List[str]:
+    """A comma-list from config extra, or the default."""
     if value is None:
         return list(default)
     if isinstance(value, str):
@@ -253,18 +228,9 @@ def _resolve_names(
 )
 def run(config: ExperimentConfig) -> ExperimentResult:
     probe_seed = int(config.get("seed", DEFAULT_PROBE_SEED))
-    cell_seconds = float(
-        config.get(
-            "cell_seconds",
-            os.environ.get("SLIM_WAN_CELL_SECONDS", DEFAULT_CELL_SECONDS),
-        )
-    )
-    profile_names = _resolve_names(
-        config.get("profiles"), "SLIM_WAN_PROFILES", list(PROFILES)
-    )
-    workload_names = _resolve_names(
-        config.get("workloads"), "SLIM_WAN_WORKLOADS", list(ADVERSITY_APPS)
-    )
+    cell_seconds = float(config.get("cell_seconds", DEFAULT_CELL_SECONDS))
+    profile_names = _resolve_names(config.get("profiles"), list(PROFILES))
+    workload_names = _resolve_names(config.get("workloads"), list(ADVERSITY_APPS))
     registry = current_run().registry
     demands = workload_demands(
         n_users=config.n_users or userstudy.DEFAULT_N_USERS,
@@ -306,7 +272,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                 registry.gauge(
                     "wan.yardstick.rtt_ms", profile=profile_name,
                     workload=workload,
-                ).set(1000 * adaptive.mean_rtt())
+                ).set(1000 * adaptive.yardstick.mean_rtt())
                 registry.counter(
                     "wan.yardstick.samples", profile=profile_name,
                     workload=workload,
@@ -320,8 +286,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                     "raw (Mbps)": round(bw["raw"] / MBPS, 3),
                     "demand (Mbps)": round(bw["demand"] / MBPS, 2),
                     "floor ms": round(floor_ms, 2),
-                    "RTT ms static": _fmt_ms(static.mean_rtt()),
-                    "RTT ms adaptive": _fmt_ms(adaptive.mean_rtt()),
+                    "RTT ms static": _fmt_ms(static.yardstick.mean_rtt()),
+                    "RTT ms adaptive": _fmt_ms(adaptive.yardstick.mean_rtt()),
                     "p95 ms adaptive": _fmt_ms(adaptive.p95_rtt()),
                     "probe loss": f"{adaptive.yardstick.loss_rate():.0%}",
                     "tier": adaptive.tier_name(),

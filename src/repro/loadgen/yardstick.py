@@ -13,14 +13,13 @@ Two yardsticks gauge a shared system:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import WorkloadError
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
-from repro.netsim.transport import Network
+from repro.netsim.transport import Endpoint, Network
 from repro.runcontext import current_run
 from repro.telemetry.metrics import get_registry
 
@@ -191,11 +190,44 @@ class NetworkYardstick:
 
     # -- results ----------------------------------------------------------------
     def mean_rtt(self) -> float:
-        """Average round-trip delay, seconds (Figure 11's y-axis)."""
+        """Average round-trip delay, seconds (Figure 11's y-axis); ``inf``
+        when no round came back."""
         if not self.rtts:
-            raise WorkloadError("yardstick collected no samples")
+            return float("inf")
         return float(np.mean(self.rtts))
 
     def loss_rate(self) -> float:
         total = len(self.rtts) + self.lost
         return self.lost / total if total else 0.0
+
+
+def yardstick_rig(
+    rate_bps: float,
+    warmup: float = 0.0,
+    console: Optional[Dict[str, Any]] = None,
+    server: Optional[Dict[str, Any]] = None,
+    on_console: Optional[Callable[[Packet], None]] = None,
+) -> Tuple[Simulator, Network, NetworkYardstick]:
+    """The network yardstick on a fresh switched fabric, not yet started.
+
+    Builds the engine, a network whose links default to ``rate_bps`` and
+    the probe, then attaches the ``"console"`` and ``"server"`` endpoints
+    in that order, each with its :meth:`Network.attach` link kwargs.
+    ``on_console`` replaces the console's receive hook; it must hand the
+    probe's responses to ``yardstick.handle_console_packet``.  Build it
+    inside the run it should report to.
+    """
+    sim = Simulator()
+    network = Network(sim, default_rate_bps=rate_bps)
+    yardstick = NetworkYardstick(
+        sim, network, console_addr="console", server_addr="server", warmup=warmup
+    )
+    network.attach(
+        Endpoint("console", on_receive=on_console or yardstick.handle_console_packet),
+        **(console or {}),
+    )
+    network.attach(
+        Endpoint("server", on_receive=yardstick.handle_server_packet),
+        **(server or {}),
+    )
+    return sim, network, yardstick

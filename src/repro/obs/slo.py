@@ -311,9 +311,6 @@ class SloReport:
     events: List[HealthEvent] = field(default_factory=list)
 
     # -- lookups -----------------------------------------------------------
-    def for_run(self, run_label: str) -> List[SloResult]:
-        return [r for r in self.results if r.run == run_label]
-
     def compliance(
         self, run_label: str, spec_name: str
     ) -> Optional[SloResult]:

@@ -59,35 +59,14 @@ class PriorityScheduler(Scheduler):
         return bool(getattr(task, "interactive", False))
 
     # -- queue discipline (overrides) -----------------------------------------
-    def submit_burst(self, task: Task, cpu_seconds: float) -> None:
-        if cpu_seconds <= 0:
-            raise SchedulerError(f"burst must be positive, got {cpu_seconds}")
-        effective = cpu_seconds * self._slowdown()
-        burst = _Burst(
-            task=task,
-            remaining=effective,
-            requested=cpu_seconds,
-            submitted_at=self.sim.now,
-        )
-        if self.is_interactive(task):
+    def _enqueue(self, burst: _Burst) -> None:
+        """A burst queues in its task's class, preempted or new."""
+        if self.is_interactive(burst.task):
             self._interactive.append(burst)
         else:
             self._background.append(burst)
-        self._dispatch()
 
-    def _age_background(self) -> None:
-        """Promote background bursts starved of CPU for too long."""
-        promoted: Deque[_Burst] = deque()
-        while self._background:
-            burst = self._background.popleft()
-            waited_since = max(burst.submitted_at, burst.last_ran)
-            if self.sim.now - waited_since >= self.aging_seconds:
-                self._interactive.append(burst)
-            else:
-                promoted.append(burst)
-        self._background = promoted
-
-    def _pop_next(self) -> Optional[_Burst]:
+    def _next_burst(self) -> Optional[_Burst]:
         self._age_background()
         if self._interactive:
             return self._interactive.popleft()
@@ -95,43 +74,19 @@ class PriorityScheduler(Scheduler):
             return self._background.popleft()
         return None
 
-    def _dispatch(self) -> None:
-        for cpu in range(self.num_cpus):
-            if self._cpu_busy[cpu]:
-                continue
-            burst = self._pop_next()
-            if burst is None:
+    def _age_background(self) -> None:
+        """Promote background bursts starved of CPU for too long.
+
+        A burst queues when it is submitted or its slice ends, so the
+        background queue is ordered by how long each has waited and the
+        starved bursts are its head."""
+        background = self._background
+        while background:
+            head = background[0]
+            waited_since = max(head.submitted_at, head.last_ran)
+            if self.sim.now - waited_since < self.aging_seconds:
                 return
-            self._run_slice(cpu, burst)
-
-    def _run_slice(self, cpu: int, burst: _Burst) -> None:
-        """Identical to the base slice except preempted bursts requeue
-        into their own class."""
-        self._cpu_busy[cpu] = True
-        overhead = (
-            self.context_switch if self._last_on_cpu[cpu] is not burst.task else 0.0
-        )
-        self._last_on_cpu[cpu] = burst.task
-        slice_time = min(self.quantum, burst.remaining)
-        total = overhead + slice_time
-        self.busy_time += total
-
-        def on_slice_end() -> None:
-            burst.remaining -= slice_time
-            burst.task.cpu_consumed += slice_time
-            burst.last_ran = self.sim.now
-            self._cpu_busy[cpu] = False
-            if burst.remaining > 1e-12:
-                if self.is_interactive(burst.task):
-                    self._interactive.append(burst)
-                else:
-                    self._background.append(burst)
-            else:
-                elapsed = self.sim.now - burst.submitted_at
-                burst.task.on_burst_complete(burst.requested, elapsed)
-            self._dispatch()
-
-        self.sim.schedule(total, on_slice_end)
+            self._interactive.append(background.popleft())
 
     @property
     def ready_queue_length(self) -> int:

@@ -63,7 +63,7 @@ class _Burst:
     remaining: float
     requested: float
     submitted_at: float
-    #: Last time this burst received CPU (used by priority aging).
+    #: When this burst's last slice ended (used by priority aging).
     last_ran: float = -1.0
 
 
@@ -148,25 +148,35 @@ class Scheduler:
         if cpu_seconds <= 0:
             raise SchedulerError(f"burst must be positive, got {cpu_seconds}")
         effective = cpu_seconds * self._slowdown()
-        burst = _Burst(
-            task=task,
-            remaining=effective,
-            requested=cpu_seconds,
-            submitted_at=self.sim.now,
+        self._enqueue(
+            _Burst(
+                task=task,
+                remaining=effective,
+                requested=cpu_seconds,
+                submitted_at=self.sim.now,
+            )
         )
-        self._ready.append(burst)
         if self._metrics.enabled:
-            self._m_run_queue.observe(len(self._ready))
+            self._m_run_queue.observe(self.ready_queue_length)
         self._dispatch()
+
+    # -- queue discipline (what a subclass overrides) -------------------------
+    def _enqueue(self, burst: _Burst) -> None:
+        """Make a burst runnable: a new one, or one its slice preempted."""
+        self._ready.append(burst)
+
+    def _next_burst(self) -> Optional[_Burst]:
+        """The burst an idle CPU runs next; None when nothing is ready."""
+        return self._ready.popleft() if self._ready else None
 
     def _dispatch(self) -> None:
         """Hand ready bursts to idle CPUs."""
         for cpu in range(self.num_cpus):
-            if not self._ready:
-                return
             if self._cpu_busy[cpu]:
                 continue
-            burst = self._ready.popleft()
+            burst = self._next_burst()
+            if burst is None:
+                return
             self._run_slice(cpu, burst)
 
     def _run_slice(self, cpu: int, burst: _Burst) -> None:
@@ -186,9 +196,10 @@ class Scheduler:
         def on_slice_end() -> None:
             burst.remaining -= slice_time
             burst.task.cpu_consumed += slice_time
+            burst.last_ran = self.sim.now
             self._cpu_busy[cpu] = False
             if burst.remaining > 1e-12:
-                self._ready.append(burst)
+                self._enqueue(burst)
             else:
                 elapsed = self.sim.now - burst.submitted_at
                 if self._metrics.enabled:

@@ -149,11 +149,6 @@ class ServerChannel:
         return self.endpoint
 
     @property
-    def last_seq(self) -> int:
-        """Highest sequence number assigned so far (-1 before any send)."""
-        return self._last_seq
-
-    @property
     def converged(self) -> bool:
         """Has the console confirmed every sent seq as accounted for?"""
         return self._confirmed_frontier > self._last_seq

@@ -69,14 +69,6 @@ class VideoSourceSpec:
     def pixels(self) -> int:
         return self.width * self.height
 
-    def max_decode_fps(self, cpu_speed_factor: float = 336.0 / 296.0) -> float:
-        """Frame rate one CPU sustains for decode alone.
-
-        ``cpu_speed_factor`` converts the stored 336 MHz costs when the
-        host differs; the default keeps them as-is.
-        """
-        return 1.0 / self.decode_s_per_frame
-
     def scaled(self, width: int, height: int, name: Optional[str] = None) -> "VideoSourceSpec":
         """A resized variant (e.g. the paper's half-size NTSC players)."""
         factor = (width * height) / self.pixels

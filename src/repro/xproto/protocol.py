@@ -90,11 +90,6 @@ def change_gc_nbytes(nvalues: int = 2) -> int:
     return 12 + 4 * nvalues
 
 
-def clear_area_nbytes() -> int:
-    """ClearArea: fixed 16 bytes."""
-    return 16
-
-
 def tcp_overhead_nbytes(payload_bytes: int) -> int:
     """TCP/IP header bytes to carry a payload over a stream.
 

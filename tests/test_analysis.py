@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.cdf import Cdf, histogram
-from repro.analysis.stats import geometric_mean, linear_fit, summarize
+from repro.analysis.stats import crossing, geometric_mean, linear_fit, summarize
 from repro.analysis.traces import (
     InputRecord,
     SessionTrace,
@@ -96,6 +96,20 @@ class TestStats:
             geometric_mean([1, -1])
         with pytest.raises(ReproError):
             geometric_mean([])
+
+    def test_crossing(self):
+        # The first point is already past the threshold: its own x.
+        assert crossing([(10, 0.2), (20, 0.3)], 0.1) == 10.0
+        # Interpolated between the last point below and the first at or
+        # above: a quarter of the way from 0.05 to 0.25 over 10..30.
+        assert crossing([(10, 0.05), (30, 0.25), (40, 0.01)], 0.1) == 15.0
+        # Exactly at the threshold is a crossing.
+        assert crossing([(10, 0.05), (20, 0.1)], 0.1) == 20.0
+        # A total loss (inf) after a finite point: the previous x.
+        assert crossing([(10, 0.01), (20, 0.02), (30, float("inf"))], 0.1) == 20.0
+        # Never reaches the threshold.
+        assert crossing([(10, 0.01), (20, 0.09)], 0.1) is None
+        assert crossing([], 0.1) is None
 
 
 def make_trace():

@@ -10,6 +10,7 @@ default-scale tables (RESULTS.md), and ``--users 50`` the paper's
 import numpy as np
 import pytest
 
+from repro.analysis.stats import crossing
 from repro.experiments import fig9, userstudy
 from repro.experiments.fig2 import frequency_cdfs
 from repro.experiments.fig3 import pixel_cdfs
@@ -27,9 +28,9 @@ from repro.experiments.ablations import (
     push_pull_ablation,
     quantum_ablation,
 )
-from repro.experiments.fig9 import latency_curve, users_at_threshold, yardstick_latency
+from repro.experiments.fig9 import POOR_THRESHOLD, latency_curve, yardstick_latency
 from repro.experiments.fig10 import scaling_surface
-from repro.experiments.fig11 import rtt_curve, users_at_rtt, yardstick_rtt
+from repro.experiments.fig11 import POOR_RTT, rtt_curve, yardstick_rtt
 from repro.experiments.multimedia import (
     mpeg2_pipeline,
     ntsc_pipeline,
@@ -233,19 +234,21 @@ class TestFig9Landmarks:
         curves = {}
         for name, sweep in (("Netscape", (6, 12, 16)), ("PIM", (20, 32, 42))):
             app = BENCHMARK_APPS[name]
-            curves[name] = users_at_threshold(
-                latency_curve(app, sweep, sim_seconds=45.0, study_users=N)
+            curves[name] = crossing(
+                latency_curve(app, sweep, sim_seconds=45.0, study_users=N),
+                POOR_THRESHOLD,
             )
         assert curves["Netscape"] is not None and curves["PIM"] is not None
         assert curves["PIM"] > 1.4 * curves["Netscape"]
 
     def test_netscape_crossing_near_paper(self):
         app = BENCHMARK_APPS["Netscape"]
-        crossing = users_at_threshold(
-            latency_curve(app, (8, 11, 14, 17), sim_seconds=60.0, study_users=N)
+        users = crossing(
+            latency_curve(app, (8, 11, 14, 17), sim_seconds=60.0, study_users=N),
+            POOR_THRESHOLD,
         )
-        assert crossing is not None
-        assert 9 <= crossing <= 18  # paper: 12-14
+        assert users is not None
+        assert 9 <= users <= 18  # paper: 12-14
 
     def test_oversubscription_tolerated(self):
         """At the 100ms point the CPU demand exceeds the machine."""
@@ -261,20 +264,21 @@ class TestFig9Landmarks:
 
     def test_every_crossing_near_its_paper_band(self):
         crossings = {
-            name: users_at_threshold(
+            name: crossing(
                 latency_curve(
                     app,
                     fig9.DEFAULT_SWEEPS[name],
                     sim_seconds=SWEEP_SECONDS,
                     study_users=SWEEP_USERS,
-                )
+                ),
+                POOR_THRESHOLD,
             )
             for name, app in BENCHMARK_APPS.items()
         }
-        for name, crossing in crossings.items():
+        for name, users in crossings.items():
             lo, hi = fig9.PAPER_RANGES[name]
-            assert crossing is not None, name
-            assert 0.5 * lo <= crossing <= 1.75 * hi, (name, crossing)
+            assert users is not None, name
+            assert 0.5 * lo <= users <= 1.75 * hi, (name, users)
         assert crossings["PIM"] > crossings["FrameMaker"]
         assert crossings["FrameMaker"] > 0.9 * crossings["Netscape"]
 
@@ -295,19 +299,21 @@ class TestFig11Landmarks:
 
     def test_network_supports_order_of_magnitude_more_users(self):
         app = BENCHMARK_APPS["Netscape"]
-        crossing = users_at_rtt(
-            rtt_curve(app, (60, 110, 150), sim_seconds=25.0, study_users=N)
+        users = crossing(
+            rtt_curve(app, (60, 110, 150), sim_seconds=25.0, study_users=N),
+            POOR_RTT,
         )
         # CPU crossing is ~12; network must be >= ~5x that even in the
         # reduced-scale run.
-        assert crossing is None or crossing > 60
+        assert users is None or users > 60
 
     def test_text_apps_sustain_over_twice_the_image_apps(self):
         sweeps = {"Photoshop": (60, 100, 140), "Netscape": (60, 110, 150),
                   "FrameMaker": (200, 350, 470), "PIM": (200, 380, 500)}  # fmt: skip
         crossings = {
-            name: users_at_rtt(
-                rtt_curve(app, sweeps[name], sim_seconds=20.0, study_users=SWEEP_USERS)
+            name: crossing(
+                rtt_curve(app, sweeps[name], sim_seconds=20.0, study_users=SWEEP_USERS),
+                POOR_RTT,
             )
             for name, app in BENCHMARK_APPS.items()
         }
@@ -440,7 +446,7 @@ class TestWanMatrixLandmarks:
         probe = CellProbe(
             get_profile("lan"), 1e6, adaptive=True, seconds=5.0
         ).run()
-        assert probe.mean_rtt() < 0.001
+        assert probe.yardstick.mean_rtt() < 0.001
         assert probe.tier_name() == "full"
         assert probe.allocator.stats.demotions == 0
 
@@ -460,8 +466,9 @@ class TestWanMatrixLandmarks:
         assert adaptive.allocator.stats.demotions >= 1
         assert adaptive.tier_name() != "full"
         assert adaptive.downlink.stats.packets_dropped == 0
-        assert adaptive.mean_rtt() < 0.4
-        assert static.mean_rtt() > adaptive.mean_rtt()  # inf counts as worse
+        assert adaptive.yardstick.mean_rtt() < 0.4
+        # inf counts as worse
+        assert static.yardstick.mean_rtt() > adaptive.yardstick.mean_rtt()
 
 
 class TestLossyFabricProfileCells:

@@ -470,6 +470,7 @@ def test_a_run_ending_on_an_absorbed_arrival_is_the_same_armed_and_bare(tmp_path
     armed and bare, and a drained ``run()`` whose last packet the sink
     only absorbs ends at the same instant with that packet counted."""
     from repro.experiments import fig11
+    from repro.loadgen import yardstick
     from repro.netsim.transport import Endpoint, Network
 
     profiles = [
@@ -484,7 +485,7 @@ def test_a_run_ending_on_an_absorbed_arrival_is_the_same_armed_and_bare(tmp_path
             return sims[-1]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fig11, "LocalBackend", backend)
+            patch.setattr(yardstick, "Simulator", backend)
             rtt = fig11.yardstick_rtt(profiles, n_users=6, sim_seconds=7.0)
         return rtt, sims[0].events_processed
 

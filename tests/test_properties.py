@@ -340,22 +340,6 @@ class TestSessionManagerProperties:
         assert len(seen_consoles) == len(set(seen_consoles))
 
 
-class TestAudioProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 1000),
-        scale_ms=st.floats(0.1, 30.0),
-    )
-    def test_deeper_prefill_never_worse(self, seed, scale_ms):
-        from repro.core.audio import audio_quality_under_jitter
-
-        rng = np.random.default_rng(seed)
-        delays = list(rng.exponential(scale_ms / 1000.0, size=150))
-        shallow = audio_quality_under_jitter(delays, prefill=1)
-        deep = audio_quality_under_jitter(delays, prefill=6)
-        assert deep <= shallow + 1e-9
-
-
 class TestFlightRecorderTracerIsBounded:
     """``TraceCollector(retain=False)`` over arbitrarily long runs: a
     message lost in flight with nothing to supersede it (a status, an

@@ -22,7 +22,7 @@ from repro.framebuffer.framebuffer import FrameBuffer
 from repro.framebuffer.painter import PaintKind, PaintOp
 from repro.framebuffer.regions import Rect
 from repro.loadgen.generator import NetworkLoadGenerator, TrafficPattern
-from repro.loadgen.yardstick import NetworkYardstick
+from repro.loadgen.yardstick import yardstick_rig
 from repro.netsim.backend import LocalBackend
 from repro.netsim.packet import Packet
 from repro.netsim.profiles import get_profile
@@ -132,17 +132,8 @@ def synthetic_profile(index: int, rng: np.random.Generator) -> ResourceProfile:
 def yardstick_load() -> Counts:
     """The Fig 11 cell: yardstick probe plus background load from the
     server into a hook-less sink."""
-    sim = LocalBackend()
-    network = Network(sim, default_rate_bps=ETHERNET_100)
-    yardstick = NetworkYardstick(
-        sim, network, console_addr="console", server_addr="server", warmup=1.0
-    )
-    network.attach(
-        Endpoint("console", on_receive=yardstick.handle_console_packet)
-    )
-    network.attach(
-        Endpoint("server", on_receive=yardstick.handle_server_packet),
-        queue_limit_bytes=512 * 1024,
+    sim, network, yardstick = yardstick_rig(
+        ETHERNET_100, warmup=1.0, server={"queue_limit_bytes": 512 * 1024}
     )
     network.attach(Endpoint("sink"))
     rng = np.random.default_rng(SEED)
