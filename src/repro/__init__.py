@@ -4,7 +4,7 @@ Stateless, Thin-Client Architecture" (Schmidt, Lam & Northcutt, SOSP '99).
 The package implements the complete SLIM system in simulation:
 
 * :mod:`repro.core` — the SLIM protocol: display commands, wire format,
-  encoder/decoder, console cost model, bandwidth allocation, sessions.
+  encoder/decoder, console cost model, bandwidth allocation.
 * :mod:`repro.framebuffer` — rectangles, pixels, YUV, painting.
 * :mod:`repro.netsim` — the switched interconnection fabric.
 * :mod:`repro.transport` — the reliable display channel (loss
@@ -46,7 +46,6 @@ from repro.errors import (
     ProtocolError,
     WireFormatError,
     GeometryError,
-    SessionError,
     SimulationError,
     SchedulerError,
     BandwidthError,
@@ -75,9 +74,6 @@ from repro.core import (
     ConsoleCostModel,
     SUN_RAY_1_COSTS,
     BandwidthAllocator,
-    AuthenticationManager,
-    SessionManager,
-    SmartCard,
 )
 from repro.console import Console, MicroOpModel
 from repro.server import SlimDriver, Scheduler, ServerHost
@@ -100,7 +96,6 @@ __all__ = [
     "ProtocolError",
     "WireFormatError",
     "GeometryError",
-    "SessionError",
     "SimulationError",
     "SchedulerError",
     "BandwidthError",
@@ -125,9 +120,6 @@ __all__ = [
     "ConsoleCostModel",
     "SUN_RAY_1_COSTS",
     "BandwidthAllocator",
-    "AuthenticationManager",
-    "SessionManager",
-    "SmartCard",
     "Console",
     "MicroOpModel",
     "SlimDriver",

@@ -14,8 +14,6 @@ Section 2 of the paper:
 * :mod:`repro.core.costs` — the Table 5 console processing-cost model.
 * :mod:`repro.core.bandwidth` — the console bandwidth allocator
   (Section 7).
-* :mod:`repro.core.session` — authentication and session management with
-  smart-card mobility (Section 2.4).
 * :mod:`repro.core.video` — the SLIM video library (Section 2.2).
 """
 
@@ -38,12 +36,6 @@ from repro.core.encoder import SlimEncoder, EncoderConfig
 from repro.core.decoder import SlimDecoder
 from repro.core.costs import ConsoleCostModel, CostEntry, SUN_RAY_1_COSTS
 from repro.core.bandwidth import BandwidthAllocator
-from repro.core.session import (
-    AuthenticationManager,
-    Session,
-    SessionManager,
-    SmartCard,
-)
 
 __all__ = [
     "Command",
@@ -68,8 +60,4 @@ __all__ = [
     "CostEntry",
     "SUN_RAY_1_COSTS",
     "BandwidthAllocator",
-    "AuthenticationManager",
-    "SessionManager",
-    "Session",
-    "SmartCard",
 ]

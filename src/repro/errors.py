@@ -24,10 +24,6 @@ class GeometryError(ReproError):
     """A rectangle or region argument is out of bounds or degenerate."""
 
 
-class SessionError(ReproError):
-    """Authentication or session-management failure."""
-
-
 class SimulationError(ReproError):
     """The discrete-event simulator was used inconsistently."""
 

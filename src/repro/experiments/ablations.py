@@ -227,7 +227,7 @@ def priority_scheduler_ablation(
     goal — interactive guarantees under load — at near-zero cost to the
     background users.
     """
-    from repro.netsim.backend import LocalBackend
+    from repro.netsim.engine import Simulator
     from repro.server.priority import PriorityScheduler
     from repro.server.scheduler import (
         PeriodicTask,
@@ -241,7 +241,7 @@ def priority_scheduler_ablation(
         ("round-robin", Scheduler),
         ("priority", PriorityScheduler),
     ):
-        sim = LocalBackend()
+        sim = Simulator()
         scheduler = factory(sim, num_cpus=1, quantum=0.010, memory_mb=4096.0)
         yardstick = PeriodicTask(burst=0.030, think=0.150, warmup=5.0)
         yardstick.interactive = True

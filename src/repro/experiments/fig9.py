@@ -33,7 +33,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments import userstudy
 from repro.loadgen.yardstick import CPU_YARDSTICK_BURST, CPU_YARDSTICK_THINK
-from repro.netsim.backend import LocalBackend
+from repro.netsim.engine import Simulator
 from repro.server.scheduler import PeriodicTask, ProfilePlaybackTask, Scheduler
 from repro.workloads.apps import BENCHMARK_APPS, AppProfile
 from repro.workloads.session import ResourceProfile
@@ -62,7 +62,7 @@ def yardstick_latency(
     demand arrives in — one application event's processing.  Use
     :meth:`AppProfile.typical_burst_seconds` for the app being played.
     """
-    sim = LocalBackend()
+    sim = Simulator()
     scheduler = Scheduler(
         sim, num_cpus=num_cpus, quantum=quantum, memory_mb=memory_mb
     )

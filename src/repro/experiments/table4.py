@@ -27,7 +27,7 @@ from repro.experiments.runner import (
 )
 from repro.framebuffer.painter import PaintKind, PaintOp
 from repro.framebuffer.regions import Rect
-from repro.netsim.backend import LocalBackend
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
 from repro.netsim.transport import Endpoint, Network
 from repro.server.slimdriver import SlimDriver
@@ -54,7 +54,7 @@ class EchoRun:
 
 def run_echo(app_seconds: float = ECHO_APP_SECONDS) -> EchoRun:
     """Run the keystroke -> server -> pixels-on-display experiment."""
-    sim = LocalBackend()
+    sim = Simulator()
     network = Network(sim, default_rate_bps=ETHERNET_100)
     console = Console(sim=sim, address="console", record_service_times=True)
     codec = WireCodec()

@@ -12,7 +12,6 @@ from repro.framebuffer.yuv import (
     rgb_to_yuv,
     yuv_to_rgb,
     subsample_yuv,
-    upsample_yuv,
     bilinear_scale,
 )
 from repro.framebuffer.painter import Painter, PaintOp, PaintKind
@@ -26,7 +25,6 @@ __all__ = [
     "rgb_to_yuv",
     "yuv_to_rgb",
     "subsample_yuv",
-    "upsample_yuv",
     "bilinear_scale",
     "Painter",
     "PaintOp",

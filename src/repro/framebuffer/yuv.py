@@ -104,11 +104,6 @@ def subsample_yuv(yuv: np.ndarray, factor_x: int, factor_y: int) -> np.ndarray:
     return out
 
 
-def upsample_yuv(yuv: np.ndarray) -> np.ndarray:
-    """Identity hook kept for symmetry with subsample (dense model)."""
-    return yuv.copy()
-
-
 def cscs_wire_bytes(width: int, height: int, bits_per_pixel: int) -> int:
     """Bytes on the wire for a CSCS payload of the given geometry.
 

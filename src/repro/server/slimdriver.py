@@ -96,50 +96,41 @@ class SlimDriver:
             self._m_service = m.histogram("server.driver.update_service_seconds")
             self._m_compression = m.gauge("server.driver.compression_factor")
 
-    def update(
-        self, time: float, ops: List[PaintOp], paint: bool = True
-    ) -> UpdateRecord:
+    def update(self, time: float, ops: List[PaintOp]) -> UpdateRecord:
         """Process one display update: paint + encode + log + send.
 
-        With ``paint`` True (the default) and a framebuffer attached,
-        this is the faithful driver call order: a real device driver is
-        invoked per rendering operation, so each op is painted into the
-        server framebuffer and then encoded against the state it
-        produced — required for correctness when ops within one update
-        overlap (a COPY whose source a later op repaints, for example).
-
-        With ``paint`` False the ops are encoded against the current
-        framebuffer contents (the caller painted them already); in
-        materialized mode the ops must then not overlap each other.
-        Accounting-only drivers (no framebuffer) have nothing to paint,
-        so ``paint`` is a no-op for them.
+        With a framebuffer attached this is the faithful driver call
+        order: a real device driver is invoked per rendering operation,
+        so each op is painted into the server framebuffer and then
+        encoded against the state it produced — required for
+        correctness when ops within one update overlap (a COPY whose
+        source a later op repaints, for example).  Accounting-only
+        drivers (no framebuffer) have nothing to paint and only encode.
         """
         if self._trace is not None:
             # Causal tracing: group everything this update sends (its
             # commands are encoded and pushed synchronously below).
             self._trace.begin_update(time)
             try:
-                return self._timed_update(time, ops, paint)
+                return self._timed_update(time, ops)
             finally:
                 self._trace.end_update()
-        return self._timed_update(time, ops, paint)
+        return self._timed_update(time, ops)
 
-    def _timed_update(
-        self, time: float, ops: List[PaintOp], paint: bool
-    ) -> UpdateRecord:
+    def _timed_update(self, time: float, ops: List[PaintOp]) -> UpdateRecord:
         if not self._metrics.enabled:
-            return self._update(time, ops, paint)
+            return self._update(time, ops)
         # Wall-clock span: where does the *reproduction's* time go.
         started = _time.perf_counter()
         try:
-            return self._update(time, ops, paint)
+            return self._update(time, ops)
         finally:
             self._metrics.histogram(
                 "span.server.driver.update.seconds"
             ).observe(_time.perf_counter() - started)
 
-    def _update(self, time: float, ops: List[PaintOp], paint: bool) -> UpdateRecord:
-        if paint and self._painter is not None:
+    def _update(self, time: float, ops: List[PaintOp]) -> UpdateRecord:
+        if self._painter is not None:
             commands: List[cmd.DisplayCommand] = []
             for op in ops:
                 self._painter.apply(op)

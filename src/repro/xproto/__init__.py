@@ -6,7 +6,6 @@ bandwidth comparison of Figure 8 (X vs SLIM vs raw pixels).
 """
 
 from repro.xproto.protocol import (
-    XRequest,
     poly_text8_nbytes,
     poly_fill_rectangle_nbytes,
     copy_area_nbytes,
@@ -16,7 +15,6 @@ from repro.xproto.protocol import (
 from repro.xproto.baseline import XDriver, RawPixelDriver, VncServer
 
 __all__ = [
-    "XRequest",
     "poly_text8_nbytes",
     "poly_fill_rectangle_nbytes",
     "copy_area_nbytes",

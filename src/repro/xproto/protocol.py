@@ -14,26 +14,12 @@ SET ships packed 24-bit pixels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ProtocolError
 
 #: TCP + IP header bytes per segment.
 TCP_IP_HEADER_BYTES = 40
 #: Conventional Ethernet MSS.
 TCP_MSS = 1460
-
-
-@dataclass(frozen=True)
-class XRequest:
-    """One X11 request: a name and its size on the wire."""
-
-    name: str
-    nbytes: int
-
-    def __post_init__(self) -> None:
-        if self.nbytes <= 0:
-            raise ProtocolError(f"request {self.name} has size {self.nbytes}")
 
 
 def _pad4(n: int) -> int:

@@ -2,7 +2,7 @@
 
 from repro.core.decoder import SlimDecoder
 from repro.core.encoder import SlimEncoder
-from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Painter, Rect
+from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
 from repro.server.slimdriver import SlimDriver
 
 
@@ -76,16 +76,7 @@ class TestUpdatePaints:
         assert server_fb.equals(console_fb)
         assert console_fb.pixel(36, 4) == (50, 60, 70)
 
-    def test_paint_false_uses_prepainted_framebuffer(self):
-        """``paint=False`` encodes against pixels the caller painted."""
-        server_fb, console_fb, driver = make_pair()
-        painter = Painter(server_fb)
-        op = PaintOp(PaintKind.FILL, Rect(0, 0, 32, 32), color=(9, 9, 9))
-        painter.apply(op)
-        driver.update(0.0, [op], paint=False)
-        assert server_fb.equals(console_fb)
-
-    def test_accounting_only_driver_ignores_paint_flag(self):
+    def test_accounting_only_driver_encodes_without_painting(self):
         driver = SlimDriver()  # no framebuffer: nothing to paint
         ops = [PaintOp(PaintKind.FILL, Rect(0, 0, 4, 4))]
         record = driver.update(0.0, ops)

@@ -12,9 +12,10 @@ from repro.core import commands as cmd
 from repro.core.encoder import EncoderConfig, SlimEncoder
 from repro.core.wire import Datagram, WireCodec
 from repro.console import Console
-from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Painter, Rect
+from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
 from repro.netsim import Endpoint, Network, Packet, Simulator
 from repro.server.slimdriver import SlimDriver
+from repro.transport import DisplayChannel
 from repro.units import ETHERNET_100
 
 
@@ -184,30 +185,27 @@ class TestOverTheFabric:
 
 class TestMobilityOverTheWire:
     def test_hotdesk_restores_exact_screen(self):
-        from repro.core.session import (
-            AuthenticationManager,
-            SessionManager,
-            SmartCard,
+        """The session moves by redirecting its driver to a channel for
+        the new console and refreshing over it."""
+        sim = Simulator()
+        network = Network(sim, default_rate_bps=ETHERNET_100)
+        server_fb = FrameBuffer(96, 64)
+        first = DisplayChannel(
+            server_fb, sim=sim, network=network,
+            console_address="c1", server_address="s1",
         )
-
-        auth = AuthenticationManager()
-        card = SmartCard(user="u", token="t")
-        auth.enroll(card)
-        sessions = SessionManager(auth, display_width=96, display_height=64)
-        session = sessions.attach(card, "c1")
-        painter = Painter(session.framebuffer)
+        driver = first.make_driver(track_baselines=False)
         for op in a_desktop_scene(96, 64):
-            painter.apply(op)
-        sessions.detach("c1")
-        sessions.attach(card, "c2")
-        console = Console(96, 64)
-        send = wire_channel(console)
-        encoder = SlimEncoder(materialize=True)
-        for command in encoder.encode_damage(
-            session.framebuffer, [session.framebuffer.bounds]
-        ):
-            send(command)
-        assert session.framebuffer.equals(console.framebuffer)
+            driver.update(sim.now, [op])
+        sim.run()
+        second = DisplayChannel(
+            server_fb, sim=sim, network=network,
+            console_address="c2", server_address="s2",
+        )
+        driver.send = second.send_command
+        second.server_channel.refresh()
+        sim.run()
+        assert second.converged and second.resolved
 
 
 class TestDriverTraceConsistency:

@@ -311,35 +311,6 @@ class TestSchedulerProperties:
         assert sim.now <= total_demand + 0.011
 
 
-class TestSessionManagerProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        moves=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 4)),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_console_session_bijection(self, moves):
-        """After any attach sequence: each console shows <=1 session and
-        each session is on <=1 console, consistently."""
-        from repro.core.session import AuthenticationManager, SessionManager, SmartCard
-
-        auth = AuthenticationManager()
-        cards = [SmartCard(user=f"u{i}", token=f"t{i}") for i in range(4)]
-        for card in cards:
-            auth.enroll(card)
-        manager = SessionManager(auth, display_width=16, display_height=16)
-        for user_index, console_index in moves:
-            manager.attach(cards[user_index], f"c{console_index}")
-        seen_consoles = []
-        for session in manager.all_sessions:
-            if session.attached:
-                assert manager.session_at(session.console_id) is session
-                seen_consoles.append(session.console_id)
-        assert len(seen_consoles) == len(set(seen_consoles))
-
-
 class TestFlightRecorderTracerIsBounded:
     """``TraceCollector(retain=False)`` over arbitrarily long runs: a
     message lost in flight with nothing to supersede it (a status, an

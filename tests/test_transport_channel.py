@@ -10,15 +10,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.core import commands as cmd
 from repro.core.commands import StatusKind
 from repro.core.wire import decode_message
 from repro.errors import ProtocolError
 from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
+from repro.netsim import Network, Simulator
 from repro.runcontext import use_run
 from repro.telemetry.metrics import MetricsRegistry
 from repro.transport import DamageMap, DisplayChannel
+from repro.units import ETHERNET_100
 from repro.workloads.apps import NETSCAPE
 
 
@@ -254,6 +257,56 @@ class TestStatusExchange:
         assert channel.refreshes == 0  # ephemeral seq: no pixels re-sent
         assert server_fb.equals(channel.console.framebuffer)
         assert channel.resolved
+
+
+@st.composite
+def _lan_sessions(draw):
+    """A session's seed, its gaps between updates (0-50 ms, so the next
+    update can leave with the last one still in flight) and the update
+    the user hot-desks before."""
+    gaps_ms = draw(st.lists(st.integers(0, 50), min_size=1, max_size=12))
+    swap = draw(st.integers(0, len(gaps_ms) - 1))
+    return draw(st.integers(0, 2**16)), gaps_ms, swap
+
+
+class TestHotDesk:
+    """A console is disposable: the session moves to a fresh console by
+    redirecting its driver to a channel built for that console on the
+    same server framebuffer, then refreshing over it (paper §2)."""
+
+    @seed(1999)
+    @settings(deadline=None)
+    @given(session=_lan_sessions())
+    def test_fresh_console_converges_pixel_exact(self, session):
+        session_seed, gaps_ms, swap = session
+        width, height = 96, 64
+        sim = Simulator()
+        network = Network(sim, default_rate_bps=ETHERNET_100)
+        server_fb = FrameBuffer(width, height)
+        old = DisplayChannel(
+            server_fb, sim=sim, network=network,
+            console_address="console-a", server_address="server-a",
+        )
+        driver = old.make_driver(track_baselines=False)
+        rng = np.random.default_rng(session_seed)
+        display = NETSCAPE.display_model()
+        display.display_w, display.display_h = width, height
+        display.display_area = width * height
+        now = 0.0
+        for i, gap_ms in enumerate(gaps_ms):
+            if i == swap:
+                fresh = DisplayChannel(
+                    server_fb, sim=sim, network=network,
+                    console_address="console-b", server_address="server-b",
+                )
+                driver.send = fresh.send_command
+                fresh.server_channel.refresh()
+            driver.update(now, display.sample_update(rng, seed=i))
+            now += gap_ms / 1000
+            sim.run_until(now)
+        sim.run()
+        assert fresh.resolved
+        assert fresh.converged
 
 
 class TestTelemetry:
