@@ -76,7 +76,7 @@ from repro.core import (
     BandwidthAllocator,
 )
 from repro.console import Console, MicroOpModel
-from repro.server import SlimDriver, Scheduler, ServerHost
+from repro.server import SlimDriver, Scheduler
 from repro.netsim import (
     Endpoint,
     LocalBackend,
@@ -124,7 +124,6 @@ __all__ = [
     "MicroOpModel",
     "SlimDriver",
     "Scheduler",
-    "ServerHost",
     "LocalBackend",
     "Simulator",
     "Network",

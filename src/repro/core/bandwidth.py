@@ -132,9 +132,9 @@ class QualityTier:
     """One rung of the graceful-degradation ladder.
 
     ``scale`` is the fraction of a sender's full-fidelity rate requested
-    (and encoded) at this tier; encoders map it onto their own quality
-    knob (e.g. CSCS source subsampling — Section 7's "reducing the
-    resolution of the media streams and scaling them locally").
+    at this tier; the allocator grants the scaled rate.  A video sender
+    meets a lower rate with its stream geometry (Section 7's "reducing
+    the resolution of the media streams and scaling them locally").
     """
 
     name: str
@@ -279,11 +279,6 @@ class TieredAllocator:
     def effective_rate(self, client_id: int) -> float:
         """The rate the sender should actually emit at: its grant."""
         return self.base.grant_for(client_id).granted_bps
-
-    def encoder_scale(self, client_id: int) -> float:
-        """The quality scale to feed the sender's encoder
-        (:meth:`repro.core.encoder.SlimEncoder.set_quality`)."""
-        return self.tier_of(client_id).scale
 
     def shortfall(self) -> float:
         """Fraction of currently requested (tier-scaled) bps not granted."""

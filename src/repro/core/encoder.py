@@ -3,7 +3,9 @@
 This is where the protocol's bandwidth savings happen (Figure 4): the
 encoder exploits the redundancy in application pixel output by selecting
 the cheapest adequate command — FILL for solid regions, BITMAP for bicolor
-(text) regions, COPY for moves, CSCS for video, SET for everything else.
+(text) regions, COPY for moves, SET for everything else.  CSCS frames are
+not built here: video reaches the console through the SLIM video library
+(:mod:`repro.core.video`), which bypasses the driver path.
 
 Two entry points:
 
@@ -30,7 +32,6 @@ import numpy as np
 
 from repro.errors import ProtocolError
 from repro.core import commands as cmd
-from repro.core import cscs_codec
 from repro.framebuffer.framebuffer import FrameBuffer
 from repro.framebuffer.painter import PaintKind, PaintOp
 from repro.framebuffer.regions import Rect, tile_rect
@@ -45,19 +46,15 @@ class EncoderConfig:
         use_fill: Detect/emit FILL commands (off -> SET).
         use_bitmap: Detect/emit BITMAP commands (off -> SET).
         use_copy: Emit COPY for move ops (off -> SET of the destination).
-        use_cscs: Emit CSCS for video ops (off -> SET).
         tile_w: Analysis tile width for the pixel-diff path.
         tile_h: Analysis tile height for the pixel-diff path.
-        cscs_bits_per_pixel: Default depth for video payloads.
     """
 
     use_fill: bool = True
     use_bitmap: bool = True
     use_copy: bool = True
-    use_cscs: bool = True
     tile_w: int = 64
     tile_h: int = 64
-    cscs_bits_per_pixel: int = 16
 
 
 class SlimEncoder:
@@ -77,33 +74,7 @@ class SlimEncoder:
     ) -> None:
         self.config = config or EncoderConfig()
         self.materialize = materialize
-        #: Quality scale set by the congestion tier policy (see
-        #: :class:`repro.core.bandwidth.TieredAllocator`): 1.0 is full
-        #: fidelity; below that, media and image content is sent as a
-        #: subsampled CSCS coarse pass the console scales up locally.
-        self.quality_scale = 1.0
         self._metrics = get_registry()
-
-    def set_quality(self, scale: float) -> None:
-        """Set the tier quality scale (fraction of full-fidelity bytes).
-
-        The hook the bandwidth tier policy drives: at ``scale`` < 1 the
-        encoder subsamples CSCS sources by ``sqrt(scale)`` per axis —
-        the paper's own degradation mechanism ("reducing the resolution
-        of the media streams and scaling them locally on the SLIM
-        console", Section 7) — and, on the accounting path, sends image
-        content as a coarse progressive pass instead of a full SET.
-        Exact content (FILL/BITMAP/COPY) is never degraded: text stays
-        sharp at every tier.
-        """
-        if not 0 < scale <= 1:
-            raise ProtocolError(f"quality scale must be in (0, 1], got {scale}")
-        self.quality_scale = float(scale)
-
-    def _subsampled_dims(self, w: int, h: int) -> Tuple[int, int]:
-        """Source dimensions after applying the tier quality scale."""
-        axis = self.quality_scale ** 0.5
-        return max(1, round(w * axis)), max(1, round(h * axis))
 
     # ------------------------------------------------------------------
     # Device-driver path: the op itself tells us the structure.
@@ -128,8 +99,6 @@ class SlimEncoder:
             out = self._encode_image(op, framebuffer)
         elif op.kind is PaintKind.COPY:
             out = self._encode_copy(op, framebuffer)
-        elif op.kind is PaintKind.VIDEO:
-            out = self._encode_video(op, framebuffer)
         else:
             raise ProtocolError(f"unknown paint kind {op.kind!r}")
         if self._metrics.enabled:
@@ -211,21 +180,7 @@ class SlimEncoder:
                 )
         busy_h = op.rect.h - flat_rows
         if busy_h > 0:
-            busy = Rect(op.rect.x, op.rect.y, op.rect.w, busy_h)
-            if self.quality_scale < 1 and self.config.use_cscs:
-                # Degraded tier: a coarse progressive pass — subsampled
-                # CSCS the console scales up — instead of full pixels.
-                src_w, src_h = self._subsampled_dims(busy.w, busy.h)
-                out.append(
-                    cmd.CscsCommand(
-                        rect=busy,
-                        src_w=src_w,
-                        src_h=src_h,
-                        bits_per_pixel=self.config.cscs_bits_per_pixel,
-                    )
-                )
-            else:
-                out.append(cmd.SetCommand(rect=busy))
+            out.append(cmd.SetCommand(rect=Rect(op.rect.x, op.rect.y, op.rect.w, busy_h)))
         return out
 
     def _encode_copy(
@@ -237,36 +192,6 @@ class SlimEncoder:
                 cmd.CopyCommand(rect=op.rect, src_x=op.src.x, src_y=op.src.y)
             ]
         return [self._set_for_rect(op.rect, fb)]
-
-    def _encode_video(
-        self, op: PaintOp, fb: Optional[FrameBuffer]
-    ) -> List[cmd.DisplayCommand]:
-        bpp = op.bits_per_pixel or self.config.cscs_bits_per_pixel
-        if not self.config.use_cscs:
-            return [self._set_for_rect(op.rect, fb)]
-        src_w, src_h = op.rect.w, op.rect.h
-        if self.quality_scale < 1:
-            src_w, src_h = self._subsampled_dims(src_w, src_h)
-        payload = None
-        if self.materialize:
-            assert fb is not None
-            frame = fb.read(op.rect)
-            if (src_w, src_h) != (op.rect.w, op.rect.h):
-                rows = np.linspace(0, frame.shape[0] - 1, src_h)
-                cols = np.linspace(0, frame.shape[1] - 1, src_w)
-                frame = frame[rows.round().astype(int)][
-                    :, cols.round().astype(int)
-                ]
-            payload = cscs_codec.encode_frame(frame, bpp)
-        return [
-            cmd.CscsCommand(
-                rect=op.rect,
-                src_w=src_w,
-                src_h=src_h,
-                bits_per_pixel=bpp,
-                payload=payload,
-            )
-        ]
 
     def _set_for_rect(
         self,

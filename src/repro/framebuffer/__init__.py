@@ -6,25 +6,22 @@ painters — works in terms of :class:`~repro.framebuffer.regions.Rect`
 geometry on :class:`~repro.framebuffer.framebuffer.FrameBuffer` objects.
 """
 
-from repro.framebuffer.regions import Rect, clip_rect, tile_rect, union_bounds
+from repro.framebuffer.regions import Rect, tile_rect, union_bounds
 from repro.framebuffer.framebuffer import FrameBuffer
 from repro.framebuffer.yuv import (
     rgb_to_yuv,
     yuv_to_rgb,
-    subsample_yuv,
     bilinear_scale,
 )
 from repro.framebuffer.painter import Painter, PaintOp, PaintKind
 
 __all__ = [
     "Rect",
-    "clip_rect",
     "tile_rect",
     "union_bounds",
     "FrameBuffer",
     "rgb_to_yuv",
     "yuv_to_rgb",
-    "subsample_yuv",
     "bilinear_scale",
     "Painter",
     "PaintOp",

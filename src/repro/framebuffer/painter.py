@@ -39,7 +39,6 @@ class PaintKind(enum.Enum):
     TEXT = "text"      # bicolor glyph region (fg/bg)
     IMAGE = "image"    # full-color pixel data (photos, anti-aliased art)
     COPY = "copy"      # move a region (scrolling, window drag)
-    VIDEO = "video"    # YUV frame data destined for CSCS
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,11 @@ class PaintOp:
         fg: Foreground color (TEXT only).
         bg: Background color (TEXT only).
         src: Source rectangle (COPY only); same size as ``rect``.
-        seed: Deterministic content seed for TEXT/IMAGE/VIDEO synthesis.
+        seed: Deterministic content seed for TEXT/IMAGE synthesis.
         glyph_density: Fraction of TEXT pixels that are foreground ink.
         char_count: Approximate number of characters in a TEXT op; used by
             the X driver (PolyText8 is priced per character) and by the
             glyph synthesiser.
-        bits_per_pixel: CSCS depth for VIDEO ops.
         uniform_fraction: Fraction of an IMAGE op's area that is actually
             flat background (page margins around a photo, etc.); the SLIM
             encoder can recover FILLs from it.
@@ -73,7 +71,6 @@ class PaintOp:
     seed: int = 0
     glyph_density: float = 0.12
     char_count: int = 0
-    bits_per_pixel: int = 16
     uniform_fraction: float = 0.0
 
     def __post_init__(self) -> None:
@@ -198,7 +195,7 @@ def synth_image(rect: Rect, seed: int, uniform_fraction: float = 0.0) -> np.ndar
 
 
 def synth_video_frame(rect: Rect, seed: int) -> np.ndarray:
-    """A deterministic full-color frame for VIDEO ops (RGB uint8)."""
+    """A deterministic full-color video frame (RGB uint8)."""
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0 : rect.h, 0 : rect.w]
     phase = float(rng.uniform(0, 2 * np.pi))
@@ -235,9 +232,6 @@ class Painter:
         if op.kind is PaintKind.COPY:
             assert op.src is not None  # validated in __post_init__
             return fb.copy_within(op.src, op.rect.x, op.rect.y)
-        if op.kind is PaintKind.VIDEO:
-            frame = synth_video_frame(op.rect, op.seed)
-            return fb.blit(op.rect, frame)
         raise GeometryError(f"unknown paint kind {op.kind!r}")
 
     def apply_all(self, ops) -> list:

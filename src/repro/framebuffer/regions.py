@@ -9,7 +9,7 @@ and rows ``y .. y+h-1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import GeometryError
 
@@ -101,68 +101,12 @@ class Rect:
             and other.y2 <= self.y2
         )
 
-    def union_bounds(self, other: "Rect") -> "Rect":
-        """Smallest rectangle covering both (bounding box, not set union)."""
-        if self.empty:
-            return other
-        if other.empty:
-            return self
-        x = min(self.x, other.x)
-        y = min(self.y, other.y)
-        x2 = max(self.x2, other.x2)
-        y2 = max(self.y2, other.y2)
-        return Rect(x, y, x2 - x, y2 - y)
-
-    def subtract(self, other: "Rect") -> List["Rect"]:
-        """Return up to four rectangles covering ``self`` minus ``other``.
-
-        The pieces are disjoint and their areas sum to
-        ``self.area - self.intersect(other).area``.
-        """
-        overlap = self.intersect(other)
-        if overlap.empty:
-            return [] if self.empty else [self]
-        pieces: List[Rect] = []
-        # Band above the overlap.
-        if overlap.y > self.y:
-            pieces.append(Rect(self.x, self.y, self.w, overlap.y - self.y))
-        # Band below the overlap.
-        if overlap.y2 < self.y2:
-            pieces.append(Rect(self.x, overlap.y2, self.w, self.y2 - overlap.y2))
-        # Left sliver beside the overlap.
-        if overlap.x > self.x:
-            pieces.append(Rect(self.x, overlap.y, overlap.x - self.x, overlap.h))
-        # Right sliver beside the overlap.
-        if overlap.x2 < self.x2:
-            pieces.append(Rect(overlap.x2, overlap.y, self.x2 - overlap.x2, overlap.h))
-        return pieces
-
-    # -- transformations ---------------------------------------------------
-    def translate(self, dx: int, dy: int) -> "Rect":
-        """Return this rectangle shifted by ``(dx, dy)``."""
-        return Rect(self.x + dx, self.y + dy, self.w, self.h)
-
-    def inset(self, margin: int) -> "Rect":
-        """Shrink by ``margin`` on every side, clamping to empty."""
-        w = max(0, self.w - 2 * margin)
-        h = max(0, self.h - 2 * margin)
-        return Rect(self.x + margin, self.y + margin, w, h)
-
     def slices(self) -> Tuple[slice, slice]:
         """Return ``(row_slice, col_slice)`` for numpy indexing."""
         return slice(self.y, self.y2), slice(self.x, self.x2)
 
-    def rows(self) -> Iterator[int]:
-        """Iterate over the row indices covered."""
-        return iter(range(self.y, self.y2))
-
     def __str__(self) -> str:
         return f"{self.w}x{self.h}+{self.x}+{self.y}"
-
-
-def clip_rect(rect: Rect, bounds: Rect) -> Rect:
-    """Clip ``rect`` to ``bounds``; result may be empty."""
-    return rect.intersect(bounds)
 
 
 def tile_rect(rect: Rect, tile_w: int, tile_h: int) -> List[Rect]:
@@ -201,38 +145,3 @@ def union_bounds(rects: Sequence[Rect]) -> Optional[Rect]:
     x2 = max(rect.x2 for rect in active)
     y2 = max(rect.y2 for rect in active)
     return Rect(x, y, x2 - x, y2 - y)
-
-
-def total_area(rects: Sequence[Rect]) -> int:
-    """Sum of the areas of ``rects`` (overlaps counted twice)."""
-    return sum(r.area for r in rects)
-
-
-def disjoint_area(rects: Sequence[Rect]) -> int:
-    """Area of the union of ``rects``, counting overlaps once.
-
-    Uses a sweep over distinct y-bands; adequate for the modest region
-    counts produced per display update.
-    """
-    active = [r for r in rects if not r.empty]
-    if not active:
-        return 0
-    ys = sorted({r.y for r in active} | {r.y2 for r in active})
-    area = 0
-    for y0, y1 in zip(ys, ys[1:]):
-        spans = sorted(
-            (r.x, r.x2) for r in active if r.y <= y0 and r.y2 >= y1
-        )
-        if not spans:
-            continue
-        covered = 0
-        cur_start, cur_end = spans[0]
-        for start, end in spans[1:]:
-            if start > cur_end:
-                covered += cur_end - cur_start
-                cur_start, cur_end = start, end
-            else:
-                cur_end = max(cur_end, end)
-        covered += cur_end - cur_start
-        area += covered * (y1 - y0)
-    return area

@@ -2,10 +2,10 @@
 
 The SLIM CSCS command (Table 1) color-space converts a rectangular region
 from YUV to RGB with optional bilinear scaling.  The server side (the SLIM
-video library, Section 2.2) converts decoded video frames from RGB or
-planar codec output into YUV, optionally subsamples the chroma planes to
-hit a bits-per-pixel budget (16/12/8/5 bpp in Table 5), and the console
-reverses the transform.
+video library, Section 2.2) converts decoded video frames from RGB into
+YUV, and the console reverses the transform.  The per-depth plane layout
+(:data:`CSCS_LADDER`) is defined here; :mod:`repro.core.cscs_codec` is the
+one codec that subsamples and packs the planes to it.
 
 The conversion uses BT.601 full-range coefficients, vectorised with numpy.
 """
@@ -26,12 +26,6 @@ _FORWARD = np.array(
     ]
 )
 _INVERSE = np.linalg.inv(_FORWARD)
-
-#: Chroma subsampling factors (horizontal, vertical) per CSCS bit depth.
-#: 16bpp = 4:2:2 with 8-bit planes; 12bpp = 4:2:0; 8bpp = 4:2:0 with 4-bit
-#: chroma; 5/6bpp = 4:2:0 with reduced luma precision.  These factors give
-#: the byte-accounting model used throughout the multimedia experiments.
-CSCS_BITS_PER_PIXEL = (16, 12, 8, 6, 5)
 
 #: Per-depth plane layout: bpp -> ((chroma_factor_x, chroma_factor_y),
 #: luma_bits, chroma_bits).  The layouts are chosen so that
@@ -64,81 +58,6 @@ def yuv_to_rgb(yuv: np.ndarray) -> np.ndarray:
         raise GeometryError(f"expected (h, w, 3) array, got {yuv.shape}")
     rgb = yuv @ _INVERSE.T
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
-
-
-def quantize(plane: np.ndarray, bits: int) -> np.ndarray:
-    """Quantize a float plane (0..255 scale) to ``bits`` of precision."""
-    if not 1 <= bits <= 8:
-        raise GeometryError(f"bits must be in 1..8, got {bits}")
-    levels = (1 << bits) - 1
-    scaled = np.clip(plane, -128.0, 255.0)
-    lo, hi = scaled.min(), scaled.max()
-    if hi <= lo:
-        return scaled
-    normalized = (scaled - lo) / (hi - lo)
-    return np.rint(normalized * levels) / levels * (hi - lo) + lo
-
-
-def subsample_yuv(yuv: np.ndarray, factor_x: int, factor_y: int) -> np.ndarray:
-    """Box-average the chroma planes by (factor_x, factor_y).
-
-    Returns a copy of ``yuv`` whose U and V channels have been averaged
-    over factor_x x factor_y blocks and replicated back to full size,
-    modelling the loss incurred by chroma subsampling while keeping a
-    dense array representation.
-    """
-    if factor_x < 1 or factor_y < 1:
-        raise GeometryError("subsample factors must be >= 1")
-    h, w = yuv.shape[:2]
-    out = yuv.copy()
-    for channel in (1, 2):
-        plane = yuv[:, :, channel]
-        # Pad to multiples of the factor, average blocks, replicate back.
-        ph = -h % factor_y
-        pw = -w % factor_x
-        padded = np.pad(plane, ((0, ph), (0, pw)), mode="edge")
-        bh, bw = padded.shape[0] // factor_y, padded.shape[1] // factor_x
-        blocks = padded.reshape(bh, factor_y, bw, factor_x).mean(axis=(1, 3))
-        restored = np.repeat(np.repeat(blocks, factor_y, axis=0), factor_x, axis=1)
-        out[:, :, channel] = restored[:h, :w]
-    return out
-
-
-def cscs_wire_bytes(width: int, height: int, bits_per_pixel: int) -> int:
-    """Bytes on the wire for a CSCS payload of the given geometry.
-
-    The command header is accounted separately by the wire layer; this is
-    the pixel-data payload alone.
-    """
-    if bits_per_pixel not in CSCS_BITS_PER_PIXEL:
-        raise GeometryError(
-            f"unsupported CSCS depth {bits_per_pixel}; "
-            f"choose one of {CSCS_BITS_PER_PIXEL}"
-        )
-    total_bits = width * height * bits_per_pixel
-    return (total_bits + 7) // 8
-
-
-def degrade_for_depth(yuv: np.ndarray, bits_per_pixel: int) -> np.ndarray:
-    """Apply the subsampling + quantization implied by a CSCS bit depth.
-
-    The mapping mirrors Table 5's depth ladder:
-
-    * 16 bpp: 4:2:2 chroma, 8-bit planes.
-    * 12 bpp: 4:2:0 chroma, 8-bit planes.
-    *  8 bpp: 4:2:0 chroma, 6-bit luma, 4-bit chroma.
-    *  6 bpp: 4:2:0 chroma, 5-bit luma, 3-bit chroma.
-    *  5 bpp: 4:2:0 chroma, 4-bit luma, 3-bit chroma.
-    """
-    ladder = dict(CSCS_LADDER)
-    if bits_per_pixel not in ladder:
-        raise GeometryError(f"unsupported CSCS depth {bits_per_pixel}")
-    (fx, fy), luma_bits, chroma_bits = ladder[bits_per_pixel]
-    degraded = subsample_yuv(yuv, fx, fy)
-    degraded[:, :, 0] = quantize(degraded[:, :, 0], luma_bits)
-    degraded[:, :, 1] = quantize(degraded[:, :, 1], chroma_bits)
-    degraded[:, :, 2] = quantize(degraded[:, :, 2], chroma_bits)
-    return degraded
 
 
 def bilinear_scale(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:

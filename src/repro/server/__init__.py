@@ -8,7 +8,7 @@ into SLIM protocol traffic, and the X-server whose x11perf performance
 Table 4 reports.
 """
 
-from repro.server.host import ServerHost, MachineSpec, ULTRA_2, E4500, E250
+from repro.server.host import MachineSpec, ULTRA_2, E4500, E250
 from repro.server.scheduler import (
     Scheduler,
     Task,
@@ -20,7 +20,6 @@ from repro.server.slimdriver import SlimDriver, UpdateRecord
 from repro.server.xserver import XPerfSuite, XPerfOp, xmark
 
 __all__ = [
-    "ServerHost",
     "MachineSpec",
     "ULTRA_2",
     "E4500",

@@ -73,13 +73,9 @@ class XDriver:
             return self._put_image(op.rect)
         if op.kind is PaintKind.COPY:
             return self._charge("CopyArea", xp.copy_area_nbytes())
-        if op.kind is PaintKind.VIDEO:
-            # Section 8.1: under X "each frame would have to be transmitted
-            # using an XPutImage command with no compression possible".
-            return self._put_image(op.rect, name="PutImage(video)")
         raise ProtocolError(f"unknown paint kind {op.kind!r}")
 
-    def _put_image(self, rect: Rect, name: str = "PutImage") -> int:
+    def _put_image(self, rect: Rect) -> int:
         """PutImage, split into slices below the max request size."""
         row_bytes = rect.w * 4
         if row_bytes + 24 > MAX_REQUEST_BYTES:
@@ -89,7 +85,7 @@ class XDriver:
         remaining = rect.h
         while remaining > 0:
             rows = min(max_rows, remaining)
-            total += self._charge(name, xp.put_image_nbytes(rect.w, rows))
+            total += self._charge("PutImage", xp.put_image_nbytes(rect.w, rows))
             remaining -= rows
         return total
 

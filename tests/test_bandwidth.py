@@ -222,7 +222,6 @@ class TestTieredAllocator:
         tiered = self.make()
         tiered.request(1, 4 * MBPS)
         assert tiered.tier_of(1).name == "full"
-        assert tiered.encoder_scale(1) == 1.0
         assert tiered.effective_rate(1) == pytest.approx(4 * MBPS)
         assert tiered.shortfall() == 0.0
 

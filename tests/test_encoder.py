@@ -40,13 +40,6 @@ class TestDriverPathMaterialized:
         assert isinstance(command, cmd.CopyCommand)
         assert command.src == Rect(0, 0, 8, 8)
 
-    def test_video_becomes_cscs_with_payload(self, fb):
-        op = painted(fb, PaintOp(PaintKind.VIDEO, Rect(0, 0, 32, 24), seed=2, bits_per_pixel=12))
-        (command,) = SlimEncoder().encode_op(op, fb)
-        assert isinstance(command, cmd.CscsCommand)
-        assert command.bits_per_pixel == 12
-        assert command.payload is not None
-
     def test_image_recovers_flat_band_as_fill(self, fb):
         op = painted(
             fb,
@@ -194,79 +187,3 @@ class TestRawBaselineHelper:
             PaintOp(PaintKind.TEXT, Rect(0, 0, 20, 13)),
         ]
         assert raw_pixel_nbytes(ops) == (100 + 260) * 3
-
-
-class TestQualityTiers:
-    """The congestion-tier quality hook (set_quality / CSCS subsampling)."""
-
-    def test_scale_validation(self):
-        encoder = SlimEncoder()
-        with pytest.raises(ProtocolError):
-            encoder.set_quality(0.0)
-        with pytest.raises(ProtocolError):
-            encoder.set_quality(1.5)
-        encoder.set_quality(0.45)
-        assert encoder.quality_scale == 0.45
-
-    def test_video_subsampled_at_reduced_quality(self, fb):
-        op = painted(fb, PaintOp(PaintKind.VIDEO, Rect(0, 0, 64, 48), seed=5))
-        full_encoder = SlimEncoder()
-        (full,) = full_encoder.encode_op(op, fb)
-        degraded_encoder = SlimEncoder()
-        degraded_encoder.set_quality(0.25)  # 2x subsampling per axis
-        (coarse,) = degraded_encoder.encode_op(op, fb)
-        assert isinstance(coarse, cmd.CscsCommand)
-        assert (coarse.src_w, coarse.src_h) == (32, 24)
-        assert coarse.rect == full.rect  # covers the same screen area
-        assert coarse.scales
-        assert not full.scales
-        assert coarse.payload_nbytes() < full.payload_nbytes()
-        assert coarse.payload is not None  # still decodable
-
-    def test_video_subsampled_accounting_path(self):
-        op = PaintOp(PaintKind.VIDEO, Rect(0, 0, 64, 48), seed=5)
-        encoder = SlimEncoder(materialize=False)
-        (full,) = encoder.encode_op(op)
-        encoder.set_quality(0.12)
-        (coarse,) = encoder.encode_op(op)
-        assert coarse.payload_nbytes() < 0.2 * full.payload_nbytes()
-
-    def test_image_busy_region_becomes_coarse_cscs(self):
-        op = PaintOp(
-            PaintKind.IMAGE, Rect(0, 0, 100, 100), uniform_fraction=0.4
-        )
-        encoder = SlimEncoder(materialize=False)
-        full = encoder.encode_op(op)
-        assert any(isinstance(c, cmd.SetCommand) for c in full)
-        encoder.set_quality(0.45)
-        coarse = encoder.encode_op(op)
-        assert not any(isinstance(c, cmd.SetCommand) for c in coarse)
-        assert any(isinstance(c, cmd.CscsCommand) for c in coarse)
-        # The flat band is still an exact FILL at every tier.
-        assert any(isinstance(c, cmd.FillCommand) for c in coarse)
-        total = lambda cs: sum(c.payload_nbytes() for c in cs)
-        assert total(coarse) < total(full)
-
-    def test_exact_content_never_degraded(self, fb):
-        """FILL/BITMAP/COPY are identical at every quality tier."""
-        ops = [
-            painted(fb, PaintOp(PaintKind.FILL, Rect(0, 0, 16, 16), color=(9, 9, 9))),
-            painted(fb, PaintOp(PaintKind.TEXT, Rect(0, 16, 40, 26), seed=2)),
-            PaintOp(PaintKind.COPY, Rect(64, 0, 16, 16), src=Rect(0, 0, 16, 16)),
-        ]
-        full = SlimEncoder().encode_ops(ops, fb)
-        degraded_encoder = SlimEncoder()
-        degraded_encoder.set_quality(0.12)
-        degraded = degraded_encoder.encode_ops(ops, fb)
-        assert [type(c) for c in degraded] == [type(c) for c in full]
-        assert [c.payload_nbytes() for c in degraded] == [
-            c.payload_nbytes() for c in full
-        ]
-
-    def test_minimum_source_dims_are_one(self):
-        encoder = SlimEncoder(materialize=False)
-        encoder.set_quality(0.12)
-        (command,) = encoder.encode_op(
-            PaintOp(PaintKind.VIDEO, Rect(0, 0, 2, 2), seed=1)
-        )
-        assert command.src_w >= 1 and command.src_h >= 1

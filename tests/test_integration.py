@@ -10,9 +10,11 @@ import pytest
 
 from repro.core import commands as cmd
 from repro.core.encoder import EncoderConfig, SlimEncoder
+from repro.core.video import StreamGeometry, VideoStream
 from repro.core.wire import Datagram, WireCodec
 from repro.console import Console
 from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
+from repro.framebuffer.painter import synth_video_frame
 from repro.netsim import Endpoint, Network, Packet, Simulator
 from repro.server.slimdriver import SlimDriver
 from repro.transport import DisplayChannel
@@ -77,20 +79,15 @@ class TestLosslessFidelity:
             assert server_fb.equals(console.framebuffer), config
 
     def test_video_region_within_tolerance(self):
-        w, h = 160, 120
-        server_fb = FrameBuffer(w, h)
-        console = Console(w, h)
-        driver = SlimDriver(
-            encoder=SlimEncoder(materialize=True),
-            framebuffer=server_fb,
-            send=wire_channel(console),
-        )
-        op = PaintOp(PaintKind.VIDEO, Rect(10, 10, 96, 64), seed=4, bits_per_pixel=16)
-        driver.update(0.0, [op])
+        console = Console(160, 120)
         region = Rect(10, 10, 96, 64)
+        stream = VideoStream(
+            StreamGeometry(dst=region, src_w=96, src_h=64, bits_per_pixel=16)
+        )
+        frame = synth_video_frame(region, seed=4)
+        wire_channel(console)(stream.encode_frame(frame))
         err = np.abs(
-            server_fb.read(region).astype(int)
-            - console.framebuffer.read(region).astype(int)
+            frame.astype(int) - console.framebuffer.read(region).astype(int)
         ).mean()
         assert err < 6.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GeometryError
-from repro.framebuffer import PaintKind, PaintOp, Painter, Rect
+from repro.framebuffer import PaintKind, PaintOp, Rect
 from repro.framebuffer.painter import (
     synth_glyph_bitmap,
     synth_image,
@@ -109,10 +109,6 @@ class TestPainter:
     def test_image_fills_rect(self, fb, painter):
         damaged = painter.apply(PaintOp(PaintKind.IMAGE, Rect(5, 5, 20, 10), seed=3))
         assert damaged == Rect(5, 5, 20, 10)
-
-    def test_video_fills_rect(self, fb, painter):
-        damaged = painter.apply(PaintOp(PaintKind.VIDEO, Rect(0, 0, 32, 24), seed=3))
-        assert damaged == Rect(0, 0, 32, 24)
 
     def test_apply_all_returns_damage_list(self, fb, painter):
         ops = [

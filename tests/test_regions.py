@@ -3,14 +3,7 @@
 import pytest
 
 from repro.errors import GeometryError
-from repro.framebuffer.regions import (
-    Rect,
-    clip_rect,
-    disjoint_area,
-    tile_rect,
-    total_area,
-    union_bounds,
-)
+from repro.framebuffer.regions import Rect, tile_rect, union_bounds
 
 
 class TestRectBasics:
@@ -92,11 +85,11 @@ class TestUnionBounds:
     def test_bounding_box(self):
         a = Rect(0, 0, 2, 2)
         b = Rect(8, 8, 2, 2)
-        assert a.union_bounds(b) == Rect(0, 0, 10, 10)
+        assert union_bounds([a, b]) == Rect(0, 0, 10, 10)
 
     def test_with_empty(self):
         a = Rect(1, 1, 5, 5)
-        assert a.union_bounds(Rect(0, 0, 0, 0)) == a
+        assert union_bounds([a, Rect(0, 0, 0, 0)]) == a
 
     def test_sequence_helper(self):
         rects = [Rect(0, 0, 1, 1), Rect(5, 2, 2, 2), Rect(3, 7, 1, 1)]
@@ -107,71 +100,24 @@ class TestUnionBounds:
         assert union_bounds([]) is None
 
 
-class TestSubtract:
-    def test_no_overlap_returns_self(self):
-        a = Rect(0, 0, 4, 4)
-        assert a.subtract(Rect(10, 10, 2, 2)) == [a]
-
-    def test_full_cover_returns_empty(self):
-        a = Rect(2, 2, 4, 4)
-        assert a.subtract(Rect(0, 0, 10, 10)) == []
-
-    def test_center_hole_produces_four_pieces(self):
-        a = Rect(0, 0, 10, 10)
-        hole = Rect(3, 3, 4, 4)
-        pieces = a.subtract(hole)
-        assert len(pieces) == 4
-        assert sum(p.area for p in pieces) == a.area - hole.area
-
-    def test_pieces_are_disjoint(self):
-        a = Rect(0, 0, 10, 10)
-        pieces = a.subtract(Rect(3, 3, 4, 4))
-        for i, p in enumerate(pieces):
-            for q in pieces[i + 1 :]:
-                assert not p.intersects(q)
-
-    def test_edge_overlap(self):
-        a = Rect(0, 0, 10, 10)
-        pieces = a.subtract(Rect(0, 0, 10, 3))
-        assert pieces == [Rect(0, 3, 10, 7)]
-
-    def test_corner_overlap_area(self):
-        a = Rect(0, 0, 10, 10)
-        corner = Rect(7, 7, 6, 6)
-        pieces = a.subtract(corner)
-        assert sum(p.area for p in pieces) == 100 - 9
-
-
 class TestTransforms:
-    def test_translate(self):
-        assert Rect(1, 2, 3, 4).translate(10, -2) == Rect(11, 0, 3, 4)
-
-    def test_inset(self):
-        assert Rect(0, 0, 10, 10).inset(2) == Rect(2, 2, 6, 6)
-
-    def test_inset_clamps_to_empty(self):
-        assert Rect(0, 0, 4, 4).inset(3).empty
-
     def test_slices_for_numpy(self):
         rows, cols = Rect(2, 3, 4, 5).slices()
         assert rows == slice(3, 8)
         assert cols == slice(2, 6)
 
-    def test_rows_iterator(self):
-        assert list(Rect(0, 2, 1, 3).rows()) == [2, 3, 4]
-
 
 class TestClipAndTile:
     def test_clip_inside(self):
         bounds = Rect(0, 0, 100, 100)
-        assert clip_rect(Rect(10, 10, 5, 5), bounds) == Rect(10, 10, 5, 5)
+        assert Rect(10, 10, 5, 5).intersect(bounds) == Rect(10, 10, 5, 5)
 
     def test_clip_partial(self):
         bounds = Rect(0, 0, 100, 100)
-        assert clip_rect(Rect(95, 95, 10, 10), bounds) == Rect(95, 95, 5, 5)
+        assert Rect(95, 95, 10, 10).intersect(bounds) == Rect(95, 95, 5, 5)
 
     def test_clip_outside_is_empty(self):
-        assert clip_rect(Rect(200, 200, 5, 5), Rect(0, 0, 100, 100)).empty
+        assert Rect(200, 200, 5, 5).intersect(Rect(0, 0, 100, 100)).empty
 
     def test_tile_exact(self):
         tiles = tile_rect(Rect(0, 0, 8, 8), 4, 4)
@@ -196,21 +142,3 @@ class TestClipAndTile:
     def test_tile_invalid_size(self):
         with pytest.raises(GeometryError):
             tile_rect(Rect(0, 0, 4, 4), 0, 4)
-
-
-class TestAreaHelpers:
-    def test_total_area_counts_overlaps_twice(self):
-        rects = [Rect(0, 0, 4, 4), Rect(2, 2, 4, 4)]
-        assert total_area(rects) == 32
-
-    def test_disjoint_area_counts_once(self):
-        rects = [Rect(0, 0, 4, 4), Rect(2, 2, 4, 4)]
-        assert disjoint_area(rects) == 32 - 4
-
-    def test_disjoint_area_empty(self):
-        assert disjoint_area([]) == 0
-        assert disjoint_area([Rect(0, 0, 0, 0)]) == 0
-
-    def test_disjoint_area_identical_rects(self):
-        rects = [Rect(1, 1, 5, 5)] * 3
-        assert disjoint_area(rects) == 25

@@ -1,13 +1,11 @@
-"""Unit tests for server hosts, the SLIM driver, and the x11perf model."""
+"""Unit tests for server machines, the SLIM driver, and the x11perf model."""
 
 import numpy as np
 import pytest
 
 from repro.core.encoder import SlimEncoder
-from repro.errors import SchedulerError
 from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
-from repro.netsim.engine import Simulator
-from repro.server.host import E4500, MachineSpec, ServerHost, ULTRA_2
+from repro.server.host import E4500, ULTRA_2
 from repro.server.slimdriver import SlimDriver
 from repro.server.xserver import XPerfSuite, build_default_suite, xmark
 from repro.core import commands as cmd
@@ -20,20 +18,6 @@ class TestMachineSpec:
 
     def test_scale_cost(self):
         assert E4500.scale_cost(0.336) == pytest.approx(0.336 * 296 / 336)
-
-    def test_host_restricts_cpus(self):
-        sim = Simulator()
-        host = ServerHost(sim, E4500, active_cpus=1)
-        assert host.scheduler.num_cpus == 1
-
-    def test_host_rejects_too_many_cpus(self):
-        sim = Simulator()
-        with pytest.raises(SchedulerError):
-            ServerHost(sim, ULTRA_2, active_cpus=3)
-
-    def test_host_defaults_to_all_cpus(self):
-        host = ServerHost(Simulator(), E4500)
-        assert host.scheduler.num_cpus == 8
 
 
 class TestSlimDriver:

@@ -77,12 +77,6 @@ class TestXDriver:
         # 1280*4 B/row -> 51 rows per request max; 1024 rows -> >=20 slices.
         assert driver.request_count >= 20
 
-    def test_video_uses_put_image(self):
-        driver = XDriver()
-        op = PaintOp(PaintKind.VIDEO, Rect(0, 0, 32, 24))
-        driver.encode_op(op)
-        assert "PutImage(video)" in driver.bytes_by_request
-
     def test_copy_is_cheap(self):
         driver = XDriver()
         op = PaintOp(PaintKind.COPY, Rect(0, 0, 500, 500), src=Rect(0, 10, 500, 500))

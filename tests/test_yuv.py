@@ -7,11 +7,8 @@ from repro.errors import GeometryError
 from repro.framebuffer.yuv import (
     CSCS_LADDER,
     bilinear_scale,
-    cscs_wire_bytes,
-    degrade_for_depth,
     psnr,
     rgb_to_yuv,
-    subsample_yuv,
     yuv_to_rgb,
 )
 
@@ -46,51 +43,10 @@ class TestRgbYuv:
             yuv_to_rgb(np.zeros((4, 4, 2)))
 
 
-class TestSubsample:
-    def test_preserves_luma_exactly(self, rng):
-        yuv = rgb_to_yuv(rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8))
-        out = subsample_yuv(yuv, 2, 2)
-        assert np.array_equal(out[:, :, 0], yuv[:, :, 0])
-
-    def test_uniform_chroma_unchanged(self):
-        yuv = np.zeros((8, 8, 3))
-        yuv[:, :, 1] = 42.0
-        out = subsample_yuv(yuv, 2, 2)
-        assert np.allclose(out[:, :, 1], 42.0)
-
-    def test_blocks_are_averaged(self):
-        yuv = np.zeros((2, 2, 3))
-        yuv[:, :, 1] = [[0.0, 100.0], [0.0, 100.0]]
-        out = subsample_yuv(yuv, 2, 2)
-        assert np.allclose(out[:, :, 1], 50.0)
-
-    def test_invalid_factor(self):
-        with pytest.raises(GeometryError):
-            subsample_yuv(np.zeros((4, 4, 3)), 0, 1)
-
-
 class TestLadder:
     def test_bit_budgets_are_exact(self):
         for bpp, ((fx, fy), luma_bits, chroma_bits) in CSCS_LADDER.items():
             assert luma_bits + 2 * chroma_bits / (fx * fy) == bpp
-
-    def test_wire_bytes_match_budget_for_aligned_sizes(self):
-        for bpp in CSCS_LADDER:
-            assert cscs_wire_bytes(64, 64, bpp) == 64 * 64 * bpp // 8
-
-    def test_wire_bytes_rejects_unknown_depth(self):
-        with pytest.raises(GeometryError):
-            cscs_wire_bytes(8, 8, 7)
-
-    def test_degrade_monotone_quality(self, rng):
-        rgb = rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)
-        yuv = rgb_to_yuv(rgb)
-        errors = []
-        for bpp in (16, 12, 8, 5):
-            degraded = degrade_for_depth(yuv, bpp)
-            err = float(np.abs(yuv_to_rgb(degraded).astype(int) - rgb.astype(int)).mean())
-            errors.append(err)
-        assert errors == sorted(errors)  # lower depth -> more error
 
 
 class TestBilinearScale:
