@@ -101,6 +101,20 @@ one recomputed on f92d5ac with only the two title strings replaced:
 * ``sharded/fleet_scale``: ``stdout`` (the ``== fleet_scale: ... ==``
   title line); ``timeseries`` and the bundle list did not move.
 
+Twelve more moved when ``PaintOp`` lost its ``bits_per_pixel`` field
+(on 8e0bf95), which every op's ``repr`` printed as
+``, bits_per_pixel=16``.  Each new value equals the one recomputed on
+8e0bf95 with that text stripped from every op ``repr``; no draw moved:
+
+    PYTHONPATH=src python tests/golden/regen.py pixels \
+        ops/FrameMaker/12345 ops/FrameMaker/1999 ops/FrameMaker/7 \
+        ops/Netscape/12345 ops/Netscape/1999 ops/Netscape/7 \
+        ops/PIM/12345 ops/PIM/1999 ops/PIM/7 \
+        ops/Photoshop/12345 ops/Photoshop/1999 ops/Photoshop/7
+
+* ``ops/*``: the op-stream digest; ``synthesis``, ``study/*`` and
+  ``session/*`` did not move.
+
 Running an oracle with no ``ENTRY`` on a later commit re-blesses the whole
 file from the one remaining path; do that only for a deliberate, reviewed
 change of simulated behaviour.
