@@ -24,7 +24,10 @@ from typing import Dict, List, Sequence, Tuple
 from repro.errors import ReproError
 
 
-@dataclass(frozen=True)
+# The records are immutable by convention, not ``frozen``: a study logs
+# one of each per input event, and a frozen dataclass pays
+# ``object.__setattr__`` per field.  They still compare and hash by value.
+@dataclass(unsafe_hash=True)
 class InputRecord:
     """One user input event (keystroke or mouse click)."""
 
@@ -32,7 +35,7 @@ class InputRecord:
     kind: str  # "key" or "click"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class UpdateRecord:
     """One display update as logged by the instrumented SLIM driver.
 

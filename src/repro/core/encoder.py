@@ -26,16 +26,16 @@ DESIGN.md) switch individual commands off via :class:`EncoderConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ProtocolError
 from repro.core import commands as cmd
 from repro.framebuffer.framebuffer import FrameBuffer
-from repro.framebuffer.painter import PaintKind, PaintOp
+from repro.framebuffer.painter import COPY, FILL, IMAGE, TEXT, PaintOp
 from repro.framebuffer.regions import Rect, tile_rect
-from repro.telemetry.metrics import get_registry
+from repro.telemetry.metrics import Counter, get_registry
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ class SlimEncoder:
         self.config = config or EncoderConfig()
         self.materialize = materialize
         self._metrics = get_registry()
+        #: ``(encoder.commands, encoder.pixels)`` counters by opcode.
+        self._m_by_opcode: Dict[cmd.Opcode, Tuple[Counter, Counter]] = {}
 
     # ------------------------------------------------------------------
     # Device-driver path: the op itself tells us the structure.
@@ -89,15 +91,16 @@ class SlimEncoder:
         ``framebuffer`` is the *post-paint* server framebuffer; it is
         required when materializing and ignored otherwise.
         """
-        if self.materialize and framebuffer is None and op.kind is not PaintKind.COPY:
+        kind = op.kind
+        if self.materialize and framebuffer is None and kind is not COPY:
             raise ProtocolError("materializing encoder needs the framebuffer")
-        if op.kind is PaintKind.FILL:
+        if kind is FILL:
             out = self._encode_fill(op, framebuffer)
-        elif op.kind is PaintKind.TEXT:
+        elif kind is TEXT:
             out = self._encode_text(op, framebuffer)
-        elif op.kind is PaintKind.IMAGE:
+        elif kind is IMAGE:
             out = self._encode_image(op, framebuffer)
-        elif op.kind is PaintKind.COPY:
+        elif kind is COPY:
             out = self._encode_copy(op, framebuffer)
         else:
             raise ProtocolError(f"unknown paint kind {op.kind!r}")
@@ -107,11 +110,21 @@ class SlimEncoder:
 
     def _count_commands(self, commands: List[cmd.DisplayCommand]) -> None:
         """Per-opcode emission counters (commands + affected pixels)."""
-        m = self._metrics
+        counters = self._m_by_opcode
         for command in commands:
-            name = command.opcode.name
-            m.counter("encoder.commands", opcode=name).inc()
-            m.counter("encoder.pixels", opcode=name).inc(command.pixels)
+            opcode = command.opcode
+            pair = counters.get(opcode)
+            if pair is None:
+                # Resolved at an opcode's first command, not at
+                # construction: the registry lists only opcodes emitted,
+                # in the order they first were.
+                name = opcode.name
+                pair = counters[opcode] = (
+                    self._metrics.counter("encoder.commands", opcode=name),
+                    self._metrics.counter("encoder.pixels", opcode=name),
+                )
+            pair[0].inc()
+            pair[1].inc(command.pixels)
 
     def encode_ops(
         self,
@@ -120,8 +133,9 @@ class SlimEncoder:
     ) -> List[cmd.DisplayCommand]:
         """Encode a sequence of paint ops in order."""
         out: List[cmd.DisplayCommand] = []
+        encode = self.encode_op
         for op in ops:
-            out.extend(self.encode_op(op, framebuffer))
+            out.extend(encode(op, framebuffer))
         return out
 
     # -- per-kind handlers ------------------------------------------------

@@ -310,8 +310,15 @@ def message_wire_nbytes(message: cmd.Command) -> int:
     body, and IP/UDP + fragment headers for each datagram the message
     fragments into.
     """
-    total = HEADER_BYTES + message.payload_nbytes()
-    ndatagrams = max(1, -(-total // MTU_PAYLOAD))
+    return payload_wire_nbytes(message.payload_nbytes())
+
+
+def payload_wire_nbytes(payload_nbytes: int) -> int:
+    """:func:`message_wire_nbytes` of a message whose body is
+    ``payload_nbytes`` long, for a caller that has priced the body
+    already."""
+    total = HEADER_BYTES + payload_nbytes
+    ndatagrams = -(-total // MTU_PAYLOAD)  # >= 1: the header is never empty
     return total + ndatagrams * (IP_UDP_HEADER_BYTES + FRAGMENT_HEADER_BYTES)
 
 

@@ -179,8 +179,8 @@ def _run_cell(writer, index: int, fn: Callable[[Any], Any], cell: Any) -> None:
     for cell ``index``, answered with ``("done", result, evidence)`` or
     ``("error", summary, traceback)``."""
     try:
-        with use_run(**current_run().for_shard(index)) as run:
-            reply = ("done", fn(cell), run.shard_evidence(index))
+        with use_run(**current_run().for_cell(index)) as run:
+            reply = ("done", fn(cell), run.cell_evidence(index))
         writer.send(reply)
     except Exception as exc:
         writer.send(("error", f"{type(exc).__name__}: {exc}", traceback.format_exc()))
@@ -195,8 +195,8 @@ def sweep(cells: Iterable[Any], fn: Callable[[Any], Any]) -> List[Any]:
     until every cell is in: each cell starts from the same parent state
     however many share the machine, ``fn`` may be a closure, and only
     its result crosses back (pickled).  The child runs ``fn`` under
-    ``use_run(**current_run().for_shard(i))`` and ships its
-    :meth:`~repro.runcontext.RunContext.shard_evidence`.  At most
+    ``use_run(**current_run().for_cell(i))`` and ships its
+    :meth:`~repro.runcontext.RunContext.cell_evidence`.  At most
     ``os.cpu_count()`` children are alive at once.  The current run
     absorbs the evidence in cell order, and the results come back in
     cell order, so the output is the same whatever that count is.

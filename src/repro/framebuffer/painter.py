@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -41,9 +40,21 @@ class PaintKind(enum.Enum):
     COPY = "copy"      # move a region (scrolling, window drag)
 
 
-@dataclass(frozen=True)
+#: The kinds as module globals, for the per-op dispatch here and in the
+#: drivers and the display model: a member read off its class goes
+#: through the enum's metaclass, about ten times the cost of a global.
+FILL, TEXT, IMAGE, COPY = PaintKind.FILL, PaintKind.TEXT, PaintKind.IMAGE, PaintKind.COPY
+
+
 class PaintOp:
     """One high-level rendering call.
+
+    A plain ``__slots__`` class, immutable by convention, like the wire
+    objects it is encoded into: a study builds three or four per input
+    event, so construction is a plain ``__init__`` (a frozen dataclass
+    pays ``object.__setattr__`` per field).  Equality, hashing and
+    ``repr`` read ``_fields``, in order: ops are equal by value within
+    the class, and show as ``PaintOp(kind=..., rect=..., ...)``.
 
     Attributes:
         kind: Which rendering primitive this is.
@@ -62,37 +73,78 @@ class PaintOp:
             encoder can recover FILLs from it.
     """
 
-    kind: PaintKind
-    rect: Rect
-    color: Tuple[int, int, int] = (0, 0, 0)
-    fg: Tuple[int, int, int] = (0, 0, 0)
-    bg: Tuple[int, int, int] = (255, 255, 255)
-    src: Optional[Rect] = None
-    seed: int = 0
-    glyph_density: float = 0.12
-    char_count: int = 0
-    uniform_fraction: float = 0.0
+    __slots__ = (
+        "kind",
+        "rect",
+        "color",
+        "fg",
+        "bg",
+        "src",
+        "seed",
+        "glyph_density",
+        "char_count",
+        "uniform_fraction",
+    )
+    #: Constructor arguments, in order: what equality, hashing and
+    #: ``repr`` compare and show.
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if self.rect.empty:
-            raise GeometryError(f"paint op on empty rect {self.rect}")
-        if self.kind is PaintKind.COPY:
-            if self.src is None:
+    def __init__(
+        self,
+        kind: PaintKind,
+        rect: Rect,
+        color: Tuple[int, int, int] = (0, 0, 0),
+        fg: Tuple[int, int, int] = (0, 0, 0),
+        bg: Tuple[int, int, int] = (255, 255, 255),
+        src: Optional[Rect] = None,
+        seed: int = 0,
+        glyph_density: float = 0.12,
+        char_count: int = 0,
+        uniform_fraction: float = 0.0,
+    ) -> None:
+        if rect.w == 0 or rect.h == 0:
+            raise GeometryError(f"paint op on empty rect {rect}")
+        if kind is COPY:
+            if src is None:
                 raise GeometryError("COPY op requires a source rect")
-            if (self.src.w, self.src.h) != (self.rect.w, self.rect.h):
+            if src.w != rect.w or src.h != rect.h:
                 raise GeometryError(
-                    f"COPY source {self.src} and destination {self.rect} "
-                    "sizes differ"
+                    f"COPY source {src} and destination {rect} sizes differ"
                 )
-        if not 0.0 <= self.glyph_density <= 1.0:
+        if not 0.0 <= glyph_density <= 1.0:
             raise GeometryError("glyph_density must be within [0, 1]")
-        if not 0.0 <= self.uniform_fraction <= 1.0:
+        if not 0.0 <= uniform_fraction <= 1.0:
             raise GeometryError("uniform_fraction must be within [0, 1]")
+        self.kind = kind
+        self.rect = rect
+        self.color = color
+        self.fg = fg
+        self.bg = bg
+        self.src = src
+        self.seed = seed
+        self.glyph_density = glyph_density
+        self.char_count = char_count
+        self.uniform_fraction = uniform_fraction
 
     @property
     def pixels_changed(self) -> int:
         """Pixels this op touches (the paper's Figure 3 metric)."""
         return self.rect.area
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
 
 # An update's ops share one seed and every desktop counts its updates
@@ -221,16 +273,17 @@ class Painter:
     def apply(self, op: PaintOp) -> Rect:
         """Render one op into the framebuffer; returns the damaged rect."""
         fb = self.framebuffer
-        if op.kind is PaintKind.FILL:
+        kind = op.kind
+        if kind is FILL:
             return fb.fill(op.rect, op.color)
-        if op.kind is PaintKind.TEXT:
+        if kind is TEXT:
             bitmap = synth_glyph_bitmap(op.rect, op.seed, op.glyph_density)
             return fb.expand_bitmap(op.rect, bitmap, op.fg, op.bg)
-        if op.kind is PaintKind.IMAGE:
+        if kind is IMAGE:
             data = synth_image(op.rect, op.seed, op.uniform_fraction)
             return fb.blit(op.rect, data)
-        if op.kind is PaintKind.COPY:
-            assert op.src is not None  # validated in __post_init__
+        if kind is COPY:
+            assert op.src is not None  # validated in __init__
             return fb.copy_within(op.src, op.rect.x, op.rect.y)
         raise GeometryError(f"unknown paint kind {op.kind!r}")
 

@@ -37,9 +37,15 @@ class Rect:
     w: int
     h: int
 
-    def __post_init__(self) -> None:
-        if self.w < 0 or self.h < 0:
-            raise GeometryError(f"negative rect size: {self.w}x{self.h}")
+    # Written out, so the dataclass keeps it: the generated one would
+    # call a ``__post_init__`` for the check, a second frame per rect.
+    def __init__(self, x: int, y: int, w: int, h: int) -> None:
+        if w < 0 or h < 0:
+            raise GeometryError(f"negative rect size: {w}x{h}")
+        self.x = x
+        self.y = y
+        self.w = w
+        self.h = h
 
     # -- basic properties --------------------------------------------------
     @property

@@ -118,10 +118,10 @@ class FlightRecorder:
         self._fired: set = set()
         self._bundle_seq = itertools.count(1)
         self._phase: Optional[str] = None
-        #: What the cells of a sweep shipped (:meth:`absorb_shards`).
-        self.shard_traces: List[Dict[str, Any]] = []
-        self.shard_marks: List[Dict[str, Any]] = []
-        self._shards_absorbed: List[int] = []
+        #: What the cells of a sweep shipped (:meth:`absorb_cells`).
+        self.cell_traces: List[Dict[str, Any]] = []
+        self.cell_marks: List[Dict[str, Any]] = []
+        self._cells_absorbed: List[int] = []
 
     # -- wiring ------------------------------------------------------------
     def arm(
@@ -144,7 +144,7 @@ class FlightRecorder:
             self.capture.tee = capture
         return tracer, self.capture
 
-    def for_shard(self, index: int) -> "FlightRecorder":
+    def for_cell(self, index: int) -> "FlightRecorder":
         """The rings-only recorder a sweep cell arms in this one's
         place: bounded tracer + wire ring, no bundle dumping."""
         return FlightRecorder(
@@ -257,34 +257,34 @@ class FlightRecorder:
             len(self.capture)
             or self._closed
             or self.windows
-            or self.shard_traces
+            or self.cell_traces
         )
 
     # -- sweep cells -------------------------------------------------------
-    def shard_payload(self, shard_index: int) -> Dict[str, Any]:
+    def cell_payload(self, cell_index: int) -> Dict[str, Any]:
         """The picklable evidence a sweep cell ships: its ring state,
         closed + open trace records, marks and triggers."""
         return {
-            "shard": shard_index,
+            "cell": cell_index,
             "capture": self.capture.export_state(),
             "traces": self._trace_records(),
             "marks": list(self.marks),
             "triggers": list(self.triggers),
         }
 
-    def absorb_shards(self, payloads: Iterable[Dict[str, Any]]) -> None:
+    def absorb_cells(self, payloads: Iterable[Dict[str, Any]]) -> None:
         """Merge what a sweep's cells shipped, in cell order, into this
         recorder's rings."""
         for payload in payloads:
-            shard = payload["shard"]
-            self._shards_absorbed.append(shard)
+            cell = payload["cell"]
+            self._cells_absorbed.append(cell)
             self.capture.absorb_state(payload["capture"])
             for trace in payload["traces"]:
-                self.shard_traces.append(dict(trace, shard=shard))
+                self.cell_traces.append(dict(trace, shard=cell))
             for mark in payload["marks"]:
-                self.shard_marks.append(dict(mark, shard=shard))
+                self.cell_marks.append(dict(mark, shard=cell))
             for trig in payload.get("triggers", ()):
-                self.triggers.append(dict(trig, shard=shard))
+                self.triggers.append(dict(trig, shard=cell))
 
     # -- bundle writing ----------------------------------------------------
     def _timeseries(self) -> TimeSeriesCollection:
@@ -322,7 +322,7 @@ class FlightRecorder:
                 "traces": len(traces),
                 "windows": len(self.windows),
                 "marks": len(self.marks),
-                "shards": sorted(self._shards_absorbed),
+                "shards": sorted(self._cells_absorbed),
             },
         }
         with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
@@ -344,13 +344,13 @@ class FlightRecorder:
                 json.dumps(
                     {
                         "marks": list(self.marks),
-                        "shard_marks": self.shard_marks,
+                        "shard_marks": self.cell_marks,
                     },
                     indent=2,
                 ),
             )
-            if self.shard_traces:
-                jsonl_member("shards/traces.jsonl", self.shard_traces)
+            if self.cell_traces:
+                jsonl_member("shards/traces.jsonl", self.cell_traces)
         self.bundles.append(path)
         return path
 

@@ -475,13 +475,13 @@ class TimeSeriesCollection:
         self.finish_samplers()
         self.prune_empty()
 
-    def for_shard(self, index: int) -> "TimeSeriesCollection":
+    def for_cell(self, index: int) -> "TimeSeriesCollection":
         """The collection a sweep cell samples its engines into: same
         grid, ``shard-N`` series, and whatever registry the cell gives
         its run context."""
-        shard = TimeSeriesCollection(self.window, self.max_windows)
-        shard.set_label(f"shard-{index}")
-        return shard
+        cell = TimeSeriesCollection(self.window, self.max_windows)
+        cell.set_label(f"shard-{index}")
+        return cell
 
     # -- labeling ----------------------------------------------------------
     def set_label(self, label: Optional[str]) -> None:
@@ -516,7 +516,7 @@ class TimeSeriesCollection:
         return run
 
     def adopt_run(self, run: RunSeries) -> None:
-        """Append an externally built run (merged shard series, derived
+        """Append an externally built run (merged cell series, derived
         experiment timelines)."""
         self.runs.append(run)
 

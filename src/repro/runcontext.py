@@ -79,7 +79,7 @@ class RunContext:
             sim.add_monitor(self.recorder.engine_mark, every=MARK_EVERY)
 
     # -- sweep cells -------------------------------------------------------
-    def for_shard(self, index: int) -> Dict[str, Any]:
+    def for_cell(self, index: int) -> Dict[str, Any]:
         """The fields a :func:`~repro.experiments.runner.sweep` cell
         replaces in the context its child inherited through ``fork``: no
         painter (N processes racing on one stderr line), a series of its
@@ -88,16 +88,16 @@ class RunContext:
         tracer/capture when no recorder is armed, stay as inherited."""
         fields: Dict[str, Any] = {"progress": None}
         if self.collection is not None:
-            fields["collection"] = self.collection.for_shard(index)
+            fields["collection"] = self.collection.for_cell(index)
         if self.recorder is not None:
             fields.update(
-                recorder=self.recorder.for_shard(index),
+                recorder=self.recorder.for_cell(index),
                 tracer=None,
                 capture=None,
             )
         return fields
 
-    def shard_evidence(self, index: int) -> Dict[str, Any]:
+    def cell_evidence(self, index: int) -> Dict[str, Any]:
         """What a sweep cell ships when it returns (picklable): every
         run it sampled — a cell may build several simulators — and its
         recorder's rings."""
@@ -108,14 +108,14 @@ class RunContext:
         return {
             "series": series,
             "flight": (
-                self.recorder.shard_payload(index)
+                self.recorder.cell_payload(index)
                 if self.recorder is not None
                 else None
             ),
         }
 
     def absorb(self, evidence: List[Dict[str, Any]]) -> None:
-        """Fold the cells' :meth:`shard_evidence`, in cell order, into
+        """Fold the cells' :meth:`cell_evidence`, in cell order, into
         this run's observers: every run they sampled merges into one run
         of this run's collection, and their rings join the recorder's."""
         runs = [run for shipped in evidence for run in shipped["series"]]
@@ -131,7 +131,7 @@ class RunContext:
                 for record in merged.windows:
                     self.recorder.observe_window(merged.label, record)
         if self.recorder is not None:
-            self.recorder.absorb_shards(shipped["flight"] for shipped in evidence)
+            self.recorder.absorb_cells(shipped["flight"] for shipped in evidence)
 
 
 _current = RunContext()

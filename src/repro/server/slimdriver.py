@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 
 from repro.core import commands as cmd
 from repro.core.encoder import SlimEncoder
-from repro.core.wire import message_wire_nbytes
+from repro.core.wire import payload_wire_nbytes
 from repro.analysis.traces import UpdateRecord
 from repro.console.microops import MicroOpModel
 from repro.framebuffer.framebuffer import FrameBuffer
@@ -34,6 +34,10 @@ from repro.xproto.baseline import RawPixelDriver, XDriver
 #: accounts for ~1.7% of server time on the benchmark workloads.
 ENCODE_NS_PER_BYTE = 45.0
 ENCODE_NS_PER_COMMAND = 3000.0
+
+#: Each opcode's name, the trace's per-opcode key, read once: the name
+#: of an ``Opcode`` member is a descriptor call.
+_OPCODE_NAMES = {opcode: opcode.name for opcode in cmd.Opcode}
 
 
 @dataclass
@@ -95,6 +99,7 @@ class SlimDriver:
             self._m_update_bytes = m.histogram("server.driver.update_wire_bytes")
             self._m_service = m.histogram("server.driver.update_service_seconds")
             self._m_compression = m.gauge("server.driver.compression_factor")
+            self._m_span = None
 
     def update(self, time: float, ops: List[PaintOp]) -> UpdateRecord:
         """Process one display update: paint + encode + log + send.
@@ -125,9 +130,14 @@ class SlimDriver:
         try:
             return self._update(time, ops)
         finally:
-            self._metrics.histogram(
-                "span.server.driver.update.seconds"
-            ).observe(_time.perf_counter() - started)
+            span = self._m_span
+            if span is None:
+                # Resolved at the first update's end, not at construction:
+                # an earlier handle would move it up the registry's listing.
+                span = self._m_span = self._metrics.histogram(
+                    "span.server.driver.update.seconds"
+                )
+            span.observe(_time.perf_counter() - started)
 
     def _update(self, time: float, ops: List[PaintOp]) -> UpdateRecord:
         if self._painter is not None:
@@ -142,48 +152,57 @@ class SlimDriver:
     def _log_update(
         self, time: float, ops: List[PaintOp], commands: List[cmd.DisplayCommand]
     ) -> UpdateRecord:
+        # One pricing pass: each command's body is priced once, and its
+        # wire bytes follow from that.
         payload_by: dict = {}
         pixels_by: dict = {}
         count_by: dict = {}
-        wire_bytes = 0
+        payload_bytes = wire_bytes = 0
         service_time = 0.0
         price, send = self.cost_model.service_time, self.send
         for command in commands:
-            name = command.opcode.name
-            payload_by[name] = payload_by.get(name, 0) + command.payload_nbytes()
+            name = _OPCODE_NAMES[command.opcode]
+            payload = command.payload_nbytes()
+            payload_by[name] = payload_by.get(name, 0) + payload
             pixels_by[name] = pixels_by.get(name, 0) + command.pixels
             count_by[name] = count_by.get(name, 0) + 1
-            wire_bytes += message_wire_nbytes(command)
+            payload_bytes += payload
+            wire_bytes += payload_wire_nbytes(payload)
             service_time += price(command)
             if send is not None:
                 send(command)
 
         x_bytes = self.x_driver.encode_ops(ops) if self.x_driver else 0
         raw_bytes = self.raw_driver.encode_ops(ops) if self.raw_driver else 0
-        pixels = sum(op.pixels_changed for op in ops)
+        pixels = 0
+        for op in ops:
+            pixels += op.rect.area
 
         record = UpdateRecord(
-            time=time,
-            pixels=pixels,
-            wire_bytes=wire_bytes,
-            payload_bytes_by_opcode=payload_by,
-            pixels_by_opcode=pixels_by,
-            commands_by_opcode=count_by,
-            service_time=service_time,
-            x_bytes=x_bytes,
-            raw_bytes=raw_bytes,
+            time,
+            pixels,
+            wire_bytes,
+            payload_by,
+            pixels_by,
+            count_by,
+            service_time,
+            x_bytes,
+            raw_bytes,
         )
         self.records.append(record)
-        self._account(record, len(commands))
+        self._account(record, len(commands), payload_bytes)
         return record
 
-    def _account(self, record: UpdateRecord, ncommands: int) -> None:
-        self.stats.updates += 1
-        self.stats.commands += ncommands
-        self.stats.wire_bytes += record.wire_bytes
-        self.stats.payload_bytes += sum(record.payload_bytes_by_opcode.values())
-        self.stats.pixels += record.pixels
-        self.stats.encode_cpu_seconds += (
+    def _account(
+        self, record: UpdateRecord, ncommands: int, payload_bytes: int
+    ) -> None:
+        stats = self.stats
+        stats.updates += 1
+        stats.commands += ncommands
+        stats.wire_bytes += record.wire_bytes
+        stats.payload_bytes += payload_bytes
+        stats.pixels += record.pixels
+        stats.encode_cpu_seconds += (
             ncommands * ENCODE_NS_PER_COMMAND + record.wire_bytes * ENCODE_NS_PER_BYTE
         ) * 1e-9
         if self._metrics.enabled:
@@ -192,11 +211,9 @@ class SlimDriver:
             self._m_wire_bytes.inc(record.wire_bytes)
             self._m_update_bytes.observe(record.wire_bytes)
             self._m_service.observe(record.service_time)
-            if self.stats.wire_bytes > 0:
+            if stats.wire_bytes > 0:
                 # Compression vs 24-bit raw pixels (the Figure 4 headline).
-                self._m_compression.set(
-                    self.stats.pixels * 3 / self.stats.wire_bytes
-                )
+                self._m_compression.set(stats.pixels * 3 / stats.wire_bytes)
 
     # -- convenience -----------------------------------------------------------
     def mean_bandwidth_bps(self, duration: float) -> float:

@@ -31,7 +31,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.framebuffer.painter import PaintKind, PaintOp
+from repro.framebuffer.painter import COPY, FILL, IMAGE, TEXT, PaintKind, PaintOp
 from repro.framebuffer.regions import Rect
 from repro.units import DISPLAY_HEIGHT, DISPLAY_WIDTH
 
@@ -49,7 +49,7 @@ FILL_COLORS = (
 )
 
 #: The order an update's Dirichlet shares are spent in.
-_KINDS = (PaintKind.FILL, PaintKind.TEXT, PaintKind.COPY, PaintKind.IMAGE)
+_KINDS = (FILL, TEXT, COPY, IMAGE)
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,11 @@ class UpdateArchetype:
     def __post_init__(self) -> None:
         if not self.classes:
             raise WorkloadError("archetype needs at least one size class")
+        if not self.content_concentration >= 0.4:
+            # Then every class has an alpha of at least 0.1 (its largest
+            # share is at least a quarter): where numpy's Dirichlet is
+            # the gamma construction ``DisplayModel`` draws.
+            raise WorkloadError("content_concentration must be at least 0.4")
         total = sum(c.weight for c in self.classes)
         if abs(total - 1.0) > 1e-6:
             raise WorkloadError(f"class weights sum to {total}, expected 1")
@@ -147,7 +152,7 @@ class DisplayModel:
             (
                 c,
                 float(np.log(c.median_area)),
-                np.asarray(c.shares, dtype=np.float64) * conc + 1e-3,
+                tuple((np.asarray(c.shares, dtype=np.float64) * conc + 1e-3).tolist()),
             )
             for c in archetype.classes
         ]
@@ -163,29 +168,51 @@ class DisplayModel:
         ]
         area = rng.lognormal(log_median, cls.sigma)
         total_area = int(min(max(area, 16.0), self.display_area))
+        # ``rng.dirichlet(alpha)`` as numpy draws it whenever an alpha is
+        # at least 0.1 (``UpdateArchetype`` sees to that): one standard
+        # gamma per kind, each times the reciprocal of their sum taken
+        # left to right.  Four scalar draws cost half the array call.
+        gamma = rng.standard_gamma
+        gammas = [gamma(a) for a in alpha]
+        scale = 1.0 / (gammas[0] + gammas[1] + gammas[2] + gammas[3])
         ops: List[PaintOp] = []
-        for kind, share in zip(_KINDS, rng.dirichlet(alpha).tolist()):
-            op_area = int(total_area * share)
-            if op_area < 16:
-                continue
-            ops.append(self._make_op(kind, op_area, rng, seed, cls))
+        for kind, share in zip(_KINDS, gammas):
+            op_area = int(total_area * (share * scale))
+            if op_area >= 16:
+                ops.append(self._make_op(kind, op_area, rng, seed, cls))
         if not ops:
-            ops.append(self._make_op(PaintKind.TEXT, max(16, total_area), rng, seed, cls))
+            ops.append(self._make_op(TEXT, max(16, total_area), rng, seed, cls))
         return ops
 
     # -- op construction ----------------------------------------------------------
     def _place_rect(self, area: int, rng: np.random.Generator, min_h: int = 1) -> Rect:
         """Pick a plausible rectangle of roughly ``area`` pixels on screen."""
-        area = max(16, min(area, self.display_area))
+        # Each clamp is ``max(lo, min(value, hi))``, spelled as compares.
+        display_w, display_h = self.display_w, self.display_h
+        if area > self.display_area:
+            area = self.display_area
+        if area < 16:
+            area = 16
         # Aspect ratio between 1:1 and 4:1, biased wide (GUI rows/panels).
         # (``rng.uniform(a, b)`` is ``a + (b - a) * rng.random()``.)
         aspect = 1.0 + (4.0 - 1.0) * rng.random()
         w = int(math.sqrt(area * aspect))
-        w = max(4, min(w, self.display_w))
-        h = max(min_h, min(area // w, self.display_h))
-        w = max(4, min(area // h, self.display_w))
-        x = int(rng.integers(0, self.display_w - w + 1))
-        y = int(rng.integers(0, self.display_h - h + 1))
+        if w > display_w:
+            w = display_w
+        if w < 4:
+            w = 4
+        h = area // w
+        if h > display_h:
+            h = display_h
+        if h < min_h:
+            h = min_h
+        w = area // h
+        if w > display_w:
+            w = display_w
+        if w < 4:
+            w = 4
+        x = int(rng.integers(0, display_w - w + 1))
+        y = int(rng.integers(0, display_h - h + 1))
         return Rect(x, y, w, h)
 
     def _make_op(
@@ -196,14 +223,14 @@ class DisplayModel:
         seed: int,
         cls: SizeClass,
     ) -> PaintOp:
-        if kind is PaintKind.FILL:
+        if kind is FILL:
             rect = self._place_rect(area, rng)
             color = FILL_COLORS[int(rng.integers(0, len(FILL_COLORS)))]
-            return PaintOp(PaintKind.FILL, rect, color=color, seed=seed)
-        if kind is PaintKind.TEXT:
+            return PaintOp(FILL, rect, color=color, seed=seed)
+        if kind is TEXT:
             rect = self._place_rect(area, rng, min_h=13)
             return PaintOp(
-                PaintKind.TEXT,
+                TEXT,
                 rect,
                 fg=(0, 0, 0),
                 bg=(255, 255, 255),
@@ -211,7 +238,7 @@ class DisplayModel:
                 char_count=max(1, rect.area // GLYPH_AREA),
                 glyph_density=0.08 + (0.16 - 0.08) * rng.random(),
             )
-        if kind is PaintKind.COPY:
+        if kind is COPY:
             rect = self._place_rect(area, rng)
             # A scroll: source displaced vertically within the display.
             max_dy = min(64, self.display_h - rect.h)
@@ -219,11 +246,11 @@ class DisplayModel:
             src_y = rect.y + dy if rect.y2 + dy <= self.display_h else rect.y - dy
             src_y = min(max(src_y, 0), self.display_h - rect.h)
             src = Rect(rect.x, src_y, rect.w, rect.h)
-            return PaintOp(PaintKind.COPY, rect, src=src, seed=seed)
-        if kind is PaintKind.IMAGE:
+            return PaintOp(COPY, rect, src=src, seed=seed)
+        if kind is IMAGE:
             rect = self._place_rect(area, rng)
             return PaintOp(
-                PaintKind.IMAGE,
+                IMAGE,
                 rect,
                 seed=seed,
                 uniform_fraction=cls.image_uniform_fraction,

@@ -18,8 +18,9 @@ apps differ mainly in how much of the time the user is reading).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -29,9 +30,11 @@ from repro.errors import WorkloadError
 MIN_INTERVAL = 0.032
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class InputEvent:
-    """One keystroke or mouse click."""
+    """One keystroke or mouse click (immutable by convention: a session
+    draws one per event, and a frozen dataclass pays
+    ``object.__setattr__`` per field)."""
 
     time: float
     kind: str  # "key" or "click"
@@ -78,17 +81,36 @@ class InputModel:
         return 1.0 - self.burst_weight - self.working_weight
 
     # -- sampling -----------------------------------------------------------
+    @functools.cached_property
+    def _mixture(self) -> Tuple[float, float, Tuple[Tuple[float, float], ...]]:
+        """The mixture as the draws read it, computed once: the two
+        cumulative weights and each component's ``(np.log(median),
+        sigma)``."""
+        return (
+            self.burst_weight,
+            self.burst_weight + self.working_weight,
+            tuple(
+                (float(np.log(median)), sigma)
+                for median, sigma in (
+                    (self.burst_median, self.burst_sigma),
+                    (self.working_median, self.working_sigma),
+                    (self.pause_median, self.pause_sigma),
+                )
+            ),
+        )
+
     def sample_interval(self, rng: np.random.Generator) -> float:
         """Draw one inter-event interval, seconds."""
-        u = float(rng.random())
-        if u < self.burst_weight:
-            median, sigma = self.burst_median, self.burst_sigma
-        elif u < self.burst_weight + self.working_weight:
-            median, sigma = self.working_median, self.working_sigma
+        burst, working, components = self._mixture
+        u = rng.random()
+        if u < burst:
+            log_median, sigma = components[0]
+        elif u < working:
+            log_median, sigma = components[1]
         else:
-            median, sigma = self.pause_median, self.pause_sigma
-        interval = float(rng.lognormal(mean=np.log(median), sigma=sigma))
-        return max(MIN_INTERVAL, interval)
+            log_median, sigma = components[2]
+        interval = rng.lognormal(log_median, sigma)
+        return interval if interval > MIN_INTERVAL else MIN_INTERVAL
 
     def sample_session(
         self, rng: np.random.Generator, duration: float
@@ -97,11 +119,12 @@ class InputModel:
         if duration <= 0:
             raise WorkloadError("session duration must be positive")
         events: List[InputEvent] = []
-        t = self.sample_interval(rng)
+        interval, random, key_fraction = self.sample_interval, rng.random, self.key_fraction
+        t = interval(rng)
         while t < duration:
-            kind = "key" if float(rng.random()) < self.key_fraction else "click"
-            events.append(InputEvent(time=t, kind=kind))
-            t += self.sample_interval(rng)
+            kind = "key" if random() < key_fraction else "click"
+            events.append(InputEvent(t, kind))
+            t += interval(rng)
         return events
 
     # -- analytic helpers (used to document calibration) ------------------------

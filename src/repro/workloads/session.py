@@ -100,22 +100,30 @@ class UserSession:
             application=self.app.name, user=self.user, duration=self.duration
         )
         n_bins = max(1, int(np.ceil(self.duration / PROFILE_INTERVAL)))
-        cpu_activity = np.zeros(n_bins)
-        net_bytes = np.zeros(n_bins, dtype=np.int64)
+        # Python floats and ints: the same IEEE sums as float64 / int64
+        # bins, without a numpy scalar per update.
+        cpu_activity = [0.0] * n_bins
+        net_bytes = [0] * n_bins
+        last_bin = n_bins - 1
+        inputs, updates = trace.inputs, trace.updates
+        sample, update, rng = self.display.sample_update, self.driver.update, self.rng
+        cpu_per_event, cpu_per_pixel = self.app.cpu_per_event, self.app.cpu_per_pixel
 
         for index, event in enumerate(events):
-            trace.inputs.append(InputRecord(time=event.time, kind=event.kind))
-            ops = self.display.sample_update(self.rng, seed=index)
+            time = event.time
+            inputs.append(InputRecord(time, event.kind))
             # Display work trails the event slightly (server render time).
-            record = self.driver.update(event.time + 0.001, ops)
-            trace.updates.append(record)
-            bin_index = min(n_bins - 1, int(event.time / PROFILE_INTERVAL))
-            cpu_activity[bin_index] += (
-                self.app.cpu_per_event + self.app.cpu_per_pixel * record.pixels
-            )
+            record = update(time + 0.001, sample(rng, index))
+            updates.append(record)
+            bin_index = int(time / PROFILE_INTERVAL)
+            if bin_index > last_bin:
+                bin_index = last_bin
+            cpu_activity[bin_index] += cpu_per_event + cpu_per_pixel * record.pixels
             net_bytes[bin_index] += record.wire_bytes
 
-        profile = self._build_profile(cpu_activity, net_bytes)
+        profile = self._build_profile(
+            np.array(cpu_activity), np.array(net_bytes, dtype=np.int64)
+        )
         return trace, profile
 
     def _build_profile(

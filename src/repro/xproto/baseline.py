@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.framebuffer.framebuffer import FrameBuffer
-from repro.framebuffer.painter import PaintKind, PaintOp
+from repro.framebuffer.painter import COPY, FILL, IMAGE, TEXT, PaintOp
 from repro.framebuffer.regions import Rect
 from repro.xproto import protocol as xp
 
@@ -25,6 +25,12 @@ MAX_REQUEST_BYTES = 262140
 #: Fallback glyph cell geometry when a TEXT op does not carry a character
 #: count (a 7x13 fixed font, typical for 1999 desktops).
 GLYPH_W, GLYPH_H = 7, 13
+
+#: The fixed-size requests a paint op issues, priced once.
+_CHANGE_GC_1 = xp.change_gc_nbytes(1)
+_CHANGE_GC_2 = xp.change_gc_nbytes(2)
+_POLY_FILL_RECTANGLE_1 = xp.poly_fill_rectangle_nbytes(1)
+_COPY_AREA = xp.copy_area_nbytes()
 
 
 @dataclass
@@ -48,31 +54,31 @@ class XDriver:
     # -- the op translation -------------------------------------------------
     def encode_op(self, op: PaintOp) -> int:
         """Account one paint op; returns the request bytes it generated."""
-        if op.kind is PaintKind.FILL:
+        kind = op.kind
+        if kind is FILL:
             total = 0
             if op.color != self._last_fill_color:
-                total += self._charge("ChangeGC", xp.change_gc_nbytes(1))
+                total += self._charge("ChangeGC", _CHANGE_GC_1)
                 self._last_fill_color = op.color
-            total += self._charge("PolyFillRectangle", xp.poly_fill_rectangle_nbytes(1))
-            return total
-        if op.kind is PaintKind.TEXT:
+            return total + self._charge("PolyFillRectangle", _POLY_FILL_RECTANGLE_1)
+        if kind is TEXT:
+            rect = op.rect
             nchars = op.char_count
             if nchars <= 0:
-                nchars = max(1, op.rect.area // (GLYPH_W * GLYPH_H))
-            nlines = max(1, op.rect.h // GLYPH_H)
+                nchars = max(1, rect.area // (GLYPH_W * GLYPH_H))
+            nlines = max(1, rect.h // GLYPH_H)
             total = 0
             colors = (op.fg, op.bg)
             if colors != self._last_text_colors:
-                total += self._charge("ChangeGC", xp.change_gc_nbytes(2))
+                total += self._charge("ChangeGC", _CHANGE_GC_2)
                 self._last_text_colors = colors
-            total += self._charge(
+            return total + self._charge(
                 "PolyText8", xp.poly_text8_nbytes(nchars, nitems=nlines)
             )
-            return total
-        if op.kind is PaintKind.IMAGE:
+        if kind is IMAGE:
             return self._put_image(op.rect)
-        if op.kind is PaintKind.COPY:
-            return self._charge("CopyArea", xp.copy_area_nbytes())
+        if kind is COPY:
+            return self._charge("CopyArea", _COPY_AREA)
         raise ProtocolError(f"unknown paint kind {op.kind!r}")
 
     def _put_image(self, rect: Rect) -> int:
@@ -91,7 +97,10 @@ class XDriver:
 
     def encode_ops(self, ops) -> int:
         """Account a sequence of ops; returns total request bytes."""
-        return sum(self.encode_op(op) for op in ops)
+        total = 0
+        for op in ops:
+            total += self.encode_op(op)
+        return total
 
     # -- session totals ---------------------------------------------------------
     @property
@@ -118,7 +127,11 @@ class RawPixelDriver:
         return op.pixels_changed * 3
 
     def encode_ops(self, ops) -> int:
-        return sum(self.encode_op(op) for op in ops)
+        pixels = 0
+        for op in ops:
+            pixels += op.rect.area
+        self.pixels_sent += pixels
+        return pixels * 3
 
     def total_nbytes(self) -> int:
         """Pixel bytes plus per-datagram overhead at the Ethernet MTU."""

@@ -152,7 +152,7 @@ def _archetypes(draw):
             )
         )
     return UpdateArchetype(
-        classes=tuple(classes), content_concentration=draw(st.floats(0.5, 50.0))
+        classes=tuple(classes), content_concentration=draw(st.floats(0.4, 50.0))
     )
 
 

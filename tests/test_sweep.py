@@ -43,7 +43,7 @@ def test_one_and_two_workers_are_byte_identical(monkeypatch):
             (
                 json.dumps(result.rows, sort_keys=True),
                 json.dumps(collection.to_records(), sort_keys=True),
-                list(recorder._shards_absorbed),
+                list(recorder._cells_absorbed),
             )
         )
     assert outputs[0] == outputs[1]
@@ -133,7 +133,7 @@ def test_cell_wire_frames_join_the_parents_ring():
     recorder = FlightRecorder(out_dir=None)
     with use_run(recorder=recorder):
         captured = sweep([1, 2], _capturing_cell)
-    assert recorder._shards_absorbed == [0, 1]
+    assert recorder._cells_absorbed == [0, 1]
     assert len(recorder.capture) == sum(captured) > 0
     reader = SlimcapReader.from_bytes(recorder.capture.dump_bytes())
     assert len(list(reader.frames())) == sum(captured)

@@ -77,6 +77,14 @@ class TestSizeClassValidation:
         with pytest.raises(WorkloadError):
             UpdateArchetype(classes=())
 
+    def test_concentration_keeps_an_alpha_of_a_tenth(self):
+        # Below 0.4 every alpha of an even mix is under 0.1, where numpy's
+        # Dirichlet stops being the gamma construction the model draws.
+        even = SizeClass("x", 1.0, 100, 0.5, (0.25, 0.25, 0.25, 0.25))
+        UpdateArchetype(classes=(even,), content_concentration=0.4)
+        with pytest.raises(WorkloadError):
+            UpdateArchetype(classes=(even,), content_concentration=0.39)
+
 
 class TestDisplayModel:
     def test_updates_fit_the_display(self, rng):
