@@ -90,14 +90,6 @@ class CalibrationResult:
     def as_entry(self) -> CostEntry:
         return CostEntry(self.startup_ns, self.per_pixel_ns)
 
-    def error_vs(self, reference: CostEntry) -> Tuple[float, float]:
-        """Relative error (startup, per-pixel) against a reference entry."""
-        startup_err = abs(self.startup_ns - reference.startup_ns) / reference.startup_ns
-        slope_err = abs(self.per_pixel_ns - reference.per_pixel_ns) / max(
-            reference.per_pixel_ns, 1e-9
-        )
-        return startup_err, slope_err
-
 
 def fit_linear_cost(samples: Sequence[Tuple[int, float]]) -> Tuple[float, float, float]:
     """Least-squares fit service_ns = startup + per_pixel * pixels.

@@ -113,13 +113,3 @@ def decode_frame(payload: bytes, width: int, height: int, bits_per_pixel: int) -
         axis=-1,
     )
     return yuv_to_rgb(yuv)
-
-
-def roundtrip_error(rgb: np.ndarray, bits_per_pixel: int) -> float:
-    """Mean absolute per-channel error of an encode/decode round trip."""
-    decoded = decode_frame(
-        encode_frame(rgb, bits_per_pixel), rgb.shape[1], rgb.shape[0], bits_per_pixel
-    )
-    return float(
-        np.mean(np.abs(rgb.astype(np.float64) - decoded.astype(np.float64)))
-    )

@@ -235,8 +235,8 @@ def main(argv=None) -> int:
 
     # The flight recorder is armed by default: bounded rings over the
     # wire frames, recent traces, and telemetry windows, frozen into a
-    # .slimpm bundle when an SLO trips, a loss burst / tier thrash is
-    # detected, or the run is interrupted or crashes.  When the run
+    # .slimpm bundle when an SLO trips, a loss burst is detected, or
+    # the run is interrupted or crashes.  When the run
     # already observes (capture / trace-events / sampling) the recorder
     # rides the same tracer; otherwise it brings its own bounded one.
     flightrec = None

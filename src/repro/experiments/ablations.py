@@ -227,41 +227,26 @@ def priority_scheduler_ablation(
     goal — interactive guarantees under load — at near-zero cost to the
     background users.
     """
-    from repro.netsim.engine import Simulator
+    from repro.experiments.fig9 import yardstick_latency
     from repro.server.priority import PriorityScheduler
-    from repro.server.scheduler import (
-        PeriodicTask,
-        ProfilePlaybackTask,
-        Scheduler,
-    )
+    from repro.server.scheduler import Scheduler
 
     _traces, profiles = userstudy.get_study(NETSCAPE)
-    results: Dict[str, float] = {}
-    for label, factory in (
-        ("round-robin", Scheduler),
-        ("priority", PriorityScheduler),
-    ):
-        sim = Simulator()
-        scheduler = factory(sim, num_cpus=1, quantum=0.010, memory_mb=4096.0)
-        yardstick = PeriodicTask(burst=0.030, think=0.150, warmup=5.0)
-        yardstick.interactive = True
-        scheduler.spawn(yardstick)
-        rng = np.random.default_rng(21)
-        for index in range(n_users):
-            profile = profiles[index % len(profiles)]
-            scheduler.spawn(
-                ProfilePlaybackTask(
-                    name=f"user{index}",
-                    profile_utilization=profile.cpu,
-                    interval=profile.interval,
-                    burst=NETSCAPE.typical_burst_seconds(),
-                    memory_mb=profile.memory_mb,
-                    rng=np.random.default_rng(rng.integers(0, 2**63)),
-                )
-            )
-        sim.run_until(sim_seconds)
-        results[label] = yardstick.mean_added_latency()
-    return results
+    return {
+        label: yardstick_latency(
+            profiles,
+            n_users,
+            sim_seconds=sim_seconds,
+            seed=21,
+            burst_seconds=NETSCAPE.typical_burst_seconds(),
+            scheduler_class=scheduler_class,
+            warmup=5.0,
+        )
+        for label, scheduler_class in (
+            ("round-robin", Scheduler),
+            ("priority", PriorityScheduler),
+        )
+    }
 
 
 # --- 7. MTU sensitivity --------------------------------------------------------------

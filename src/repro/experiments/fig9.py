@@ -21,7 +21,7 @@ per-user profile model does not carry.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -55,23 +55,29 @@ def yardstick_latency(
     memory_mb: float = 4096.0,
     quantum: float = 0.010,
     burst_seconds: float = 0.020,
+    scheduler_class: Type[Scheduler] = Scheduler,
+    warmup: float = DEFAULT_WARMUP_SECONDS,
 ) -> float:
     """Mean added latency (s) of the yardstick among ``n_users`` players.
 
     ``burst_seconds`` is the granularity the background users' CPU
     demand arrives in — one application event's processing.  Use
     :meth:`AppProfile.typical_burst_seconds` for the app being played.
+    The yardstick is marked interactive, which only a
+    :class:`~repro.server.priority.PriorityScheduler` reads; its first
+    ``warmup`` seconds are not measured.
     """
     sim = Simulator()
-    scheduler = Scheduler(
+    scheduler = scheduler_class(
         sim, num_cpus=num_cpus, quantum=quantum, memory_mb=memory_mb
     )
     rng = np.random.default_rng(seed)
     yardstick = PeriodicTask(
         burst=CPU_YARDSTICK_BURST,
         think=CPU_YARDSTICK_THINK,
-        warmup=DEFAULT_WARMUP_SECONDS,
+        warmup=warmup,
     )
+    yardstick.interactive = True
     scheduler.spawn(yardstick)
     for index in range(n_users):
         profile = profiles[index % len(profiles)]

@@ -12,22 +12,17 @@ and probes each cell's *interactivity* end to end:
   bandwidth (the p95 of per-second wire bytes during active use — the
   rate the access link must carry while the user is interacting);
 * a paced display stream offers that demand across the profile's access
-  link while the Figure 11 network yardstick measures round-trip delay
-  through the same bottleneck;
-* each cell runs twice: *static* (the paper's fixed allocation — the
-  sender just transmits at full demand) and *adaptive* (a
-  :class:`~repro.core.bandwidth.TieredAllocator` watches grant shortfall
-  and downlink queue pressure and shifts the stream through quality
-  tiers, full → progressive → thumbnail, restoring hysteretically).
+  link at the paper's fixed (*static*) allocation — the sender just
+  transmits at full demand — while the Figure 11 network yardstick
+  measures round-trip delay through the same bottleneck.
 
 The LAN row is the control cell: its X/SLIM/raw columns come from the
 same memoised user studies as Figure 8, so they are byte-identical to
 that experiment's numbers at the default seed, and its probe shows the
 sub-millisecond RTTs the paper reports.  The cellular and long-haul
-rows are the adversity story: static senders bufferbloat the access
-link (hundreds of ms of standing queue, tail drops), while the tiered
-sender parks at the highest tier that fits and keeps the probe RTT near
-the propagation floor — graceful degradation instead of collapse.
+rows are the adversity story: where the demand exceeds the access link,
+the sender bufferbloats it (hundreds of ms of standing queue, tail
+drops) and the probe RTT leaves the propagation floor far behind.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bandwidth import TieredAllocator
 from repro.experiments import userstudy
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -56,15 +50,10 @@ from repro.workloads.apps import ADVERSITY_APPS
 DEFAULT_PROBE_SEED = 42
 #: Simulated seconds per matrix cell.
 DEFAULT_CELL_SECONDS = 12.0
-#: Tier control-loop period (allocator refresh + pressure observation).
-CONTROL_INTERVAL = 0.25
 #: Display-stream pacing: bursts per second.
 UPDATE_HZ = 20.0
 #: Display-stream packet size (the Fig 11 "response" MTU).
 PACKET_NBYTES = 1200
-#: Fraction of the access-link rate the tier policy budgets; the rest is
-#: headroom for reverse traffic and protocol overhead.
-CAPACITY_HEADROOM = 0.85
 #: Busy-second demand percentile (active-use bandwidth, not session mean).
 PEAK_PERCENTILE = 95.0
 
@@ -128,13 +117,10 @@ class CellProbe:
         self,
         profile: NetworkProfile,
         demand_bps: float,
-        adaptive: bool,
         seconds: float = DEFAULT_CELL_SECONDS,
         seed: int = DEFAULT_PROBE_SEED,
     ) -> None:
-        self.profile = profile
         self.demand_bps = demand_bps
-        self.adaptive = adaptive
         self.seconds = seconds
         self.display_bytes_received = 0
         rng = np.random.default_rng(seed) if profile.randomized else None
@@ -145,15 +131,6 @@ class CellProbe:
             on_console=self._console_rx,
         )
         self.downlink = self.network.downlink("console")
-        self.allocator: Optional[TieredAllocator] = None
-        if adaptive:
-            self.allocator = TieredAllocator(
-                capacity_bps=CAPACITY_HEADROOM * profile.down_rate_bps
-            )
-            self.allocator.request(1, demand_bps)
-            self._rate_bps = self.allocator.effective_rate(1)
-        else:
-            self._rate_bps = demand_bps
         self._carry_bytes = 0.0
 
     def _console_rx(self, packet: Packet) -> None:
@@ -164,7 +141,7 @@ class CellProbe:
 
     # -- the paced display stream -------------------------------------------
     def _emit(self) -> None:
-        self._carry_bytes += self._rate_bps / UPDATE_HZ / 8.0
+        self._carry_bytes += self.demand_bps / UPDATE_HZ / 8.0
         burst = []
         while self._carry_bytes >= PACKET_NBYTES:
             self._carry_bytes -= PACKET_NBYTES
@@ -175,25 +152,11 @@ class CellProbe:
             self.network.send_burst(burst)
         self.sim.schedule(1.0 / UPDATE_HZ, self._emit)
 
-    # -- the tier control loop ----------------------------------------------
-    def _control(self) -> None:
-        assert self.allocator is not None
-        limit = self.profile.queue_limit_bytes
-        queue_pressure = (
-            min(1.0, self.downlink.queued_bytes / limit) if limit else 0.0
-        )
-        self.allocator.request(1, self.demand_bps)
-        self.allocator.observe(queue_pressure)
-        self._rate_bps = self.allocator.effective_rate(1)
-        self.sim.schedule(CONTROL_INTERVAL, self._control)
-
     # -- running --------------------------------------------------------------
     def run(self) -> "CellProbe":
         self.yardstick.start()
         if self.demand_bps > 0:
             self.sim.schedule(0.0, self._emit)
-        if self.allocator is not None:
-            self.sim.schedule(CONTROL_INTERVAL, self._control)
         self.sim.run_until(self.seconds)
         return self
 
@@ -205,11 +168,6 @@ class CellProbe:
 
     def delivered_bps(self) -> float:
         return self.display_bytes_received * 8.0 / self.seconds
-
-    def tier_name(self) -> str:
-        if self.allocator is None:
-            return "static"
-        return self.allocator.tier_of(1).name
 
 
 def _resolve_names(value: object, default: Sequence[str]) -> List[str]:
@@ -245,71 +203,46 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         floor_ms = 1000 * profile.min_rtt()
         for workload in workload_names:
             bw = demands[workload]
-            static_label = f"{profile_name}/{workload}/static"
-            adaptive_label = f"{profile_name}/{workload}/adaptive"
-            _note_cell(static_label)
-            with _cell_label(collection, static_label):
-                static = CellProbe(
+            label = f"{profile_name}/{workload}/static"
+            _note_cell(label)
+            with _cell_label(collection, label):
+                probe = CellProbe(
                     profile,
                     bw["demand"],
-                    adaptive=False,
                     seconds=cell_seconds,
                     seed=probe_seed,
                 ).run()
-            _note_cell(adaptive_label)
-            with _cell_label(collection, adaptive_label):
-                adaptive = CellProbe(
-                    profile,
-                    bw["demand"],
-                    adaptive=True,
-                    seconds=cell_seconds,
-                    seed=probe_seed,
-                ).run()
-            allocator = adaptive.allocator
-            assert allocator is not None
             if registry.enabled:
                 # Per-profile yardstick telemetry for dashboards.
                 registry.gauge(
                     "wan.yardstick.rtt_ms", profile=profile_name,
                     workload=workload,
-                ).set(1000 * adaptive.yardstick.mean_rtt())
+                ).set(1000 * probe.yardstick.mean_rtt())
                 registry.counter(
                     "wan.yardstick.samples", profile=profile_name,
                     workload=workload,
-                ).inc(len(adaptive.yardstick.rtts))
-            row: Dict[str, object] = (
-                {
-                    "profile": profile_name,
-                    "workload": workload,
-                    "X (Mbps)": round(bw["x"] / MBPS, 3),
-                    "SLIM (Mbps)": round(bw["slim"] / MBPS, 3),
-                    "raw (Mbps)": round(bw["raw"] / MBPS, 3),
-                    "demand (Mbps)": round(bw["demand"] / MBPS, 2),
-                    "floor ms": round(floor_ms, 2),
-                    "RTT ms static": _fmt_ms(static.yardstick.mean_rtt()),
-                    "RTT ms adaptive": _fmt_ms(adaptive.yardstick.mean_rtt()),
-                    "p95 ms adaptive": _fmt_ms(adaptive.p95_rtt()),
-                    "probe loss": f"{adaptive.yardstick.loss_rate():.0%}",
-                    "tier": adaptive.tier_name(),
-                    "demotions": allocator.stats.demotions,
-                    "promotions": allocator.stats.promotions,
-                    "drops static": static.downlink.stats.packets_dropped,
-                    "drops adaptive": adaptive.downlink.stats.packets_dropped,
-                    "delivered Mbps": round(
-                        adaptive.delivered_bps() / MBPS, 2
-                    ),
-                }
-            )
+                ).inc(len(probe.yardstick.rtts))
+            row: Dict[str, object] = {
+                "profile": profile_name,
+                "workload": workload,
+                "X (Mbps)": round(bw["x"] / MBPS, 3),
+                "SLIM (Mbps)": round(bw["slim"] / MBPS, 3),
+                "raw (Mbps)": round(bw["raw"] / MBPS, 3),
+                "demand (Mbps)": round(bw["demand"] / MBPS, 2),
+                "floor ms": round(floor_ms, 2),
+                "RTT ms": _fmt_ms(probe.yardstick.mean_rtt()),
+                "p95 ms": _fmt_ms(probe.p95_rtt()),
+                "probe loss": f"{probe.yardstick.loss_rate():.0%}",
+                "drops": probe.downlink.stats.packets_dropped,
+                "delivered Mbps": round(probe.delivered_bps() / MBPS, 2),
+            }
             if collection is not None:
                 # Flush trailing partial windows so the per-cell SLO
-                # verdict sees the whole cell, then judge each series
+                # verdict sees the whole cell, then judge its series
                 # against the 150 ms keystroke-echo budget.
                 collection.finish_samplers()
-                row["SLO static"] = _slo_compliance(
-                    slo_engine, collection.run_by_label(static_label)
-                )
-                row["SLO adaptive"] = _slo_compliance(
-                    slo_engine, collection.run_by_label(adaptive_label)
+                row["SLO"] = _slo_compliance(
+                    slo_engine, collection.run_by_label(label)
                 )
             rows.append(row)
     return ExperimentResult(
@@ -321,15 +254,12 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "studies (the LAN rows reproduce Fig 8 byte-identically at "
             "the default seed); demand is the p95 busy-second SLIM rate",
             "each cell offers the demand across the profile's access "
-            "link for "
-            f"{cell_seconds:g}s, twice: static (paper allocation) vs "
-            "adaptive (TieredAllocator full/progressive/thumbnail)",
-            "graceful degradation: adaptive cells park at the highest "
-            "tier whose rate fits and keep probe RTT near the floor; "
-            "static cells bufferbloat and tail-drop instead",
-            "SLO columns (with --timeseries/--slo) count windows whose "
+            f"link for {cell_seconds:g}s at the paper's static "
+            "allocation; where it exceeds the link, the cell "
+            "bufferbloats and tail-drops",
+            "the SLO column (with --timeseries/--slo) counts windows whose "
             "windowed yardstick p95 met the 150 ms keystroke-echo "
-            "budget; VIOL marks cells whose violations blew the "
+            "budget; VIOL marks a cell whose violations blew the "
             f"{KEYSTROKE_ECHO.budget:.0%} error budget",
         ],
     )

@@ -11,8 +11,8 @@ handed to them — datagrams, trace objects — and render bytes and
 dicts only when frozen, so a record costs an append and an untapped
 path nothing at all: the recorder is safe to arm by default.
 
-When a trigger fires — a streaming SLO violation, a loss-burst or
-tier-thrash detector, a KeyboardInterrupt, or a crash — the rings are
+When a trigger fires — a streaming SLO violation, the loss-burst
+detector, a KeyboardInterrupt, or a crash — the rings are
 frozen into a self-describing ``.slimpm`` bundle: a zip holding
 
 * ``manifest.json`` — what fired, when, counts, config snapshot;
@@ -108,10 +108,10 @@ class FlightRecorder:
         self.armed = True
         #: The policy: the event kinds that freeze the rings, and the
         #: streak each fires at.  Tight-budget specs fire on the first
-        #: violating window; loose ones (tier residency burns 25% budget
-        #: by design) need a 3-window streak first.  A kind not listed
-        #: (queue build-up) is advisory.
-        self._freeze_at: Dict[str, int] = {"loss_burst": 1, "tier_thrash": 1}
+        #: violating window; loose ones (a budget above 10%) need a
+        #: 3-window streak first.  A kind not listed (queue build-up) is
+        #: advisory.
+        self._freeze_at: Dict[str, int] = {"loss_burst": 1}
         for spec in self.specs:
             self._freeze_at[spec.event_kind] = 1 if spec.budget <= 0.10 else 3
         self._graders: Dict[str, WindowGrader] = {}

@@ -2,23 +2,20 @@
 
 The paper's usability argument is a handful of thresholds: keystroke
 echo must keep up with the ~150 ms human cadence (the yardstick's think
-time, Section 6.2), video must hold its frame rate (Section 6.3), loss
-recovery must finish before the user notices, and the bandwidth tiers
-from the adversity work must not park a session at thumbnail quality.
-This module makes those thresholds first-class: an :class:`SloSpec`
-names a windowed series (as produced by :mod:`repro.obs.timeseries`),
-a comparison, and an *error budget* — the fraction of windows allowed
-to violate before the SLO as a whole is broken — and the
-:class:`SloEngine` evaluates every spec against every run, tracking
-budget burn (violations consumed / violations allowed; > 1 means the
-budget is blown).
+time, Section 6.2), video must hold its frame rate (Section 6.3), and
+loss recovery must finish before the user notices.  This module makes
+those thresholds first-class: an :class:`SloSpec` names a windowed
+series (as produced by :mod:`repro.obs.timeseries`), a comparison, and
+an *error budget* — the fraction of windows allowed to violate before
+the SLO as a whole is broken — and the :class:`SloEngine` evaluates
+every spec against every run, tracking budget burn (violations consumed
+/ violations allowed; > 1 means the budget is blown).
 
 Alongside per-spec results the engine emits structured **health
 events** — latency spikes (contiguous violating windows merged into one
-event), loss bursts, tier thrash, and queue buildup — each annotated
-with the trace ids that were in flight during the offending windows, so
-an event links straight back to the causal traces of the affected
-updates.
+event), loss bursts and queue buildup — each annotated with the trace
+ids that were in flight during the offending windows, so an event links
+straight back to the causal traces of the affected updates.
 
 JSONL schema (one object per line)::
 
@@ -56,7 +53,6 @@ __all__ = [
     "KEYSTROKE_ECHO",
     "VIDEO_FRAME_RATE",
     "LOSS_RECOVERY",
-    "TIER_RESIDENCY",
     "validate_slo_records",
 ]
 
@@ -73,30 +69,8 @@ _OPS = {
 #: Packets lost/dropped in one window before it counts as a loss burst.
 LOSS_BURST_MIN = 5
 
-#: Tier transitions in one window before it counts as thrash.
-TIER_THRASH_MIN = 2
-
 #: Consecutive rising windows before a queue series counts as buildup.
 QUEUE_BUILDUP_RUN = 3
-
-#: The rules that sum label streams over one window:
-#: (event kind, event series, key prefixes, minimum, what was counted).
-_WINDOW_SUMS = (
-    (
-        "loss_burst",
-        "net.link.packets_lost+dropped",
-        ("net.link.packets_lost", "net.link.packets_dropped"),
-        LOSS_BURST_MIN,
-        "packets lost/dropped",
-    ),
-    (
-        "tier_thrash",
-        "bw.tier.transitions",
-        ("bw.tier.transitions",),
-        TIER_THRASH_MIN,
-        "tier transitions",
-    ),
-)
 
 
 @dataclass(frozen=True)
@@ -204,27 +178,11 @@ LOSS_RECOVERY = SloSpec(
     description="loss recovery p95 within 300 ms (two 150 ms cadences)",
 )
 
-#: Bandwidth-tier residency: the adaptive allocator may degrade, but a
-#: session parked at thumbnail (tier level 2) in more than a quarter of
-#: windows has lost the graceful-degradation argument.
-TIER_RESIDENCY = SloSpec(
-    name="tier_residency",
-    metric="bw.tier.level",
-    kind="gauge",
-    threshold=1.0,
-    op="<=",
-    budget=0.25,
-    event="tier_floor",
-    description="sessions stay at full/progressive fidelity "
-    "(tier level <= 1) in >= 75% of windows",
-)
-
 #: The paper-grounded default set.
 INTERACTIVITY_SLOS: Tuple[SloSpec, ...] = (
     KEYSTROKE_ECHO,
     VIDEO_FRAME_RATE,
     LOSS_RECOVERY,
-    TIER_RESIDENCY,
 )
 
 
@@ -393,10 +351,10 @@ class WindowGrader:
     A *spec violation* is ``value op threshold`` failing for a series
     the spec matches; adjacent violating windows extend one event (worst
     value, union of trace ids) whose *streak* is how many it spans.  A
-    *loss burst* or *tier thrash* is the window's deltas, summed over
-    every label stream, reaching the minimum (:data:`_WINDOW_SUMS`): one
-    event per window.  *Queue build-up* is a ``*queue*`` gauge or
-    histogram mean rising :data:`QUEUE_BUILDUP_RUN` windows in a row.
+    *loss burst* is the window's lost and dropped packets, summed over
+    every link, reaching :data:`LOSS_BURST_MIN`: one event per window.
+    *Queue build-up* is a ``*queue*`` gauge or histogram mean rising
+    :data:`QUEUE_BUILDUP_RUN` windows in a row.
     """
 
     def __init__(self, specs: Sequence[SloSpec], run_label: str) -> None:
@@ -423,19 +381,20 @@ class WindowGrader:
             for key in keys:
                 if spec.matches(key):
                     touched.extend(self._grade_series(index, spec, key, record))
-        counters = record.get("counters", {})
-        for kind, series, prefixes, minimum, what in _WINDOW_SUMS:
-            total = sum(
-                delta
-                for key, delta in counters.items()
-                if key.startswith(prefixes)
+        lost = sum(
+            delta
+            for key, delta in record.get("counters", {}).items()
+            if key.startswith(
+                ("net.link.packets_lost", "net.link.packets_dropped")
             )
-            if total >= minimum:
-                event = self._event(
-                    kind, series, record, float(total), float(minimum),
-                    f"{total:g} {what} in one window",
-                )
-                touched.append((event, 1))
+        )
+        if lost >= LOSS_BURST_MIN:
+            event = self._event(
+                "loss_burst", "net.link.packets_lost+dropped", record,
+                float(lost), float(LOSS_BURST_MIN),
+                f"{lost:g} packets lost/dropped in one window",
+            )
+            touched.append((event, 1))
         for family, kind in (("gauges", "gauge"), ("histograms", "histogram_mean")):
             for key in record.get(family, ()):
                 if "queue" in key:

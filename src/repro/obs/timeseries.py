@@ -40,7 +40,7 @@ The JSONL schema (one object per line)::
      "window_seconds": 1.0}
     {"type": "window", "run": 0, "t0": 3.0, "t1": 4.0,
      "counters": {"net.link.packets_lost{link=down:console}": 3},
-     "gauges": {"bw.tier.level{client=1}": 1},
+     "gauges": {"server.driver.compression_factor": 3.2},
      "histograms": {"net.yardstick.rtt_seconds":
          {"count": 4, "sum": 1.9, "buckets": [[0.002, 0], ...]}},
      "trace_ids": [17]}
@@ -596,12 +596,6 @@ class TimeSeriesCollection:
     def write_jsonl(self, path_or_file: Union[str, IO[str]]) -> int:
         """Write the collection as JSONL; returns the record count."""
         return write_jsonl(self.to_records(), path_or_file)
-
-    @classmethod
-    def read_jsonl(cls, path: str) -> "TimeSeriesCollection":
-        with open(path, "r", encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-        return cls.from_records(records)
 
 
 def write_jsonl(

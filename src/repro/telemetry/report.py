@@ -22,7 +22,7 @@ MAX_SERIES_PER_FAMILY = 8
 
 def _format_value(value: float) -> str:
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
+        if abs(value) < 1e15 and value == int(value):
             return str(int(value))
         if abs(value) >= 1000 or (value != 0 and abs(value) < 0.001):
             return f"{value:.4g}"

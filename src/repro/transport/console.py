@@ -12,9 +12,12 @@ the ones that have not.  Three events resolve a sequence number:
 * it is covered by a full-screen refresh, which arrives as ordinary new
   messages plus the same confirmation.
 
-Suspicion is reorder-tolerant: a hole is NACKed only after
-``nack_delay`` seconds without filling, so a fabric that merely reorders
-generates zero recovery traffic.  NACKs that are themselves lost are
+Suspicion is reorder-tolerant only up to ``nack_delay``: a hole is
+NACKed after ``nack_delay`` seconds without filling.  On an unjittered
+path nothing arrives out of order, so a hole is a loss; a jittered link
+reorders per packet, and a packet late by more than ``nack_delay``
+draws a NACK and a recovery it did not need (ROADMAP.md item 4(i)).
+NACKs that are themselves lost are
 retried when the server's next periodic ``SYNC`` arrives — the status
 exchange bounds tail-loss recovery, so the last message of a burst is
 recovered without any out-of-band settle loop.

@@ -283,9 +283,12 @@ class ServerChannel:
     def _damage_closure(self, seq: int, rect: object) -> List[object]:
         """The lost rect plus every region a later COPY smeared it into.
 
-        Delivery is FIFO, so only copies sequenced *after* the lost
-        message can have read its stale pixels at the console; a single
-        forward pass over the (seq-ordered) copy log handles chains.
+        Only copies sequenced *after* the lost message can have read
+        its stale pixels at the console; a single forward pass over the
+        (seq-ordered) copy log handles chains.  That holds where
+        delivery is FIFO, i.e. on an unjittered path; a jittered link
+        reorders, and the console paints in arrival order
+        (ROADMAP.md item 4(i)).
         """
         rects = [rect]
         for copy_seq, copy in self._copies:
@@ -327,7 +330,9 @@ class ServerChannel:
 
     def _send_sync(self) -> None:
         """Announce the highest seq sent (the SYNC's own seq, by design:
-        FIFO delivery means everything below it has gone out before)."""
+        everything below it has gone out before, and on an unjittered
+        path, where delivery is FIFO, arrives before it too; a jittered
+        link reorders — ROADMAP.md item 4(i))."""
         seq = self.codec.next_seq()
         self.stats.syncs_sent += 1
         if self._m_syncs is not None:

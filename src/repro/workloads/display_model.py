@@ -256,8 +256,3 @@ class DisplayModel:
                 uniform_fraction=cls.image_uniform_fraction,
             )
         raise WorkloadError(f"cannot synthesise op kind {kind!r}")
-
-    # -- analytic helpers ------------------------------------------------------------
-    def mean_area(self) -> float:
-        """Expected update area (before the display-size cap)."""
-        return self.archetype.expected_area()

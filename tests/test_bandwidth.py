@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.core.bandwidth import (
-    DEFAULT_TIERS,
-    BandwidthAllocator,
-    QualityTier,
-    TieredAllocator,
-)
+from repro.core.bandwidth import BandwidthAllocator
 from repro.errors import BandwidthError
-from repro.runcontext import use_run
-from repro.telemetry.metrics import MetricsRegistry
 from repro.units import MBPS
 
 
@@ -55,7 +48,7 @@ class TestPaperPolicy:
         allocator.request(2, 40 * MBPS)
         assert allocator.grant_for(1).satisfied
         assert allocator.grant_for(2).satisfied
-        assert allocator.unallocated_bps == pytest.approx(30 * MBPS)
+        assert allocator.capacity_bps - allocator.allocated_bps == pytest.approx(30 * MBPS)
 
     def test_small_requests_granted_before_large(self):
         allocator = BandwidthAllocator(100 * MBPS)
@@ -65,7 +58,7 @@ class TestPaperPolicy:
         # fits within the remaining 95 — both fully granted.
         assert allocator.grant_for(2).satisfied
         assert allocator.grant_for(1).satisfied
-        assert allocator.unallocated_bps == pytest.approx(5 * MBPS)
+        assert allocator.capacity_bps - allocator.allocated_bps == pytest.approx(5 * MBPS)
 
     def test_fair_share_among_oversized(self):
         allocator = BandwidthAllocator(100 * MBPS)
@@ -163,7 +156,7 @@ class TestEdgeCases:
         allocator.request(1, 10 * MBPS)  # shrink, not a new client
         assert allocator.grant_for(1).satisfied
         assert allocator.grant_for(2).satisfied
-        assert allocator.unallocated_bps == pytest.approx(10 * MBPS)
+        assert allocator.capacity_bps - allocator.allocated_bps == pytest.approx(10 * MBPS)
 
     def test_withdraw_during_contention_regrants_the_rest(self):
         allocator = BandwidthAllocator(100 * MBPS)
@@ -176,149 +169,3 @@ class TestEdgeCases:
         assert allocator.grant_for(3).satisfied
         assert len(allocator.grants()) == 2
 
-
-class TestQualityTier:
-    def test_scale_bounds(self):
-        with pytest.raises(BandwidthError):
-            QualityTier("bad", 0.0)
-        with pytest.raises(BandwidthError):
-            QualityTier("bad", 1.5)
-
-    def test_default_ladder_strictly_decreasing(self):
-        scales = [tier.scale for tier in DEFAULT_TIERS]
-        assert scales == sorted(scales, reverse=True)
-        assert DEFAULT_TIERS[0].scale == 1.0
-
-
-class TestTieredAllocatorConstruction:
-    def test_requires_tiers(self):
-        with pytest.raises(BandwidthError):
-            TieredAllocator(10 * MBPS, tiers=())
-
-    def test_requires_decreasing_scales(self):
-        with pytest.raises(BandwidthError):
-            TieredAllocator(
-                10 * MBPS,
-                tiers=(QualityTier("a", 0.5), QualityTier("b", 0.5)),
-            )
-
-    def test_requires_threshold_gap(self):
-        with pytest.raises(BandwidthError):
-            TieredAllocator(10 * MBPS, demote_pressure=0.2,
-                            promote_pressure=0.3)
-
-    def test_requires_positive_streaks(self):
-        with pytest.raises(BandwidthError):
-            TieredAllocator(10 * MBPS, demote_after=0)
-
-
-class TestTieredAllocator:
-    def make(self, capacity=10 * MBPS, **kw):
-        kw.setdefault("demote_after", 2)
-        kw.setdefault("promote_after", 3)
-        return TieredAllocator(capacity, **kw)
-
-    def test_starts_at_full_tier(self):
-        tiered = self.make()
-        tiered.request(1, 4 * MBPS)
-        assert tiered.tier_of(1).name == "full"
-        assert tiered.effective_rate(1) == pytest.approx(4 * MBPS)
-        assert tiered.shortfall() == 0.0
-
-    def test_demotes_largest_sender_after_streak(self):
-        tiered = self.make()
-        tiered.request(1, 30 * MBPS)  # the hog
-        tiered.request(2, 2 * MBPS)
-        assert tiered.observe(0.0) is None  # shortfall high, streak of 1
-        transition = tiered.observe(0.0)
-        assert transition == (1, "full", "progressive")
-        assert tiered.tier_of(2).name == "full"  # small sender untouched
-        assert tiered.stats.demotions == 1
-
-    def test_queue_pressure_alone_can_demote(self):
-        tiered = self.make(capacity=100 * MBPS)
-        tiered.request(1, 10 * MBPS)  # fully granted: zero shortfall
-        tiered.observe(0.9)
-        transition = tiered.observe(0.9)
-        assert transition is not None
-        assert tiered.stats.demotions == 1
-
-    def test_hysteresis_band_resets_both_streaks(self):
-        tiered = self.make(capacity=100 * MBPS)
-        tiered.request(1, 10 * MBPS)
-        tiered.observe(0.9)
-        tiered.observe(0.25)  # between promote (0.15) and demote (0.35)
-        assert tiered.observe(0.9) is None  # streak restarted
-        assert tiered.observe(0.9) is not None
-
-    def test_parks_in_hysteresis_band_instead_of_flapping(self):
-        tiered = self.make(capacity=10 * MBPS)
-        tiered.request(1, 30 * MBPS)
-        # Full-tier shortfall 0.67: two congested observations demote.
-        tiered.observe(0.0)
-        assert tiered.observe(0.0) == (1, "full", "progressive")
-        # Progressive requests 13.5 against 10: shortfall 0.26 sits in
-        # the hysteresis band — parked, neither demoted nor promoted.
-        for _ in range(10):
-            assert tiered.observe(0.0) is None
-        assert tiered.tier_of(1).name == "progressive"
-
-    def test_admission_check_blocks_oversized_promotion(self):
-        tiered = self.make(capacity=10 * MBPS)
-        tiered.request(1, 30 * MBPS)
-        tiered.observe(0.0)
-        tiered.observe(0.0)  # full -> progressive (shortfall-driven)
-        # Bufferbloat pushes it the rest of the way down...
-        tiered.observe(1.0)
-        assert tiered.observe(1.0) == (1, "progressive", "thumbnail")
-        # ...where the rate fits and the link goes quiet.  Even after
-        # many clear observations the admission check refuses promotion:
-        # progressive's restored request would sit at shortfall 0.26,
-        # above the promote band, so the sender stays parked (no flap).
-        for _ in range(12):
-            assert tiered.observe(0.0) is None
-        assert tiered.tier_of(1).name == "thumbnail"
-        assert tiered.stats.promotions == 0
-
-    def test_promotion_restores_full_when_it_fits(self):
-        tiered = self.make(capacity=10 * MBPS)
-        tiered.request(1, 30 * MBPS)
-        tiered.observe(0.9)
-        tiered.observe(0.9)
-        assert tiered.tier_of(1).name == "progressive"
-        tiered.request(1, 5 * MBPS)  # demand drops (user stopped scrolling)
-        for _ in range(2):
-            assert tiered.observe(0.0) is None
-        assert tiered.observe(0.0) == (1, "progressive", "full")
-        assert tiered.stats.promotions == 1
-
-    def test_withdraw_forgets_tier_state(self):
-        tiered = self.make()
-        tiered.request(1, 30 * MBPS)
-        tiered.observe(0.9)
-        tiered.observe(0.9)
-        tiered.withdraw(1)
-        with pytest.raises(BandwidthError):
-            tiered.tier_of(1)
-        tiered.request(1, 1 * MBPS)
-        assert tiered.tier_of(1).name == "full"  # fresh start
-
-    def test_negative_pressure_rejected(self):
-        tiered = self.make()
-        with pytest.raises(BandwidthError):
-            tiered.observe(-0.1)
-
-    def test_transitions_recorded_in_stats_and_telemetry(self):
-        registry = MetricsRegistry()
-        with use_run(registry=registry):
-            tiered = self.make()
-        tiered.request(1, 30 * MBPS)
-        tiered.observe(0.9)
-        tiered.observe(0.9)
-        assert tiered.stats.transitions == [(1, "full", "progressive")]
-        assert tiered.stats.peak_pressure == pytest.approx(0.9)
-        assert tiered.stats.observations == 2
-        counter = registry.counter(
-            "bw.tier.transitions", direction="demote", tier="progressive"
-        )
-        assert counter.value == 1

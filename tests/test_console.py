@@ -1,6 +1,5 @@
 """Unit tests for the console and its micro-op timing model."""
 
-import numpy as np
 import pytest
 
 from repro.core import commands as cmd
@@ -78,9 +77,8 @@ class TestCalibration:
     def test_calibration_lands_on_table5(self, key):
         result = calibrate_command(key)
         reference = SUN_RAY_1_COSTS[key]
-        startup_err, slope_err = result.error_vs(reference)
-        assert startup_err < 0.05
-        assert slope_err < 0.05
+        assert result.startup_ns == pytest.approx(reference.startup_ns, rel=0.05)
+        assert result.per_pixel_ns == pytest.approx(reference.per_pixel_ns, rel=0.05)
 
 
 class TestStandAloneConsole:

@@ -23,7 +23,7 @@ def sample_collection():
         lan.append_window({
             "t0": float(i), "t1": float(i) + 1.0,
             "counters": {"net.pkts": 10 + i},
-            "gauges": {"bw.tier.level{client=1}": 0},
+            "gauges": {"test.level{client=1}": 0},
             "histograms": {
                 "net.yardstick.rtt_seconds": {
                     "count": 5, "sum": 0.05,
@@ -91,7 +91,7 @@ class TestRenderRun:
         text = render_run(run, width=16)
         assert "run 'lan/static': 8 windows" in text
         assert "net.pkts" in text
-        assert "bw.tier.level{client=1}" in text
+        assert "test.level{client=1}" in text
         assert "last" in text and "max" in text
 
     def test_metric_patterns_filter(self):

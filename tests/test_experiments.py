@@ -443,32 +443,23 @@ class TestWanMatrixLandmarks:
         from repro.experiments.wan_matrix import CellProbe
         from repro.netsim.profiles import get_profile
 
-        probe = CellProbe(
-            get_profile("lan"), 1e6, adaptive=True, seconds=5.0
-        ).run()
+        probe = CellProbe(get_profile("lan"), 1e6, seconds=5.0).run()
         assert probe.yardstick.mean_rtt() < 0.001
-        assert probe.tier_name() == "full"
-        assert probe.allocator.stats.demotions == 0
+        assert probe.downlink.stats.packets_dropped == 0
 
-    def test_cellular_overload_degrades_gracefully(self):
-        """The adversity cell: tiers trade fidelity for interactivity."""
+    def test_cellular_overload_bufferbloats_and_drops(self):
+        """The adversity cell: the paper's fixed allocation, offered
+        twice the downlink, stands a queue and tail-drops."""
         from repro.experiments.wan_matrix import CellProbe
         from repro.netsim.profiles import get_profile
 
         profile = get_profile("cellular")
         demand = 2.0 * profile.down_rate_bps  # well past the downlink
-        static = CellProbe(profile, demand, adaptive=False, seconds=8.0).run()
-        adaptive = CellProbe(profile, demand, adaptive=True, seconds=8.0).run()
-        # Static: the paper's fixed allocation bufferbloats and drops.
-        assert static.downlink.stats.packets_dropped > 100
-        # Adaptive: demoted below full, queue stays bounded, probe RTT
-        # bounded near the propagation floor instead of collapsing.
-        assert adaptive.allocator.stats.demotions >= 1
-        assert adaptive.tier_name() != "full"
-        assert adaptive.downlink.stats.packets_dropped == 0
-        assert adaptive.yardstick.mean_rtt() < 0.4
-        # inf counts as worse
-        assert static.yardstick.mean_rtt() > adaptive.yardstick.mean_rtt()
+        probe = CellProbe(profile, demand, seconds=8.0).run()
+        assert probe.downlink.stats.packets_dropped > 100
+        # inf (no round answered) counts as past the bound
+        assert probe.yardstick.mean_rtt() > 0.4
+        assert probe.delivered_bps() < profile.down_rate_bps
 
 
 class TestLossyFabricProfileCells:

@@ -244,16 +244,25 @@ class TestTriggers:
         assert str(recorder.last_bundle) in line
 
 
-#: A drawn telemetry window: loss spread over three links, tier
-#: transitions in both directions, a tier level, yardstick round trips
-#: by bucket (<= 50 ms, <= 150 ms, <= 500 ms, beyond).
+#: A loose-budget gauge objective: it freezes the rings only on a
+#: 3-window streak, where the default specs fire on the first window.
+LOOSE_LEVEL = SloSpec(
+    name="level_cap",
+    metric="test.level",
+    kind="gauge",
+    threshold=1.0,
+    budget=0.25,
+)
+
+#: A drawn telemetry window: loss spread over three links, a
+#: ``test.level`` gauge, yardstick round trips by bucket (<= 50 ms,
+#: <= 150 ms, <= 500 ms, beyond).
 _drawn_windows = st.lists(
     st.fixed_dictionaries(
         {
             "run": st.sampled_from(["cell-a", "cell-b"]),
             "lost": st.lists(st.integers(0, 4), min_size=3, max_size=3),
-            "transitions": st.tuples(st.integers(0, 2), st.integers(0, 2)),
-            "tier": st.sampled_from([None, 0, 1, 2]),
+            "level": st.sampled_from([None, 0, 1, 2]),
             "rtts": st.lists(st.integers(0, 5), min_size=4, max_size=4),
         }
     ),
@@ -268,9 +277,6 @@ def _telemetry_window(t0, drawn):
         for link, n in enumerate(drawn["lost"])
         if n
     }
-    for direction, n in zip(("demote", "promote"), drawn["transitions"]):
-        if n:
-            counters[f"bw.tier.transitions{{direction={direction}}}"] = n
     window = {
         "t0": t0,
         "t1": t0 + 1.0,
@@ -279,8 +285,8 @@ def _telemetry_window(t0, drawn):
         "histograms": {},
         "trace_ids": [int(t0)],
     }
-    if drawn["tier"] is not None:
-        window["gauges"]["bw.tier.level{client=1}"] = drawn["tier"]
+    if drawn["level"] is not None:
+        window["gauges"]["test.level{client=1}"] = drawn["level"]
     if sum(drawn["rtts"]):
         bounds = (0.05, 0.15, 0.5, float("inf"))
         window["histograms"]["net.yardstick.rtt_seconds"] = {
@@ -296,7 +302,8 @@ def _telemetry_window(t0, drawn):
 def test_a_trigger_is_in_the_verdict_of_the_windows_it_froze(drawn_windows):
     """Whatever froze the rings, the SLO report over the frozen windows
     (a bundle's ``slo.jsonl``) holds that event, with that value."""
-    recorder = FlightRecorder(out_dir=None)
+    specs = INTERACTIVITY_SLOS + (LOOSE_LEVEL,)
+    recorder = FlightRecorder(out_dir=None, specs=specs)
     clock = {"cell-a": 0.0, "cell-b": 0.0}
     for drawn in drawn_windows:
         fired = len(recorder.triggers)
@@ -305,7 +312,7 @@ def test_a_trigger_is_in_the_verdict_of_the_windows_it_froze(drawn_windows):
         clock[label] += 1.0
         if len(recorder.triggers) == fired:
             continue
-        report = SloEngine(INTERACTIVITY_SLOS).evaluate(recorder._timeseries())
+        report = SloEngine(specs).evaluate(recorder._timeseries())
         for trigger in recorder.triggers[fired:]:
             assert [
                 event
@@ -321,7 +328,7 @@ def test_loss_spread_over_links_is_one_burst(tmp_path):
     recorder = FlightRecorder(out_dir=tmp_path, label="spread", specs=[])
     window = _telemetry_window(
         0.0,
-        {"lost": [3, 0, 2], "transitions": (0, 0), "tier": None, "rtts": [0] * 4},
+        {"lost": [3, 0, 2], "level": None, "rtts": [0] * 4},
     )
     recorder.observe_window("cell", window)
     assert [t["kind"] for t in recorder.triggers] == ["loss_burst"]

@@ -130,7 +130,7 @@ def test_a_window_is_cut_graded_and_drawn_in_one_place():
         for node in ast.walk(recorder)
     }
     assert not recorder_names & {
-        "LOSS_BURST_MIN", "TIER_THRASH_MIN", "QUEUE_BUILDUP_RUN", "window_value"
+        "LOSS_BURST_MIN", "QUEUE_BUILDUP_RUN", "window_value"
     }
     # Drawn once: one caller of the sparkline outside its own module,
     # one dict from instrument family to series kind.
@@ -153,9 +153,9 @@ def test_a_window_is_cut_graded_and_drawn_in_one_place():
 def test_a_wan_cell_reports_every_layer_to_the_run():
     registry = MetricsRegistry()
     with use_run(registry=registry):
-        CellProbe(get_profile("dsl"), 2e6, adaptive=True, seconds=2.0).run()
+        CellProbe(get_profile("dsl"), 2e6, seconds=2.0).run()
     families = {instrument.name.rpartition(".")[0] for instrument in registry}
-    assert {"net.link", "net.switch", "net.yardstick", "bw.tier"} <= families
+    assert {"net.link", "net.switch", "net.yardstick"} <= families
 
 
 def test_lossy_fabric_reports_its_probes_to_the_run():
@@ -174,7 +174,9 @@ _REPLACED = (
     "record_flight set_recorder active_recorder _MarkMonitor "
     "live_progress live_dashboard _registry_drops "
     "_SLO_FAMILY _LOSS_PREFIXES _TIER_PREFIX "
-    "set_default_monitor Tracer Span sample_periodically"
+    "set_default_monitor Tracer Span sample_periodically "
+    "TieredAllocator QualityTier TierStats DEFAULT_TIERS "
+    "TIER_RESIDENCY TIER_THRASH_MIN _WINDOW_SUMS"
 ).split()
 
 
@@ -185,6 +187,8 @@ _REPLACED = (
         "repro.obs",
         "repro.obs.timeseries",
         "repro.obs.flightrec",
+        "repro.obs.slo",
+        "repro.core.bandwidth",
         "repro.telemetry",
         "repro.telemetry.metrics",
         "repro.obs.progress",

@@ -2,7 +2,7 @@
 
 Exercises spec matching and budget-burn math, contiguous-violation
 health events with trace-id annotation, the built-in detectors (loss
-bursts, tier thrash, queue buildup), and the report's render/JSONL
+bursts, queue buildup), and the report's render/JSONL
 surfaces against hand-built windowed runs.
 """
 
@@ -17,7 +17,6 @@ from repro.obs.slo import (
     KEYSTROKE_ECHO,
     LOSS_BURST_MIN,
     QUEUE_BUILDUP_RUN,
-    TIER_THRASH_MIN,
     SloEngine,
     SloSpec,
     validate_slo_records,
@@ -25,13 +24,13 @@ from repro.obs.slo import (
 from repro.obs.timeseries import RunSeries, TimeSeriesCollection
 
 GAUGE_SLO = SloSpec(
-    name="tier_cap",
-    metric="bw.tier.level",
+    name="level_cap",
+    metric="test.level",
     kind="gauge",
     threshold=1.0,
     op="<=",
     budget=0.25,
-    event="tier_floor",
+    event="level_floor",
 )
 
 
@@ -47,7 +46,7 @@ def gauge_window(t0, value, **extra):
         "t0": t0,
         "t1": t0 + 1.0,
         "counters": {},
-        "gauges": {"bw.tier.level{client=1}": value},
+        "gauges": {"test.level{client=1}": value},
         "histograms": {},
     }
     record.update(extra)
@@ -75,10 +74,10 @@ def rtt_window(t0, p95_ish, count=10, **extra):
 
 class TestSloSpec:
     def test_matches_bare_and_labelled_keys(self):
-        assert GAUGE_SLO.matches("bw.tier.level")
-        assert GAUGE_SLO.matches("bw.tier.level{client=1}")
-        assert not GAUGE_SLO.matches("bw.tier.level.other")
-        assert not GAUGE_SLO.matches("bw.tier")
+        assert GAUGE_SLO.matches("test.level")
+        assert GAUGE_SLO.matches("test.level{client=1}")
+        assert not GAUGE_SLO.matches("test.level.other")
+        assert not GAUGE_SLO.matches("test")
 
     def test_passes_respects_operator(self):
         assert GAUGE_SLO.passes(1.0) and not GAUGE_SLO.passes(1.5)
@@ -101,7 +100,6 @@ class TestSloSpec:
             "keystroke_echo",
             "video_frame_rate",
             "loss_recovery",
-            "tier_residency",
         }
         assert KEYSTROKE_ECHO.threshold == pytest.approx(0.150)
         assert KEYSTROKE_ECHO.quantile == pytest.approx(0.95)
@@ -122,7 +120,7 @@ class TestEvaluation:
 
     def test_zero_budget_violation_burns_infinite(self):
         spec = SloSpec(
-            name="hard", metric="bw.tier.level", kind="gauge",
+            name="hard", metric="test.level", kind="gauge",
             threshold=1.0, budget=0.0,
         )
         report = SloEngine([spec]).evaluate(
@@ -147,7 +145,7 @@ class TestEvaluation:
         run = make_run(records=[rtt_window(0.0, 0.02)])
         report = SloEngine([GAUGE_SLO]).evaluate([run])
         assert report.results == []
-        assert report.compliance("run", "tier_cap") is None
+        assert report.compliance("run", "level_cap") is None
         assert report.compliant  # vacuously
 
     def test_accepts_collection_or_iterable(self):
@@ -169,13 +167,13 @@ class TestHealthEvents:
             gauge_window(4.0, 2.0),
         ]
         report = SloEngine([GAUGE_SLO]).evaluate([make_run(records=records)])
-        tier_events = [e for e in report.events if e.kind == "tier_floor"]
-        assert len(tier_events) == 2
-        merged = tier_events[0]
+        floor_events = [e for e in report.events if e.kind == "level_floor"]
+        assert len(floor_events) == 2
+        merged = floor_events[0]
         assert (merged.t0, merged.t1) == (1.0, 3.0)
         assert merged.value == 3.0  # worst value across the stretch
         assert merged.trace_ids == [4, 5]
-        assert tier_events[1].t0 == 4.0
+        assert floor_events[1].t0 == 4.0
 
     def test_loss_burst_detector(self):
         records = [
@@ -198,20 +196,6 @@ class TestHealthEvents:
         assert event.kind == "loss_burst"
         assert event.t0 == 1.0 and event.value == LOSS_BURST_MIN
         assert event.trace_ids == [9]
-
-    def test_tier_thrash_detector_sums_label_streams(self):
-        records = [{
-            "t0": 0.0, "t1": 1.0,
-            "counters": {
-                "bw.tier.transitions{client=1}": 1,
-                "bw.tier.transitions{client=2}": TIER_THRASH_MIN - 1,
-            },
-            "gauges": {}, "histograms": {},
-        }]
-        report = SloEngine([]).evaluate([make_run(records=records)])
-        (event,) = report.events
-        assert event.kind == "tier_thrash"
-        assert event.value == TIER_THRASH_MIN
 
     def test_queue_buildup_detector_needs_a_monotonic_run(self):
         def queue_windows(values):
@@ -289,24 +273,23 @@ class TestReport:
         run.append_window({
             "t0": 0.0, "t1": 1.0, "counters": {},
             "gauges": {
-                "bw.tier.level{client=1}": 0.0,
-                "bw.tier.level{client=2}": 2.0,
+                "test.level{client=1}": 0.0,
+                "test.level{client=2}": 2.0,
             },
             "histograms": {},
         })
         report = SloEngine([GAUGE_SLO]).evaluate([run])
         assert len(report.results) == 2
-        worst = report.compliance("r", "tier_cap")
-        assert worst.series == "bw.tier.level{client=2}"
+        worst = report.compliance("r", "level_cap")
+        assert worst.series == "test.level{client=2}"
         assert not worst.compliant
 
 
 class TestWanMatrixVerdicts:
     """A ``wan_matrix`` cell's keystroke verdict is graded on the cell's
-    own windows: one per second it ran (a starved static cell's rounds
-    time out, and are observed), never more, and — where the table's RTT
-    columns tell static and adaptive apart — not the same verdict for
-    both."""
+    own windows: one per second it ran (a starved cell's rounds time
+    out, and are observed), never more, and — where the table's RTT
+    columns tell two cells apart — not the same verdict for both."""
 
     CELL_SECONDS = 4.0
 
@@ -326,22 +309,22 @@ class TestWanMatrixVerdicts:
                 cell_seconds=self.CELL_SECONDS,
             )
         engine = SloEngine([KEYSTROKE_ECHO])
+        verdicts = []
         for row in result.rows:
-            verdicts = {}
-            for mode in ("static", "adaptive"):
-                label = f"{row['profile']}/{row['workload']}/{mode}"
-                run = collection.run_by_label(label)
-                graded = engine.evaluate([run]).compliance(
-                    label, KEYSTROKE_ECHO.name
-                )
-                assert graded is not None, label
-                assert graded.windows <= math.ceil(self.CELL_SECONDS), label
-                assert f"/{graded.windows} " in row[f"SLO {mode}"], label
-                # After the 1 s warm-up every second holds a round, answered
-                # or timed out: a cell that ran has a verdict per second.
-                assert graded.windows >= self.CELL_SECONDS - 2, label
-                verdicts[mode] = (
-                    graded.windows, graded.violations, graded.worst
-                )
-            if row["RTT ms static"] != row["RTT ms adaptive"]:
-                assert verdicts["static"] != verdicts["adaptive"], row
+            label = f"{row['profile']}/{row['workload']}/static"
+            run = collection.run_by_label(label)
+            graded = engine.evaluate([run]).compliance(
+                label, KEYSTROKE_ECHO.name
+            )
+            assert graded is not None, label
+            assert graded.windows <= math.ceil(self.CELL_SECONDS), label
+            assert f"/{graded.windows} " in row["SLO"], label
+            # After the 1 s warm-up every second holds a round, answered
+            # or timed out: a cell that ran has a verdict per second.
+            assert graded.windows >= self.CELL_SECONDS - 2, label
+            verdicts.append(
+                (row["RTT ms"], graded.windows, graded.violations, graded.worst)
+            )
+        (rtt_a, *verdict_a), (rtt_b, *verdict_b) = verdicts
+        if rtt_a != rtt_b:
+            assert verdict_a != verdict_b, verdicts

@@ -218,6 +218,12 @@ class TestReport:
         reg.histogram("h", buckets=(1,)).observe(5.0)
         json.loads(render_json(reg))  # must not emit bare Infinity
 
+    def test_infinite_gauge_renders(self):
+        # A starved yardstick's mean RTT is inf (no round answered).
+        reg = MetricsRegistry()
+        reg.gauge("rtt_ms").set(float("inf"))
+        assert "inf" in render_report(reg)
+
 
 class TestInstrumentedComponents:
     """Hot-path instrumentation end to end, and its null-path absence."""

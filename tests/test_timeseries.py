@@ -76,7 +76,7 @@ class TestWindowValue:
         2.0,
         4.0,
         counters={"net.bytes": 100},
-        gauges={"bw.tier.level{client=1}": 2},
+        gauges={"test.level{client=1}": 2},
         histograms={
             "rtt": {"count": 4, "sum": 0.8, "buckets": [[0.1, 1], [0.3, 3]]},
             "nobuckets": {"count": 2, "sum": 3.0, "buckets": []},
@@ -88,7 +88,7 @@ class TestWindowValue:
         assert window_value(self.WINDOW, "net.bytes", "counter_delta") == 100.0
 
     def test_gauge_last_value(self):
-        key = "bw.tier.level{client=1}"
+        key = "test.level{client=1}"
         assert window_value(self.WINDOW, key, "gauge") == 2.0
 
     def test_histogram_quantile_from_buckets(self):
@@ -284,7 +284,9 @@ class TestCollectionRoundTrip:
         assert header["type"] == "timeseries_header"
         assert header["version"] == SCHEMA_VERSION
 
-        loaded = TimeSeriesCollection.read_jsonl(str(path))
+        loaded = TimeSeriesCollection.from_records(
+            [json.loads(line) for line in lines]
+        )
         run = loaded.run_by_label("cellular/static")
         assert run.windows[0]["counters"]["pkts"] == 3
         assert run.windows[0]["trace_ids"] == [7]

@@ -39,7 +39,7 @@ WORK_COUNTERS = {
         "sim_events": 134, "updates": 10, "commands": 14, "bytes": 29238,
     },
     "channel_lossy": {"sim_events": 239, "nacks": 19, "recoveries": 7},
-    "wan_matrix": {"sim_events": 8173, "static_drops": 1525, "demotions": 1},
+    "wan_matrix": {"sim_events": 5108, "static_drops": 1525},
 }
 
 

@@ -130,7 +130,7 @@ class TestDisplayModel:
             classes=(SizeClass("a", 1.0, 10_000, 0.5, (1.0, 0.0, 0.0, 0.0)),)
         )
         expected = 10_000 * np.exp(0.5**2 / 2)
-        assert DisplayModel(archetype).mean_area() == pytest.approx(expected)
+        assert archetype.expected_area() == pytest.approx(expected)
 
 
 class TestAppProfiles:
