@@ -115,6 +115,18 @@ Twelve more moved when ``PaintOp`` lost its ``bits_per_pixel`` field
 * ``ops/*``: the op-stream digest; ``synthesis``, ``study/*`` and
   ``session/*`` did not move.
 
+One more moved when the ``tier_residency`` SLO left the default set
+with the tier ladder it graded (on b8fd62a).  The value equals the one
+recomputed on b8fd62a with only ``TIER_RESIDENCY`` dropped from
+``INTERACTIVITY_SLOS``:
+
+    PYTHONPATH=src python tests/golden/regen.py runner all_flags/lossy_fabric
+
+* ``all_flags/lossy_fabric``: ``slo`` (its header's spec list) and the
+  three bundles' ``manifest.json`` (``specs``) and ``slo.jsonl`` (the
+  same header); ``stdout``, ``metrics``, ``timeseries``, ``capture``,
+  ``trace_events`` and every other bundle member did not move.
+
 Running an oracle with no ``ENTRY`` on a later commit re-blesses the whole
 file from the one remaining path; do that only for a deliberate, reviewed
 change of simulated behaviour.
