@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import ProtocolError
 from repro.core import commands as cmd
 from repro.core.commands import Opcode
-from repro.core.costs import CostEntry, CostKey, SUN_RAY_1_COSTS
+from repro.core.costs import CostKey, SUN_RAY_1_COSTS
 from repro.console.console import Console
 from repro.console.microops import MicroOpModel
 from repro.framebuffer.regions import Rect
@@ -86,9 +86,6 @@ class CalibrationResult:
     per_pixel_ns: float
     residual_rms_ns: float
     samples: Tuple[Tuple[int, float], ...]  # (pixels, measured service ns)
-
-    def as_entry(self) -> CostEntry:
-        return CostEntry(self.startup_ns, self.per_pixel_ns)
 
 
 def fit_linear_cost(samples: Sequence[Tuple[int, float]]) -> Tuple[float, float, float]:

@@ -12,7 +12,7 @@ fit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.errors import ProtocolError
 from repro.core import commands as cmd
@@ -120,10 +120,6 @@ class ConsoleCostModel:
     def service_time(self, command: cmd.Command) -> float:
         """Console processing time, in seconds, for one command."""
         return self.entry_for(command).service_time(self.billable_pixels(command))
-
-    def total_service_time(self, commands: Iterable[cmd.Command]) -> float:
-        """Sum of service times over a command stream."""
-        return sum(self.service_time(c) for c in commands)
 
     def sustained_rate(self, command: cmd.Command) -> float:
         """Maximum commands/second the console sustains for this command.

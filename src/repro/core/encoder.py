@@ -405,12 +405,3 @@ class SlimEncoder:
         if a.y == b.y and a.h == b.h and a.x2 == b.x:
             return cmd.FillCommand(rect=Rect(a.x, a.y, a.w + b.w, a.h), color=new.color)
         return None
-
-
-def raw_pixel_nbytes(ops) -> int:
-    """Uncompressed size of an op stream: 3 bytes per changed pixel.
-
-    This is the "Raw Pixels" baseline of Figure 8 — every changed pixel
-    shipped as 24-bit literal data, no structure exploited.
-    """
-    return sum(op.pixels_changed * 3 for op in ops)

@@ -15,7 +15,7 @@ application programmer".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -95,7 +95,6 @@ class VideoStream:
         self.allocator = allocator
         self.frames_sent = 0
         self.bytes_sent = 0
-        self._granted_bps: Optional[float] = None
         # Resolved once: the video_frame_rate SLO reads this counter's
         # per-window rate; disabled telemetry costs one None test per frame.
         m = get_registry()
@@ -113,19 +112,9 @@ class VideoStream:
         """
         needed = self.geometry.bandwidth_at(target_fps)
         if self.allocator is None:
-            self._granted_bps = needed
             return needed
         self.allocator.request(self.client_id, needed)
-        grant = self.allocator.grant_for(self.client_id)
-        self._granted_bps = grant.granted_bps
-        return grant.granted_bps
-
-    def granted_fps(self) -> Optional[float]:
-        """Frame rate the current grant supports, or None if un-negotiated."""
-        if self._granted_bps is None:
-            return None
-        per_frame_bits = self.geometry.frame_wire_nbytes() * 8
-        return self._granted_bps / per_frame_bits
+        return self.allocator.grant_for(self.client_id).granted_bps
 
     # -- frame transmission -----------------------------------------------------
     def encode_frame(self, rgb: Optional[np.ndarray] = None) -> cmd.CscsCommand:
@@ -159,13 +148,6 @@ class VideoStream:
         if self._m_frames is not None:
             self._m_frames.inc()
         return command
-
-    def encode_clip(
-        self, frames: Iterable[np.ndarray]
-    ) -> Iterator[cmd.CscsCommand]:
-        """Encode a sequence of frames lazily."""
-        for frame in frames:
-            yield self.encode_frame(frame)
 
     # -- reporting ---------------------------------------------------------------
     def average_frame_nbytes(self) -> float:

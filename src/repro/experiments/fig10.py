@@ -12,12 +12,13 @@ processor*.  The paper's findings:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentResult,
     experiment,
+    sweep,
 )
 from repro.experiments import userstudy
 from repro.experiments.fig9 import yardstick_latency
@@ -27,30 +28,6 @@ DEFAULT_CPU_COUNTS = (1, 2, 4, 8)
 DEFAULT_USERS_PER_CPU = (6, 10, 13)
 
 
-def scaling_surface(
-    cpu_counts: Sequence[int] = DEFAULT_CPU_COUNTS,
-    users_per_cpu: Sequence[int] = DEFAULT_USERS_PER_CPU,
-    sim_seconds: float = 60.0,
-    study_users: int = userstudy.DEFAULT_N_USERS,
-) -> Dict[int, List[Tuple[int, float]]]:
-    """num_cpus -> [(users_per_cpu, added latency s)]."""
-    _traces, profiles = userstudy.get_study(NETSCAPE, n_users=study_users)
-    surface: Dict[int, List[Tuple[int, float]]] = {}
-    for cpus in cpu_counts:
-        curve = []
-        for per_cpu in users_per_cpu:
-            latency = yardstick_latency(
-                profiles,
-                n_users=per_cpu * cpus,
-                num_cpus=cpus,
-                sim_seconds=sim_seconds,
-                memory_mb=4096.0,
-            )
-            curve.append((per_cpu, latency))
-        surface[cpus] = curve
-    return surface
-
-
 @experiment(
     "fig10",
     title="Netscape yardstick latency vs users per CPU (1-8 CPUs)",
@@ -58,12 +35,28 @@ def scaling_surface(
 )
 def run(config: ExperimentConfig) -> ExperimentResult:
     sim_seconds = config.get("duration", 60.0)
-    surface = scaling_surface(sim_seconds=sim_seconds)
+    _traces, profiles = userstudy.get_study(NETSCAPE)
+    cells = [
+        (cpus, per_cpu)
+        for cpus in DEFAULT_CPU_COUNTS
+        for per_cpu in DEFAULT_USERS_PER_CPU
+    ]
+
+    def cell(params: Tuple[int, int]) -> float:
+        cpus, per_cpu = params
+        return yardstick_latency(
+            profiles,
+            n_users=per_cpu * cpus,
+            num_cpus=cpus,
+            sim_seconds=sim_seconds,
+        )
+
+    latency = dict(zip(cells, sweep(cells, cell)))
     rows = []
-    for cpus, curve in surface.items():
+    for cpus in DEFAULT_CPU_COUNTS:
         row = {"CPUs": cpus}
-        for per_cpu, latency in curve:
-            row[f"{per_cpu} users/cpu (ms)"] = round(latency * 1000, 1)
+        for per_cpu in DEFAULT_USERS_PER_CPU:
+            row[f"{per_cpu} users/cpu (ms)"] = round(latency[cpus, per_cpu] * 1000, 1)
         rows.append(row)
     return ExperimentResult(
         experiment_id="fig10",

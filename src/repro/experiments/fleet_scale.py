@@ -45,7 +45,7 @@ from repro.obs.slo import SloEngine, SloSpec
 from repro.obs.timeseries import RunSeries
 from repro.runcontext import current_run
 from repro.server.host import E4500
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.telemetry.metrics import get_registry
 from repro.units import MBPS
 from repro.workloads.mixes import DESIGN_MIX, LAB_MIX, OFFICE_MIX, WorkgroupMix
 
@@ -250,9 +250,6 @@ def run_slice(spec: FleetSpec, index: int) -> Dict[str, Any]:
     ``w % SLICES == index`` — on a simulator of its own, driven to the
     instant the fleet's trailing windows close: its reports, and how
     many demand samples it took with their sum of active users."""
-    # The slice's own registry: its series then holds the fleet's
-    # instruments whatever the parent armed.
-    current_run().registry = MetricsRegistry()
     sim = Simulator()
     reports: Dict[Tuple[int, int], Dict[str, Any]] = {}
     workgroups = [

@@ -18,7 +18,8 @@ behaviour of the same network.
 
 from __future__ import annotations
 
-from typing import Tuple
+from functools import partial
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentResult,
     experiment,
+    sweep,
 )
 from repro.framebuffer import FrameBuffer
 from repro.loadgen.yardstick import yardstick_rig
@@ -108,6 +110,54 @@ def yardstick_on_profile(
     return _probe(sim_seconds, console={"profile": profile, "rng": rng})
 
 
+def _loss_row(loss_rate: float, updates: int, seed: int) -> Dict[str, object]:
+    """One i.i.d. loss rate: the display session and the probe."""
+    channel = run_lossy_session(loss_rate, updates=updates, seed=seed)
+    server = channel.server_channel.stats
+    console = channel.console_channel.stats
+    uplink = channel.network.uplink("server")
+    downlink = channel.network.downlink("server")
+    overhead = (
+        100.0 * server.recovery_bytes / server.wire_bytes
+        if server.wire_bytes
+        else 0.0
+    )
+    rtt, probe_loss = yardstick_on_lossy_fabric(loss_rate, seed=seed)
+    return {
+        "loss rate": f"{loss_rate:.0%}",
+        "pixel exact": channel.converged and channel.resolved,
+        "recoveries": channel.recoveries,
+        "refreshes": channel.refreshes,
+        "nacks": console.nacks_sent,
+        "nack KB": round(console.nack_bytes / 1024, 2),
+        "recovery overhead %": round(overhead, 1),
+        "recovery ms": round(1000 * console.mean_recovery_latency(), 2)
+        if console.recoveries_timed
+        else 0.0,
+        # Corruption vs congestion are distinct counters.
+        "wire lost": uplink.stats.packets_lost + downlink.stats.packets_lost,
+        "queue dropped": uplink.stats.packets_dropped
+        + downlink.stats.packets_dropped,
+        "yardstick RTT ms": _fmt_ms(rtt),
+        "yardstick loss": f"{probe_loss:.0%}",
+    }
+
+
+def _profile_row(profile_name: str, seed: int) -> Dict[str, object]:
+    """One named profile: the probe behind its access link."""
+    rtt, probe_loss = yardstick_on_profile(profile_name, seed=seed)
+    return {
+        "loss rate": profile_name,
+        "mean loss": f"{get_profile(profile_name).mean_loss_rate():.1%}",
+        "yardstick RTT ms": _fmt_ms(rtt),
+        "yardstick loss": f"{probe_loss:.0%}",
+    }
+
+
+def _fmt_ms(seconds: float) -> object:
+    return "inf" if seconds == float("inf") else round(1000 * seconds, 2)
+
+
 @experiment(
     "lossy_fabric",
     title="Display-protocol loss recovery vs fabric loss rate",
@@ -116,55 +166,9 @@ def yardstick_on_profile(
 def run(config: ExperimentConfig) -> ExperimentResult:
     seed = config.get("seed", DEFAULT_SEED)
     updates = int(config.get("updates", DEFAULT_UPDATES))
-    rows = []
-    for loss_rate in LOSS_RATES:
-        channel = run_lossy_session(loss_rate, updates=updates, seed=seed)
-        server = channel.server_channel.stats
-        console = channel.console_channel.stats
-        uplink = channel.network.uplink("server")
-        downlink = channel.network.downlink("server")
-        overhead = (
-            100.0 * server.recovery_bytes / server.wire_bytes
-            if server.wire_bytes
-            else 0.0
-        )
-        rtt, probe_loss = yardstick_on_lossy_fabric(loss_rate, seed=seed)
-        rows.append(
-            {
-                "loss rate": f"{loss_rate:.0%}",
-                "pixel exact": channel.converged and channel.resolved,
-                "recoveries": channel.recoveries,
-                "refreshes": channel.refreshes,
-                "nacks": console.nacks_sent,
-                "nack KB": round(console.nack_bytes / 1024, 2),
-                "recovery overhead %": round(overhead, 1),
-                "recovery ms": round(1000 * console.mean_recovery_latency(), 2)
-                if console.recoveries_timed
-                else 0.0,
-                # Corruption vs congestion are distinct counters.
-                "wire lost": uplink.stats.packets_lost
-                + downlink.stats.packets_lost,
-                "queue dropped": uplink.stats.packets_dropped
-                + downlink.stats.packets_dropped,
-                "yardstick RTT ms": "inf"
-                if rtt == float("inf")
-                else round(1000 * rtt, 2),
-                "yardstick loss": f"{probe_loss:.0%}",
-            }
-        )
-    for profile_name in PROFILE_CELLS:
-        profile = get_profile(profile_name)
-        rtt, probe_loss = yardstick_on_profile(profile_name, seed=seed)
-        rows.append(
-            {
-                "loss rate": profile_name,
-                "mean loss": f"{profile.mean_loss_rate():.1%}",
-                "yardstick RTT ms": "inf"
-                if rtt == float("inf")
-                else round(1000 * rtt, 2),
-                "yardstick loss": f"{probe_loss:.0%}",
-            }
-        )
+    cells = [partial(_loss_row, rate, updates, seed) for rate in LOSS_RATES]
+    cells += [partial(_profile_row, name, seed) for name in PROFILE_CELLS]
+    rows = sweep(cells, lambda row: row())
     return ExperimentResult(
         experiment_id="lossy_fabric",
         title="Display-protocol loss recovery vs fabric loss rate",

@@ -27,7 +27,7 @@ drops) and the probe RTT leaves the propagation floor far behind.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentResult,
     experiment,
+    sweep,
 )
 from repro.loadgen.yardstick import yardstick_rig
 from repro.netsim.packet import Packet
@@ -189,62 +190,24 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     cell_seconds = float(config.get("cell_seconds", DEFAULT_CELL_SECONDS))
     profile_names = _resolve_names(config.get("profiles"), list(PROFILES))
     workload_names = _resolve_names(config.get("workloads"), list(ADVERSITY_APPS))
-    registry = current_run().registry
     demands = workload_demands(
         n_users=config.n_users or userstudy.DEFAULT_N_USERS,
         duration=config.duration or userstudy.DEFAULT_DURATION,
         workloads=workload_names,
     )
-    rows: List[Dict[str, object]] = []
-    collection = current_run().collection
-    slo_engine = SloEngine([KEYSTROKE_ECHO])
-    for profile_name in profile_names:
-        profile = get_profile(profile_name)
-        floor_ms = 1000 * profile.min_rtt()
-        for workload in workload_names:
-            bw = demands[workload]
-            label = f"{profile_name}/{workload}/static"
-            _note_cell(label)
-            with _cell_label(collection, label):
-                probe = CellProbe(
-                    profile,
-                    bw["demand"],
-                    seconds=cell_seconds,
-                    seed=probe_seed,
-                ).run()
-            if registry.enabled:
-                # Per-profile yardstick telemetry for dashboards.
-                registry.gauge(
-                    "wan.yardstick.rtt_ms", profile=profile_name,
-                    workload=workload,
-                ).set(1000 * probe.yardstick.mean_rtt())
-                registry.counter(
-                    "wan.yardstick.samples", profile=profile_name,
-                    workload=workload,
-                ).inc(len(probe.yardstick.rtts))
-            row: Dict[str, object] = {
-                "profile": profile_name,
-                "workload": workload,
-                "X (Mbps)": round(bw["x"] / MBPS, 3),
-                "SLIM (Mbps)": round(bw["slim"] / MBPS, 3),
-                "raw (Mbps)": round(bw["raw"] / MBPS, 3),
-                "demand (Mbps)": round(bw["demand"] / MBPS, 2),
-                "floor ms": round(floor_ms, 2),
-                "RTT ms": _fmt_ms(probe.yardstick.mean_rtt()),
-                "p95 ms": _fmt_ms(probe.p95_rtt()),
-                "probe loss": f"{probe.yardstick.loss_rate():.0%}",
-                "drops": probe.downlink.stats.packets_dropped,
-                "delivered Mbps": round(probe.delivered_bps() / MBPS, 2),
-            }
-            if collection is not None:
-                # Flush trailing partial windows so the per-cell SLO
-                # verdict sees the whole cell, then judge its series
-                # against the 150 ms keystroke-echo budget.
-                collection.finish_samplers()
-                row["SLO"] = _slo_compliance(
-                    slo_engine, collection.run_by_label(label)
-                )
-            rows.append(row)
+    cells = [
+        (get_profile(profile_name), workload)
+        for profile_name in profile_names
+        for workload in workload_names
+    ]
+
+    def cell(params: Tuple[NetworkProfile, str]) -> Dict[str, object]:
+        profile, workload = params
+        return _cell_row(
+            profile, workload, demands[workload], cell_seconds, probe_seed
+        )
+
+    rows = sweep(cells, cell)
     return ExperimentResult(
         experiment_id="wan_matrix",
         title="WAN/mobile adversity matrix: profiles x workloads",
@@ -265,6 +228,54 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _cell_row(
+    profile: NetworkProfile,
+    workload: str,
+    bw: Dict[str, float],
+    cell_seconds: float,
+    probe_seed: int,
+) -> Dict[str, object]:
+    """One matrix cell: the probe of ``workload``'s demand across
+    ``profile``'s access link, as a table row."""
+    label = f"{profile.name}/{workload}/static"
+    _note_cell(label)
+    collection = current_run().collection
+    with _cell_label(collection, label):
+        probe = CellProbe(
+            profile, bw["demand"], seconds=cell_seconds, seed=probe_seed
+        ).run()
+    registry = current_run().registry
+    if registry.enabled:
+        # Per-profile yardstick telemetry for dashboards.
+        registry.gauge(
+            "wan.yardstick.rtt_ms", profile=profile.name, workload=workload,
+        ).set(1000 * probe.yardstick.mean_rtt())
+        registry.counter(
+            "wan.yardstick.samples", profile=profile.name, workload=workload,
+        ).inc(len(probe.yardstick.rtts))
+    row: Dict[str, object] = {
+        "profile": profile.name,
+        "workload": workload,
+        "X (Mbps)": round(bw["x"] / MBPS, 3),
+        "SLIM (Mbps)": round(bw["slim"] / MBPS, 3),
+        "raw (Mbps)": round(bw["raw"] / MBPS, 3),
+        "demand (Mbps)": round(bw["demand"] / MBPS, 2),
+        "floor ms": round(1000 * profile.min_rtt(), 2),
+        "RTT ms": _fmt_ms(probe.yardstick.mean_rtt()),
+        "p95 ms": _fmt_ms(probe.p95_rtt()),
+        "probe loss": f"{probe.yardstick.loss_rate():.0%}",
+        "drops": probe.downlink.stats.packets_dropped,
+        "delivered Mbps": round(probe.delivered_bps() / MBPS, 2),
+    }
+    if collection is not None:
+        # Flush trailing partial windows so the cell's SLO verdict sees
+        # the whole cell, then judge its series against the 150 ms
+        # keystroke-echo budget.
+        collection.finish_samplers()
+        row["SLO"] = _slo_compliance(collection.run_by_label(label))
+    return row
+
+
 def _note_cell(label: str) -> None:
     """Annotate the armed flight recorder (if any) with the cell about
     to run, so triggers and engine marks carry the cell label."""
@@ -283,11 +294,11 @@ def _cell_label(collection, label: str):
     return collection.label(label)
 
 
-def _slo_compliance(engine: SloEngine, run: Optional[RunSeries]) -> str:
+def _slo_compliance(run: Optional[RunSeries]) -> str:
     """``ok/total`` keystroke-echo verdict for one cell's sampled run."""
     if run is None or not run.windows:
         return "n/a"
-    report = engine.evaluate([run])
+    report = SloEngine([KEYSTROKE_ECHO]).evaluate([run])
     result = report.compliance(run.label, KEYSTROKE_ECHO.name)
     if result is None:
         return "n/a"

@@ -245,10 +245,6 @@ class Simulator:
         """Number of scheduled events not yet fired."""
         return len(self._queue)
 
-    def peek_next_time(self) -> Optional[float]:
-        """Timestamp of the next event, or None when idle."""
-        return self._queue[0][0] if self._queue else None
-
     @property
     def horizon(self) -> float:
         """How far lazily kept books may be settled: the clock — or

@@ -59,7 +59,6 @@ from repro.obs.timeseries import (
     RunSeries,
     TimeSeriesCollection,
     TimeSeriesSampler,
-    merge_runs,
     validate_timeseries_records,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "UpdateTrace",
     "chrome_trace_events",
     "is_slimcap",
-    "merge_runs",
     "stage_percentiles",
     "validate_slo_records",
     "validate_timeseries_records",

@@ -28,11 +28,6 @@ Each window also snapshots the *open* trace ids from the run's
 yardstick probes), which is how ``repro.obs.slo`` annotates health
 events with the causal traces that were active when things went wrong.
 
-The series the cells of a :func:`~repro.experiments.runner.sweep`
-sampled are merged with :func:`merge_runs` when the sweep returns —
-counter and bucket deltas sum window-by-window, so a fleet run gets one
-coherent timeline.
-
 The JSONL schema (one object per line)::
 
     {"type": "timeseries_header", "version": 1, "window_seconds": 1.0}
@@ -63,7 +58,6 @@ __all__ = [
     "RunSeries",
     "TimeSeriesCollection",
     "TimeSeriesSampler",
-    "merge_runs",
     "bucket_quantile",
     "window_value",
     "RENDER_KINDS",
@@ -214,31 +208,6 @@ class RunSeries:
         self.window *= 2
         self.coalesce_count += 1
 
-    def rebinned(self, width: float) -> "RunSeries":
-        """A copy whose windows are re-binned to ``width``-aligned bins.
-
-        Used before merging runs whose coalescing histories diverged:
-        every window is assigned to the bin containing its ``t0`` and
-        bins are combined, so all runs share one grid.
-        """
-        if width < self.window - 1e-12:
-            raise ReproError(
-                f"cannot re-bin {self.window}s windows down to {width}s"
-            )
-        out = RunSeries(self.label, width, self.max_windows)
-        bins: Dict[int, Dict[str, Any]] = {}
-        for record in self.windows:
-            index = int(math.floor(record["t0"] / width + 1e-9))
-            aligned = dict(record, t0=index * width, t1=(index + 1) * width)
-            existing = bins.get(index)
-            bins[index] = (
-                aligned
-                if existing is None
-                else _merge_window_pair(existing, aligned)
-            )
-        out.windows = [bins[index] for index in sorted(bins)]
-        return out
-
     def series_keys(self) -> Dict[str, str]:
         """All series keys appearing in this run -> instrument family."""
         keys: Dict[str, str] = {}
@@ -307,8 +276,7 @@ def _merge_window_pair(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     """Combine two window records into one covering both intervals.
 
     Counter and histogram deltas sum; gauges keep the later value; trace
-    ids union (capped).  Works for adjacent windows (coalescing) and for
-    same-interval windows from different runs (merging) alike.
+    ids union (capped).
     """
     counters = dict(a.get("counters", {}))
     for key, delta in b.get("counters", {}).items():
@@ -346,33 +314,6 @@ def _merge_window_pair(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     }
     if trace_ids:
         merged["trace_ids"] = trace_ids
-    return merged
-
-
-def merge_runs(runs: Sequence[RunSeries], label: str) -> RunSeries:
-    """Merge runs sampled apart (a sweep's cells) into one timeline.
-
-    All runs are re-binned onto the coarsest run's grid first (their
-    coalescing histories may differ), then same-bin windows combine:
-    counter/bucket deltas sum exactly, gauges keep the last run's
-    value, windowed quantiles come from the summed bucket deltas.
-    """
-    if not runs:
-        raise ReproError("nothing to merge")
-    width = max(run.window for run in runs)
-    merged = RunSeries(label, width, max(run.max_windows for run in runs))
-    bins: Dict[int, Dict[str, Any]] = {}
-    for run in runs:
-        for record in run.rebinned(width).windows:
-            index = int(math.floor(record["t0"] / width + 1e-9))
-            existing = bins.get(index)
-            bins[index] = (
-                record
-                if existing is None
-                else _merge_window_pair(existing, record)
-            )
-    for index in sorted(bins):
-        merged.append_window(bins[index])
     return merged
 
 
@@ -475,29 +416,16 @@ class TimeSeriesCollection:
         self.finish_samplers()
         self.prune_empty()
 
-    def for_cell(self, index: int) -> "TimeSeriesCollection":
-        """The collection a sweep cell samples its engines into: same
-        grid, ``shard-N`` series, and whatever registry the cell gives
-        its run context."""
-        cell = TimeSeriesCollection(self.window, self.max_windows)
-        cell.set_label(f"shard-{index}")
-        return cell
-
     # -- labeling ----------------------------------------------------------
-    def set_label(self, label: Optional[str]) -> None:
-        """Label given to the next sampled simulator(s); None reverts to
-        auto ``run-N`` labels."""
-        self._label = label
-
     @contextmanager
     def label(self, label: str):
         """Scope a run label: simulators built inside get ``label``."""
         previous = self._label
-        self.set_label(label)
+        self._label = label
         try:
             yield self
         finally:
-            self.set_label(previous)
+            self._label = previous
 
     def next_label(self) -> str:
         if self._label is not None:
@@ -516,8 +444,8 @@ class TimeSeriesCollection:
         return run
 
     def adopt_run(self, run: RunSeries) -> None:
-        """Append an externally built run (merged cell series, derived
-        experiment timelines)."""
+        """Append an externally built run (a derived experiment
+        timeline)."""
         self.runs.append(run)
 
     def prune_empty(self) -> int:

@@ -32,10 +32,6 @@ class MachineSpec:
         """CPU speed relative to the 296 MHz reference."""
         return self.cpu_mhz / REFERENCE_MHZ
 
-    def scale_cost(self, reference_seconds: float) -> float:
-        """Convert a reference-CPU cost to this machine's CPU time."""
-        return reference_seconds / self.speed_factor
-
 
 #: Machines from Table 3 and the Section 6.3 case studies.
 ULTRA_2 = MachineSpec("Ultra 2", 2, 296.0, 512.0, 1024.0, 100 * MBPS)

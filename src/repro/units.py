@@ -59,8 +59,3 @@ def transmission_delay(nbytes: float, rate_bps: float) -> float:
     if rate_bps <= 0:
         raise ValueError(f"rate must be positive, got {rate_bps}")
     return bits(nbytes) / rate_bps
-
-
-def mbps(bytes_per_second: float) -> float:
-    """Convert a byte/second figure to megabits/second for reporting."""
-    return bits(bytes_per_second) / MBPS

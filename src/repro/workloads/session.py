@@ -178,36 +178,3 @@ def run_user_study(
         traces.append(trace)
         profiles.append(profile)
     return traces, profiles
-
-
-def save_profiles(profiles: List[ResourceProfile], path) -> None:
-    """Write resource profiles as JSON lines (one profile per line).
-
-    Together with :func:`repro.analysis.traces.save_traces` this closes
-    the paper's log-once / post-process-many loop: an expensive study is
-    simulated once, and the sharing experiments replay it from disk.
-    """
-    import json
-    from dataclasses import asdict
-    from pathlib import Path
-
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for profile in profiles:
-            handle.write(json.dumps(asdict(profile)) + "\n")
-
-
-def load_profiles(path) -> List[ResourceProfile]:
-    """Read profiles written by :func:`save_profiles`."""
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    profiles: List[ResourceProfile] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            profiles.append(ResourceProfile(**json.loads(line)))
-    return profiles

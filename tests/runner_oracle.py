@@ -41,8 +41,9 @@ ALL_FLAGS = (
     "lossy_fabric",
 )  # fmt: skip
 
-#: A sweep under sampling and the default-armed recorder: four cells
-#: derive their contexts through fork and ship evidence back.
+#: A sweep under sampling and the default-armed recorder: sampling is
+#: an observer a fork cannot ship back, so the four cells run in place
+#: and each slice's simulator is sampled into a run of its own.
 SHARDED_FLAGS = (
     "--users", "400",
     "--duration", "7200",

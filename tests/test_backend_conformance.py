@@ -22,7 +22,6 @@ class TestProtocol:
     def test_clock_starts_at_zero(self, backend):
         assert backend.now == 0.0
         assert backend.pending == 0
-        assert backend.peek_next_time() is None
 
 
 class TestScheduleOrdering:

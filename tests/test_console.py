@@ -214,8 +214,3 @@ class TestCalibrationEdges:
     def test_custom_edge_ladder(self):
         result = calibrate_command(Opcode.FILL, edges=(8, 64, 256))
         assert len(result.samples) == 3
-
-    def test_result_as_entry(self):
-        result = calibrate_command(Opcode.COPY)
-        entry = result.as_entry()
-        assert entry.per_pixel_ns == pytest.approx(result.per_pixel_ns)

@@ -79,16 +79,6 @@ class TestServiceTimes:
     def test_input_messages_cheap(self):
         assert self.model.service_time(cmd.KeyEvent(code=1, pressed=True)) < 1e-5
 
-    def test_total_over_stream(self):
-        commands = [
-            cmd.FillCommand(rect=Rect(0, 0, 10, 10)),
-            cmd.CopyCommand(rect=Rect(0, 0, 10, 10)),
-        ]
-        total = self.model.total_service_time(commands)
-        assert total == pytest.approx(
-            sum(self.model.service_time(c) for c in commands)
-        )
-
     def test_sustained_rate_inverse_of_service(self):
         c = cmd.FillCommand(rect=Rect(0, 0, 10, 10))
         assert self.model.sustained_rate(c) == pytest.approx(

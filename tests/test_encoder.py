@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import commands as cmd
-from repro.core.encoder import EncoderConfig, SlimEncoder, raw_pixel_nbytes
+from repro.core.encoder import EncoderConfig, SlimEncoder
 from repro.errors import ProtocolError
 from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Painter, Rect
 
@@ -178,12 +178,3 @@ class TestPixelDiffPath:
         )
         assert len(merged) == 1
         assert merged[0].rect == Rect(0, 0, 128, 64)
-
-
-class TestRawBaselineHelper:
-    def test_raw_pixel_nbytes(self):
-        ops = [
-            PaintOp(PaintKind.FILL, Rect(0, 0, 10, 10)),
-            PaintOp(PaintKind.TEXT, Rect(0, 0, 20, 13)),
-        ]
-        assert raw_pixel_nbytes(ops) == (100 + 260) * 3

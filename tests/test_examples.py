@@ -7,7 +7,6 @@ tracebacks.
 
 import importlib.util
 import inspect
-import sys
 from pathlib import Path
 
 import pytest

@@ -8,6 +8,7 @@ breaks it loudly.
 """
 
 import json
+import re
 
 import pytest
 
@@ -20,7 +21,6 @@ from repro.experiments.fleet_scale import (
     run_fleet,
     run_slice,
 )
-from repro.runcontext import use_run
 
 #: Small campus: 12 workgroups, ~6 simulated hours — seconds of wall time.
 SMALL = fleet_spec(
@@ -40,11 +40,7 @@ def rows_json(aggregator: FleetAggregator, spec: FleetSpec) -> str:
 
 def run_fleet_local(spec: FleetSpec) -> FleetAggregator:
     """Every slice in turn, in this process: no child, no sweep."""
-    slices = []
-    for index in range(SLICES):
-        with use_run():
-            slices.append(run_slice(spec, index))
-    return FleetAggregator(slices)
+    return FleetAggregator([run_slice(spec, index) for index in range(SLICES)])
 
 
 class TestEquivalence:
@@ -65,8 +61,7 @@ class TestEquivalence:
     def test_slices_partition_the_campus(self):
         keys = []
         for index in range(SLICES):
-            with use_run():
-                keys.append(set(run_slice(SMALL, index)["reports"]))
+            keys.append(set(run_slice(SMALL, index)["reports"]))
         every = set().union(*keys)
         assert sum(len(k) for k in keys) == len(every)
         assert len(every) == SMALL.n_windows * SMALL.n_workgroups
@@ -176,6 +171,22 @@ class TestFleetSeriesAndSlo:
         assert "capacity" in fleet["SLO"]
         assert collection.run_by_label("fleet/windows") is not None
         assert any("SLO column" in note for note in result.notes)
+
+    def test_metrics_report_counts_every_demand_sample_per_mix(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``--metrics`` arms a registry, so the slices run in this
+        process and each demand sample is counted under its mix."""
+        from repro.experiments.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["--metrics", "--users", "400", "--duration", "7200", "fleet_scale"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        samples = int(re.search(r"(\d+) demand samples", out).group(1))
+        per_mix = dict(re.findall(r"^  \{mix=(\w+)\} +(\d+)$", out, re.M))
+        assert sorted(per_mix) == ["design", "lab", "office"]
+        assert sum(map(int, per_mix.values())) == samples == 19200
 
     def test_no_slo_column_without_sampling(self):
         from repro.experiments.fleet_scale import run

@@ -5,8 +5,6 @@ import pytest
 from repro.monitor.casestudy import (
     ENGINEERING_GROUP,
     UNIVERSITY_LAB,
-    DayProfile,
-    SiteModel,
     simulate_day,
 )
 

@@ -10,7 +10,6 @@ from repro.workloads.quake import (
     QUAKE_FULL,
     QUAKE_QUARTER,
     QUAKE_THREE_QUARTER,
-    QuakeConfig,
     QuakeEngine,
 )
 from repro.workloads.video import (

@@ -117,12 +117,6 @@ class TestSimulator:
         sim.run(max_events=4)
         assert sim.events_processed == 4
 
-    def test_peek_next_time(self):
-        sim = Simulator()
-        assert sim.peek_next_time() is None
-        sim.schedule(0.5, lambda: None)
-        assert sim.peek_next_time() == pytest.approx(0.5)
-
     def test_stop_while_idle_does_not_poison_next_run(self):
         """A stray stop() outside any run must not abort the next one."""
         sim = Simulator()

@@ -16,9 +16,6 @@ class TestMachineSpec:
         assert ULTRA_2.speed_factor == pytest.approx(1.0)
         assert E4500.speed_factor == pytest.approx(336 / 296)
 
-    def test_scale_cost(self):
-        assert E4500.scale_cost(0.336) == pytest.approx(0.336 * 296 / 336)
-
 
 class TestSlimDriver:
     def test_update_produces_record(self):

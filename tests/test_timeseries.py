@@ -2,7 +2,7 @@
 
 Covers the math (bucket quantiles, window extraction), the sampler's
 delta/last-value semantics, bounded memory via coalescing, the JSONL
-round trip + schema validation, shard-style merging, and a collection
+round trip + schema validation, and a collection
 installed on the run context (sampling every simulator beside other
 monitors, trace-id annotation, mid-session flushes).
 """
@@ -23,7 +23,6 @@ from repro.obs.timeseries import (
     RunSeries,
     TimeSeriesCollection,
     bucket_quantile,
-    merge_runs,
     validate_timeseries_records,
     window_value,
 )
@@ -202,57 +201,11 @@ class TestCoalescing:
         assert total == 64
         assert run.windows[0]["t0"] == 0 and run.windows[-1]["t1"] == 64
 
-    def test_rebin_to_narrower_grid_rejected(self):
-        run = RunSeries("r", window=2.0)
-        with pytest.raises(ReproError):
-            run.rebinned(1.0)
-
     def test_bad_construction_rejected(self):
         with pytest.raises(ReproError):
             RunSeries("r", window=0.0)
         with pytest.raises(ReproError):
             RunSeries("r", max_windows=2)
-
-
-class TestMergeRuns:
-    def shard(self, label, count):
-        run = RunSeries(label, window=1.0)
-        run.append_window(
-            make_window(
-                0.0,
-                1.0,
-                counters={"pkts": count},
-                histograms={
-                    "rtt": {
-                        "count": count,
-                        "sum": 0.1 * count,
-                        "buckets": [[0.1, count], [float("inf"), 0]],
-                    }
-                },
-            )
-        )
-        return run
-
-    def test_counter_and_bucket_deltas_sum(self):
-        merged = merge_runs([self.shard("a", 3), self.shard("b", 5)], "m")
-        assert merged.label == "m"
-        assert len(merged.windows) == 1
-        window = merged.windows[0]
-        assert window["counters"]["pkts"] == 8
-        assert window["histograms"]["rtt"]["count"] == 8
-        assert window["histograms"]["rtt"]["buckets"][0][1] == 8
-
-    def test_merge_rebins_to_coarsest_run(self):
-        fine = self.shard("fine", 1)
-        coarse = RunSeries("coarse", window=2.0)
-        coarse.append_window(make_window(0.0, 2.0, counters={"pkts": 4}))
-        merged = merge_runs([fine, coarse], "m")
-        assert merged.window == 2.0
-        assert merged.windows[0]["counters"]["pkts"] == 5
-
-    def test_empty_merge_rejected(self):
-        with pytest.raises(ReproError):
-            merge_runs([], "m")
 
 
 class TestCollectionRoundTrip:

@@ -32,6 +32,3 @@ class TestHelpers:
     def test_transmission_delay_invalid_rate(self):
         with pytest.raises(ValueError):
             units.transmission_delay(100, 0)
-
-    def test_mbps(self):
-        assert units.mbps(125_000) == pytest.approx(1.0)

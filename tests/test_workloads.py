@@ -190,26 +190,3 @@ class TestUserSession:
     def test_run_user_study_validates(self):
         with pytest.raises(WorkloadError):
             run_user_study(PIM, n_users=0)
-
-
-class TestProfilePersistence:
-    def test_roundtrip(self, tmp_path):
-        from repro.workloads.session import load_profiles, save_profiles
-
-        _traces, profiles = run_user_study(PIM, n_users=2, duration=60.0, seed=4)
-        path = tmp_path / "profiles.jsonl"
-        save_profiles(profiles, path)
-        loaded = load_profiles(path)
-        assert len(loaded) == 2
-        assert loaded[0].cpu == profiles[0].cpu
-        assert loaded[0].net_bytes == profiles[0].net_bytes
-        assert loaded[0].mean_bandwidth_bps() == profiles[0].mean_bandwidth_bps()
-
-    def test_blank_lines_skipped(self, tmp_path):
-        from repro.workloads.session import load_profiles, save_profiles
-
-        _traces, profiles = run_user_study(PIM, n_users=1, duration=60.0, seed=4)
-        path = tmp_path / "profiles.jsonl"
-        save_profiles(profiles, path)
-        path.write_text(path.read_text() + "\n")
-        assert len(load_profiles(path)) == 1
