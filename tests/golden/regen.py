@@ -127,6 +127,21 @@ recomputed on b8fd62a with only ``TIER_RESIDENCY`` dropped from
   same header); ``stdout``, ``metrics``, ``timeseries``, ``capture``,
   ``trace_events`` and every other bundle member did not move.
 
+One more moved when the sharing grids began mapping their cells through
+``sweep``, which now forks only a run that observes nothing but the
+flight recorder (on 110bf6c).  ``--timeseries`` is an observer a fork
+cannot ship back, so the four slices run in place.  The new value
+equals the one recomputed on 110bf6c; on the parent the same command
+printed the same table:
+
+    PYTHONPATH=src python tests/golden/regen.py runner sharded/fleet_scale
+
+* ``sharded/fleet_scale``: ``timeseries`` (146 → 506 records: each
+  slice's simulator is sampled into a run of its own, ``run-1`` …
+  ``run-4`` beside ``fleet/windows``, where one merged ``run-1`` was)
+  and the ``stdout`` line that counts them; the table, the notes and
+  the bundle list did not move.
+
 Running an oracle with no ``ENTRY`` on a later commit re-blesses the whole
 file from the one remaining path; do that only for a deliberate, reviewed
 change of simulated behaviour.
