@@ -462,14 +462,49 @@ class TraceCollector:
 
     def open_traces(self) -> List[MessageTrace]:
         """Every message trace still in flight (unreassembled or awaiting
-        paint): the partials a flight-recorder bundle or a sweep cell
-        ships."""
+        paint): the partials a flight-recorder bundle holds."""
         seen: Dict[int, MessageTrace] = {}
         for trace in self._open.values():
             seen[trace.trace_id] = trace
         for trace in self._awaiting_decode.values():
             seen[trace.trace_id] = trace
         return [seen[trace_id] for trace_id in sorted(seen)]
+
+    # -- sweep cells -------------------------------------------------------
+    def export_state(self) -> Dict[str, object]:
+        """What a forked sweep cell's tracer hands back (picklable): how
+        many trace and update ids it drew, and its traces in flight."""
+        return {
+            "ids": next(self._ids) - 1,
+            "update_ids": next(self._update_ids) - 1,
+            "open": list(self._open.values()),
+            "decoding": list(self._awaiting_decode.values()),
+        }
+
+    def absorb_state(self, state: Dict[str, object]) -> Tuple[int, int]:
+        """Take up a cell's :meth:`export_state` as if the cell had run
+        under this tracer after everything it has seen: the cell's ids
+        follow this tracer's, and its traces in flight join this one's
+        (a key in flight here gives way to the cell's, as a send of it
+        would).  Returns the offsets, trace id and update id, that
+        renumber the cell's records."""
+        ids = next(self._ids) - 1
+        updates = next(self._update_ids) - 1
+        self._ids = itertools.count(ids + state["ids"] + 1)
+        self._update_ids = itertools.count(updates + state["update_ids"] + 1)
+        for trace in state["open"] + state["decoding"]:
+            trace.trace_id += ids
+            if trace.update_id is not None:
+                trace.update_id += updates
+        for trace in state["open"]:
+            self._open[trace.key] = trace
+        for trace in state["decoding"]:
+            # Its command stayed in the cell; no paint will close it.
+            self._awaiting_decode[id(trace)] = trace
+        if not self.retain:
+            while len(self._open) > self.max_recent:
+                del self._open[next(iter(self._open))]
+        return ids, updates
 
     # -- results -----------------------------------------------------------
     def _finish(self, trace: MessageTrace) -> None:

@@ -170,9 +170,6 @@ def print_summary(bundle: Bundle) -> None:
         f"{counts.get('windows', 0)} windows, "
         f"{counts.get('marks', 0)} marks"
     )
-    shards = counts.get("shards") or []
-    if shards:
-        print(f"shards:  {len(shards)} absorbed {shards}")
     results = [r for r in bundle.slo if r.get("type") == "slo"]
     if results:
         print()
