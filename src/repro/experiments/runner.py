@@ -178,17 +178,19 @@ def experiment(
 
 
 def _run_cell(writer, fn: Callable[[Any], Any], cell: Any) -> None:
-    """One forked :func:`sweep` child: ``fn(cell)`` under the context
-    derived for a cell, answered with ``("done", result, evidence)`` or
-    ``("error", summary, traceback, evidence)`` — a cell that fails or
-    is interrupted still ships what its rings hold."""
+    """One forked :func:`sweep` child: ``fn(cell)`` under the parent
+    recorder's ``for_cell()``, if it has one, answered with ``("done",
+    result, rings)`` or ``("error", summary, traceback, rings)`` — a
+    cell that fails or is interrupted still ships what its rings hold."""
+    parent = current_run().recorder
+    recorder = parent.for_cell() if parent is not None else None
     try:
-        with use_run(**current_run().for_cell()) as run:
+        with use_run(recorder=recorder, tracer=None, capture=None):
             try:
                 reply = ("done", fn(cell))
             except BaseException as exc:
                 reply = ("error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
-            writer.send(reply + (run.cell_evidence(),))
+            writer.send(reply + (recorder and recorder.cell_payload(),))
     finally:
         writer.close()
 
@@ -213,14 +215,14 @@ def sweep(cells: Iterable[Any], fn: Callable[[Any], Any]) -> List[Any]:
     runs in a child forked from this process, which changes nothing
     until every cell is in: each cell starts from the same parent
     state however many share the machine, ``fn`` may be a closure, and
-    only its result and its recorder's rings cross back (pickled).  The
-    child runs ``fn`` under ``use_run(**current_run().for_cell())``.
-    At most ``os.cpu_count()`` children are alive at once.  The current
-    run absorbs the rings in cell order, and the results come back in
-    cell order, so the output is the same whatever that count is.  When
-    a cell fails, or the sweep is interrupted, the rings of every cell
-    that answered, the failed one's included, are absorbed before the
-    error leaves, so a crash or interrupt bundle holds them.
+    only its result and its recorder's rings cross back (pickled).  At
+    most ``os.cpu_count()`` children are alive at once.  The run's
+    recorder absorbs the rings in cell order, as if it had watched the
+    cells in turn, and the results come back in cell order, so the
+    output is the same whatever that count is.  When a cell fails, or
+    the sweep is interrupted, the rings of every cell that answered,
+    the failed one's included, are absorbed before the error leaves,
+    so a crash or interrupt bundle holds them.
 
     Under any other observer (a registry, its own tracer or capture, a
     time-series collection, the painter, cProfile or tracemalloc) the
@@ -277,7 +279,9 @@ def sweep(cells: Iterable[Any], fn: Callable[[Any], Any]) -> List[Any]:
             child.kill()
             child.join()
             reader.close()
-        current_run().absorb([reply[-1] for reply in replies if reply is not None])
+        recorder = current_run().recorder
+        if recorder is not None:
+            recorder.absorb_cells(reply[-1] for reply in replies if reply is not None)
     return [reply[1] for reply in replies]
 
 

@@ -151,7 +151,7 @@ class NetworkYardstick:
             # (or the round is declared lost), so slow rounds show up in
             # the open-trace set that health events are annotated with.
             self._probe_id = self._tracer.begin_probe(
-                "net.yardstick.round", self.sim.now
+                "net.yardstick.round", self.sim.now, self.sim.trace_space
             )
         request = Packet(
             self.console_addr,

@@ -62,10 +62,11 @@ STAGES: Tuple[str, ...] = (
     "paint",
 )
 
-#: Message-key type: (source address, destination address, wire seq).
-#: Sequence spaces are per-codec, so the address pair disambiguates
-#: flows and directions in multi-console simulations.
-MessageKey = Tuple[str, str, int]
+#: Message-key type: (keyspace, source address, destination address,
+#: wire seq).  Sequence spaces are per-codec, so the address pair tells
+#: flows and directions apart, and the keyspace (one per simulator,
+#: :meth:`TraceCollector.keyspace`) simulators that reuse both.
+MessageKey = Tuple[int, str, str, int]
 
 
 class MessageTrace:
@@ -78,8 +79,8 @@ class MessageTrace:
     """
 
     __slots__ = (
-        "trace_id", "key", "opcode", "update_id", "update_start", "sent_at",
-        "wire_bytes", "payload_bytes", "recovery", "recovery_of",
+        "trace_id", "space", "key", "opcode", "update_id", "update_start",
+        "sent_at", "wire_bytes", "payload_bytes", "recovery", "recovery_of",
         "reassembled_at", "decode_start_at", "painted_at", "superseded_at",
         "dropped", "completed", "hops", "_stages",
     )
@@ -98,7 +99,9 @@ class MessageTrace:
         recovery_of: Optional[int] = None,
     ) -> None:
         self.trace_id = trace_id
-        self.key = key
+        #: The simulator's keyspace, and (src, dst, seq) within it.
+        self.space = key[0]
+        self.key = key[1:]
         self.opcode = opcode
         self.update_id = update_id
         self.update_start = update_start
@@ -285,6 +288,7 @@ class TraceCollector:
     def __init__(self, retain: bool = True, max_recent: int = 512) -> None:
         self._ids = itertools.count(1)
         self._update_ids = itertools.count(1)
+        self._spaces = itertools.count(1)
         self.retain = retain
         self.max_recent = max_recent
         if retain:
@@ -294,26 +298,33 @@ class TraceCollector:
             self.messages = deque(maxlen=max_recent)  # type: ignore[assignment]
             self.updates = deque(maxlen=max_recent)  # type: ignore[assignment]
         self._open: Dict[MessageKey, MessageTrace] = {}
+        #: The most traces the bounded open set has held at once.
+        self._peak = 0
         self._awaiting_decode: Dict[int, MessageTrace] = {}
-        #: (src, dst, seq) of originals -> owning update, for attributing
-        #: recovery re-encodes to the update whose message they replace.
+        #: Keys of originals -> owning update, for attributing recovery
+        #: re-encodes to the update whose message they replace.
         self._update_by_message: Dict[MessageKey, UpdateTrace] = {}
         self._current_update: Optional[UpdateTrace] = None
         #: Probe spans (yardstick rounds, synthetic interactions) that
-        #: are in flight: trace_id -> (name, started_at).
-        self._open_probes: Dict[int, Tuple[str, float]] = {}
+        #: are in flight: trace_id -> (name, started_at, keyspace).
+        self._open_probes: Dict[int, Tuple[str, float, int]] = {}
         #: Flight-recorder sinks: called with each closing MessageTrace /
         #: each finished probe record.  None keeps the hooks free.
         self.completed_sink = None
         self.probe_sink = None
 
+    def keyspace(self) -> int:
+        """A keyspace for one more simulator's messages and probes (0
+        is left to those no run attached)."""
+        return next(self._spaces)
+
     # -- probe spans -------------------------------------------------------
-    def begin_probe(self, name: str, now: float) -> int:
-        """Open a named measurement span (e.g. one yardstick round) and
-        return its trace id.  Probe ids share the message id space so a
-        health event can cite either kind unambiguously."""
+    def begin_probe(self, name: str, now: float, space: int = 0) -> int:
+        """Open a named measurement span (e.g. one yardstick round) in
+        ``space`` and return its trace id.  Probe ids share the message
+        id space so a health event can cite either kind unambiguously."""
         trace_id = next(self._ids)
-        self._open_probes[trace_id] = (name, now)
+        self._open_probes[trace_id] = (name, now, space)
         return trace_id
 
     def end_probe(self, trace_id: int, now: Optional[float] = None) -> None:
@@ -323,7 +334,7 @@ class TraceCollector:
         may omit it."""
         span = self._open_probes.pop(trace_id, None)
         if span is not None and self.probe_sink is not None:
-            name, started_at = span
+            name, started_at, _space = span
             self.probe_sink(
                 {
                     "trace_id": trace_id,
@@ -336,12 +347,13 @@ class TraceCollector:
                 }
             )
 
-    def open_trace_ids(self) -> List[int]:
-        """Ids of everything currently in flight — open probe spans plus
-        unreassembled message traces — for annotating health events."""
-        ids = list(self._open_probes)
-        ids.extend(trace.trace_id for trace in self._open.values())
-        return sorted(set(ids))
+    def open_trace_ids(self, space: int) -> List[int]:
+        """Ids of everything in flight in one simulator's keyspace — open
+        probe spans plus unreassembled message traces — for annotating
+        its health events."""
+        ids = [i for i, probe in self._open_probes.items() if probe[2] == space]
+        ids.extend(t.trace_id for key, t in self._open.items() if key[0] == space)
+        return sorted(ids)
 
     # -- driver hooks ------------------------------------------------------
     def begin_update(self, now: float) -> int:
@@ -393,16 +405,17 @@ class TraceCollector:
                 # A recovery re-encode: attribute it to the update whose
                 # lost message it supersedes (recovery chains included —
                 # the superseded key maps to the same update).
-                owner = self._update_by_message.get(
-                    (key[0], key[1], recovery_of)
-                )
+                owner = self._update_by_message.get(key[:3] + (recovery_of,))
                 if owner is not None:
                     owner.traces.append(trace)
                     self._update_by_message[key] = owner
         if not self.retain:
             # One entry in, at most one out.  A status or input message
             # lost in flight is never superseded: its trace never closes.
-            if len(self._open) > self.max_recent:
+            in_flight = len(self._open)
+            if in_flight > self._peak:
+                self._peak = in_flight
+            if in_flight > self.max_recent:
                 del self._open[next(iter(self._open))]
             if len(self._update_by_message) > self.max_recent:
                 del self._update_by_message[next(iter(self._update_by_message))]
@@ -462,55 +475,60 @@ class TraceCollector:
 
     def open_traces(self) -> List[MessageTrace]:
         """Every message trace still in flight (unreassembled or awaiting
-        paint): the partials a flight-recorder bundle holds."""
-        seen: Dict[int, MessageTrace] = {}
-        for trace in self._open.values():
-            seen[trace.trace_id] = trace
-        for trace in self._awaiting_decode.values():
-            seen[trace.trace_id] = trace
-        return [seen[trace_id] for trace_id in sorted(seen)]
+        paint): the partials a flight-recorder bundle holds, by id."""
+        in_flight = [*self._open.values(), *self._awaiting_decode.values()]
+        return sorted(in_flight, key=lambda trace: trace.trace_id)
 
     # -- sweep cells -------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
         """What a forked sweep cell's tracer hands back (picklable): how
-        many trace and update ids it drew, and its traces in flight."""
+        many trace ids, update ids and keyspaces it drew, the most traces
+        its bounded open set held at once, and its traces in flight."""
         return {
             "ids": next(self._ids) - 1,
             "update_ids": next(self._update_ids) - 1,
+            "spaces": next(self._spaces) - 1,
+            "peak": self._peak,
             "open": list(self._open.values()),
             "decoding": list(self._awaiting_decode.values()),
         }
 
-    def absorb_state(self, state: Dict[str, object]) -> Tuple[int, int]:
-        """Take up a cell's :meth:`export_state` as if the cell had run
-        under this tracer after everything it has seen: the cell's ids
-        follow this tracer's, and its traces in flight join this one's
-        (a key in flight here gives way to the cell's, as a send of it
-        would).  Returns the offsets, trace id and update id, that
-        renumber the cell's records."""
+    def absorb_state(self, state: Dict[str, object], closed: List[Dict]) -> None:
+        """Take up a cell's :meth:`export_state` and ``closed``, the
+        records it closed, as if the cell had run under this tracer
+        after everything it has seen: the one place a cell's trace ids,
+        update ids and keyspaces are moved past the ones drawn here."""
         ids = next(self._ids) - 1
         updates = next(self._update_ids) - 1
+        spaces = next(self._spaces) - 1
         self._ids = itertools.count(ids + state["ids"] + 1)
         self._update_ids = itertools.count(updates + state["update_ids"] + 1)
+        self._spaces = itertools.count(spaces + state["spaces"] + 1)
+        for record in closed:
+            record["trace_id"] += ids
+            if record.get("update_id") is not None:
+                record["update_id"] += updates
         for trace in state["open"] + state["decoding"]:
             trace.trace_id += ids
             if trace.update_id is not None:
                 trace.update_id += updates
+            trace.space += spaces
+        if not self.retain:
+            # In turn, each send past the bound pushes out the oldest.
+            overshoot = state["peak"] + len(self._open) - self.max_recent
+            for _ in range(min(max(overshoot, 0), len(self._open))):
+                del self._open[next(iter(self._open))]
         for trace in state["open"]:
-            self._open[trace.key] = trace
+            self._open[(trace.space,) + trace.key] = trace
         for trace in state["decoding"]:
             # Its command stayed in the cell; no paint will close it.
             self._awaiting_decode[id(trace)] = trace
-        if not self.retain:
-            while len(self._open) > self.max_recent:
-                del self._open[next(iter(self._open))]
-        return ids, updates
 
     # -- results -----------------------------------------------------------
     def _finish(self, trace: MessageTrace) -> None:
         trace.completed = True
         if not self.retain:
-            self._update_by_message.pop(trace.key, None)
+            self._update_by_message.pop((trace.space,) + trace.key, None)
         if self.completed_sink is not None:
             self.completed_sink(trace)
 

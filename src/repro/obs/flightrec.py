@@ -291,17 +291,13 @@ class FlightRecorder:
     def absorb_cells(self, payloads: Iterable[Dict[str, Any]]) -> None:
         """Take up what a sweep's forked cells shipped, in cell order,
         as if each cell had run here in turn: its frames, closed traces
-        and marks join the rings (which evict as they would have), its
-        trace ids follow the ones drawn here, and its traces in flight
-        are this recorder's tracer's."""
+        and marks join the rings (which evict as they would have), and
+        this recorder's tracer takes up its ids and traces in flight
+        (:meth:`TraceCollector.absorb_state`)."""
         for payload in payloads:
             self.capture.absorb_state(payload["capture"])
-            ids, updates = self.tracer.absorb_state(payload["tracer"])
-            for record in payload["traces"]:
-                record["trace_id"] += ids
-                if record.get("update_id") is not None:
-                    record["update_id"] += updates
-                self._closed.append(record)
+            self.tracer.absorb_state(payload["tracer"], payload["traces"])
+            self._closed.extend(payload["traces"])
             self.marks.extend(payload["marks"])
             self.triggers.extend(payload["triggers"])
             self._phase = payload["phase"]

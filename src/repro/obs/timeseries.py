@@ -357,7 +357,7 @@ class TimeSeriesCollection:
         registry holds beyond the baseline belongs to the simulators
         that already ran: they are flushed first."""
         self.finish_samplers()
-        sampler = TimeSeriesSampler(self.new_run(), self)
+        sampler = TimeSeriesSampler(self.new_run(), self, sim.trace_space)
         self._samplers.append((sampler, sim))
         return sampler
 
@@ -604,8 +604,8 @@ class TimeSeriesSampler:
     closes nothing.
 
     The registry and the tracer are read through the run context the
-    sampler was built under, at each window close: a sweep cell may give
-    its context a registry after its engine exists.
+    sampler was built under, at each window close; a window cites the
+    traces in flight in its own simulator's keyspace, ``space``.
     What the registry gained is cut against the collection's baseline,
     which every sampler of the collection shares.
     Whether a flight recorder is armed is asked of the *current*
@@ -615,9 +615,10 @@ class TimeSeriesSampler:
 
     every = SAMPLER_EVERY
 
-    def __init__(self, run: RunSeries, collection: TimeSeriesCollection) -> None:
+    def __init__(self, run: RunSeries, collection: TimeSeriesCollection, space: int) -> None:
         self.run = run
         self._collection = collection
+        self._space = space
         self._context = current_run()
         self._window_start = 0.0
         self._boundary = run.window
@@ -641,9 +642,8 @@ class TimeSeriesSampler:
         """Close any partial trailing window.
 
         Idempotent at a given ``now`` (the second call finds
-        ``_window_start == now`` and stores nothing), and safe to call
-        when a sweep cell ships its series — sampling continues afterwards
-        from a fresh window starting at ``now``.
+        ``_window_start == now`` and stores nothing); sampling continues
+        afterwards from a fresh window starting at ``now``.
         """
         while now >= self._boundary:
             self._close_window(self._boundary)
@@ -666,7 +666,7 @@ class TimeSeriesSampler:
             tracer = self._context.tracer
             if tracer is not None:
                 # Trace ids in flight (annotation, not a full trace).
-                trace_ids = list(tracer.open_trace_ids())[:MAX_TRACE_IDS]
+                trace_ids = tracer.open_trace_ids(self._space)[:MAX_TRACE_IDS]
                 if trace_ids:
                     record["trace_ids"] = trace_ids
             self.run.append_window(record)

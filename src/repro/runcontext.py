@@ -16,15 +16,15 @@ is *built under*, also after that ``with`` block exits.
 ``Network.attach`` constructs the links, so a rig builds its network
 *and* attaches its endpoints inside the one block.  A
 :class:`~repro.netsim.engine.Simulator` asks the context to
-:meth:`~RunContext.attach` its periodic observers as it is built.  The
-root context holds nothing, so an unarmed run pays nothing.
+:meth:`~RunContext.attach` its periodic observers and a trace
+keyspace of its own as it is built.  The root context holds nothing, so an unarmed run pays nothing.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.telemetry.metrics import MetricsRegistry, NullRegistry
 
@@ -72,9 +72,10 @@ class RunContext:
     progress: Optional["ProgressMonitor"] = None
 
     def attach(self, sim: "Simulator") -> None:
-        """Give a new simulator this run's periodic observers: the
-        shared painter, a sampler of its own and the recorder's engine
-        marks."""
+        """Give a new simulator a trace keyspace of its own and this
+        run's periodic observers: the shared painter, a sampler of its
+        own and the recorder's engine marks."""
+        sim.trace_space = self.tracer.keyspace() if self.tracer is not None else 0
         if self.progress is not None:
             sim.add_monitor(self.progress)
         if self.collection is not None:
@@ -98,28 +99,6 @@ class RunContext:
         if self.recorder is None:
             return self.tracer is None and self.capture is None
         return self.recorder.owns(self.tracer, self.capture)
-
-    def for_cell(self) -> Dict[str, Any]:
-        """The fields a forked :func:`~repro.experiments.runner.sweep`
-        cell replaces in the context it inherited: a rings-only recorder
-        with its own bounded tracer and wire ring, whose rings the
-        parent absorbs."""
-        if self.recorder is None:
-            return {}
-        return {"recorder": self.recorder.for_cell(), "tracer": None, "capture": None}
-
-    def cell_evidence(self) -> Optional[Dict[str, Any]]:
-        """What a forked sweep cell ships when it ends, answered or
-        failed (picklable): its recorder's rings."""
-        if self.recorder is None:
-            return None
-        return self.recorder.cell_payload()
-
-    def absorb(self, evidence: List[Optional[Dict[str, Any]]]) -> None:
-        """Fold the cells' :meth:`cell_evidence`, in cell order, into
-        this run's recorder."""
-        if self.recorder is not None:
-            self.recorder.absorb_cells(evidence)
 
 
 _current = RunContext()

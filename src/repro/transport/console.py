@@ -228,7 +228,7 @@ class ConsoleChannel:
             command, seq = result
             if self._trace is not None:
                 self._trace.reassembled(
-                    (packet.src, packet.dst, seq),
+                    (self.sim.trace_space, packet.src, packet.dst, seq),
                     command,
                     self.sim.now,
                     packet.hops,
@@ -328,7 +328,7 @@ class ConsoleChannel:
         trace_id = None
         if self._trace is not None:
             trace_id = self._trace.message_sent(
-                (self.address, self.server_address, seq),
+                (self.sim.trace_space, self.address, self.server_address, seq),
                 command,
                 self.sim.now,
                 nbytes,

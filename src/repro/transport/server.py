@@ -185,7 +185,7 @@ class ServerChannel:
         trace_id = None
         if self._trace is not None:
             trace_id = self._trace.message_sent(
-                (self.address, self.console_address, seq),
+                (self.sim.trace_space, self.address, self.console_address, seq),
                 command,
                 self.sim.now,
                 nbytes,
@@ -228,9 +228,8 @@ class ServerChannel:
             return
         command, seq = result
         if self._trace is not None:
-            self._trace.reassembled(
-                (packet.src, packet.dst, seq), command, self.sim.now, packet.hops
-            )
+            key = (self.sim.trace_space, packet.src, packet.dst, seq)
+            self._trace.reassembled(key, command, self.sim.now, packet.hops)
         if isinstance(command, cmd.StatusMessage):
             if command.kind == StatusKind.NACK:
                 self._recover(command.value)
@@ -253,7 +252,8 @@ class ServerChannel:
             # travel under fresh seqs (or were never pixels): close its
             # trace as superseded rather than leaving it open forever.
             self._trace.message_superseded(
-                (self.address, self.console_address, seq), self.sim.now
+                (self.sim.trace_space, self.address, self.console_address, seq),
+                self.sim.now,
             )
         known, rect = self.damage.lookup(seq)
         if known and rect is not None:

@@ -326,7 +326,7 @@ class TestFlightRecorderTracerIsBounded:
         outage_at = max_recent  # a total outage, after some ordinary loss
         lost = []
         for seq in range(3 * max_recent + outage):
-            key = ("console", "server", seq)
+            key = (0, "console", "server", seq)
             message = cmd.StatusMessage(kind=StatusKind.FRONTIER, value=seq)
             tracer.message_sent(key, message, float(seq), wire_bytes=54)
             if outage_at <= seq < outage_at + outage or rng.random() < loss_rate:
@@ -337,11 +337,78 @@ class TestFlightRecorderTracerIsBounded:
             assert len(tracer.messages) <= max_recent
         # Pushed out means gone for good: a straggler arriving after its
         # trace left the open set completes nothing.
-        still_open = {trace.key for trace in tracer.open_traces()}
+        still_open = {(0,) + trace.key for trace in tracer.open_traces()}
         delivered = len(reported)
         for key, message in lost:
             tracer.reassembled(key, message, 1e6)
         late = reported[delivered:]
-        assert {trace.key for trace in late} == still_open
+        assert {(0,) + trace.key for trace in late} == still_open
         assert all(trace.completed for trace in reported)
         assert tracer.open_traces() == []
+
+    @settings(deadline=None)
+    @given(
+        max_recent=st.integers(1, 24),
+        simulators=st.lists(
+            # Per simulator, per seq: lost, or reassembled after a delay
+            # (in steps of that simulator's own stream).
+            st.lists(st.one_of(st.none(), st.integers(0, 4)), max_size=16),
+            min_size=2,
+            max_size=3,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_a_trace_belongs_to_its_simulator(self, max_recent, simulators, order):
+        """Simulators that interleave sends, losses and reassemblies over
+        the same ``(src, dst, seq)`` range under one bounded tracer: a
+        trace closes only on its own simulator's reassembly, and what
+        stays open is each simulator's lost traces, as far as the bound
+        (the oldest go first) keeps them."""
+        from repro.core.commands import StatusKind
+        from repro.obs import TraceCollector
+
+        tracer = TraceCollector(retain=False, max_recent=max_recent)
+        closed = []
+        tracer.completed_sink = closed.append
+        # Each simulator's own stream of steps: send seq, and reassemble
+        # it some steps later unless it is lost.
+        streams = []
+        for fates in simulators:
+            space = tracer.keyspace()
+            steps = [[] for _ in range(len(fates) + 5)]
+            for seq, delay in enumerate(fates):
+                steps[seq].append(("send", space, seq))
+                if delay is not None:
+                    steps[seq + delay].append(("reassemble", space, seq))
+            streams.append([step for group in steps for step in group])
+        ids = {}  # (space, seq) -> trace id
+        model = {}  # the bounded open set, oldest first: (space, seq) -> id
+        while any(streams):
+            stream = order.choice([s for s in streams if s])
+            action, space, seq = stream.pop(0)
+            key = (space, "console", "server", seq)
+            message = cmd.StatusMessage(kind=StatusKind.FRONTIER, value=seq)
+            if action == "send":
+                ids[space, seq] = tracer.message_sent(key, message, 0.0, 54)
+                model[space, seq] = ids[space, seq]
+                if len(model) > max_recent:
+                    del model[next(iter(model))]
+                continue
+            before = len(closed)
+            tracer.reassembled(key, message, 1.0)
+            expected = model.pop((space, seq), None)
+            assert [t.trace_id for t in closed[before:]] == (
+                [expected] if expected is not None else []
+            )
+        lost = {
+            ids[space, seq]
+            for space, fates in enumerate(simulators, start=1)
+            for seq, delay in enumerate(fates)
+            if delay is None
+        }
+        still_open = [trace.trace_id for trace in tracer.open_traces()]
+        assert still_open == sorted(model.values())
+        assert set(still_open) <= lost and len(still_open) <= max_recent
+        if sum(map(len, simulators)) <= max_recent:
+            # The bound never bit: every lost trace is still open.
+            assert set(still_open) == lost

@@ -15,17 +15,21 @@ import json
 import multiprocessing
 import os
 import signal
+import tempfile
 import time
 import tracemalloc
 import zipfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.commands import FillCommand
 from repro.core.wire import WireCodec
 from repro.errors import SimulationError
 from repro.experiments import fig9, fig10, fig11, fleet_scale, lossy_fabric, wan_matrix
 from repro.experiments.__main__ import main
+from repro.experiments.lossy_fabric import run_lossy_session
 from repro.experiments.runner import EXPERIMENTS, experiment, sweep
 from repro.framebuffer import Rect
 from repro.netsim.engine import Simulator
@@ -215,45 +219,85 @@ def _capturing_cell(cell):
     return len(current_run().capture)
 
 
-def test_cell_wire_frames_join_the_parents_ring():
-    recorder = FlightRecorder(out_dir=None)
-    with use_run(recorder=recorder):
-        captured = sweep([1, 2], _capturing_cell)
-    assert len(recorder.capture) == sum(captured) > 0
-    reader = SlimcapReader.from_bytes(recorder.capture.dump_bytes())
-    assert len(list(reader.frames())) == sum(captured)
-    assert not reader.truncated
+#: A grid of lossy display sessions: (loss rate, seed, updates) per cell.
+_LOSSY_GRIDS = st.lists(
+    st.tuples(st.sampled_from((0.05, 0.1, 0.2)), st.integers(0, 3), st.integers(3, 6)),
+    min_size=2,
+    max_size=3,
+)
 
 
-def test_a_forked_ring_holds_what_an_in_place_ring_holds(monkeypatch):
-    """Absorbed in cell order, the cells' rings leave the parent's as
-    rings that watched the cells in turn: the same newest frames and
-    closed traces, the same eviction count (small budgets make the
-    cells evict), the same trace ids and the same traces in flight."""
-    monkeypatch.setattr(lossy_fabric, "LOSS_RATES", (0.0, 0.1, 0.2))
-    monkeypatch.setattr(lossy_fabric, "PROFILE_CELLS", ("wifi",))
-    rings = []
-    for painter in (None, ProgressMonitor(stream=io.StringIO())):
+def _grid_bundle(cells, failing, max_traces, **observers):
+    """The members of the bundle a recorder freezes after ``sweep`` ran
+    ``cells`` (the one at index ``failing`` raising once its session is
+    done) under ``observers`` beside the recorder."""
+
+    def session(index):
+        loss_rate, seed, updates = cells[index]
+        run_lossy_session(loss_rate, updates=updates, seed=seed)
+        if index == failing:
+            raise ValueError(f"cell {index} fails")
+        return index
+
+    with tempfile.TemporaryDirectory() as out_dir:
         recorder = FlightRecorder(
-            out_dir=None, capture_bytes=64 * 1024, max_traces=128
+            out_dir=out_dir, capture_bytes=1024, max_traces=max_traces
         )
-        fields = {"progress": painter} if painter else {}
-        with use_run(recorder=recorder, **fields) as run:
-            assert run.rings_only() is (painter is None)
-            lossy_fabric.run(updates=8)
-        rings.append(
-            (
-                recorder.capture.dump_bytes(),
-                recorder.capture.evicted,
-                json.dumps(recorder._trace_records()),
-                next(recorder.tracer._ids),
-            )
-        )
-    assert rings[0] == rings[1]
-    forked_records = json.loads(rings[0][2])
-    assert rings[0][1] > 0
-    assert len(forked_records) > 128
-    assert any(record.get("open") for record in forked_records)
+        with use_run(recorder=recorder, **observers):
+            try:
+                assert sweep(range(len(cells)), session) == list(range(len(cells)))
+            except (SimulationError, ValueError) as exc:
+                assert failing is not None, exc
+            recorder.trigger("interrupt")
+        with zipfile.ZipFile(recorder.last_bundle) as archive:
+            return {name: archive.read(name) for name in archive.namelist()}
+
+
+def _open_partials(members):
+    """A bundle's traces in flight, their ids aside."""
+    records = map(json.loads, members["traces.jsonl"].decode().splitlines())
+    return [
+        {key: value for key, value in record.items() if key not in ("trace_id", "update_id")}
+        for record in records
+        if record.get("open")
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cells=_LOSSY_GRIDS,
+    workers=st.sampled_from((1, 2)),
+    failing=st.one_of(st.none(), st.integers(0, 2)),
+    max_traces=st.sampled_from((24, 512)),
+)
+def test_forked_cells_leave_the_rings_of_cells_run_in_turn(
+    cells, workers, failing, max_traces
+):
+    """Absorbing forked cells and running them in place, in turn, are
+    one operation: the bundle holds the same members, byte for byte —
+    frames and their eviction count, closed traces and their ids,
+    traces in flight, marks.  A failing cell is compared at one worker:
+    at two a later sibling may answer first, and is then rightly
+    absorbed.  The traces in flight are those each cell that ran leaves
+    when run alone, in cell order, as far as the bound keeps them (the
+    oldest go first; at 512 it never bites on these grids)."""
+    if failing is not None:
+        failing %= len(cells)
+        workers = 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("os.cpu_count", lambda: workers)
+        forked = _grid_bundle(cells, failing, max_traces)
+    painter = ProgressMonitor(stream=io.StringIO())
+    assert forked == _grid_bundle(cells, failing, max_traces, progress=painter)
+    assert json.loads(forked["manifest.json"])["counts"]["frames_evicted"] > 0
+    alone = []
+    for index, cell in enumerate(cells[: failing + 1] if failing is not None else cells):
+        fails = 0 if index == failing else None
+        alone += _open_partials(_grid_bundle([cell], fails, max_traces))
+    partials = _open_partials(forked)
+    assert partials == alone[len(alone) - len(partials):]
+    if max_traces == 512:
+        assert partials == alone
 
 
 def _capture_then_fail(cell):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import commands as cmd
 from repro.errors import ReproError
 from repro.netsim.engine import Simulator
 from repro.obs.causal import TraceCollector
@@ -36,6 +37,7 @@ class FakeSim:
     def __init__(self):
         self.now = 0.0
         self.events_processed = 0
+        self.trace_space = 0
 
 
 def make_window(t0, t1, counters=None, gauges=None, histograms=None, **extra):
@@ -317,7 +319,7 @@ class TestCollectTimeseries:
         collection = TimeSeriesCollection()
         with use_run(registry=registry, tracer=tracer, collection=collection):
             sim = Simulator()
-            probe = tracer.begin_probe("net.yardstick.round", 0.0)
+            probe = tracer.begin_probe("net.yardstick.round", 0.0, sim.trace_space)
             counter = registry.counter("evt")
             for i in range(600):
                 sim.schedule(i * 0.01, counter.inc)
@@ -326,6 +328,36 @@ class TestCollectTimeseries:
         run = collection.runs[0]
         annotated = [w for w in run.windows if w.get("trace_ids")]
         assert annotated and probe in annotated[0]["trace_ids"]
+
+    def test_a_window_cites_only_its_own_simulators_traces(self):
+        """Each simulator leaves a message trace and a probe span in
+        flight (a lost status, an unanswered round).  A later
+        simulator's windows cite neither of an earlier one's: a sampler
+        asks for its own simulator's keyspace."""
+        tracer = TraceCollector()
+        registry = MetricsRegistry()
+        collection = TimeSeriesCollection()
+        own = []
+        with use_run(registry=registry, tracer=tracer, collection=collection):
+            counter = registry.counter("evt")
+            for _ in range(3):
+                sim = Simulator()
+                lost = tracer.message_sent(
+                    (sim.trace_space, "console", "server", 0),
+                    cmd.StatusMessage(kind=cmd.StatusKind.FRONTIER, value=0),
+                    0.0,
+                    wire_bytes=54,
+                )
+                probe = tracer.begin_probe("net.yardstick.round", 0.0, sim.trace_space)
+                own.append({lost, probe})
+                for i in range(300):
+                    sim.schedule(i * 0.01, counter.inc)
+                sim.run()
+        cited = [
+            {trace_id for w in run.windows for trace_id in w.get("trace_ids", ())}
+            for run in collection.runs
+        ]
+        assert cited == own
 
     def test_finish_samplers_flushes_mid_session(self):
         registry = MetricsRegistry()
