@@ -142,6 +142,18 @@ printed the same table:
   and the ``stdout`` line that counts them; the table, the notes and
   the bundle list did not move.
 
+One more moved when each simulator began tracing in a keyspace of its
+own (on 6b17dd5).  Cells that ran in turn under one tracer had
+overwritten each other's traces in flight, keyed by ``(src, dst,
+seq)`` alone, and absorbing a forked cell kept only one trace per key:
+
+    PYTHONPATH=src python tests/golden/regen.py observers bundle/lossy_fabric
+
+* ``bundle/lossy_fabric``: ``traces_sha256`` and ``counts.traces``
+  (656 → 670: the bundle holds all 158 open partials the five loss
+  cells leave, 0 + 1 + 3 + 10 + 144, where it held 144); ``ring_sha256``
+  and every other count did not move.
+
 Running an oracle with no ``ENTRY`` on a later commit re-blesses the whole
 file from the one remaining path; do that only for a deliberate, reviewed
 change of simulated behaviour.
