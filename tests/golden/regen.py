@@ -154,6 +154,21 @@ seq)`` alone, and absorbing a forked cell kept only one trace per key:
   cells leave, 0 + 1 + 3 + 10 + 144, where it held 144); ``ring_sha256``
   and every other count did not move.
 
+One more moved with it: a time-series window cites the traces in
+flight in its own simulator's keyspace, where it cited the first eight
+open ids of every simulator of the run (``run-8``'s yardstick spikes
+cited eight display traces ``run-7`` left open).  Outside the
+``traces [...]`` of the SLO event lines, the simulated stdout equals
+the parent's:
+
+    PYTHONPATH=src python tests/golden/regen.py runner all_flags/lossy_fabric
+
+* ``all_flags/lossy_fabric``: ``stdout`` (the SLO events' trace ids),
+  ``slo``, ``timeseries`` and the three bundles' ``manifest.json``,
+  ``slo.jsonl`` and ``timeseries.jsonl``, and ``traces.jsonl`` of the
+  second and third (their partials); ``capture``, ``metrics``,
+  ``trace_events`` and every ``ring.slimcap`` did not move.
+
 Running an oracle with no ``ENTRY`` on a later commit re-blesses the whole
 file from the one remaining path; do that only for a deliberate, reviewed
 change of simulated behaviour.
