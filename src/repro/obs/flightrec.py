@@ -338,9 +338,6 @@ class FlightRecorder:
                 "traces": len(traces),
                 "windows": len(self.windows),
                 "marks": len(self.marks),
-                # Format 1 lists here the cells whose records a bundle
-                # keeps apart; absorbed cells' records are in the rings.
-                "shards": [],
             },
         }
         with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:

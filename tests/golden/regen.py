@@ -169,6 +169,23 @@ the parent's:
   second and third (their partials); ``capture``, ``metrics``,
   ``trace_events`` and every ``ring.slimcap`` did not move.
 
+Three more moved when the last serialised "shard" names went, each
+recomputed on a75fac9 with only those names dropped or renamed: the
+manifest's always-empty
+``counts.shards`` list, which no reader used, and the golden key
+``sharded/fleet_scale``, renamed ``sampled/fleet_scale`` in place
+(with ``SAMPLED_FLAGS`` and ``sampled()`` in ``tests/runner_oracle.py``):
+
+    PYTHONPATH=src python tests/golden/regen.py runner \
+        all_flags/lossy_fabric sampled/fleet_scale
+    PYTHONPATH=src python tests/golden/regen.py observers bundle/lossy_fabric
+
+* ``all_flags/lossy_fabric``: the three bundles' ``manifest.json``;
+  nothing else moved.
+* ``bundle/lossy_fabric``: ``counts`` without its ``shards: []``.
+* ``sampled/fleet_scale``: the value of ``sharded/fleet_scale``,
+  recomputed equal under its new name.
+
 Running an oracle with no ``ENTRY`` on a later commit re-blesses the whole
 file from the one remaining path; do that only for a deliberate, reviewed
 change of simulated behaviour.

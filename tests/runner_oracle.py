@@ -44,7 +44,7 @@ ALL_FLAGS = (
 #: A sweep under sampling and the default-armed recorder: sampling is
 #: an observer a fork cannot ship back, so the four cells run in place
 #: and each slice's simulator is sampled into a run of its own.
-SHARDED_FLAGS = (
+SAMPLED_FLAGS = (
     "--users", "400",
     "--duration", "7200",
     "--timeseries", "T",
@@ -150,9 +150,9 @@ def all_flags(scratch) -> dict:
     }
 
 
-def sharded(scratch) -> dict:
+def sampled(scratch) -> dict:
     scratch = Path(scratch)
-    done = run_cli(SHARDED_FLAGS, scratch)
+    done = run_cli(SAMPLED_FLAGS, scratch)
     return {
         "stdout": _sha256(simulated_stdout(done.stdout)),
         "timeseries": _sha256((scratch / "T").read_bytes()),
@@ -170,6 +170,6 @@ def compute_all(scratch) -> dict:
 
     return {
         "all_flags/lossy_fabric": all_flags(sub("all_flags")),
-        "sharded/fleet_scale": sharded(sub("sharded")),
+        "sampled/fleet_scale": sampled(sub("sampled")),
         "help": _sha256(run_cli(["--help"], scratch).stdout),
     }
