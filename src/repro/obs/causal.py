@@ -514,7 +514,8 @@ class TraceCollector:
                 trace.update_id += updates
             trace.space += spaces
         if not self.retain:
-            # In turn, each send past the bound pushes out the oldest.
+            # Run in turn, the cell's sends past the bound would have
+            # pushed out the oldest here: as many as its peak overshoots.
             overshoot = state["peak"] + len(self._open) - self.max_recent
             for _ in range(min(max(overshoot, 0), len(self._open))):
                 del self._open[next(iter(self._open))]

@@ -243,7 +243,8 @@ def _grid_bundle(cells, failing, max_traces, **observers):
         recorder = FlightRecorder(
             out_dir=out_dir, capture_bytes=1024, max_traces=max_traces
         )
-        with use_run(recorder=recorder, **observers):
+        with use_run(recorder=recorder, **observers) as run:
+            assert run.rings_only() == (not observers)
             try:
                 assert sweep(range(len(cells)), session) == list(range(len(cells)))
             except (SimulationError, ValueError) as exc:
@@ -290,8 +291,9 @@ def test_forked_cells_leave_the_rings_of_cells_run_in_turn(
     painter = ProgressMonitor(stream=io.StringIO())
     assert forked == _grid_bundle(cells, failing, max_traces, progress=painter)
     assert json.loads(forked["manifest.json"])["counts"]["frames_evicted"] > 0
+    ran = cells if failing is None else cells[: failing + 1]
     alone = []
-    for index, cell in enumerate(cells[: failing + 1] if failing is not None else cells):
+    for index, cell in enumerate(ran):
         fails = 0 if index == failing else None
         alone += _open_partials(_grid_bundle([cell], fails, max_traces))
     partials = _open_partials(forked)
