@@ -219,6 +219,47 @@ def _capturing_cell(cell):
     return len(current_run().capture)
 
 
+def test_cell_wire_frames_join_the_parents_ring():
+    recorder = FlightRecorder(out_dir=None)
+    with use_run(recorder=recorder):
+        captured = sweep([1, 2], _capturing_cell)
+    assert len(recorder.capture) == sum(captured) > 0
+    reader = SlimcapReader.from_bytes(recorder.capture.dump_bytes())
+    assert len(list(reader.frames())) == sum(captured)
+    assert not reader.truncated
+
+
+def test_a_forked_ring_holds_what_an_in_place_ring_holds(monkeypatch):
+    """Absorbed in cell order, the cells' rings leave the parent's as
+    rings that watched the cells in turn: the same newest frames and
+    closed traces, the same eviction count (small budgets make the
+    cells evict), the same trace ids and the same traces in flight."""
+    monkeypatch.setattr(lossy_fabric, "LOSS_RATES", (0.0, 0.1, 0.2))
+    monkeypatch.setattr(lossy_fabric, "PROFILE_CELLS", ("wifi",))
+    rings = []
+    for painter in (None, ProgressMonitor(stream=io.StringIO())):
+        recorder = FlightRecorder(
+            out_dir=None, capture_bytes=64 * 1024, max_traces=128
+        )
+        fields = {"progress": painter} if painter else {}
+        with use_run(recorder=recorder, **fields) as run:
+            assert run.rings_only() is (painter is None)
+            lossy_fabric.run(updates=8)
+        rings.append(
+            (
+                recorder.capture.dump_bytes(),
+                recorder.capture.evicted,
+                json.dumps(recorder._trace_records()),
+                next(recorder.tracer._ids),
+            )
+        )
+    assert rings[0] == rings[1]
+    forked_records = json.loads(rings[0][2])
+    assert rings[0][1] > 0
+    assert len(forked_records) > 128
+    assert any(record.get("open") for record in forked_records)
+
+
 #: A grid of lossy display sessions: (loss rate, seed, updates) per cell.
 _LOSSY_GRIDS = st.lists(
     st.tuples(st.sampled_from((0.05, 0.1, 0.2)), st.integers(0, 3), st.integers(3, 6)),
