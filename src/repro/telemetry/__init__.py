@@ -24,7 +24,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    P2Quantile,
     get_registry,
 )
 from repro.telemetry.report import render_json, render_report
@@ -35,7 +34,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
-    "P2Quantile",
     "get_registry",
     "render_json",
     "render_report",

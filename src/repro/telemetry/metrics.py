@@ -9,9 +9,11 @@ design follows the usual three-instrument model:
   commands decoded, packets dropped).
 * :class:`Gauge` — a value that goes up and down (CPU share, queue
   occupancy sampled at an instant).
-* :class:`Histogram` — a distribution: fixed bucket counts plus
-  streaming quantile estimates (the P² algorithm, so long runs never
-  accumulate per-observation state).
+* :class:`Histogram` — a distribution: count, sum, min, max and fixed
+  bucket counts (a log-spaced default layout when the caller gives
+  none).  Quantiles are read from the buckets when asked for
+  (:func:`bucket_quantile`), so a histogram records and never
+  estimates, and long runs never accumulate per-observation state.
 
 Instruments live in a :class:`MetricsRegistry`, keyed by name plus
 labels.  Components accept an injectable registry and fall back to the
@@ -24,22 +26,31 @@ registry with :func:`repro.runcontext.use_run` or pass one explicitly.
 
 from __future__ import annotations
 
+import math
 import weakref
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.errors import ReproError
 
 __all__ = [
     "Counter",
+    "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
+    "bucket_quantile",
     "get_registry",
+    "occupied_buckets",
 ]
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
-#: Default streaming-quantile targets kept by every histogram.
-DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
+#: The one bucket layout of a histogram whose caller gives none: eight
+#: log-spaced bounds per decade from 1e-6 to 1e6, so each bucket above
+#: the first spans 10 ** (1 / 8) - 1, about 33 %, of its lower bound.
+DEFAULT_BUCKETS: Tuple[float, ...] = tuple(10.0 ** (e / 8) for e in range(-48, 49))
 
 
 def _label_key(labels: Dict[str, object]) -> LabelItems:
@@ -114,100 +125,69 @@ class Gauge(Instrument):
         }
 
 
-class P2Quantile:
-    """Streaming quantile estimation — the P² algorithm (Jain & Chlamtac).
+def bucket_quantile(
+    buckets: Sequence[Sequence[float]], q: float
+) -> Optional[float]:
+    """Quantile ``q`` from (upper_bound, count) pairs, by linear
+    interpolation within the containing bucket.
 
-    Tracks one quantile with five markers in O(1) space.  Exact while
-    fewer than five observations have arrived.
+    The final bound may be +inf (the overflow bucket); a quantile
+    landing there returns the last finite bound — a conservative
+    underestimate, flagged to callers by equality with that bound.
+    Returns None when the buckets hold no observations.
     """
+    if not 0.0 <= q <= 1.0:
+        raise ReproError(f"quantile must be in [0, 1], got {q}")
+    total = sum(count for _bound, count in buckets)
+    if total <= 0:
+        return None
+    target = q * total
+    cumulative = 0.0
+    previous_bound = 0.0
+    last_finite = 0.0
+    for bound, count in buckets:
+        if count > 0 and cumulative + count >= target:
+            if math.isinf(bound):
+                return last_finite
+            fraction = (target - cumulative) / count if count else 0.0
+            return previous_bound + fraction * (bound - previous_bound)
+        cumulative += count
+        if not math.isinf(bound):
+            previous_bound = bound
+            last_finite = bound
+    return last_finite
 
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._initial: List[float] = []
-        self._heights: Optional[List[float]] = None
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._increments: List[float] = []
 
-    def observe(self, x: float) -> None:
-        heights = self._heights
-        if heights is None:
-            self._initial.append(x)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                q = self.q
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-                self._increments = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-            return
-        # Locate the cell containing x, extending the extremes if needed.
-        if x < heights[0]:
-            heights[0] = x
-            cell = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and not (heights[cell] <= x < heights[cell + 1]):
-                cell += 1
-        for i in range(cell + 1, 5):
-            self._positions[i] += 1
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - self._positions[i]
-            pos, lo, hi = self._positions[i], self._positions[i - 1], self._positions[i + 1]
-            if (delta >= 1 and hi - pos > 1) or (delta <= -1 and lo - pos < -1):
-                step = 1.0 if delta >= 1 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        assert h is not None
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        assert h is not None
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current estimate (exact for < 5 observations; 0.0 when empty)."""
-        if self._heights is not None:
-            return self._heights[2]
-        if not self._initial:
-            return 0.0
-        ordered = sorted(self._initial)
-        # Linear interpolation over the exact sample.
-        rank = self.q * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
+def occupied_buckets(
+    bounds: Sequence[float], counts: Sequence[int]
+) -> List[List[float]]:
+    """The ``[upper_bound, count]`` pairs of the occupied buckets of
+    ``counts`` (one per bound of ``bounds``, then the +inf overflow),
+    each led by its lower edge's pair when that bucket is empty, so
+    :func:`bucket_quantile` reads them as it reads every pair, and pair
+    lists of one layout merge by summing per bound.  Empty when nothing
+    is counted."""
+    pairs: List[List[float]] = []
+    last = len(bounds)
+    for i, count in enumerate(counts):
+        if count:
+            if i and not counts[i - 1]:
+                pairs.append([bounds[i - 1], 0])
+            pairs.append([bounds[i] if i < last else math.inf, count])
+    return pairs
 
 
 class Histogram(Instrument):
-    """A distribution: count/sum/min/max, fixed buckets, streaming quantiles.
+    """A distribution: count/sum/min/max and bucket counts, nothing else.
+
+    Every quantile is read from the bucket counts when asked for
+    (:func:`bucket_quantile`), whole-run here and windowed by
+    :mod:`repro.obs.timeseries` from bucket deltas: one model for both.
 
     Args:
-        buckets: Optional increasing upper bounds; observations count into
-            the first bucket whose bound is >= the value (an implicit
-            +inf bucket catches the rest).  None keeps quantiles only.
-        quantiles: Quantile targets estimated by P² in O(1) space.
+        buckets: Increasing upper bounds; observations count into the
+            first bucket whose bound is >= the value (an implicit +inf
+            bucket catches the rest).  None is :data:`DEFAULT_BUCKETS`.
     """
 
     kind = "histogram"
@@ -217,19 +197,16 @@ class Histogram(Instrument):
         name: str,
         labels: LabelItems = (),
         buckets: Optional[Sequence[float]] = None,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
     ) -> None:
         super().__init__(name, labels)
-        if buckets is not None:
-            bounds = [float(b) for b in buckets]
-            if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
-                raise ValueError(f"histogram {name} buckets must strictly increase")
-            self.bucket_bounds: Optional[Tuple[float, ...]] = tuple(bounds)
-            self.bucket_counts = [0] * (len(bounds) + 1)
+        if buckets is None:
+            bounds = DEFAULT_BUCKETS
         else:
-            self.bucket_bounds = None
-            self.bucket_counts = []
-        self._estimators = {q: P2Quantile(q) for q in quantiles}
+            bounds = tuple(float(b) for b in buckets)
+            if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
+                raise ValueError(f"histogram {name} buckets must strictly increase")
+        self.bucket_bounds: Tuple[float, ...] = bounds
+        self.bucket_counts = [0] * (len(bounds) + 1)
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
@@ -242,39 +219,27 @@ class Histogram(Instrument):
             self.min = value
         if value > self.max:
             self.max = value
-        if self.bucket_bounds is not None:
-            index = len(self.bucket_bounds)
-            for i, bound in enumerate(self.bucket_bounds):
-                if value <= bound:
-                    index = i
-                    break
-            self.bucket_counts[index] += 1
-        for estimator in self._estimators.values():
-            estimator.observe(value)
+        self.bucket_counts[bisect_left(self.bucket_bounds, value)] += 1
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Estimated value at quantile ``q`` (must be a configured target)."""
-        try:
-            return self._estimators[q].value()
-        except KeyError:
-            raise KeyError(
-                f"histogram {self.name} does not track q={q}; "
-                f"configured: {sorted(self._estimators)}"
-            ) from None
+        """The value at quantile ``q``: :func:`bucket_quantile` of the
+        bucket counts, kept within the observed min and max (0.0 when
+        empty)."""
+        value = bucket_quantile(self.buckets(), q)
+        return 0.0 if value is None else min(max(value, self.min), self.max)
 
     def quantiles(self) -> Dict[float, float]:
-        return {q: est.value() for q, est in sorted(self._estimators.items())}
+        """p50, p90 and p99: what the report and the snapshot show."""
+        return {q: self.quantile(q) for q in (0.5, 0.9, 0.99)}
 
-    def buckets(self) -> List[Tuple[float, int]]:
-        """(upper_bound, count) pairs; the final bound is +inf."""
-        if self.bucket_bounds is None:
-            return []
-        bounds = list(self.bucket_bounds) + [float("inf")]
-        return list(zip(bounds, self.bucket_counts))
+    def buckets(self) -> List[List[float]]:
+        """The occupied ``[upper_bound, count]`` pairs
+        (:func:`occupied_buckets`); the overflow bound is +inf."""
+        return occupied_buckets(self.bucket_bounds, self.bucket_counts)
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -287,7 +252,7 @@ class Histogram(Instrument):
             "max": self.max if self.count else None,
             "mean": self.mean,
             "quantiles": {str(q): v for q, v in self.quantiles().items()},
-            "buckets": [[b, c] for b, c in self.buckets()],
+            "buckets": self.buckets(),
         }
 
 
@@ -345,15 +310,12 @@ class MetricsRegistry:
         self,
         name: str,
         buckets: Optional[Sequence[float]] = None,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
         **labels: object,
     ) -> Histogram:
         key = (Histogram.kind, name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
-            instrument = Histogram(
-                name, _label_key(labels), buckets=buckets, quantiles=quantiles
-            )
+            instrument = Histogram(name, _label_key(labels), buckets=buckets)
             self._instruments[key] = instrument
         return instrument  # type: ignore[return-value]
 
@@ -447,7 +409,6 @@ class NullRegistry(MetricsRegistry):
         self,
         name: str,
         buckets: Optional[Sequence[float]] = None,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
         **labels: object,
     ) -> Histogram:
         return self._histogram

@@ -10,7 +10,12 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.telemetry.metrics import Histogram, Instrument, MetricsRegistry
+from repro.telemetry.metrics import (
+    DEFAULT_BUCKETS,
+    Histogram,
+    Instrument,
+    MetricsRegistry,
+)
 
 __all__ = ["render_report", "render_json"]
 
@@ -46,7 +51,9 @@ def _histogram_lines(hist: Histogram, indent: str) -> List[str]:
         )
         lines.append(f"{indent}{quantiles}")
     buckets = hist.buckets()
-    if buckets and hist.count:
+    # The default layout is the quantiles' resolution, not bins a
+    # caller chose: its counts are left to the JSON form.
+    if buckets and hist.bucket_bounds is not DEFAULT_BUCKETS:
         parts = []
         for bound, count in buckets:
             if count == 0:

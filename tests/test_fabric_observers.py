@@ -434,12 +434,16 @@ def test_a_port_admitting_late_sees_the_queue_each_arrival_saw(hook):
     a port admitting its record late settles to each packet's ``ready``
     — 5 us of forwarding delay later, past the next arrival when
     54-byte frames come 4.32 us apart.  Such an arrival looks before
-    the port settles, and the one histogram over all ports is filed in
-    arrival order: count, sum and the order-sensitive quantiles are
-    those of an event per arrival, whoever hears the port."""
+    the port settles: count, sum and the bucket counts are those of an
+    event per arrival, whoever hears the port.  The histogram is made
+    first with one bucket per depth (the switch gets it by name), so its
+    counts are the multiset of depths the arrivals saw."""
     from repro.netsim.transport import Endpoint, Network
 
     registry = MetricsRegistry()
+    depth = registry.histogram(
+        "net.switch.queue_depth", buckets=range(64), switch="switch"
+    )
     with use_run(registry=registry):
         sim = Simulator()
         network = Network(sim, default_rate_bps=100e6)
@@ -456,11 +460,18 @@ def test_a_port_admitting_late_sees_the_queue_each_arrival_saw(hook):
                 ),
             )
         sim.run()
-    depth = registry.get("net.switch.queue_depth", switch="switch")
+    assert registry.get("net.switch.queue_depth", switch="switch") is depth
     assert (depth.count, depth.sum) == (124, 3773)
-    assert depth.quantiles() == {
-        0.5: 33.32133656891852, 0.9: 49.12051106982398, 0.99: 54.90355570297807,
-    }
+    seen = {int(bound): count for bound, count in depth.buckets() if count}
+    assert seen == {
+        0: 3, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1,
+        11: 1, 12: 1, 13: 1, 14: 1, 15: 1, 16: 1, 17: 1, 18: 1, 19: 2,
+        20: 1, 21: 22, 22: 1, 24: 1, 25: 1, 26: 1, 27: 10, 28: 3, 29: 2,
+        30: 2, 31: 2, 32: 2, 33: 2, 34: 2, 35: 2, 36: 2, 37: 2, 38: 2,
+        39: 2, 40: 2, 41: 1, 42: 1, 43: 1, 44: 1, 45: 1, 46: 1, 47: 1,
+        48: 20, 49: 1, 50: 1, 51: 1, 52: 1, 53: 1, 54: 1, 55: 1, 56: 1,
+        57: 1, 58: 1,
+    }  # fmt: skip
 
 
 def test_a_run_ending_on_an_absorbed_arrival_is_the_same_armed_and_bare(tmp_path):
