@@ -665,8 +665,11 @@ class Link:
                 if depth is not None:
                     depth.observe(1)
                     if starts:
-                        # Streaming quantiles are order-sensitive: the zero
-                        # wait takes its turn behind uncredited earlier starts.
+                        # Credited when the books settle past its start, as
+                        # the waits before it are: observed now, a packet
+                        # admitted ahead of its instant (the switch's
+                        # forwarding delay) can land in the time-series
+                        # window before the one it starts in.
                         starts.append((start, nbytes, 0.0, ready))
                         self._queued_bytes += nbytes
                     else:

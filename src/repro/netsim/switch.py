@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Deque, Dict, Iterator, List
+from typing import Deque, Dict, Iterator
 
 from repro.errors import SimulationError
 from repro.netsim.engine import Simulator
@@ -68,12 +68,6 @@ class Switch:
             self._m_queue_depth = m.histogram(
                 "net.switch.queue_depth", buckets=QUEUE_DEPTH_BUCKETS, switch=name
             )
-            # One histogram over all ports, whose streaming quantiles
-            # depend on order: observations are kept as (arrival,
-            # serial, depth) and filed in that order before a read.
-            m.add_collector(self._settle)
-            sim.at_idle(self._settle)
-        self._depths: List[tuple] = []
 
     def attach_port(self, address: str, link: Link) -> None:
         """Bind the output link that reaches ``address``."""
@@ -85,18 +79,10 @@ class Switch:
         link._rearm()
 
     def _settle(self) -> None:
-        """Settle the ports (arrivals on record are credited when their
-        port admits them), then file the depths seen by the horizon."""
+        """Settle the ports: arrivals on record are credited when their
+        port admits them."""
         for link in self._ports.values():
             link._settle()
-        depths = self._depths
-        if depths:
-            depths.sort()
-            horizon = self.sim.horizon
-            due = [depth for arrive, _, depth in depths if arrive <= horizon]
-            for depth in due:
-                self._m_queue_depth.observe(depth)
-            del depths[: len(due)]
 
     @property
     def packets_forwarded(self) -> int:
@@ -118,7 +104,7 @@ class Switch:
             link._pull(now)
         self._forwarded += 1
         if self._m_forwarded is not None:
-            self._observe(link, now, next(self._serial))
+            self._observe(link, now)
         # No forwarding event: arrivals come in time order and the delay
         # is constant, so per-link ready times stay monotone.
         link.admit(((now + self.forwarding_delay, packet.nbytes, packet),))
@@ -179,11 +165,11 @@ class Switch:
         offers.clear()
         offers.extend(kept)
 
-    def _observe(self, link: Link, arrive: float, serial: int) -> None:
+    def _observe(self, link: Link, arrive: float) -> None:
         self._m_forwarded.inc()
         # Output-port occupancy at forwarding time: the contention
         # signal of Figure 11 (the shared switch->server port).
-        self._depths.append((arrive, serial, link._waiting(arrive)[0]))
+        self._m_queue_depth.observe(link._waiting(arrive)[0])
 
     def forward_due(self, link: Link, through: float) -> Iterator[tuple]:
         """The run port ``link`` admits late: its arrivals on record due
@@ -216,5 +202,5 @@ class Switch:
                 ):
                     if key > looked:
                         looked = key
-                        self._observe(link, *key)
+                        self._observe(link, key[0])
             yield arrive + delay, nbytes, carrier
