@@ -17,7 +17,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 
-__all__ = ["render_report", "render_json"]
+__all__ = ["render_report", "render_json", "jsonable", "from_jsonable"]
 
 #: Gauge/counter families with more label sets than this are summarised
 #: (top values shown, the rest folded into one line) to keep reports
@@ -106,8 +106,10 @@ def render_report(
     return "\n".join(lines)
 
 
-def _jsonable(value):
-    """Replace non-finite floats so the output is strict JSON."""
+def jsonable(value):
+    """``value`` as strict JSON can hold it: ``inf`` and ``-inf``
+    become the strings ``"inf"`` and ``"-inf"`` (the one rule of every
+    JSON this package writes; :func:`from_jsonable` reads them back)."""
     if isinstance(value, float):
         if value == float("inf"):
             return "inf"
@@ -115,12 +117,27 @@ def _jsonable(value):
             return "-inf"
         return value
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
+    return value
+
+
+_NON_FINITE = {"inf": float("inf"), "-inf": float("-inf")}
+
+
+def from_jsonable(value):
+    """The inverse of :func:`jsonable`: ``"inf"`` and ``"-inf"`` back
+    to floats, so bucket bounds and gauges read as they were."""
+    if isinstance(value, str):
+        return _NON_FINITE.get(value, value)
+    if isinstance(value, dict):
+        return {k: from_jsonable(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [from_jsonable(v) for v in value]
     return value
 
 
 def render_json(registry: MetricsRegistry, indent: Optional[int] = 2) -> str:
     """The registry snapshot as a JSON document."""
-    return json.dumps(_jsonable(registry.snapshot()), indent=indent)
+    return json.dumps(jsonable(registry.snapshot()), indent=indent)
