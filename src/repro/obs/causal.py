@@ -277,10 +277,11 @@ class TraceCollector:
     has no collector is a single ``is None`` check.
 
     Args:
-        retain: When True (the default) every trace is kept for offline
-            analysis.  ``retain=False`` is flight-recorder mode: only
-            the most recent ``max_recent`` traces stay resident and no
-            index — the open set included — outgrows that, so memory is
+        retain: When True (the default) every trace, and every probe
+            round's record, is kept for offline analysis.
+            ``retain=False`` is flight-recorder mode: only the most
+            recent ``max_recent`` traces stay resident and no index —
+            the open set included — outgrows that, so memory is
             bounded over arbitrarily long runs.  An open trace pushed
             out (lost in flight, never superseded) never completes.
         max_recent: Ring size for flight-recorder mode.
@@ -292,6 +293,8 @@ class TraceCollector:
         self._spaces = itertools.count(1)
         self.retain = retain
         self.max_recent = max_recent
+        #: Every finished probe round's record, when retaining.
+        self.probes: List[Dict[str, object]] = []
         if retain:
             self.messages: List[MessageTrace] = []
             self.updates: List[UpdateTrace] = []
@@ -343,19 +346,19 @@ class TraceCollector:
             return
         if self._landed and now is not None:
             self._land(span[2], now, trace_id)
-        if self.probe_sink is not None:
+        if self.retain or self.probe_sink is not None:
             name, started_at, _space = span
-            self.probe_sink(
-                {
-                    "trace_id": trace_id,
-                    "probe": name,
-                    "started_at": started_at,
-                    "ended_at": now,
-                    "duration": (
-                        now - started_at if now is not None else None
-                    ),
-                }
-            )
+            record = {
+                "trace_id": trace_id,
+                "probe": name,
+                "started_at": started_at,
+                "ended_at": now,
+                "duration": now - started_at if now is not None else None,
+            }
+            if self.retain:
+                self.probes.append(record)
+            if self.probe_sink is not None:
+                self.probe_sink(record)
 
     def open_trace_ids(self, space: int) -> List[int]:
         """Ids of everything in flight in one simulator's keyspace — open
