@@ -11,7 +11,7 @@ loss.  Every run ends pixel-exact — the whole point.
 Each session is recorded to a ``.slimcap`` wire capture with causal
 traces embedded, and everything printed below — loss counts, NACKs,
 re-encodes, the recovery timeline — is reconstructed *from the capture*
-with the same reader the ``python -m repro.tools.slimcap`` analyzer
+with the reader and the timeline ``python -m repro.tools.postmortem``
 uses.  What you see is what a post-mortem of the capture file would
 show, not counters the simulation kept on the side.
 
@@ -27,7 +27,7 @@ from repro import DisplayChannel, FrameBuffer, use_run
 from repro.core import commands as cmd
 from repro.core.commands import StatusKind
 from repro.obs import SlimcapReader, SlimcapWriter, TraceCollector
-from repro.tools.slimcap import timeline_events
+from repro.tools.postmortem import timeline_events
 from repro.workloads.apps import NETSCAPE
 
 WIDTH, HEIGHT = 320, 240
@@ -120,7 +120,8 @@ def main() -> None:
         print(f"  {when * 1000:>9.3f} ms  {text}")
     if len(timeline) > 18:
         print(f"  ... {len(timeline) - 18} more events "
-              f"(see python -m repro.tools.slimcap --timeline)")
+              f"(see python -m repro.tools.postmortem --timeline on a "
+              f"--record bundle)")
     print()
     print("every session converged pixel-exact: in-band NACKs plus the")
     print("status exchange recover all loss, with no out-of-band channel")
