@@ -34,16 +34,16 @@ def test_quickstart_example(capsys):
     assert "pixels identical on both ends : True" in out
 
 
-def test_quickstart_capture_flag(capsys, tmp_path):
-    from repro.obs import SlimcapReader, is_slimcap
+def test_quickstart_record_flag(capsys, tmp_path):
+    from repro.obs import load_bundle
 
-    capture = tmp_path / "q.slimcap"
-    run_example("quickstart", argv=["--capture", str(capture)])
+    run_example("quickstart", argv=["--record", str(tmp_path)])
     out = capsys.readouterr().out
-    assert "wire capture" in out
-    assert is_slimcap(capture)
-    opcodes = {m.opcode for m in SlimcapReader(capture).messages()}
+    assert "run record" in out
+    bundle = load_bundle(tmp_path / "quickstart.slimpm")
+    opcodes = {m.opcode for m in bundle.ring.messages()}
     assert "SET" in opcodes and "StatusMessage" in opcodes
+    assert bundle.metrics and bundle.timeseries and bundle.traces
 
 
 def test_lossy_display_example(capsys):

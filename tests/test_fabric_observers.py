@@ -247,8 +247,8 @@ def test_bare_and_tapped_links_settle_to_one_horizon():
 
 
 def test_interrupted_run_flushes_the_trailing_loss(tmp_path):
-    """Ctrl-C in the runner: the --capture file and the frozen ring both
-    hold the lost trailing datagram."""
+    """Ctrl-C in the runner: the --record bundle's capture and the
+    frozen ring both hold the lost trailing datagram."""
     from repro.experiments.__main__ import main
     from repro.netsim.transport import Endpoint, Network
 
@@ -270,13 +270,12 @@ def test_interrupted_run_flushes_the_trailing_loss(tmp_path):
         sim.run()
         raise KeyboardInterrupt
 
-    capture = tmp_path / "run.slimcap"
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             with contextlib.redirect_stderr(io.StringIO()):
                 status = main(
                     [
-                        "--capture", str(capture),
+                        "--record",
                         "--postmortem-dir", str(tmp_path),
                         "interrupt-flush-test",
                     ]
@@ -284,10 +283,12 @@ def test_interrupted_run_flushes_the_trailing_loss(tmp_path):
     finally:
         EXPERIMENTS.pop("interrupt-flush-test", None)
     assert status == 130
-    assert _frames(capture) == _ALL_THREE
-    (bundle,) = tmp_path.glob("*.slimpm")
-    with zipfile.ZipFile(bundle) as archive:
-        assert _frames(archive.read("ring.slimcap")) == _ALL_THREE
+    record = tmp_path / "interrupt-flush-test.slimpm"
+    frozen = tmp_path / "interrupt-flush-test-001.slimpm"
+    assert sorted(tmp_path.glob("*.slimpm")) == [frozen, record]
+    for bundle in (record, frozen):
+        with zipfile.ZipFile(bundle) as archive:
+            assert _frames(archive.read("ring.slimcap")) == _ALL_THREE
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +365,7 @@ def _through_the_runner(experiment_id, flags, tmp_path):
 
 def _same_events_whatever_the_flags(body, tmp_path):
     """``body`` (a work rig returning ``sim_events``) through the
-    runner under default flags, ``--no-flight-recorder``, ``--capture``
+    runner under default flags, ``--no-flight-recorder``, ``--record``
     and ``--metrics``: the same number of engine events, the same table."""
     seen = []
 
@@ -379,7 +380,7 @@ def _same_events_whatever_the_flags(body, tmp_path):
     flag_sets = {
         "default flags": [],
         "--no-flight-recorder": ["--no-flight-recorder"],
-        "--capture": ["--capture", str(tmp_path / "run.slimcap")],
+        "--record": ["--record"],
         "--metrics": ["--no-flight-recorder", "--metrics"],
     }
     try:
@@ -399,7 +400,7 @@ def _same_events_whatever_the_flags(body, tmp_path):
         )
     bare = tables["--no-flight-recorder"]
     assert tables["default flags"] == bare
-    assert tables["--capture"] == bare
+    assert tables["--record"] == bare
     metered = tables["--metrics"]
     table_end = metered.index("") if "" in metered else len(metered)
     assert metered[:table_end] == bare[:table_end]
