@@ -11,7 +11,8 @@ a reader sees:
 * ``save_traces`` of a two-user study of each application writes the
   bytes it wrote on 7784413, the last commit with frozen records and
   two pricing passes per command;
-* ``--metrics-json`` of ``fig8`` and ``table4`` is what it was on
+* ``--metrics-json`` of ``fig8`` and ``table4`` (now the ``--record``
+  bundle's ``metrics.json``) is what it was on
   7784413, apart from the wall-clock ``span.*`` histograms, which keep
   only their counts, and from each histogram's ``quantiles`` and
   ``buckets``, which moved when quantiles came to be read from bucket
@@ -22,8 +23,8 @@ a reader sees:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Tuple
 
 import pytest
@@ -35,6 +36,7 @@ from repro.errors import GeometryError
 from repro.framebuffer.painter import PaintKind
 from repro.framebuffer.painter import PaintOp as SlottedPaintOp
 from repro.framebuffer.regions import Rect
+from repro.obs import load_bundle
 from repro.workloads.apps import BENCHMARK_APPS
 from repro.workloads.session import run_user_study
 from tests.fabric_oracle import _without_wall_clock
@@ -158,7 +160,7 @@ SAVED_TRACES = {
 }
 
 #: ``_json_sha256`` of ``--metrics-json`` with ``span.*`` cut to counts,
-#: written on a3cfb70.
+#: written on a3cfb70; it is the ``--record`` bundle's ``metrics.json``.
 METRICS_JSON = {
     "fig8": "ea4d5200049d343b194f6dd8f5b884ff2257aaf6ae3332fd07508f4f488cfdad",
     "table4": "0581232b970193cf8338afbd2e7047bf0aa0b485d478aeb88846a6c27dffdc18",
@@ -172,8 +174,9 @@ def saved_traces_digest(app, path) -> str:
 
 
 def metrics_json_digest(experiment, scratch) -> str:
-    run_cli(["--metrics-json", "M", experiment], scratch)
-    return _json_sha256(_without_wall_clock(json.loads((scratch / "M").read_text())))
+    run_cli(["--record", "--postmortem-dir", "D", experiment], scratch)
+    metrics = load_bundle(Path(scratch) / "D" / f"{experiment}.slimpm").metrics
+    return _json_sha256(_without_wall_clock(metrics))
 
 
 @pytest.mark.parametrize("name", sorted(SAVED_TRACES))
