@@ -1,15 +1,17 @@
 """Command-line utilities built on the library.
 
 * ``python -m repro.tools.replay`` — replay a saved protocol trace (or a
-  ``.slimcap`` wire capture) over a simulated link at any bandwidth and
-  report the added-delay profile (the Figure 6 methodology as a tool).
+  ``.slimpm`` bundle's wire capture) over a simulated link at any
+  bandwidth and report the added-delay profile (the Figure 6
+  methodology as a tool).
 * ``python -m repro.tools.capacity`` — size a server for a workgroup mix
   (the Figure 9/12 machinery as a planner).
-* ``python -m repro.tools.slimcap`` — protocol analyzer for ``.slimcap``
-  wire captures: per-command statistics, stage-latency percentiles,
-  NACK/retransmission timelines, Chrome ``trace_event`` export.
-* ``python -m repro.tools.dashboard`` / ``python -m repro.tools.postmortem``
-  — render ``--timeseries`` JSONL; triage a ``.slimpm`` bundle.
+* ``python -m repro.tools.postmortem`` — the reader of ``.slimpm``
+  bundles, the runner's ``--record`` and the flight recorder's: what
+  fired, per-stage blame, stage-latency percentiles, the loss-recovery
+  timeline, per-command wire statistics, Chrome ``trace_event`` export.
+* ``python -m repro.tools.dashboard`` — a bundle's windowed series as
+  sparklines, its SLO verdict, counter export.
 
 Run as processes they share one exit contract (:func:`run_cli`): input
 the tool cannot read is one ``invalid input: ...`` line and exit 2,

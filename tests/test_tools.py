@@ -115,7 +115,6 @@ _UNREADABLE_FILES = ("missing", "100 random bytes")
     [
         (tool, unreadable)
         for tool in (
-            ["repro.tools.slimcap"],
             ["repro.tools.replay", "--bandwidth", "1000000"],
             ["repro.tools.dashboard"],
             ["repro.tools.postmortem"],
