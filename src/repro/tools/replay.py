@@ -2,16 +2,16 @@
 
 The paper's scalability methodology (Section 5.4) as a reusable tool:
 record a session once (``repro.analysis.traces.save_traces`` or a
-``.slimcap`` wire capture), then ask "what would this feel like over X?"
+``.slimpm`` bundle), then ask "what would this feel like over X?"
 for any bandwidth::
 
     python -m repro.tools.replay traces.jsonl --bandwidth 2Mbps
-    python -m repro.tools.replay run.slimcap --bandwidth 384Kbps --json
+    python -m repro.tools.replay lossy_fabric.slimpm --bandwidth 384Kbps --json
 
 Both input formats are detected automatically: JSON-lines session traces
-(:func:`repro.analysis.traces.save_traces`) and ``.slimcap`` captures
-(the experiment runner's ``--capture``), whose server->console display
-messages are lifted into per-update records.
+(:func:`repro.analysis.traces.save_traces`) and ``.slimpm`` bundles (the
+experiment runner's ``--record``), whose wire capture's server->console
+display messages are lifted into per-update records.
 
 Bandwidth accepts ``56Kbps`` / ``1.5Mbps`` / plain bits-per-second.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import zipfile
 from pathlib import Path
 from typing import Dict, List
 
@@ -30,7 +31,8 @@ from repro.core import commands as cmd
 from repro.errors import ReproError
 from repro.experiments.fig6 import trace_packet_windows, windowed_added_delays
 from repro.experiments.scalability import classify
-from repro.obs.capture import SlimcapReader, is_slimcap
+from repro.obs.capture import SlimcapReader
+from repro.obs.flightrec import load_bundle
 from repro.tools import run_cli
 from repro.units import MBPS
 
@@ -51,15 +53,14 @@ def parse_bandwidth(text: str) -> float:
     return result
 
 
-def session_from_capture(path: Path) -> SessionTrace:
-    """Lift a ``.slimcap`` capture into a replayable session trace.
+def session_from_capture(reader: SlimcapReader, name: str = "capture") -> SessionTrace:
+    """Lift a wire capture into a replayable session trace.
 
     Each server->console display message becomes one
     :class:`UpdateRecord` timestamped at its first fragment's capture
     time; status and input traffic is ignored (the replay models
     display-channel congestion only).
     """
-    reader = SlimcapReader(path)
     updates: List[UpdateRecord] = []
     end = 0.0
     for message in reader.messages():
@@ -80,10 +81,10 @@ def session_from_capture(path: Path) -> SessionTrace:
             )
         )
     if not updates:
-        raise ReproError(f"no display messages in capture {path}")
+        raise ReproError(f"no display messages in capture {name}")
     return SessionTrace(
         application="capture",
-        user=Path(path).stem,
+        user=name,
         duration=max(end, updates[-1].time) or 1.0,
         updates=updates,
     )
@@ -92,11 +93,14 @@ def session_from_capture(path: Path) -> SessionTrace:
 def replay(path: Path, rate_bps: float) -> Dict[str, object]:
     """Replay every trace in a file; returns the summary dict.
 
-    Accepts JSON-lines session traces or a ``.slimcap`` wire capture
-    (detected by magic).
+    Accepts JSON-lines session traces or a ``.slimpm`` bundle's wire
+    capture (detected by magic).
     """
-    if is_slimcap(path):
-        traces = [session_from_capture(path)]
+    if zipfile.is_zipfile(path):
+        reader = load_bundle(path).ring
+        if reader is None:
+            raise ReproError(f"bundle {path} holds no wire capture")
+        traces = [session_from_capture(reader, Path(path).stem)]
     else:
         traces = load_traces(path)
     if not traces:
@@ -127,7 +131,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "traces", type=Path,
-        help="JSON-lines trace file or .slimcap capture",
+        help="JSON-lines trace file or .slimpm bundle",
     )
     parser.add_argument(
         "--bandwidth", required=True, help="e.g. 56Kbps, 1.5Mbps, 1e7"
