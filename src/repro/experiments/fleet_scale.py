@@ -176,6 +176,11 @@ class _Workgroup:
         self.active_total = 0
         self._window: Optional[int] = None
         self._reset_maxima()
+        m = get_registry()
+        self._m_samples = self._m_active = None
+        if m.enabled:
+            self._m_samples = m.counter("fleet.samples", mix=self.mix_name)
+            self._m_active = m.histogram("fleet.active_users")
         sim.schedule_at(0.0, self._sample)
 
     def _reset_maxima(self) -> None:
@@ -233,10 +238,9 @@ class _Workgroup:
         self.samples += 1
         self.active_total += active
 
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("fleet.samples", mix=self.mix_name).inc()
-            registry.histogram("fleet.active_users").observe(active)
+        if self._m_samples is not None:
+            self._m_samples.inc()
+            self._m_active.observe(active)
 
         next_time = now + self.spec.sample_interval
         if next_time < self.spec.duration - 1e-9:
