@@ -252,6 +252,41 @@ are the stdout and the bundle list:
 * ``sampled/fleet_scale``: ``timeseries`` (129 213 → 152 513 bytes);
   ``stdout`` and ``bundles`` did not move.
 
+Three more moved when one ``--record`` bundle replaced the runner's
+four artefact flags and the PATH form of ``--slo`` (on ac980b7).
+``ALL_FLAGS`` became ``--slo --record --dashboard --postmortem-dir D
+lossy_fabric`` and ``SAMPLED_FLAGS`` passes ``--record`` for
+``--timeseries T``; each digest of a retired file is taken of the
+record's member as it was taken of the file.  Run on ac980b7 and on
+its parent's ``ALL_FLAGS``:
+
+* ``ring.slimcap`` is the parent's ``C``, byte for byte;
+* ``metrics.json`` is the parent's ``M`` apart from the wall-clock
+  ``span.*`` values;
+* ``timeseries.jsonl`` and ``slo.jsonl`` parse to the records of ``T``
+  and ``S`` (``"inf"`` where ``T`` had ``Infinity``; none in this run);
+* ``postmortem --chrome-trace`` of the record holds every event of
+  ``E``, in order, then 1 363 probe-round spans;
+* each anomaly bundle equals the parent's member for member once the
+  manifest's ``config.argv`` is dropped.
+
+So ``capture``, ``metrics``, ``timeseries``, ``slo`` and
+``trace_events`` hold their blessed values:
+
+    PYTHONPATH=src python tests/golden/regen.py runner \
+        all_flags/lossy_fabric sampled/fleet_scale help
+
+* ``all_flags/lossy_fabric``: ``stdout`` (one ``run record written``
+  line where four files were announced, and no telemetry report, which
+  ``--metrics-json`` implied), the three bundles' ``manifest.json``
+  (``argv``), and ``record``, new: the record's own members.
+* ``sampled/fleet_scale``: ``stdout`` (the ``run record written``
+  line); ``timeseries`` and the bundle list did not move.
+* ``help``: the flags.
+
+``observer_outputs.json``'s ``runner/lossy_fabric`` did not move: its
+capture and trace digests hold when read from the record.
+
 Running an oracle with no ``ENTRY`` on a later commit re-blesses the whole
 file from the one remaining path; do that only for a deliberate, reviewed
 change of simulated behaviour.
