@@ -52,7 +52,6 @@ __all__ = [
     "SlimcapReader",
     "CaptureRecord",
     "CapturedMessage",
-    "is_slimcap",
     "MAGIC",
 ]
 
@@ -79,15 +78,6 @@ _KIND_NAMES = {
 }
 
 
-def is_slimcap(path: Union[str, Path]) -> bool:
-    """Does ``path`` start with the ``.slimcap`` magic?"""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
-
-
 class SlimcapWriter:
     """Streams capture records to disk as the simulation runs.
 
@@ -102,7 +92,6 @@ class SlimcapWriter:
         self._endpoints: Dict[str, int] = {}
         self._sources: List[weakref.WeakMethod] = []
         self.frames_written = 0
-        self.traces_written = 0
 
     # -- sources that hold frames back -------------------------------------
     def add_source(self, hook) -> None:
@@ -145,7 +134,6 @@ class SlimcapWriter:
         self._write(
             KIND_TRACE, now, json.dumps(record, separators=(",", ":")).encode()
         )
-        self.traces_written += 1
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -206,7 +194,6 @@ class RingSlimcapWriter(SlimcapWriter):
         self._endpoints: Dict[str, int] = {}
         self._sources: List[weakref.WeakMethod] = []
         self.frames_written = 0
-        self.traces_written = 0
         self.max_bytes = max_bytes
         self.tee = tee
         #: (kind, time, src id, dst id, Datagram, cost) per frame and

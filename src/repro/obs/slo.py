@@ -32,14 +32,13 @@ JSONL schema (one object per line)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
 from repro.obs.timeseries import (
     RunSeries,
     TimeSeriesCollection,
     window_value,
-    write_jsonl,
 )
 
 __all__ = [
@@ -299,9 +298,6 @@ class SloReport:
         records.extend(result.to_dict() for result in self.results)
         records.extend(event.to_dict() for event in self.events)
         return records
-
-    def write_jsonl(self, path_or_file: Union[str, IO[str]]) -> int:
-        return write_jsonl(self.to_records(), path_or_file)
 
     # -- rendering ---------------------------------------------------------
     def render(self, title: str = "interactivity SLO report") -> str:

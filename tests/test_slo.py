@@ -21,7 +21,7 @@ from repro.obs.slo import (
     SloSpec,
     validate_slo_records,
 )
-from repro.obs.timeseries import RunSeries, TimeSeriesCollection
+from repro.obs.timeseries import RunSeries, TimeSeriesCollection, write_jsonl
 
 GAUGE_SLO = SloSpec(
     name="level_cap",
@@ -242,7 +242,7 @@ class TestReport:
         records = report.to_records()
         validate_slo_records(records)
         path = tmp_path / "slo.jsonl"
-        count = report.write_jsonl(str(path))
+        count = write_jsonl(records, str(path))
         lines = path.read_text().strip().split("\n")
         assert len(lines) == count
         loaded = [json.loads(line) for line in lines]
