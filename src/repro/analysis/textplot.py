@@ -123,9 +123,12 @@ def _ramp_glyph(value: float, lo: float, hi: float) -> str:
     """Map a value onto the density ramp; None-safe callers filter first."""
     if hi <= lo:
         return DENSITY_RAMP[-1] if value > lo else DENSITY_RAMP[0]
+    if value >= hi:
+        return DENSITY_RAMP[-1]
     frac = (value - lo) / (hi - lo)
-    index = int(round(frac * (len(DENSITY_RAMP) - 1)))
-    return DENSITY_RAMP[min(len(DENSITY_RAMP) - 1, max(0, index))]
+    if not frac > 0.0:  # at or under lo, or NaN on an unbounded scale
+        return DENSITY_RAMP[0]
+    return DENSITY_RAMP[int(round(frac * (len(DENSITY_RAMP) - 1)))]
 
 
 def render_sparkline(

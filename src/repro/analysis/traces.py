@@ -17,7 +17,7 @@ methodology was designed around.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -188,23 +188,41 @@ def save_traces(traces: Sequence[SessionTrace], path: Path) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
+def _fields_of(cls: type, record: object, where: str) -> Dict[str, object]:
+    """``record`` as the keyword arguments of dataclass ``cls``: an
+    object with every field that has no default and no other key."""
+    if not isinstance(record, dict):
+        raise ReproError(f"{where}: a {cls.__name__} that is not an object")
+    required = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+    for name in sorted(required.keys() | record.keys()):
+        if name not in required:
+            raise ReproError(f"{where}: {cls.__name__} has unknown field {name!r}")
+        if required[name] and name not in record:
+            raise ReproError(f"{where}: {cls.__name__} lacks {name!r}")
+    return record
+
+
 def load_traces(path: Path) -> List[SessionTrace]:
-    """Read traces written by :func:`save_traces`."""
+    """Read traces written by :func:`save_traces`; a line that is not a
+    session with exactly its fields (and its records theirs) raises
+    :class:`ReproError` naming the line."""
     path = Path(path)
     traces: List[SessionTrace] = []
     with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            traces.append(
-                SessionTrace(
-                    application=record["application"],
-                    user=record["user"],
-                    duration=record["duration"],
-                    inputs=[InputRecord(**r) for r in record["inputs"]],
-                    updates=[UpdateRecord(**u) for u in record["updates"]],
-                )
-            )
+            where = f"{path} line {number}"
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ReproError(f"{where}: not JSON ({exc})") from exc
+            session = dict(_fields_of(SessionTrace, record, where))
+            for key, cls in (("inputs", InputRecord), ("updates", UpdateRecord)):
+                items = session.get(key, [])
+                if not isinstance(items, list):
+                    raise ReproError(f"{where}: {key} is not a list")
+                session[key] = [cls(**_fields_of(cls, item, where)) for item in items]
+            traces.append(SessionTrace(**session))
     return traces

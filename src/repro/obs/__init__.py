@@ -18,9 +18,10 @@ per-event and per-second evidence:
 * :mod:`~repro.obs.flightrec` writes and reads the one evidence file,
   the ``.slimpm`` bundle: the recorder's rings frozen on an anomaly, or
   a whole run (:class:`RunRecord`, the experiment CLI's ``--record``).
-  ``python -m repro.tools.postmortem`` reads it: Table-4-style
-  per-command statistics, latency tables, NACK/retransmission
-  timelines, and Chrome ``trace_event`` JSON.
+  ``python -m repro.tools.postmortem``, the one reader, draws it:
+  Table-4-style per-command statistics, latency tables, NACK timelines,
+  sparklines of the series, the saved SLO verdict, and Chrome
+  ``trace_event`` JSON.
 * :func:`repro.runcontext.use_run` (``tracer=``, ``capture=``,
   ``collection=``, ``recorder=``) installs them for a run; the
   experiment CLI's ``--record``, ``--slo`` and ``--dashboard`` flags do

@@ -25,8 +25,8 @@ frozen into a self-describing ``.slimpm`` bundle: a zip holding
 The runner's ``--record`` writes the same format for a whole run
 (:class:`RunRecord`): the full capture, every trace, probe and
 window, the verdict, and ``metrics.json``, the registry snapshot.
-The format is written and read here only (:func:`write_bundle`,
-:func:`load_bundle`), every JSON member under one rule
+The format is written and read here only (:func:`write_bundle`, and
+:func:`load_bundle`, its one check), every JSON member under one rule
 (:func:`~repro.telemetry.report.jsonable`);
 ``python -m repro.tools.postmortem`` triages the result.
 """
@@ -41,6 +41,7 @@ import shutil
 import zipfile
 import zlib
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -53,8 +54,11 @@ from repro.obs.slo import (
     SloReport,
     SloSpec,
     WindowGrader,
+    validate_slo_records,
 )
-from repro.obs.timeseries import RunSeries, TimeSeriesCollection, write_jsonl
+from repro.obs.timeseries import (
+    RunSeries, TimeSeriesCollection, validate_timeseries_records, write_jsonl
+)
 from repro.telemetry.report import from_jsonable, jsonable
 
 __all__ = [
@@ -518,85 +522,142 @@ _UNREADABLE_ZIP = (
 )
 
 
-class Bundle:
-    """A loaded ``.slimpm`` bundle: the manifest, and each member
-    parsed when it is read (a member the bundle lacks reads empty)."""
+# -- what the readers read of each member, with its type -------------------
+#
+# A spec is a type (``float`` is any number; a ``bool`` is no number),
+# None, a tuple (any one of its specs), ``[spec]`` (a list of values of
+# the spec), ``[spec, spec]`` (a pair), ``{str: spec}`` (an object
+# mapping any keys to values of the spec), or a shape: an object that
+# holds each key (optional with a trailing ``?``) with a value of its spec.
 
-    def __init__(
-        self, path: Path, manifest: Dict[str, Any], members: Dict[str, bytes]
-    ) -> None:
-        self.path = path
-        self.manifest = manifest
-        self._members = members
 
-    def _json(self, name: str, lines: bool) -> Any:
-        raw = self._members.get(name)
-        if not raw:
-            return [] if lines else None
-        try:
-            text = raw.decode("utf-8")
-            if not lines:
-                return json.loads(text)
-            records = [json.loads(line) for line in text.splitlines() if line.strip()]
-        except ValueError as exc:
-            raise BundleError(f"{self.path}: {name} is not valid JSON ({exc})")
-        if not all(isinstance(record, dict) for record in records):
-            raise BundleError(f"{self.path}: {name} holds a line that is not an object")
+def _conforms(value: Any, spec: Any) -> bool:
+    if isinstance(spec, tuple):
+        return any(_conforms(value, alternative) for alternative in spec)
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            return False
+        if len(spec) == 1:
+            return all(_conforms(item, spec[0]) for item in value)
+        return len(value) == len(spec) and all(map(_conforms, value, spec))
+    if isinstance(spec, dict):
+        if str in spec:
+            return isinstance(value, dict) and all(
+                _conforms(item, spec[str]) for item in value.values()
+            )
+        return _fault(value, spec) is None
+    if spec is None:
+        return value is None
+    if isinstance(value, bool) and spec is not bool:
+        return False
+    return isinstance(value, (int, float) if spec is float else spec)
+
+
+def _fault(record: Any, shape: Dict[str, Any]) -> Optional[str]:
+    """What ``record`` lacks or mistypes of ``shape``, or None."""
+    if not isinstance(record, dict):
+        return "is not an object"
+    for key, spec in shape.items():
+        name = key.rstrip("?")
+        if name not in record:
+            if name == key:
+                return f"lacks {name!r}"
+        elif not _conforms(record[name], spec):
+            return f"has a mistyped {name!r}"
+    return None
+
+
+#: A trigger (the manifest's reason and triggers) or a health event, as
+#: ``postmortem --summary`` describes it.
+_TRIGGER = {"kind?": str, "value?": (float, None), "threshold?": (float, None),
+            "t0?": (float, None), "t1?": (float, None), "trace_ids?": [int]}
+_MANIFEST = {"reason?": _TRIGGER, "triggers?": [_TRIGGER], "counts?": dict}
+#: A yardstick round's record in ``traces.jsonl``: one with a ``probe``.
+_PROBE = {"trace_id": int, "probe": str, "started_at": float, "duration": (float, None)}
+#: A message trace's record, completed or open at the freeze.
+_MESSAGE = {"trace_id": int, "opcode": str, "seq": int, "src": str, "dst": str,
+            "update_id": (int, None), "update_start": float, "end_to_end": float,
+            "stages": {str: float}, "completed": bool, "recovery": bool,
+            "recovery_of": (int, None), "open?": bool}
+#: ``timeseries.jsonl``'s records by type, as the series views read
+#: them; their order, and the runs windows name, are
+#: :func:`validate_timeseries_records`'s to check.
+_SERIES = {
+    "timeseries_header": {"window_seconds?": float},
+    "run": {"run": int, "label": str, "window_seconds?": float},
+    "window": {"run": int, "t0": float, "t1": float, "counters?": {str: float},
+               "gauges?": {str: (float, None)},
+               "histograms?": {str: {"count": float, "sum": float,
+                                     "buckets?": [[float, float]]}}},
+}
+#: ``slo.jsonl``'s records by type, as the scoreboard reads them; the
+#: rest is :func:`validate_slo_records`'s to check.
+_VERDICT = {
+    "slo": {"run": str, "spec": str, "windows": float, "violations": float,
+            "burn?": (float, str), "compliant": bool},
+    "event": dict(_TRIGGER, run=str),
+}
+
+
+def _refuse_constant(constant: str) -> None:
+    raise ValueError(f"bare {constant} is not strict JSON")
+
+
+def _member(path: Path, members: Dict[str, bytes], name: str) -> Any:
+    """``name`` parsed: a ``.json`` member's document, or a ``.jsonl``
+    member's records (None, or no records, when the bundle lacks it)."""
+    where = f"{path}: {name}"
+    try:
+        text = members.get(name, b"").decode("utf-8")
+        if not name.endswith(".jsonl"):
+            return json.loads(text, parse_constant=_refuse_constant) if text else None
+        records = []
+        for number, line in enumerate(text.splitlines(), start=1):
+            where = f"{path}: {name} line {number}"
+            if line.strip():
+                records.append(json.loads(line, parse_constant=_refuse_constant))
         return records
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise BundleError(f"{where} is not UTF-8 JSON ({exc})")
 
-    @property
-    def traces(self) -> List[Dict[str, Any]]:
-        return self._json("traces.jsonl", lines=True)
 
-    @property
-    def timeseries(self) -> List[Dict[str, Any]]:
-        """The window records, ``"inf"`` bounds and gauges read back as
-        the floats they were."""
-        return from_jsonable(self._json("timeseries.jsonl", lines=True))
+@dataclass
+class Bundle:
+    """A ``.slimpm`` bundle as :func:`load_bundle` read it: the manifest
+    and each member, parsed and checked once (a member the bundle lacks
+    reads empty)."""
 
-    @property
-    def slo(self) -> List[Dict[str, Any]]:
-        return self._json("slo.jsonl", lines=True)
-
-    @property
-    def engine(self) -> Dict[str, Any]:
-        return self._json("engine.json", lines=False) or {}
-
-    @property
-    def metrics(self) -> Optional[List[Dict[str, Any]]]:
-        """The registry snapshot of a record bundle (None in an anomaly
-        bundle)."""
-        return self._json("metrics.json", lines=False)
-
-    @property
-    def ring(self) -> Optional[SlimcapReader]:
-        raw = self._members.get("ring.slimcap")
-        if not raw:
-            return None
-        return SlimcapReader.from_bytes(raw)
+    path: Path
+    manifest: Dict[str, Any]
+    #: Closed trace and probe records, and the partials open at the freeze.
+    traces: List[Dict[str, Any]]
+    #: The window records, ``"inf"`` bounds and gauges read back as the
+    #: floats they were.
+    timeseries: List[Dict[str, Any]]
+    #: The saved SLO verdict.
+    slo: List[Dict[str, Any]]
+    engine: Dict[str, Any]
+    #: The registry snapshot of a record bundle (None in an anomaly bundle).
+    metrics: Optional[List[Dict[str, Any]]]
+    ring: Optional[SlimcapReader]
 
 
 def load_bundle(path: Union[str, Path]) -> Bundle:
-    """Open and validate a bundle; raises :class:`BundleError` when the
-    file is not a well-formed .slimpm archive."""
+    """Open a bundle and check the whole of it, the one check of the
+    format: the archive, the manifest's format and version, and each
+    JSON member present, record by record, against what the readers
+    read of it.  Raises :class:`BundleError` at the first fault."""
     path = Path(path)
     if not path.exists():
         raise BundleError(f"no such bundle: {path}")
     try:
         with zipfile.ZipFile(path) as archive:
-            members = {
-                info.filename: archive.read(info.filename)
-                for info in archive.infolist()
-            }
+            members = {info.filename: archive.read(info.filename) for info in archive.infolist()}
     except _UNREADABLE_ZIP as exc:
         raise BundleError(f"{path}: not a readable zip archive ({exc})")
-    raw = members.get("manifest.json")
-    if raw is None:
+    if "manifest.json" not in members:
         raise BundleError(f"{path}: bundle has no manifest.json")
-    try:
-        manifest = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
-        raise BundleError(f"{path}: manifest.json is not valid JSON ({exc})")
+    manifest = _member(path, members, "manifest.json")
     if not isinstance(manifest, dict):
         raise BundleError(f"{path}: manifest.json is not an object")
     if manifest.get("format") != BUNDLE_FORMAT:
@@ -609,4 +670,36 @@ def load_bundle(path: Union[str, Path]) -> Bundle:
             f"{path}: unsupported bundle version "
             f"{manifest.get('version')!r} (tool speaks {BUNDLE_VERSION})"
         )
-    return Bundle(path, manifest, members)
+    fault = _fault(manifest, _MANIFEST)
+    if fault is not None:
+        raise BundleError(f"{path}: manifest.json {fault}")
+
+    traces = _member(path, members, "traces.jsonl")
+    timeseries = from_jsonable(_member(path, members, "timeseries.jsonl"))
+    slo = _member(path, members, "slo.jsonl")
+    # Records by type: a type that is no key (or no string) has no shape,
+    # and the stream's validator refuses it.
+    for name, records, shape_of, validate in (
+        ("traces.jsonl", traces, lambda r: _PROBE if "probe" in r else _MESSAGE, None),
+        ("timeseries.jsonl", timeseries,
+         lambda r: _SERIES.get(str(r.get("type")), {}), validate_timeseries_records),
+        ("slo.jsonl", slo, lambda r: _VERDICT.get(str(r.get("type")), {}), validate_slo_records),
+    ):
+        for number, record in enumerate(records, start=1):
+            fault = _fault(record, shape_of(record) if isinstance(record, dict) else {})
+            if fault is not None:
+                raise BundleError(f"{path}: {name} record {number} {fault}")
+        try:
+            if records and validate is not None:
+                validate(records)
+        except ReproError as exc:
+            raise BundleError(f"{path}: {name}: {exc}")
+    engine = _member(path, members, "engine.json")
+    if not _conforms(engine, (dict, None)):
+        raise BundleError(f"{path}: engine.json is not an object")
+    metrics = _member(path, members, "metrics.json")
+    if not _conforms(metrics, ([dict], None)):
+        raise BundleError(f"{path}: metrics.json is not a list of objects")
+    ring = members.get("ring.slimcap")
+    ring = SlimcapReader.from_bytes(ring) if ring else None
+    return Bundle(path, manifest, traces, timeseries, slo, engine or {}, metrics, ring)

@@ -522,7 +522,7 @@ def _more_violating(spec: SloSpec, value: float, reference: float) -> bool:
 
 
 def validate_slo_records(records: Sequence[Dict[str, Any]]) -> None:
-    """Schema-check an SLO record stream (CI smoke / ``--validate``)."""
+    """Schema-check an SLO record stream (as :func:`~repro.obs.flightrec.load_bundle` does)."""
     if not records:
         raise ReproError("empty SLO stream")
     header = records[0]

@@ -188,13 +188,11 @@ class RunSeries:
                 keys.setdefault(key, "histogram")
         return keys
 
-    def values(
-        self, key: str, kind: str, quantile: float = 0.95
-    ) -> List[Any]:
+    def values(self, key: str, kind: str) -> List[Any]:
         """(t0, value) pairs over the stored windows carrying the series."""
         out = []
         for record in self.windows:
-            value = window_value(record, key, kind, quantile)
+            value = window_value(record, key, kind)
             if value is not None:
                 out.append((record["t0"], value))
         return out
@@ -208,14 +206,11 @@ class RunSeries:
 
 
 def sparkline_rows(
-    run: RunSeries,
-    keys: Dict[str, str],
-    width: int,
-    quantile: float = 0.95,
+    run: RunSeries, keys: Dict[str, str], width: int
 ) -> List[str]:
     """One labelled ``|sparkline|`` row per series of ``keys`` (series
     key -> instrument family, drawn in that order) that ``run`` holds
-    values for — the saved-file dashboard's rows and the live one's."""
+    values for — ``postmortem --series``'s rows and the live dashboard's."""
     # Imported on first draw: a default-flag run never carries textplot.
     from repro.analysis.textplot import render_sparkline
 
@@ -223,7 +218,7 @@ def sparkline_rows(
     rows = []
     for key, family in keys.items():
         kind, unit = RENDER_KINDS[family]
-        values = [value for _t, value in run.values(key, kind, quantile)]
+        values = [value for _t, value in run.values(key, kind)]
         if not values:
             continue
         label = (
@@ -512,7 +507,8 @@ def write_jsonl(
 
 def validate_timeseries_records(records: Sequence[Dict[str, Any]]) -> None:
     """Schema-check a record stream; raises :class:`ReproError` on the
-    first violation (used by the CI smoke job and ``--validate``)."""
+    first violation (:func:`~repro.obs.flightrec.load_bundle` checks a
+    bundle's series with it)."""
     if not records:
         raise ReproError("empty timeseries stream")
     header = records[0]

@@ -6,12 +6,12 @@
   methodology as a tool).
 * ``python -m repro.tools.capacity`` — size a server for a workgroup mix
   (the Figure 9/12 machinery as a planner).
-* ``python -m repro.tools.postmortem`` — the reader of ``.slimpm``
+* ``python -m repro.tools.postmortem`` — the one reader of ``.slimpm``
   bundles, the runner's ``--record`` and the flight recorder's: what
   fired, per-stage blame, stage-latency percentiles, the loss-recovery
-  timeline, per-command wire statistics, Chrome ``trace_event`` export.
-* ``python -m repro.tools.dashboard`` — a bundle's windowed series as
-  sparklines, its SLO verdict, counter export.
+  timeline, per-command wire statistics, the windowed series as
+  sparklines, the saved SLO verdict as a gate, and one Chrome
+  ``trace_event`` export of the traces and the series.
 
 Run as processes they share one exit contract (:func:`run_cli`): input
 the tool cannot read is one ``invalid input: ...`` line and exit 2,

@@ -1,4 +1,4 @@
-"""Post-mortem triage for ``.slimpm`` bundles.
+"""Post-mortem triage for ``.slimpm`` bundles: the one reader.
 
 A bundle is what :class:`repro.obs.flightrec.FlightRecorder` freezes
 when an anomaly trips: the wire-frame ring, implicated causal traces,
@@ -15,7 +15,8 @@ triage questions in order:
   construction) and the LOSS -> NACK -> REENCODE conversation from the
   wire ring.
 * ``--chrome-trace OUT`` — *show me.*  The completed traces and the
-  probe rounds as Chrome ``trace_event`` JSON for about:tracing.
+  probe rounds as Chrome ``trace_event`` JSON for about:tracing, then
+  each run's windowed series as counter lanes.
 
 Two views read a whole run's record best: ``--latency``, per-command
 stage-latency percentiles over the completed traces, and
@@ -23,14 +24,21 @@ stage-latency percentiles over the completed traces, and
 order.  ``--json`` adds the wire's per-command statistics to
 ``--summary``.
 
-Exit status: 0 on a readable bundle, 2 on a corrupt or unrecognized
-one (bad zip, missing/invalid manifest, unknown format or version) —
-scriptable from CI smoke jobs.
+Two read the windowed series: ``--series``, each run's series as
+sparklines (or, ``--heat``, one heatstrip), and ``--slo``, the saved
+verdict as a CI gate.  ``--runs`` keeps the runs whose label holds a
+substring.
+
+Exit status: 0 on a readable bundle, 1 when ``--slo`` finds a violated
+result or ``--series`` no run, 2 on a corrupt or unrecognized one (see
+:func:`~repro.obs.flightrec.load_bundle`) — scriptable from CI smoke
+jobs.
 """
 
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import sys
 from pathlib import Path
@@ -41,14 +49,17 @@ from repro.core.commands import StatusKind
 from repro.obs.capture import KIND_DROP, KIND_LOSS, SlimcapReader
 from repro.obs.causal import STAGES, chrome_trace_events, stage_percentiles
 from repro.obs.flightrec import Bundle, BundleError, load_bundle
+from repro.obs.timeseries import RENDER_KINDS, RunSeries, TimeSeriesCollection, sparkline_rows
 from repro.tools import run_cli
 
-__all__ = ["summarize", "timeline_events", "main"]
+__all__ = ["summarize", "timeline_events", "render_run", "chrome_trace", "main"]
 
 #: Traces shown by --blame when no trigger named specific culprits.
 _FALLBACK_BLAME = 5
 
 EXIT_OK = 0
+#: A gate's answer: a violated verdict, or no run to draw.
+EXIT_FAIL = 1
 EXIT_CORRUPT = 2
 
 
@@ -65,14 +76,41 @@ def _describe_trigger(trigger: Dict[str, Any]) -> str:
     value, threshold = trigger.get("value"), trigger.get("threshold")
     if value is not None and threshold is not None:
         parts.append(f"({value:.6g} vs {threshold:.6g})")
-    if trigger.get("t0") is not None:
-        parts.append(
-            f"window {trigger['t0'] * 1000:.0f}..{trigger['t1'] * 1000:.0f} ms"
-        )
+    t0, t1 = trigger.get("t0"), trigger.get("t1")
+    if t0 is not None and t1 is not None:
+        parts.append(f"window {t0 * 1000:.0f}..{t1 * 1000:.0f} ms")
     return " ".join(parts)
 
 
-def print_summary(bundle: Bundle) -> None:
+def scoreboard(bundle: Bundle, runs: Optional[str] = None) -> Tuple[List[str], bool]:
+    """The saved verdict of the runs whose label holds ``runs`` (all when
+    None): the SLO table and the health events, and whether every
+    result is compliant."""
+    kept = [r for r in bundle.slo if r["type"] != "slo_header"]
+    kept = [r for r in kept if runs is None or runs in r["run"]]
+    results = [r for r in kept if r["type"] == "slo"]
+    events = [r for r in kept if r["type"] == "event"]
+    lines = []
+    if results:
+        header = f"{'slo':<18}{'run':<26}{'windows':>8}{'bad':>5}{'burn':>7}  verdict"
+        lines += [header, "-" * len(header)]
+        for record in results:
+            burn = record.get("burn", 0)
+            burn_text = burn if isinstance(burn, str) else f"{burn:.2f}"
+            verdict = "ok" if record["compliant"] else "VIOLATED"
+            lines.append(
+                f"{record['spec']:<18}{record['run']:<26}{record['windows']:>8}"
+                f"{record['violations']:>5}{burn_text:>7}  {verdict}"
+            )
+    if events:
+        if results:
+            lines.append("")
+        lines.append(f"health events ({len(events)}):")
+        lines += [f"  - {_describe_trigger(event)}" for event in events]
+    return lines, all(record["compliant"] for record in results)
+
+
+def print_summary(bundle: Bundle, runs: Optional[str] = None) -> None:
     manifest = bundle.manifest
     counts = manifest.get("counts", {})
     print(f"bundle:  {bundle.path}")
@@ -95,32 +133,19 @@ def print_summary(bundle: Bundle) -> None:
         f"{counts.get('windows', 0)} windows, "
         f"{counts.get('marks', 0)} marks"
     )
-    results = [r for r in bundle.slo if r.get("type") == "slo"]
-    if results:
+    lines, _compliant = scoreboard(bundle, runs)
+    if lines:
         print()
-        header = (
-            f"{'slo':<18}{'run':<26}{'windows':>8}{'bad':>5}"
-            f"{'burn':>7}  verdict"
-        )
-        print(header)
-        print("-" * len(header))
-        for record in results:
-            burn = record.get("burn", 0)
-            burn_text = burn if isinstance(burn, str) else f"{burn:.2f}"
-            verdict = "ok" if record.get("compliant") else "VIOLATED"
-            print(
-                f"{record.get('spec', '?'):<18}"
-                f"{str(record.get('run', '?')):<26}"
-                f"{record.get('windows', 0):>8}"
-                f"{record.get('violations', 0):>5}"
-                f"{burn_text:>7}  {verdict}"
-            )
-    events = [r for r in bundle.slo if r.get("type") == "event"]
-    if events:
-        print()
-        print(f"health events ({len(events)}):")
-        for event in events:
-            print(f"  - {_describe_trigger(event)}")
+        print("\n".join(lines))
+
+
+def print_slo(bundle: Bundle, runs: Optional[str]) -> int:
+    """The saved verdict, graded as the run went by the grader the
+    recorder streams windows through — what grading the series again
+    would say; exit 1 if a result is violated."""
+    lines, compliant = scoreboard(bundle, runs)
+    print("\n".join(lines) or "no SLO verdict for these runs")
+    return EXIT_OK if compliant else EXIT_FAIL
 
 
 # --- blame ------------------------------------------------------------------
@@ -182,9 +207,7 @@ def _trace_heading(record: Dict[str, Any]) -> str:
 
 def print_blame(bundle: Bundle) -> None:
     traces = bundle.traces
-    by_id = {
-        t["trace_id"]: t for t in traces if "trace_id" in t
-    }
+    by_id = {t["trace_id"]: t for t in traces}
     wanted = implicated_trace_ids(bundle)
     records: List[Dict[str, Any]]
     if wanted:
@@ -370,6 +393,79 @@ def print_timeline(events: List[Tuple[float, str]]) -> None:
         print(f"{when * 1000:>10.3f} ms  {text}")
 
 
+# --- the windowed series ----------------------------------------------------
+
+
+def series_runs(bundle: Bundle, runs: Optional[str]) -> List[RunSeries]:
+    """The bundle's runs whose label holds ``runs`` (all when None)."""
+    if not bundle.timeseries:
+        return []
+    collection = TimeSeriesCollection.from_records(bundle.timeseries)
+    return [run for run in collection.runs if runs is None or runs in run.label]
+
+
+def render_run(
+    run: RunSeries, patterns: Sequence[str] = (), width: int = 60, heat: bool = False
+) -> str:
+    """One run's series (those matching a glob of ``patterns``, or all)
+    as labelled sparklines, or as one shared-scale heatstrip."""
+    from repro.analysis.textplot import render_heatstrip  # as sparkline_rows does
+
+    keys = {
+        key: family
+        for key, family in sorted(run.series_keys().items())
+        if not patterns or any(fnmatch.fnmatch(key, p) for p in patterns)
+    }
+    coalesced = f" (coalesced x{run.coalesce_count})" if run.coalesce_count else ""
+    lines = [
+        f"run {run.label!r}: {len(run.windows)} windows, "
+        f"{run.span:g} sim-s at {run.window:g}s{coalesced}"
+    ]
+    if not keys:
+        lines.append("  (no series match)")
+    elif heat:
+        rows = {key: run.values(key, RENDER_KINDS[family][0]) for key, family in keys.items()}
+        lines.append(render_heatstrip(
+            {key: [value for _t, value in points] for key, points in rows.items() if points},
+            width=width,
+        ))
+    else:
+        lines.extend(sparkline_rows(run, keys, width))
+    return "\n".join(lines)
+
+
+def print_series(runs: List[RunSeries], args: argparse.Namespace) -> int:
+    if not runs:
+        print("no runs match", file=sys.stderr)
+        return EXIT_FAIL
+    for run in runs:
+        print(render_run(run, args.metric, args.width, args.heat))
+        print()
+    return EXIT_OK
+
+
+def chrome_trace(bundle: Bundle, runs: Optional[str] = None) -> Dict[str, Any]:
+    """The bundle as one Chrome trace: the completed message traces and
+    probe rounds (incomplete traces are skipped), then a counter ("C")
+    event per window of each series, each run a process of its own on a
+    pid no causal lane uses, timestamps window starts in microseconds."""
+    document = chrome_trace_events(bundle.traces)
+    events = document["traceEvents"]
+    first = 1 + max((event["pid"] for event in events), default=0)
+    for pid, run in enumerate(series_runs(bundle, runs), start=first):
+        events.append(
+            {"name": "process_name", "ph": "M", "pid": pid, "tid": 0, "args": {"name": run.label}}
+        )
+        for key, family in sorted(run.series_keys().items()):
+            kind = RENDER_KINDS[family][0]
+            events.extend(
+                {"name": key, "ph": "C", "pid": pid, "tid": 0, "ts": t0 * 1e6,
+                 "args": {kind: value}}
+                for t0, value in run.values(key, kind)
+            )
+    return document
+
+
 # --- entry point ------------------------------------------------------------
 
 
@@ -398,9 +494,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="the loss-recovery conversation on the wire, in time order",
     )
     parser.add_argument(
+        "--series", action="store_true", help="each run's windowed series as sparklines"
+    )
+    parser.add_argument(
+        "--slo", action="store_true",
+        help="the saved SLO verdict; exit 1 if any result is violated",
+    )
+    parser.add_argument(
+        "--runs", metavar="SUBSTR", help="only runs whose label contains this substring"
+    )
+    parser.add_argument(
+        "--metric", action="append", default=[], metavar="GLOB",
+        help="--series: only series matching this pattern (repeatable)",
+    )
+    parser.add_argument(
+        "--width", type=int, default=60, help="--series: sparkline width (default 60)"
+    )
+    parser.add_argument(
+        "--heat", action="store_true", help="--series: each run as one shared-scale heatstrip"
+    )
+    parser.add_argument(
         "--chrome-trace", type=Path, metavar="OUT",
-        help="write completed traces and probe rounds as Chrome "
-        "trace_event JSON",
+        help="write completed traces, probe rounds and series counters "
+        "as Chrome trace_event JSON",
     )
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output"
@@ -413,13 +529,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
 
-    views = [args.summary, args.blame, args.latency, args.timeline]
+    views = [args.summary, args.blame, args.latency, args.timeline, args.series, args.slo]
     if not any(views) and args.chrome_trace is None:
         args.summary = True
 
     if args.chrome_trace is not None:
-        # Incomplete message traces are skipped by the renderer.
-        document = chrome_trace_events(bundle.traces)
+        document = chrome_trace(bundle, args.runs)
         args.chrome_trace.write_text(json.dumps(document))
         print(
             f"wrote {len(document['traceEvents'])} trace events "
@@ -430,9 +545,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     reader = bundle.ring
     if args.json:
         output: Dict[str, Any] = {"manifest": bundle.manifest}
-        if args.summary:
+        if args.summary or args.slo:
             output["slo"] = bundle.slo
-            if reader is not None:
+            if args.summary and reader is not None:
                 output["summary"] = summarize(reader)
         if args.blame:
             output["traces"] = bundle.traces
@@ -444,24 +559,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for when, text in timeline_events(reader)
             ]
         print(json.dumps(output, indent=2))
-        return EXIT_OK
+        return EXIT_FAIL if args.slo and not scoreboard(bundle, args.runs)[1] else EXIT_OK
 
+    status = EXIT_OK
     shown = False
     for wanted, show in (
-        (args.summary, lambda: print_summary(bundle)),
+        (args.summary, lambda: print_summary(bundle, args.runs)),
         (args.blame, lambda: print_blame(bundle)),
         (args.latency, lambda: print_latency(stage_percentiles(bundle.traces))),
         (
             args.timeline,
             lambda: print_timeline(timeline_events(reader) if reader else []),
         ),
+        (args.series, lambda: print_series(series_runs(bundle, args.runs), args)),
+        (args.slo, lambda: print_slo(bundle, args.runs)),
     ):
         if wanted:
             if shown:
                 print()
-            show()
+            status = max(status, show() or EXIT_OK)
             shown = True
-    return EXIT_OK
+    return status
 
 
 if __name__ == "__main__":

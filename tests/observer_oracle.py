@@ -66,7 +66,8 @@ def _run(argv) -> int:
 def runner_files(scratch) -> dict:
     """``lossy_fabric`` through the runner with its ``--record`` bundle:
     the capture is its ``ring.slimcap``, the trace events what
-    ``postmortem --chrome-trace`` draws from it less the probe rounds."""
+    ``postmortem --chrome-trace`` draws from it less the probe rounds
+    and counter lanes."""
     scratch = Path(scratch)
     status = _run(
         ["--record", "--postmortem-dir", str(scratch / "pm"), "lossy_fabric"]

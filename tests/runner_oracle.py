@@ -16,7 +16,8 @@ Since the artefact flags were retired, the run writes one file, its
 Chrome trace are read from it: each digest is taken as it was taken of
 the file its flag wrote (the series and verdict rendered as those JSONL
 files were, the Chrome trace drawn by ``postmortem`` less its probe
-rounds), so each still holds the value blessed of that file.
+rounds and counter lanes), so each still holds the value blessed of
+that file.
 """
 
 from __future__ import annotations
@@ -128,14 +129,19 @@ def simulated_series(records) -> list:
 
 def message_trace_events(bundle: Path) -> bytes:
     """The Chrome trace ``postmortem --chrome-trace`` draws from a record
-    bundle, less its probe rounds: the completed message traces' events,
-    in order, as the runner's ``--trace-events`` wrote them."""
+    bundle, less its probe rounds and its series' counter lanes: the
+    completed message traces' events, in order, as the runner's
+    ``--trace-events`` wrote them."""
     out = bundle.with_suffix(".json")
     with contextlib.redirect_stderr(io.StringIO()):
         assert postmortem.main([str(bundle), "--chrome-trace", str(out)]) == 0
     document = json.loads(out.read_text(encoding="utf-8"))
     document["traceEvents"] = [
-        event for event in document["traceEvents"] if event.get("cat") != "probe"
+        event
+        for event in document["traceEvents"]
+        if event.get("cat") != "probe"
+        and event["ph"] != "C"
+        and event["name"] != "process_name"
     ]
     return json.dumps(document).encode("utf-8")
 

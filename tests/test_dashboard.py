@@ -1,5 +1,6 @@
-"""Tests for the dashboard CLI (repro.tools.dashboard) and the
-sparkline/heatstrip rendering it drives."""
+"""Tests for the windowed-series views of ``postmortem`` (``--series``,
+``--slo`` and the counter lanes of ``--chrome-trace``) and the
+sparkline/heatstrip rendering they drive."""
 
 import json
 
@@ -11,10 +12,10 @@ from repro.analysis.textplot import (
     render_sparkline,
 )
 from repro.errors import ReproError
-from repro.obs.flightrec import write_bundle
+from repro.obs.flightrec import load_bundle, write_bundle
 from repro.obs.slo import SloEngine
 from repro.obs.timeseries import TimeSeriesCollection
-from repro.tools.dashboard import chrome_counter_events, main, render_run
+from repro.tools.postmortem import chrome_trace, main, render_run
 
 
 def sample_collection():
@@ -57,8 +58,12 @@ def write_series_bundle(path, records, verdict=None):
 
 @pytest.fixture
 def series_file(tmp_path):
+    """The sample series with the verdict every runner bundle carries."""
+    collection = sample_collection()
     return write_series_bundle(
-        tmp_path / "run.slimpm", sample_collection().to_records()
+        tmp_path / "run.slimpm",
+        collection.to_records(),
+        SloEngine().evaluate(collection).to_records(),
     )
 
 
@@ -94,6 +99,11 @@ class TestTextplotRamp:
         with pytest.raises(ReproError):
             render_heatstrip({})
 
+    def test_heatstrip_draws_an_infinite_value(self):
+        """A starved yardstick's ``inf`` gauge tops the shared scale."""
+        text = render_heatstrip({"rtt": [1.0, float("inf")]}, width=2)
+        assert text.split("\n")[0] == f"rtt |{DENSITY_RAMP[0]}{DENSITY_RAMP[-1]}|"
+
 
 class TestRenderRun:
     def test_labelled_sparkline_rows(self):
@@ -118,9 +128,9 @@ class TestRenderRun:
 
 
 class TestChromeExport:
-    def test_counter_events_per_run_process(self):
-        document = chrome_counter_events(sample_collection())
-        events = document["traceEvents"]
+    def test_counter_events_per_run_process(self, tmp_path):
+        path = write_series_bundle(tmp_path / "run.slimpm", sample_collection().to_records())
+        events = chrome_trace(load_bundle(path))["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         counters = [e for e in events if e["ph"] == "C"]
         assert {m["args"]["name"] for m in meta} == {
@@ -135,33 +145,31 @@ class TestChromeExport:
 
 class TestCli:
     def test_render_all_runs(self, series_file, capsys):
-        assert main([series_file]) == 0
+        assert main([series_file, "--series"]) == 0
         out = capsys.readouterr().out
         assert "lan/static" in out and "cellular/static" in out
 
     def test_runs_substring_filter(self, series_file, capsys):
-        assert main([series_file, "--runs", "cellular"]) == 0
+        assert main([series_file, "--series", "--runs", "cellular"]) == 0
         out = capsys.readouterr().out
         assert "cellular/static" in out and "lan/static" not in out
 
     def test_no_matching_runs_fails(self, series_file, capsys):
-        assert main([series_file, "--runs", "nope"]) == 1
+        assert main([series_file, "--series", "--runs", "nope"]) == 1
         assert "no runs match" in capsys.readouterr().err
-
-    def test_validate_mode(self, series_file, capsys):
-        assert main([series_file, "--validate"]) == 0
-        assert "records ok" in capsys.readouterr().out
 
     def test_invalid_file_exits_2(self, tmp_path, capsys):
         bad = write_series_bundle(
             tmp_path / "bad.slimpm", [{"type": "window", "run": 0}]
         )
-        assert main([bad]) == 2
-        assert "invalid input" in capsys.readouterr().err
+        assert main([bad, "--series"]) == 2
+        err = capsys.readouterr().err
+        assert "timeseries.jsonl" in err and len(err.splitlines()) == 1
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
-        assert main([str(tmp_path / "absent.slimpm")]) == 2
-        assert "invalid input" in capsys.readouterr().err
+        assert main([str(tmp_path / "absent.slimpm"), "--series"]) == 2
+        err = capsys.readouterr().err
+        assert "no such bundle" in err and len(err.splitlines()) == 1
 
     def test_series_argument_required(self, capsys):
         with pytest.raises(SystemExit):
@@ -173,7 +181,7 @@ class TestCli:
         document = json.loads(trace.read_text())
         assert document["displayTimeUnit"] == "ms"
         assert any(e["ph"] == "C" for e in document["traceEvents"])
-        assert "counter events" in capsys.readouterr().out
+        assert "trace events" in capsys.readouterr().err
 
     def test_slo_mode_flags_violations(self, series_file, capsys):
         # The cellular run violates keystroke_echo -> exit 1.
@@ -183,18 +191,20 @@ class TestCli:
 
     def test_slo_mode_compliant_exit_zero(self, series_file, capsys):
         assert main([series_file, "--runs", "lan", "--slo"]) == 0
-        assert "ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "ok" in out and "VIOL" not in out and "cellular" not in out
 
     def test_slo_file_validated_alongside(self, tmp_path, capsys):
         """A bundle's saved verdict, ``slo.jsonl``, is schema-checked
-        with its series."""
+        with its series as the bundle loads."""
         collection = sample_collection()
         verdict = SloEngine().evaluate(collection).to_records()
         path = write_series_bundle(
             tmp_path / "run.slimpm", collection.to_records(), verdict
         )
-        assert main([path, "--validate"]) == 0
-        assert "(+ SLO report)" in capsys.readouterr().out
+        assert load_bundle(path).slo == verdict
+        assert main([path, "--summary"]) == 0
+        assert "keystroke_echo" in capsys.readouterr().out
 
     def test_corrupt_slo_file_exits_2(self, tmp_path, capsys):
         path = write_series_bundle(
@@ -202,5 +212,6 @@ class TestCli:
             sample_collection().to_records(),
             [{"type": "slo"}],
         )
-        assert main([path]) == 2
-        assert "invalid input" in capsys.readouterr().err
+        assert main([path, "--series"]) == 2
+        err = capsys.readouterr().err
+        assert "slo.jsonl" in err and len(err.splitlines()) == 1

@@ -1,6 +1,8 @@
 """Tests for the command-line tools (replay, capacity) and the exit
 contract every file-reading tool shares."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 
 from repro.analysis.traces import save_traces
 from repro.errors import ReproError
+from repro.tools import run_cli
 from repro.tools.capacity import main as capacity_main
 from repro.tools.capacity import parse_users, plan
 from repro.tools.replay import main as replay_main
@@ -25,6 +28,16 @@ def trace_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "pim.jsonl"
     save_traces(traces, path)
     return path
+
+
+def _exit_status(main, argv):
+    """``main(argv)`` under the exit contract ``python -m`` runs it with:
+    the status, and what it wrote to stderr."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        with pytest.raises(SystemExit) as done:
+            run_cli(lambda: main(argv))
+    return done.value.code, stderr.getvalue()
 
 
 class TestParseBandwidth:
@@ -74,6 +87,31 @@ class TestReplayTool:
         data = json.loads(capsys.readouterr().out)
         assert data["bandwidth_bps"] == 2e6
 
+    @pytest.mark.parametrize(
+        "line, fault",
+        [
+            ('{"application": "a"}', "lacks"),
+            ("bogus", "unknown field 'bogus'"),
+            ("[1, 2]", "not an object"),
+        ],
+        ids=["missing field", "unknown field", "not an object"],
+    )
+    def test_a_malformed_trace_line_is_one_line_and_exit_2(
+        self, trace_file, tmp_path, line, fault
+    ):
+        """A line that is not a session with exactly its fields is
+        refused by its number, after the good lines before it."""
+        if line == "bogus":
+            record = json.loads(trace_file.read_text().splitlines()[0])
+            record["bogus"] = 1
+            line = json.dumps(record)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(trace_file.read_text() + line + "\n")
+        status, stderr = _exit_status(replay_main, [str(path), "--bandwidth", "1Mbps"])
+        assert status == 2
+        assert stderr.count("\n") == 1
+        assert "line 3" in stderr and fault in stderr
+
 
 class TestCapacityTool:
     def test_parse_users(self):
@@ -109,25 +147,26 @@ class TestCapacityTool:
 
 _UNREADABLE_FILES = ("missing", "100 random bytes")
 
+#: Each reader of a file, by the name its cases carry.
+_FILE_READERS = {
+    "replay": ["repro.tools.replay", "--bandwidth", "1000000"],
+    "postmortem": ["repro.tools.postmortem"],
+    "postmortem --series": ["repro.tools.postmortem", "--series"],
+    "postmortem --slo": ["repro.tools.postmortem", "--slo"],
+}
+
 
 @pytest.mark.parametrize(
     "tool, unreadable",
     [
-        (tool, unreadable)
-        for tool in (
-            ["repro.tools.replay", "--bandwidth", "1000000"],
-            ["repro.tools.dashboard"],
-            ["repro.tools.postmortem"],
-        )
+        pytest.param(tool, unreadable, id=f"{name}-{unreadable}")
+        for name, tool in _FILE_READERS.items()
         for unreadable in _UNREADABLE_FILES
     ]
     + [
-        (["repro.tools.capacity", "--users"], "Photoshop=abc"),
-        (["repro.tools.capacity", "--users"], "Nope=3"),
+        pytest.param(["repro.tools.capacity", "--users"], bad, id=f"capacity-{bad}")
+        for bad in ("Photoshop=abc", "Nope=3")
     ],
-    ids=lambda value: (
-        value[0].rpartition(".")[2] if isinstance(value, list) else value
-    ),
 )
 def test_an_unreadable_file_is_one_line_and_exit_2(tool, unreadable, tmp_path):
     """``unreadable`` is the state of the file the tool is pointed at,
