@@ -216,7 +216,12 @@ class Link:
     sending; statistics stay exact at any sample time through
     pending-credit records settled lazily against the clock.
     Hop records, capture tap and telemetry consume that one path
-    (DESIGN.md section 16).
+    (DESIGN.md section 16).  Where nothing can differ per packet — a
+    plain wire (:meth:`_plain`) taking train packets for a hop nobody
+    hears — the switch's record of the sources and a port's own record
+    hand it *stretches* instead, each admitted in one pass that only
+    serializes and appends the records :meth:`admit` would
+    (:meth:`_admit_bursts`, :meth:`_admit_record`).
 
     Args:
         sim: The event engine.
@@ -446,9 +451,11 @@ class Link:
             (self._port_of or self._switch)._admit_offers(through)
         for inbox in self._inboxes:
             if inbox and inbox[0][0] <= through:
-                self.admit(self._port_of.forward_due(self, through))
                 if self._heard:
+                    self.admit(self._port_of.forward_due(self, through))
                     self._cover()
+                else:
+                    self._admit_record(through)
                 return
 
     def _cover(self) -> None:
@@ -588,10 +595,11 @@ class Link:
     def admit(self, run) -> Optional[list]:
         """Admit a run of packets, ``(ready, nbytes, carrier)`` each.
 
-        The one way onto a wire — a single packet is the run of one:
-        queueing, tail drop, serialization, loss, hop record, tap and
-        where the packet goes next are decided here, per packet, in
-        order.  ``ready`` (>= now for a sender; the switch adds its
+        The reference way onto a wire — a single packet is the run of
+        one, and a stretch (:meth:`_admit_bursts`, :meth:`_admit_record`)
+        leaves exactly what this would: queueing, tail drop,
+        serialization, loss, hop record, tap and where the packet goes
+        next are decided here, per packet, in order.  ``ready`` (>= now for a sender; the switch adds its
         forwarding delay) must be monotone per link.  A carrier is the
         :class:`Packet` itself or the :class:`Train` of an anonymous
         one.  Everything is as of each ``ready`` instant, which a port
@@ -728,12 +736,152 @@ class Link:
                 self._due = arrive
         self._busy_until = busy
         if quiet:
-            # No delivery to fold at, so admissions keep the books short.
-            self._fold_in -= quiet
-            if self._fold_in <= 0:
-                self._fold_in = FOLD_EVERY
-                self._fold(sim.now)
+            self._count_quiet(quiet)
         return dropped
+
+    def _count_quiet(self, admitted: int) -> None:
+        """No delivery to fold at, so event-free admissions keep the
+        books short: every ``FOLD_EVERY``-th folds."""
+        self._fold_in -= admitted
+        if self._fold_in <= 0:
+            self._fold_in = FOLD_EVERY
+            self._fold(self.sim.now)
+
+    # -- stretches ---------------------------------------------------------------
+    def _plain(self) -> bool:
+        """Nothing this wire does can differ per packet: no loss draw,
+        no jitter, no instrument observing each admission."""
+        return (
+            self.loss_rate <= 0
+            and self.burst_loss is None
+            and not self.jitter
+            and self._m_queue_depth is None
+        )
+
+    def _admit_bursts(self, bursts: list) -> None:
+        """Admit an uplink's due bursts, ``(when, port, train)`` each,
+        as one run: the switch's record of the sources hands them over,
+        and it keeps none but for a port on record that nobody hears.
+
+        While the wire is plain and no queue limit is in reach of the
+        bursts' bytes plus those already queued, nothing can differ per
+        packet, so the pass only serializes and appends the start,
+        finish and arrival records :meth:`admit` would (DESIGN.md
+        section 16.2, "Stretches").  Otherwise the bursts go through
+        :meth:`admit`.
+        """
+        limit = self.queue_limit_bytes
+        if not self._plain() or (
+            limit is not None
+            and self._queued_bytes + sum(sum(t.sizes) for *_, t in bursts) > limit
+        ):
+            self.admit(
+                (when, nbytes, train)
+                for when, _, train in bursts
+                for nbytes in train.sizes
+            )
+            return
+        rate, delay = self.rate_bps, self.propagation_delay
+        serial = self._switch._serial.__next__
+        started, finished = self._pending_start.append, self._pending_fin.append
+        outboxes = self._outboxes
+        busy = self._busy_until
+        queued = admitted = 0
+        for when, port, train in bursts:
+            inbox = outboxes.get(port)
+            if inbox is None:
+                inbox = outboxes[port] = deque()
+                port._inboxes.append(inbox)
+            arrival = inbox.append
+            for nbytes in train.sizes:
+                if busy > when:
+                    start = busy
+                    started((start, nbytes, start - when, when))
+                    queued += nbytes
+                else:
+                    start = when
+                finish = busy = start + nbytes * 8.0 / rate
+                finished((finish, start, nbytes, False, train))
+                arrival((finish + delay, serial(), nbytes, train))
+            admitted += len(train.sizes)
+        self._busy_until = busy
+        self._queued_bytes += queued
+        self._count_quiet(admitted)
+
+    def _admit_record(self, through: float) -> None:
+        """A port nobody hears admits its arrivals on record due by
+        ``through``.
+
+        While the wire is plain, it takes stretches straight off its
+        inboxes, merged over its feeders by ``(arrival, admission
+        serial)``: a stretch is the head inbox's train packets up to
+        where another inbox's head comes first, or a queue limit comes
+        in reach.  Each is forwarded as of its own
+        arrival (``ready = arrival + forwarding_delay``), serialized,
+        and its start, finish and arrival records appended as
+        :meth:`admit` would.  What is left from the first record no
+        stretch takes — a packet, a limit in reach — goes through
+        :meth:`admit` in :meth:`Switch.forward_due`'s order.
+        """
+        switch = self._port_of
+        if switch._m_forwarded is not None or not self._plain():
+            self.admit(switch.forward_due(self, through))
+            return
+        rate, delay = self.rate_bps, self.propagation_delay
+        lag = switch.forwarding_delay
+        limit = self.queue_limit_bytes
+        room = inf if limit is None else limit - self._queued_bytes
+        started, finished = self._pending_start.append, self._pending_fin.append
+        arrival = self._pending_arr.append
+        inboxes = self._inboxes
+        edge = (through, inf)
+        busy = self._busy_until
+        queued = admitted = 0
+        rest = False
+        while not rest:
+            # The inbox whose head comes first, and where its stretch
+            # ends: the next head of another inbox, or ``through``.
+            first, stop = None, edge
+            for inbox in inboxes:
+                if inbox and inbox[0] < stop:
+                    if first is None:
+                        first = inbox
+                    elif inbox[0] < first[0]:
+                        first, stop = inbox, first[0]
+                    else:
+                        stop = inbox[0]
+            if first is None:
+                break
+            popleft = first.popleft
+            while first and first[0] < stop:
+                arrive, _, nbytes, carrier = first[0]
+                ready = arrive + lag
+                if carrier.__class__ is not Train:
+                    rest = True
+                    break
+                if busy > ready:
+                    if queued + nbytes > room:
+                        rest = True
+                        break
+                    start = busy
+                    started((start, nbytes, start - ready, ready))
+                    queued += nbytes
+                else:
+                    start = ready
+                finish = busy = start + nbytes * 8.0 / rate
+                finished((finish, start, nbytes, False, carrier))
+                arrival((finish + delay, nbytes, carrier))
+                popleft()
+                admitted += 1
+        self._busy_until = busy
+        self._queued_bytes += queued
+        switch._forwarded += admitted
+        if rest:
+            # Counted with the rest, as one run: one fold at its end.
+            self._fold_in -= admitted
+            admitted = 0
+            self.admit(switch.forward_due(self, through))
+        self._count_quiet(admitted)
 
     def _report_drop(self, packet: Packet, ready: float) -> None:
         if self._m_drops is not None:

@@ -4,6 +4,15 @@ The paper's interconnection fabric is built from workgroup switches
 (Foundry FastIron); the essential behaviours for the experiments are
 per-output-port queueing (the contention point in Figure 11 is the shared
 link from the switch to the server) and a small forwarding latency.
+
+Hops nobody hears cost no event: the switch keeps records instead — its
+sources' bursts offered ahead of their instants, and each port's
+arrivals, one inbox per feeding link — and admits them, each as of its
+own instant, when something is due.  The bursts go to their uplink as
+``(when, port, train)`` (:meth:`Switch._admit_offers`); a port takes
+its arrivals merged over its feeders, in stretches where nothing can
+differ per packet (``Link._admit_record``) and through
+:meth:`Switch.forward_due` otherwise (DESIGN.md section 16.2).
 """
 
 from __future__ import annotations
@@ -134,21 +143,18 @@ class Switch:
         own instant, in ``(when, offer serial)`` order — the order their
         events would have fired, so the ports' admission serials are
         drawn as they were — consecutive bursts of one uplink as one
-        run.  The head is re-read per run: an uplink folds once its run
-        is exhausted, and a fold pulls what is due here first."""
+        run, handed over as ``(when, port, train)`` each
+        (:meth:`Link._admit_bursts`).  The head is re-read per run: an
+        uplink folds once its run is admitted, and a fold pulls what is
+        due here first."""
         offers = self._ordered_offers()
         while offers and offers[0][0] <= through:
             uplink = offers[0][3][0]
-            uplink.admit(
-                itertools.chain.from_iterable(self._due_offers(uplink, through))
-            )
-
-    def _due_offers(self, uplink: Link, through: float) -> Iterator:
-        offers = self._offers
-        while offers and offers[0][0] <= through and offers[0][3][0] is uplink:
-            when, _, nbytes, terms = offers.popleft()
-            train = terms[2](when, nbytes)
-            yield zip(itertools.repeat(when), train.sizes, itertools.repeat(train))
+            bursts = []
+            while offers and offers[0][0] <= through and offers[0][3][0] is uplink:
+                when, _, nbytes, (_, port, train, _) = offers.popleft()
+                bursts.append((when, port, train(when, nbytes)))
+            uplink._admit_bursts(bursts)
 
     def _rearm_offers(self, port: Link) -> None:
         """``port`` can keep no burst waiting any more (somebody hears
@@ -172,9 +178,10 @@ class Switch:
         self._m_queue_depth.observe(link._waiting(arrive)[0])
 
     def forward_due(self, link: Link, through: float) -> Iterator[tuple]:
-        """The run port ``link`` admits late: its arrivals on record due
-        by ``through``, merged over its feeders by (arrival, admission
-        serial), each forwarded as of its own arrival instant."""
+        """The run port ``link`` admits late through :meth:`Link.admit`:
+        its arrivals on record due by ``through``, merged over its
+        feeders by (arrival, admission serial), each forwarded as of its
+        own arrival instant."""
         delay, metered = self.forwarding_delay, self._m_forwarded is not None
         looked = ()
         while True:

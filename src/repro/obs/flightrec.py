@@ -579,6 +579,12 @@ _MESSAGE = {"trace_id": int, "opcode": str, "seq": int, "src": str, "dst": str,
             "update_id": (int, None), "update_start": float, "end_to_end": float,
             "stages": {str: float}, "completed": bool, "recovery": bool,
             "recovery_of": (int, None), "open?": bool}
+#: A completed trace embedded in ``ring.slimcap``, as ``postmortem
+#: --timeline`` reads it.
+_RING_TRACE = dict(
+    {key: _MESSAGE[key] for key in ("src", "dst", "seq", "opcode", "recovery", "recovery_of")},
+    sent_at=float,
+)
 #: ``timeseries.jsonl``'s records by type, as the series views read
 #: them; their order, and the runs windows name, are
 #: :func:`validate_timeseries_records`'s to check.
@@ -702,4 +708,8 @@ def load_bundle(path: Union[str, Path]) -> Bundle:
         raise BundleError(f"{path}: metrics.json is not a list of objects")
     ring = members.get("ring.slimcap")
     ring = SlimcapReader.from_bytes(ring) if ring else None
+    for number, trace in enumerate(ring.traces() if ring else (), start=1):
+        fault = _fault(trace, _RING_TRACE)
+        if fault is not None:
+            raise BundleError(f"{path}: ring.slimcap trace {number} {fault}")
     return Bundle(path, manifest, traces, timeseries, slo, engine or {}, metrics, ring)

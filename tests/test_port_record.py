@@ -33,6 +33,7 @@ from tests.test_passive_sink import (
     _script,
     _stars,
 )
+from tests.test_source_record import _run_stretches, _stretch_cases
 
 
 @st.composite
@@ -182,3 +183,49 @@ def test_a_backlogged_heard_port_fires_strictly_fewer_events():
     # of the 460 hops into the switch, 158 found a delivery due on
     # their port in time and no port was left needing a wake.
     assert (on_record, on_events) == (40 + 460 + 302, 40 + 460 + 460)
+
+
+#: Two feeders fill a slow port's small buffer at once: a stretch must
+#: end where the limit comes in reach.
+LIMIT_IN_REACH = {
+    "rates": [50e6, 50e6, 2e6],
+    "port_limit": 4_000,
+    "uplink_limit": None,
+    "hook_at": None,
+    "armed": False,
+    "sends": [(0, 0, "train", [1500] * 6), (1, 0, "train", [1500] * 6)],
+    "reads": [],
+}
+
+#: A traced packet between two trains, still on the port's wire when a
+#: hook arrives: it is heard with its hop across the port.
+PACKET_IN_A_STRETCH = {
+    "rates": [50e6, 2e6],
+    "port_limit": None,
+    "uplink_limit": None,
+    "hook_at": 3,
+    "armed": True,
+    "sends": [
+        (0, 0, "train", [1500] * 12),
+        (0, 1, "packet", [700]),
+        (0, 1, "train", [1500] * 4),
+    ],
+    "reads": [],
+}
+
+
+@seed(1999)
+@settings(deadline=None)
+@given(case=_stretch_cases(offered=False))
+@example(case=LIMIT_IN_REACH)
+@example(case=PACKET_IN_A_STRETCH)
+def test_a_stretch_crosses_a_port_as_admit_would(case):
+    """A port nobody hears takes stretches of train packets off its
+    1-3 inboxes in one pass (``Link._admit_record``), each ending where
+    another inbox's head comes first, a single packet, or a queue limit
+    in reach: nothing may tell that from the same arrivals through
+    ``Link.admit``, the engine's event count included.  Mutation check:
+    a stretch allowed past another inbox's head (``stop`` left at
+    ``through``) admits one feeder's later arrivals ahead of another's
+    earlier ones, and the port's queue-delay sum moves."""
+    assert _run_stretches(case, passes=True) == _run_stretches(case, passes=False)

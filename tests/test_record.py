@@ -250,14 +250,25 @@ def _corrupt(data, how):
         json_names = [n for n in names if n.endswith((".json", ".jsonl"))]
         name = where if isinstance(where, str) else json_names[where % len(json_names)]
         return _rewrite_records(data, name, *what)
-    # Rewrite one member (by its index in the archive) to drawn bytes.
+    # Rewrite one member (by name, or by its index in the archive) to
+    # drawn bytes.
     source = zipfile.ZipFile(io.BytesIO(data))
-    target = names[where % len(names)]
+    target = where if isinstance(where, str) else names[where % len(names)]
     out = io.BytesIO()
     with zipfile.ZipFile(out, "w", zipfile.ZIP_DEFLATED) as archive:
         for name in names:
             archive.writestr(name, what if name == target else source.read(name))
     return out.getvalue()
+
+
+def _ring_of(*traces):
+    """A wire ring holding nothing but ``traces``, as a bundle stores it."""
+    from repro.obs import RingSlimcapWriter
+
+    ring = RingSlimcapWriter()
+    for trace in traces:
+        ring.trace(trace)
+    return ring.dump_bytes()
 
 
 _JSON = st.recursive(
@@ -311,6 +322,7 @@ _CORRUPTIONS = st.one_of(
 @example(how=("records", "traces.jsonl", ("probe", [("duration", [1])])))
 @example(how=("records", "manifest.json", (0, [("counts", [])])))
 @example(how=("records", "manifest.json", (0, [("reason", "boom")])))
+@example(how=("rewrite", "ring.slimcap", _ring_of({"recovery": True, "recovery_of": 3})))
 def test_a_corrupted_record_is_read_or_refused_in_one_line(small_record, tmp_path, how):
     """Truncated at a drawn offset, drawn bits flipped, a drawn member
     (manifest, ring, traces, ...) rewritten to drawn bytes, or one

@@ -27,6 +27,9 @@ DESIGN.md section 16.2, "Ties".)
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+
 import numpy as np
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -303,3 +306,162 @@ def test_rearming_a_sink_turns_what_is_left_into_events():
     to_sink = [h for h in heard if h[0] == "n1"]
     assert to_sink and all(when > at for _, when, *_ in to_sink)
     assert {flow for *_, flow in to_sink} >= {"source"}
+
+
+# ---------------------------------------------------------------------------
+# A stretch of train packets admitted in one pass == the same packets
+# through ``Link.admit``, one by one
+# ---------------------------------------------------------------------------
+
+#: A port buffer that binds under the drawn load, and one that does not.
+_LIMITS = (None, 4_000, 1 << 20)
+
+
+@st.composite
+def _stretch_cases(draw, offered: bool):
+    """1-3 feeders into one sink's port: trains sent at a grid instant
+    (``send_burst``), single packets, and — when ``offered`` — bursts
+    offered ahead of their instants; queue limits on the port and the
+    feeders' uplinks that bind or do not; the sink hooked from the
+    start, part-way through or never; the flight recorder armed or
+    not."""
+    feeders = draw(st.integers(1, 3))
+    kinds = ("train", "packet", "offer") if offered else ("train", "packet")
+    sends = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, feeders - 1),
+                st.integers(0, SLOTS - 1),
+                st.sampled_from(kinds),
+                st.lists(st.sampled_from([64, 700, 1500]), min_size=1, max_size=12),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return {
+        "rates": draw(
+            st.lists(
+                st.sampled_from([2e6, 10e6, 50e6]),
+                min_size=feeders + 1,
+                max_size=feeders + 1,
+            )
+        ),
+        "port_limit": draw(st.sampled_from(_LIMITS)),
+        "uplink_limit": draw(st.sampled_from(_LIMITS)),
+        # The slot the sink's hook arrives at: -1 from the start.
+        "hook_at": draw(st.none() | st.just(-1) | st.integers(0, SLOTS)),
+        "armed": draw(st.booleans()),
+        "sends": sends,
+        "reads": sorted(draw(st.lists(st.integers(0, 2 * SLOTS), max_size=4))),
+    }
+
+
+def _hexed(stats):
+    return (
+        stats.packets_sent, stats.bytes_sent, stats.packets_dropped,
+        stats.packets_lost, stats.queue_delay_total.hex(), stats.busy_time.hex(),
+    )
+
+
+def _run_stretches(case, passes: bool):
+    """The case run as built, or with every stretch patched onto
+    ``Link.admit``: a reading per read instant and after the drain
+    (every ``LinkStats`` field, queue occupancy, utilization, endpoint
+    counters, packets forwarded and emitted), what ``send`` and
+    ``send_burst`` returned (the drop positions at the uplinks), what
+    the sink heard in order, and the events fired."""
+    from unittest import mock
+
+    from repro.netsim.link import Link
+    from repro.obs import FlightRecorder
+    from repro.runcontext import use_run
+
+    feeders = [f"f{i}" for i in range(len(case["rates"]) - 1)]
+    armed = use_run(recorder=FlightRecorder(out_dir=None)) if case["armed"] else None
+    off = None if passes else mock.patch.object(Link, "_plain", lambda self: False)
+    with contextlib.ExitStack() as stack:
+        for context in (armed, off):
+            if context is not None:
+                stack.enter_context(context)
+        sim = Simulator()
+        network = Network(sim, default_rate_bps=10e6)
+        heard = []
+
+        def hook(packet):
+            heard.append(
+                (sim.now.hex(), packet.src, packet.nbytes, packet.flow, packet.hops)
+            )
+
+        for name, rate in zip(feeders, case["rates"]):
+            network.attach(Endpoint(name), rate_bps=rate)
+            network.uplink(name).queue_limit_bytes = case["uplink_limit"]
+        network.attach(
+            Endpoint("sink", on_receive=hook if case["hook_at"] == -1 else None),
+            rate_bps=case["rates"][-1],
+            queue_limit_bytes=case["port_limit"],
+        )
+        accepted = []
+        ids = itertools.count(1)
+
+        def fire(src, kind, sizes):
+            if kind == "train":
+                accepted.append(network.send_burst(Train(src, "sink", sizes, flow=src)))
+            else:
+                # Traced wherever a tracer is armed: its hops must match.
+                packet = Packet(src, "sink", sizes[0], flow="single", trace_id=next(ids))
+                accepted.append(network.send(packet))
+
+        sources = {name: _Source(sim, network, name, "sink") for name in feeders}
+        offers = {name: [] for name in feeders}
+        for feeder, slot, kind, sizes in case["sends"]:
+            when = slot * SPAN / SLOTS
+            if kind == "offer":
+                offers[feeders[feeder]].append((when, sum(sizes)))
+            else:
+                sim.schedule_at(
+                    when, lambda s=feeders[feeder], k=kind, z=sizes: fire(s, k, z)
+                )
+        for name, bursts in offers.items():
+            sources[name].offer(sorted(bursts))
+        if case["hook_at"] not in (None, -1):
+
+            def rearm():
+                network.endpoint("sink").on_receive = hook
+
+            sim.schedule_at(case["hook_at"] * SPAN / SLOTS, rearm)
+
+        links = [network.uplink(name) for name in feeders] + [network.downlink("sink")]
+
+        def reading():
+            return (
+                [source.packets_emitted for source in sources.values()],
+                [_hexed(link.stats) for link in links],
+                [(link.queue_depth, link.queued_bytes) for link in links],
+                [link.utilization(SPAN).hex() for link in links],
+                [
+                    (network.endpoint(n).packets_received, network.endpoint(n).bytes_received)
+                    for n in feeders + ["sink"]
+                ],
+                network.switch.packets_forwarded,
+                sim.now,
+            )
+
+        readings = []
+        for slot in case["reads"]:
+            sim.run_until(slot * SPAN / SLOTS)
+            readings.append(reading())
+        sim.run()
+        readings.append(reading())
+        return readings, accepted, heard, sim.events_processed
+
+
+@seed(1999)
+@settings(deadline=None)
+@given(case=_stretch_cases(offered=True))
+def test_a_stretch_of_bursts_is_admitted_as_admit_would(case):
+    """Bursts on the switch's record cross their uplink, and the port
+    behind it, in one pass each (``Link._admit_bursts``,
+    ``Link._admit_record``): nothing may tell that from the same bursts
+    through ``Link.admit``, the engine's event count included."""
+    assert _run_stretches(case, passes=True) == _run_stretches(case, passes=False)
