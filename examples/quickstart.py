@@ -26,7 +26,7 @@ from repro import (
     Simulator,
     use_run,
 )
-from repro.obs import RunRecord, SloEngine, TimeSeriesCollection, TraceCollector
+from repro.obs import RunRecord, TimeSeriesCollection, TraceCollector
 from repro.telemetry import MetricsRegistry
 
 WIDTH, HEIGHT = 640, 480
@@ -104,12 +104,7 @@ def main(argv=None) -> None:
     print(f"console decode time           : {total_ms:.2f} ms")
     print(f"simulated session time        : {sim.now * 1000:.2f} ms")
     if record is not None:
-        path = record.write(
-            run.tracer,
-            run.collection,
-            SloEngine().evaluate(run.collection),
-            run.registry.snapshot(),
-        )
+        path = record.write(run.tracer, run.collection, run.registry.snapshot())
         print(f"run record                    : {path}")
     if not match:
         raise SystemExit("FAILED: framebuffers differ")

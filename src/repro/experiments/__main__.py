@@ -60,7 +60,6 @@ from repro.experiments.runner import EXPERIMENTS, ExperimentConfig, render_table
 from repro.obs import (
     FlightRecorder,
     RunRecord,
-    SloEngine,
     TimeSeriesCollection,
     TraceCollector,
 )
@@ -307,19 +306,16 @@ def _write_reports(args, armed, record, profiler, memory_before) -> None:
     collected: the run record, the SLO report, telemetry, profiles, and
     the flight recorder's triggers."""
     collection = armed["collection"]
-    if record is not None or args.slo:
-        report = SloEngine().evaluate(collection)
     if record is not None:
         path = record.write(
             armed["tracer"],
             collection,
-            report,
             armed["registry"].snapshot(),
             armed["recorder"],
         )
         print(f"run record written to {path}")
     if args.slo:
-        print(report.render())
+        print(collection.slo_report().render())
     if args.metrics:
         print(render_report(armed["registry"], title="telemetry report"))
     if profiler is not None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.experiments.runner import (
 )
 from repro.monitor.casestudy import ENGINEERING_GROUP, UNIVERSITY_LAB, SiteModel
 from repro.netsim.engine import Simulator
-from repro.obs.slo import SloEngine, SloSpec
+from repro.obs.slo import SloSpec
 from repro.obs.timeseries import RunSeries
 from repro.runcontext import current_run
 from repro.server.host import E4500
@@ -385,16 +385,17 @@ def provisioning_rows(
 
 
 def fleet_window_series(
-    aggregator: FleetAggregator, spec: FleetSpec, label: str = "fleet/windows"
+    aggregator: FleetAggregator, spec: FleetSpec, specs: Sequence[SloSpec]
 ) -> RunSeries:
-    """The fleet demand curve as a gauge time-series.
+    """The fleet demand curve as a gauge time-series, graded against
+    ``specs`` as it is built.
 
     One window per ``report_window``, carrying the fleet-wide per-window
     maxima as gauges (``fleet.cpu``, ``fleet.active``, ``fleet.net_mbps``)
-    so the dashboard and the SLO engine see the same numbers as the
+    so the dashboard and the series' grader see the same numbers as the
     provisioning table.
     """
-    run = RunSeries(label, window=spec.report_window)
+    run = RunSeries("fleet/windows", window=spec.report_window, specs=specs)
     for row in aggregator.window_totals():
         t0 = row["window"] * spec.report_window
         run.append_window(
@@ -486,26 +487,20 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         "users/workgroup"
     )
 
-    # With --timeseries/--slo active, publish the fleet demand curve as
-    # its own run and grade it against the capacity SLOs in the table.
+    # While sampling, publish the fleet demand curve as its own run,
+    # graded against the capacity SLOs in the table: the run's verdict,
+    # a record's and --slo's, is the one this column prints.
     sampling = current_run().collection
     fleet_row = rows[-1]
     if sampling is not None:
-        series = fleet_window_series(aggregator, spec)
-        sampling.adopt_run(series)
         specs = fleet_capacity_slos(fleet_row["CPUs needed"])
-        report = SloEngine(specs).evaluate([series])
-        parts = []
-        for slo in specs:
-            result = report.compliance(series.label, slo.name)
-            if result is None:
-                continue
-            status = "ok" if result.compliant else "VIOL"
-            parts.append(
-                f"{slo.name.split('_', 1)[1]} "
-                f"{result.ok_windows}/{result.windows} {status}"
-            )
-        fleet_row["SLO"] = "; ".join(parts) if parts else "n/a"
+        series = fleet_window_series(aggregator, spec, specs)
+        sampling.adopt_run(series)
+        fleet_row["SLO"] = "; ".join(
+            f"{result.spec.split('_', 1)[1]} {result.ok_windows}/{result.windows} "
+            + ("ok" if result.compliant else "VIOL")
+            for result in series.grader.results()
+        ) or "n/a"
         notes.append(
             "SLO column grades the fleet curve: capacity = provisioned "
             f"{fleet_row['CPUs needed']} CPUs x 1.5 oversubscription "

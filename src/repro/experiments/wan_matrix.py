@@ -41,7 +41,7 @@ from repro.experiments.runner import (
 from repro.loadgen.yardstick import yardstick_rig
 from repro.netsim.packet import Packet
 from repro.netsim.profiles import PROFILES, NetworkProfile, get_profile
-from repro.obs.slo import KEYSTROKE_ECHO, SloEngine
+from repro.obs.slo import KEYSTROKE_ECHO, SloReport
 from repro.obs.timeseries import RunSeries
 from repro.runcontext import current_run
 from repro.units import ETHERNET_1G, MBPS
@@ -295,15 +295,14 @@ def _cell_label(collection, label: str):
 
 
 def _slo_compliance(run: Optional[RunSeries]) -> str:
-    """``ok/total`` keystroke-echo verdict for one cell's sampled run."""
-    if run is None or not run.windows:
+    """``ok/total`` keystroke-echo verdict for one cell's sampled run,
+    as its grader holds it."""
+    if run is None:
         return "n/a"
-    report = SloEngine([KEYSTROKE_ECHO]).evaluate([run])
-    result = report.compliance(run.label, KEYSTROKE_ECHO.name)
+    result = SloReport.of([run.grader]).compliance(run.label, KEYSTROKE_ECHO.name)
     if result is None:
         return "n/a"
-    status = "ok" if result.compliant else "VIOL"
-    return f"{result.ok_windows}/{result.windows} {status}"
+    return f"{result.ok_windows}/{result.windows} " + ("ok" if result.compliant else "VIOL")
 
 
 def _fmt_ms(seconds: float) -> object:

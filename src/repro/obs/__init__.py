@@ -12,9 +12,11 @@ per-event and per-second evidence:
 * :class:`~repro.obs.capture.SlimcapWriter` records the framed protocol
   messages crossing any tapped link into a compact ``.slimcap`` capture.
 * :class:`~repro.obs.timeseries.TimeSeriesCollection` rolls the
-  registry into sim-time windows, a series per simulator;
-  :class:`~repro.obs.slo.SloEngine` grades them, and the
-  :class:`FlightRecorder` freezes its rings on the same grader's word.
+  registry into sim-time windows, a series per simulator; each series'
+  :class:`~repro.obs.slo.WindowGrader` grades a window once, as it
+  closes, the :class:`FlightRecorder` freezes its rings on those
+  answers, and the collection's :class:`~repro.obs.slo.SloReport` is
+  the graders' verdict.
 * :mod:`~repro.obs.flightrec` writes and reads the one evidence file,
   the ``.slimpm`` bundle: the recorder's rings frozen on an anomaly, or
   a whole run (:class:`RunRecord`, the experiment CLI's ``--record``).
@@ -52,7 +54,6 @@ from repro.obs.causal import (
 from repro.obs.slo import (
     INTERACTIVITY_SLOS,
     HealthEvent,
-    SloEngine,
     SloReport,
     SloResult,
     SloSpec,
@@ -80,7 +81,6 @@ __all__ = [
     "RunSeries",
     "SlimcapReader",
     "SlimcapWriter",
-    "SloEngine",
     "SloReport",
     "SloResult",
     "SloSpec",

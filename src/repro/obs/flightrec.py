@@ -1,6 +1,6 @@
 """The flight recorder: always-on, bounded-memory post-mortem evidence.
 
-The SLO engine (:mod:`repro.obs.slo`) can say a keystroke-echo spike
+A run's SLO grader (:mod:`repro.obs.slo`) can say a keystroke-echo spike
 happened; this module makes sure that when it does, the *evidence* —
 the wire frames around the spike, the implicated causal traces, the
 telemetry windows, what the engine was doing — still exists.  Everything
@@ -18,8 +18,8 @@ frozen into a self-describing ``.slimpm`` bundle: a zip holding
 * ``manifest.json`` — what fired, when, counts, config snapshot;
 * ``ring.slimcap``  — the frozen wire ring (a valid capture file);
 * ``traces.jsonl``  — closed trace/probe records plus open partials;
-* ``timeseries.jsonl`` / ``slo.jsonl`` — the window slice and its
-  verdict, in the standard schemas;
+* ``timeseries.jsonl`` / ``slo.jsonl`` — the window slice and the
+  verdict so far of the runs it holds, in the standard schemas;
 * ``engine.json``   — engine marks and phase notes.
 
 The runner's ``--record`` writes the same format for a whole run
@@ -48,14 +48,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.errors import ReproError
 from repro.obs.capture import RingSlimcapWriter, SlimcapReader, SlimcapWriter
 from repro.obs.causal import MessageTrace, TraceCollector
-from repro.obs.slo import (
-    INTERACTIVITY_SLOS,
-    SloEngine,
-    SloReport,
-    SloSpec,
-    WindowGrader,
-    validate_slo_records,
-)
+from repro.obs.slo import HealthEvent, SloReport, SloSpec, validate_slo_records
 from repro.obs.timeseries import (
     RunSeries, TimeSeriesCollection, validate_timeseries_records, write_jsonl
 )
@@ -82,6 +75,16 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "run"
 
 
+def _freeze_at(specs: Sequence[SloSpec]) -> Dict[str, int]:
+    """The freeze policy: the event kinds that freeze the rings, and
+    the streak each fires at, for a run graded with ``specs``.
+    Tight-budget specs fire on the first violating window; loose ones
+    (a budget above 10%) need a 3-window streak first.  A kind not
+    listed (queue build-up) is advisory."""
+    streaks = {spec.event_kind: 1 if spec.budget <= 0.10 else 3 for spec in specs}
+    return {"loss_burst": 1, **streaks}
+
+
 class FlightRecorder:
     """Bounded rings over a run's observable surfaces, frozen on anomaly.
 
@@ -90,7 +93,6 @@ class FlightRecorder:
             rings-only recorder (a forked sweep cell's): triggers are
             recorded but nothing is written — the parent absorbs.
         label: Run label stamped on bundles and filenames.
-        specs: SLO set checked stream-wise against arriving windows.
         capture_bytes: Byte budget for the wire-frame ring.
         max_traces: Closed trace/probe records kept resident.
         max_windows: Telemetry windows kept resident.
@@ -103,7 +105,6 @@ class FlightRecorder:
         self,
         out_dir: Union[str, Path, None] = ".",
         label: str = "run",
-        specs: Sequence[SloSpec] = INTERACTIVITY_SLOS,
         capture_bytes: int = 1 << 20,
         max_traces: int = 512,
         max_windows: int = 128,
@@ -113,7 +114,6 @@ class FlightRecorder:
     ) -> None:
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.label = label
-        self.specs = tuple(specs)
         self.capture = RingSlimcapWriter(max_bytes=capture_bytes)
         #: Closed MessageTrace objects and records (probes', and the
         #: closed traces absorbed from sweep cells), newest last.
@@ -121,6 +121,7 @@ class FlightRecorder:
         #: The bounded tracer a run without one of its own traces with.
         self._ring_tracer = TraceCollector(retain=False, max_recent=max_traces)
         self.arm(self._ring_tracer, None)
+        #: (the run, the window) pairs, newest last.
         self.windows: deque = deque(maxlen=max_windows)
         self.marks: deque = deque(maxlen=max_marks)
         self.triggers: List[Dict[str, Any]] = []
@@ -128,15 +129,6 @@ class FlightRecorder:
         self.max_bundles = max_bundles
         self.config = dict(config or {})
         self.armed = True
-        #: The policy: the event kinds that freeze the rings, and the
-        #: streak each fires at.  Tight-budget specs fire on the first
-        #: violating window; loose ones (a budget above 10%) need a
-        #: 3-window streak first.  A kind not listed (queue build-up) is
-        #: advisory.
-        self._freeze_at: Dict[str, int] = {"loss_burst": 1}
-        for spec in self.specs:
-            self._freeze_at[spec.event_kind] = 1 if spec.budget <= 0.10 else 3
-        self._graders: Dict[str, WindowGrader] = {}
         self._fired: set = set()
         self._bundle_seq = itertools.count(1)
         self._phase: Optional[str] = None
@@ -182,7 +174,6 @@ class FlightRecorder:
         the phase this one is in."""
         cell = FlightRecorder(
             out_dir=None,
-            specs=self.specs,
             capture_bytes=self.capture.max_bytes,
             max_traces=self._closed.maxlen,
             max_marks=self.marks.maxlen,
@@ -206,28 +197,29 @@ class FlightRecorder:
         ]
 
     # -- telemetry window stream -------------------------------------------
-    def observe_window(self, run_label: str, record: Dict[str, Any]) -> None:
-        """One telemetry window just closed; ring it, have the run's
-        grader grade it, and freeze the rings on the verdicts that
-        warrant it."""
+    def observe_window(
+        self,
+        run: RunSeries,
+        record: Dict[str, Any],
+        verdicts: Sequence[Tuple[HealthEvent, int]],
+    ) -> None:
+        """A window of ``run`` just closed and its grader answered
+        ``verdicts`` (:meth:`RunSeries.append_window`); ring the window,
+        and freeze the rings on the answers that warrant it."""
         if not self.armed:
             return
-        self.windows.append((run_label, record))
-        grader = self._graders.get(run_label)
-        if grader is None:
-            grader = self._graders[run_label] = WindowGrader(
-                self.specs, run_label
-            )
-        for event, streak in grader.grade(record):
+        self.windows.append((run, record))
+        freeze_at = _freeze_at(run.grader.specs) if verdicts else {}
+        for event, streak in verdicts:
             # Each (run, kind) pair fires at most once — the bundle
             # already freezes everything there is to see.
-            fired = (run_label, event.kind)
-            if streak != self._freeze_at.get(event.kind) or fired in self._fired:
+            fired = (run.label, event.kind)
+            if streak != freeze_at.get(event.kind) or fired in self._fired:
                 continue
             self._fired.add(fired)
             self.trigger(
                 event.kind,
-                run=run_label,
+                run=run.label,
                 series=event.series,
                 value=event.value,
                 threshold=event.threshold,
@@ -323,31 +315,32 @@ class FlightRecorder:
             self._phase = payload["phase"]
 
     # -- bundle writing ----------------------------------------------------
-    def _timeseries(self) -> TimeSeriesCollection:
+    def _slice(self) -> Tuple[TimeSeriesCollection, SloReport]:
+        """The window ring as a collection, a run per series it holds
+        windows of, and the verdict so far of those series: graded
+        whole and live, not re-graded over the slice."""
         collection = TimeSeriesCollection()
-        runs: Dict[str, RunSeries] = {}
-        for run_label, record in self.windows:
-            run = runs.get(run_label)
-            if run is None:
+        copies: Dict[RunSeries, RunSeries] = {}
+        for run, record in self.windows:
+            copy = copies.get(run)
+            if copy is None:
                 width = max(record["t1"] - record["t0"], 1e-9)
-                run = RunSeries(run_label, window=width)
-                runs[run_label] = run
-                collection.adopt_run(run)
-            run.windows.append(record)
-        return collection
+                copy = copies[run] = RunSeries(run.label, window=width)
+                collection.adopt_run(copy)
+            copy.windows.append(record)
+        return collection, SloReport.of(run.grader for run in copies)
 
     def _dump_bundle(self, reason: Dict[str, Any]) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         seq = next(self._bundle_seq)
         path = self.out_dir / f"{_slug(self.label)}-{seq:03d}{BUNDLE_SUFFIX}"
-        collection = self._timeseries()
-        report = SloEngine(self.specs).evaluate(collection)
+        collection, report = self._slice()
         traces = self._trace_records()
         manifest = {
             "label": self.label,
             "reason": reason,
             "triggers": list(self.triggers),
-            "specs": [spec.to_dict() for spec in self.specs],
+            "specs": [spec.to_dict() for spec in report.specs],
             "config": self.config,
             "counts": {
                 "ring_frames": len(self.capture),
@@ -452,7 +445,6 @@ class RunRecord:
         self,
         tracer: TraceCollector,
         collection: TimeSeriesCollection,
-        report: SloReport,
         metrics: List[Dict[str, Any]],
         recorder: Optional[FlightRecorder] = None,
     ) -> Path:
@@ -460,7 +452,7 @@ class RunRecord:
         completed traces embedded after its frames, as ``ring.slimcap``
         (the file is removed once zipped); every completed trace, probe
         round and partial in flight; every window of ``collection`` and
-        ``report``, its verdict; ``metrics``, the registry snapshot; and
+        its runs' verdict; ``metrics``, the registry snapshot; and
         the recorder's marks and triggers if one was armed."""
         capture = self.capture
         completed = tracer.completed_messages()
@@ -468,6 +460,7 @@ class RunRecord:
             capture.trace(trace.to_dict(), now=trace.sent_at)
         capture.close()
         in_flight = tracer.open_traces()
+        report = collection.slo_report()
         marks = list(recorder.marks) if recorder is not None else []
         manifest = {
             "label": self.label,

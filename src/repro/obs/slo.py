@@ -7,11 +7,12 @@ loss recovery must finish before the user notices.  This module makes
 those thresholds first-class: an :class:`SloSpec` names a windowed
 series (as produced by :mod:`repro.obs.timeseries`), a comparison, and
 an *error budget* — the fraction of windows allowed to violate before
-the SLO as a whole is broken — and the :class:`SloEngine` evaluates
-every spec against every run, tracking budget burn (violations consumed
-/ violations allowed; > 1 means the budget is blown).
+the SLO as a whole is broken — and a run's one :class:`WindowGrader`
+grades each of its windows once, as it closes, tracking budget burn
+(violations consumed / violations allowed; > 1 means the budget is
+blown); :meth:`SloReport.of` is what the graders hold.
 
-Alongside per-spec results the engine emits structured **health
+Alongside per-spec results a grader opens structured **health
 events** — latency spikes (contiguous violating windows merged into one
 event), loss bursts and queue buildup — each annotated with the trace
 ids that were in flight during the offending windows, so an event links
@@ -32,14 +33,10 @@ JSONL schema (one object per line)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.obs.timeseries import (
-    RunSeries,
-    TimeSeriesCollection,
-    window_value,
-)
+from repro.telemetry.metrics import bucket_quantile
 
 __all__ = [
     "SLO_SCHEMA_VERSION",
@@ -47,12 +44,13 @@ __all__ = [
     "SloResult",
     "HealthEvent",
     "SloReport",
-    "SloEngine",
+    "WindowGrader",
     "INTERACTIVITY_SLOS",
     "KEYSTROKE_ECHO",
     "VIDEO_FRAME_RATE",
     "LOSS_RECOVERY",
     "validate_slo_records",
+    "window_value",
 ]
 
 SLO_SCHEMA_VERSION = 1
@@ -72,6 +70,40 @@ LOSS_BURST_MIN = 5
 QUEUE_BUILDUP_RUN = 3
 
 
+def window_value(
+    window: Dict[str, Any],
+    key: str,
+    kind: str,
+    quantile: float = 0.95,
+) -> Optional[float]:
+    """Extract one series value from a stored window record.
+
+    ``kind`` is one of ``counter_rate`` (delta / width),
+    ``counter_delta``, ``gauge``, ``histogram_quantile`` (windowed, from
+    bucket deltas), or ``histogram_mean``.  Returns None when the window
+    carries no data for the series.
+    """
+    if kind in ("counter_rate", "counter_delta"):
+        delta = window.get("counters", {}).get(key)
+        if delta is None:
+            return None
+        if kind == "counter_delta":
+            return float(delta)
+        width = window["t1"] - window["t0"]
+        return float(delta) / width if width > 0 else None
+    if kind == "gauge":
+        value = window.get("gauges", {}).get(key)
+        return None if value is None else float(value)
+    if kind in ("histogram_quantile", "histogram_mean"):
+        hist = window.get("histograms", {}).get(key)
+        if hist is None or not hist.get("count"):
+            return None
+        if kind == "histogram_quantile":
+            return bucket_quantile(hist.get("buckets", ()), quantile)
+        return hist["sum"] / hist["count"]
+    raise ReproError(f"unknown series kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class SloSpec:
     """One interactivity objective over a windowed series.
@@ -82,7 +114,7 @@ class SloSpec:
             metric or is the metric plus a label suffix (``{...}``).
         kind: How a window value is extracted — ``histogram_quantile``,
             ``histogram_mean``, ``gauge``, ``counter_rate``, or
-            ``counter_delta`` (see :func:`repro.obs.timeseries.window_value`).
+            ``counter_delta`` (see :func:`window_value`).
         threshold: The objective; a window passes when
             ``value op threshold`` holds.
         op: Comparison direction (default ``<=``).
@@ -261,11 +293,23 @@ class HealthEvent:
 
 @dataclass
 class SloReport:
-    """Everything one evaluation produced."""
+    """The verdict of some runs: what their graders hold."""
 
     specs: List[SloSpec]
     results: List[SloResult] = field(default_factory=list)
     events: List[HealthEvent] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, graders: Iterable["WindowGrader"]) -> "SloReport":
+        """The verdict so far of ``graders``, in their order: their
+        results and the events their windows opened, under the specs
+        they grade with (each listed once)."""
+        graders = list(graders)
+        return cls(
+            list(dict.fromkeys(spec for grader in graders for spec in grader.specs)),
+            [result for grader in graders for result in grader.results()],
+            [event for grader in graders for event in grader.events],
+        )
 
     # -- lookups -----------------------------------------------------------
     def compliance(
@@ -339,10 +383,11 @@ class SloReport:
 
 class WindowGrader:
     """The one answer to "does this window violate": a streaming fold
-    over one run's windows, fed in time order.  :class:`SloEngine` folds
-    it over a stored run; the flight recorder feeds it each window as it
-    closes and keeps only the policy of which answers freeze its rings.
-    State is per series (a result, the open event), never an event list.
+    over one run's windows as each closes, before any coalescing: each
+    :class:`~repro.obs.timeseries.RunSeries` owns one.  The flight
+    recorder is handed its answers and keeps only the policy of which
+    freeze the rings.  State is per series (a result, the open event),
+    plus :attr:`events`, every event a window opened.
 
     A *spec violation* is ``value op threshold`` failing for a series
     the spec matches; adjacent violating windows extend one event (worst
@@ -356,6 +401,8 @@ class WindowGrader:
     def __init__(self, specs: Sequence[SloSpec], run_label: str) -> None:
         self.specs = list(specs)
         self.run = run_label
+        #: Every event opened so far; an open one still widens in place.
+        self.events: List[HealthEvent] = []
         self._results: Dict[Tuple[int, str], SloResult] = {}
         #: Per (spec, series): (the open event, its streak).
         self._open: Dict[Tuple[int, str], Tuple[HealthEvent, int]] = {}
@@ -395,6 +442,7 @@ class WindowGrader:
             for key in record.get(family, ()):
                 if "queue" in key:
                     touched.extend(self._grade_queue(key, kind, record))
+        self.events.extend(event for event, streak in touched if streak == 1)
         return touched
 
     def results(self) -> List[SloResult]:
@@ -484,34 +532,6 @@ class WindowGrader:
         )
         event.t0 = state[1]
         return [(event, 1)]
-
-
-class SloEngine:
-    """Evaluates a spec set against windowed runs."""
-
-    def __init__(self, specs: Sequence[SloSpec] = INTERACTIVITY_SLOS) -> None:
-        self.specs = list(specs)
-
-    def evaluate(
-        self,
-        source: Union[TimeSeriesCollection, Iterable[RunSeries]],
-    ) -> SloReport:
-        runs = (
-            source.runs
-            if isinstance(source, TimeSeriesCollection)
-            else list(source)
-        )
-        report = SloReport(specs=self.specs)
-        for run in runs:
-            grader = WindowGrader(self.specs, run.label)
-            for record in run.windows:
-                report.events.extend(
-                    event
-                    for event, streak in grader.grade(record)
-                    if streak == 1
-                )
-            report.results.extend(grader.results())
-        return report
 
 
 def _more_violating(spec: SloSpec, value: float, reference: float) -> bool:

@@ -23,6 +23,11 @@ windows degrades resolution instead of growing without bound.  Windows
 with no activity are not stored at all — ``t0``/``t1`` on each record
 keep the timeline unambiguous.
 
+A run is graded once: it owns the :class:`~repro.obs.slo.WindowGrader`
+for the SLO specs it was made with, fed each window before any
+coalescing, and the collection's verdict
+(:meth:`TimeSeriesCollection.slo_report`) is its runs' graders'.
+
 Each window also cites trace ids from the run's
 :class:`~repro.obs.causal.TraceCollector` (messages and yardstick
 probes): those in flight at its close, then those that left flight
@@ -46,9 +51,12 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
+from repro.obs.slo import (
+    INTERACTIVITY_SLOS, HealthEvent, SloReport, SloSpec, WindowGrader, window_value
+)
 from repro.runcontext import current_run
 from repro.telemetry.metrics import bucket_quantile, occupied_buckets
 from repro.telemetry.report import jsonable
@@ -96,46 +104,15 @@ RENDER_KINDS = {
 _ROW_LABEL_MAX = 48
 
 
-def window_value(
-    window: Dict[str, Any],
-    key: str,
-    kind: str,
-    quantile: float = 0.95,
-) -> Optional[float]:
-    """Extract one series value from a stored window record.
-
-    ``kind`` is one of ``counter_rate`` (delta / width),
-    ``counter_delta``, ``gauge``, ``histogram_quantile`` (windowed, from
-    bucket deltas), or ``histogram_mean``.  Returns None when the window
-    carries no data for the series.
-    """
-    if kind in ("counter_rate", "counter_delta"):
-        delta = window.get("counters", {}).get(key)
-        if delta is None:
-            return None
-        if kind == "counter_delta":
-            return float(delta)
-        width = window["t1"] - window["t0"]
-        return float(delta) / width if width > 0 else None
-    if kind == "gauge":
-        value = window.get("gauges", {}).get(key)
-        return None if value is None else float(value)
-    if kind in ("histogram_quantile", "histogram_mean"):
-        hist = window.get("histograms", {}).get(key)
-        if hist is None or not hist.get("count"):
-            return None
-        if kind == "histogram_quantile":
-            return bucket_quantile(hist.get("buckets", ()), quantile)
-        return hist["sum"] / hist["count"]
-    raise ReproError(f"unknown series kind {kind!r}")
-
-
 class RunSeries:
-    """One simulator's windowed timeline.
+    """One simulator's windowed timeline, and its grader.
 
     ``window`` is the *current* width — it doubles every time the run
     coalesces past ``max_windows``.  Stored windows each carry their own
     ``t0``/``t1``, so readers never need the width to interpret them.
+    :attr:`grader` grades ``specs`` over every window
+    :meth:`append_window` is handed; windows put straight into
+    :attr:`windows` (a series read back from a file) are not graded.
     """
 
     def __init__(
@@ -143,6 +120,7 @@ class RunSeries:
         label: str,
         window: float = DEFAULT_WINDOW,
         max_windows: int = DEFAULT_MAX_WINDOWS,
+        specs: Sequence[SloSpec] = INTERACTIVITY_SLOS,
     ) -> None:
         if window <= 0:
             raise ReproError(f"window width must be positive, got {window}")
@@ -153,12 +131,19 @@ class RunSeries:
         self.max_windows = int(max_windows)
         self.windows: List[Dict[str, Any]] = []
         self.coalesce_count = 0
+        self.grader = WindowGrader(specs, label)
 
-    def append_window(self, record: Dict[str, Any]) -> None:
-        """Store one window record, coalescing when over budget."""
+    def append_window(
+        self, record: Dict[str, Any]
+    ) -> List[Tuple[HealthEvent, int]]:
+        """Grade one window record, then store it, coalescing when over
+        budget; returns the grader's answers for it
+        (:meth:`~repro.obs.slo.WindowGrader.grade`)."""
+        verdicts = self.grader.grade(record)
         self.windows.append(record)
         if len(self.windows) > self.max_windows:
             self._coalesce()
+        return verdicts
 
     def _coalesce(self) -> None:
         """Merge adjacent window pairs; the nominal width doubles."""
@@ -421,6 +406,10 @@ class TimeSeriesCollection:
                 return run
         return None
 
+    def slo_report(self) -> SloReport:
+        """The runs' verdict, as their graders hold it, in run order."""
+        return SloReport.of(run.grader for run in self.runs)
+
     # -- JSONL round trip --------------------------------------------------
     def to_records(self) -> List[Dict[str, Any]]:
         records: List[Dict[str, Any]] = [
@@ -569,9 +558,10 @@ class TimeSeriesSampler:
     close, then those of ``space`` that left flight inside it.
     What the registry gained is cut against the collection's baseline,
     which every sampler of the collection shares.
-    Whether a flight recorder is armed is asked of the *current*
-    context, so windows flushed after a run has ended are stored but no
-    longer graded.
+    Every window is graded by its run as it is stored; whether a flight
+    recorder is armed to hear the answers is asked of the *current*
+    context, so windows flushed after a run has ended are graded but
+    freeze nothing.
     """
 
     every = SAMPLER_EVERY
@@ -638,12 +628,12 @@ class TimeSeriesSampler:
                 trace_ids += landed[: MAX_TRACE_IDS - len(trace_ids)]
                 if trace_ids:
                     record["trace_ids"] = sorted(trace_ids)
-            self.run.append_window(record)
-            # Stream the closed window past the flight recorder so SLO
-            # violations trigger bundle dumps while the run is live.
+            verdicts = self.run.append_window(record)
+            # Hand the window and its answers to the flight recorder, so
+            # SLO violations trigger bundle dumps while the run is live.
             recorder = current_run().recorder
             if recorder is not None:
-                recorder.observe_window(self.run.label, record)
+                recorder.observe_window(self.run, record, verdicts)
         self._window_start = edge
         # The run's width may have doubled while appending (coalescing).
         self._boundary = edge + self.run.window

@@ -13,7 +13,6 @@ from repro.analysis.textplot import (
 )
 from repro.errors import ReproError
 from repro.obs.flightrec import load_bundle, write_bundle
-from repro.obs.slo import SloEngine
 from repro.obs.timeseries import TimeSeriesCollection
 from repro.tools.postmortem import chrome_trace, main, render_run
 
@@ -63,7 +62,7 @@ def series_file(tmp_path):
     return write_series_bundle(
         tmp_path / "run.slimpm",
         collection.to_records(),
-        SloEngine().evaluate(collection).to_records(),
+        collection.slo_report().to_records(),
     )
 
 
@@ -198,7 +197,7 @@ class TestCli:
         """A bundle's saved verdict, ``slo.jsonl``, is schema-checked
         with its series as the bundle loads."""
         collection = sample_collection()
-        verdict = SloEngine().evaluate(collection).to_records()
+        verdict = collection.slo_report().to_records()
         path = write_series_bundle(
             tmp_path / "run.slimpm", collection.to_records(), verdict
         )

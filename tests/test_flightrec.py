@@ -29,7 +29,8 @@ from repro.obs import (
     TraceCollector,
 )
 from repro.obs.flightrec import BUNDLE_SUFFIX, load_bundle, write_bundle
-from repro.obs.slo import INTERACTIVITY_SLOS, SloEngine, SloSpec
+from repro.obs.slo import INTERACTIVITY_SLOS, SloSpec
+from repro.obs.timeseries import RunSeries
 from repro.runcontext import RunContext, current_run, use_run
 from repro.tools import postmortem
 from repro.transport import DisplayChannel
@@ -177,12 +178,16 @@ TEST_SPEC = SloSpec(
 )
 
 
+def close(recorder, run, window):
+    """Close ``window`` of ``run`` as the sampler does: the run grades
+    it, and the recorder hears the answers."""
+    recorder.observe_window(run, window, run.append_window(window))
+
+
 class TestTriggers:
     def test_slo_violation_freezes_a_bundle(self, tmp_path):
-        recorder = FlightRecorder(
-            out_dir=tmp_path, label="slo run", specs=[TEST_SPEC]
-        )
-        recorder.observe_window("run-a", _violating_window())
+        recorder = FlightRecorder(out_dir=tmp_path, label="slo run")
+        close(recorder, RunSeries("run-a", specs=[TEST_SPEC]), _violating_window())
         assert len(recorder.triggers) == 1
         trigger = recorder.triggers[0]
         assert trigger["kind"] == "test_spike"
@@ -196,17 +201,20 @@ class TestTriggers:
         assert manifest["reason"]["kind"] == "test_spike"
 
     def test_each_run_spec_pair_fires_once(self, tmp_path):
-        recorder = FlightRecorder(
-            out_dir=tmp_path, label="dedup", specs=[TEST_SPEC]
-        )
+        recorder = FlightRecorder(out_dir=tmp_path, label="dedup")
+        run_a = RunSeries("run-a", specs=[TEST_SPEC])
         for i in range(4):
-            recorder.observe_window("run-a", _violating_window(i, i + 1.0))
-        recorder.observe_window("run-b", _violating_window(9.0, 10.0))
+            close(recorder, run_a, _violating_window(i, i + 1.0))
+        close(
+            recorder,
+            RunSeries("run-b", specs=[TEST_SPEC]),
+            _violating_window(9.0, 10.0),
+        )
         kinds = [(t["kind"], t["run"]) for t in recorder.triggers]
         assert kinds == [("test_spike", "run-a"), ("test_spike", "run-b")]
 
     def test_loss_burst_detector(self, tmp_path):
-        recorder = FlightRecorder(out_dir=tmp_path, label="burst", specs=[])
+        recorder = FlightRecorder(out_dir=tmp_path, label="burst")
         window = {
             "t0": 0.0,
             "t1": 1.0,
@@ -214,7 +222,7 @@ class TestTriggers:
             "gauges": {},
             "histograms": {},
         }
-        recorder.observe_window("cell", window)
+        close(recorder, RunSeries("cell", specs=[]), window)
         assert [t["kind"] for t in recorder.triggers] == ["loss_burst"]
         assert recorder.triggers[0]["value"] == 12.0
 
@@ -226,19 +234,18 @@ class TestTriggers:
 
     def test_bundle_cap(self, tmp_path):
         recorder = FlightRecorder(
-            out_dir=tmp_path, label="capped", specs=[TEST_SPEC], max_bundles=2
+            out_dir=tmp_path, label="capped", max_bundles=2
         )
         for i in range(5):
-            recorder.observe_window(f"run-{i}", _violating_window())
+            run = RunSeries(f"run-{i}", specs=[TEST_SPEC])
+            close(recorder, run, _violating_window())
         assert len(recorder.triggers) == 5
         assert len(recorder.bundles) == 2
 
     def test_status_line_tracks_state(self, tmp_path):
-        recorder = FlightRecorder(
-            out_dir=tmp_path, label="status", specs=[TEST_SPEC]
-        )
+        recorder = FlightRecorder(out_dir=tmp_path, label="status")
         assert recorder.status_line() == "armed"
-        recorder.observe_window("run-a", _violating_window())
+        close(recorder, RunSeries("run-a", specs=[TEST_SPEC]), _violating_window())
         line = recorder.status_line()
         assert "TRIGGERED x1" in line and "test_spike" in line
         assert str(recorder.last_bundle) in line
@@ -300,19 +307,21 @@ def _telemetry_window(t0, drawn):
 @settings(deadline=None)
 @given(drawn_windows=_drawn_windows)
 def test_a_trigger_is_in_the_verdict_of_the_windows_it_froze(drawn_windows):
-    """Whatever froze the rings, the SLO report over the frozen windows
-    (a bundle's ``slo.jsonl``) holds that event, with that value."""
+    """Whatever froze the rings, the verdict so far of the runs in the
+    frozen window slice (a bundle's ``slo.jsonl``) holds that event,
+    with that value."""
     specs = INTERACTIVITY_SLOS + (LOOSE_LEVEL,)
-    recorder = FlightRecorder(out_dir=None, specs=specs)
+    recorder = FlightRecorder(out_dir=None)
+    runs = {label: RunSeries(label, specs=specs) for label in ("cell-a", "cell-b")}
     clock = {"cell-a": 0.0, "cell-b": 0.0}
     for drawn in drawn_windows:
         fired = len(recorder.triggers)
         label = drawn["run"]
-        recorder.observe_window(label, _telemetry_window(clock[label], drawn))
+        close(recorder, runs[label], _telemetry_window(clock[label], drawn))
         clock[label] += 1.0
         if len(recorder.triggers) == fired:
             continue
-        report = SloEngine(specs).evaluate(recorder._timeseries())
+        _slice, report = recorder._slice()
         for trigger in recorder.triggers[fired:]:
             assert [
                 event
@@ -325,12 +334,12 @@ def test_a_trigger_is_in_the_verdict_of_the_windows_it_froze(drawn_windows):
 def test_loss_spread_over_links_is_one_burst(tmp_path):
     """3 + 2 lost on two links is the burst neither link is alone — for
     the recorder and for the report inside the bundle it writes."""
-    recorder = FlightRecorder(out_dir=tmp_path, label="spread", specs=[])
+    recorder = FlightRecorder(out_dir=tmp_path, label="spread")
     window = _telemetry_window(
         0.0,
         {"lost": [3, 0, 2], "level": None, "rtts": [0] * 4},
     )
-    recorder.observe_window("cell", window)
+    close(recorder, RunSeries("cell", specs=[]), window)
     assert [t["kind"] for t in recorder.triggers] == ["loss_burst"]
     lines = zipfile.ZipFile(recorder.last_bundle).read("slo.jsonl").decode()
     events = [

@@ -22,7 +22,6 @@ from repro.obs import (
     RunRecord,
     SlimcapReader,
     SlimcapWriter,
-    SloEngine,
     TimeSeriesCollection,
     TraceCollector,
     chrome_trace_events,
@@ -222,7 +221,7 @@ class TestAnalyzerCli:
         tracer = TraceCollector()
         run_session(RunContext(tracer=tracer, capture=record.capture))
         windows = TimeSeriesCollection()
-        return record.write(tracer, windows, SloEngine().evaluate(windows), [])
+        return record.write(tracer, windows, [])
 
     def test_summary_json(self, bundle_path, capsys):
         assert postmortem.main([str(bundle_path), "--summary", "--json"]) == 0

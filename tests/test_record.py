@@ -132,7 +132,7 @@ def small_record(tmp_path_factory):
     import numpy as np
 
     from repro.framebuffer import FrameBuffer, PaintKind, PaintOp, Rect
-    from repro.obs import RunRecord, SloEngine, TimeSeriesCollection, TraceCollector
+    from repro.obs import RunRecord, TimeSeriesCollection, TraceCollector
     from repro.runcontext import use_run
     from repro.telemetry import MetricsRegistry
     from repro.transport import DisplayChannel
@@ -159,8 +159,7 @@ def small_record(tmp_path_factory):
             channel.sim.run_until(channel.sim.now + 0.004)
         run.tracer.end_probe(probe, channel.sim.now)
         channel.run()
-    report = SloEngine().evaluate(collection)
-    path = record.write(run.tracer, collection, report, run.registry.snapshot())
+    path = record.write(run.tracer, collection, run.registry.snapshot())
     return path.read_bytes()
 
 

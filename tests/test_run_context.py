@@ -25,7 +25,6 @@ from repro.netsim.engine import Simulator
 from repro.netsim.profiles import get_profile
 from repro.obs import (
     FlightRecorder,
-    SloEngine,
     TimeSeriesCollection,
     TraceCollector,
 )
@@ -122,6 +121,10 @@ def test_a_window_is_cut_graded_and_drawn_in_one_place():
     assert {
         name for name, tree in trees.items() if _calls(tree, "window_value")
     } == {"obs/slo.py", "obs/timeseries.py"}
+    # One grader per series, built where the series is.
+    assert {
+        name for name, tree in trees.items() if _calls(tree, "WindowGrader")
+    } == {"obs/timeseries.py"}
     recorder = trees["obs/flightrec.py"]
     assert not _calls(recorder, "startswith")
     assert not _calls(recorder, "matches") and not _calls(recorder, "passes")
@@ -176,7 +179,7 @@ _REPLACED = (
     "_SLO_FAMILY _LOSS_PREFIXES _TIER_PREFIX "
     "set_default_monitor Tracer Span sample_periodically "
     "TieredAllocator QualityTier TierStats DEFAULT_TIERS "
-    "TIER_RESIDENCY TIER_THRASH_MIN _WINDOW_SUMS"
+    "TIER_RESIDENCY TIER_THRASH_MIN _WINDOW_SUMS SloEngine"
 ).split()
 
 
@@ -214,8 +217,6 @@ def test_replaced_modules_and_methods_are_gone():
     assert not hasattr(FlightRecorder, "attach_tracer")
     assert not hasattr(FlightRecorder, "obs_context")
     assert not hasattr(FlightRecorder, "_check_window")
-    for detector in ("loss_bursts", "tier_thrash", "queue_buildup"):
-        assert not hasattr(SloEngine, f"_detect_{detector}")
 
 
 class TestUseRun:
