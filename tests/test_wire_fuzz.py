@@ -7,14 +7,19 @@ against the scalar reference implementations before the rewrite and
 must keep passing after it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core import commands as cmd
 from repro.core import wire
 from repro.core.commands import Opcode
 from repro.core.encoder import EncoderConfig, SlimEncoder
 from repro.core.wire import (
+    Datagram,
     WireCodec,
     decode_body,
     decode_message,
@@ -23,6 +28,7 @@ from repro.core.wire import (
     pack_bits,
     unpack_bits,
 )
+from repro.errors import ProtocolError
 from repro.framebuffer.framebuffer import FrameBuffer
 from repro.framebuffer.painter import PaintKind, PaintOp, Painter
 from repro.framebuffer.regions import Rect
@@ -292,3 +298,97 @@ class TestEncodeDamageEquivalence:
         assert len(fast) == len(reference)
         for a, b in zip(fast, reference):
             _assert_commands_equal(b, a)
+
+
+# -- corrupt input: decoded or refused, in bounded memory --------------------
+
+#: What a receiver may allocate while it reads corrupt datagrams: this
+#: multiple of the bytes it was handed (a BITMAP body unpacks to one
+#: byte per bit) plus this many bytes (objects per datagram, numpy's
+#: first calls).
+ALLOC_PER_INPUT_BYTE = 16
+ALLOC_CONSTANT = 64 * 1024
+
+#: One mutation of the datagram stream: (how, which datagram, where,
+#: what).  ``flip`` xors a byte, ``set`` overwrites one, ``cut``
+#: truncates the datagram there, ``junk`` appends bytes, ``dup`` sends
+#: it twice and ``swap`` trades it with its neighbour.
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(("flip", "set", "cut", "junk", "dup", "swap")),
+        st.integers(0, 1 << 16),
+        st.integers(0, 1 << 16),
+        st.integers(1, 255),
+    ),
+    max_size=6,
+)
+
+#: A stream: the datagrams of 1-4 drawn messages (by ``_random_command``
+#: seed), mutated, plus datagrams of drawn bytes.
+_DATAGRAM_STREAMS = st.fixed_dictionaries(
+    {
+        "messages": st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        "mutations": _MUTATIONS,
+        "noise": st.lists(st.binary(max_size=48), max_size=3),
+    }
+)
+
+
+def _mutated_stream(drawn):
+    tx = WireCodec()
+    stream = [
+        bytearray(datagram.to_bytes())
+        for message_seed in drawn["messages"]
+        for datagram in tx.fragment(_random_command(np.random.default_rng(message_seed)))
+    ]
+    for how, which, where, value in drawn["mutations"]:
+        which %= len(stream)
+        data = stream[which]
+        if how == "flip" and data:
+            data[where % len(data)] ^= value
+        elif how == "set" and data:
+            data[where % len(data)] = value
+        elif how == "cut":
+            del data[where % (len(data) + 1) :]
+        elif how == "junk":
+            data.extend(bytes([value]) * (where % 64))
+        elif how == "dup":
+            stream.insert(which, bytearray(data))
+        elif how == "swap" and which + 1 < len(stream):
+            stream[which], stream[which + 1] = stream[which + 1], data
+    return [bytes(data) for data in stream + drawn["noise"]]
+
+
+@seed(1999)
+@settings(deadline=None)
+@given(drawn=_DATAGRAM_STREAMS)
+def test_a_corrupt_datagram_decodes_or_is_refused_in_bounded_memory(drawn):
+    """Every datagram a receiver reads, whatever its bytes, yields a
+    command, yields nothing yet, or raises :class:`ProtocolError` — no
+    other exception — and reading the whole stream allocates at most
+    :data:`ALLOC_PER_INPUT_BYTE` times its bytes plus
+    :data:`ALLOC_CONSTANT`: a header cannot make the receiver allocate
+    what it claims rather than what it was sent."""
+    stream = _mutated_stream(drawn)
+    rx = WireCodec()
+    outcomes = []
+    tracemalloc.start()
+    try:
+        for data in stream:
+            try:
+                out = rx.accept(Datagram.from_bytes(data))
+            except ProtocolError:
+                outcomes.append("refused")
+                continue
+            if out is None:
+                outcomes.append(None)
+            else:
+                command, seq = out
+                assert isinstance(command, cmd.Command) and isinstance(seq, int)
+                outcomes.append(command.opcode)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(outcomes) == len(stream)
+    budget = ALLOC_PER_INPUT_BYTE * sum(map(len, stream)) + ALLOC_CONSTANT
+    assert peak <= budget, (peak, budget)
